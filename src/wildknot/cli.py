@@ -42,7 +42,6 @@ class RunConfig:
     seed: int = 0
     samples_per_face: int = 200
     domain_budget: int = 100_000
-    angle_tol: float = 1e-9
     relation_tol: float = 1e-8
 
     def validate(self):
@@ -52,8 +51,8 @@ class RunConfig:
             raise ValueError("word-length cap must be >= 0")
         if self.eps <= 0 or self.n_stages < 0 or self.samples_per_face <= 0:
             raise ValueError("caps must be positive")
-        if not 0 < self.angle_tol <= 1e-6 or not 0 < self.relation_tol <= 1e-6:
-            raise ValueError("tolerances outside the safe range (0, 1e-6]")
+        if not 0 < self.relation_tol <= 1e-6:
+            raise ValueError("tolerance outside the safe range (0, 1e-6]")
         return self
 
 
@@ -213,10 +212,7 @@ def cmd_limitset(args):
     for fmt in args.formats.split(","):
         fmt = fmt.strip()
         target = os.path.join(cfg.out_dir, f"cloud.{fmt}")
-        if fmt == "ply" and len(cloud) and cloud.points.shape[1] == 4:
-            ls.export_cloud(cloud, "ply", target)
-        else:
-            ls.export_cloud(cloud, fmt, target)
+        ls.export_cloud(cloud, fmt, target)
         written.append(target)
     if args.slice is not None:
         axis, value = args.slice
@@ -524,7 +520,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples-per-face", type=int, default=200)
     p.add_argument("--domain-budget", type=int, default=100_000)
-    p.add_argument("--angle-tol", type=float, default=1e-9)
     p.add_argument("--relation-tol", type=float, default=1e-8)
     p.add_argument("--bend-amalgam", type=int, default=None)
     p.add_argument("--bend-ts", default="0,0.05,0.1,0.15,0.2,0.25,0.3",
@@ -552,7 +547,6 @@ def _config_from_args(args):
         seed=args.seed,
         samples_per_face=args.samples_per_face,
         domain_budget=args.domain_budget,
-        angle_tol=args.angle_tol,
         relation_tol=args.relation_tol,
     ).validate()
 
@@ -604,7 +598,12 @@ def main(argv=None):
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except cx.ComplexError as exc:
+        for issue in exc.issues:
+            print(f"FAIL complex: {issue}")
+        return 1
 
 
 if __name__ == "__main__":

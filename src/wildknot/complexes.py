@@ -131,7 +131,10 @@ def loads_complex(text):
             nums = [int(p) for p in parts[1:]]
         except ValueError:
             raise ComplexError([f"non-integer field in record: {ln!r}"]) from None
-        cube = Cube3(tuple(nums[:4]), nums[4], nums[5])
+        try:
+            cube = Cube3(tuple(nums[:4]), nums[4], nums[5])
+        except ValueError as exc:
+            raise ComplexError([f"{exc} in record: {ln!r}"]) from None
         (big if parts[0] == "big" else tube).append(cube)
     return CubeComplex(tuple(big), tuple(tube))
 

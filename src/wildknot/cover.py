@@ -21,13 +21,17 @@ Every edge-midpoint ball is automatically legal against the whole family:
 it meets the two vertex balls of its edge at exterior cosine -1/2 (order 3),
 is exactly orthogonal to the nearest face balls (the same quadratic
 A^2 - 3 A ell + ell^2/2 = 0 that drives the face pattern), and is disjoint
-from all other balls.  All pairwise claims are certified by the full
-O(N^2) sweep in validate_cover rather than trusted.
+from all other balls.  All pairwise claims are certified in validate_cover
+rather than trusted: one grid search lists every pair whose inversive
+product is below 1.15 (cell side sqrt(4.3) times the largest radius, so the
+pairs it skips are provably disjoint), and the adjacency, the legality sweep
+and the adjacency residuals are all read from that one list.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -218,108 +222,106 @@ def _host_cubes(c, centers):
     return host
 
 
+def _products(centers, radii, i, j):
+    """Inversive products of the ball pairs (i, j), from center differences.
+
+    (d^2 - r_i^2 - r_j^2) / (2 r_i r_j) is cos of the exterior angle when the
+    balls intersect, > 1 when disjoint, < -1 when nested.  Differencing the
+    centers is exact at lattice scale and avoids the cancellation a
+    Gram-matrix product suffers at large coordinates.
+    """
+    diff = centers[i] - centers[j]
+    d2 = (diff * diff).sum(axis=1)
+    return (d2 - radii[i] * radii[i] - radii[j] * radii[j]) / (
+        2.0 * radii[i] * radii[j]
+    )
+
+
+def _near_pairs(centers, radii):
+    """Every pair i < j with inversive product below 1.15, sorted by (i, j).
+
+    Returns arrays (i, j, product).  The pairs come from a 4-D grid join.  A
+    product < 1.15 forces d^2 < r_i^2 + r_j^2 + 2.3 r_i r_j <= 4.3 r_max^2,
+    so with cell side sqrt(4.3) r_max (widened by 1e-9 against rounding) the
+    two centers lie in the same or in neighbouring cells: every pair the 3^4
+    neighbouring cells miss is provably disjoint.  The design's closest
+    disjoint pairs sit above 1.3, so the list holds all intersecting, tangent
+    and nested pairs and no designed disjoint one.
+    """
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    n = len(radii)
+    if n < 2:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    side = math.sqrt(4.3) * float(radii.max()) * (1.0 + 1e-9)
+    cell = np.floor(centers / side).astype(np.int64)
+    # renumber each axis's occupied cells from 1, closing gaps wider than one
+    # cell, so that neighbours stay neighbours and the key size follows the
+    # number of balls rather than the extent of the set
+    for a in range(4):
+        occupied, at = np.unique(cell[:, a], return_inverse=True)
+        gaps = np.minimum(np.diff(occupied, prepend=occupied[0] - 1), 2)
+        cell[:, a] = np.cumsum(gaps)[at]
+    dims = [int(d) for d in cell.max(axis=0) + 2]  # a free cell on each side
+    if math.prod(dims) >= 2**63:
+        raise CoverError("balls too sparse for a 64-bit grid key")
+    strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
+    key = cell @ strides
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # one key shift per neighbour offset; the non-negative ones meet each
+    # unordered pair of neighbouring cells exactly once
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=4))) @ strides
+    parts = []
+    for shift in shifts[shifts >= 0]:
+        lo = np.searchsorted(sorted_key, key + shift, "left")
+        count = np.searchsorted(sorted_key, key + shift, "right") - lo
+        first = np.cumsum(count) - count
+        i = np.repeat(np.arange(n), count)
+        j = order[np.repeat(lo - first, count) + np.arange(count.sum())]
+        if shift == 0:  # a pair inside one cell is met from both ends
+            i, j = i[i < j], j[i < j]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        prod = _products(centers, radii, i, j)
+        near = prod < 1.15
+        parts.append((i[near], j[near], prod[near]))
+    i, j, prod = (np.concatenate(col) for col in zip(*parts))
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair], prod[by_pair]
+
+
 def _adjacency(centers, radii):
-    """All intersecting pairs with their Coxeter order, via a spatial grid."""
-    cell = np.floor(centers / (2.0 * radii.max())).astype(np.int64)
-    grid = {}
-    for i, key in enumerate(map(tuple, cell)):
-        grid.setdefault(key, []).append(i)
-    out = []
-    offsets = [
-        (dx, dy, dz, dw)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        for dw in (-1, 0, 1)
+    """All intersecting pairs with their Coxeter order and target cosine."""
+    i, j, prod = _near_pairs(centers, radii)
+    hit = prod < 1.0
+    nearest = np.abs(prod[hit, None] - np.array(LEGAL_COSINES)).argmin(axis=1)
+    return [
+        (int(a), int(b), 2 if LEGAL_COSINES[t] == 0.0 else 3, LEGAL_COSINES[t])
+        for a, b, t in zip(i[hit], j[hit], nearest)
     ]
-    for key, members in grid.items():
-        neigh = []
-        for off in offsets:
-            nk = (key[0] + off[0], key[1] + off[1], key[2] + off[2], key[3] + off[3])
-            if nk >= key:
-                neigh.extend(grid.get(nk, []))
-        members_arr = np.array(members)
-        neigh_arr = np.array(neigh)
-        d2 = ((centers[members_arr][:, None, :] - centers[neigh_arr][None, :, :]) ** 2).sum(-1)
-        rsum = radii[members_arr][:, None] + radii[neigh_arr][None, :]
-        ii, jj = np.nonzero(d2 < rsum * rsum)
-        pairs = {
-            (min(x, y), max(x, y))
-            for x, y in zip(members_arr[ii], neigh_arr[jj])
-            if x != y
-        }
-        for a, b in sorted(pairs):
-            d2ab = float(((centers[a] - centers[b]) ** 2).sum())
-            cos = (d2ab - radii[a] ** 2 - radii[b] ** 2) / (2.0 * radii[a] * radii[b])
-            target = min(LEGAL_COSINES, key=lambda t: abs(cos - t))
-            order = 2 if target == 0.0 else 3
-            out.append((int(a), int(b), order, target))
-    out = sorted(set(out))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def pairwise_sweep(centers, radii, tol=ANGLE_TOL, block=1024):
+def pairwise_sweep(centers, radii, tol=ANGLE_TOL):
     """Certify every pair of balls: disjoint or at an exact legal angle.
 
-    The inversive product of two balls is (d^2 - r1^2 - r2^2) / (2 r1 r2):
-    cos of the exterior angle when they intersect, > 1 when disjoint, < -1
-    when nested.  A fast float32 block pass discards pairs that are disjoint
-    by a wide margin (the design's closest disjoint pairs sit above 1.3);
-    every surviving pair is recomputed in float64 from center differences,
-    which is exact at lattice scale and avoids the cancellation a Gram-matrix
-    product suffers at large coordinates.
-
-    Returns (max_residual, n_intersecting, violations): residual is the
-    distance of an intersecting pair's product from {0, +-1/2}; violations
-    lists up to 50 offending (i, j, product) triples, including tangent or
-    nested pairs.
+    Pairs with inversive product >= 1.15 are disjoint by a wide margin; the
+    rest come from the grid search of _near_pairs.  Returns (max_residual,
+    n_intersecting, violations): residual is the distance of an intersecting
+    pair's product from {0, +-1/2}; violations lists up to 50 offending
+    (i, j, product) triples, including tangent or nested pairs.
     """
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    n = len(radii)
-    n2 = (centers * centers).sum(axis=1)
-    c32 = centers.astype(np.float32)
-    n2_32 = n2.astype(np.float32)
-    r2 = radii * radii
-    r2_32 = r2.astype(np.float32)
-    targets = np.array(LEGAL_COSINES)
-
-    r32 = radii.astype(np.float32)
-    max_residual = 0.0
-    n_intersecting = 0
-    violations = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        # only columns >= lo; the strict upper triangle covers every pair once
-        d2 = n2_32[lo:hi, None] + n2_32[None, lo:] - 2.0 * (c32[lo:hi] @ c32[lo:].T)
-        inv = (d2 - r2_32[lo:hi, None] - r2_32[None, lo:]) / (
-            2.0 * r32[lo:hi, None] * r32[None, lo:]
-        )
-        suspect = (np.arange(lo, n)[None, :] > np.arange(lo, hi)[:, None]) & (
-            inv < 1.15
-        )
-        if not suspect.any():
-            continue
-        ii, jj = np.nonzero(suspect)
-        ii = ii + lo
-        jj = jj + lo
-        diff = centers[ii] - centers[jj]
-        d2x = (diff * diff).sum(axis=1)
-        invx = (d2x - r2[ii] - r2[jj]) / (2.0 * radii[ii] * radii[jj])
-        res = np.abs(invx[:, None] - targets[None, :]).min(axis=1)
-        intersecting = np.abs(invx) < 1.0 - tol
-        disjoint = invx >= 1.0 + tol
-        n_intersecting += int(intersecting.sum())
-        if intersecting.any():
-            max_residual = max(max_residual, float(res[intersecting].max()))
-        bad = (intersecting & (res > tol)) | ~(intersecting | disjoint)
-        for b in np.nonzero(bad)[0][: max(0, 50 - len(violations))]:
-            violations.append((int(ii[b]), int(jj[b]), float(invx[b])))
-    return max_residual, n_intersecting, violations
+    i, j, prod = _near_pairs(centers, radii)
+    res = np.abs(prod[:, None] - np.array(LEGAL_COSINES)).min(axis=1)
+    intersecting = np.abs(prod) < 1.0 - tol
+    disjoint = prod >= 1.0 + tol
+    bad = np.nonzero((intersecting & (res > tol)) | ~(intersecting | disjoint))[0]
+    violations = [(int(i[b]), int(j[b]), float(prod[b])) for b in bad[:50]]
+    max_residual = float(res[intersecting].max(initial=0.0))
+    return max_residual, int(intersecting.sum()), violations
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0, chunk=200):
@@ -415,13 +417,10 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     fraction, misses = coverage_check(cover, surf, n_samples=n_samples, seed=seed)
 
     # adjacency targets realized exactly
-    adj_residual = 0.0
-    for i, j, _m, target in cover.adjacency:
-        d2 = float(((cover.centers[i] - cover.centers[j]) ** 2).sum())
-        cos = (d2 - cover.radii[i] ** 2 - cover.radii[j] ** 2) / (
-            2.0 * cover.radii[i] * cover.radii[j]
-        )
-        adj_residual = max(adj_residual, abs(cos - target))
+    adj = np.array(cover.adjacency, dtype=float).reshape(-1, 4)
+    cos = _products(cover.centers, cover.radii, adj[:, 0].astype(np.int64),
+                    adj[:, 1].astype(np.int64))
+    adj_residual = float(np.abs(cos - adj[:, 3]).max(initial=0.0))
 
     # every ball orthogonal to the surface: center on its face's 2-plane
     # (true by construction: all centers have at most two non-lattice coords,

@@ -623,7 +623,6 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     attempts = 0
     while len(pts) < n_points and attempts < 100:
         cand = rng.random((n_points, 4)) * (hi - lo) + lo
-        d2 = np.full(len(cand), np.inf)
         inside = np.zeros(len(cand), dtype=bool)
         for blo in range(0, n, 8192):
             bhi = min(blo + 8192, n)
@@ -631,7 +630,6 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
                 (cand[:, None, :] - cover.centers[None, blo:bhi, :]) ** 2
             ).sum(-1) - cover.radii[None, blo:bhi] ** 2
             inside |= (dd < 0).any(axis=1)
-            d2 = np.minimum(d2, dd.min(axis=1))
         pts.extend(cand[~inside])
         attempts += 1
     pts = np.array(pts[:n_points])

@@ -135,20 +135,6 @@ def centers_radii(polars, tol=1e-12):
     return c, np.abs(r)
 
 
-def translation(b):
-    """Lorentz matrix of the Euclidean translation x -> x + b.
-
-    Built exactly as the product of reflections in the two parallel
-    hyperplanes n.x = 0 and n.x = |b|/2 with n = b/|b|.
-    """
-    b = np.asarray(b, dtype=float)
-    norm = math.sqrt(float(b @ b))
-    if norm == 0.0:
-        return np.eye(6)
-    n = b / norm
-    return reflection(hyperplane(n, norm / 2.0)) @ reflection(hyperplane(n, 0.0))
-
-
 def reflection(polar):
     """Lorentz matrix of inversion in the sphere with the given unit polar."""
     v = np.asarray(polar, dtype=float)

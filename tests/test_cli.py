@@ -52,9 +52,12 @@ def test_broken_complex_file_fails(tmp_path, capsys):
         "tube 0 0 0 1 1 2\n",
         encoding="utf-8",
     )
-    with pytest.raises(Exception):
-        # loader validates and raises with located issues
-        main(["validate", "--complex", str(bad), "--out", str(tmp_path)])
+    # the loader's located issues come out as FAIL lines, not a traceback
+    assert main(["validate", "--complex", str(bad), "--out", str(tmp_path)]) == 1
+    assert "FAIL complex" in capsys.readouterr().out
+    bad.write_text("wildknot-complex 1\nbig 0 0 0 0 0 3\n", encoding="utf-8")
+    assert main(["validate", "--complex", str(bad), "--out", str(tmp_path)]) == 1
+    assert "FAIL complex: edge must be positive" in capsys.readouterr().out
 
 
 def test_runconfig_guards():
@@ -63,7 +66,7 @@ def test_runconfig_guards():
     with pytest.raises(ValueError):
         RunConfig(max_word_length=-2).validate()
     with pytest.raises(ValueError):
-        RunConfig(angle_tol=1.0).validate()
+        RunConfig(relation_tol=1.0).validate()
     RunConfig().validate()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
 from wildknot.complexes import knot_surface
@@ -10,6 +12,7 @@ from wildknot.cover import (
     ROLE_JUNCTION,
     ROLE_VERTEX,
     CoverError,
+    _near_pairs,
     build_cover,
     closed_form_parameters,
     coverage_check,
@@ -106,6 +109,23 @@ def test_single_cube_adjacency_orders():
         assert cos == pytest.approx(target, abs=1e-12)
 
 
+def brute_force_products(centers, radii):
+    """Full-matrix float64 reference: (i, j, inversive product) for all i < j."""
+    i, j = np.triu_indices(len(radii), k=1)
+    diff = centers[i] - centers[j]
+    d2 = (diff * diff).sum(axis=1)
+    return i, j, (d2 - radii[i] ** 2 - radii[j] ** 2) / (2.0 * radii[i] * radii[j])
+
+
+def brute_force_sweep(centers, radii, tol=1e-9):
+    i, j, prod = brute_force_products(centers, radii)
+    res = np.abs(prod[:, None] - np.array([0.0, 0.5, -0.5])).min(axis=1)
+    inter = np.abs(prod) < 1.0 - tol
+    bad = (inter & (res > tol)) | ~(inter | (prod >= 1.0 + tol))
+    viol = [(int(a), int(b), float(x)) for a, b, x in zip(i[bad], j[bad], prod[bad])]
+    return float(res[inter].max(initial=0.0)), int(inter.sum()), viol[:50]
+
+
 def test_sweep_matches_adjacency_count():
     c = degenerate_single_cube(1)
     cover = build_cover(c)
@@ -113,6 +133,75 @@ def test_sweep_matches_adjacency_count():
     assert violations == []
     assert n_inter == len(cover.adjacency)
     assert max_res <= 1e-12
+    # the grid search against every pair of the full matrix
+    assert (max_res, n_inter, violations) == brute_force_sweep(cover.centers, cover.radii)
+    i, j, prod = brute_force_products(cover.centers, cover.radii)
+    hit = prod < 1.0
+    assert [(a, b) for a, b, _m, _t in cover.adjacency] == list(zip(i[hit], j[hit]))
+    # fewer than two balls: nothing to certify
+    for n in (0, 1):
+        assert pairwise_sweep(cover.centers[:n], cover.radii[:n]) == (0.0, 0, [])
+
+
+@st.composite
+def ball_sets(draw):
+    """Balls centred on half-lattice grid lines with radii ratios up to 20,
+    plus extra balls nested in, tangent to, or just beyond the 1.15 product
+    cut from an existing ball."""
+    scale = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    n = draw(st.integers(0, 30))
+    pts = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * 4), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    centers = np.array(pts, dtype=float).reshape(-1, 4) * (scale / 2.0)
+    radii = np.array(sizes, dtype=float) * (scale / 8.0)
+    steps = st.tuples(*[st.integers(-1, 1)] * 4).filter(any)
+    extras = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(1, 20),
+                       st.sampled_from(["nested", "tangent", "near"]),
+                       steps, st.floats(1.1, 1.2))
+    for a, size, kind, step, product in draw(st.lists(extras, max_size=6 if n else 0)):
+        r = size * scale / 8.0
+        # tangent along an axis is exact; along a diagonal it is within rounding
+        dist = {"nested": 0.0, "tangent": radii[a] + r,
+                "near": math.sqrt(radii[a] ** 2 + r * r + 2.0 * product * radii[a] * r)}
+        c = centers[a] + dist[kind] * np.array(step) / math.sqrt(np.count_nonzero(step))
+        centers = np.vstack([centers, c])
+        radii = np.append(radii, r)
+    return centers, radii
+
+
+@settings(max_examples=200, deadline=None)
+@given(ball_sets())
+def test_sweep_matches_brute_force(balls):
+    centers, radii = balls
+    i, j, prod = brute_force_products(centers, radii)
+    near = prod < 1.15
+    gi, gj, gprod = _near_pairs(centers, radii)
+    assert np.array_equal(gi, i[near]) and np.array_equal(gj, j[near])
+    assert np.array_equal(gprod, prod[near])
+    assert pairwise_sweep(centers, radii) == brute_force_sweep(centers, radii)
+
+
+def test_grid_search_reaches_the_completeness_bound():
+    """Equal balls at product just below 1.15 are found wherever they sit
+    relative to the grid cells, along an axis and along a diagonal."""
+    d = math.sqrt(4.299)
+    for step in ([1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]):
+        for t in np.linspace(0.0, 3.0, 301):
+            centers = np.array([np.full(4, t), t + d * np.array(step)])
+            i, j, prod = _near_pairs(centers, np.ones(2))
+            assert list(zip(i, j)) == [(0, 1)]
+            assert 1.14 < prod[0] < 1.15
+
+
+def test_grid_key_follows_ball_count_not_extent():
+    # an orthogonal pair of tiny balls and one ball 10^12 away
+    far = np.array([[0.0, 0, 0, 0], [1e-3, 1e-3, 0, 0], [1e12, 1e12, 1e12, 1e12]])
+    max_res, n_inter, violations = pairwise_sweep(far, np.full(3, 1e-3))
+    assert (n_inter, violations) == (1, []) and max_res <= 1e-12
+    # 3 * 10^4 balls in distinct cells on every axis overflow a 64-bit key
+    diagonal = np.repeat(np.arange(30_000.0)[:, None], 4, axis=1)
+    with pytest.raises(CoverError, match="too sparse"):
+        pairwise_sweep(diagonal, np.full(30_000, 1e-3))
 
 
 def test_sweep_flags_illegal_pair():
