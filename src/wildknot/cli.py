@@ -1,18 +1,20 @@
 """Command-line front end.
 
-Subcommands mirror the pipeline stages and hand artifacts to each other on
-disk: build | validate | enumerate | limitset | bend | alexander | report.
-`report` runs the whole pipeline into an output directory and writes a
-summary with one pass/fail line per check; its exit status is nonzero iff
-any check fails.  All outputs are byte-deterministic for a fixed config and
-seed: files use sorted keys, shortest-roundtrip float formatting, LF line
-endings, and no timestamps.
+The pipeline is STAGES, one ordered list of (check name, fn(run) -> (ok,
+message)) stages, each writing its own files; a Run builds each artifact
+(so the knot surface) once, on first use.  `report` runs every stage and
+writes a summary with one pass/fail line per check; its exit status is
+nonzero iff any check fails.  The other subcommands run the stages and
+artifacts they need.  All outputs are byte-deterministic for a fixed config
+and seed: sorted keys, shortest-roundtrip floats, LF line endings, no
+timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,7 +27,10 @@ from . import complexes as cx
 from . import groups as gr
 from . import limitset as ls
 from . import presets
-from .cover import build_cover, closed_form_parameters, validate_cover
+from .cover import CoverError, build_cover, closed_form_parameters, validate_cover
+
+# What malformed input raises inside the pipeline; reported as FAIL lines.
+INPUT_ERRORS = (cx.ComplexError, CoverError, gr.GroupError)
 
 
 @dataclasses.dataclass
@@ -56,10 +61,91 @@ class RunConfig:
         return self
 
 
-def _load_complex(cfg):
-    if cfg.complex_path:
-        return cx.load_complex(cfg.complex_path)
-    return presets.preset_complex(cfg.preset)
+class Run:
+    """One pipeline run; each artifact is computed on first use and kept.
+
+    The sub-assembly is amalgam `amalgam`'s balls, else `schottky` disjoint ones.
+    """
+
+    def __init__(self, cfg, amalgam=None, schottky=4):
+        self.cfg = cfg
+        self.amalgam = amalgam
+        self.schottky = schottky
+
+    def path(self, name):
+        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        return os.path.join(self.cfg.out_dir, name)
+
+    @functools.cached_property
+    def complex(self):
+        if self.cfg.complex_path:
+            with open(self.cfg.complex_path, encoding="utf-8") as fh:
+                return cx.loads_complex(fh.read())
+        return presets.preset_complex(self.cfg.preset)
+
+    @functools.cached_property
+    def surface(self):
+        issues, surf = cx.check_complex(self.complex)
+        if issues:
+            raise cx.ComplexError(issues)
+        return surf
+
+    @functools.cached_property
+    def cover(self):
+        return build_cover(self.complex, k=self.cfg.refinement, surf=self.surface)
+
+    @functools.cached_property
+    def cover_report(self):
+        return validate_cover(self.cover, self.surface,
+                              n_samples=self.cfg.samples_per_face, seed=self.cfg.seed)
+
+    @functools.cached_property
+    def group(self):
+        return gr.assemble_group(self.complex, self.cover)
+
+    def _amalgam(self, j):
+        if not 0 <= j < len(self.group.amalgams):
+            raise gr.GroupError(f"amalgam {j} out of range: the group has "
+                                f"{len(self.group.amalgams)} amalgams")
+        return self.group.amalgams[j]
+
+    @functools.cached_property
+    def sub(self):
+        if self.amalgam is None:
+            return gr.pairwise_disjoint_subassembly(self.cover, n=self.schottky)
+        return gr.subassembly(self.cover, self._amalgam(self.amalgam).ball_ids)
+
+    @functools.cached_property
+    def orbit(self):
+        return gr.orbit_spheres(self.sub, self.cfg.max_word_length)
+
+    @functools.cached_property
+    def cloud(self):
+        return ls.cloud_from_orbit(self.orbit, self.cfg.eps, offset=self.sub.offset)
+
+    @functools.cached_property
+    def bending(self):
+        """bending.json: a GroupError at some t ends the rows with {"error": ...}."""
+        group, j = self.group, self.cfg.bend_amalgam
+        if j is None:
+            straight = [i for i in bd.suitable_amalgams(group) if group.amalgams[i].straight]
+            if not straight:
+                raise gr.GroupError("no suitable straight amalgam")
+            j = straight[len(straight) // 2]
+        self._amalgam(j)
+        word = bd.crossing_word(group, j)
+        rows = []
+        try:
+            for t in self.cfg.bend_ts:
+                rep = bd.bend(group, j, float(t), tol=self.cfg.relation_tol)
+                rows.append({"t": float(t),
+                             "max_relation_residual": rep.relation_report["max_residual"],
+                             "commutation_residual":
+                                 rep.relation_report["commutation_residual"],
+                             "lambda_max": bd.lambda_max(rep.word_matrix(word))})
+        except gr.GroupError as exc:
+            rows.append({"error": str(exc)})
+        return {"amalgam": j, "crossing_word": list(word), "rows": rows}
 
 
 def _json_dump(obj, path):
@@ -84,30 +170,6 @@ def _fmt(x):
     return repr(float(x))
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-
-
-def cmd_build(args):
-    cfg = _config_from_args(args)
-    c = _load_complex(cfg)
-    issues = cx.validate_complex(c)
-    if issues:
-        for issue in issues:
-            print(f"FAIL complex: {issue}")
-        return 1
-    surf = cx.knot_surface(c)
-    cover = build_cover(c, k=cfg.refinement)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    cx.save_complex(c, os.path.join(cfg.out_dir, "complex.txt"))
-    _write_cover(cover, os.path.join(cfg.out_dir, "cover.txt"))
-    print(f"complex: {len(c.all_cubes)} cubes, surface faces={len(surf.faces)}, "
-          f"chi={surf.euler_characteristic}")
-    print(f"cover: {len(cover)} balls {cover.role_counts()} (k={cfg.refinement})")
-    print(f"wrote {cfg.out_dir}/complex.txt and {cfg.out_dir}/cover.txt")
-    return 0
-
-
 def _write_cover(cover, path):
     lines = ["# ball x1 x2 x3 x4 radius role host"]
     roles = {0: "vertex", 1: "face", 2: "junction"}
@@ -121,62 +183,6 @@ def _write_cover(cover, path):
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def cmd_validate(args):
-    cfg = _config_from_args(args)
-    c = _load_complex(cfg)
-    issues = cx.validate_complex(c)
-    if issues:
-        for issue in issues:
-            print(f"FAIL complex: {issue}")
-        return 1
-    surf = cx.knot_surface(c)
-    cover = build_cover(c, k=cfg.refinement)
-    report = validate_cover(
-        cover, surf, n_samples=cfg.samples_per_face, seed=cfg.seed
-    )
-    p = closed_form_parameters(float(c.unit))
-    print("closed-form parameters (tolerance 1e-9):")
-    for name, val in sorted(p.items()):
-        print(f"  {name} = {_fmt(val)}")
-    print("angle residual table (cos targets 0, +1/2, -1/2; tolerance "
-          f"{report['tolerance']}):")
-    print(f"  intersecting pairs : {report['n_intersecting_pairs']}")
-    print(f"  max cos residual   : {report['max_angle_residual']:.3e}")
-    print(f"  adjacency residual : {report['adjacency_residual']:.3e}")
-    print(f"  illegal pairs      : {len(report['illegal_pairs'])}")
-    print(f"coverage fraction    : {report['coverage_fraction']} "
-          f"({report['n_samples_per_face']} samples/face, seed {cfg.seed})")
-    status = "PASS" if report["ok"] else "FAIL"
-    print(f"{status} cover validation")
-    return 0 if report["ok"] else 1
-
-
-def _subassembly_for(cfg, cover, group, amalgam, schottky):
-    if amalgam is not None:
-        return gr.subassembly(cover, group.amalgams[amalgam].ball_ids)
-    return gr.pairwise_disjoint_subassembly(cover, n=schottky)
-
-
-def cmd_enumerate(args):
-    cfg = _config_from_args(args)
-    c = _load_complex(cfg)
-    cover = build_cover(c, k=cfg.refinement)
-    group = gr.assemble_group(c, cover)
-    sub = _subassembly_for(cfg, cover, group, args.amalgam, args.schottky)
-    table = gr.enumerate_words(sub, cfg.max_word_length)
-    orbit = gr.orbit_spheres(sub, cfg.max_word_length)
-    print(f"sub-assembly: balls {sub.ball_ids}")
-    print(f"words <= {cfg.max_word_length}: {len(table.words)} classes "
-          f"(raw {table.n_raw}, merged {table.n_merged}, pruned {table.n_pruned}, "
-          f"truncated {table.truncated})")
-    print(f"orbit spheres: {len(orbit.radii)}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "orbit.txt")
-    _write_orbit(orbit, sub, path)
-    print(f"wrote {path}")
-    return 0
 
 
 def _write_orbit(orbit, sub, path):
@@ -196,85 +202,271 @@ def _write_orbit(orbit, sub, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_limitset(args):
-    cfg = _config_from_args(args)
-    c = _load_complex(cfg)
-    cover = build_cover(c, k=cfg.refinement)
-    group = gr.assemble_group(c, cover)
-    sub = _subassembly_for(cfg, cover, group, args.amalgam, args.schottky)
-    orbit = gr.orbit_spheres(sub, cfg.max_word_length)
-    cloud = ls.cloud_from_orbit(orbit, cfg.eps, offset=sub.offset)
+def _export_clouds(run, formats):
+    """Write the limit-set cloud once per format; returns the paths."""
+    paths = [run.path(f"cloud.{fmt}") for fmt in formats]
+    for fmt, path in zip(formats, paths):
+        ls.export_cloud(run.cloud, fmt, path)
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# Stages: fn(run) -> (ok, message), in pipeline order
+
+
+def _check_complex(run):
+    cx.save_complex(run.complex, run.path("complex.txt"))
+    run.surface  # raises ComplexError listing the complex's issues
+    return True, "complex valid"
+
+
+def _check_cover(run):
+    _write_cover(run.cover, run.path("cover.txt"))
+    rep = run.cover_report
+    _json_dump(rep, run.path("cover_report.json"))
+    return rep["ok"], (
+        f"max angle residual {rep['max_angle_residual']:.3e} "
+        f"(tol {rep['tolerance']}), coverage {rep['coverage_fraction']}"
+    )
+
+
+def _check_relations(run):
+    group, tol = run.group, run.cfg.relation_tol
+    try:
+        rep = gr.relation_suite(group, tol=tol)  # raises unless rep["ok"]
+    except gr.GroupError as exc:
+        rep = {"ok": False, "error": str(exc)}
+    _json_dump(rep, run.path("relations.json"))
+    return rep["ok"], rep.get("error") or (
+        f"{rep['n_relations']} relations, max residual {rep['max_residual']:.3e} "
+        f"(tol {tol}), premature gap {rep['min_premature_gap']:.3f} (> 0.5)"
+    )
+
+
+def _check_faithfulness(run):
+    faith = gr.faithfulness_scan(run.sub, run.cfg.max_word_length)
+    _json_dump(faith, run.path("faithfulness.json"))
+    return faith["ok"], (
+        f"{faith['n_classes']} classes at L={run.cfg.max_word_length}, min gap "
+        f"{faith['min_gap']:.4f} (> 0.1)"
+    )
+
+
+def _check_orbit(run):
+    orbit = run.orbit
+    _write_orbit(orbit, run.sub, run.path("orbit.txt"))
+    deeper = orbit.generation >= 1
+    nesting_ok = bool((orbit.parent[deeper] >= 0).all()) and not orbit.truncated
+    decay = gr.max_radius_per_generation(orbit)
+    gens = sorted(decay)
+    decay_ok = all(decay[a] >= decay[b] for a, b in zip(gens, gens[1:]))
+    return nesting_ok and decay_ok, (
+        f"{len(orbit.radii)} spheres, parents assigned, max radius by "
+        f"generation {[round(decay[g], 6) for g in gens]}"
+    )
+
+
+def _check_stages(run):
+    stages = gr.polyhedron_stages(run.sub, run.orbit, run.cfg.n_stages)
+    _json_dump(ls.stage_report(stages), run.path("stages.json"))
+    return len(stages) == run.cfg.n_stages + 1, f"side counts {[s.n_sides for s in stages]}"
+
+
+def _check_limitset(run):
+    _export_clouds(run, ("csv", "json"))
+    sub, orbit = run.sub, run.orbit
+    lox, skipped = ls.loxodromic_points(sub, 50, seed=run.cfg.seed)
+    gen1 = orbit.generation == 1
+    inside = ls.containment_fraction(lox, orbit.centers[gen1] + sub.offset,
+                                     orbit.radii[gen1], slack=1e-9)
+    ls.export_cloud(lox, "csv", run.path("loxodromic.csv"))
+    return len(run.cloud) > 0 and len(lox) == 50 and inside == 1.0, (
+        f"{len(run.cloud)} cloud points (eps {run.cfg.eps}), 50 loxodromic fixed "
+        f"points inside generation-1 spheres ({skipped} non-loxodromic skipped)"
+    )
+
+
+def _check_domain(run):
+    dom = gr.fundamental_domain_check(run.cover, budget=run.cfg.domain_budget,
+                                      seed=run.cfg.seed)
+    _json_dump(dom, run.path("domain.json"))
+    return dom["ok"], f"{dom['checks']} generator-point checks, {dom['violations']} violations"
+
+
+def _check_bending(run):
+    bending = run.bending
+    _json_dump(bending, run.path("bending.json"))
+    lams = [r["lambda_max"] for r in bending["rows"] if "lambda_max" in r]
+    spread = max(lams) - min(lams) if lams else 0.0
+    ok = not any("error" in r for r in bending["rows"]) and spread > 1e-4
+    return ok, (
+        f"amalgam {bending['amalgam']}, lambda_max spread {spread:.6e} over t in "
+        f"{list(run.cfg.bend_ts)} (> 1e-4)"
+    )
+
+
+def _check_invariants(run):
+    rows = {}
+    for name in sorted(ax.PRESETS):
+        delta = ax.alexander_polynomial(ax.PRESETS[name])
+        verdict = ax.nontriviality_verdict(delta, depth=3)
+        rows[name] = {"polynomial": str(delta), "verdict": verdict["verdict"],
+                      "delta_at_1": verdict["delta_at_1"]}
+    ok = (
+        all(r["delta_at_1"] in (1, -1) for r in rows.values())
+        and rows["trefoil"]["polynomial"] == "t^2 - t + 1"
+        and rows["unknot"]["verdict"] == "TRIVIAL"
+        and rows["spun-trefoil"]["verdict"] == "NONTRIVIAL"
+    )
+    _json_dump(rows, run.path("alexander.json"))
+    return ok, (
+        f"spun-trefoil polynomial {rows['spun-trefoil']['polynomial']}, "
+        f"verdict {rows['spun-trefoil']['verdict']}"
+    )
+
+
+STAGES = (
+    ("complex", _check_complex), ("cover", _check_cover),
+    ("relations", _check_relations), ("faithfulness", _check_faithfulness),
+    ("orbit_nesting", _check_orbit), ("stages", _check_stages),
+    ("limitset", _check_limitset), ("fundamental_domain", _check_domain),
+    ("bending", _check_bending), ("invariants", _check_invariants),
+)
+
+
+def _check_line(name, ok, msg):
+    return f"{'PASS' if ok else 'FAIL'} {name}: {msg}"
+
+
+def run_pipeline(cfg):
+    """Every stage into cfg.out_dir; returns (checks, out_dir).
+
+    checks maps check name -> (ok, message); the summary file contains one
+    pass/fail line per check plus the echoed config.  A stage that raises
+    one of INPUT_ERRORS fails its check and ends the run.
+    """
+    cfg.validate()
+    run = Run(cfg)
+    _json_dump(dataclasses.asdict(cfg), run.path("config.json"))
+    checks = {}
+    for name, stage in STAGES:
+        try:
+            checks[name] = stage(run)
+        except INPUT_ERRORS as exc:
+            checks[name] = (False, "; ".join(getattr(exc, "issues", [str(exc)])))
+            break
+    _write_summary(cfg, checks, cfg.out_dir)
+    return checks, cfg.out_dir
+
+
+def _write_summary(cfg, checks, out):
+    lines = ["# pipeline summary", "", "## config"]
+    for key, val in sorted(dataclasses.asdict(cfg).items()):
+        lines.append(f"{key} = {val!r}")
+    lines += ["", "## checks"]
+    for name, (ok, msg) in checks.items():
+        lines.append(_check_line(name, ok, msg))
+        print(lines[-1])
+    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+
+def cmd_build(run, _args):
+    _check_complex(run)
+    surf, cover = run.surface, run.cover
+    _write_cover(cover, run.path("cover.txt"))
+    print(f"complex: {len(run.complex.all_cubes)} cubes, surface faces={len(surf.faces)}, "
+          f"chi={surf.euler_characteristic}")
+    print(f"cover: {len(cover)} balls {cover.role_counts()} (k={run.cfg.refinement})")
+    print(f"wrote {run.path('complex.txt')} and {run.path('cover.txt')}")
+    return 0
+
+
+def cmd_validate(run, _args):
+    _check_complex(run)
+    ok, msg = _check_cover(run)
+    rep = run.cover_report
+    p = closed_form_parameters(float(run.complex.unit))
+    print("closed-form parameters (tolerance 1e-9):")
+    for name, val in sorted(p.items()):
+        print(f"  {name} = {_fmt(val)}")
+    print("angle residual table (cos targets 0, +1/2, -1/2; tolerance "
+          f"{rep['tolerance']}):")
+    print(f"  intersecting pairs : {rep['n_intersecting_pairs']}")
+    print(f"  max cos residual   : {rep['max_angle_residual']:.3e}")
+    print(f"  adjacency residual : {rep['adjacency_residual']:.3e}")
+    print(f"  illegal pairs      : {len(rep['illegal_pairs'])}")
+    print(f"coverage fraction    : {rep['coverage_fraction']} "
+          f"({rep['n_samples_per_face']} samples/face, seed {run.cfg.seed})")
+    print(_check_line("cover", ok, msg))
+    print(f"wrote complex.txt, cover.txt and cover_report.json in {run.cfg.out_dir}")
+    return 0 if ok else 1
+
+
+def cmd_enumerate(run, _args):
+    ok, msg = _check_orbit(run)
+    length = run.cfg.max_word_length
+    table = gr.enumerate_words(run.sub, length)
+    print(f"sub-assembly: balls {run.sub.ball_ids}")
+    print(f"words <= {length}: {len(table.words)} classes "
+          f"(raw {table.n_raw}, merged {table.n_merged}, pruned {table.n_pruned}, "
+          f"truncated {table.truncated})")
+    print(f"orbit spheres: {len(run.orbit.radii)}")
+    print(_check_line("orbit_nesting", ok, msg))
+    print(f"wrote {run.path('orbit.txt')}")
+    return 0 if ok else 1
+
+
+def cmd_limitset(run, args):
+    cloud = run.cloud
     if cloud.notice:
         print(f"notice: {cloud.notice}")
-    print(f"cloud: {len(cloud)} points (eps={cfg.eps}, L={cfg.max_word_length})")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    written = []
-    for fmt in args.formats.split(","):
-        fmt = fmt.strip()
-        target = os.path.join(cfg.out_dir, f"cloud.{fmt}")
-        ls.export_cloud(cloud, fmt, target)
-        written.append(target)
+    print(f"cloud: {len(cloud)} points (eps={run.cfg.eps}, L={run.cfg.max_word_length})")
+    try:
+        written = _export_clouds(run, [fmt.strip() for fmt in args.formats.split(",")])
+    except ValueError as exc:  # an unknown export format
+        print(f"FAIL limitset: {exc}")
+        return 1
     if args.slice is not None:
         axis, value = args.slice
         sl = ls.slice_cloud(cloud, int(axis), float(value), args.slice_thickness)
         if sl.notice:
             print(f"notice: {sl.notice}")
-        target = os.path.join(cfg.out_dir, "slice.ply")
-        ls.export_cloud(sl, "ply", target)
-        written.append(target)
+        written.append(run.path("slice.ply"))
+        ls.export_cloud(sl, "ply", written[-1])
     for w in written:
         print(f"wrote {w}")
     return 0
 
 
-def cmd_bend(args):
-    cfg = _config_from_args(args)
-    c = _load_complex(cfg)
-    cover = build_cover(c, k=cfg.refinement)
-    group = gr.assemble_group(c, cover)
-    j = cfg.bend_amalgam
-    if j is None:
-        straight = [
-            i for i in bd.suitable_amalgams(group) if group.amalgams[i].straight
-        ]
-        if not straight:
-            print("FAIL no suitable straight amalgam")
-            return 1
-        j = straight[len(straight) // 2]
-    locus = bd.bending_locus(group, j)
+def cmd_bend(run, _args):
+    ok, msg = _check_bending(run)
+    j, word = run.bending["amalgam"], tuple(run.bending["crossing_word"])
+    locus = bd.bending_locus(run.group, j)
     print(f"amalgam {j}: locus center {[_fmt(v) for v in locus.center]}, "
           f"radius {_fmt(locus.radius)} (target edge/sqrt(6) = "
-          f"{_fmt(float(c.unit) / 6 ** 0.5)})")
-    word = bd.crossing_word(group, j)
-    rows = []
-    ok = True
-    for t in cfg.bend_ts:
-        try:
-            rep = bd.bend(group, j, float(t), tol=cfg.relation_tol)
-        except gr.GroupError as exc:
-            print(f"FAIL t={t}: {exc}")
-            ok = False
+          f"{_fmt(float(run.complex.unit) / 6 ** 0.5)}), crossing word {word}")
+    for row in run.bending["rows"]:
+        if "error" in row:
+            print(f"FAIL {row['error']}")
             continue
-        lam = bd.lambda_max(rep.word_matrix(word))
-        rows.append(
-            {
-                "t": float(t),
-                "max_relation_residual": rep.relation_report["max_residual"],
-                "commutation_residual": rep.relation_report["commutation_residual"],
-                "lambda_max": lam,
-            }
-        )
-        print(f"t={t:5.2f}  relation residual {rows[-1]['max_relation_residual']:.3e}  "
-              f"commutation {rows[-1]['commutation_residual']:.3e}  "
-              f"lambda_max {lam:.10f}")
-    if rows:
-        spread = max(r["lambda_max"] for r in rows) - min(r["lambda_max"] for r in rows)
-        print(f"crossing word {word}: lambda_max spread {spread:.6e}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "bending.json")
-    _json_dump({"amalgam": j, "crossing_word": list(word), "rows": rows}, path)
-    print(f"wrote {path}")
+        print(f"t={row['t']:5.2f}  relation residual {row['max_relation_residual']:.3e}  "
+              f"commutation {row['commutation_residual']:.3e}  "
+              f"lambda_max {row['lambda_max']:.10f}")
+    print(_check_line("bending", ok, msg))
+    print(f"wrote {run.path('bending.json')}")
     return 0 if ok else 1
+
+
+def cmd_report(run, _args):
+    checks, bundle_dir = run_pipeline(run.cfg)
+    print(f"bundle written to {bundle_dir}")
+    return 0 if all(ok for ok, _msg in checks.values()) else 1
 
 
 def cmd_alexander(args):
@@ -296,234 +488,41 @@ def cmd_alexander(args):
     return 0
 
 
-def cmd_report(args):
-    cfg = _config_from_args(args)
-    checks, bundle_dir = run_pipeline(cfg)
-    failed = [name for name, (ok, _msg) in checks.items() if not ok]
-    print(f"bundle written to {bundle_dir}")
-    return 1 if failed else 0
-
-
-def run_pipeline(cfg):
-    """Full pipeline into cfg.out_dir; returns (checks, out_dir).
-
-    checks maps check name -> (ok, message); the summary file contains one
-    pass/fail line per check plus the echoed config.
-    """
-    cfg.validate()
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    checks = {}
-
-    _json_dump(dataclasses.asdict(cfg), os.path.join(out, "config.json"))
-
-    # 1. build + complex validation
-    c = _load_complex(cfg)
-    issues = cx.validate_complex(c)
-    checks["complex"] = (not issues, "; ".join(issues) or "complex valid")
-    cx.save_complex(c, os.path.join(out, "complex.txt"))
-    if issues:
-        _write_summary(cfg, checks, out)
-        return checks, out
-    surf = cx.knot_surface(c)
-
-    # 2. cover validation
-    cover = build_cover(c, k=cfg.refinement)
-    _write_cover(cover, os.path.join(out, "cover.txt"))
-    cover_report = validate_cover(
-        cover, surf, n_samples=cfg.samples_per_face, seed=cfg.seed
-    )
-    _json_dump(cover_report, os.path.join(out, "cover_report.json"))
-    checks["cover"] = (
-        cover_report["ok"],
-        f"max angle residual {cover_report['max_angle_residual']:.3e} "
-        f"(tol {cover_report['tolerance']}), coverage "
-        f"{cover_report['coverage_fraction']}",
-    )
-
-    # 3. group relations
-    group = gr.assemble_group(c, cover)
-    try:
-        rel_report = gr.relation_suite(group, tol=cfg.relation_tol)
-        checks["relations"] = (
-            True,
-            f"{rel_report['n_relations']} relations, max residual "
-            f"{rel_report['max_residual']:.3e} (tol {cfg.relation_tol}), "
-            f"premature gap {rel_report['min_premature_gap']:.3f} (> 0.5)",
-        )
-    except gr.GroupError as exc:
-        rel_report = {"ok": False, "error": str(exc)}
-        checks["relations"] = (False, str(exc))
-    _json_dump(rel_report, os.path.join(out, "relations.json"))
-
-    # 4. words, faithfulness, orbit, stages (Schottky sub-assembly)
-    sub = gr.pairwise_disjoint_subassembly(cover, n=4)
-    faith = gr.faithfulness_scan(sub, cfg.max_word_length)
-    _json_dump(faith, os.path.join(out, "faithfulness.json"))
-    checks["faithfulness"] = (
-        faith["ok"],
-        f"{faith['n_classes']} classes at L={cfg.max_word_length}, min gap "
-        f"{faith['min_gap']:.4f} (> 0.1)",
-    )
-
-    orbit = gr.orbit_spheres(sub, cfg.max_word_length)
-    _write_orbit(orbit, sub, os.path.join(out, "orbit.txt"))
-    deeper = orbit.generation >= 1
-    nesting_ok = bool((orbit.parent[deeper] >= 0).all()) and not orbit.truncated
-    decay = gr.max_radius_per_generation(orbit)
-    gens = sorted(decay)
-    decay_ok = all(decay[a] >= decay[b] for a, b in zip(gens, gens[1:]))
-    checks["orbit_nesting"] = (
-        nesting_ok and decay_ok,
-        f"{len(orbit.radii)} spheres, parents assigned, max radius by "
-        f"generation {[round(decay[g], 6) for g in gens]}",
-    )
-
-    stages = gr.polyhedron_stages(sub, orbit, cfg.n_stages)
-    stage_rows = ls.stage_report(stages)
-    _json_dump(stage_rows, os.path.join(out, "stages.json"))
-    checks["stages"] = (
-        len(stages) == cfg.n_stages + 1,
-        f"side counts {[s.n_sides for s in stages]}",
-    )
-
-    # 5. limit-set clouds
-    cloud = ls.cloud_from_orbit(orbit, cfg.eps, offset=sub.offset)
-    ls.export_cloud(cloud, "csv", os.path.join(out, "cloud.csv"))
-    ls.export_cloud(cloud, "json", os.path.join(out, "cloud.json"))
-    lox, skipped = ls.loxodromic_points(sub, 50, seed=cfg.seed)
-    gen1 = orbit.generation == 1
-    lox_ok = (
-        len(lox) == 50
-        and ls.containment_fraction(
-            lox, orbit.centers[gen1] + sub.offset, orbit.radii[gen1], slack=1e-9
-        )
-        == 1.0
-    )
-    ls.export_cloud(lox, "csv", os.path.join(out, "loxodromic.csv"))
-    checks["limitset"] = (
-        len(cloud) > 0 and lox_ok,
-        f"{len(cloud)} cloud points (eps {cfg.eps}), 50 loxodromic fixed "
-        f"points inside generation-1 spheres ({skipped} non-loxodromic skipped)",
-    )
-
-    # 6. fundamental domain
-    dom = gr.fundamental_domain_check(cover, budget=cfg.domain_budget, seed=cfg.seed)
-    _json_dump(dom, os.path.join(out, "domain.json"))
-    checks["fundamental_domain"] = (
-        dom["ok"],
-        f"{dom['checks']} generator-point checks, {dom['violations']} violations",
-    )
-
-    # 7. bending
-    j = cfg.bend_amalgam
-    if j is None:
-        straight = [
-            i for i in bd.suitable_amalgams(group) if group.amalgams[i].straight
-        ]
-        j = straight[len(straight) // 2] if straight else None
-    if j is None:
-        checks["bending"] = (False, "no suitable amalgam")
-    else:
-        word = bd.crossing_word(group, j)
-        rows = []
-        bend_ok = True
-        try:
-            for t in cfg.bend_ts:
-                rep = bd.bend(group, j, float(t), tol=cfg.relation_tol)
-                rows.append(
-                    {
-                        "t": float(t),
-                        "max_relation_residual": rep.relation_report["max_residual"],
-                        "commutation_residual": rep.relation_report[
-                            "commutation_residual"
-                        ],
-                        "lambda_max": bd.lambda_max(rep.word_matrix(word)),
-                    }
-                )
-        except gr.GroupError as exc:
-            bend_ok = False
-            rows.append({"error": str(exc)})
-        lams = [r["lambda_max"] for r in rows if "lambda_max" in r]
-        spread = max(lams) - min(lams) if lams else 0.0
-        bend_ok = bend_ok and spread > 1e-4
-        _json_dump(
-            {"amalgam": j, "crossing_word": list(word), "rows": rows},
-            os.path.join(out, "bending.json"),
-        )
-        checks["bending"] = (
-            bend_ok,
-            f"amalgam {j}, lambda_max spread {spread:.6e} over t in "
-            f"{list(cfg.bend_ts)} (> 1e-4)",
-        )
-
-    # 8. invariants
-    inv_rows = {}
-    inv_ok = True
-    for name in sorted(ax.PRESETS):
-        delta = ax.alexander_polynomial(ax.PRESETS[name])
-        verdict = ax.nontriviality_verdict(delta, depth=3)
-        inv_rows[name] = {
-            "polynomial": str(delta),
-            "verdict": verdict["verdict"],
-            "delta_at_1": verdict["delta_at_1"],
-        }
-        inv_ok = inv_ok and verdict["delta_at_1"] in (1, -1)
-    inv_ok = (
-        inv_ok
-        and inv_rows["trefoil"]["polynomial"] == "t^2 - t + 1"
-        and inv_rows["unknot"]["verdict"] == "TRIVIAL"
-        and inv_rows["spun-trefoil"]["verdict"] == "NONTRIVIAL"
-    )
-    _json_dump(inv_rows, os.path.join(out, "alexander.json"))
-    checks["invariants"] = (
-        inv_ok,
-        f"spun-trefoil polynomial {inv_rows['spun-trefoil']['polynomial']}, "
-        f"verdict {inv_rows['spun-trefoil']['verdict']}",
-    )
-
-    _write_summary(cfg, checks, out)
-    return checks, out
-
-
-def _write_summary(cfg, checks, out):
-    lines = ["# pipeline summary", "", "## config"]
-    for key, val in sorted(dataclasses.asdict(cfg).items()):
-        lines.append(f"{key} = {val!r}")
-    lines += ["", "## checks"]
-    for name, (ok, msg) in checks.items():
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name}: {msg}")
-        print(f"{status} {name}: {msg}")
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
-def _add_common(p):
-    p.add_argument("--preset", default="spun-trefoil",
-                   help="bundled complex name (default: spun-trefoil)")
-    p.add_argument("--complex", dest="complex_path", default=None,
-                   help="path to a complex file (overrides --preset)")
-    p.add_argument("-k", "--refinement", type=int, default=0,
-                   help="junction annulus refinement level")
-    p.add_argument("-L", "--max-len", type=int, default=5, dest="max_word_length")
-    p.add_argument("--eps", type=float, default=0.12,
-                   help="radius cutoff for limit-set clouds")
-    p.add_argument("--stages", type=int, default=4, dest="n_stages")
-    p.add_argument("--out", default=os.environ.get("WILDKNOT_OUT", "out"),
-                   dest="out_dir")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples-per-face", type=int, default=200)
-    p.add_argument("--domain-budget", type=int, default=100_000)
-    p.add_argument("--relation-tol", type=float, default=1e-8)
-    p.add_argument("--bend-amalgam", type=int, default=None)
-    p.add_argument("--bend-ts", default="0,0.05,0.1,0.15,0.2,0.25,0.3",
-                   help="comma-separated bending angles")
+def _floats(text):
+    return tuple(float(t) for t in text.split(","))
+
+
+# The flag of each RunConfig field.  A flag left unset keeps RunConfig's
+# default (--out: $WILDKNOT_OUT if set).
+_FLAGS = {
+    "preset": (("--preset",), {"help": "bundled complex name (default: spun-trefoil)"}),
+    "complex_path": (("--complex",), {"help": "path to a complex file (overrides --preset)"}),
+    "refinement": (("-k", "--refinement"), {"type": int, "help": "junction annulus refinement"}),
+    "out_dir": (("--out",), {}),
+    "max_word_length": (("-L", "--max-len"), {"type": int}),
+    "eps": (("--eps",), {"type": float, "help": "radius cutoff for limit-set clouds"}),
+    "n_stages": (("--stages",), {"type": int}),
+    "seed": (("--seed",), {"type": int}),
+    "samples_per_face": (("--samples-per-face",), {"type": int}),
+    "domain_budget": (("--domain-budget",), {"type": int}),
+    "relation_tol": (("--relation-tol",), {"type": float}),
+    "bend_amalgam": (("--bend-amalgam",), {"type": int}),
+    "bend_ts": (("--bend-ts",), {"type": _floats, "help": "comma-separated bending angles"}),
+}
+
+
+def _add_config(p, *fields):
+    """Flags for the complex, the cover and the output, plus `fields`'."""
+    for field in dict.fromkeys(("preset", "complex_path", "refinement", "out_dir") + fields):
+        names, kw = _FLAGS[field]
+        default = argparse.SUPPRESS
+        if field == "out_dir":
+            default = os.environ.get("WILDKNOT_OUT", RunConfig.out_dir)
+        p.add_argument(*names, dest=field, default=default, **kw)
 
 
 def _add_subassembly(p):
@@ -534,21 +533,8 @@ def _add_subassembly(p):
 
 
 def _config_from_args(args):
-    return RunConfig(
-        preset=args.preset,
-        complex_path=args.complex_path,
-        refinement=args.refinement,
-        max_word_length=args.max_word_length,
-        eps=args.eps,
-        n_stages=args.n_stages,
-        bend_amalgam=args.bend_amalgam,
-        bend_ts=tuple(float(t) for t in args.bend_ts.split(",")),
-        out_dir=args.out_dir,
-        seed=args.seed,
-        samples_per_face=args.samples_per_face,
-        domain_budget=args.domain_budget,
-        relation_tol=args.relation_tol,
-    ).validate()
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields}).validate()
 
 
 def main(argv=None):
@@ -560,20 +546,20 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("build", help="construct the complex and ball cover")
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("validate", help="validate complex, angles, coverage")
-    _add_common(p)
+    _add_config(p, "seed", "samples_per_face")
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("enumerate", help="enumerate words and orbit spheres")
-    _add_common(p)
+    _add_config(p, "max_word_length")
     _add_subassembly(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("limitset", help="limit-set point clouds and exports")
-    _add_common(p)
+    _add_config(p, "max_word_length", "eps")
     _add_subassembly(p)
     p.add_argument("--formats", default="csv,json")
     p.add_argument("--slice", nargs=2, metavar=("AXIS", "VALUE"), default=None)
@@ -581,7 +567,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_limitset)
 
     p = subs.add_parser("bend", help="bending deformation sweep at an amalgam")
-    _add_common(p)
+    _add_config(p, "bend_amalgam", "bend_ts", "relation_tol")
     p.set_defaults(func=cmd_bend)
 
     p = subs.add_parser("alexander", help="Alexander polynomial tools")
@@ -594,15 +580,23 @@ def main(argv=None):
     p.set_defaults(func=cmd_alexander)
 
     p = subs.add_parser("report", help="full pipeline with pass/fail summary")
-    _add_common(p)
+    _add_config(p, *_FLAGS)
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
+    if args.func is cmd_alexander:
+        return cmd_alexander(args)
     try:
-        return args.func(args)
-    except cx.ComplexError as exc:
-        for issue in exc.issues:
-            print(f"FAIL complex: {issue}")
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    run = Run(cfg, getattr(args, "amalgam", None), getattr(args, "schottky", 4))
+    try:
+        return args.func(run, args)
+    except INPUT_ERRORS as exc:
+        label = "complex" if isinstance(exc, cx.ComplexError) else args.command
+        for issue in getattr(exc, "issues", [str(exc)]):
+            print(f"FAIL {label}: {issue}")
         return 1
 
 

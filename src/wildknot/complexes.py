@@ -159,13 +159,22 @@ def save_complex(c, path):
 
 def validate_complex(c):
     """Return a list of human-readable invariant violations (empty = valid)."""
+    return check_complex(c)[0]
+
+
+def check_complex(c):
+    """Invariant violations (empty = valid) and the knot surface, together.
+
+    Returns (issues, surface).  The surface is built only once the structural
+    checks pass, and is None when they fail.
+    """
     issues = []
     if len(c.big) != 2:
         issues.append(f"need exactly 2 big cubes, got {len(c.big)}")
-        return issues
+        return issues, None
     if not c.tube:
         issues.append("empty tube: no fusion between the two big cubes")
-        return issues
+        return issues, None
     unit = c.tube[0].edge
     for i, t in enumerate(c.tube):
         if t.edge != unit:
@@ -243,10 +252,10 @@ def validate_complex(c):
             if w0 < lo_w or w1 > hi_w:
                 issues.append(f"tube[{i}] connector leaves the hyperplane range")
 
-    if not issues:
-        surf = knot_surface(c)
-        issues.extend(surf.issues)
-    return issues
+    if issues:
+        return issues, None
+    surf = knot_surface(c)
+    return list(surf.issues), surf
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,13 @@ def _junction_sites(square_box, k):
     return sites
 
 
-def build_cover(c, k=0):
-    """Deterministic ball family for the complex's knot surface."""
+def build_cover(c, k=0, surf=None):
+    """Deterministic ball family for the complex's knot surface `surf`
+    (computed here when the caller has not built it)."""
     if k < 0:
         raise CoverError("refinement k must be >= 0")
-    surf = knot_surface(c)
+    if surf is None:
+        surf = knot_surface(c)
     if surf.issues:
         raise CoverError("complex has an invalid surface: " + "; ".join(surf.issues))
     ell = float(c.unit)

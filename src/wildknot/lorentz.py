@@ -97,29 +97,6 @@ def hyperplane(normal, offset):
     return np.concatenate([n, [s, s]])
 
 
-def center_radius(polar, tol=1e-12):
-    """Euclidean (center, radius) of a polar, or (normal, offset) flagged None.
-
-    Returns (center, radius) for a genuine sphere and (normal, offset, None)
-    is not a thing -- for hyperplanes raises ValueError; callers that may see
-    hyperplanes should test `is_hyperplane` first.
-    """
-    v = np.asarray(polar, dtype=float)
-    inv_r = v[4] - v[5]  # equals 1/r in the interior-negative orientation
-    if abs(inv_r) <= tol:
-        raise ValueError("polar describes a hyperplane (sphere through infinity)")
-    r = 1.0 / inv_r
-    c = -v[:4] * abs(r)
-    if r < 0:
-        # Opposite orientation: same sphere, interior flipped.
-        c = v[:4] * abs(r)
-    return c, abs(r)
-
-
-def is_hyperplane(polar, tol=1e-12):
-    return abs(polar[4] - polar[5]) <= tol
-
-
 def centers_radii(polars, tol=1e-12):
     """Vectorized inverse of `spheres`: (N,6) polars -> (centers, radii).
 

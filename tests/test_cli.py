@@ -1,6 +1,19 @@
+import sys
+
 import pytest
 
-from wildknot.cli import RunConfig, main
+from wildknot import complexes as cx
+from wildknot.cli import RunConfig, main, run_pipeline
+
+
+@pytest.fixture
+def tube_complex(tmp_path):
+    """Two big cubes joined by a straight tube; passes all ten checks in ~1 s."""
+    big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
+    tube = tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6))
+    path = tmp_path / "tube.txt"
+    cx.save_complex(cx.CubeComplex(big, tube), path)
+    return str(path)
 
 
 def test_alexander_preset_trefoil(capsys):
@@ -91,3 +104,80 @@ def test_limitset_exports(tmp_path, capsys):
     assert (tmp_path / "cloud.csv").exists()
     assert (tmp_path / "cloud.json").exists()
     assert (tmp_path / "slice.ply").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["build", "-k", "40"], "FAIL build: refinement k=40 places a junction ball"),
+        (["bend", "--bend-amalgam", "9999"], "FAIL bend: amalgam 9999 out of range"),
+        (["report", "--bend-amalgam", "9999"], "FAIL bending: amalgam 9999 out of range"),
+        (["enumerate", "--amalgam", "9999"], "FAIL enumerate: amalgam 9999 out of range"),
+        (["limitset", "--formats", "csv,xyz"], "FAIL limitset: unknown export format 'xyz'"),
+    ],
+)
+def test_malformed_input_fails_without_traceback(tube_complex, tmp_path, capsys, argv,
+                                                 expected):
+    assert main(argv + ["--complex", tube_complex, "--out", str(tmp_path / "out")]) == 1
+    assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, issue",
+    [
+        ("big 0 0 0 0 2 3\nbig 9 0 0 4 2 3\ntube 0 0 0 1 1 2\n", "do not meet in a 2-face"),
+        ("big 0 0 0 0 0 3\n", "edge must be positive"),
+    ],
+)
+def test_run_pipeline_records_an_invalid_complex_file(tmp_path, text, issue):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("wildknot-complex 1\n" + text, encoding="utf-8")
+    checks, out = run_pipeline(RunConfig(complex_path=str(bad), out_dir=str(tmp_path / "b")))
+    assert list(checks) == ["complex"]
+    ok, msg = checks["complex"]
+    assert not ok and issue in msg
+    summary = (tmp_path / "b" / "summary.txt").read_text(encoding="utf-8")
+    assert f"FAIL complex: {msg}" in summary.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--eps", "1"], ["build", "--seed", "1"], ["validate", "-L", "3"],
+     ["enumerate", "--bend-ts", "0,1"], ["bend", "--samples-per-face", "9"]],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_subcommands_write_the_report_bundle_files(tube_complex, tmp_path):
+    for command in ("report", "build", "enumerate", "bend"):
+        out = str(tmp_path / command)
+        assert main([command, "--complex", tube_complex, "--out", out]) == 0
+    for command, name in [("build", "complex.txt"), ("build", "cover.txt"),
+                          ("enumerate", "orbit.txt"), ("bend", "bending.json")]:
+        expected = (tmp_path / "report" / name).read_bytes()
+        assert (tmp_path / command / name).read_bytes() == expected, (command, name)
+
+
+def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatch):
+    original = cx.knot_surface
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    patched = []
+    for name, mod in list(sys.modules.items()):
+        if name == "wildknot" or name.startswith("wildknot."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counted)
+                    patched.append(f"{name}.{attr}")
+    assert {"wildknot.complexes.knot_surface", "wildknot.cover.knot_surface"} <= set(patched)
+    checks, _out = run_pipeline(RunConfig(complex_path=tube_complex,
+                                          out_dir=str(tmp_path / "b")))
+    assert all(ok for ok, _msg in checks.values())
+    assert len(calls) == 1

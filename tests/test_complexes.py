@@ -38,8 +38,10 @@ class TestCube3:
 
 
 class TestPresetComplex:
-    def test_validates(self, preset):
+    def test_validates(self, preset, preset_surface):
         assert cx.validate_complex(preset) == []
+        issues, surf = cx.check_complex(preset)
+        assert issues == [] and surf == preset_surface
 
     def test_hyperplane_levels(self, preset):
         assert preset.hyperplane_levels() == [-27, 0, 54, 81]
@@ -74,6 +76,8 @@ class TestValidatorRejections:
             (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((10, 0, 0, 0), 3, 3)), ()
         )
         assert any("empty tube" in s for s in cx.validate_complex(c))
+        issues, surf = cx.check_complex(c)
+        assert surf is None and any("empty tube" in s for s in issues)
 
     def test_edge_only_contact_named(self):
         # tube cube meets Q0 along an edge instead of a face

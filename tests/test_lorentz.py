@@ -30,9 +30,9 @@ def test_lift_infinity():
 def test_sphere_polar_is_unit_and_roundtrips(c, r):
     v = lz.sphere(c, r)
     assert abs(lz.q(v, v) - 1.0) < 1e-12 * max(1.0, float(v @ v))
-    c2, r2 = lz.center_radius(v)
-    assert np.allclose(c2, c, atol=1e-6 * max(1, np.max(np.abs(c))))
-    assert r2 == pytest.approx(r, rel=1e-9)
+    c2, r2 = lz.centers_radii(v[None])
+    assert np.allclose(c2[0], c, atol=1e-6 * max(1, np.max(np.abs(c))))
+    assert r2[0] == pytest.approx(r, rel=1e-9)
 
 
 def test_interior_sign_convention():
@@ -46,7 +46,7 @@ def test_interior_sign_convention():
 def test_hyperplane_polar_and_sides():
     v = lz.hyperplane([0, 0, 0, 2.0], 4.0)  # plane w = 2, interior w < 2
     assert abs(lz.q(v, v) - 1.0) < 1e-12
-    assert lz.is_hyperplane(v)
+    assert v[4] == v[5]  # no finite radius: a sphere through infinity
     assert lz.point_side(v, [0, 0, 0, 0]) < 0
     assert lz.point_side(v, [0, 0, 0, 5]) > 0
     assert abs(lz.point_side(v, [7, -3, 1, 2])) < 1e-12
