@@ -414,7 +414,7 @@ def cmd_enumerate(run, _args):
     table = gr.enumerate_words(run.sub, length)
     print(f"sub-assembly: balls {run.sub.ball_ids}")
     print(f"words <= {length}: {len(table.words)} classes "
-          f"(raw {table.n_raw}, merged {table.n_merged}, pruned {table.n_pruned}, "
+          f"(raw {table.n_raw}, merged {table.n_merged}, "
           f"truncated {table.truncated})")
     print(f"orbit spheres: {len(run.orbit.radii)}")
     print(_check_line("orbit_nesting", ok, msg))

@@ -4,9 +4,10 @@ The cover's balls generate a discrete group of Moebius transformations: one
 inversion per ball, with Coxeter relations (R_i R_j)^m = 1 coming from the
 realized dihedral angles (m = 2 at pi/2 pairs, m = 3 at pi/3 pairs, none for
 disjoint pairs).  This module assembles that group, verifies its relation
-suite, enumerates reduced words with matrix deduplication, runs faithfulness
-and fundamental-domain evidence scans, and computes sphere orbits with their
-nesting partial order plus the doubled-polyhedron stage sequence.
+suite, enumerates group elements exactly in the integer Tits representation
+of the Coxeter group, runs faithfulness and fundamental-domain evidence
+scans, and computes sphere orbits named by their Tits roots, with their
+nesting parents, plus the doubled-polyhedron stage sequence.
 
 Word enumeration on the full cover is hopeless (tens of thousands of
 generators); the word-level tooling therefore operates on a *sub-assembly*: a
@@ -26,9 +27,8 @@ import numpy as np
 from . import lorentz as lz
 from .cover import ROLE_VERTEX
 
-IDENTITY_WORD = ()
-HASH_GRID = 1e-6
-MATCH_TOL = 1e-7
+# Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
+TITS_MAX = 2**62 // 3
 
 
 class GroupError(ValueError):
@@ -57,9 +57,6 @@ class ReflectionGroup:
     @property
     def n_generators(self):
         return len(self.cover)
-
-    def matrix(self, i):
-        return lz.reflection(self.cover.polars[i])
 
 
 def reflection_matrices(polars):
@@ -270,6 +267,8 @@ def pairwise_disjoint_subassembly(cover, n=4):
     diagonals (all pairs at sqrt(2) * unit, dilation ~13.9) is sought first;
     otherwise fall back to a greedy sweep.
     """
+    if n < 1:
+        raise GroupError(f"a Schottky sub-assembly needs n >= 1 generators, not {n}")
     ell = cover.unit
     if n == 4:
         offsets = ((ell, ell, 0, 0), (ell, 0, ell, 0), (0, ell, ell, 0))
@@ -292,41 +291,57 @@ def pairwise_disjoint_subassembly(cover, n=4):
     return subassembly(cover, [cover.vertex_index[v] for v in chosen])
 
 
-def _matrix_key(m):
-    # saturate instead of overflowing: entries of deep loxodromic words can
-    # exceed the grid's int64 range, where dedup is vacuous anyway
-    q = np.round(np.asarray(m, dtype=float).ravel() / HASH_GRID)
-    return tuple(np.clip(q, -(2**62), 2**62).astype(np.int64))
+def _cartan(sub):
+    """2B, B the Tits form of the sub-assembly's Coxeter group, as integers.
+
+    B(a_a, a_b) = -cos(pi / m_ab): orders 2 and 3 give off-diagonal entries
+    0 and -1, and disjoint pairs (order infinity) give -2.
+    """
+    k = len(sub.ball_ids)
+    cartan = np.full((k, k), -2, dtype=np.int64)
+    for (a, b), m in sub.coxeter.items():
+        if m not in (2, 3):
+            raise GroupError(f"sub-assembly pair ({a},{b}) has order {m}, not 2 or 3")
+        cartan[a, b] = cartan[b, a] = 2 - m
+    np.fill_diagonal(cartan, 2)
+    return cartan
 
 
 @dataclasses.dataclass
 class WordTable:
-    """Deduplicated reduced words with their matrices, canonically sorted."""
+    """Group elements with their shortlex-least words, sorted by (length, word)."""
 
     words: list  # tuples of local generator indices; words[0] == ()
-    matrices: np.ndarray  # (n, 6, 6)
-    n_raw: int  # reduced words visited before dedup
-    n_pruned: int  # words skipped by relation-aware pruning
-    n_merged: int  # words merged into an earlier class by dedup
+    matrices: np.ndarray  # (n, 6, 6) Moebius matrices of the words
+    tits: np.ndarray  # (n, k, k) integer Tits-representation matrices
+    n_raw: int  # length-increasing products w.g visited, plus the identity
+    n_merged: int  # products that reached an element already listed
     truncated: bool
     lengths: np.ndarray  # word lengths
 
 
-def enumerate_words(sub, max_length, prune=True, max_elements=2_000_000, dtype=float):
-    """All reduced words of length <= max_length, deduplicated by matrix.
+def enumerate_words(sub, max_length, max_elements=2_000_000, dtype=float):
+    """Every group element of length <= max_length, once, by its shortlex word.
 
-    Reduced means no letter repeats its predecessor (each generator is an
-    involution).  With prune=True, commuting pairs (order 2) are additionally
-    kept in sorted order, a normal-form rule that only skips duplicates; the
-    result is defined by dedup and verified against prune=False in tests.
-    Dedup: quantized-entry hash, confirmed by an exact max-norm comparison.
+    Elements are the integer matrices of the Tits representation of the
+    sub-assembly's Coxeter group, which is faithful, so equal matrices are
+    equal elements.  Column g of W is the root w(a_g); in Tits coordinates
+    s_g(a_b) = a_b + c a_g with c = 0, 1, 2 at orders 2, 3, infinity.  The
+    search is breadth-first in lexicographic order and skips w.g when g is
+    a descent of w (column g has a negative entry, so w.g is shorter) or
+    when w.g's matrix was already reached; each element thus keeps its
+    shortlex-least word, and the table comes out sorted.
 
-    `dtype` sets the accumulation precision.  float64 rounding alone puts a
-    floor of ~1e-16 * ||M||^2 on the Lorentz-form drift of a word matrix, so
-    certifying drift below 1e-7 for words with ||M|| above ~3e4 (length-8
-    words through a disjoint pair) needs np.longdouble accumulation.
+    `dtype` sets the accumulation precision of the geometric matrices.
+    float64 rounding alone puts a floor of ~1e-16 * ||M||^2 on the Lorentz-
+    form drift of a word matrix, so certifying drift below 1e-7 for words
+    with ||M|| above ~3e4 (length-8 words through a disjoint pair) needs
+    np.longdouble accumulation.
     """
     k = len(sub.ball_ids)
+    cartan = _cartan(sub)
+    eye = np.eye(k, dtype=np.int64)
+    tits_gens = eye[None] - eye[:, :, None] * cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
         gen_mats = sub.matrices
     else:
@@ -338,56 +353,49 @@ def enumerate_words(sub, max_length, prune=True, max_elements=2_000_000, dtype=f
         v = v / np.sqrt(qv)[:, None]
         jv = v * np.diag(lz.J).astype(dtype)[None, :]
         gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
-    classes = {}  # hash key -> list of element indices (collision buckets)
-    words = [IDENTITY_WORD]
+    words = [()]
+    tits = [eye]
     mats = [np.eye(6, dtype=dtype)]
-    classes[_matrix_key(mats[0])] = [0]
-    frontier = [(IDENTITY_WORD, mats[0])]
+    seen = {eye.tobytes()}
+    frontier = [0]
     n_raw = 1
-    n_pruned = 0
     n_merged = 0
     truncated = False
-    for _length in range(1, max_length + 1):
+    for length in range(max_length):
+        if length >= 38 and max(np.abs(tits[i]).max() for i in frontier) > TITS_MAX:
+            raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
         new_frontier = []
-        for word, mat in frontier:
+        for i in frontier:
             for g in range(k):
-                if word and word[-1] == g:
-                    continue  # r^2 = 1
-                if prune and word:
-                    p = word[-1]
-                    a, b = min(p, g), max(p, g)
-                    if sub.coxeter.get((a, b)) == 2 and p > g:
-                        n_pruned += 1
-                        continue  # commuting letters in canonical order only
+                if (tits[i][:, g] < 0).any():
+                    continue  # g is a descent of words[i]
                 n_raw += 1
-                m = mat @ gen_mats[g]
-                key = _matrix_key(m)
-                bucket = classes.setdefault(key, [])
-                if any(np.abs(mats[i] - m).max() <= MATCH_TOL for i in bucket):
+                t = tits[i] @ tits_gens[g]
+                key = t.tobytes()
+                if key in seen:
                     n_merged += 1
                     continue
                 if len(words) >= max_elements:
                     truncated = True
                     break
-                idx = len(words)
-                words.append(word + (g,))
-                mats.append(m)
-                bucket.append(idx)
-                new_frontier.append((words[-1], m))
+                seen.add(key)
+                new_frontier.append(len(words))
+                words.append(words[i] + (g,))
+                tits.append(t)
+                mats.append(mats[i] @ gen_mats[g])
             if truncated:
                 break
         frontier = new_frontier
         if truncated:
             break
-    order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
     return WordTable(
-        words=[words[i] for i in order],
-        matrices=np.array([mats[i] for i in order]),
+        words=words,
+        matrices=np.array(mats),
+        tits=np.array(tits),
         n_raw=n_raw,
-        n_pruned=n_pruned,
         n_merged=n_merged,
         truncated=truncated,
-        lengths=np.array([len(words[i]) for i in order]),
+        lengths=np.array([len(w) for w in words]),
     )
 
 
@@ -399,12 +407,13 @@ def lorentz_drift(table):
 
 
 def faithfulness_scan(sub, max_length):
-    """No nonempty reduced word class evaluates to the identity.
+    """No nonempty word class evaluates to the identity.
 
-    Every deduplicated class is a distinct group element by construction, so
-    it suffices that each non-identity class is far from I; relation-derivable
-    identities (r^2, (rs)^m) are merged into class 0 by dedup and hence not
-    counted.  Reports the minimum gap and any violating word.
+    Every class is a distinct element of the abstract Coxeter group (the
+    Tits representation is faithful), so a non-identity class whose Moebius
+    matrix is within 0.1 of I is a relation the geometry adds that the
+    Coxeter orders do not: a failure of faithfulness.  Reports the minimum
+    gap and every violating word.
     """
     table = enumerate_words(sub, max_length)
     gaps = np.abs(table.matrices - np.eye(6)[None]).max(axis=(1, 2))
@@ -431,107 +440,80 @@ class OrbitTable:
     seq: np.ndarray  # enumeration index = row number
     words: list  # acting word per sphere (identity for the seeds)
     seed: np.ndarray  # which generator sphere the word acts on
+    roots: np.ndarray  # (n, k) positive Tits root naming each sphere
     centers: np.ndarray  # (n, 4)
     radii: np.ndarray
     polars: np.ndarray
     generation: np.ndarray  # word length
-    parent: np.ndarray  # seq of the unique minimal strict container, or -1
+    parent: np.ndarray  # seq of the smallest strictly containing prefix sphere, or -1
     truncated: bool
 
 
 def orbit_spheres(sub, max_length, max_elements=2_000_000):
     """Orbit of the generator spheres under words of length <= max_length.
 
-    Duplicate spheres are dropped: combinatorially when the seed repeats the
-    word's last letter (s B_s = B_s) or crosses it orthogonally (t B_s = B_s
-    at order 2), and geometrically by a radius-relative coincidence check
-    (a fixed quantization grid would falsely merge distinct spheres once
-    radii decay below the grid).  Assigns each sphere the unique minimal
-    strictly-containing orbit sphere as parent when one exists.  Enumeration
-    (generation-major) lists parents before children.
+    The sphere w.B_s is named by its root w(a_s) and listed at the first
+    word, in (length, word) order, where that root is positive and new: a
+    negative root is the sphere of the shorter w.s, and equal roots are the
+    same sphere.  Its parent is the smallest strictly containing sphere among
+    the prefix spheres w[:j].B_{w[j]}: a ball that contains w.B_s has its
+    wall between P and wP, and those walls are exactly the prefix walls.
+    Rows are in (generation, word, seed) order, so parents come first.
     """
     k = len(sub.ball_ids)
     table = enumerate_words(sub, max_length)
-    buckets = {}
-    rows = []  # (generation, word, seed, center, radius, polar)
+    seq_of = {}  # root bytes -> seq
+    walls = {(): []}  # word -> seqs of its prefix spheres
+    rows = []  # (word, seed, root, center, radius, polar)
     truncated = False
-    for wi in np.argsort(table.lengths, kind="stable"):
-        word = table.words[wi]
-        m = table.matrices[wi]
+    for word, tits, m in zip(table.words, table.tits, table.matrices):
+        if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
+            walls[word] = walls[word[:-1]] + [seq_of[(-tits[:, word[-1]]).tobytes()]]
         pol = (m @ sub.polars.T).T  # images of all seed spheres
         cen, rad = lz.centers_radii(pol)
-        last = word[-1] if word else None
         for s in range(k):
-            if last is not None:
-                if s == last:
-                    continue
-                if sub.coxeter.get((min(s, last), max(s, last))) == 2:
-                    continue
-            key = tuple(np.round(np.r_[cen[s], rad[s]] / HASH_GRID).astype(np.int64))
-            tol = 0.1 * rad[s]
-            row = np.r_[cen[s], rad[s]]
-            if any(
-                np.abs(np.r_[rows[i][3], rows[i][4]] - row).max() <= tol
-                for i in buckets.get(key, ())
-            ):
+            root = tits[:, s]
+            key = root.tobytes()
+            if (root < 0).any() or key in seq_of:
                 continue
             if len(rows) >= max_elements:
                 truncated = True
                 break
-            buckets.setdefault(key, []).append(len(rows))
-            rows.append((len(word), word, s, cen[s], rad[s], pol[s]))
+            seq_of[key] = len(rows)
+            rows.append((word, s, root, cen[s], rad[s], pol[s]))
         if truncated:
             break
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     n = len(rows)
     centers = np.array([r[3] for r in rows])
     radii = np.array([r[4] for r in rows])
-    generation = np.array([r[0] for r in rows])
-    parent = _assign_parents(centers, radii)
+    # candidate parents per sphere, ascending seq, padded with -1
+    width = max(1, max_length)
+    cand = np.full((n, width), -1, dtype=np.int64)
+    for i, r in enumerate(rows):
+        cand[i, : len(r[0])] = sorted(walls[r[0]])
     return OrbitTable(
         seq=np.arange(n),
-        words=[r[1] for r in rows],
-        seed=np.array([r[2] for r in rows]),
+        words=[r[0] for r in rows],
+        seed=np.array([r[1] for r in rows]),
+        roots=np.array([r[2] for r in rows]),
         centers=centers,
         radii=radii,
         polars=np.array([r[5] for r in rows]),
-        generation=generation,
-        parent=parent,
+        generation=np.array([len(r[0]) for r in rows]),
+        parent=_smallest_container(centers, radii, cand),
         truncated=truncated,
     )
 
 
-def _assign_parents(centers, radii, block=2048):
-    """Unique minimal strictly containing sphere per sphere, -1 if none.
-
-    Sphere j strictly contains sphere i iff d(c_i, c_j) + r_i < r_j.
-
-    The blocked Gram-matrix distance is only a coarse filter: its absolute
-    error (~1e-15 at unit scale) swamps the true separation of deep-orbit
-    spheres, so every candidate is recomputed from center differences, which
-    is exact at that scale.
-    """
-    n = len(radii)
-    parent = np.full(n, -1, dtype=np.int64)
-    n2 = (centers * centers).sum(axis=1)
-    slack = 1e-6
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d2 = n2[lo:hi, None] + n2[None, :] - 2.0 * (centers[lo:hi] @ centers.T)
-        d = np.sqrt(np.maximum(d2, 0.0))
-        coarse = d + radii[lo:hi, None] < radii[None, :] + slack
-        for row in range(hi - lo):
-            i = lo + row
-            js = np.nonzero(coarse[row])[0]
-            js = js[js != i]
-            if not len(js):
-                continue
-            diff = centers[js] - centers[i]
-            dx = np.sqrt((diff * diff).sum(axis=1))
-            js = js[dx + radii[i] < radii[js] - 1e-12]
-            if len(js):
-                parent[i] = js[np.argmin(radii[js])]
-    return parent
+def _smallest_container(centers, radii, cand):
+    """Per row i, the candidate p in cand[i] (-1 = none) of least radius with
+    |c_i - c_p| + r_i < r_p - 1e-12, the lowest such p on a tie; -1 if none."""
+    p = np.maximum(cand, 0)
+    diff = centers[p] - centers[:, None, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    inside = (cand >= 0) & (d + radii[:, None] < radii[p] - 1e-12)
+    best = np.argmin(np.where(inside, radii[p], np.inf), axis=1)
+    return np.where(inside.any(axis=1), cand[np.arange(len(cand)), best], -1)
 
 
 def max_radius_per_generation(orbit):
@@ -544,57 +526,41 @@ class PolyhedronStage:
     k: int
     reflector_seq: int  # orbit seq of the mirror sphere, -1 for the base stage
     n_sides: int
-    side_keys: tuple  # quantized (center, radius) keys of the bounding spheres
-
-
-def _side_key(center, radius):
-    return tuple(np.round(np.r_[center, radius] / HASH_GRID).astype(np.int64))
+    sides: tuple  # sorted positive Tits roots of the bounding spheres
 
 
 def polyhedron_stages(sub, orbit, n_stages):
     """Doubling sequence: P_k = P_{k-1} union (reflection of P_{k-1}).
 
     P_0 is the common exterior of the generator balls; stage k doubles
-    across the lowest-seq orbit sphere that carries a current side.  Side
-    counts follow 2s - 2 (the mirror side is absorbed); they are recorded
-    from an explicit side-sphere set, not from the recurrence.
+    across the lowest-seq orbit sphere that carries a current side.  Sides
+    are positive Tits roots: side b reflected in mirror g is b - (g^T 2B b) g,
+    sign normalised.  Side counts follow 2s - 2 (the mirror side is
+    absorbed); they are recorded from the explicit side set, not from the
+    recurrence.
     """
-    side_geo = {}  # key -> (center, radius)
-    for cen, rad in zip(sub.centers, sub.radii):
-        side_geo[_side_key(cen, rad)] = (cen, rad)
-    stages = [
-        PolyhedronStage(0, -1, len(side_geo), tuple(sorted(side_geo)))
-    ]
-    orbit_keys = [
-        _side_key(orbit.centers[i], orbit.radii[i]) for i in range(len(orbit.radii))
-    ]
+    cartan = _cartan(sub)
+    sides = {tuple(r) for r in np.eye(len(sub.ball_ids), dtype=np.int64).tolist()}
+    stages = [PolyhedronStage(0, -1, len(sides), tuple(sorted(sides)))]
+    orbit_roots = [tuple(r) for r in orbit.roots.tolist()]
     used = set()
     for k in range(1, n_stages + 1):
         mirror_seq = next(
-            (
-                i
-                for i in range(len(orbit_keys))
-                if orbit_keys[i] in side_geo and i not in used
-            ),
+            (i for i, r in enumerate(orbit_roots) if r in sides and i not in used),
             None,
         )
         if mirror_seq is None:
             break  # orbit exhausted before the requested stage count
         used.add(mirror_seq)
-        mirror = lz.reflection(orbit.polars[mirror_seq])
-        mirror_key = orbit_keys[mirror_seq]
-        new_geo = {}
-        for key, (cen, rad) in side_geo.items():
-            if key == mirror_key:
-                continue  # the mirror stops being a side of the doubled body
-            new_geo[key] = (cen, rad)
-            img = lz.apply_to_polar(mirror, lz.sphere(cen, rad))
-            icen, irad = lz.centers_radii(img[None])
-            new_geo[_side_key(icen[0], irad[0])] = (icen[0], float(irad[0]))
-        side_geo = new_geo
-        stages.append(
-            PolyhedronStage(k, mirror_seq, len(side_geo), tuple(sorted(side_geo)))
-        )
+        mirror = orbit_roots[mirror_seq]
+        gamma = np.array(mirror)
+        new_sides = set()
+        for side in sides - {mirror}:  # the mirror stops being a side of the doubled body
+            beta = np.array(side)
+            img = beta - (gamma @ cartan @ beta) * gamma
+            new_sides |= {side, tuple((-img if (img < 0).any() else img).tolist())}
+        sides = new_sides
+        stages.append(PolyhedronStage(k, mirror_seq, len(sides), tuple(sorted(sides))))
     return stages
 
 

@@ -135,10 +135,6 @@ def apply_to_point(m, p):
     return project(np.asarray(m) @ w)
 
 
-def apply_to_polar(m, polar):
-    return np.asarray(m) @ np.asarray(polar, dtype=float)
-
-
 def point_side(polar, p):
     """Q(lift(p), polar): negative inside, zero on, positive outside."""
     w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))

@@ -12,7 +12,8 @@ validated programmatically.
 
 from __future__ import annotations
 
-from .complexes import Cube3, CubeComplex, validate_complex
+# validate_complex is unused here; perfbench/selftest.py checks this binding is traced
+from .complexes import ComplexError, Cube3, CubeComplex, validate_complex  # noqa: F401
 
 # axes: 0 = x, 1 = y, 2 = z, 3 = w
 
@@ -101,9 +102,4 @@ def degenerate_single_cube(edge=3):
 def preset_complex(name):
     if name in ("spun-trefoil", "spun_trefoil"):
         return spun_trefoil_preset()
-    raise KeyError(f"unknown complex preset {name!r}")
-
-
-def _self_check():  # pragma: no cover - developer aid
-    c = spun_trefoil_preset()
-    return validate_complex(c)
+    raise ComplexError([f"unknown complex preset {name!r}"])

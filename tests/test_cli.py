@@ -114,12 +114,18 @@ def test_limitset_exports(tmp_path, capsys):
         (["report", "--bend-amalgam", "9999"], "FAIL bending: amalgam 9999 out of range"),
         (["enumerate", "--amalgam", "9999"], "FAIL enumerate: amalgam 9999 out of range"),
         (["limitset", "--formats", "csv,xyz"], "FAIL limitset: unknown export format 'xyz'"),
+        (["enumerate", "--schottky", "0"], "FAIL enumerate: a Schottky sub-assembly needs n >= 1"),
     ],
 )
 def test_malformed_input_fails_without_traceback(tube_complex, tmp_path, capsys, argv,
                                                  expected):
     assert main(argv + ["--complex", tube_complex, "--out", str(tmp_path / "out")]) == 1
     assert expected in capsys.readouterr().out
+
+
+def test_unknown_preset_fails_without_traceback(tmp_path, capsys):
+    assert main(["build", "--preset", "foo", "--out", str(tmp_path)]) == 1
+    assert "FAIL complex: unknown complex preset 'foo'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

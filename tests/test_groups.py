@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from wildknot import complexes as cx
+from wildknot import groups as gr
 from wildknot import lorentz as lz
-from wildknot.complexes import knot_surface
 from wildknot.cover import build_cover
 from wildknot.groups import (
     GroupError,
@@ -29,6 +31,85 @@ def cube_group():
     c = degenerate_single_cube(1)
     cover = build_cover(c)
     return c, cover, assemble_group(c, cover)
+
+
+@pytest.fixture(scope="module")
+def tube_cover():
+    """Two big cubes joined by a straight tube: a cover with 7 amalgams."""
+    big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
+    tube = tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6))
+    c = cx.CubeComplex(big, tube)
+    cover = build_cover(c)
+    return cover, assemble_group(c, cover)
+
+
+def triangle_subassembly():
+    """Three unit balls at mutual distance 1: exterior cosines -1/2, so every
+    pair is declared order 3 and the Coxeter group is the affine triangle
+    group A~2, but the geometric group is finite."""
+    centers = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.5, math.sqrt(0.75), 0, 0]])
+    return subassembly(types.SimpleNamespace(centers=centers, radii=np.ones(3)), [0, 1, 2])
+
+
+def assign_parents_reference(centers, radii, block=2048):
+    """Smallest strictly containing sphere per sphere, -1 if none, by an
+    all-pairs search over the orbit.
+
+    Sphere j strictly contains sphere i iff d(c_i, c_j) + r_i < r_j.  The
+    blocked Gram-matrix distance is only a coarse filter: its absolute error
+    (~1e-15 at unit scale) swamps the true separation of deep-orbit spheres,
+    so every candidate is recomputed from center differences.
+    """
+    n = len(radii)
+    parent = np.full(n, -1, dtype=np.int64)
+    n2 = (centers * centers).sum(axis=1)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        d2 = n2[lo:hi, None] + n2[None, :] - 2.0 * (centers[lo:hi] @ centers.T)
+        d = np.sqrt(np.maximum(d2, 0.0))
+        coarse = d + radii[lo:hi, None] < radii[None, :] + 1e-6
+        for row in range(hi - lo):
+            i = lo + row
+            js = np.nonzero(coarse[row])[0]
+            js = js[js != i]
+            diff = centers[js] - centers[i]
+            dx = np.sqrt((diff * diff).sum(axis=1))
+            js = js[dx + radii[i] < radii[js] - 1e-12]
+            if len(js):
+                parent[i] = js[np.argmin(radii[js])]
+    return parent
+
+
+def stages_reference(sub, orbit, n_stages):
+    """[(n_sides, reflector_seq)] of the doubling, computed on the spheres:
+    a side is a (centre, radius) row, equal to another when every entry
+    differs by at most 1e-6 of the radius."""
+
+    def find(sides, row):
+        hit = np.abs(sides - row).max(axis=1) <= 1e-6 * row[4]
+        return int(np.argmax(hit)) if hit.any() else None
+
+    sides = np.c_[sub.centers, sub.radii]
+    orbit_rows = np.c_[orbit.centers, orbit.radii]
+    out = [(len(sides), -1)]
+    for _ in range(n_stages):
+        used = {m for _n, m in out}
+        mirror = next(i for i in range(len(orbit_rows))
+                      if i not in used and find(sides, orbit_rows[i]) is not None)
+        absorbed = find(sides, orbit_rows[mirror])
+        reflect = lz.reflection(orbit.polars[mirror])
+        cen, rad = lz.centers_radii((reflect @ lz.spheres(sides[:, :4], sides[:, 4]).T).T)
+        images = np.c_[cen, rad]
+        new = np.empty((0, 5))
+        for i in range(len(sides)):
+            if i == absorbed:
+                continue
+            for row in (sides[i], images[i]):
+                if find(new, row) is None:
+                    new = np.vstack([new, row])
+        sides = new
+        out.append((len(sides), mirror))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -115,16 +196,56 @@ def test_enumerate_words_small_counts(cube_group):
     assert t4.n_merged == 0
 
 
-def test_pruned_vs_unpruned(cube_group):
-    _c, cover, _g = cube_group
-    # a sub-assembly with order-2 pairs so pruning has something to do
-    ids = [0, 1, 8, 9]  # two vertices + two face balls (mixed orders)
-    sub = subassembly(cover, ids)
-    a = enumerate_words(sub, 5, prune=True)
-    b = enumerate_words(sub, 5, prune=False)
-    assert a.words == b.words
-    assert np.allclose(a.matrices, b.matrices, atol=1e-9)
-    assert a.n_pruned > 0
+def _growth_subassembly(name, cube_group, tube_cover):
+    cover = cube_group[1]
+    if name == "free":
+        return pairwise_disjoint_subassembly(cover, n=4)
+    if name == "order3_pair":
+        i, j, _m, _t = next(r for r in cover.adjacency if r[2] == 3)
+        return subassembly(cover, [i, j])
+    if name == "mixed":  # orders 3 at (0,1), 2 at (0,3), infinity elsewhere
+        return subassembly(cover, [0, 1, 8, 9])
+    if name == "amalgam":
+        tc, tg = tube_cover
+        return subassembly(tc, tg.amalgams[0].ball_ids)
+    return triangle_subassembly()
+
+
+@pytest.mark.parametrize(
+    "name, growth",
+    [
+        ("free", [1] + [4 * 3 ** (n - 1) for n in range(1, 7)]),
+        ("order3_pair", [1, 2, 2, 1, 0, 0, 0]),
+        ("mixed", [1, 4, 11, 29, 76, 200, 526, 1383, 3637]),
+        ("amalgam", [1, 4, 12, 32, 84, 220, 576, 1508, 3948]),
+        ("triangle", [1] + [3 * n for n in range(1, 9)]),
+    ],
+)
+def test_growth_series(cube_group, tube_cover, name, growth):
+    """Elements per word length equal the Coxeter group's growth series.
+
+    The series follow from 1/W(t) = sum over the finite parabolic subgroups
+    W_T of (-1)^|T| t^N_T / P_T(t), P_T the Poincare polynomial of degree N_T;
+    for "mixed": 1 - 4t/(1+t) + t^2/(1+t)^2 + t^3/((1+t)(1+t+t^2)).
+    """
+    sub = _growth_subassembly(name, cube_group, tube_cover)
+    table = enumerate_words(sub, len(growth) - 1)
+    assert np.bincount(table.lengths, minlength=len(growth)).tolist() == growth
+    assert [len(w) for w in table.words] == table.lengths.tolist()
+    assert table.words == sorted(table.words, key=lambda w: (len(w), w))
+    assert len(set(table.words)) == len(table.words)
+    assert table.n_raw - table.n_merged == len(table.words)
+    # every word is reduced: no letter repeats its predecessor
+    assert all(a != b for w in table.words for a, b in zip(w, w[1:]))
+
+
+def test_tits_entry_guard(cube_group, monkeypatch):
+    """Entries past TITS_MAX raise instead of wrapping around int64."""
+    sub = pairwise_disjoint_subassembly(cube_group[1], n=2)  # infinite dihedral
+    assert len(enumerate_words(sub, 40).words) == 1 + 2 * 40
+    monkeypatch.setattr(gr, "TITS_MAX", 10)
+    with pytest.raises(GroupError, match="overflow"):
+        enumerate_words(sub, 40)
 
 
 def test_lorentz_drift_small(cube_group):
@@ -140,6 +261,16 @@ def test_faithfulness_scan(cube_group):
     report = faithfulness_scan(sub, 5)
     assert report["ok"]
     assert report["min_gap"] > 0.1
+
+
+def test_faithfulness_scan_rejects_the_affine_triangle():
+    """Negative control for criterion 4: the triangle's infinite Coxeter group
+    maps onto a finite group, so distinct elements share a matrix and some
+    nonempty word evaluates to the identity."""
+    report = faithfulness_scan(triangle_subassembly(), 8)
+    assert not report["ok"]
+    assert report["violations"]
+    assert report["min_gap"] <= 0.1
 
 
 def test_orbit_nesting_and_decay(cube_group):
@@ -171,6 +302,37 @@ def test_orbit_nesting_and_decay(cube_group):
     assert decay[gens[-1]] < decay[1]
 
 
+def _parent_oracle_subs(cube_group, tube_cover):
+    cover = cube_group[1]
+    tc, tg = tube_cover
+    yield "schottky", pairwise_disjoint_subassembly(cover, n=4)
+    yield "mixed", subassembly(cover, [0, 1, 8, 9])  # vertex and face balls
+    for am in tg.amalgams:
+        yield f"amalgam {am.index}", subassembly(tc, am.ball_ids)
+
+
+def test_parents_match_all_pairs_search(cube_group, tube_cover):
+    """Prefix-sphere parents equal the smallest container among all spheres."""
+    assert len(tube_cover[1].amalgams) == 7
+    for name, sub in _parent_oracle_subs(cube_group, tube_cover):
+        orbit = orbit_spheres(sub, 6)
+        ref = assign_parents_reference(orbit.centers, orbit.radii)
+        assert np.array_equal(orbit.parent, ref), name
+        assert (orbit.parent >= 0).any(), name
+
+
+def test_orbit_roots_name_distinct_spheres(cube_group, tube_cover):
+    """Each sphere's root is positive and its own; no two spheres coincide."""
+    for name, sub in _parent_oracle_subs(cube_group, tube_cover):
+        orbit = orbit_spheres(sub, 4)
+        assert (orbit.roots >= 0).all(), name
+        assert len({r.tobytes() for r in orbit.roots}) == len(orbit.roots), name
+        geo = np.c_[orbit.centers, orbit.radii]
+        gap = np.abs(geo[:, None, :] - geo[None, :, :]).max(axis=-1)
+        np.fill_diagonal(gap, np.inf)
+        assert gap.min() > 1e-9, name
+
+
 def test_orbit_generation_one_nested_in_mirror(cube_group):
     _c, cover, _g = cube_group
     sub = pairwise_disjoint_subassembly(cover, n=3)
@@ -192,9 +354,22 @@ def test_polyhedron_stages(cube_group):
     # recurrence cross-check against the recounted side sets
     for prev, cur in zip(stages, stages[1:]):
         assert cur.n_sides == 2 * prev.n_sides - 2
-        assert cur.n_sides == len(cur.side_keys)
+        assert cur.n_sides == len(cur.sides)
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+    # each mirror is a side of the stage before, and leaves the side set
+    for prev, cur in zip(stages, stages[1:]):
+        mirror = tuple(orbit.roots[cur.reflector_seq].tolist())
+        assert mirror in prev.sides and mirror not in cur.sides
+
+
+def test_stages_match_sphere_geometry(cube_group, tube_cover):
+    """Root-arithmetic stages equal the doubling carried out on the spheres."""
+    for name, sub in _parent_oracle_subs(cube_group, tube_cover):
+        orbit = orbit_spheres(sub, 5)
+        stages = polyhedron_stages(sub, orbit, 6)
+        ref = stages_reference(sub, orbit, 6)
+        assert [(s.n_sides, s.reflector_seq) for s in stages] == ref, name
 
 
 def test_fundamental_domain_check(cube_group):
