@@ -239,11 +239,45 @@ def _products(centers, radii, i, j):
     )
 
 
+def _grid_join(a, b, side):
+    """Yield index arrays (i, j): rows i of a and j of b in equal or neighbouring
+    cells of one 4-D grid of the given side, for at most 2^14 rows of a at a
+    time; a self-join (b is a) yields each unordered pair of distinct rows once.
+    Axes renumber their occupied cells from 1, closing gaps wider than one cell,
+    so the key size follows the number of points rather than the extent."""
+    both = a if b is a else np.concatenate([a, b])  # a self-join keys its set once
+    cell = np.floor(both / side).astype(np.int64)
+    for ax in range(4):
+        occupied, at = np.unique(cell[:, ax], return_inverse=True)
+        gaps = np.minimum(np.diff(occupied, prepend=occupied[0] - 1), 2)
+        cell[:, ax] = np.cumsum(gaps)[at]
+    dims = [int(d) for d in cell.max(axis=0) + 2]  # a free cell on each side
+    if math.prod(dims) >= 2**63:
+        raise CoverError("points too sparse for a 64-bit grid key")
+    strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
+    key = cell @ strides
+    order_a = np.argsort(key[: len(a)], kind="stable")  # sorted queries search faster
+    order_b = np.argsort(key[len(both) - len(b) :], kind="stable")
+    query, sorted_key = key[order_a], key[len(both) - len(b) :][order_b]
+    # in a self-join the lexicographically non-negative offsets suffice
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=4) if b is not a or o >= (0,) * 4]
+    for s in range(0, len(a), 1 << 14):  # slices of a bound the memory
+        q = query[s : s + (1 << 14)]
+        for shift in np.array(offsets) @ strides:
+            lo = np.searchsorted(sorted_key, q + shift, "left")
+            count = np.searchsorted(sorted_key, q + shift, "right") - lo
+            i = order_a[s + np.repeat(np.arange(len(q)), count)]
+            j = order_b[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            if b is a and shift == 0:  # a pair inside one cell is met from both ends
+                i, j = i[i < j], j[i < j]
+            yield i, j
+
+
 def _near_pairs(centers, radii):
     """Every pair i < j with inversive product below 1.15, sorted by (i, j).
 
-    Returns arrays (i, j, product).  The pairs come from a 4-D grid join.  A
-    product < 1.15 forces d^2 < r_i^2 + r_j^2 + 2.3 r_i r_j <= 4.3 r_max^2,
+    Returns arrays (i, j, product).  The pairs come from a 4-D grid self-join.
+    A product < 1.15 forces d^2 < r_i^2 + r_j^2 + 2.3 r_i r_j <= 4.3 r_max^2,
     so with cell side sqrt(4.3) r_max (widened by 1e-9 against rounding) the
     two centers lie in the same or in neighbouring cells: every pair the 3^4
     neighbouring cells miss is provably disjoint.  The design's closest
@@ -252,37 +286,11 @@ def _near_pairs(centers, radii):
     """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    n = len(radii)
-    if n < 2:
+    if len(radii) < 2:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     side = math.sqrt(4.3) * float(radii.max()) * (1.0 + 1e-9)
-    cell = np.floor(centers / side).astype(np.int64)
-    # renumber each axis's occupied cells from 1, closing gaps wider than one
-    # cell, so that neighbours stay neighbours and the key size follows the
-    # number of balls rather than the extent of the set
-    for a in range(4):
-        occupied, at = np.unique(cell[:, a], return_inverse=True)
-        gaps = np.minimum(np.diff(occupied, prepend=occupied[0] - 1), 2)
-        cell[:, a] = np.cumsum(gaps)[at]
-    dims = [int(d) for d in cell.max(axis=0) + 2]  # a free cell on each side
-    if math.prod(dims) >= 2**63:
-        raise CoverError("balls too sparse for a 64-bit grid key")
-    strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
-    key = cell @ strides
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    # one key shift per neighbour offset; the non-negative ones meet each
-    # unordered pair of neighbouring cells exactly once
-    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=4))) @ strides
     parts = []
-    for shift in shifts[shifts >= 0]:
-        lo = np.searchsorted(sorted_key, key + shift, "left")
-        count = np.searchsorted(sorted_key, key + shift, "right") - lo
-        first = np.cumsum(count) - count
-        i = np.repeat(np.arange(n), count)
-        j = order[np.repeat(lo - first, count) + np.arange(count.sum())]
-        if shift == 0:  # a pair inside one cell is met from both ends
-            i, j = i[i < j], j[i < j]
+    for i, j in _grid_join(centers, centers, side):
         i, j = np.minimum(i, j), np.maximum(i, j)
         prod = _products(centers, radii, i, j)
         near = prod < 1.15

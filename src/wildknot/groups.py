@@ -470,7 +470,10 @@ def orbit_spheres(sub, max_length, max_elements=2_000_000):
         if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
             walls[word] = walls[word[:-1]] + [seq_of[(-tits[:, word[-1]]).tobytes()]]
         pol = (m @ sub.polars.T).T  # images of all seed spheres
-        cen, rad = lz.centers_radii(pol)
+        try:
+            cen, rad = lz.centers_radii(pol)
+        except ValueError as exc:  # a sphere through infinity has no center
+            raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
         for s in range(k):
             root = tits[:, s]
             key = root.tobytes()
@@ -535,9 +538,9 @@ def polyhedron_stages(sub, orbit, n_stages):
     P_0 is the common exterior of the generator balls; stage k doubles
     across the lowest-seq orbit sphere that carries a current side.  Sides
     are positive Tits roots: side b reflected in mirror g is b - (g^T 2B b) g,
-    sign normalised.  Side counts follow 2s - 2 (the mirror side is
-    absorbed); they are recorded from the explicit side set, not from the
-    recurrence.
+    sign normalised.  Side counts come from the explicit side set: 2s - 2 on
+    Schottky sub-assemblies (4, 6, 10, 18, 34), fewer where two sides are
+    mirror images (4, 6, 10, 16, 30, 52, 98 on a tube's amalgams).
     """
     cartan = _cartan(sub)
     sides = {tuple(r) for r in np.eye(len(sub.ball_ids), dtype=np.int64).tolist()}

@@ -351,6 +351,7 @@ def test_polyhedron_stages(cube_group):
     assert len(stages) == 6
     assert stages[0].n_sides == 4
     counts = [s.n_sides for s in stages]
+    assert counts == [4, 6, 10, 18, 34, 66]
     # recurrence cross-check against the recounted side sets
     for prev, cur in zip(stages, stages[1:]):
         assert cur.n_sides == 2 * prev.n_sides - 2
@@ -361,6 +362,23 @@ def test_polyhedron_stages(cube_group):
     for prev, cur in zip(stages, stages[1:]):
         mirror = tuple(orbit.roots[cur.reflector_seq].tolist())
         assert mirror in prev.sides and mirror not in cur.sides
+
+
+def test_amalgam_stages_fall_below_the_schottky_recurrence(tube_cover):
+    """Sides that are mirror images of each other count once, so every tube
+    amalgam's side counts fall below 2s - 2 from stage 3 on."""
+    cover, group = tube_cover
+    for am in group.amalgams:
+        sub = subassembly(cover, am.ball_ids)
+        stages = polyhedron_stages(sub, orbit_spheres(sub, 5), 6)
+        assert [s.n_sides for s in stages] == [4, 6, 10, 16, 30, 52, 98], am.index
+
+
+def test_orbit_spheres_rejects_a_sphere_through_infinity():
+    """The affine triangle's first words already send a generator sphere
+    through infinity: an input error, not a bare ValueError."""
+    with pytest.raises(GroupError, match="through infinity"):
+        orbit_spheres(triangle_subassembly(), 1)
 
 
 def test_stages_match_sphere_geometry(cube_group, tube_cover):

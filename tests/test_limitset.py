@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildknot.cover import build_cover
 from wildknot.groups import (
@@ -8,6 +12,7 @@ from wildknot.groups import (
     polyhedron_stages,
 )
 from wildknot.limitset import (
+    PointCloud,
     cloud_from_csv,
     cloud_from_orbit,
     cloud_to_csv,
@@ -21,6 +26,27 @@ from wildknot.limitset import (
     stage_report,
 )
 from wildknot.presets import degenerate_single_cube
+
+
+def hausdorff_reference(cloud_a, cloud_b, block=1024):
+    """sup over a in A of the distance from a to B, by an all-pairs scan over
+    blocks of A."""
+    if len(cloud_a) == 0:
+        return 0.0
+    if len(cloud_b) == 0:
+        return float("inf")
+    worst = 0.0
+    for lo in range(0, len(cloud_a), block):
+        d2 = (
+            (cloud_a.points[lo : lo + block, None, :] - cloud_b.points[None, :, :]) ** 2
+        ).sum(-1)
+        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
+    return worst
+
+
+def _cloud(points):
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    return PointCloud(points, ["p"] * len(points), np.zeros(len(points), dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +115,8 @@ def test_loxodromic_rejects_odd_length(setup):
 
 
 def test_hausdorff_step_bounded_by_radius(setup):
-    """One-sided step from depth L to L+1 is at most the max gen-L radius."""
+    """One-sided step from depth L+1 back to depth L is at most the max gen-L
+    radius: every new center lies inside its depth-L parent sphere."""
     _cover, sub, _orbit = setup
     for L in (3, 4, 5):
         a = orbit_spheres(sub, L)
@@ -97,7 +124,107 @@ def test_hausdorff_step_bounded_by_radius(setup):
         ca = cloud_from_orbit(a, np.inf)
         cb = cloud_from_orbit(b, np.inf)
         max_r = float(a.radii[a.generation == L].max())
-        assert hausdorff_one_sided(ca, cb) <= max_r + 1e-12
+        assert 0.0 < hausdorff_one_sided(cb, ca) <= max_r + 1e-12
+        assert hausdorff_one_sided(ca, cb) == 0.0  # ca is a subset of cb
+
+
+def test_hausdorff_equals_reference_on_orbit_clouds(setup):
+    """Bit-for-bit equal to the all-pairs scan on the Schottky steps L -> L-1
+    and on loxodromic fixed points against the orbit cloud."""
+    _cover, sub, orbit = setup
+    clouds = {L: cloud_from_orbit(orbit_spheres(sub, L), np.inf) for L in range(2, 7)}
+    for L in range(3, 7):
+        step = hausdorff_one_sided(clouds[L], clouds[L - 1])
+        assert step > 0.0
+        assert step == hausdorff_reference(clouds[L], clouds[L - 1]), L
+    lox, _skipped = loxodromic_points(sub, 100, seed=3, word_length=6)
+    ref = cloud_from_orbit(orbit, np.inf, offset=sub.offset)
+    assert hausdorff_one_sided(lox, ref) == hausdorff_reference(lox, ref)
+
+
+@st.composite
+def cantor_clouds(draw):
+    """Two clouds from one random 4-D Cantor construction: each level keeps
+    2 or 3 shrunken lattice-shifted copies of the last, so points cluster at
+    every scale, and a repeated shift duplicates points.  B may be A itself."""
+    ratio = draw(st.sampled_from([0.5, 0.3, 0.1, 1e-3]))
+    shifts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=2, max_size=3))
+    scale = draw(st.sampled_from([1.0, 1e-7, 1e5]))
+    origin = np.array(draw(st.tuples(*[st.integers(-5, 5)] * 4)), dtype=float)
+
+    def cloud(depth):
+        pts = np.zeros((1, 4))
+        for _ in range(depth):
+            pts = np.concatenate([pts * ratio + np.array(t, dtype=float) for t in shifts])
+        return _cloud(origin + scale * pts)
+
+    a = cloud(draw(st.integers(0, 5)))
+    b = a if draw(st.booleans()) else cloud(draw(st.integers(0, 5)))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(cantor_clouds())
+def test_hausdorff_matches_reference_on_cantor_clouds(clouds):
+    a, b = clouds
+    got = hausdorff_one_sided(a, b)
+    assert got == hausdorff_reference(a, b)
+    if a is b:
+        assert got == 0.0
+
+
+def test_hausdorff_empty_clouds():
+    pts = _cloud([[0.0, 1.0, 2.0, 3.0]])
+    assert hausdorff_one_sided(_cloud([]), pts) == 0.0
+    assert hausdorff_one_sided(pts, _cloud([])) == float("inf")
+    assert hausdorff_one_sided(_cloud([]), _cloud([])) == 0.0
+
+
+def test_hausdorff_far_outlier():
+    """One point of A far from a dense B needs many doublings of the cell
+    side; the rest resolve at once."""
+    rng = np.random.default_rng(4)
+    b = rng.random((2000, 4)) * 1e-3
+    a = np.vstack([b[:500] + 1e-6, [[7.0, -3.0, 0.5, 2.0]]])
+    got = hausdorff_one_sided(_cloud(a), _cloud(b))
+    assert got == hausdorff_reference(_cloud(a), _cloud(b))
+    assert got > 7.0
+
+
+def test_hausdorff_nearest_point_two_cells_away():
+    """B spans 8 units with 8 points, so the first cell side is 1.  The point
+    of A finds the origin (1.109 away) among its neighbouring cells, but its
+    nearest point (1.01 away) sits two cells along; a candidate at least one
+    side away is not final."""
+    b = _cloud([[0, 0, 0, 0], [2.0, 0.5, 0, 0]] + [[8, 8, 8, 8]] * 6)
+    a = _cloud([[0.99, 0.5, 0, 0]])
+    got = hausdorff_one_sided(a, b)
+    assert got == hausdorff_reference(a, b)
+    assert got < 1.02  # the point two cells along, not the origin
+
+
+def test_hausdorff_points_on_cell_boundaries():
+    """B spans 7 units with 8 points, so the first cell side is 7/8: every
+    coordinate of A is an exact multiple of a side the search uses, and
+    many points of A sit exactly one side from B."""
+    b = _cloud([[k, 0, 0, 0] for k in range(8)])
+    a = _cloud(list(itertools.product([0.0, 7 / 8, 7 / 4, 21 / 8, 7.0], repeat=4)))
+    assert hausdorff_one_sided(a, b) == hausdorff_reference(a, b)
+    assert hausdorff_one_sided(b, a) == hausdorff_reference(b, a)
+
+
+def test_hausdorff_sparse_cloud_keeps_a_64_bit_key():
+    """80,000 points along a diagonal, in twins 0.04 apart over an extent of
+    40,000 (10^6 times the spacing).  Cells of side extent / |B| would put
+    the 40,000 diagonal positions two cells apart on every axis, about
+    80,000^4 keys; the search must not overflow or raise."""
+    k = np.arange(40_000.0)[:, None]
+    diagonal = np.repeat(k, 4, axis=1)
+    b = _cloud(np.vstack([diagonal, diagonal + [0.04, 0, 0, 0]]))
+    rng = np.random.default_rng(9)
+    near = diagonal[rng.choice(40_000, 40)] + rng.normal(scale=0.3, size=(40, 4))
+    a = _cloud(np.vstack([near, rng.random((10, 4)) * 40_000.0]))
+    assert hausdorff_one_sided(a, b) == hausdorff_reference(a, b, block=16)
 
 
 def test_stage_report(setup):
