@@ -10,14 +10,19 @@ E_t fixes that circle pointwise and rotates the complementary coordinate
 four amalgam reflections, and conjugating every generator on one side of the
 amalgam by E_t yields a new representation of the same abstract group.
 
-All matrices here live in the *amalgam frame*: coordinates translated so the
-square's center is the origin.  That translation is an exact group
-conjugation, makes E_t a pure block rotation, and keeps the matrices of the
-nearby generators (the only ones entering genuinely new relations)
-well-conditioned.  Relations between generators on a common side are
-untouched by the deformation -- (E R_i E^-1)(E R_j E^-1) = E R_i R_j E^-1
-identically -- so they are certified once by the base group's relation suite
-rather than re-measured through an ill-conditioned conjugation.
+Matrices here live in the *amalgam frame*: coordinates translated so the
+square's center is the origin, an exact group conjugation that makes E_t a
+pure block rotation.  E_t is a Euclidean rotation about the square's 2-plane,
+so E_t R E_t^-1 is the reflection in the rotated sphere: bending moves the
+side-B sphere centers and nothing else.  The relations that genuinely mix the
+two sides are therefore checked on rotated centers by the base relation
+suite's own kernel, `groups.relation_residuals`, each pair in its own
+midpoint frame.  The amalgam frame would not do for them: a pair 13.5 units
+from the square's center has reflection entries near 5e4, and its cubed
+product misses the identity by ~1e2 even at t = 0.  Relations between
+generators on a common side are untouched by the deformation --
+(E R_i E^-1)(E R_j E^-1) = E R_i R_j E^-1 identically -- so they are
+certified once by the base group's relation suite.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .groups import GroupError, reflection_matrices
+from .groups import GroupError, reflection_matrices, relation_residuals
 
 
 @dataclasses.dataclass
@@ -47,14 +52,14 @@ class BentRepresentation:
     amalgam_index: int
     t: float
     locus: BendingLocus
-    side_b: frozenset  # ball ids conjugated by E_t
+    side_b: np.ndarray  # (N,) bool, True on the balls conjugated by E_t
     e_matrix: np.ndarray  # E_t in the amalgam frame
     relation_report: dict
 
     def generator_matrix(self, ball):
         """Image of generator `ball`, in the amalgam frame."""
-        m = _frame_reflection(self.group.cover, ball, self.locus.center)
-        if ball in self.side_b:
+        m = _frame_reflections(self.group.cover, [ball], self.locus.center)[0]
+        if self.side_b[ball]:
             m = self.e_matrix @ m @ lz.inverse(self.e_matrix)
         return m
 
@@ -65,9 +70,10 @@ class BentRepresentation:
         return m
 
 
-def _frame_reflection(cover, ball, origin):
-    polar = lz.sphere(cover.centers[ball] - origin, cover.radii[ball])
-    return lz.reflection(polar)
+def _frame_reflections(cover, balls, origin):
+    """(k, 6, 6) reflections in the given balls, in the frame centered at `origin`."""
+    balls = list(balls)
+    return reflection_matrices(lz.spheres(cover.centers[balls] - origin, cover.radii[balls]))
 
 
 def bending_locus(group, j, tol=1e-9):
@@ -123,40 +129,22 @@ def bending_rotation(locus, t):
 def commutation_residual(group, locus, t):
     """max || E_t R E_t^-1 - R ||_inf over the four amalgam reflections."""
     e = bending_rotation(locus, t)
-    e_inv = lz.inverse(e)
-    worst = 0.0
     am = group.amalgams[locus.amalgam_index]
-    for ball in am.ball_ids:
-        r = _frame_reflection(group.cover, ball, locus.center)
-        worst = max(worst, float(np.abs(e @ r @ e_inv - r).max()))
-    return worst
+    r = _frame_reflections(group.cover, am.ball_ids, locus.center)
+    return float(np.abs(e @ r @ lz.inverse(e) - r).max())
 
 
 def split_sides(group, j):
-    """(side_a, side_b) ball-id partitions at amalgam j, Gamma_j in side_a.
+    """(N,) bool mask of side B at amalgam j; Gamma_j lies on side A.
 
     Sides follow the cube chain: balls hosted in cubes up to the amalgam's
     first cube belong to side A, the rest to side B.
     """
-    am = group.amalgams[j]
-    pos = am.cube_pair[0]
-    host = group.cover.host
-    side_b = frozenset(int(i) for i in np.nonzero(host > pos)[0])
-    side_a = frozenset(range(len(group.cover))) - side_b
-    return side_a, side_b
-
-
-def _commutes_with_rotation(cover, ball, locus, tol=1e-9):
-    """A ball invariant under E_t (center on the rotation's fixed 2-plane)
-    has a reflection commuting with E_t for every t."""
-    return all(
-        abs(cover.centers[ball, a] - locus.center[a]) <= tol
-        for a in locus.rotation_axes
-    )
+    return group.cover.host > group.amalgams[j].cube_pair[0]
 
 
 def crossing_relations(group, j):
-    """Finite-order pairs straddling amalgam j, flagged as bending-safe.
+    """(rows, safe): the relation rows straddling amalgam j, flagged bending-safe.
 
     A relation (i, k, m) with one member on each side survives one-sided
     conjugation iff one of its members commutes with E_t: then
@@ -166,24 +154,15 @@ def crossing_relations(group, j):
     plate of the big cube qualifies).  Pairs with no commuting member make
     the amalgam unsuitable for bending.
     """
-    am = group.amalgams[j]
-    gamma = set(am.ball_ids)
     locus = bending_locus(group, j)
-    _side_a, side_b = split_sides(group, j)
-    cover = group.cover
-    out = []
-    for i, k, m in group.relations:
-        ib, kb = i in side_b, k in side_b
-        if ib == kb:
-            continue
-        safe = (
-            i in gamma
-            or k in gamma
-            or _commutes_with_rotation(cover, i, locus)
-            or _commutes_with_rotation(cover, k, locus)
-        )
-        out.append((i, k, m, safe))
-    return out
+    side_b = split_sides(group, j)
+    rels = group.relations
+    rows = rels[side_b[rels[:, 0]] != side_b[rels[:, 1]]]
+    pairs = rows[:, :2]
+    off = group.cover.centers[pairs] - locus.center
+    on_plane = (np.abs(off[..., list(locus.rotation_axes)]) <= 1e-9).all(axis=-1)
+    commuting = on_plane | np.isin(pairs, group.amalgams[j].ball_ids)
+    return rows, commuting.any(axis=1)
 
 
 def bend(group, j, t, tol=1e-8):
@@ -191,41 +170,32 @@ def bend(group, j, t, tol=1e-8):
 
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
     Every relation that genuinely mixes the two sides is re-verified on the
-    images (in the amalgam frame); a residual above `tol` raises with the
-    failing relation.  Same-side relations equal their base counterparts
-    exactly (see module docstring) and are covered by the base suite.
+    images (the side-B sphere rotated by E_t, each pair in its midpoint
+    frame); a residual above `tol` raises with the failing relation.
+    Same-side relations equal their base counterparts exactly (see module
+    docstring) and are covered by the base suite.
     """
     locus = bending_locus(group, j)
     e = bending_rotation(locus, t)
-    e_inv = lz.inverse(e)
-    _side_a, side_b = split_sides(group, j)
-    crossing = crossing_relations(group, j)
-
-    eye = np.eye(6)
-    max_residual = 0.0
-    worst = None
-    for i, k, m, a_in_gamma in crossing:
-        mi = _frame_reflection(group.cover, i, locus.center)
-        mk = _frame_reflection(group.cover, k, locus.center)
-        if i in side_b:
-            mi = e @ mi @ e_inv
-        if k in side_b:
-            mk = e @ mk @ e_inv
-        prod = mi @ mk
-        power = np.linalg.matrix_power(prod, m)
-        res = float(np.abs(power - eye).max())
-        if res > max_residual:
-            max_residual = res
-            worst = (i, k, m, a_in_gamma, res)
+    side_b = split_sides(group, j)
+    rows, safe = crossing_relations(group, j)
+    pairs = rows[:, :2]
+    centers = group.cover.centers[pairs] - locus.center
+    moved = side_b[pairs]
+    centers[moved] = centers[moved] @ e[:4, :4].T
+    residual, _gap = relation_residuals(centers, group.cover.radii[pairs], rows[:, 2])
+    max_residual = float(residual.max(initial=0.0))
     if max_residual > tol:
+        w = int(residual.argmax())
+        i, k, m = (int(x) for x in rows[w])
         raise GroupError(
-            f"bending at amalgam {j} breaks relation (R_{worst[0]} R_{worst[1]})"
-            f"^{worst[2]} = 1: residual {worst[4]:.3e}"
-            + ("" if worst[3] else " (no member commutes with the bending rotation)")
+            f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
+            f"residual {max_residual:.3e}"
+            + ("" if safe[w] else " (no member commutes with the bending rotation)")
         )
     report = {
         "t": t,
-        "n_crossing_relations": len(crossing),
+        "n_crossing_relations": len(rows),
         "max_residual": max_residual,
         "commutation_residual": commutation_residual(group, locus, t),
         "tolerance": tol,
@@ -245,11 +215,7 @@ def suitable_amalgams(group):
     """Amalgam indices where every crossing relation has a member commuting
     with the bending rotation (the exact condition for one-sided conjugation
     to preserve all relations)."""
-    return [
-        j
-        for j in range(len(group.amalgams))
-        if all(flag for (_i, _k, _m, flag) in crossing_relations(group, j))
-    ]
+    return [j for j in range(len(group.amalgams)) if crossing_relations(group, j)[1].all()]
 
 
 def crossing_word(group, j, gap=2):
@@ -257,8 +223,7 @@ def crossing_word(group, j, gap=2):
     vertex balls taken `gap` cross-sections before and after the square."""
     am = group.amalgams[j]
     cover = group.cover
-    locus_center = np.array([(lo + hi) / 2.0 for lo, hi in am.square])
-    _side_a, side_b = split_sides(group, j)
+    side_b = split_sides(group, j)
     gamma = set(am.ball_ids)
 
     corner = min(am.ball_ids)  # a vertex ball on the square
@@ -276,7 +241,7 @@ def crossing_word(group, j, gap=2):
             v = vertex_at((axis, sign))
             if v is None or v in gamma:
                 continue
-            (candidates_b if v in side_b else candidates_a).append(v)
+            (candidates_b if side_b[v] else candidates_a).append(v)
     for a in candidates_a:
         for b in candidates_b:
             d2 = float(((cover.centers[a] - cover.centers[b]) ** 2).sum())

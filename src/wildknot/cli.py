@@ -41,7 +41,7 @@ class RunConfig:
     max_word_length: int = 5
     eps: float = 0.12
     n_stages: int = 4
-    bend_amalgam: int | None = None  # None = first suitable straight amalgam
+    bend_amalgam: int | None = None  # None = middle suitable straight amalgam
     bend_ts: tuple = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
     out_dir: str = "out"
     seed: int = 0

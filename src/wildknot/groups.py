@@ -20,6 +20,7 @@ disjoint, where every reflected sphere is strictly nested in the mirror.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ class Amalgam:
 class ReflectionGroup:
     cover: object
     complex: object
-    relations: list  # (i, j, order) for every finite-order pair
+    relations: np.ndarray  # (n, 3) int64 rows (i, j, order), one per finite-order pair
     blocks: dict  # host cube index -> sorted ball ids
     amalgams: list
 
@@ -85,7 +86,9 @@ def _square_corners(square):
 
 def assemble_group(c, cover):
     """Group data: relations from realized angles, blocks, amalgams."""
-    relations = [(i, j, m) for (i, j, m, _t) in cover.adjacency]
+    relations = np.fromiter(
+        itertools.chain.from_iterable(adj[:3] for adj in cover.adjacency), dtype=np.int64
+    ).reshape(-1, 3)
 
     blocks = {}
     for ball, host in enumerate(cover.host):
@@ -155,44 +158,51 @@ def _check_amalgams(group):
             raise GroupError(f"amalgam {am.index}: bad pair pattern {kinds}")
 
 
+def relation_residuals(centers, radii, orders):
+    """Per-pair residuals of (R_i R_k)^m = I, in each pair's midpoint frame.
+
+    `centers` (n, 2, 4) and `radii` (n, 2) give the two spheres of each pair,
+    `orders` (n,) its m.  The pair is translated so its midpoint is the origin
+    before multiplying -- an exact group conjugation that avoids the precision
+    loss of lattice-scale coordinates.  Returns (residual, gap): the max-norm
+    distance of (R_i R_k)^m from I, and the least such distance over the
+    powers 1..m-1 (inf for m = 1).
+    """
+    mid = 0.5 * (centers[:, 0] + centers[:, 1])
+    pi = lz.spheres(centers[:, 0] - mid, radii[:, 0])
+    pk = lz.spheres(centers[:, 1] - mid, radii[:, 1])
+    prod = np.einsum("nab,nbc->nac", reflection_matrices(pi), reflection_matrices(pk))
+    residual = np.zeros(len(orders))
+    gap = np.full(len(orders), math.inf)
+    power = prod
+    top = int(orders.max(initial=0))
+    for p in range(1, top + 1):
+        dist = np.abs(power - np.eye(6)).max(axis=(1, 2))
+        residual = np.where(orders == p, dist, residual)
+        gap = np.where(orders > p, np.minimum(gap, dist), gap)
+        if p < top:
+            power = np.einsum("nab,nbc->nac", power, prod)
+    return residual, gap
+
+
 def relation_suite(group, tol=1e-8, separation=0.5, batch=4096):
     """Verify (R_i R_j)^m = I for every finite-order pair, in batches.
 
     Also checks no smaller positive power is within `separation` of I (so the
-    order is exactly m, not a divisor).  Relations are conjugated to place
-    each pair's midpoint at the origin before multiplying -- an exact group
-    isomorphism that avoids the precision loss of lattice-scale coordinates.
-    Returns a report dict; raises GroupError on a violation.
+    order is exactly m, not a divisor).  See `relation_residuals`.  Returns a
+    report dict; raises GroupError on a violation.
     """
     cover = group.cover
     rels = group.relations
     max_residual = 0.0
     min_premature = math.inf
-    eye = np.eye(6)
     for lo in range(0, len(rels), batch):
         chunk = rels[lo : lo + batch]
-        ii = np.array([r[0] for r in chunk])
-        jj = np.array([r[1] for r in chunk])
-        mm = np.array([r[2] for r in chunk])
-        mid = 0.5 * (cover.centers[ii] + cover.centers[jj])
-        pi = lz.spheres(cover.centers[ii] - mid, cover.radii[ii])
-        pj = lz.spheres(cover.centers[jj] - mid, cover.radii[jj])
-        prod = np.einsum("nab,nbc->nac", reflection_matrices(pi), reflection_matrices(pj))
-        power = prod
-        for step in range(2, int(mm.max()) + 1):
-            at_order = mm == step - 1
-            if at_order.any():
-                res = np.abs(power[at_order] - eye).max(axis=(1, 2))
-                max_residual = max(max_residual, float(res.max()))
-            below = mm >= step  # pairs whose order is still ahead
-            if below.any():
-                gap = np.abs(power[below] - eye).max(axis=(1, 2))
-                min_premature = min(min_premature, float(gap.min()))
-            power = np.einsum("nab,nbc->nac", power, prod)
-        at_order = mm == int(mm.max())
-        if at_order.any():
-            res = np.abs(power[at_order] - eye).max(axis=(1, 2))
-            max_residual = max(max_residual, float(res.max()))
+        residual, gap = relation_residuals(
+            cover.centers[chunk[:, :2]], cover.radii[chunk[:, :2]], chunk[:, 2]
+        )
+        max_residual = max(max_residual, float(residual.max()))
+        min_premature = min(min_premature, float(gap.min()))
     report = {
         "n_relations": len(rels),
         "max_residual": max_residual,

@@ -19,6 +19,10 @@ from wildknot.cover import build_cover
 from wildknot.groups import GroupError, assemble_group
 from wildknot.presets import spun_trefoil_preset
 
+# The preset's amalgams near the tube's folded-back turns (see
+# test_turn_amalgams_unsuitable); every other one of its 277 is bendable.
+PRESET_UNSUITABLE = set(range(262, 275))
+
 
 @pytest.fixture(scope="module")
 def preset():
@@ -29,11 +33,45 @@ def preset():
 
 
 @pytest.fixture(scope="module")
-def mid_leg_amalgam(preset):
+def suitable(preset):
+    return suitable_amalgams(preset[2])
+
+
+def reference_crossing_relations(group, j, tol=1e-9):
+    """Per-relation reference for crossing_relations: frozenset sides and a
+    membership test per member of each relation tuple."""
+    am = group.amalgams[j]
+    gamma = set(am.ball_ids)
+    locus = bending_locus(group, j)
+    cover = group.cover
+    side_b = frozenset(int(i) for i in np.nonzero(cover.host > am.cube_pair[0])[0])
+
+    def commutes_with_rotation(ball):
+        return all(
+            abs(cover.centers[ball, a] - locus.center[a]) <= tol
+            for a in locus.rotation_axes
+        )
+
+    out = []
+    for i, k, m in group.relations.tolist():
+        if (i in side_b) == (k in side_b):
+            continue
+        safe = (
+            i in gamma
+            or k in gamma
+            or commutes_with_rotation(i)
+            or commutes_with_rotation(k)
+        )
+        out.append((i, k, m, safe))
+    return out
+
+
+@pytest.fixture(scope="module")
+def mid_leg_amalgam(preset, suitable):
     """A straight amalgam far from both junctions and all turns."""
     _c, cover, group = preset
     best = None
-    for j in suitable_amalgams(group):
+    for j in suitable:
         am = group.amalgams[j]
         if not am.straight:
             continue
@@ -93,53 +131,78 @@ def test_commutation_with_amalgam_generators(preset, mid_leg_amalgam):
 
 def test_split_sides_partition(preset, mid_leg_amalgam):
     _c, cover, group = preset
-    side_a, side_b = split_sides(group, mid_leg_amalgam)
-    assert side_a | side_b == set(range(len(cover)))
-    assert not side_a & side_b
-    assert set(group.amalgams[mid_leg_amalgam].ball_ids) <= side_a
-    assert side_b
+    side_b = split_sides(group, mid_leg_amalgam)
+    assert side_b.dtype == bool and side_b.shape == (len(cover),)
+    assert not side_b[list(group.amalgams[mid_leg_amalgam].ball_ids)].any()
+    assert side_b.any() and not side_b.all()
 
 
 def test_mid_leg_crossing_relations_all_in_gamma(preset, mid_leg_amalgam):
     _c, _cover, group = preset
-    crossing = crossing_relations(group, mid_leg_amalgam)
-    assert crossing  # the tube walls do cross the section
-    assert all(flag for (_i, _k, _m, flag) in crossing)
+    rows, safe = crossing_relations(group, mid_leg_amalgam)
+    assert rows.shape[1] == 3 and len(rows)  # the tube walls do cross the section
+    assert safe.all()
+
+
+def test_crossing_relations_match_reference(preset, mid_leg_amalgam, suitable):
+    _c, _cover, group = preset
+    straight = [j for j in suitable if group.amalgams[j].straight]
+    report_default = straight[len(straight) // 2]
+    for j in (0, mid_leg_amalgam, 262, 275, 276, report_default):
+        rows, safe = crossing_relations(group, j)
+        got = [(i, k, m, bool(f)) for (i, k, m), f in zip(rows.tolist(), safe)]
+        assert got == reference_crossing_relations(group, j)
+
+
+def test_preset_suitable_amalgams(preset, suitable):
+    _c, _cover, group = preset
+    assert len(group.amalgams) == 277
+    assert len(suitable) == 264
+    assert set(range(277)) - set(suitable) == PRESET_UNSUITABLE
+
+
+def test_bend_every_amalgam(preset, suitable):
+    """t = 0 is the base group, so a raise there is a false alarm; at t = 0.2
+    exactly the unsuitable amalgams must refuse."""
+    _c, _cover, group = preset
+    for j in range(len(group.amalgams)):
+        assert bend(group, j, 0.0).relation_report["max_residual"] <= 1e-8
+        if j in suitable:
+            assert bend(group, j, 0.2).relation_report["max_residual"] <= 1e-8
+        else:
+            with pytest.raises(GroupError, match=f"amalgam {j} breaks relation"):
+                bend(group, j, 0.2)
 
 
 def test_junction_amalgam_bendable(preset):
     """At an attach square the whole plate sits on E_t's fixed plane, so
     every crossing relation has a commuting member and bending goes through."""
     _c, _cover, group = preset
-    crossing = crossing_relations(group, 0)
-    assert all(flag for (_i, _k, _m, flag) in crossing)
+    _rows, safe = crossing_relations(group, 0)
+    assert safe.all()
     rep = bend(group, 0, 0.2)
     assert rep.relation_report["max_residual"] <= 1e-8
 
 
-def test_turn_amalgams_unsuitable(preset):
+def test_turn_amalgams_unsuitable(preset, suitable):
     """Near the tube's folded-back turns, spatially adjacent balls land on
     opposite chain sides with no commuting member: bending must refuse."""
     _c, _cover, group = preset
-    unsuitable = sorted(set(range(len(group.amalgams))) - set(suitable_amalgams(group)))
+    unsuitable = sorted(set(range(len(group.amalgams))) - set(suitable))
     assert unsuitable
     j = unsuitable[0]
-    assert any(not flag for (_i, _k, _m, flag) in crossing_relations(group, j))
+    assert not crossing_relations(group, j)[1].all()
     with pytest.raises(GroupError, match="relation"):
         bend(group, j, 0.2)
 
 
 def test_bend_zero_is_base(preset, mid_leg_amalgam):
-    _c, _cover, group = preset
+    _c, cover, group = preset
     rep = bend(group, mid_leg_amalgam, 0.0)
     assert np.allclose(rep.e_matrix, np.eye(6))
-    ball = next(iter(rep.side_b))
-    from wildknot.bending import _frame_reflection
-
-    assert np.allclose(
-        rep.generator_matrix(ball),
-        _frame_reflection(group.cover, ball, rep.locus.center),
-    )
+    ball = int(np.flatnonzero(rep.side_b)[0])
+    polar = lz.sphere(cover.centers[ball] - rep.locus.center, cover.radii[ball])
+    assert np.allclose(rep.generator_matrix(ball), lz.reflection(polar))
 
 
 def test_bend_relation_sweep(preset, mid_leg_amalgam):

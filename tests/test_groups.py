@@ -20,6 +20,7 @@ from wildknot.groups import (
     pairwise_disjoint_subassembly,
     polyhedron_stages,
     reflection_matrices,
+    relation_residuals,
     relation_suite,
     subassembly,
 )
@@ -396,6 +397,42 @@ def test_fundamental_domain_check(cube_group):
     assert report["ok"]
     assert report["violations"] == 0
     assert report["checks"] > 0
+
+
+def test_relations_are_one_int_array(cube_group):
+    _c, cover, g = cube_group
+    assert g.relations.dtype == np.int64
+    assert g.relations.tolist() == [[i, j, m] for (i, j, m, _t) in cover.adjacency]
+
+
+def test_relation_residuals_oracle():
+    """The batched kernel against scalar matrix powers in each pair's midpoint
+    frame, on pairs placed at lattice scale; a wrong order must show."""
+    r = 1.0 / math.sqrt(3.0)
+    far = np.array([40.0, -25.0, 13.5, 7.0])
+    centers = np.array([
+        [far, far + [math.sqrt(2.0), 0, 0, 0]],  # orthogonal, order 2
+        [far, far + [0, 1.0, 0, 0]],  # pi/3, order 3
+        [far, far + [0, 0, 1.0, 0]],  # pi/3 declared order 2
+    ])
+    radii = np.array([[1.0, 1.0], [r, r], [r, r]])
+    orders = np.array([2, 3, 2])
+    residual, gap = relation_residuals(centers, radii, orders)
+    for n in range(3):
+        mid = centers[n].mean(axis=0)
+        prod = lz.reflection(lz.sphere(centers[n, 0] - mid, radii[n, 0])) @ lz.reflection(
+            lz.sphere(centers[n, 1] - mid, radii[n, 1])
+        )
+        dist = [
+            np.abs(np.linalg.matrix_power(prod, p) - np.eye(6)).max()
+            for p in range(1, orders[n] + 1)
+        ]
+        assert residual[n] == pytest.approx(dist[-1], abs=1e-12)
+        assert gap[n] == pytest.approx(min(dist[:-1]), abs=1e-12)
+    assert residual[:2].max() <= 1e-12 and gap[:2].min() > 0.5
+    assert residual[2] > 0.5
+    empty = relation_residuals(np.zeros((0, 2, 4)), np.ones((0, 2)), np.zeros(0, dtype=int))
+    assert [len(a) for a in empty] == [0, 0]
 
 
 def test_subassembly_rejects_bad_pairs():
