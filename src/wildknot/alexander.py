@@ -179,13 +179,6 @@ def parse_word(s, n_generators):
     return free_reduce(_letter_index(ch, n_generators) for ch in s.strip())
 
 
-def word_to_string(word):
-    return "".join(
-        string.ascii_lowercase[abs(g) - 1] if g > 0 else string.ascii_uppercase[abs(g) - 1]
-        for g in word
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class GroupPresentation:
     """Finite presentation with generators a, b, c, ... and reduced relators."""
@@ -221,12 +214,6 @@ def parse_presentation(text):
     if gens != string.ascii_lowercase[: len(gens)] or len(set(gens)) != len(gens):
         raise ValueError("generators must be an initial segment a, b, c, ...")
     return GroupPresentation.from_strings(len(gens), lines[1:])
-
-
-def render_presentation(p):
-    lines = ["".join(p.generator_names())]
-    lines += [word_to_string(r) for r in p.relators]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +339,6 @@ def stage_polynomial(delta, i):
     if i < 0:
         raise ValueError("stage must be >= 0")
     return (delta ** (2**i)).normalized()
-
-
-def connected_sum(p1, p2):
-    """Presentation of the connected sum: free product with meridians merged.
-
-    Both inputs must use generator 'a' as a meridian; the second factor's
-    generators are renamed to follow the first factor's, and the relator
-    identifying the two 'a' meridians is appended.
-    """
-    offset = p1.n_generators
-    shifted = tuple(
-        tuple((abs(g) + offset) * (1 if g > 0 else -1) for g in r) for r in p2.relators
-    )
-    merge: Word = (1, -(offset + 1))  # a = a'
-    return GroupPresentation(
-        p1.n_generators + p2.n_generators, p1.relators + shifted + (merge,)
-    )
 
 
 def nontriviality_verdict(delta, depth=6):

@@ -24,8 +24,9 @@ A^2 - 3 A ell + ell^2/2 = 0 that drives the face pattern), and is disjoint
 from all other balls.  All pairwise claims are certified in validate_cover
 rather than trusted: one grid search lists every pair whose inversive
 product is below 1.15 (cell side sqrt(4.3) times the largest radius, so the
-pairs it skips are provably disjoint), and the adjacency, the legality sweep
-and the adjacency residuals are all read from that one list.
+pairs it skips are provably disjoint), and the legality sweep and the
+adjacency are both read from that one list.  The adjacency is one (n, 3) int
+array of rows (i, j, m), which is also the reflection group's relation array.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ ROLE_FACE = 1
 ROLE_JUNCTION = 2
 ROLE_NAMES = {ROLE_VERTEX: "vertex", ROLE_FACE: "face", ROLE_JUNCTION: "junction"}
 
-# sweep legality: exterior cosines of intersecting pairs must hit these
-LEGAL_COSINES = (0.0, 0.5, -0.5)
+# lz.ORDER_COSINES flattened: each legal exterior cosine and its Coxeter order
+_COSINES = np.array([c for cs in lz.ORDER_COSINES.values() for c in cs])
+_ORDERS = np.array([m for m, cs in lz.ORDER_COSINES.items() for _ in cs], dtype=np.int64)
 ANGLE_TOL = 1e-9
 
 
@@ -77,7 +79,7 @@ class BallCover:
     host: np.ndarray  # (N,) index into complex.all_cubes
     face_of: np.ndarray  # (N,) surface-face index for face-pattern balls, -1 otherwise
     polars: np.ndarray  # (N, 6)
-    adjacency: list  # (i, j, order m, target exterior cosine)
+    adjacency: np.ndarray  # (n, 3) int64 rows (i, j, order m), sorted by (i, j)
     refinement: int
     unit: int
     vertex_index: dict  # lattice vertex -> ball index
@@ -301,14 +303,12 @@ def _near_pairs(centers, radii):
 
 
 def _adjacency(centers, radii):
-    """All intersecting pairs with their Coxeter order and target cosine."""
+    """All intersecting pairs as (n, 3) int64 rows (i, j, m), sorted by (i, j);
+    m is the Coxeter order of the legal cosine nearest the pair's product."""
     i, j, prod = _near_pairs(centers, radii)
     hit = prod < 1.0
-    nearest = np.abs(prod[hit, None] - np.array(LEGAL_COSINES)).argmin(axis=1)
-    return [
-        (int(a), int(b), 2 if LEGAL_COSINES[t] == 0.0 else 3, LEGAL_COSINES[t])
-        for a, b, t in zip(i[hit], j[hit], nearest)
-    ]
+    nearest = np.abs(prod[hit, None] - _COSINES).argmin(axis=1)
+    return np.stack([i[hit], j[hit], _ORDERS[nearest]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def pairwise_sweep(centers, radii, tol=ANGLE_TOL):
     (i, j, product) triples, including tangent or nested pairs.
     """
     i, j, prod = _near_pairs(centers, radii)
-    res = np.abs(prod[:, None] - np.array(LEGAL_COSINES)).min(axis=1)
+    res = np.abs(prod[:, None] - _COSINES).min(axis=1)
     intersecting = np.abs(prod) < 1.0 - tol
     disjoint = prod >= 1.0 + tol
     bad = np.nonzero((intersecting & (res > tol)) | ~(intersecting | disjoint))[0]
@@ -426,11 +426,11 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     )
     fraction, misses = coverage_check(cover, surf, n_samples=n_samples, seed=seed)
 
-    # adjacency targets realized exactly
-    adj = np.array(cover.adjacency, dtype=float).reshape(-1, 4)
-    cos = _products(cover.centers, cover.radii, adj[:, 0].astype(np.int64),
-                    adj[:, 1].astype(np.int64))
-    adj_residual = float(np.abs(cos - adj[:, 3]).max(initial=0.0))
+    # each adjacency row realized exactly: its product at a cosine of its order m
+    adj = cover.adjacency
+    cos = _products(cover.centers, cover.radii, adj[:, 0], adj[:, 1])
+    own = np.where(adj[:, 2:] == _ORDERS, np.abs(cos[:, None] - _COSINES), np.inf)
+    adj_residual = float(own.min(axis=1).max(initial=0.0))
 
     # every ball orthogonal to the surface: center on its face's 2-plane
     # (true by construction: all centers have at most two non-lattice coords,

@@ -3,8 +3,9 @@
 Points of S^4 = R^4 + {inf} are modelled as rays on the positive light cone
 of R^{5,1} with the quadratic form
 
-    Q(x, y) = x1 y1 + ... + x5 y5 - x6 y6,
+    Q(x, y) = x1 y1 + ... + x5 y5 - x6 y6
 
+(p lifts to (p, (|p|^2 - 1)/2, (|p|^2 + 1)/2) and inf to (0, 0, 0, 0, 1, 1)),
 round 3-spheres (and hyperplanes, which are spheres through infinity) as unit
 spacelike "polar" vectors, and Moebius transformations as 6x6 orthochronous
 Lorentz matrices acting on everything at once.  All the geometry downstream
@@ -39,37 +40,13 @@ def q(u, v):
     return (u[..., :5] * v[..., :5]).sum(axis=-1) - u[..., 5] * v[..., 5]
 
 
-def lift(p):
-    """Light-cone lift of a finite point of R^4 (broadcasts over rows)."""
-    p = np.asarray(p, dtype=float)
-    n2 = (p * p).sum(axis=-1)
-    return np.concatenate(
-        [p, ((n2 - 1.0) / 2.0)[..., None], ((n2 + 1.0) / 2.0)[..., None]],
-        axis=-1,
-    )
-
-
-def lift_infinity():
-    return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-
-
 def project(w, tol=1e-12):
-    """Inverse of lift: light-cone vector -> point of R^4, or None for inf."""
+    """Light-cone vector -> point of R^4 it lifts, or None for inf."""
     w = np.asarray(w, dtype=float)
     scale = w[5] - w[4]
     if abs(scale) <= tol * max(1.0, abs(w[5]) + abs(w[4])):
         return None
     return w[:4] / scale
-
-
-def sphere(center, radius):
-    """Polar vector of the round 3-sphere with given Euclidean data."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    c = np.asarray(center, dtype=float)
-    a = float(c @ c) - radius * radius
-    v = np.concatenate([c / radius, [(a - 1.0) / (2.0 * radius), (a + 1.0) / (2.0 * radius)]])
-    return -v  # interior-negative orientation, see module docstring
 
 
 def spheres(centers, radii):
@@ -84,17 +61,6 @@ def spheres(centers, radii):
     out[:, 4] = (a - 1.0) / (2.0 * r)
     out[:, 5] = (a + 1.0) / (2.0 * r)
     return -out
-
-
-def hyperplane(normal, offset):
-    """Polar of the hyperplane n.x = offset; interior is the side n.x < offset."""
-    n = np.asarray(normal, dtype=float)
-    norm = math.sqrt(float(n @ n))
-    if norm == 0.0:
-        raise ValueError("normal must be nonzero")
-    n = n / norm
-    s = offset / norm
-    return np.concatenate([n, [s, s]])
 
 
 def centers_radii(polars, tol=1e-12):
@@ -112,33 +78,9 @@ def centers_radii(polars, tol=1e-12):
     return c, np.abs(r)
 
 
-def reflection(polar):
-    """Lorentz matrix of inversion in the sphere with the given unit polar."""
-    v = np.asarray(polar, dtype=float)
-    return np.eye(6) - 2.0 * np.outer(v, J @ v)
-
-
 def inverse(m):
     """Group inverse via the Lorentz adjugate J M^T J (never numeric inv)."""
     return J @ np.asarray(m).T @ J
-
-
-def lorentz_defect(m):
-    """Max-norm drift of M from O(5,1): || M^T J M - J ||_inf."""
-    m = np.asarray(m, dtype=float)
-    return float(np.max(np.abs(m.T @ J @ m - J)))
-
-
-def apply_to_point(m, p):
-    """Apply a Lorentz matrix to a point of S^4 (p=None means infinity)."""
-    w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
-    return project(np.asarray(m) @ w)
-
-
-def point_side(polar, p):
-    """Q(lift(p), polar): negative inside, zero on, positive outside."""
-    w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
-    return float(q(w, polar))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,13 +190,3 @@ def _lightlike_fixed_point(col):
     if v[5] < 0:
         v = -v
     return project(v)
-
-
-def random_moebius(rng, n_reflections=4, scale=2.0):
-    """Deterministic pseudo-random Moebius map: product of sphere inversions."""
-    m = np.eye(6)
-    for _ in range(n_reflections):
-        c = rng.uniform(-scale, scale, size=4)
-        r = rng.uniform(0.3, scale)
-        m = m @ reflection(sphere(c, r))
-    return m

@@ -1,0 +1,117 @@
+"""Scalar reference implementations that the tests use as oracles.
+
+The library computes spheres and reflections in batches (`lorentz.spheres`,
+`groups.reflection_matrices`); the one-at-a-time formulas here are the tests'
+independent check on them.  The point maps, random Moebius maps and the
+presentation helpers serve only the tests.
+"""
+
+from __future__ import annotations
+
+import math
+import string
+
+import numpy as np
+
+from wildknot import lorentz as lz
+from wildknot.alexander import GroupPresentation
+
+
+def lift(p):
+    """Light-cone lift of a finite point of R^4 (broadcasts over rows)."""
+    p = np.asarray(p, dtype=float)
+    n2 = (p * p).sum(axis=-1)
+    return np.concatenate(
+        [p, ((n2 - 1.0) / 2.0)[..., None], ((n2 + 1.0) / 2.0)[..., None]],
+        axis=-1,
+    )
+
+
+def lift_infinity():
+    return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+
+
+def sphere(center, radius):
+    """Polar vector of the round 3-sphere with given Euclidean data."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    c = np.asarray(center, dtype=float)
+    a = float(c @ c) - radius * radius
+    v = np.concatenate([c / radius, [(a - 1.0) / (2.0 * radius), (a + 1.0) / (2.0 * radius)]])
+    return -v  # interior-negative orientation, see the lorentz module docstring
+
+
+def hyperplane(normal, offset):
+    """Polar of the hyperplane n.x = offset; interior is the side n.x < offset."""
+    n = np.asarray(normal, dtype=float)
+    norm = math.sqrt(float(n @ n))
+    if norm == 0.0:
+        raise ValueError("normal must be nonzero")
+    n = n / norm
+    s = offset / norm
+    return np.concatenate([n, [s, s]])
+
+
+def reflection(polar):
+    """Lorentz matrix of inversion in the sphere with the given unit polar."""
+    v = np.asarray(polar, dtype=float)
+    return np.eye(6) - 2.0 * np.outer(v, lz.J @ v)
+
+
+def lorentz_defect(m):
+    """Max-norm drift of M from O(5,1): || M^T J M - J ||_inf."""
+    m = np.asarray(m, dtype=float)
+    return float(np.max(np.abs(m.T @ lz.J @ m - lz.J)))
+
+
+def apply_to_point(m, p):
+    """Apply a Lorentz matrix to a point of S^4 (p=None means infinity)."""
+    w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
+    return lz.project(np.asarray(m) @ w)
+
+
+def point_side(polar, p):
+    """Q(lift(p), polar): negative inside, zero on, positive outside."""
+    w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
+    return float(lz.q(w, polar))
+
+
+def random_moebius(rng, n_reflections=4, scale=2.0):
+    """Deterministic pseudo-random Moebius map: product of sphere inversions."""
+    m = np.eye(6)
+    for _ in range(n_reflections):
+        c = rng.uniform(-scale, scale, size=4)
+        r = rng.uniform(0.3, scale)
+        m = m @ reflection(sphere(c, r))
+    return m
+
+
+def word_to_string(word):
+    """Inverse of `alexander.parse_word`: capitals for inverse letters."""
+    return "".join(
+        string.ascii_lowercase[abs(g) - 1] if g > 0 else string.ascii_uppercase[abs(g) - 1]
+        for g in word
+    )
+
+
+def render_presentation(p):
+    lines = ["".join(p.generator_names())]
+    lines += [word_to_string(r) for r in p.relators]
+    return "\n".join(lines) + "\n"
+
+
+def connected_sum(p1, p2):
+    """Presentation of the connected sum: free product with meridians merged.
+
+    Both inputs must use generator 'a' as a meridian; the second factor's
+    generators are renamed to follow the first factor's, and the relator
+    identifying the two 'a' meridians is appended.
+    """
+    offset = p1.n_generators
+    shifted = tuple(
+        tuple((abs(g) + offset) * (1 if g > 0 else -1) for g in r) for r in p2.relators
+    )
+    merge = (1, -(offset + 1))  # a = a'
+    return GroupPresentation(
+        p1.n_generators + p2.n_generators, p1.relators + shifted + (merge,)
+    )

@@ -151,7 +151,7 @@ def test_criterion_4_faithfulness(group):
 
     # oracle: an order-3 crossing pair generates the dihedral group of
     # order 6 -- exactly 6 word classes, and (R_i R_j)^3 = I
-    i, j, order, _t = next(a for a in group.cover.adjacency if a[2] == 3)
+    i, j, order = next(a for a in group.cover.adjacency if a[2] == 3)
     pair = gr.subassembly(group.cover, (i, j))
     words = gr.enumerate_words(pair, 6)
     assert len(words.words) == 6

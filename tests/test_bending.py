@@ -19,6 +19,8 @@ from wildknot.cover import build_cover
 from wildknot.groups import GroupError, assemble_group
 from wildknot.presets import spun_trefoil_preset
 
+import oracles as orc
+
 # The preset's amalgams near the tube's folded-back turns (see
 # test_turn_amalgams_unsuitable); every other one of its 277 is bendable.
 PRESET_UNSUITABLE = set(range(262, 275))
@@ -106,7 +108,7 @@ def test_rotation_one_parameter_group(preset, mid_leg_amalgam):
     e2 = bending_rotation(locus, 0.25)
     assert np.abs(e1 @ e2 - bending_rotation(locus, 0.35)).max() <= 1e-14
     assert np.abs(e1 @ bending_rotation(locus, -0.1) - np.eye(6)).max() <= 1e-14
-    assert lz.lorentz_defect(e1) <= 1e-14
+    assert orc.lorentz_defect(e1) <= 1e-14
 
 
 def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
@@ -118,7 +120,7 @@ def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
         pt = np.zeros(4)  # amalgam frame: circle about the origin
         pt[u] = locus.radius * math.cos(theta)
         pt[v] = locus.radius * math.sin(theta)
-        img = lz.apply_to_point(e, pt)
+        img = orc.apply_to_point(e, pt)
         assert np.abs(img - pt).max() <= 1e-12
 
 
@@ -201,8 +203,8 @@ def test_bend_zero_is_base(preset, mid_leg_amalgam):
     rep = bend(group, mid_leg_amalgam, 0.0)
     assert np.allclose(rep.e_matrix, np.eye(6))
     ball = int(np.flatnonzero(rep.side_b)[0])
-    polar = lz.sphere(cover.centers[ball] - rep.locus.center, cover.radii[ball])
-    assert np.allclose(rep.generator_matrix(ball), lz.reflection(polar))
+    polar = orc.sphere(cover.centers[ball] - rep.locus.center, cover.radii[ball])
+    assert np.allclose(rep.generator_matrix(ball), orc.reflection(polar))
 
 
 def test_bend_relation_sweep(preset, mid_leg_amalgam):
@@ -233,7 +235,7 @@ def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
     rep = bend(group, mid_leg_amalgam, 0.2)
     m = rep.word_matrix(word)
     rng = np.random.default_rng(5)
-    conj = lz.random_moebius(rng)
+    conj = orc.random_moebius(rng)
     m_conj = conj @ m @ lz.inverse(conj)
     # eigenvalues of a nonsymmetric 6x6 at dilation ~2e3 carry a few units
     # in the fourth digit of conjugation noise; this is a sanity check only

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,15 +99,36 @@ def test_single_cube_cover_counts_and_validation():
 def test_single_cube_adjacency_orders():
     c = degenerate_single_cube(1)
     cover = build_cover(c)
-    orders = {m for (_i, _j, m, _t) in cover.adjacency}
+    orders = set(cover.adjacency[:, 2].tolist())
     assert orders == {2, 3}
-    # every adjacency target realized exactly by the centers/radii
-    for i, j, _m, target in cover.adjacency:
+    # every row's order realized exactly by the centers/radii: its cosine is
+    # within 1e-12 of a cosine of order m (exterior angle pi/m or its complement)
+    for i, j, m in cover.adjacency:
         d2 = float(((cover.centers[i] - cover.centers[j]) ** 2).sum())
         cos = (d2 - cover.radii[i] ** 2 - cover.radii[j] ** 2) / (
             2.0 * cover.radii[i] * cover.radii[j]
         )
-        assert cos == pytest.approx(target, abs=1e-12)
+        assert min(abs(cos - t) for t in {2: (0.0,), 3: (0.5, -0.5)}[m]) <= 1e-12
+
+
+def test_validate_cover_rejects_a_moved_ball_and_a_wrong_order():
+    """Negative controls: one vertex ball moved off its lattice point, and one
+    order-2 row relabelled order 3, each push the adjacency residual past the
+    tolerance."""
+    c = degenerate_single_cube(1)
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    centers = cover.centers.copy()
+    centers[0, 0] += 0.05
+    moved = validate_cover(dataclasses.replace(cover, centers=centers), surf, n_samples=500)
+    assert not moved["ok"]
+    assert moved["adjacency_residual"] > moved["tolerance"]
+    adjacency = cover.adjacency.copy()
+    adjacency[np.flatnonzero(adjacency[:, 2] == 2)[0], 2] = 3
+    relabelled = validate_cover(dataclasses.replace(cover, adjacency=adjacency), surf, n_samples=500)
+    assert not relabelled["ok"]
+    assert relabelled["adjacency_residual"] == pytest.approx(0.5, abs=1e-12)
+    assert relabelled["illegal_pairs"] == []  # the angles themselves are all legal
 
 
 def brute_force_products(centers, radii):
@@ -137,7 +159,7 @@ def test_sweep_matches_adjacency_count():
     assert (max_res, n_inter, violations) == brute_force_sweep(cover.centers, cover.radii)
     i, j, prod = brute_force_products(cover.centers, cover.radii)
     hit = prod < 1.0
-    assert [(a, b) for a, b, _m, _t in cover.adjacency] == list(zip(i[hit], j[hit]))
+    assert np.array_equal(cover.adjacency[:, :2], np.stack([i[hit], j[hit]], axis=1))
     # fewer than two balls: nothing to certify
     for n in (0, 1):
         assert pairwise_sweep(cover.centers[:n], cover.radii[:n]) == (0.0, 0, [])
@@ -301,4 +323,4 @@ def test_deterministic_build():
     c2 = build_cover(c)
     assert np.array_equal(c1.centers, c2.centers)
     assert np.array_equal(c1.radii, c2.radii)
-    assert c1.adjacency == c2.adjacency
+    assert np.array_equal(c1.adjacency, c2.adjacency)

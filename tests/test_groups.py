@@ -26,6 +26,8 @@ from wildknot.groups import (
 )
 from wildknot.presets import degenerate_single_cube, spun_trefoil_preset
 
+import oracles as orc
+
 
 @pytest.fixture(scope="module")
 def cube_group():
@@ -98,7 +100,7 @@ def stages_reference(sub, orbit, n_stages):
         mirror = next(i for i in range(len(orbit_rows))
                       if i not in used and find(sides, orbit_rows[i]) is not None)
         absorbed = find(sides, orbit_rows[mirror])
-        reflect = lz.reflection(orbit.polars[mirror])
+        reflect = orc.reflection(orbit.polars[mirror])
         cen, rad = lz.centers_radii((reflect @ lz.spheres(sides[:, :4], sides[:, 4]).T).T)
         images = np.c_[cen, rad]
         new = np.empty((0, 5))
@@ -123,14 +125,16 @@ def preset_group():
 def test_generator_count_and_blocks(cube_group):
     c, cover, g = cube_group
     assert g.n_generators == len(cover)
-    assert sorted(sum(g.blocks.values(), [])) == list(range(len(cover)))
+    # the host cubes' blocks partition the generators
+    blocks = [np.flatnonzero(cover.host == h) for h in range(len(c.all_cubes))]
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(len(cover)))
 
 
 def test_reflection_matrices_match_scalar_path(cube_group):
     _c, cover, _g = cube_group
     mats = reflection_matrices(cover.polars[:5])
     for i in range(5):
-        assert np.allclose(mats[i], lz.reflection(cover.polars[i]), atol=1e-14)
+        assert np.allclose(mats[i], orc.reflection(cover.polars[i]), atol=1e-14)
 
 
 def test_relation_suite_single_cube(cube_group):
@@ -144,16 +148,16 @@ def test_relation_suite_single_cube(cube_group):
 def test_order_two_and_three_oracle():
     """Hand-built pairs: matrix powers hit I exactly at the Coxeter order."""
     # orthogonal pair (order 2)
-    p1 = lz.sphere([0.0, 0, 0, 0], 1.0)
-    p2 = lz.sphere([math.sqrt(2.0), 0, 0, 0], 1.0)
-    prod = lz.reflection(p1) @ lz.reflection(p2)
+    p1 = orc.sphere([0.0, 0, 0, 0], 1.0)
+    p2 = orc.sphere([math.sqrt(2.0), 0, 0, 0], 1.0)
+    prod = orc.reflection(p1) @ orc.reflection(p2)
     assert np.abs(prod @ prod - np.eye(6)).max() <= 1e-12
     assert np.abs(prod - np.eye(6)).max() > 0.5
     # pi/3 pair (order 3)
     r = 1.0 / math.sqrt(3.0)
-    q1 = lz.sphere([0.0, 0, 0, 0], r)
-    q2 = lz.sphere([1.0, 0, 0, 0], r)
-    prod = lz.reflection(q1) @ lz.reflection(q2)
+    q1 = orc.sphere([0.0, 0, 0, 0], r)
+    q2 = orc.sphere([1.0, 0, 0, 0], r)
+    prod = orc.reflection(q1) @ orc.reflection(q2)
     p3 = prod @ prod @ prod
     assert np.abs(p3 - np.eye(6)).max() <= 1e-12
     assert np.abs(prod @ prod - np.eye(6)).max() > 0.5
@@ -175,7 +179,7 @@ def test_preset_amalgams(preset_group):
 def test_dihedral_oracle(cube_group):
     """Two pi/3 generators enumerate to exactly the order-6 dihedral group."""
     _c, cover, g = cube_group
-    i, j, m, _t = next(r for r in cover.adjacency if r[2] == 3)
+    i, j, m = next(r for r in cover.adjacency if r[2] == 3)
     sub = subassembly(cover, [i, j])
     table = enumerate_words(sub, max_length=10)
     assert len(table.words) == 6
@@ -202,7 +206,7 @@ def _growth_subassembly(name, cube_group, tube_cover):
     if name == "free":
         return pairwise_disjoint_subassembly(cover, n=4)
     if name == "order3_pair":
-        i, j, _m, _t = next(r for r in cover.adjacency if r[2] == 3)
+        i, j, _m = next(r for r in cover.adjacency if r[2] == 3)
         return subassembly(cover, [i, j])
     if name == "mixed":  # orders 3 at (0,1), 2 at (0,3), infinity elsewhere
         return subassembly(cover, [0, 1, 8, 9])
@@ -399,10 +403,28 @@ def test_fundamental_domain_check(cube_group):
     assert report["checks"] > 0
 
 
+@pytest.mark.parametrize("budget, checks", [(0, 0), (20, 20), (114, 114), (115, 114)])
+def test_fundamental_domain_check_count(cube_group, budget, checks):
+    """ceil(budget / per_gen) generators, capped at n, get per_gen points each:
+    budgets below n (38), equal to 3n, and not a multiple of per_gen = 3; a
+    zero budget checks nothing and so does not pass."""
+    _c, cover, _g = cube_group
+    n = len(cover)
+    per_gen = max(1, budget // n)
+    report = fundamental_domain_check(cover, budget=budget, seed=1)
+    assert report["checks"] == min(n, math.ceil(budget / per_gen)) * per_gen == checks
+    assert report["violations"] == 0
+    assert report["ok"] == (checks > 0)
+
+
 def test_relations_are_one_int_array(cube_group):
     _c, cover, g = cube_group
-    assert g.relations.dtype == np.int64
-    assert g.relations.tolist() == [[i, j, m] for (i, j, m, _t) in cover.adjacency]
+    rel = g.relations
+    assert rel is cover.adjacency
+    assert rel.dtype == np.int64
+    assert rel.shape == (len(rel), 3) and len(rel) > 0
+    assert np.all(np.diff(rel[:, 0] * len(cover) + rel[:, 1]) > 0)  # sorted by (i, j)
+    assert (rel[:, 0] < rel[:, 1]).all() and set(rel[:, 2].tolist()) == {2, 3}
 
 
 def test_relation_residuals_oracle():
@@ -420,8 +442,8 @@ def test_relation_residuals_oracle():
     residual, gap = relation_residuals(centers, radii, orders)
     for n in range(3):
         mid = centers[n].mean(axis=0)
-        prod = lz.reflection(lz.sphere(centers[n, 0] - mid, radii[n, 0])) @ lz.reflection(
-            lz.sphere(centers[n, 1] - mid, radii[n, 1])
+        prod = orc.reflection(orc.sphere(centers[n, 0] - mid, radii[n, 0])) @ orc.reflection(
+            orc.sphere(centers[n, 1] - mid, radii[n, 1])
         )
         dist = [
             np.abs(np.linalg.matrix_power(prod, p) - np.eye(6)).max()

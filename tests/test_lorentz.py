@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
 
+import oracles as orc
+
 
 finite_coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 point4 = st.tuples(finite_coord, finite_coord, finite_coord, finite_coord)
@@ -15,20 +17,20 @@ radius = st.floats(0.05, 30, allow_nan=False)
 
 def test_lift_is_lightlike_and_projects_back():
     p = np.array([1.0, -2.0, 0.5, 3.0])
-    w = lz.lift(p)
+    w = orc.lift(p)
     assert abs(lz.q(w, w)) < 1e-12
     assert np.allclose(lz.project(w), p)
 
 
 def test_lift_infinity():
-    w = lz.lift_infinity()
+    w = orc.lift_infinity()
     assert abs(lz.q(w, w)) < 1e-15
     assert lz.project(w) is None
 
 
 @given(point4, radius)
 def test_sphere_polar_is_unit_and_roundtrips(c, r):
-    v = lz.sphere(c, r)
+    v = orc.sphere(c, r)
     assert abs(lz.q(v, v) - 1.0) < 1e-12 * max(1.0, float(v @ v))
     c2, r2 = lz.centers_radii(v[None])
     assert np.allclose(c2[0], c, atol=1e-6 * max(1, np.max(np.abs(c))))
@@ -36,49 +38,49 @@ def test_sphere_polar_is_unit_and_roundtrips(c, r):
 
 
 def test_interior_sign_convention():
-    v = lz.sphere([0, 0, 0, 0], 1.0)
-    assert lz.point_side(v, [0, 0, 0, 0]) < 0  # center is inside
-    assert lz.point_side(v, [2, 0, 0, 0]) > 0
-    assert abs(lz.point_side(v, [1, 0, 0, 0])) < 1e-12
-    assert lz.point_side(v, None) > 0  # infinity is outside every ball
+    v = orc.sphere([0, 0, 0, 0], 1.0)
+    assert orc.point_side(v, [0, 0, 0, 0]) < 0  # center is inside
+    assert orc.point_side(v, [2, 0, 0, 0]) > 0
+    assert abs(orc.point_side(v, [1, 0, 0, 0])) < 1e-12
+    assert orc.point_side(v, None) > 0  # infinity is outside every ball
 
 
 def test_hyperplane_polar_and_sides():
-    v = lz.hyperplane([0, 0, 0, 2.0], 4.0)  # plane w = 2, interior w < 2
+    v = orc.hyperplane([0, 0, 0, 2.0], 4.0)  # plane w = 2, interior w < 2
     assert abs(lz.q(v, v) - 1.0) < 1e-12
     assert v[4] == v[5]  # no finite radius: a sphere through infinity
-    assert lz.point_side(v, [0, 0, 0, 0]) < 0
-    assert lz.point_side(v, [0, 0, 0, 5]) > 0
-    assert abs(lz.point_side(v, [7, -3, 1, 2])) < 1e-12
+    assert orc.point_side(v, [0, 0, 0, 0]) < 0
+    assert orc.point_side(v, [0, 0, 0, 5]) > 0
+    assert abs(orc.point_side(v, [7, -3, 1, 2])) < 1e-12
 
 
 def test_reflection_in_unit_sphere_is_inversion():
     # Inversion in the unit sphere sends p to p/|p|^2.
-    m = lz.reflection(lz.sphere([0, 0, 0, 0], 1.0))
+    m = orc.reflection(orc.sphere([0, 0, 0, 0], 1.0))
     p = np.array([2.0, 0.0, 0.0, 0.0])
-    assert np.allclose(lz.apply_to_point(m, p), [0.5, 0, 0, 0])
-    assert lz.apply_to_point(m, [0, 0, 0, 0]) is None  # center -> infinity
-    assert np.allclose(lz.apply_to_point(m, None), [0, 0, 0, 0])
+    assert np.allclose(orc.apply_to_point(m, p), [0.5, 0, 0, 0])
+    assert orc.apply_to_point(m, [0, 0, 0, 0]) is None  # center -> infinity
+    assert np.allclose(orc.apply_to_point(m, None), [0, 0, 0, 0])
 
 
 def test_reflection_in_hyperplane_is_euclidean_mirror():
-    m = lz.reflection(lz.hyperplane([1, 0, 0, 0], 3.0))  # mirror x = 3
-    assert np.allclose(lz.apply_to_point(m, [1.0, 2.0, -1.0, 0.5]), [5.0, 2.0, -1.0, 0.5])
+    m = orc.reflection(orc.hyperplane([1, 0, 0, 0], 3.0))  # mirror x = 3
+    assert np.allclose(orc.apply_to_point(m, [1.0, 2.0, -1.0, 0.5]), [5.0, 2.0, -1.0, 0.5])
 
 
 @given(point4, radius)
 @settings(max_examples=50)
 def test_reflection_is_involutive_lorentz(c, r):
-    m = lz.reflection(lz.sphere(c, r))
+    m = orc.reflection(orc.sphere(c, r))
     scale = max(1.0, float(np.max(np.abs(m))) ** 2)
-    assert lz.lorentz_defect(m) < 1e-12 * scale
+    assert orc.lorentz_defect(m) < 1e-12 * scale
     assert np.allclose(m @ m, np.eye(6), atol=1e-12 * scale)
     assert np.allclose(lz.inverse(m), m, atol=1e-12 * scale)
 
 
 def test_inverse_matches_matrix_inverse():
     rng = np.random.default_rng(7)
-    m = lz.random_moebius(rng)
+    m = orc.random_moebius(rng)
     assert np.allclose(lz.inverse(m), np.linalg.inv(m), atol=1e-8)
 
 
@@ -87,7 +89,7 @@ def test_exterior_cos_matches_euclidean_oracle():
     for _ in range(100):
         c1, c2 = rng.uniform(-3, 3, size=(2, 4))
         r1, r2 = rng.uniform(0.2, 2.0, size=2)
-        u, v = lz.sphere(c1, r1), lz.sphere(c2, r2)
+        u, v = orc.sphere(c1, r1), orc.sphere(c2, r2)
         cfg = lz.pair_configuration(u, v)
         assert cfg.exterior_cos == pytest.approx(
             lz.euclidean_exterior_cos(c1, r1, c2, r2), abs=1e-8
@@ -95,59 +97,59 @@ def test_exterior_cos_matches_euclidean_oracle():
 
 
 def test_pair_configuration_kinds():
-    unit = lz.sphere([0, 0, 0, 0], 1.0)
-    assert lz.pair_configuration(unit, lz.sphere([5, 0, 0, 0], 1.0)).kind == "disjoint"
-    assert lz.pair_configuration(unit, lz.sphere([0, 0, 0, 0], 0.3)).kind == "nested"
-    assert lz.pair_configuration(unit, lz.sphere([2, 0, 0, 0], 1.0)).kind == "tangent"
-    cfg = lz.pair_configuration(unit, lz.sphere([1, 0, 0, 0], 1.0))
+    unit = orc.sphere([0, 0, 0, 0], 1.0)
+    assert lz.pair_configuration(unit, orc.sphere([5, 0, 0, 0], 1.0)).kind == "disjoint"
+    assert lz.pair_configuration(unit, orc.sphere([0, 0, 0, 0], 0.3)).kind == "nested"
+    assert lz.pair_configuration(unit, orc.sphere([2, 0, 0, 0], 1.0)).kind == "tangent"
+    cfg = lz.pair_configuration(unit, orc.sphere([1, 0, 0, 0], 1.0))
     assert cfg.kind == "intersecting"
     assert cfg.order == 3  # exterior angle pi/3
-    orth = lz.pair_configuration(unit, lz.sphere([0, 1.2, 0, 0], math.sqrt(0.44)))
+    orth = lz.pair_configuration(unit, orc.sphere([0, 1.2, 0, 0], math.sqrt(0.44)))
     assert orth.kind == "intersecting" and orth.order == 2
 
 
 def test_order_three_pair_really_has_order_three():
     # Both cosine signs +1/2 and -1/2 must give (R1 R2)^3 = I.
-    unit = lz.sphere([0, 0, 0, 0], 1.0)
+    unit = orc.sphere([0, 0, 0, 0], 1.0)
     for d2 in (1.0, 3.0):  # cos_ext = (d2 - 2)/2 -> -1/2 and +1/2
-        other = lz.sphere([math.sqrt(d2), 0, 0, 0], 1.0)
+        other = orc.sphere([math.sqrt(d2), 0, 0, 0], 1.0)
         assert lz.pair_configuration(unit, other).order == 3
-        prod = lz.reflection(unit) @ lz.reflection(other)
+        prod = orc.reflection(unit) @ orc.reflection(other)
         assert np.allclose(np.linalg.matrix_power(prod, 3), np.eye(6), atol=1e-9)
 
 
 def test_orthogonal_pair_commutes():
-    u = lz.sphere([0, 0, 0, 0], 1.0)
-    v = lz.sphere([0, 1.2, 0, 0], math.sqrt(0.44))
-    ru, rv = lz.reflection(u), lz.reflection(v)
+    u = orc.sphere([0, 0, 0, 0], 1.0)
+    v = orc.sphere([0, 1.2, 0, 0], math.sqrt(0.44))
+    ru, rv = orc.reflection(u), orc.reflection(v)
     assert np.allclose(ru @ rv, rv @ ru, atol=1e-9)
 
 
 def test_apply_to_polar_transports_spheres():
     rng = np.random.default_rng(11)
-    m = lz.random_moebius(rng)
-    v = lz.sphere([1.0, 0.0, -1.0, 2.0], 0.7)
+    m = orc.random_moebius(rng)
+    v = orc.sphere([1.0, 0.0, -1.0, 2.0], 0.7)
     img = m @ v  # a Moebius matrix acts on sphere polars linearly
     # Image polar must carry the image of a point on the sphere onto the image sphere.
     p = np.array([1.0 + 0.7, 0.0, -1.0, 2.0])
-    assert abs(lz.point_side(img, lz.apply_to_point(m, p))) < 1e-6
+    assert abs(orc.point_side(img, orc.apply_to_point(m, p))) < 1e-6
     # Interior maps to interior or exterior consistently (m preserves sides up to sign of det on v).
-    side = np.sign(lz.point_side(img, lz.apply_to_point(m, [1.0, 0.0, -1.0, 2.0])))
+    side = np.sign(orc.point_side(img, orc.apply_to_point(m, [1.0, 0.0, -1.0, 2.0])))
     assert side != 0
 
 
 def test_classify_identity_and_elliptic():
     assert lz.classify_map(np.eye(6))[0] == "identity"
-    u = lz.sphere([0, 0, 0, 0], 1.0)
-    v = lz.sphere([1, 0, 0, 0], 1.0)
-    kind, _ = lz.classify_map(lz.reflection(u) @ lz.reflection(v))
+    u = orc.sphere([0, 0, 0, 0], 1.0)
+    v = orc.sphere([1, 0, 0, 0], 1.0)
+    kind, _ = lz.classify_map(orc.reflection(u) @ orc.reflection(v))
     assert kind == "elliptic"
 
 
 def test_classify_loxodromic_dilation():
     # Reflections in concentric spheres of radii 1 and 2 give x -> 4x,
     # a loxodromic map with dilation 4, fixed points 0 and infinity.
-    m = lz.reflection(lz.sphere([0, 0, 0, 0], 2.0)) @ lz.reflection(lz.sphere([0, 0, 0, 0], 1.0))
+    m = orc.reflection(orc.sphere([0, 0, 0, 0], 2.0)) @ orc.reflection(orc.sphere([0, 0, 0, 0], 1.0))
     kind, (lam, att, rep) = lz.classify_map(m)
     assert kind == "loxodromic"
     assert lam == pytest.approx(4.0, rel=1e-9)
@@ -159,12 +161,12 @@ def test_classify_loxodromic_dilation():
 
 def test_classify_parabolic():
     # Reflections in two tangent spheres compose to a parabolic map.
-    m = lz.reflection(lz.sphere([0, 0, 0, 0], 1.0)) @ lz.reflection(lz.sphere([2, 0, 0, 0], 1.0))
+    m = orc.reflection(orc.sphere([0, 0, 0, 0], 1.0)) @ orc.reflection(orc.sphere([2, 0, 0, 0], 1.0))
     assert lz.classify_map(m)[0] == "parabolic"
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_random_moebius_is_lorentz(seed):
-    m = lz.random_moebius(np.random.default_rng(seed))
-    assert lz.lorentz_defect(m) < 1e-10 * max(1.0, float(np.max(np.abs(m))) ** 2)
+    m = orc.random_moebius(np.random.default_rng(seed))
+    assert orc.lorentz_defect(m) < 1e-10 * max(1.0, float(np.max(np.abs(m))) ** 2)
