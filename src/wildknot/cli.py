@@ -54,7 +54,8 @@ class RunConfig:
             raise ValueError("refinement must be >= 0")
         if self.max_word_length < 0:
             raise ValueError("word-length cap must be >= 0")
-        if self.eps <= 0 or self.n_stages < 0 or self.samples_per_face <= 0:
+        if (self.eps <= 0 or self.n_stages < 0 or self.samples_per_face <= 0
+                or self.domain_budget < 1):
             raise ValueError("caps must be positive")
         if not 0 < self.relation_tol <= 1e-6:
             raise ValueError("tolerance outside the safe range (0, 1e-6]")

@@ -27,6 +27,9 @@ product is below 1.15 (cell side sqrt(4.3) times the largest radius, so the
 pairs it skips are provably disjoint), and the legality sweep and the
 adjacency are both read from that one list.  The adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation array.
+Coverage is a query on the same grid join: it lists every ball whose trace
+disk meets a face's square, and the Monte-Carlo samples are tested against
+those disks in float64, in the face plane, with no recheck.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import face_vertices, knot_surface
+from .complexes import knot_surface
 
 ROLE_VERTEX = 0
 ROLE_FACE = 1
@@ -77,7 +80,6 @@ class BallCover:
     radii: np.ndarray  # (N,)
     roles: np.ndarray  # (N,) ints, see ROLE_*
     host: np.ndarray  # (N,) index into complex.all_cubes
-    face_of: np.ndarray  # (N,) surface-face index for face-pattern balls, -1 otherwise
     polars: np.ndarray  # (N, 6)
     adjacency: np.ndarray  # (n, 3) int64 rows (i, j, order m), sorted by (i, j)
     refinement: int
@@ -133,7 +135,7 @@ def build_cover(c, k=0, surf=None):
     ell = float(c.unit)
     p = closed_form_parameters(ell)
 
-    centers, radii, roles, face_of = [], [], [], []
+    centers, radii, roles = [], [], []
 
     verts = surf.vertices  # sorted
     vertex_index = {}
@@ -142,9 +144,8 @@ def build_cover(c, k=0, surf=None):
         centers.append([float(x) for x in v])
         radii.append(p["vertex_radius"])
         roles.append(ROLE_VERTEX)
-        face_of.append(-1)
 
-    for f_idx, (corner, (i, j)) in enumerate(surf.faces):
+    for corner, (i, j) in surf.faces:
         mid = [float(x) for x in corner]
         mid[i] += ell / 2.0
         mid[j] += ell / 2.0
@@ -156,11 +157,9 @@ def build_cover(c, k=0, surf=None):
             centers.append(q)
             radii.append(p["face_radius"])
             roles.append(ROLE_FACE)
-            face_of.append(f_idx)
         centers.append(mid)
         radii.append(p["center_radius"])
         roles.append(ROLE_FACE)
-        face_of.append(f_idx)
 
     # junction annuli: 4 + 8k extra balls around each attach square
     for square in c.attach_squares():
@@ -168,12 +167,10 @@ def build_cover(c, k=0, surf=None):
             centers.append(list(site))
             radii.append(p["junction_radius"])
             roles.append(ROLE_JUNCTION)
-            face_of.append(-1)
 
     centers = np.array(centers, dtype=float)
     radii = np.array(radii, dtype=float)
     roles = np.array(roles, dtype=np.int8)
-    face_of = np.array(face_of, dtype=np.int64)
 
     # refinement sites must stay on the surface lattice plate
     junction = roles == ROLE_JUNCTION
@@ -204,7 +201,6 @@ def build_cover(c, k=0, surf=None):
         radii=radii,
         roles=roles,
         host=host,
-        face_of=face_of,
         polars=polars,
         adjacency=adjacency,
         refinement=k,
@@ -334,72 +330,62 @@ def pairwise_sweep(centers, radii, tol=ANGLE_TOL):
     return max_residual, int(intersecting.sum()), violations
 
 
-def coverage_check(cover, surf, n_samples=10_000, seed=0, chunk=200):
+def coverage_check(cover, surf, n_samples=10_000, seed=0):
     """Monte-Carlo coverage of every surface face by the open cover balls.
 
-    Samples are drawn uniformly per face and first tested against the face's
-    own balls plus its four corner vertex balls (taken from the actual cover,
-    so missing balls are noticed); rare local misses are re-tested against
-    the entire cover before being reported.  Returns (fraction, misses) with
-    misses as (face index, point) pairs.
+    A ball meets a face plane in the open disk of centre (u, v), in face
+    coordinates, and squared radius r^2 - h^2, h being the centre's distance
+    from the plane.  A face's candidates are the balls whose disk meets its
+    closed square, from one grid join of the face middles against the ball
+    centres; the cell side r_max + ell/sqrt(2) bounds a centre's distance from
+    the middle of any square its ball meets, so the lists are complete.  The
+    float32 samples are tested in float64, in the face plane, against every
+    candidate disk, so no recheck is needed.  Returns (fraction, misses) with misses as (face index,
+    point) pairs, the point being the face's float32 corner plus the sample.
     """
-    rng = np.random.default_rng(seed)
     ell = float(cover.unit)
-    faces = surf.faces
+    n_faces = len(surf.faces)
+    corner = np.array([f[0] for f in surf.faces], dtype=float)  # (F, 4)
+    plane = np.array([f[1] for f in surf.faces], dtype=np.int64)  # (F, 2) in-plane axes
+    off = np.ones_like(corner)  # 1 on the two axes normal to the face plane
+    off[np.arange(n_faces)[:, None], plane] = 0.0
+    mids = corner + (1.0 - off) * (ell / 2.0)
 
-    # candidate ball indices per face: its face-pattern balls + corner balls
-    per_face = [[] for _ in faces]
-    for b in np.nonzero(cover.face_of >= 0)[0]:
-        per_face[cover.face_of[b]].append(int(b))
-    for f_idx, face in enumerate(faces):
-        for v in face_vertices(face, cover.unit):
-            b = cover.vertex_index.get(v)
-            if b is not None:
-                per_face[f_idx].append(b)
+    side = (float(cover.radii.max()) + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
+    parts = []
+    for f, b in _grid_join(mids, cover.centers, side):
+        d = cover.centers[b] - corner[f]
+        uv = np.take_along_axis(d, plane[f], axis=1)
+        reach2 = cover.radii[b] ** 2 - (d * d * off[f]).sum(axis=1)
+        gap = np.maximum(np.maximum(-uv, uv - ell), 0.0)  # per-axis distance to the square
+        meets = (gap * gap).sum(axis=1) < reach2
+        parts.append((f[meets], uv[meets], reach2[meets]))
+    face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
+    by_face = np.argsort(face, kind="stable")
+    face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
 
-    width = max((len(c) for c in per_face), default=1)
-    n_faces = len(faces)
-    cand = np.zeros((n_faces, width), dtype=np.int64)
-    cand_mask = np.zeros((n_faces, width), dtype=bool)
-    for f_idx, ids in enumerate(per_face):
-        cand[f_idx, : len(ids)] = ids
-        cand_mask[f_idx, : len(ids)] = True
-    cand_c = cover.centers[cand].astype(np.float32)  # (F, width, 4)
-    cand_r2 = (cover.radii[cand] ** 2).astype(np.float32)
-    cand_r2[~cand_mask] = -1.0  # padding never covers
-
-    corners = np.array([f[0] for f in faces], dtype=np.float32)  # (F, 4)
-    span = np.zeros((n_faces, 2), dtype=np.int64)
-    for f_idx, (_c, (i, j)) in enumerate(faces):
-        span[f_idx] = (i, j)
-
-    total = 0
-    covered = 0
+    rng = np.random.default_rng(seed)
+    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
     misses = []
-    for lo in range(0, n_faces, chunk):
-        hi = min(lo + chunk, n_faces)
-        m = hi - lo
-        uv = rng.random((m, n_samples, 2), dtype=np.float32) * ell
-        pts = np.repeat(corners[lo:hi, None, :], n_samples, axis=1)  # (m, S, 4)
+    for lo in range(0, n_faces, block):
+        hi = min(lo + block, n_faces)
+        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell
+        a, z = np.searchsorted(face, (lo, hi))
+        f = face[a:z] - lo
+        du = uv[f, :, 0] - cuv[a:z, 0, None]  # (pairs, samples), float64
+        dv = uv[f, :, 1] - cuv[a:z, 1, None]
+        inside = du * du + dv * dv < reach2[a:z, None]
+        ok = np.zeros((hi - lo, n_samples), dtype=bool)
+        hit, first = np.unique(f, return_index=True)
+        if len(hit):
+            ok[hit] = np.logical_or.reduceat(inside, first, axis=0)
+        fi, si = np.nonzero(~ok)
+        pts = corner[lo + fi].astype(np.float32)
         for col in (0, 1):
-            for axis in range(4):
-                sel = span[lo:hi, col] == axis
-                if sel.any():
-                    pts[sel, :, axis] += uv[sel, :, col]
-        d2 = ((pts[:, :, None, :] - cand_c[lo:hi, None, :, :]) ** 2).sum(-1)
-        ok = (d2 < cand_r2[lo:hi, None, :]).any(-1)
-        total += ok.size
-        covered += int(ok.sum())
-        if not ok.all():
-            for fi, si in zip(*np.nonzero(~ok)):
-                pt = pts[fi, si].astype(float)
-                # full-cover recheck in double precision
-                d2g = ((cover.centers - pt[None, :]) ** 2).sum(-1)
-                if (d2g < cover.radii**2).any():
-                    covered += 1
-                else:
-                    misses.append((lo + int(fi), tuple(pt)))
-    return covered / total, misses
+            pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
+        misses.extend((lo + int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
+    total = n_faces * n_samples
+    return (total - len(misses)) / total, misses
 
 
 def validate_cover(cover, surf, n_samples=2000, seed=0):

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .cover import ROLE_VERTEX
+from .cover import ROLE_VERTEX, _grid_join
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
@@ -584,19 +584,18 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     lo = cover.centers.min(axis=0) - 2.0
     hi = cover.centers.max(axis=0) + 2.0
 
-    # sample domain points by rejection against the nearest balls
+    # sample domain points by rejection; a point inside a ball lies within
+    # r_max of its centre, so the grid join lists every ball that holds it
     n_points = max(per_gen * 4, 64)
+    side = float(cover.radii.max()) * (1.0 + 1e-9)
     pts = []
     attempts = 0
     while len(pts) < n_points and attempts < 100:
         cand = rng.random((n_points, 4)) * (hi - lo) + lo
         inside = np.zeros(len(cand), dtype=bool)
-        for blo in range(0, n, 8192):
-            bhi = min(blo + 8192, n)
-            dd = (
-                (cand[:, None, :] - cover.centers[None, blo:bhi, :]) ** 2
-            ).sum(-1) - cover.radii[None, blo:bhi] ** 2
-            inside |= (dd < 0).any(axis=1)
+        for i, j in _grid_join(cand, cover.centers, side):
+            dd = ((cand[i] - cover.centers[j]) ** 2).sum(-1) - cover.radii[j] ** 2
+            inside[i[dd < 0]] = True
         pts.extend(cand[~inside])
         attempts += 1
     pts = np.array(pts[:n_points])

@@ -83,6 +83,17 @@ def test_runconfig_guards():
     RunConfig().validate()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--domain-budget", "0"], ["report", "--domain-budget", "-1"],
+     ["validate", "--samples-per-face", "0"]],
+)
+def test_out_of_range_settings_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_limitset_exports(tmp_path, capsys):
     rc = main(
         [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
-from wildknot.complexes import knot_surface
+from wildknot.complexes import face_vertices, knot_surface
 from wildknot.cover import (
     ROLE_FACE,
     ROLE_JUNCTION,
@@ -246,46 +246,175 @@ def test_sweep_flags_nested_and_tangent_pairs():
     assert v
 
 
-def test_removed_ball_breaks_coverage_locally():
-    c = degenerate_single_cube(1)
-    surf = knot_surface(c)
-    cover = build_cover(c)
-    # drop one face-center ball
-    center_idx = [
-        i
-        for i in range(len(cover))
-        if cover.roles[i] == ROLE_FACE
-        and cover.radii[i] == pytest.approx(closed_form_parameters(1.0)["center_radius"])
-    ]
-    victim = center_idx[0]
-    broken_face = int(cover.face_of[victim])
-    keep = np.arange(len(cover)) != victim
-    import dataclasses
+def coverage_reference(cover, surf, face_of, n_samples=10_000, seed=0, chunk=200):
+    """coverage_check as it was before the grid join: each face's samples in
+    float32 4-D against its own face-pattern balls (face_of, per ball) and its
+    corner vertex balls, padded to one width, then each local miss rechecked
+    against the whole cover in float64."""
+    rng = np.random.default_rng(seed)
+    ell = float(cover.unit)
+    faces = surf.faces
+    per_face = [[] for _ in faces]
+    for b in np.nonzero(face_of >= 0)[0]:
+        per_face[face_of[b]].append(int(b))
+    for f_idx, face in enumerate(faces):
+        for v in face_vertices(face, cover.unit):
+            b = cover.vertex_index.get(v)
+            if b is not None:
+                per_face[f_idx].append(b)
+    width = max((len(c) for c in per_face), default=1)
+    n_faces = len(faces)
+    cand = np.zeros((n_faces, width), dtype=np.int64)
+    cand_mask = np.zeros((n_faces, width), dtype=bool)
+    for f_idx, ids in enumerate(per_face):
+        cand[f_idx, : len(ids)] = ids
+        cand_mask[f_idx, : len(ids)] = True
+    cand_c = cover.centers[cand].astype(np.float32)
+    cand_r2 = (cover.radii[cand] ** 2).astype(np.float32)
+    cand_r2[~cand_mask] = -1.0
+    corners = np.array([f[0] for f in faces], dtype=np.float32)
+    span = np.array([f[1] for f in faces], dtype=np.int64)
+    total = 0
+    covered = 0
+    misses = []
+    for lo in range(0, n_faces, chunk):
+        hi = min(lo + chunk, n_faces)
+        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell
+        pts = np.repeat(corners[lo:hi, None, :], n_samples, axis=1)
+        for col in (0, 1):
+            for axis in range(4):
+                sel = span[lo:hi, col] == axis
+                if sel.any():
+                    pts[sel, :, axis] += uv[sel, :, col]
+        d2 = ((pts[:, :, None, :] - cand_c[lo:hi, None, :, :]) ** 2).sum(-1)
+        ok = (d2 < cand_r2[lo:hi, None, :]).any(-1)
+        total += ok.size
+        covered += int(ok.sum())
+        for fi, si in zip(*np.nonzero(~ok)):
+            pt = pts[fi, si].astype(float)
+            if (((cover.centers - pt[None, :]) ** 2).sum(-1) < cover.radii**2).any():
+                covered += 1
+            else:
+                misses.append((lo + int(fi), tuple(pt)))
+    return covered / total, misses
 
-    broken = dataclasses.replace(
+
+def face_pattern_faces(cover, surf):
+    """Per ball, the face whose five-ball pattern it belongs to, -1 for the
+    rest: build_cover lists those balls face by face after the vertex balls."""
+    n_faces = len(surf.faces)
+    first = int((cover.roles == ROLE_VERTEX).sum())
+    face_of = np.full(len(cover), -1)
+    face_of[first : first + 5 * n_faces] = np.repeat(np.arange(n_faces), 5)
+    assert np.array_equal(face_of >= 0, cover.roles == ROLE_FACE)
+    return face_of
+
+
+def face_template(cover, surf, f):
+    """Face f's nine template balls: its four corner vertex balls, then the
+    face-role balls within the face offset of its middle, the four face balls
+    first and the centre ball, centred on the middle, last."""
+    corner, (i, j) = surf.faces[f]
+    mid = np.array(corner, dtype=float)
+    mid[[i, j]] += cover.unit / 2.0
+    dist = np.linalg.norm(cover.centers - mid, axis=1)
+    own = np.flatnonzero((cover.roles == ROLE_FACE)
+                         & (dist <= face_ball_offset(cover.unit) + 1e-9))
+    own = own[np.argsort(-dist[own], kind="stable")]
+    assert len(own) == 5 and dist[own[-1]] == 0.0
+    return [cover.vertex_index[v] for v in face_vertices(surf.faces[f], cover.unit)] + list(own)
+
+
+def without_ball(cover, victim):
+    keep = np.arange(len(cover)) != victim
+    return dataclasses.replace(
         cover,
         centers=cover.centers[keep],
         radii=cover.radii[keep],
         roles=cover.roles[keep],
         host=cover.host[keep],
-        face_of=cover.face_of[keep],
         polars=cover.polars[keep],
+        vertex_index={v: i - (i > victim) for v, i in cover.vertex_index.items()
+                      if i != victim},
     )
-    frac, misses = coverage_check(broken, surf, n_samples=4000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def single_cube():
+    c = degenerate_single_cube(1)
+    return knot_surface(c), build_cover(c)
+
+
+@pytest.mark.parametrize(
+    "slot", range(9),
+    ids=[f"vertex-{t}" for t in range(4)] + [f"face-{t}" for t in range(4)] + ["centre"],
+)
+def test_removed_ball_breaks_coverage_locally(single_cube, slot):
+    """Negative controls for criterion 2: dropping any one of face 0's nine
+    template balls leaves misses, all on faces the dropped ball meets, and
+    the result equals the pre-grid-join reference."""
+    surf, cover = single_cube
+    victim = face_template(cover, surf, 0)[slot]
+    if cover.roles[victim] == ROLE_VERTEX:
+        v = tuple(int(x) for x in cover.centers[victim])
+        met = {f for f, face in enumerate(surf.faces) if v in face_vertices(face, cover.unit)}
+        assert len(met) == 3
+    else:
+        met = {0}
+    broken = without_ball(cover, victim)
+    frac, misses = coverage_check(broken, surf, n_samples=4000, seed=0)
     assert frac < 1.0
     assert misses
-    assert all(fi == broken_face for fi, _pt in misses)
+    assert {fi for fi, _pt in misses} <= met
+    face_of = face_pattern_faces(cover, surf)[np.arange(len(cover)) != victim]
+    assert (frac, misses) == coverage_reference(broken, surf, face_of, n_samples=4000, seed=0)
 
 
-def test_preset_cover_junction_counts():
+def test_coverage_reaches_the_completeness_bound(single_cube):
+    """One ball of radius R centred 0.5 + 0.75 R from face 0's middle along the
+    face covers a strip by the face's edge.  Over the sweep of R the grid
+    cells fall differently against the middle and the centre, and each time
+    the result equals the reference, which checks each sample against every
+    ball."""
+    surf, cover = single_cube
+    corner, (i, j) = surf.faces[0]
+    for radius in np.linspace(0.3, 0.8, 11):
+        center = np.array(corner, dtype=float)
+        center[[i, j]] += [1.0 + 0.75 * radius, 0.5]
+        one = dataclasses.replace(cover, centers=center[None], radii=np.array([radius]),
+                                  vertex_index={})
+        got = coverage_check(one, surf, n_samples=300, seed=0)
+        assert got[0] > 0.0
+        assert got == coverage_reference(one, surf, np.full(1, -1), n_samples=300, seed=0)
+
+
+@pytest.fixture(scope="module")
+def preset_covers():
     c = spun_trefoil_preset()
     surf = knot_surface(c)
-    cover0 = build_cover(c, k=0)
+    return surf, {k: build_cover(c, k=k, surf=surf) for k in (0, 2)}
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_coverage_matches_reference_on_the_preset(preset_covers, k):
+    """k = 2 puts junction balls among the candidates of the faces near the
+    attach squares."""
+    surf, covers = preset_covers
+    cover = covers[k]
+    got = coverage_check(cover, surf, n_samples=20, seed=0)
+    assert got == (1.0, [])
+    assert got == coverage_reference(cover, surf, face_pattern_faces(cover, surf),
+                                     n_samples=20, seed=0)
+
+
+def test_preset_cover_junction_counts(preset_covers):
+    surf, covers = preset_covers
+    cover0 = covers[0]
     counts = cover0.role_counts()
     assert counts["vertex"] == surf.n_vertices
     assert counts["face"] == 5 * len(surf.faces)
     assert counts["junction"] == 2 * 4
-    cover2 = build_cover(c, k=2)
+    cover2 = covers[2]
     assert cover2.role_counts()["junction"] == 2 * (4 + 8 * 2)
     # constant junction radius at every refinement level
     jr = cover2.radii[cover2.roles == ROLE_JUNCTION]

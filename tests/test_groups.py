@@ -417,6 +417,58 @@ def test_fundamental_domain_check_count(cube_group, budget, checks):
     assert report["ok"] == (checks > 0)
 
 
+def domain_reference(cover, budget, seed):
+    """fundamental_domain_check as it was before its rejection sampler used
+    the grid join: every candidate point against every ball, 8192 balls at a
+    time."""
+    rng = np.random.default_rng(seed)
+    n = len(cover)
+    per_gen = max(1, budget // n)
+    gen_order = rng.permutation(n)
+    lo = cover.centers.min(axis=0) - 2.0
+    hi = cover.centers.max(axis=0) + 2.0
+    n_points = max(per_gen * 4, 64)
+    pts = []
+    attempts = 0
+    while len(pts) < n_points and attempts < 100:
+        cand = rng.random((n_points, 4)) * (hi - lo) + lo
+        inside = np.zeros(len(cand), dtype=bool)
+        for blo in range(0, n, 8192):
+            bhi = min(blo + 8192, n)
+            dd = (
+                (cand[:, None, :] - cover.centers[None, blo:bhi, :]) ** 2
+            ).sum(-1) - cover.radii[None, blo:bhi] ** 2
+            inside |= (dd < 0).any(axis=1)
+        pts.extend(cand[~inside])
+        attempts += 1
+    pts = np.array(pts[:n_points])
+    gens = gen_order[: max(0, budget)]
+    take = pts[rng.integers(0, len(pts), (len(gens), per_gen))]
+    c = cover.centers[gens][:, None, :]
+    r = cover.radii[gens][:, None]
+    diff = take - c
+    dist2 = (diff * diff).sum(axis=2)
+    img = c + (r * r / dist2)[:, :, None] * diff
+    img_dist2 = ((img - c) ** 2).sum(axis=2)
+    violations = int((img_dist2 >= r * r).sum())
+    checks = len(gens) * per_gen
+    return {
+        "budget": budget,
+        "checks": checks,
+        "n_sample_points": len(pts),
+        "violations": violations,
+        "ok": violations == 0 and len(pts) > 0 and checks > 0,
+    }
+
+
+@pytest.mark.parametrize("budget, seed", [(100_000, 0), (1_000, 5), (1_000_000, 2)])
+def test_fundamental_domain_check_matches_dense_reference(cube_group, preset_group,
+                                                          budget, seed):
+    for cover in (cube_group[1], preset_group[1]):
+        got = fundamental_domain_check(cover, budget=budget, seed=seed)
+        assert got == domain_reference(cover, budget, seed)
+
+
 def test_relations_are_one_int_array(cube_group):
     _c, cover, g = cube_group
     rel = g.relations
