@@ -302,7 +302,7 @@ def _abelianization_is_infinite_cyclic(p):
     return p.n_generators - rank == 1 and all(d == 1 for d in nonzero)
 
 
-def alexander_polynomial(p, check_knot=True):
+def alexander_polynomial(p):
     """gcd of the maximal minors of the one-column-deleted Alexander matrix."""
     if p.deficiency != 1:
         raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
@@ -329,7 +329,7 @@ def alexander_polynomial(p, check_knot=True):
     for m in minors[1:]:
         g = sympy.gcd(g, m)
     delta = LaurentPolynomial.from_sympy(g.as_expr()).normalized()
-    if check_knot and abs(delta.evaluate(1)) != 1:
+    if abs(delta.evaluate(1)) != 1:
         raise ValueError(f"Delta(1) = {delta.evaluate(1)} != +-1: not a knot-group presentation")
     return delta
 

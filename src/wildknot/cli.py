@@ -162,8 +162,6 @@ def _json_default(o):
         return float(o)
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, frozenset):
-        return sorted(o)
     raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
@@ -257,12 +255,14 @@ def _check_orbit(run):
     orbit = run.orbit
     _write_orbit(orbit, run.sub, run.path("orbit.txt"))
     deeper = orbit.generation >= 1
-    nesting_ok = bool((orbit.parent[deeper] >= 0).all()) and not orbit.truncated
+    orphans = int((orbit.parent[deeper] < 0).sum())
     decay = gr.max_radius_per_generation(orbit)
     gens = sorted(decay)
     decay_ok = all(decay[a] >= decay[b] for a, b in zip(gens, gens[1:]))
-    return nesting_ok and decay_ok, (
-        f"{len(orbit.radii)} spheres, parents assigned, max radius by "
+    nesting = (f"{orphans} of {int(deeper.sum())} spheres without a parent" if orphans
+               else "parents assigned") + (", truncated" if orbit.truncated else "")
+    return not orphans and not orbit.truncated and decay_ok, (
+        f"{len(orbit.radii)} spheres, {nesting}, max radius by "
         f"generation {[round(decay[g], 6) for g in gens]}"
     )
 

@@ -139,15 +139,6 @@ def loads_complex(text):
     return CubeComplex(tuple(big), tuple(tube))
 
 
-def load_complex(path):
-    with open(path, encoding="utf-8") as fh:
-        c = loads_complex(fh.read())
-    issues = validate_complex(c)
-    if issues:
-        raise ComplexError(issues)
-    return c
-
-
 def save_complex(c, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_complex(c))

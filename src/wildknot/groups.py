@@ -29,6 +29,10 @@ from .cover import ROLE_VERTEX, _grid_join
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
+# Cap on listed group elements, and on listed orbit spheres.
+MAX_ELEMENTS = 2_000_000
+# Relations checked per batch by relation_suite.
+RELATION_BATCH = 4096
 
 
 class GroupError(ValueError):
@@ -172,7 +176,7 @@ def relation_residuals(centers, radii, orders):
     return residual, gap
 
 
-def relation_suite(group, tol=1e-8, separation=0.5, batch=4096):
+def relation_suite(group, tol=1e-8, separation=0.5):
     """Verify (R_i R_j)^m = I for every finite-order pair, in batches.
 
     Also checks no smaller positive power is within `separation` of I (so the
@@ -183,8 +187,8 @@ def relation_suite(group, tol=1e-8, separation=0.5, batch=4096):
     rels = group.relations
     max_residual = 0.0
     min_premature = math.inf
-    for lo in range(0, len(rels), batch):
-        chunk = rels[lo : lo + batch]
+    for lo in range(0, len(rels), RELATION_BATCH):
+        chunk = rels[lo : lo + RELATION_BATCH]
         residual, gap = relation_residuals(
             cover.centers[chunk[:, :2]], cover.radii[chunk[:, :2]], chunk[:, 2]
         )
@@ -219,13 +223,13 @@ class SubAssembly:
     offset: np.ndarray  # subtracted centroid (original = centers + offset)
 
 
-def subassembly(cover, ball_ids, recenter=True):
+def subassembly(cover, ball_ids):
     ids = tuple(int(b) for b in ball_ids)
     if len(set(ids)) != len(ids):
         raise GroupError("duplicate generator in sub-assembly")
     centers = cover.centers[list(ids)].copy()
     radii = cover.radii[list(ids)].copy()
-    offset = centers.mean(axis=0) if recenter else np.zeros(4)
+    offset = centers.mean(axis=0)
     centers -= offset
     polars = lz.spheres(centers, radii)
     coxeter = {}
@@ -249,7 +253,7 @@ def subassembly(cover, ball_ids, recenter=True):
         polars=polars,
         matrices=reflection_matrices(polars),
         coxeter=coxeter,
-        offset=np.asarray(offset, dtype=float),
+        offset=offset,
     )
 
 
@@ -317,17 +321,28 @@ class WordTable:
     lengths: np.ndarray  # word lengths
 
 
-def enumerate_words(sub, max_length, max_elements=2_000_000, dtype=float):
+def _first_rows(rows):
+    """(first, rank): the index of each distinct row's first occurrence,
+    ascending, and per row the position of its first occurrence in first."""
+    _, idx, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(idx)
+    return idx[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def enumerate_words(sub, max_length, dtype=float):
     """Every group element of length <= max_length, once, by its shortlex word.
 
     Elements are the integer matrices of the Tits representation of the
     sub-assembly's Coxeter group, which is faithful, so equal matrices are
     equal elements.  Column g of W is the root w(a_g); in Tits coordinates
-    s_g(a_b) = a_b + c a_g with c = 0, 1, 2 at orders 2, 3, infinity.  The
-    search is breadth-first in lexicographic order and skips w.g when g is
-    a descent of w (column g has a negative entry, so w.g is shorter) or
-    when w.g's matrix was already reached; each element thus keeps its
-    shortlex-least word, and the table comes out sorted.
+    s_g(a_b) = a_b + c a_g with c = 0, 1, 2 at orders 2, 3, infinity.  Each
+    length is one pass over the products w.g, w of the previous length and
+    g not a descent of w (column g has no negative entry).  Such a w.g is
+    exactly one longer than w (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 1.6 and 4.2), so it can only equal a product of the same pass;
+    keeping each product's first occurrence in (w, g) order keeps every
+    element's shortlex-least word, and the table comes out sorted.  At most
+    MAX_ELEMENTS elements are listed.
 
     `dtype` sets the accumulation precision of the geometric matrices.
     float64 rounding alone puts a floor of ~1e-16 * ||M||^2 on the Lorentz-
@@ -351,48 +366,37 @@ def enumerate_words(sub, max_length, max_elements=2_000_000, dtype=float):
         jv = v * np.diag(lz.J).astype(dtype)[None, :]
         gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
     words = [()]
-    tits = [eye]
-    mats = [np.eye(6, dtype=dtype)]
-    seen = {eye.tobytes()}
-    frontier = [0]
-    n_raw = 1
-    n_merged = 0
-    truncated = False
+    tits = [eye[None]]  # one block per length
+    mats = [np.eye(6, dtype=dtype)[None]]
+    n_raw, n_merged, truncated = 1, 0, False
     for length in range(max_length):
-        if length >= 38 and max(np.abs(tits[i]).max() for i in frontier) > TITS_MAX:
-            raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
-        new_frontier = []
-        for i in frontier:
-            for g in range(k):
-                if (tits[i][:, g] < 0).any():
-                    continue  # g is a descent of words[i]
-                n_raw += 1
-                t = tits[i] @ tits_gens[g]
-                key = t.tobytes()
-                if key in seen:
-                    n_merged += 1
-                    continue
-                if len(words) >= max_elements:
-                    truncated = True
-                    break
-                seen.add(key)
-                new_frontier.append(len(words))
-                words.append(words[i] + (g,))
-                tits.append(t)
-                mats.append(mats[i] @ gen_mats[g])
-            if truncated:
-                break
-        frontier = new_frontier
-        if truncated:
+        front = tits[-1]
+        f, g = np.nonzero((front >= 0).all(axis=1))  # g is not a descent of word f
+        if truncated or not len(f):
             break
+        if length >= 38 and np.abs(front).max() > TITS_MAX:
+            raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
+        cand = front[f] @ tits_gens[g]
+        first, _ = _first_rows(cand.reshape(len(cand), -1))
+        room = max(0, MAX_ELEMENTS - len(words))
+        truncated = len(first) > room  # then visited up to the first new product past the cap
+        seen = int(first[room]) + 1 if truncated else len(cand)
+        first = first[:room]
+        n_raw += seen
+        n_merged += seen - len(first) - truncated
+        f, g = f[first], g[first]
+        base = len(words) - len(front)
+        words += [words[base + i] + (j,) for i, j in zip(f.tolist(), g.tolist())]
+        tits.append(cand[first])
+        mats.append(mats[-1][f] @ gen_mats[g])
     return WordTable(
         words=words,
-        matrices=np.array(mats),
-        tits=np.array(tits),
+        matrices=np.concatenate(mats),
+        tits=np.concatenate(tits),
         n_raw=n_raw,
         n_merged=n_merged,
         truncated=truncated,
-        lengths=np.array([len(w) for w in words]),
+        lengths=np.repeat(np.arange(len(tits)), [len(t) for t in tits]),
     )
 
 
@@ -446,7 +450,7 @@ class OrbitTable:
     truncated: bool
 
 
-def orbit_spheres(sub, max_length, max_elements=2_000_000):
+def orbit_spheres(sub, max_length):
     """Orbit of the generator spheres under words of length <= max_length.
 
     The sphere w.B_s is named by its root w(a_s) and listed at the first
@@ -455,52 +459,48 @@ def orbit_spheres(sub, max_length, max_elements=2_000_000):
     same sphere.  Its parent is the smallest strictly containing sphere among
     the prefix spheres w[:j].B_{w[j]}: a ball that contains w.B_s has its
     wall between P and wP, and those walls are exactly the prefix walls.
-    Rows are in (generation, word, seed) order, so parents come first.
+    Rows are in (generation, word, seed) order, so parents come first; at
+    most MAX_ELEMENTS spheres are listed.
     """
     k = len(sub.ball_ids)
     table = enumerate_words(sub, max_length)
-    seq_of = {}  # root bytes -> seq
-    walls = {(): []}  # word -> seqs of its prefix spheres
-    rows = []  # (word, seed, root, center, radius, polar)
-    truncated = False
-    for word, tits, m in zip(table.words, table.tits, table.matrices):
-        if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
-            walls[word] = walls[word[:-1]] + [seq_of[(-tits[:, word[-1]]).tobytes()]]
-        pol = (m @ sub.polars.T).T  # images of all seed spheres
-        try:
-            cen, rad = lz.centers_radii(pol)
-        except ValueError as exc:  # a sphere through infinity has no center
-            raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
-        for s in range(k):
-            root = tits[:, s]
-            key = root.tobytes()
-            if (root < 0).any() or key in seq_of:
-                continue
-            if len(rows) >= max_elements:
-                truncated = True
-                break
-            seq_of[key] = len(rows)
-            rows.append((word, s, root, cen[s], rad[s], pol[s]))
-        if truncated:
-            break
-    n = len(rows)
-    centers = np.array([r[3] for r in rows])
-    radii = np.array([r[4] for r in rows])
-    # candidate parents per sphere, ascending seq, padded with -1
-    width = max(1, max_length)
-    cand = np.full((n, width), -1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        cand[i, : len(r[0])] = sorted(walls[r[0]])
+    n = len(table.words)
+    roots = table.tits.transpose(0, 2, 1).reshape(n * k, k)  # row w.k + s is w(a_s)
+    positive = np.flatnonzero((roots >= 0).all(axis=1))
+    first, rank = _first_rows(roots[positive])
+    rows = positive[first]  # the table row naming each sphere, in seq order
+    seq_of = np.full(n * k, -1)
+    seq_of[positive] = rank
+    truncated = len(rows) > MAX_ELEMENTS
+    n = rows[MAX_ELEMENTS] // k + 1 if truncated else n  # words up to the cut
+    rows = rows[:MAX_ELEMENTS]
+    pol = (table.matrices[:n] @ sub.polars.T).transpose(0, 2, 1).reshape(n * k, 6)
+    try:
+        centers, radii = lz.centers_radii(pol)
+    except ValueError as exc:  # a sphere through infinity has no center
+        flat = np.abs(pol[:, 4] - pol[:, 5]) <= 1e-12  # centers_radii's test
+        word = table.words[int(np.argmax(flat)) // k]
+        raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
+    # walls[w, :len(w)]: seqs of w's prefix spheres; the last one is the sphere
+    # at row w[:-1].k + w[-1], and the others are w[:-1]'s walls
+    index = {w: i for i, w in enumerate(table.words[:n])}
+    step = np.array([0] + [index[w[:-1]] * k + w[-1] for w in table.words[1:n]])
+    walls = np.full((n, max(1, max_length)), -1)
+    for length in range(1, max_length + 1):
+        at = table.lengths[:n] == length
+        walls[at, : length - 1] = walls[step[at] // k, : length - 1]
+        walls[at, length - 1] = seq_of[step[at]]
+    word_of = rows // k
     return OrbitTable(
-        seq=np.arange(n),
-        words=[r[0] for r in rows],
-        seed=np.array([r[1] for r in rows]),
-        roots=np.array([r[2] for r in rows]),
-        centers=centers,
-        radii=radii,
-        polars=np.array([r[5] for r in rows]),
-        generation=np.array([len(r[0]) for r in rows]),
-        parent=_smallest_container(centers, radii, cand),
+        seq=np.arange(len(rows)),
+        words=[table.words[w] for w in word_of.tolist()],
+        seed=rows % k,
+        roots=roots[rows],
+        centers=centers[rows],
+        radii=radii[rows],
+        polars=pol[rows],
+        generation=table.lengths[word_of],
+        parent=_smallest_container(centers[rows], radii[rows], np.sort(walls[word_of], axis=1)),
         truncated=truncated,
     )
 

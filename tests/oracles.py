@@ -2,8 +2,8 @@
 
 The library computes spheres and reflections in batches (`lorentz.spheres`,
 `groups.reflection_matrices`); the one-at-a-time formulas here are the tests'
-independent check on them.  The point maps, random Moebius maps and the
-presentation helpers serve only the tests.
+independent check on them.  The point maps, random Moebius maps, the
+presentation helpers and the complex-file loader serve only the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import string
 
 import numpy as np
 
+from wildknot import complexes as cx
 from wildknot import lorentz as lz
 from wildknot.alexander import GroupPresentation
 
@@ -115,3 +116,13 @@ def connected_sum(p1, p2):
     return GroupPresentation(
         p1.n_generators + p2.n_generators, p1.relators + shifted + (merge,)
     )
+
+
+def load_complex(path):
+    """Parse and validate a complex file; ComplexError lists its issues."""
+    with open(path, encoding="utf-8") as fh:
+        c = cx.loads_complex(fh.read())
+    issues = cx.validate_complex(c)
+    if issues:
+        raise cx.ComplexError(issues)
+    return c

@@ -3,7 +3,8 @@ import sys
 import pytest
 
 from wildknot import complexes as cx
-from wildknot.cli import RunConfig, main, run_pipeline
+from wildknot import groups as gr
+from wildknot.cli import Run, RunConfig, _check_orbit, main, run_pipeline
 
 
 @pytest.fixture
@@ -45,6 +46,28 @@ def test_enumerate_length_zero(tmp_path, capsys):
     body = [ln for ln in orbit.splitlines() if not ln.startswith("#")]
     assert len(body) == 4  # the generator spheres themselves
     assert all(ln.split()[1] == "-" for ln in body)  # identity words only
+
+
+def test_enumerate_amalgam_counts(tube_complex, tmp_path, capsys):
+    """Word and sphere counts of the tube's first amalgam to length 6; four
+    spheres have no strictly containing prefix sphere, and the check says so."""
+    argv = ["enumerate", "--amalgam", "0", "-L", "6", "--complex", tube_complex]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "words <= 6: 929 classes (raw 1025, merged 96, truncated False)" in lines
+    assert "orbit spheres: 1508" in lines
+    assert any(ln.startswith("FAIL orbit_nesting: 1508 spheres, 4 of 1504 spheres without "
+                             "a parent, max radius") for ln in lines)
+
+
+def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypatch):
+    cfg = RunConfig(complex_path=tube_complex, out_dir=str(tmp_path))
+    ok, msg = _check_orbit(Run(cfg))
+    assert ok and "parents assigned, max radius" in msg
+    monkeypatch.setattr(gr, "MAX_ELEMENTS", 50)
+    ok, msg = _check_orbit(Run(cfg))
+    assert not ok
+    assert msg.startswith("50 spheres, parents assigned, truncated, max radius")
 
 
 def test_build_writes_artifacts(tmp_path, capsys):

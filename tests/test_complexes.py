@@ -3,6 +3,8 @@ import pytest
 from wildknot import complexes as cx
 from wildknot import presets
 
+import oracles as orc
+
 
 @pytest.fixture(scope="module")
 def preset():
@@ -146,7 +148,7 @@ class TestFileRoundtrip:
     def test_roundtrip(self, tmp_path, preset):
         p = tmp_path / "preset.complex"
         cx.save_complex(preset, p)
-        again = cx.load_complex(p)
+        again = orc.load_complex(p)
         assert again == preset
 
     def test_load_validates(self, tmp_path):
@@ -156,4 +158,4 @@ class TestFileRoundtrip:
         )
         cx.save_complex(bad, p)
         with pytest.raises(cx.ComplexError, match="empty tube"):
-            cx.load_complex(p)
+            orc.load_complex(p)

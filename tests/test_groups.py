@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -113,6 +114,147 @@ def stages_reference(sub, orbit, n_stages):
         sides = new
         out.append((len(sides), mirror))
     return out
+
+
+def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=float):
+    """enumerate_words as a per-word loop: a `seen` set of Tits-matrix bytes
+    across all lengths, and one matrix product per word."""
+    k = len(sub.ball_ids)
+    cartan = gr._cartan(sub)
+    eye = np.eye(k, dtype=np.int64)
+    tits_gens = eye[None] - eye[:, :, None] * cartan[:, None, :]  # s_g = I - e_g (2B)_g
+    if np.dtype(dtype) == np.dtype(float):
+        gen_mats = sub.matrices
+    else:
+        # rebuild the generators at the target precision: a float64 polar has
+        # Q(v, v) = 1 only to ~1e-16, and that defect is amplified by the
+        # word norm squared just like accumulation rounding
+        v = sub.polars.astype(dtype)
+        qv = (v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2
+        v = v / np.sqrt(qv)[:, None]
+        jv = v * np.diag(lz.J).astype(dtype)[None, :]
+        gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
+    words = [()]
+    tits = [eye]
+    mats = [np.eye(6, dtype=dtype)]
+    seen = {eye.tobytes()}
+    frontier = [0]
+    n_raw = 1
+    n_merged = 0
+    truncated = False
+    for length in range(max_length):
+        if length >= 38 and max(np.abs(tits[i]).max() for i in frontier) > gr.TITS_MAX:
+            raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
+        new_frontier = []
+        for i in frontier:
+            for g in range(k):
+                if (tits[i][:, g] < 0).any():
+                    continue  # g is a descent of words[i]
+                n_raw += 1
+                t = tits[i] @ tits_gens[g]
+                key = t.tobytes()
+                if key in seen:
+                    n_merged += 1
+                    continue
+                if len(words) >= max_elements:
+                    truncated = True
+                    break
+                seen.add(key)
+                new_frontier.append(len(words))
+                words.append(words[i] + (g,))
+                tits.append(t)
+                mats.append(mats[i] @ gen_mats[g])
+            if truncated:
+                break
+        frontier = new_frontier
+        if truncated:
+            break
+    return gr.WordTable(
+        words=words,
+        matrices=np.array(mats),
+        tits=np.array(tits),
+        n_raw=n_raw,
+        n_merged=n_merged,
+        truncated=truncated,
+        lengths=np.array([len(w) for w in words]),
+    )
+
+
+def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
+    """orbit_spheres as a per-word loop: a dict of root bytes to seqs, a dict
+    of prefix walls per word, and one centers_radii call per word.  The word
+    table is capped at `max_elements` too."""
+    k = len(sub.ball_ids)
+    table = enumerate_words_reference(sub, max_length, max_elements)
+    seq_of = {}  # root bytes -> seq
+    walls = {(): []}  # word -> seqs of its prefix spheres
+    rows = []  # (word, seed, root, center, radius, polar)
+    truncated = False
+    for word, tits, m in zip(table.words, table.tits, table.matrices):
+        if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
+            walls[word] = walls[word[:-1]] + [seq_of[(-tits[:, word[-1]]).tobytes()]]
+        pol = (m @ sub.polars.T).T  # images of all seed spheres
+        try:
+            cen, rad = lz.centers_radii(pol)
+        except ValueError as exc:  # a sphere through infinity has no center
+            raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
+        for s in range(k):
+            root = tits[:, s]
+            key = root.tobytes()
+            if (root < 0).any() or key in seq_of:
+                continue
+            if len(rows) >= max_elements:
+                truncated = True
+                break
+            seq_of[key] = len(rows)
+            rows.append((word, s, root, cen[s], rad[s], pol[s]))
+        if truncated:
+            break
+    n = len(rows)
+    centers = np.array([r[3] for r in rows])
+    radii = np.array([r[4] for r in rows])
+    # candidate parents per sphere, ascending seq, padded with -1
+    width = max(1, max_length)
+    cand = np.full((n, width), -1, dtype=np.int64)
+    for i, r in enumerate(rows):
+        cand[i, : len(r[0])] = sorted(walls[r[0]])
+    return gr.OrbitTable(
+        seq=np.arange(n),
+        words=[r[0] for r in rows],
+        seed=np.array([r[1] for r in rows]),
+        roots=np.array([r[2] for r in rows]),
+        centers=centers,
+        radii=radii,
+        polars=np.array([r[5] for r in rows]),
+        generation=np.array([len(r[0]) for r in rows]),
+        parent=gr._smallest_container(centers, radii, cand),
+        truncated=truncated,
+    )
+
+
+def assert_same_table(got, ref, label):
+    """Every field equal bit for bit: arrays in dtype, shape and value."""
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (label, field.name)
+        else:
+            assert a == b, (label, field.name)
+
+
+def assert_matches_reference(sub, max_length, label, dtypes=(float, np.longdouble)):
+    for dtype in dtypes:
+        assert_same_table(enumerate_words(sub, max_length, dtype=dtype),
+                          enumerate_words_reference(sub, max_length, dtype=dtype),
+                          (label, max_length, dtype))
+    try:
+        ref = orbit_spheres_reference(sub, max_length)
+    except GroupError as exc:
+        with pytest.raises(GroupError) as got:
+            orbit_spheres(sub, max_length)
+        assert str(got.value) == str(exc), label
+        return
+    assert_same_table(orbit_spheres(sub, max_length), ref, (label, max_length))
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +393,63 @@ def test_tits_entry_guard(cube_group, monkeypatch):
     monkeypatch.setattr(gr, "TITS_MAX", 10)
     with pytest.raises(GroupError, match="overflow"):
         enumerate_words(sub, 40)
+
+
+@pytest.mark.parametrize("max_length", [0, 1, 3, 6, 8])
+def test_words_and_orbits_match_the_reference_loops(cube_group, tube_cover, max_length):
+    """The one-pass-per-length enumeration equals the per-word loops bit for
+    bit, in float64 and extended precision, on the growth-series
+    sub-assemblies and every tube amalgam; the triangle's orbit raises the
+    same error naming the same word."""
+    names = ["free", "order3_pair", "mixed", "amalgam", "triangle"]
+    subs = [(n, _growth_subassembly(n, cube_group, tube_cover)) for n in names]
+    tc, tg = tube_cover
+    subs += [(f"amalgam {am.index}", subassembly(tc, am.ball_ids)) for am in tg.amalgams]
+    assert len(subs) == 12
+    for name, sub in subs:
+        assert_matches_reference(sub, max_length, name)
+
+
+def test_infinite_dihedral_matches_the_reference_loops(cube_group):
+    assert_matches_reference(pairwise_disjoint_subassembly(cube_group[1], n=2), 40,
+                             "infinite dihedral")
+
+
+def test_preset_words_and_orbits_match_the_reference_loops(preset_group):
+    _c, cover, g = preset_group
+    schottky = pairwise_disjoint_subassembly(cover, n=4)
+    for max_length in (6, 7):
+        assert_matches_reference(schottky, max_length, "schottky", dtypes=(float,))
+    am = subassembly(cover, g.amalgams[0].ball_ids)
+    assert_matches_reference(am, 8, "amalgam 0", dtypes=(np.longdouble,))
+
+
+@pytest.mark.parametrize(
+    "cap, n_raw, n_merged",
+    [(1, 2, 0), (2, 3, 0), (5, 6, 0), (17, 18, 0), (50, 55, 4), (51, 56, 4),
+     (200, 219, 18)],
+)
+def test_element_cap_truncates_like_the_reference_loops(cube_group, tube_cover, monkeypatch,
+                                                        cap, n_raw, n_merged):
+    """MAX_ELEMENTS cuts the enumeration inside a length (50, 51, 200) and at
+    its end (1, 5 and 17 close lengths 0, 1 and 2 of the amalgam's growth
+    1, 4, 12, 32, 84): counts run up to and including the first new product
+    past the cap, and the orbit lists MAX_ELEMENTS spheres."""
+    monkeypatch.setattr(gr, "MAX_ELEMENTS", cap)
+    tc, tg = tube_cover
+    amalgam = subassembly(tc, tg.amalgams[0].ball_ids)
+    table = enumerate_words(amalgam, 6)
+    assert (table.truncated, len(table.words), table.n_raw, table.n_merged) == (
+        True, cap, n_raw, n_merged)
+    for name in ("amalgam", "mixed", "free"):
+        sub = _growth_subassembly(name, cube_group, tube_cover)
+        for dtype in (float, np.longdouble):
+            ref = enumerate_words_reference(sub, 6, max_elements=cap, dtype=dtype)
+            assert ref.truncated
+            assert_same_table(enumerate_words(sub, 6, dtype=dtype), ref, (name, cap))
+        ref = orbit_spheres_reference(sub, 6, max_elements=cap)
+        assert ref.truncated and len(ref.words) == cap
+        assert_same_table(orbit_spheres(sub, 6), ref, (name, cap))
 
 
 def test_lorentz_drift_small(cube_group):
