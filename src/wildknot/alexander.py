@@ -110,13 +110,6 @@ class LaurentPolynomial:
         sign = 1 if self.coeffs[max(self.coeffs)] > 0 else -1
         return LaurentPolynomial({e - lo: sign * c for e, c in self.coeffs.items()})
 
-    def coefficient_list(self):
-        """Coefficients from the lowest exponent upward (empty for zero)."""
-        if not self.coeffs:
-            return []
-        lo, hi = min(self.coeffs), max(self.coeffs)
-        return [self.coeffs.get(e, 0) for e in range(lo, hi + 1)]
-
     def to_sympy(self):
         return sum(c * _T**e for e, c in self.coeffs.items())
 
@@ -194,9 +187,6 @@ class GroupPresentation:
     def deficiency(self):
         return self.n_generators - len(self.relators)
 
-    def generator_names(self):
-        return list(string.ascii_lowercase[: self.n_generators])
-
 
 def parse_presentation(text):
     """File format: first non-empty line = generator letters, then one relator
@@ -228,17 +218,6 @@ def _ring_add(a, b, scale=1):
         out[w] = out.get(w, 0) + scale * c
         if out[w] == 0:
             del out[w]
-    return out
-
-
-def ring_left_multiply(word, elem):
-    """Left-multiply a group-ring element by a group word."""
-    out: dict[Word, int] = {}
-    for w, c in elem.items():
-        key = free_reduce(tuple(word) + w)
-        out[key] = out.get(key, 0) + c
-        if out[key] == 0:
-            del out[key]
     return out
 
 

@@ -28,11 +28,13 @@ certified once by the base group's relation suite.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
 from . import lorentz as lz
+from .cover import pair_orders
 from .groups import GroupError, reflection_matrices, relation_residuals
 
 
@@ -242,12 +244,13 @@ def crossing_word(group, j, gap=2):
             if v is None or v in gamma:
                 continue
             (candidates_b if side_b[v] else candidates_a).append(v)
-    for a in candidates_a:
-        for b in candidates_b:
-            d2 = float(((cover.centers[a] - cover.centers[b]) ** 2).sum())
-            if d2 > (cover.radii[a] + cover.radii[b]) ** 2:
-                return (a, b)
-    raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
+    pairs = np.array(list(itertools.product(candidates_a, candidates_b)), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
+    _prod, order = pair_orders(cover.centers, cover.radii, pairs[:, 0], pairs[:, 1])
+    disjoint = np.flatnonzero(order == 0)
+    if not len(disjoint):
+        raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
+    return tuple(int(v) for v in pairs[disjoint[0]])
 
 
 def lambda_max(m):

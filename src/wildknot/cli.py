@@ -252,16 +252,20 @@ def _check_faithfulness(run):
 
 
 def _check_orbit(run):
+    """Decay, no truncation, and a parent for every sphere of generation >= 1
+    when the generators are pairwise disjoint: only then is strict nesting a
+    theorem, so other sub-assemblies report their orphans without failing."""
     orbit = run.orbit
     _write_orbit(orbit, run.sub, run.path("orbit.txt"))
     deeper = orbit.generation >= 1
     orphans = int((orbit.parent[deeper] < 0).sum())
+    disjoint = (run.sub.cartan[~np.eye(len(run.sub.cartan), dtype=bool)] == -2).all()
     decay = gr.max_radius_per_generation(orbit)
     gens = sorted(decay)
     decay_ok = all(decay[a] >= decay[b] for a, b in zip(gens, gens[1:]))
     nesting = (f"{orphans} of {int(deeper.sum())} spheres without a parent" if orphans
                else "parents assigned") + (", truncated" if orbit.truncated else "")
-    return not orphans and not orbit.truncated and decay_ok, (
+    return not (orphans and disjoint) and not orbit.truncated and decay_ok, (
         f"{len(orbit.radii)} spheres, {nesting}, max radius by "
         f"generation {[round(decay[g], 6) for g in gens]}"
     )
@@ -434,8 +438,7 @@ def cmd_limitset(run, args):
         print(f"FAIL limitset: {exc}")
         return 1
     if args.slice is not None:
-        axis, value = args.slice
-        sl = ls.slice_cloud(cloud, int(axis), float(value), args.slice_thickness)
+        sl = ls.slice_cloud(cloud, *args.slice, args.slice_thickness)
         if sl.notice:
             print(f"notice: {sl.notice}")
         written.append(run.path("slice.ply"))
@@ -495,6 +498,28 @@ def cmd_alexander(args):
 
 def _floats(text):
     return tuple(float(t) for t in text.split(","))
+
+
+def _positive(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+    return value
+
+
+class _Slice(argparse.Action):
+    """--slice AXIS VALUE as (int axis in 0..3, finite float value)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        axis, value = values
+        try:
+            value = float(value)
+        except ValueError:
+            value = np.nan
+        if axis not in ("0", "1", "2", "3") or not np.isfinite(value):
+            parser.error(f"argument --slice: expected an axis 0-3 and a finite value, "
+                         f"not {' '.join(values)}")
+        setattr(namespace, self.dest, (int(axis), value))
 
 
 # The flag of each RunConfig field.  A flag left unset keeps RunConfig's
@@ -563,8 +588,9 @@ def main(argv=None):
     _add_config(p, "max_word_length", "eps")
     _add_subassembly(p)
     p.add_argument("--formats", default="csv,json")
-    p.add_argument("--slice", nargs=2, metavar=("AXIS", "VALUE"), default=None)
-    p.add_argument("--slice-thickness", type=float, default=0.5)
+    p.add_argument("--slice", nargs=2, metavar=("AXIS", "VALUE"), default=None,
+                   action=_Slice)
+    p.add_argument("--slice-thickness", type=_positive, default=0.5)
     p.set_defaults(func=cmd_limitset)
 
     p = subs.add_parser("bend", help="bending deformation sweep at an amalgam")

@@ -85,10 +85,6 @@ class CubeComplex:
     def unit(self):
         return self.tube[0].edge if self.tube else 1
 
-    @property
-    def big_edge(self):
-        return self.big[0].edge
-
     def attach_squares(self):
         """The two squares where the tube meets the big cubes (boxes)."""
         if len(self.big) != 2 or not self.tube:

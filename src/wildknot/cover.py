@@ -237,6 +237,25 @@ def _products(centers, radii, i, j):
     )
 
 
+def _classify(prod):
+    """(residual, nearest, order) of inversive products: the distance to the
+    nearest legal cosine, that cosine's Coxeter order, and the pair's order as
+    pair_orders gives it."""
+    dist = np.abs(prod[:, None] - _COSINES)
+    residual = dist.min(axis=1)
+    nearest = _ORDERS[dist.argmin(axis=1)]
+    order = np.where(residual <= ANGLE_TOL, nearest, np.where(prod >= 1.0 + ANGLE_TOL, 0, -1))
+    return residual, nearest, order
+
+
+def pair_orders(centers, radii, i, j):
+    """(product, order) of the ball pairs (i, j): order 2 or 3 at a legal
+    exterior cosine within ANGLE_TOL, 0 if disjoint (product >= 1 + ANGLE_TOL),
+    -1 otherwise (an illegal angle, a tangent or a nested pair)."""
+    prod = _products(centers, radii, i, j)
+    return prod, _classify(prod)[2]
+
+
 def _grid_join(a, b, side):
     """Yield index arrays (i, j): rows i of a and j of b in equal or neighbouring
     cells of one 4-D grid of the given side, for at most 2^14 rows of a at a
@@ -300,31 +319,30 @@ def _near_pairs(centers, radii):
 
 def _adjacency(centers, radii):
     """All intersecting pairs as (n, 3) int64 rows (i, j, m), sorted by (i, j);
-    m is the Coxeter order of the legal cosine nearest the pair's product."""
+    m is the order of the legal cosine nearest the pair's product, even for an
+    illegal pair, so that validate_cover reports its residual from that order."""
     i, j, prod = _near_pairs(centers, radii)
     hit = prod < 1.0
-    nearest = np.abs(prod[hit, None] - _COSINES).argmin(axis=1)
-    return np.stack([i[hit], j[hit], _ORDERS[nearest]], axis=1)
+    return np.stack([i[hit], j[hit], _classify(prod[hit])[1]], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def pairwise_sweep(centers, radii, tol=ANGLE_TOL):
+def pairwise_sweep(centers, radii):
     """Certify every pair of balls: disjoint or at an exact legal angle.
 
     Pairs with inversive product >= 1.15 are disjoint by a wide margin; the
     rest come from the grid search of _near_pairs.  Returns (max_residual,
     n_intersecting, violations): residual is the distance of an intersecting
-    pair's product from {0, +-1/2}; violations lists up to 50 offending
-    (i, j, product) triples, including tangent or nested pairs.
+    pair's product from {0, +-1/2}; violations lists up to 50 pairs of
+    pair_orders' order -1 as (i, j, product) triples.
     """
     i, j, prod = _near_pairs(centers, radii)
-    res = np.abs(prod[:, None] - _COSINES).min(axis=1)
-    intersecting = np.abs(prod) < 1.0 - tol
-    disjoint = prod >= 1.0 + tol
-    bad = np.nonzero((intersecting & (res > tol)) | ~(intersecting | disjoint))[0]
+    res, _nearest, order = _classify(prod)
+    intersecting = np.abs(prod) < 1.0 - ANGLE_TOL
+    bad = np.nonzero(order < 0)[0]
     violations = [(int(i[b]), int(j[b]), float(prod[b])) for b in bad[:50]]
     max_residual = float(res[intersecting].max(initial=0.0))
     return max_residual, int(intersecting.sum()), violations

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .cover import ROLE_VERTEX, _grid_join
+from .cover import ROLE_VERTEX, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
@@ -123,30 +123,28 @@ def assemble_group(c, cover):
 
 
 def _check_amalgams(group):
-    """Each amalgam: 4 balls, 4 adjacent pi/3 pairs, 2 disjoint diagonals."""
+    """Each amalgam: 4 vertex balls, 4 adjacent pairs at exterior cosine +1/2
+    (order 3) and 2 disjoint diagonals, in one classification of all pairs."""
     cover = group.cover
     for am in group.amalgams:
         if len(am.ball_ids) != 4:
             raise GroupError(f"amalgam {am.index} does not have 4 generators")
         if any(cover.roles[b] != ROLE_VERTEX for b in am.ball_ids):
             raise GroupError(f"amalgam {am.index} uses non-vertex balls")
-        kinds = {"intersecting": 0, "disjoint": 0}
-        for x in range(4):
-            for y in range(x + 1, 4):
-                i, j = am.ball_ids[x], am.ball_ids[y]
-                cos = lz.euclidean_exterior_cos(
-                    cover.centers[i], cover.radii[i], cover.centers[j], cover.radii[j]
-                )
-                if abs(cos - 0.5) <= 1e-9:
-                    kinds["intersecting"] += 1
-                elif cos > 1.0 + 1e-9:
-                    kinds["disjoint"] += 1
-                else:
-                    raise GroupError(
-                        f"amalgam {am.index}: pair ({i},{j}) at product {cos}"
-                    )
-        if kinds != {"intersecting": 4, "disjoint": 2}:
-            raise GroupError(f"amalgam {am.index}: bad pair pattern {kinds}")
+    ids = np.array([am.ball_ids for am in group.amalgams], dtype=np.int64).reshape(-1, 4)
+    a, b = np.triu_indices(4, 1)
+    prod, order = pair_orders(cover.centers, cover.radii, ids[:, a].ravel(), ids[:, b].ravel())
+    prod, order = prod.reshape(-1, 6), order.reshape(-1, 6)
+    adjacent = (order == 3) & (prod > 0)
+    legal = adjacent | (order == 0)
+    bad = np.flatnonzero(~legal.all(axis=1) | (adjacent.sum(axis=1) != 4))
+    if len(bad):
+        x = bad[0]
+        y, name = np.argmin(legal[x]), group.amalgams[x].index
+        if not legal[x, y]:
+            i, j = int(ids[x, a[y]]), int(ids[x, b[y]])
+            raise GroupError(f"amalgam {name}: pair ({i},{j}) at product {prod[x, y]}")
+        raise GroupError(f"amalgam {name}: {adjacent[x].sum()} of its 6 pairs at pi/3, not 4")
 
 
 def relation_residuals(centers, radii, orders):
@@ -219,11 +217,14 @@ class SubAssembly:
     radii: np.ndarray
     polars: np.ndarray
     matrices: np.ndarray  # (k, 6, 6)
-    coxeter: dict  # (a, b) local indices, a < b -> order (finite pairs only)
+    cartan: np.ndarray  # (k, k) int 2B: 2 on the diagonal, 2 - m at order m, -2 if disjoint
     offset: np.ndarray  # subtracted centroid (original = centers + offset)
 
 
 def subassembly(cover, ball_ids):
+    """The generators `ball_ids` of the cover, with the integer Cartan matrix
+    2B of their Coxeter group: B(a_a, a_b) = -cos(pi / m_ab) gives 0 and -1
+    at orders 2 and 3, and -2 at disjoint pairs (order infinity)."""
     ids = tuple(int(b) for b in ball_ids)
     if len(set(ids)) != len(ids):
         raise GroupError("duplicate generator in sub-assembly")
@@ -231,28 +232,22 @@ def subassembly(cover, ball_ids):
     radii = cover.radii[list(ids)].copy()
     offset = centers.mean(axis=0)
     centers -= offset
+    a, b = np.triu_indices(len(ids), 1)
+    prod, order = pair_orders(centers, radii, a, b)
+    if (order < 0).any():
+        x = np.argmax(order < 0)
+        raise GroupError(f"sub-assembly pair ({ids[a[x]]},{ids[b[x]]}) at product "
+                         f"{prod[x]}: not disjoint, not at pi/2 or pi/3")
+    cartan = np.full((len(ids), len(ids)), 2, dtype=np.int64)
+    cartan[a, b] = cartan[b, a] = np.where(order > 0, 2 - order, -2)
     polars = lz.spheres(centers, radii)
-    coxeter = {}
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            cfg = lz.pair_configuration(polars[a], polars[b])
-            if cfg.kind == "intersecting":
-                if cfg.order is None:
-                    raise GroupError(
-                        f"sub-assembly pair ({ids[a]},{ids[b]}) at illegal angle"
-                    )
-                coxeter[(a, b)] = cfg.order
-            elif cfg.kind != "disjoint":
-                raise GroupError(
-                    f"sub-assembly pair ({ids[a]},{ids[b]}) is {cfg.kind}"
-                )
     return SubAssembly(
         ball_ids=ids,
         centers=centers,
         radii=radii,
         polars=polars,
         matrices=reflection_matrices(polars),
-        coxeter=coxeter,
+        cartan=cartan,
         offset=offset,
     )
 
@@ -290,22 +285,6 @@ def pairwise_disjoint_subassembly(cover, n=4):
     if len(chosen) < n:
         raise GroupError(f"could not find {n} pairwise disjoint vertex balls")
     return subassembly(cover, [cover.vertex_index[v] for v in chosen])
-
-
-def _cartan(sub):
-    """2B, B the Tits form of the sub-assembly's Coxeter group, as integers.
-
-    B(a_a, a_b) = -cos(pi / m_ab): orders 2 and 3 give off-diagonal entries
-    0 and -1, and disjoint pairs (order infinity) give -2.
-    """
-    k = len(sub.ball_ids)
-    cartan = np.full((k, k), -2, dtype=np.int64)
-    for (a, b), m in sub.coxeter.items():
-        if m not in (2, 3):
-            raise GroupError(f"sub-assembly pair ({a},{b}) has order {m}, not 2 or 3")
-        cartan[a, b] = cartan[b, a] = 2 - m
-    np.fill_diagonal(cartan, 2)
-    return cartan
 
 
 @dataclasses.dataclass
@@ -351,9 +330,8 @@ def enumerate_words(sub, max_length, dtype=float):
     np.longdouble accumulation.
     """
     k = len(sub.ball_ids)
-    cartan = _cartan(sub)
     eye = np.eye(k, dtype=np.int64)
-    tits_gens = eye[None] - eye[:, :, None] * cartan[:, None, :]  # s_g = I - e_g (2B)_g
+    tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
         gen_mats = sub.matrices
     else:
@@ -539,7 +517,6 @@ def polyhedron_stages(sub, orbit, n_stages):
     Schottky sub-assemblies (4, 6, 10, 18, 34), fewer where two sides are
     mirror images (4, 6, 10, 16, 30, 52, 98 on a tube's amalgams).
     """
-    cartan = _cartan(sub)
     sides = {tuple(r) for r in np.eye(len(sub.ball_ids), dtype=np.int64).tolist()}
     stages = [PolyhedronStage(0, -1, len(sides), tuple(sorted(sides)))]
     orbit_roots = [tuple(r) for r in orbit.roots.tolist()]
@@ -557,7 +534,7 @@ def polyhedron_stages(sub, orbit, n_stages):
         new_sides = set()
         for side in sides - {mirror}:  # the mirror stops being a side of the doubled body
             beta = np.array(side)
-            img = beta - (gamma @ cartan @ beta) * gamma
+            img = beta - (gamma @ sub.cartan @ beta) * gamma
             new_sides |= {side, tuple((-img if (img < 0).any() else img).tolist())}
         sides = new_sides
         stages.append(PolyhedronStage(k, mirror_seq, len(sides), tuple(sorted(sides))))

@@ -187,6 +187,8 @@ def slice_cloud(cloud, axis, value, thickness):
         raise ValueError("thickness must be positive")
     if cloud.dim != 4:
         raise ValueError("slicing expects a 4D cloud")
+    if axis not in range(4):
+        raise ValueError(f"slice axis must be 0, 1, 2 or 3, not {axis}")
     keep = np.nonzero(np.abs(cloud.points[:, axis] - value) <= thickness)[0]
     other = [a for a in range(4) if a != axis]
     if len(keep) == 0:

@@ -20,7 +20,6 @@ dihedral angle theta, < -1 for spheres with disjoint exteriors-of-interiors
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -81,46 +80,6 @@ def centers_radii(polars, tol=1e-12):
 def inverse(m):
     """Group inverse via the Lorentz adjugate J M^T J (never numeric inv)."""
     return J @ np.asarray(m).T @ J
-
-
-@dataclasses.dataclass(frozen=True)
-class PairConfiguration:
-    """Relative position of two spheres, derived from the inversive product."""
-
-    kind: str  # 'intersecting' | 'tangent' | 'disjoint' | 'nested' | 'equal'
-    inversive_product: float
-    exterior_cos: float  # -Q; equals (d^2-r1^2-r2^2)/(2 r1 r2) for spheres
-    angle: float | None  # exterior dihedral angle in (0, pi), intersecting only
-    order: int | None  # m with (R1 R2)^m = I when angle is pi/m or its complement
-
-
-def pair_configuration(u, v, angle_tol=1e-9, tangency_tol=1e-9):
-    prod = float(q(u, v))
-    ext_cos = -prod
-    if abs(prod) < 1.0 - tangency_tol:
-        angle = math.acos(max(-1.0, min(1.0, ext_cos)))
-        order = None
-        for m, cosines in ORDER_COSINES.items():
-            if any(abs(ext_cos - c) <= angle_tol for c in cosines):
-                order = m
-        return PairConfiguration("intersecting", prod, ext_cos, angle, order)
-    if abs(abs(prod) - 1.0) <= tangency_tol:
-        if abs(prod - 1.0) <= tangency_tol and abs(float(q(u, u) - q(v, v))) <= tangency_tol:
-            # same unit polar up to orientation: tangency of a sphere with itself
-            if float(np.max(np.abs(np.asarray(u) - np.asarray(v)))) <= tangency_tol:
-                return PairConfiguration("equal", prod, ext_cos, None, None)
-        return PairConfiguration("tangent", prod, ext_cos, None, None)
-    if prod < -1.0:
-        return PairConfiguration("disjoint", prod, ext_cos, None, None)
-    return PairConfiguration("nested", prod, ext_cos, None, None)
-
-
-def euclidean_exterior_cos(c1, r1, c2, r2):
-    """Independent Euclidean oracle for the exterior dihedral cosine."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    d2 = float(((c1 - c2) ** 2).sum())
-    return (d2 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
 
 
 def classify_map(m, tol=1e-9):

@@ -1,13 +1,15 @@
 """Scalar reference implementations that the tests use as oracles.
 
-The library computes spheres and reflections in batches (`lorentz.spheres`,
-`groups.reflection_matrices`); the one-at-a-time formulas here are the tests'
-independent check on them.  The point maps, random Moebius maps, the
-presentation helpers and the complex-file loader serve only the tests.
+The library computes spheres, reflections and pair classes in batches
+(`lorentz.spheres`, `groups.reflection_matrices`, `cover.pair_orders`); the
+one-at-a-time formulas here are the tests' independent check on them.  The
+point maps, random Moebius maps, the presentation, polynomial and group-ring
+helpers and the complex-file loader serve only the tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import string
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from wildknot import complexes as cx
 from wildknot import lorentz as lz
-from wildknot.alexander import GroupPresentation
+from wildknot.alexander import GroupPresentation, free_reduce
 
 
 def lift(p):
@@ -59,6 +61,47 @@ def reflection(polar):
     return np.eye(6) - 2.0 * np.outer(v, lz.J @ v)
 
 
+@dataclasses.dataclass(frozen=True)
+class PairConfiguration:
+    """Relative position of two spheres, derived from the inversive product."""
+
+    kind: str  # 'intersecting' | 'tangent' | 'disjoint' | 'nested' | 'equal'
+    inversive_product: float
+    exterior_cos: float  # -Q; equals (d^2-r1^2-r2^2)/(2 r1 r2) for spheres
+    angle: float | None  # exterior dihedral angle in (0, pi), intersecting only
+    order: int | None  # m with (R1 R2)^m = I when angle is pi/m or its complement
+
+
+def pair_configuration(u, v, angle_tol=1e-9, tangency_tol=1e-9):
+    """Classify two spheres from the Lorentz product Q(u, v) of their polars."""
+    prod = float(lz.q(u, v))
+    ext_cos = -prod
+    if abs(prod) < 1.0 - tangency_tol:
+        angle = math.acos(max(-1.0, min(1.0, ext_cos)))
+        order = None
+        for m in (2, 3):  # the angle pi/m or its complement
+            if abs(abs(ext_cos) - math.cos(math.pi / m)) <= angle_tol:
+                order = m
+        return PairConfiguration("intersecting", prod, ext_cos, angle, order)
+    if abs(abs(prod) - 1.0) <= tangency_tol:
+        if abs(prod - 1.0) <= tangency_tol and abs(float(lz.q(u, u) - lz.q(v, v))) <= tangency_tol:
+            # same unit polar up to orientation: tangency of a sphere with itself
+            if float(np.max(np.abs(np.asarray(u) - np.asarray(v)))) <= tangency_tol:
+                return PairConfiguration("equal", prod, ext_cos, None, None)
+        return PairConfiguration("tangent", prod, ext_cos, None, None)
+    if prod < -1.0:
+        return PairConfiguration("disjoint", prod, ext_cos, None, None)
+    return PairConfiguration("nested", prod, ext_cos, None, None)
+
+
+def euclidean_exterior_cos(c1, r1, c2, r2):
+    """Exterior dihedral cosine of two balls from their Euclidean data."""
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    d2 = float(((c1 - c2) ** 2).sum())
+    return (d2 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+
+
 def lorentz_defect(m):
     """Max-norm drift of M from O(5,1): || M^T J M - J ||_inf."""
     m = np.asarray(m, dtype=float)
@@ -96,9 +139,29 @@ def word_to_string(word):
 
 
 def render_presentation(p):
-    lines = ["".join(p.generator_names())]
+    lines = [string.ascii_lowercase[: p.n_generators]]
     lines += [word_to_string(r) for r in p.relators]
     return "\n".join(lines) + "\n"
+
+
+def coefficient_list(poly):
+    """A LaurentPolynomial's coefficients from its lowest exponent upward
+    (empty for zero)."""
+    if not poly.coeffs:
+        return []
+    lo, hi = min(poly.coeffs), max(poly.coeffs)
+    return [poly.coeffs.get(e, 0) for e in range(lo, hi + 1)]
+
+
+def ring_left_multiply(word, elem):
+    """Left-multiply a group-ring element {reduced word: coefficient} by a word."""
+    out = {}
+    for w, c in elem.items():
+        key = free_reduce(tuple(word) + w)
+        out[key] = out.get(key, 0) + c
+        if out[key] == 0:
+            del out[key]
+    return out
 
 
 def connected_sum(p1, p2):

@@ -18,11 +18,11 @@ class TestLaurent:
         q = L({0: 1, 1: 1})  # t + 1
         assert p * q == L({0: 1, 3: 1})  # (t^2-t+1)(t+1) = t^3+1
         assert p + (-p) == L({})
-        assert (p - q).coefficient_list() == [-2, 1]  # constant term cancels
+        assert orc.coefficient_list(p - q) == [-2, 1]  # constant term cancels
 
     def test_square_of_trefoil_poly(self):
         p = L({0: 1, 1: -1, 2: 1})
-        assert (p**2).coefficient_list() == [1, -2, 3, -2, 1]
+        assert orc.coefficient_list(p**2) == [1, -2, 3, -2, 1]
 
     def test_normalization(self):
         p = L({-3: -2, -1: -1, 0: -1})  # -2 t^-3 - t^-1 - 1
@@ -83,7 +83,7 @@ class TestFox:
     @settings(max_examples=200)
     def test_product_rule(self, u, v, g):
         lhs = ax.fox_derivative(ax.free_reduce(tuple(u) + tuple(v)), g)
-        rhs = ax._ring_add(ax.fox_derivative(u, g), ax.ring_left_multiply(u, ax.fox_derivative(v, g)))
+        rhs = ax._ring_add(ax.fox_derivative(u, g), orc.ring_left_multiply(u, ax.fox_derivative(v, g)))
         assert lhs == rhs
 
     @given(words, st.sampled_from([1, 2, 3]))
@@ -91,7 +91,7 @@ class TestFox:
         # d(w^-1) = -w^-1 d(w)
         inv = ax.free_reduce(tuple(-g_ for g_ in reversed(w)))
         lhs = ax.fox_derivative(inv, g)
-        rhs = {k: -c for k, c in ax.ring_left_multiply(inv, ax.fox_derivative(w, g)).items()}
+        rhs = {k: -c for k, c in orc.ring_left_multiply(inv, ax.fox_derivative(w, g)).items()}
         assert lhs == rhs
 
 

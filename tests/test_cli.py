@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from wildknot import complexes as cx
@@ -49,15 +50,31 @@ def test_enumerate_length_zero(tmp_path, capsys):
 
 
 def test_enumerate_amalgam_counts(tube_complex, tmp_path, capsys):
-    """Word and sphere counts of the tube's first amalgam to length 6; four
-    spheres have no strictly containing prefix sphere, and the check says so."""
+    """Word and sphere counts of the tube's first amalgam to length 6.  Four
+    spheres have no strictly containing prefix sphere; the check says so but
+    passes, because amalgam generators meet at pi/3 and strict nesting is a
+    theorem only for pairwise disjoint generators."""
     argv = ["enumerate", "--amalgam", "0", "-L", "6", "--complex", tube_complex]
-    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert main(argv + ["--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "words <= 6: 929 classes (raw 1025, merged 96, truncated False)" in lines
     assert "orbit spheres: 1508" in lines
-    assert any(ln.startswith("FAIL orbit_nesting: 1508 spheres, 4 of 1504 spheres without "
+    assert any(ln.startswith("PASS orbit_nesting: 1508 spheres, 4 of 1504 spheres without "
                              "a parent, max radius") for ln in lines)
+
+
+def test_orbit_check_fails_on_an_orphan_of_a_schottky_orbit(tube_complex, tmp_path,
+                                                            monkeypatch):
+    """A Schottky sphere without a parent fails the check; the same orbit
+    passes under an amalgam's Cartan matrix, where orphans are allowed."""
+    run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
+    run.orbit.parent[run.orbit.generation == 2] = -1
+    ok, msg = _check_orbit(run)
+    assert not ok and msg.startswith("1456 spheres, 36 of 1452 spheres without a parent")
+    cartan = run.sub.cartan.copy()
+    cartan[0, 1] = cartan[1, 0] = -1  # one pair at pi/3
+    monkeypatch.setattr(run.sub, "cartan", cartan)
+    assert _check_orbit(run) == (True, msg)
 
 
 def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypatch):
@@ -68,6 +85,8 @@ def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypa
     ok, msg = _check_orbit(Run(cfg))
     assert not ok
     assert msg.startswith("50 spheres, parents assigned, truncated, max radius")
+    ok, msg = _check_orbit(Run(cfg, amalgam=0))  # truncation fails an amalgam too
+    assert not ok and ", truncated, max radius" in msg
 
 
 def test_build_writes_artifacts(tmp_path, capsys):
@@ -138,6 +157,32 @@ def test_limitset_exports(tmp_path, capsys):
     assert (tmp_path / "cloud.csv").exists()
     assert (tmp_path / "cloud.json").exists()
     assert (tmp_path / "slice.ply").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--slice", "9", "0"], ["--slice", "x", "0"],
+     ["--slice", "0", "0", "--slice-thickness", "0"], ["--slice", "-1", "0"]],
+    ids=["axis-9", "axis-x", "thickness-0", "axis-minus-1"],
+)
+def test_malformed_slice_is_a_usage_error(tube_complex, tmp_path, capsys, flags):
+    argv = ["limitset", "-L", "3", "--complex", tube_complex, "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert "error: argument --slice" in capsys.readouterr().err
+    assert not (tmp_path / "slice.ply").exists()
+
+
+def test_slice_writes_a_3d_ply(tube_complex, tmp_path):
+    argv = ["limitset", "-L", "3", "--eps", "1e9", "--complex", tube_complex,
+            "--out", str(tmp_path), "--slice", "3", "0"]
+    assert main(argv) == 0
+    header, body = (tmp_path / "slice.ply").read_text(encoding="utf-8").split("end_header\n")
+    assert "property float z\nproperty int generation\n" in header
+    assert "property float w" not in header
+    rows = body.splitlines()
+    assert len(rows) > 0 and all(len(r.split()) == 4 for r in rows)
 
 
 @pytest.mark.parametrize(

@@ -49,9 +49,9 @@ class TestPresetComplex:
         assert preset.hyperplane_levels() == [-27, 0, 54, 81]
 
     def test_edge_ratio(self, preset):
-        assert preset.big_edge == 27
+        assert preset.big[0].edge == 27
         assert preset.unit == 1
-        assert preset.big_edge // preset.unit == 27
+        assert preset.big[0].edge // preset.unit == 27
 
     def test_attach_squares_are_centered_units(self, preset):
         squares = preset.attach_squares()

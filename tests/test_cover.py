@@ -13,11 +13,13 @@ from wildknot.cover import (
     ROLE_JUNCTION,
     ROLE_VERTEX,
     CoverError,
+    _adjacency,
     _near_pairs,
     build_cover,
     closed_form_parameters,
     coverage_check,
     face_ball_offset,
+    pair_orders,
     pairwise_sweep,
     validate_cover,
 )
@@ -233,6 +235,17 @@ def test_sweep_flags_illegal_pair():
     assert n_inter == 1
     assert violations and violations[0][:2] == (0, 1)
     assert max_res > 1e-3
+
+
+def test_adjacency_keeps_the_nearest_order_of_an_illegal_pair():
+    """The pair above has product 1/8: pair_orders calls it illegal, while the
+    adjacency keeps it as a relation row with the order of the nearest legal
+    cosine (0, order 2), from which validate_cover measures its residual."""
+    centers = np.array([[0, 0, 0, 0], [0.9, 0, 0, 0]], dtype=float)
+    radii = np.array([0.6, 0.6])
+    prod, order = pair_orders(centers, radii, [0], [1])
+    assert prod[0] == pytest.approx(0.125) and order.tolist() == [-1]
+    assert _adjacency(centers, radii).tolist() == [[0, 1, 2]]
 
 
 def test_sweep_flags_nested_and_tangent_pairs():

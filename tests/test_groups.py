@@ -37,12 +37,17 @@ def cube_group():
     return c, cover, assemble_group(c, cover)
 
 
-@pytest.fixture(scope="module")
-def tube_cover():
-    """Two big cubes joined by a straight tube: a cover with 7 amalgams."""
+def tube_complex():
+    """Two big cubes joined by a straight tube."""
     big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
     tube = tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6))
-    c = cx.CubeComplex(big, tube)
+    return cx.CubeComplex(big, tube)
+
+
+@pytest.fixture(scope="module")
+def tube_cover():
+    """The tube complex's cover, with 7 amalgams."""
+    c = tube_complex()
     cover = build_cover(c)
     return cover, assemble_group(c, cover)
 
@@ -120,9 +125,8 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
     """enumerate_words as a per-word loop: a `seen` set of Tits-matrix bytes
     across all lengths, and one matrix product per word."""
     k = len(sub.ball_ids)
-    cartan = gr._cartan(sub)
     eye = np.eye(k, dtype=np.int64)
-    tits_gens = eye[None] - eye[:, :, None] * cartan[:, None, :]  # s_g = I - e_g (2B)_g
+    tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
         gen_mats = sub.matrices
     else:
@@ -713,6 +717,81 @@ def test_subassembly_rejects_bad_pairs():
     cover = build_cover(c)
     with pytest.raises(GroupError):
         subassembly(cover, [0, 0])
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [([2.0, 0, 0, 0], 1.0),  # tangent: exterior cosine 1
+     ([0.2, 0, 0, 0], 0.5),  # nested: cosine below -1
+     ([1.5, 0, 0, 0], 1.0),  # exterior cosine 1/8, not 0 or +-1/2
+     ([math.sqrt(2.0) + 1e-6, 0, 0, 0], 1.0)],  # 1e-6 off pi/2
+    ids=["tangent", "nested", "illegal-angle", "near-orthogonal"],
+)
+def test_subassembly_rejects_a_bad_pair_by_name(center, radius):
+    """Ball 3 is legal against ball 0 (order 2) and disjoint from ball 1;
+    ball 5 is the broken one, and the error names the pair (0,5)."""
+    centers = np.zeros((6, 4))
+    centers[1] = [9.0, 0, 0, 0]
+    centers[3] = [0, math.sqrt(2.0), 0, 0]
+    centers[5] = center
+    radii = np.array([1.0, 1, 1, 1, 1, radius])
+    cover = types.SimpleNamespace(centers=centers, radii=radii)
+    assert subassembly(cover, [0, 1, 3]).cartan.tolist() == [[2, -2, 0], [-2, 2, -2],
+                                                             [0, -2, 2]]
+    with pytest.raises(GroupError, match=r"sub-assembly pair \(0,5\) at product"):
+        subassembly(cover, [0, 3, 5])
+
+
+def test_subassembly_cartan_matches_the_pair_oracle(cube_group, tube_cover):
+    """2B from cover.pair_orders equals 2B from the scalar Q-product oracle on
+    the sub-assemblies' polars, for every growth-series sub-assembly and every
+    tube amalgam."""
+    tc, tg = tube_cover
+    subs = [_growth_subassembly(n, cube_group, tube_cover)
+            for n in ["free", "order3_pair", "mixed", "amalgam", "triangle"]]
+    subs += [subassembly(tc, am.ball_ids) for am in tg.amalgams]
+    for sub in subs:
+        k = len(sub.ball_ids)
+        want = np.full((k, k), 2)
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    cfg = orc.pair_configuration(sub.polars[a], sub.polars[b])
+                    assert cfg.kind in ("intersecting", "disjoint")
+                    want[a, b] = 2 - cfg.order if cfg.kind == "intersecting" else -2
+        assert sub.cartan.dtype == np.int64
+        assert sub.cartan.tolist() == want.tolist()
+
+
+def test_check_amalgams_wants_the_plus_half_cosine():
+    """Four order-3 pairs and two disjoint ones, but at exterior cosine -1/2
+    (a triangle of unit balls and a ball of radius 1/2 hung from one corner):
+    only +1/2, the vertex balls' angle, passes."""
+    h = math.sqrt(0.75)
+    centers = np.array([[0.5, 2 * h, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.5, h, 0, 0]])
+    cover = types.SimpleNamespace(centers=centers, radii=np.array([0.5, 1, 1, 1]),
+                                  roles=np.zeros(4, dtype=np.int8))
+    am = gr.Amalgam(0, (0, 1), None, (0, 1, 2, 3), True)
+    with pytest.raises(GroupError, match=r"^amalgam 0: pair \(0,3\) at product -0.5"):
+        gr._check_amalgams(types.SimpleNamespace(cover=cover, amalgams=[am]))
+
+
+@pytest.mark.parametrize("change", ["moved", "resized", "role"])
+def test_assemble_group_rejects_a_broken_amalgam(change):
+    """One vertex ball of amalgam 3 moved by 1e-6, grown by 1e-6 or relabelled:
+    assemble_group names that amalgam."""
+    c = tube_complex()
+    cover = build_cover(c)
+    ball = assemble_group(c, cover).amalgams[3].ball_ids[1]
+    if change == "moved":
+        cover.centers[ball, 1] += 1e-6
+    elif change == "resized":
+        cover.radii[ball] *= 1.0 + 1e-6
+    else:
+        cover.roles[ball] = 1
+    match = "uses non-vertex balls" if change == "role" else rf"pair \(\d+,\d+\) at product"
+    with pytest.raises(GroupError, match=rf"^amalgam 3[: ].*{match}"):
+        assemble_group(c, cover)
 
 
 def test_preset_relation_suite(preset_group):

@@ -249,6 +249,9 @@ def test_slice_cloud(setup):
     assert len(far) == 0 and far.notice
     with pytest.raises(ValueError):
         slice_cloud(cloud, 0, 0.0, 0.0)
+    for axis in (-1, 4):  # numpy would wrap -1 and keep all four axes
+        with pytest.raises(ValueError, match="slice axis"):
+            slice_cloud(cloud, axis, 0.0, 0.5)
 
 
 def test_csv_roundtrip(setup):

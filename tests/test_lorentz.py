@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
+from wildknot.cover import pair_orders
 
 import oracles as orc
 
@@ -84,36 +85,75 @@ def test_inverse_matches_matrix_inverse():
     assert np.allclose(lz.inverse(m), np.linalg.inv(m), atol=1e-8)
 
 
+# The order cover.pair_orders gives a pair of the oracle's kind.
+ORACLE_ORDER = {"disjoint": 0, "tangent": -1, "nested": -1, "equal": -1}
+
+
+def oracle_order(c1, r1, c2, r2):
+    cfg = orc.pair_configuration(orc.sphere(c1, r1), orc.sphere(c2, r2))
+    if cfg.kind == "intersecting":
+        return -1 if cfg.order is None else cfg.order
+    return ORACLE_ORDER[cfg.kind]
+
+
 def test_exterior_cos_matches_euclidean_oracle():
+    """cover.pair_orders against both scalar oracles on random pairs: its
+    product is the Euclidean exterior cosine and -Q of the polars, and its
+    order is the one of the Q-product oracle's kind.  Half the pairs are
+    random (disjoint, nested or at an illegal angle), half are placed at a
+    legal cosine."""
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        c1, c2 = rng.uniform(-3, 3, size=(2, 4))
-        r1, r2 = rng.uniform(0.2, 2.0, size=2)
-        u, v = orc.sphere(c1, r1), orc.sphere(c2, r2)
-        cfg = lz.pair_configuration(u, v)
-        assert cfg.exterior_cos == pytest.approx(
-            lz.euclidean_exterior_cos(c1, r1, c2, r2), abs=1e-8
-        )
+    centers = rng.uniform(-3, 3, size=(400, 4))
+    radii = rng.uniform(0.2, 2.0, size=400)
+    legal = [0.0, 0.5, -0.5]
+    for n in range(200, 400, 2):
+        r1, r2 = radii[n], radii[n + 1]
+        d = math.sqrt(r1 * r1 + r2 * r2 + 2.0 * r1 * r2 * legal[n % 3])
+        step = rng.normal(size=4)
+        centers[n + 1] = centers[n] + d * step / np.linalg.norm(step)
+    i, j = np.arange(0, 400, 2), np.arange(1, 400, 2)
+    prod, order = pair_orders(centers, radii, i, j)
+    for n, (a, b) in enumerate(zip(i, j)):
+        euclid = orc.euclidean_exterior_cos(centers[a], radii[a], centers[b], radii[b])
+        assert prod[n] == pytest.approx(euclid, abs=1e-12)
+        cfg = orc.pair_configuration(orc.sphere(centers[a], radii[a]),
+                                     orc.sphere(centers[b], radii[b]))
+        assert prod[n] == pytest.approx(cfg.exterior_cos, abs=1e-8)
+        assert order[n] == oracle_order(centers[a], radii[a], centers[b], radii[b])
+    assert sorted(set(order[100:].tolist())) == [2, 3]
+    assert {0, -1} <= set(order[:100].tolist())
 
 
 def test_pair_configuration_kinds():
+    """Hand-built pairs of every kind against the unit ball at the origin:
+    cover.pair_orders gives the oracle's order and the oracle the named kind."""
+    cases = [  # (center, radius, oracle kind, order)
+        ([5, 0, 0, 0], 1.0, "disjoint", 0),
+        ([0, 0, 0, 0], 0.3, "nested", -1),
+        ([2, 0, 0, 0], 1.0, "tangent", -1),
+        ([0, 0, 0, 0], 1.0, "equal", -1),
+        ([1, 0, 0, 0], 1.0, "intersecting", 3),  # exterior angle pi/3
+        ([0, 1.2, 0, 0], math.sqrt(0.44), "intersecting", 2),
+        ([1.5, 0, 0, 0], 1.0, "intersecting", -1),  # exterior cosine 1/8
+    ]
+    centers = np.array([[0.0, 0, 0, 0]] + [c for c, _r, _k, _m in cases])
+    radii = np.array([1.0] + [r for _c, r, _k, _m in cases])
+    _prod, order = pair_orders(centers, radii, np.zeros(len(cases), int),
+                               np.arange(1, len(cases) + 1))
+    assert order.tolist() == [m for _c, _r, _k, m in cases]
     unit = orc.sphere([0, 0, 0, 0], 1.0)
-    assert lz.pair_configuration(unit, orc.sphere([5, 0, 0, 0], 1.0)).kind == "disjoint"
-    assert lz.pair_configuration(unit, orc.sphere([0, 0, 0, 0], 0.3)).kind == "nested"
-    assert lz.pair_configuration(unit, orc.sphere([2, 0, 0, 0], 1.0)).kind == "tangent"
-    cfg = lz.pair_configuration(unit, orc.sphere([1, 0, 0, 0], 1.0))
-    assert cfg.kind == "intersecting"
-    assert cfg.order == 3  # exterior angle pi/3
-    orth = lz.pair_configuration(unit, orc.sphere([0, 1.2, 0, 0], math.sqrt(0.44)))
-    assert orth.kind == "intersecting" and orth.order == 2
+    for c, r, kind, m in cases:
+        assert orc.pair_configuration(unit, orc.sphere(c, r)).kind == kind
+        assert oracle_order([0, 0, 0, 0], 1.0, c, r) == m
 
 
 def test_order_three_pair_really_has_order_three():
     # Both cosine signs +1/2 and -1/2 must give (R1 R2)^3 = I.
     unit = orc.sphere([0, 0, 0, 0], 1.0)
     for d2 in (1.0, 3.0):  # cos_ext = (d2 - 2)/2 -> -1/2 and +1/2
-        other = orc.sphere([math.sqrt(d2), 0, 0, 0], 1.0)
-        assert lz.pair_configuration(unit, other).order == 3
+        centers = np.array([[0.0, 0, 0, 0], [math.sqrt(d2), 0, 0, 0]])
+        assert pair_orders(centers, np.ones(2), [0], [1])[1].tolist() == [3]
+        other = orc.sphere(centers[1], 1.0)
         prod = orc.reflection(unit) @ orc.reflection(other)
         assert np.allclose(np.linalg.matrix_power(prod, 3), np.eye(6), atol=1e-9)
 
