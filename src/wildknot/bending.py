@@ -28,13 +28,12 @@ certified once by the base group's relation suite.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
 from . import lorentz as lz
-from .cover import pair_orders
+from .cover import ROLE_VERTEX, pair_orders
 from .groups import GroupError, reflection_matrices, relation_residuals
 
 
@@ -220,37 +219,26 @@ def suitable_amalgams(group):
     return [j for j in range(len(group.amalgams)) if crossing_relations(group, j)[1].all()]
 
 
-def crossing_word(group, j, gap=2):
+def crossing_word(group, j):
     """A loxodromic word straddling amalgam j: reflections in two disjoint
-    vertex balls taken `gap` cross-sections before and after the square."""
-    am = group.amalgams[j]
+    vertex balls, a on side A and b on side B.  Each side's vertex balls
+    outside Gamma_j are ranked by (squared distance to the square's centre,
+    id), and (a, b) is the first pair in rank order that pair_orders finds
+    disjoint."""
     cover = group.cover
-    side_b = split_sides(group, j)
-    gamma = set(am.ball_ids)
-
-    corner = min(am.ball_ids)  # a vertex ball on the square
-    base = cover.centers[corner]
-
-    def vertex_at(offset_axis_sign):
-        axis, sign = offset_axis_sign
-        target = base.copy()
-        target[axis] += sign * gap
-        return group.cover.vertex_index.get(tuple(int(round(x)) for x in target))
-
-    candidates_a, candidates_b = [], []
-    for axis in range(4):
-        for sign in (-1, 1):
-            v = vertex_at((axis, sign))
-            if v is None or v in gamma:
-                continue
-            (candidates_b if side_b[v] else candidates_a).append(v)
-    pairs = np.array(list(itertools.product(candidates_a, candidates_b)), dtype=np.int64)
-    pairs = pairs.reshape(-1, 2)
-    _prod, order = pair_orders(cover.centers, cover.radii, pairs[:, 0], pairs[:, 1])
-    disjoint = np.flatnonzero(order == 0)
-    if not len(disjoint):
-        raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
-    return tuple(int(v) for v in pairs[disjoint[0]])
+    am = group.amalgams[j]
+    balls = np.flatnonzero(cover.roles == ROLE_VERTEX)
+    balls = balls[~np.isin(balls, am.ball_ids)]
+    d2 = ((cover.centers[balls] - np.mean(am.square, axis=1)) ** 2).sum(axis=1)
+    ranked = balls[np.lexsort((balls, d2))]
+    side_b = split_sides(group, j)[ranked]
+    near, far = ranked[~side_b], ranked[side_b]
+    for a in near:
+        _prod, order = pair_orders(cover.centers, cover.radii, np.full(len(far), a), far)
+        disjoint = np.flatnonzero(order == 0)
+        if len(disjoint):
+            return int(a), int(far[disjoint[0]])
+    raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
 
 
 def lambda_max(m):

@@ -80,8 +80,11 @@ class Run:
     @functools.cached_property
     def complex(self):
         if self.cfg.complex_path:
-            with open(self.cfg.complex_path, encoding="utf-8") as fh:
-                return cx.loads_complex(fh.read())
+            try:
+                with open(self.cfg.complex_path, encoding="utf-8") as fh:
+                    return cx.loads_complex(fh.read())
+            except (OSError, UnicodeDecodeError) as exc:
+                raise cx.ComplexError([f"cannot read the complex file: {exc}"]) from None
         return presets.preset_complex(self.cfg.preset)
 
     @functools.cached_property
@@ -474,12 +477,16 @@ def cmd_report(run, _args):
 
 
 def cmd_alexander(args):
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            pres = ax.parse_presentation(fh.read())
-    else:
-        pres = ax.PRESETS[args.knot_preset]
-    delta = ax.alexander_polynomial(pres)
+    try:
+        if args.file:
+            with open(args.file, encoding="utf-8") as fh:
+                pres = ax.parse_presentation(fh.read())
+        else:
+            pres = ax.PRESETS[args.knot_preset]
+        delta = ax.alexander_polynomial(pres)
+    except (OSError, ValueError) as exc:  # an unreadable or malformed presentation
+        print(f"FAIL alexander: {exc}")
+        return 1
     verdict = ax.nontriviality_verdict(delta, depth=args.depth)
     print(str(delta))
     print(f"verdict: {verdict['verdict']} (Delta(1) = {verdict['delta_at_1']})")
@@ -612,6 +619,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.func is cmd_alexander:
+        if args.depth < 0:
+            parser.error("depth must be >= 0")
         return cmd_alexander(args)
     try:
         cfg = _config_from_args(args)

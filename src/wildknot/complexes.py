@@ -18,7 +18,9 @@ exactly two surface squares (closed 2-manifold), Euler characteristic must be
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict, deque
+import itertools
+
+import numpy as np
 
 FORMAT_HEADER = "wildknot-complex 1"
 
@@ -246,61 +248,32 @@ def check_complex(c):
 
 
 # ---------------------------------------------------------------------------
-# Rasterization and the boundary surface
+# The boundary surface, on integer lattice arrays
 
-Face = tuple[tuple[int, int, int, int], tuple[int, int]]  # (corner, spanned axis pair)
-
-
-def rasterize(c):
-    """All cubes as unit 3-cells: list of (corner, spanned_axes)."""
-    unit = c.unit
-    cells = []
-    for cube in c.all_cubes:
-        n = cube.edge // unit
-        ax = cube.spanned_axes
-        base = cube.corner
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    corner = list(base)
-                    corner[ax[0]] += i * unit
-                    corner[ax[1]] += j * unit
-                    corner[ax[2]] += k * unit
-                    cells.append((tuple(corner), ax))
-    return cells
+# The six coordinate planes (i, j), i < j, numbered in sorted order.
+PLANES = np.array(list(itertools.combinations(range(4), 2)))
+# The six faces of a cell omitting axis o: for each spanned axis a in turn,
+# the lower and the upper face normal to a.  _FACE_STEP[o] holds their
+# corners' shifts in units, _FACE_PLANE[o] their planes' numbers.
+_FACE_STEP = np.zeros((4, 6, 4), dtype=np.int64)
+_FACE_PLANE = np.zeros((4, 6), dtype=np.int64)
+for _o, _a in itertools.permutations(range(4), 2):
+    _s = 2 * (_a - (_a > _o))
+    _FACE_STEP[_o, _s + 1, _a] = 1
+    _FACE_PLANE[_o, _s : _s + 2] = PLANES.tolist().index(sorted({0, 1, 2, 3} - {_o, _a}))
+# A face's corners in cyclic order, as unit shifts along its plane (i, j);
+# edge k runs from corner k to corner k + 1, along i for even k and along j
+# for odd k, in the direction _EDGE_SIGN[k].
+_CYCLE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_EDGE_SIGN = np.array([1, 1, -1, -1])
 
 
-def _cell_faces(corner, axes, unit):
-    for a in axes:
-        rest = tuple(b for b in axes if b != a)
-        lo = corner
-        hi = list(corner)
-        hi[a] += unit
-        yield (lo, rest)
-        yield (tuple(hi), rest)
-
-
-def face_vertices(face, unit):
-    corner, (i, j) = face
-    v1 = list(corner)
-    v1[i] += unit
-    v2 = list(corner)
-    v2[j] += unit
-    v3 = list(v1)
-    v3[j] += unit
-    return [corner, tuple(v1), tuple(v3), tuple(v2)]  # cyclic order around the face
-
-
-def face_edges_directed(face, unit):
-    vs = face_vertices(face, unit)
-    return [(vs[k], vs[(k + 1) % 4]) for k in range(4)]
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class KnotSurface:
     """Closed boundary surface of a cube complex, as unit lattice squares."""
 
-    faces: list  # list of Face, sorted (deterministic)
+    faces: np.ndarray  # (F, 6) int64 rows (corner x, y, z, w, plane axes i < j), sorted
+    vertices: np.ndarray  # (V, 4) int64 lattice points, sorted
     unit: int
     n_vertices: int
     n_edges: int
@@ -310,75 +283,122 @@ class KnotSurface:
     closed: bool
     issues: list
 
-    @property
-    def vertices(self):
-        seen = set()
-        for f in self.faces:
-            seen.update(face_vertices(f, self.unit))
-        return sorted(seen)
+
+def lattice_index(table, points):
+    """Row of the int lattice points `table` (n, 4) at each of `points`
+    (..., 4), -1 where a point is off the lattice, outside the table's box or
+    absent.  The rows are packed into sorted int64 keys and searched."""
+    if not len(table):
+        return np.full(np.shape(points)[:-1], -1)
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    dims = tuple(int(d) for d in hi - lo + 1)
+    keys = np.ravel_multi_index(tuple((table - lo).T), dims)
+    order = np.argsort(keys)
+    grid = np.rint(points)
+    ok = (grid == points).all(axis=-1) & (grid >= lo).all(axis=-1) & (grid <= hi).all(axis=-1)
+    rel = np.where(ok[..., None], grid - lo, 0).astype(np.int64)
+    query = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), dims)
+    at = np.minimum(np.searchsorted(keys, query, sorter=order), len(keys) - 1)
+    return np.where(ok & (keys[order[at]] == query), order[at], -1)
+
+
+def _cells(c):
+    """Every cube as unit 3-cells: (n, 4) int corners and each cell's omitted axis."""
+    corners, omitted = [], []
+    for cube in c.all_cubes:
+        n = cube.edge // c.unit
+        steps = np.indices((n, n, n)).reshape(3, -1).T @ np.eye(4, dtype=np.int64)[
+            list(cube.spanned_axes)]
+        corners.append(np.array(cube.corner) + c.unit * steps)
+        omitted.append(np.full(n**3, cube.omitted_axis))
+    return np.concatenate(corners), np.concatenate(omitted)
+
+
+def _orientation(neighbour, flip):
+    """(orientable, reached) by sign propagation from face 0: a face's sign is
+    its neighbour's, negated where `flip` says the two traverse their shared
+    edge in the same direction; one front of faces is signed per pass."""
+    sign = np.zeros(len(neighbour), dtype=np.int64)
+    sign[0] = 1
+    front = np.zeros(1, dtype=np.int64)
+    orientable = True
+    while len(front):
+        nbr = neighbour[front]
+        want = np.where(flip[front], -1, 1) * sign[front, None]
+        new = sign[nbr] == 0
+        sign[nbr[new]] = want[new]
+        orientable &= bool((sign[nbr] == want).all())
+        front = np.unique(nbr[new])
+    return orientable, int((sign != 0).sum())
 
 
 def knot_surface(c):
-    """Boundary surface = unit faces incident to exactly one rasterized cell."""
-    unit = c.unit
-    count = defaultdict(int)
-    for corner, axes in rasterize(c):
-        for face in _cell_faces(corner, axes, unit):
-            count[face] += 1
-    issues = []
-    over = [f for f, n in count.items() if n > 2]
-    if over:
-        issues.append(f"{len(over)} faces shared by more than two cells (e.g. {over[0]})")
-    faces = sorted(f for f, n in count.items() if n == 1)
+    """Boundary surface = unit faces incident to exactly one rasterized cell.
 
-    # closedness: every edge must bound exactly two surface faces
-    edge_faces = defaultdict(list)
-    for idx, f in enumerate(faces):
-        for a, b in face_edges_directed(f, unit):
-            edge_faces[frozenset((a, b))].append(idx)
-    bad_edges = {e: fs for e, fs in edge_faces.items() if len(fs) != 2}
-    closed = not bad_edges
-    if bad_edges:
-        e, fs = next(iter(bad_edges.items()))
+    Faces, edges and vertices are packed into mixed-radix int64 keys over the
+    complex's box, as (corner, plane), (lower endpoint, axis) and point; the
+    keys sort as the tuples do, and one np.unique with counts finds each kind.
+    Issue examples are the first offender in cell order and face order.
+    """
+    unit = c.unit
+    cells, omitted = _cells(c)
+    lo = cells.min(axis=0)
+    dims = tuple(int(d) for d in cells.max(axis=0) - lo + unit + 1)
+
+    def pack(points, code, radix):
+        return np.ravel_multi_index((*(points - lo).T, code), dims + (radix,))
+
+    corner = (cells[:, None, :] + unit * _FACE_STEP[omitted]).reshape(-1, 4)
+    plane = _FACE_PLANE[omitted].ravel()
+    keys, first, count = np.unique(pack(corner, plane, 6), return_index=True,
+                                   return_counts=True)
+    issues = []
+    over = count > 2
+    if over.any():
+        f = first[over].min()
+        example = (tuple(corner[f].tolist()), tuple(PLANES[plane[f]].tolist()))
+        issues.append(f"{over.sum()} faces shared by more than two cells (e.g. {example})")
+    *xyzw, plane = np.unravel_index(keys[count == 1], dims + (6,))
+    faces = np.column_stack([*(xyzw + lo[:, None]), PLANES[plane]])
+    n_f = len(faces)
+
+    # each face's corners (F, 4, 4) and its edges at rows 4 f + k
+    ij = faces[:, 4:]
+    ring = faces[:, None, :4] + unit * (_CYCLE @ np.eye(4, dtype=np.int64)[ij])
+    low = np.minimum(ring, np.roll(ring, -1, axis=1)).reshape(-1, 4)
+    axis = ij[:, [0, 1, 0, 1]].ravel()
+    e_keys, e_first, e_inverse, e_count = np.unique(
+        pack(low, axis, 4), return_index=True, return_inverse=True, return_counts=True)
+    bad = e_count != 2
+    closed = not bad.any()
+    if not closed:
+        e = e_first[bad].min()
+        top = low[e] + unit * (np.arange(4) == axis[e])
+        ends = [tuple(low[e].tolist()), tuple(top.tolist())]
         issues.append(
-            f"{len(bad_edges)} surface edges do not bound exactly two faces "
-            f"(e.g. edge {sorted(e)} bounds {len(fs)})"
+            f"{bad.sum()} surface edges do not bound exactly two faces "
+            f"(e.g. edge {ends} bounds {e_count[e_inverse[e]]})"
         )
 
-    vertices = set()
-    for f in faces:
-        vertices.update(face_vertices(f, unit))
-    n_v, n_e, n_f = len(vertices), len(edge_faces), len(faces)
+    v_keys = np.unique(pack(ring.reshape(-1, 4), 0, 1))
+    vertices = np.column_stack(np.unravel_index(v_keys, dims + (1,))[:4]) + lo
+    n_v, n_e = len(vertices), len(e_keys)
     chi = n_v - n_e + n_f
 
     orientable = True
     connected = True
-    if closed and faces:
-        # Propagate orientations: adjacent faces must traverse a shared edge
-        # in opposite directions.  sign[i] flips face i's canonical cycle.
-        directed = [set(face_edges_directed(f, unit)) for f in faces]
-        sign = [0] * len(faces)
-        sign[0] = 1
-        queue = deque([0])
-        reached = 1
-        while queue:
-            i = queue.popleft()
-            for a, b in directed[i]:
-                e = frozenset((a, b))
-                for j in edge_faces[e]:
-                    if j == i:
-                        continue
-                    # same-direction edge in both canonical cycles => opposite signs
-                    want = -sign[i] if (a, b) in directed[j] else sign[i]
-                    if sign[j] == 0:
-                        sign[j] = want
-                        reached += 1
-                        queue.append(j)
-                    elif sign[j] != want:
-                        orientable = False
-        connected = reached == len(faces)
+    if closed and n_f:
+        # an edge's two rows: their faces are neighbours, with opposite signs
+        # where both canonical cycles run the edge in the same direction
+        pair = np.argsort(e_inverse, kind="stable").reshape(-1, 2)
+        partner = np.empty(4 * n_f, dtype=np.int64)
+        partner[pair] = pair[:, ::-1]
+        sign = np.tile(_EDGE_SIGN, n_f)
+        orientable, reached = _orientation((partner // 4).reshape(-1, 4),
+                                           (sign == sign[partner]).reshape(-1, 4))
+        connected = reached == n_f
         if not connected:
-            issues.append(f"surface is disconnected ({reached} of {len(faces)} faces reached)")
+            issues.append(f"surface is disconnected ({reached} of {n_f} faces reached)")
         if not orientable:
             issues.append("surface is not orientable")
         if connected and chi != 2:
@@ -386,6 +406,7 @@ def knot_surface(c):
 
     return KnotSurface(
         faces=faces,
+        vertices=vertices,
         unit=unit,
         n_vertices=n_v,
         n_edges=n_e,

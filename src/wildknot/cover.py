@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import knot_surface
+from .complexes import knot_surface, lattice_index
 
 ROLE_VERTEX = 0
 ROLE_FACE = 1
@@ -84,7 +84,7 @@ class BallCover:
     adjacency: np.ndarray  # (n, 3) int64 rows (i, j, order m), sorted by (i, j)
     refinement: int
     unit: int
-    vertex_index: dict  # lattice vertex -> ball index
+    vertices: np.ndarray  # (V, 4) int64 sorted lattice points; row v is vertex ball v
 
     def __len__(self):
         return len(self.radii)
@@ -94,38 +94,43 @@ class BallCover:
             name: int((self.roles == code).sum()) for code, name in ROLE_NAMES.items()
         }
 
+    def vertex_balls(self, points):
+        """The vertex ball at each lattice point of `points` (..., 4), -1
+        where there is none."""
+        return lattice_index(self.vertices, points)
+
+
+# Junction sites of refinement level j around an attach square, in units of
+# the edge along its plane (u, v): (s_u j, s_v / 2) and (s_u / 2, s_v j) for
+# each sign pair.
+_SIGNS = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)])
+
 
 def _junction_sites(square_box, k):
     """Edge-midpoint centers for the 4+8k annulus balls of one attach square."""
-    axes = [a for a in range(4) if square_box[a][1] > square_box[a][0]]
+    box = np.array(square_box, dtype=float)
+    axes = np.flatnonzero(box[:, 1] > box[:, 0])
     if len(axes) != 2:
         raise CoverError("attach square is not two-dimensional")
-    u, v = axes
-    ell = square_box[u][1] - square_box[u][0]
-    base = [lo for lo, _ in square_box]
-    cu = base[u] + ell / 2.0
-    cv = base[v] + ell / 2.0
-
-    def site(du, dv):
-        p = [float(x) for x in base]
-        p[u] = cu + du
-        p[v] = cv + dv
-        return tuple(p)
-
+    ell = box[axes[0], 1] - box[axes[0], 0]
     half = ell / 2.0
-    sites = [site(0, -half), site(0, half), site(-half, 0), site(half, 0)]
-    for j in range(1, k + 1):
-        d = j * ell
-        for su in (-1, 1):
-            for sv in (-1, 1):
-                sites.append(site(su * d, sv * half))
-                sites.append(site(su * half, sv * d))
+    reach = np.full((k, 2, 2), half)
+    reach[:, 0, 0] = reach[:, 1, 1] = ell * np.arange(1, k + 1)
+    uv = np.concatenate([[(0, -half), (0, half), (-half, 0), (half, 0)],
+                         (_SIGNS[:, None] * reach[:, None]).reshape(-1, 2)])
+    sites = np.repeat(box[None, :, 0], len(uv), axis=0)
+    sites[:, axes] = box[axes, 0] + half + uv
     return sites
 
 
 def build_cover(c, k=0, surf=None):
     """Deterministic ball family for the complex's knot surface `surf`
-    (computed here when the caller has not built it)."""
+    (computed here when the caller has not built it).
+
+    The vertex balls come first, at the surface's sorted lattice vertices;
+    then each face's five balls, face by face, at the face-ball offsets
+    (+-A, 0), (0, +-A) from its middle and the centre ball at the middle;
+    then each attach square's junction balls."""
     if k < 0:
         raise CoverError("refinement k must be >= 0")
     if surf is None:
@@ -135,77 +140,44 @@ def build_cover(c, k=0, surf=None):
     ell = float(c.unit)
     p = closed_form_parameters(ell)
 
-    centers, radii, roles = [], [], []
+    plane = np.eye(4)[surf.faces[:, 4:]]  # (F, 2, 4): each face's unit vectors i, j
+    mids = surf.faces[:, :4] + (ell / 2.0) * plane.sum(axis=1)
+    a = p["face_offset"]
+    offsets = np.array([(a, 0.0), (-a, 0.0), (0.0, a), (0.0, -a), (0.0, 0.0)])
+    face_sites = (mids[:, None, :] + offsets @ plane).reshape(-1, 4)
+    junction = [_junction_sites(square, k) for square in c.attach_squares()]
+    junction = np.concatenate(junction) if junction else np.zeros((0, 4))
 
-    verts = surf.vertices  # sorted
-    vertex_index = {}
-    for v in verts:
-        vertex_index[v] = len(centers)
-        centers.append([float(x) for x in v])
-        radii.append(p["vertex_radius"])
-        roles.append(ROLE_VERTEX)
+    # refinement sites must stay on the surface lattice plate: each is the
+    # midpoint of a surface edge, whose endpoints lie half an edge away
+    # along one axis
+    ends = junction[:, None, None] + ell * np.eye(4)[:, None] * np.array([-0.5, 0.5])[:, None]
+    on_plate = (lattice_index(surf.vertices, ends) >= 0).all(axis=2).any(axis=1)
+    if not on_plate.all():
+        raise CoverError(
+            f"refinement k={k} places a junction ball at {tuple(junction[~on_plate][0])} "
+            "whose edge is not on the surface (annulus exceeds the plate)"
+        )
 
-    for corner, (i, j) in surf.faces:
-        mid = [float(x) for x in corner]
-        mid[i] += ell / 2.0
-        mid[j] += ell / 2.0
-        for du, dv in ((p["face_offset"], 0.0), (-p["face_offset"], 0.0),
-                       (0.0, p["face_offset"]), (0.0, -p["face_offset"])):
-            q = list(mid)
-            q[i] += du
-            q[j] += dv
-            centers.append(q)
-            radii.append(p["face_radius"])
-            roles.append(ROLE_FACE)
-        centers.append(mid)
-        radii.append(p["center_radius"])
-        roles.append(ROLE_FACE)
-
-    # junction annuli: 4 + 8k extra balls around each attach square
-    for square in c.attach_squares():
-        for site in _junction_sites(square, k):
-            centers.append(list(site))
-            radii.append(p["junction_radius"])
-            roles.append(ROLE_JUNCTION)
-
-    centers = np.array(centers, dtype=float)
-    radii = np.array(radii, dtype=float)
-    roles = np.array(roles, dtype=np.int8)
-
-    # refinement sites must stay on the surface lattice plate
-    junction = roles == ROLE_JUNCTION
-    if junction.any():
-        vset = {tuple(v) for v in verts}
-        for q in centers[junction]:
-            half_axes = [a for a in range(4) if abs((q[a] / ell) % 1.0 - 0.5) < 1e-9]
-            if len(half_axes) != 1:
-                raise CoverError(f"junction site {q} is not an edge midpoint")
-            a = half_axes[0]
-            lo = list(q)
-            hi = list(q)
-            lo[a] -= 0.5 * ell
-            hi[a] += 0.5 * ell
-            lo = tuple(int(round(x)) for x in lo)
-            hi = tuple(int(round(x)) for x in hi)
-            if lo not in vset or hi not in vset:
-                raise CoverError(
-                    f"refinement k={k} places a junction ball at {tuple(q)} whose "
-                    "edge is not on the surface (annulus exceeds the plate)"
-                )
-
-    host = _host_cubes(c, centers)
-    polars = lz.spheres(centers, radii)
-    adjacency = _adjacency(centers, radii)
+    n_v, n_f = len(surf.vertices), len(surf.faces)
+    centers = np.concatenate([surf.vertices.astype(float), face_sites, junction])
+    radii = np.concatenate([
+        np.full(n_v, p["vertex_radius"]),
+        np.tile([p["face_radius"]] * 4 + [p["center_radius"]], n_f),
+        np.full(len(junction), p["junction_radius"]),
+    ])
+    roles = np.repeat(np.array([ROLE_VERTEX, ROLE_FACE, ROLE_JUNCTION], dtype=np.int8),
+                      [n_v, 5 * n_f, len(junction)])
     return BallCover(
         centers=centers,
         radii=radii,
         roles=roles,
-        host=host,
-        polars=polars,
-        adjacency=adjacency,
+        host=_host_cubes(c, centers),
+        polars=lz.spheres(centers, radii),
+        adjacency=_adjacency(centers, radii),
         refinement=k,
         unit=c.unit,
-        vertex_index=vertex_index,
+        vertices=surf.vertices,
     )
 
 
@@ -363,8 +335,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     """
     ell = float(cover.unit)
     n_faces = len(surf.faces)
-    corner = np.array([f[0] for f in surf.faces], dtype=float)  # (F, 4)
-    plane = np.array([f[1] for f in surf.faces], dtype=np.int64)  # (F, 2) in-plane axes
+    corner = surf.faces[:, :4].astype(float)
+    plane = surf.faces[:, 4:]  # (F, 2) in-plane axes
     off = np.ones_like(corner)  # 1 on the two axes normal to the face plane
     off[np.arange(n_faces)[:, None], plane] = 0.0
     mids = corner + (1.0 - off) * (ell / 2.0)

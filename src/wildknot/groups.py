@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
+from .complexes import intersection_dim
 from .cover import ROLE_VERTEX, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
@@ -69,50 +70,32 @@ def reflection_matrices(polars):
     return np.eye(6)[None, :, :] - 2.0 * v[:, :, None] * jv[:, None, :]
 
 
-def _square_corners(square):
-    axes = [a for a in range(4) if square[a][1] > square[a][0]]
-    if len(axes) != 2:
-        return None
-    u, v = axes
-    base = [lo for lo, _ in square]
-    corners = []
-    for du in (square[u][0], square[u][1]):
-        for dv in (square[v][0], square[v][1]):
-            p = list(base)
-            p[u] = du
-            p[v] = dv
-            corners.append(tuple(p))
-    return corners
-
-
 def assemble_group(c, cover):
-    """Group data: the cover's adjacency as relations, and the amalgams."""
+    """Group data: the cover's adjacency as relations, and the amalgams: the
+    shared squares of consecutive cubes whose four corners hold vertex balls."""
     cubes = c.all_cubes
+    squares = [(p, cubes[p].box_intersection(cubes[p + 1])) for p in range(len(cubes) - 1)]
+    squares = [(p, box) for p, box in squares if box and intersection_dim(box) == 2]
+    boxes = np.array([box for _p, box in squares]).reshape(-1, 4, 2)
+    lo, span = boxes[..., 0], boxes[..., 1] - boxes[..., 0]
+    # corner q takes bit 0 of q along the first spanned axis, bit 1 along the second
+    bit = np.maximum(np.cumsum(span > 0, axis=1) - 1, 0)
+    corners = lo[:, None] + (np.arange(4)[:, None] >> bit[:, None] & 1) * span[:, None]
+    ids = np.sort(cover.vertex_balls(corners), axis=1)
     amalgams = []
-    for pos in range(len(cubes) - 1):
-        a, b = cubes[pos], cubes[pos + 1]
-        square = a.box_intersection(b)
-        corners = _square_corners(square)
-        if corners is None:
+    for (p, square), balls in zip(squares, ids.tolist()):
+        if balls[0] < 0:
             continue
-        ids = []
-        for corner in corners:
-            ball = cover.vertex_index.get(corner)
-            if ball is None:
-                ids = None
-                break
-            ids.append(ball)
-        if ids is None:
-            continue
+        a, b = cubes[p], cubes[p + 1]
         straight = a.omitted_axis == b.omitted_axis and sum(
             x != y for x, y in zip(a.corner, b.corner)
         ) == 1
         amalgams.append(
             Amalgam(
                 index=len(amalgams),
-                cube_pair=(pos, pos + 1),
+                cube_pair=(p, p + 1),
                 square=square,
-                ball_ids=tuple(sorted(ids)),
+                ball_ids=tuple(balls),
                 straight=straight,
             )
         )
@@ -266,25 +249,22 @@ def pairwise_disjoint_subassembly(cover, n=4):
     if n < 1:
         raise GroupError(f"a Schottky sub-assembly needs n >= 1 generators, not {n}")
     ell = cover.unit
+    verts = cover.vertices  # row v is vertex ball v, in sorted lattice order
     if n == 4:
-        offsets = ((ell, ell, 0, 0), (ell, 0, ell, 0), (0, ell, ell, 0))
-        for v in sorted(cover.vertex_index):
-            quad = [v] + [tuple(a + b for a, b in zip(v, o)) for o in offsets]
-            if all(w in cover.vertex_index for w in quad):
-                return subassembly(cover, [cover.vertex_index[w] for w in quad])
-    verts = sorted(cover.vertex_index)
+        offsets = ((0, 0, 0, 0), (ell, ell, 0, 0), (ell, 0, ell, 0), (0, ell, ell, 0))
+        quads = cover.vertex_balls(verts[:, None] + np.array(offsets))
+        found = np.flatnonzero((quads >= 0).all(axis=1))
+        if len(found):
+            return subassembly(cover, quads[found[0]])
     chosen = []
-    for v in verts:
-        if all(
-            sum((a - b) ** 2 for a, b in zip(v, w)) >= 2 * cover.unit**2
-            for w in chosen
-        ):
+    for v in range(len(verts)):
+        if all(((verts[v] - verts[w]) ** 2).sum() >= 2 * ell**2 for w in chosen):
             chosen.append(v)
         if len(chosen) == n:
             break
     if len(chosen) < n:
         raise GroupError(f"could not find {n} pairwise disjoint vertex balls")
-    return subassembly(cover, [cover.vertex_index[v] for v in chosen])
+    return subassembly(cover, chosen)
 
 
 @dataclasses.dataclass

@@ -94,11 +94,6 @@ def spun_trefoil_preset():
     return CubeComplex(big, tuple(tube))
 
 
-def degenerate_single_cube(edge=3):
-    """Single big cube, no tube: unknotted test mode (boundary is a 2-sphere)."""
-    return CubeComplex((Cube3((0, 0, 0, 0), edge, 3),), ())
-
-
 def preset_complex(name):
     if name in ("spun-trefoil", "spun_trefoil"):
         return spun_trefoil_preset()

@@ -1,10 +1,11 @@
 """Scalar reference implementations that the tests use as oracles.
 
-The library computes spheres, reflections and pair classes in batches
-(`lorentz.spheres`, `groups.reflection_matrices`, `cover.pair_orders`); the
-one-at-a-time formulas here are the tests' independent check on them.  The
-point maps, random Moebius maps, the presentation, polynomial and group-ring
-helpers and the complex-file loader serve only the tests.
+The library computes spheres, reflections, pair classes and the knot
+surface in batches (`lorentz.spheres`, `groups.reflection_matrices`,
+`cover.pair_orders`, `complexes.knot_surface`); the one-at-a-time formulas
+here are the tests' independent check on them.  The point maps, random
+Moebius maps, the presentation, polynomial and group-ring helpers, the
+single-cube complex and the complex-file loader serve only the tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import string
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -189,3 +191,145 @@ def load_complex(path):
     if issues:
         raise cx.ComplexError(issues)
     return c
+
+
+def degenerate_single_cube(edge=3):
+    """Single big cube, no tube: unknotted test mode (boundary is a 2-sphere)."""
+    return cx.CubeComplex((cx.Cube3((0, 0, 0, 0), edge, 3),), ())
+
+
+def straight_tube_complex():
+    """Two big cubes joined by a straight tube of six unit cubes."""
+    big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
+    return cx.CubeComplex(big, tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6)))
+
+
+# ---------------------------------------------------------------------------
+# The knot surface one cell, face and edge at a time, in dicts and sets
+
+
+def rasterize(c):
+    """All cubes as unit 3-cells: list of (corner, spanned_axes)."""
+    unit = c.unit
+    cells = []
+    for cube in c.all_cubes:
+        n = cube.edge // unit
+        ax = cube.spanned_axes
+        base = cube.corner
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    corner = list(base)
+                    corner[ax[0]] += i * unit
+                    corner[ax[1]] += j * unit
+                    corner[ax[2]] += k * unit
+                    cells.append((tuple(corner), ax))
+    return cells
+
+
+def _cell_faces(corner, axes, unit):
+    for a in axes:
+        rest = tuple(b for b in axes if b != a)
+        lo = corner
+        hi = list(corner)
+        hi[a] += unit
+        yield (lo, rest)
+        yield (tuple(hi), rest)
+
+
+def face_vertices(face, unit):
+    """A face (corner, (i, j))'s four lattice vertices in cyclic order."""
+    corner, (i, j) = face
+    v1 = list(corner)
+    v1[i] += unit
+    v2 = list(corner)
+    v2[j] += unit
+    v3 = list(v1)
+    v3[j] += unit
+    return [corner, tuple(v1), tuple(v3), tuple(v2)]
+
+
+def face_edges_directed(face, unit):
+    vs = face_vertices(face, unit)
+    return [(vs[k], vs[(k + 1) % 4]) for k in range(4)]
+
+
+def knot_surface(c):
+    """complexes.knot_surface's fields, from unit faces counted in a dict:
+    faces and vertices as sorted lists of tuples."""
+    unit = c.unit
+    count = defaultdict(int)
+    for corner, axes in rasterize(c):
+        for face in _cell_faces(corner, axes, unit):
+            count[face] += 1
+    issues = []
+    over = [f for f, n in count.items() if n > 2]
+    if over:
+        issues.append(f"{len(over)} faces shared by more than two cells (e.g. {over[0]})")
+    faces = sorted(f for f, n in count.items() if n == 1)
+
+    # closedness: every edge must bound exactly two surface faces
+    edge_faces = defaultdict(list)
+    for idx, f in enumerate(faces):
+        for a, b in face_edges_directed(f, unit):
+            edge_faces[frozenset((a, b))].append(idx)
+    bad_edges = {e: fs for e, fs in edge_faces.items() if len(fs) != 2}
+    closed = not bad_edges
+    if bad_edges:
+        e, fs = next(iter(bad_edges.items()))
+        issues.append(
+            f"{len(bad_edges)} surface edges do not bound exactly two faces "
+            f"(e.g. edge {sorted(e)} bounds {len(fs)})"
+        )
+
+    vertices = set()
+    for f in faces:
+        vertices.update(face_vertices(f, unit))
+    n_v, n_e, n_f = len(vertices), len(edge_faces), len(faces)
+    chi = n_v - n_e + n_f
+
+    orientable = True
+    connected = True
+    if closed and faces:
+        # Propagate orientations: adjacent faces must traverse a shared edge
+        # in opposite directions.  sign[i] flips face i's canonical cycle.
+        directed = [set(face_edges_directed(f, unit)) for f in faces]
+        sign = [0] * len(faces)
+        sign[0] = 1
+        queue = deque([0])
+        reached = 1
+        while queue:
+            i = queue.popleft()
+            for a, b in directed[i]:
+                e = frozenset((a, b))
+                for j in edge_faces[e]:
+                    if j == i:
+                        continue
+                    # same-direction edge in both canonical cycles => opposite signs
+                    want = -sign[i] if (a, b) in directed[j] else sign[i]
+                    if sign[j] == 0:
+                        sign[j] = want
+                        reached += 1
+                        queue.append(j)
+                    elif sign[j] != want:
+                        orientable = False
+        connected = reached == len(faces)
+        if not connected:
+            issues.append(f"surface is disconnected ({reached} of {len(faces)} faces reached)")
+        if not orientable:
+            issues.append("surface is not orientable")
+        if connected and chi != 2:
+            issues.append(f"Euler characteristic {chi} != 2 (not a 2-sphere)")
+
+    return {
+        "faces": faces,
+        "vertices": sorted(vertices),
+        "unit": unit,
+        "n_vertices": n_v,
+        "n_edges": n_e,
+        "euler_characteristic": chi,
+        "orientable": orientable,
+        "connected": connected,
+        "closed": closed,
+        "issues": issues,
+    }

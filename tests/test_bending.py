@@ -15,7 +15,7 @@ from wildknot.bending import (
     split_sides,
     suitable_amalgams,
 )
-from wildknot.cover import build_cover
+from wildknot.cover import ROLE_VERTEX, build_cover
 from wildknot.groups import GroupError, assemble_group
 from wildknot.presets import spun_trefoil_preset
 
@@ -215,6 +215,21 @@ def test_bend_relation_sweep(preset, mid_leg_amalgam):
         assert rep.relation_report["commutation_residual"] <= 1e-9
 
 
+def test_crossing_word_at_every_suitable_amalgam(preset, suitable):
+    """At each of the 264 suitable amalgams the word is two disjoint vertex
+    balls outside Gamma_j, the first on side A and the second on side B."""
+    _c, cover, group = preset
+    assert len(suitable) == 264
+    for j in suitable:
+        a, b = crossing_word(group, j)
+        side_b = split_sides(group, j)
+        assert not side_b[a] and side_b[b], j
+        assert cover.roles[a] == cover.roles[b] == ROLE_VERTEX
+        assert not {a, b} & set(group.amalgams[j].ball_ids)
+        assert orc.euclidean_exterior_cos(cover.centers[a], cover.radii[a],
+                                          cover.centers[b], cover.radii[b]) > 1.0, j
+
+
 def test_crossing_word_nontrivial_deformation(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     word = crossing_word(group, mid_leg_amalgam)
@@ -230,13 +245,18 @@ def test_crossing_word_nontrivial_deformation(preset, mid_leg_amalgam):
 
 
 def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
+    """lambda_max(C M C^-1) = lambda_max(M) for Moebius maps C.  Float64
+    eigenvalues of the product carry an error that grows with cond(C): about
+    1e-6 at cond 1e6 and 1e-2 at cond 5e7, for this word and for the longer
+    one of earlier versions alike.  So C runs over the random maps of seeds
+    0..39 with cond(C) < 1e5, and the tolerance is 1e-6."""
     _c, _cover, group = preset
     word = crossing_word(group, mid_leg_amalgam)
     rep = bend(group, mid_leg_amalgam, 0.2)
     m = rep.word_matrix(word)
-    rng = np.random.default_rng(5)
-    conj = orc.random_moebius(rng)
-    m_conj = conj @ m @ lz.inverse(conj)
-    # eigenvalues of a nonsymmetric 6x6 at dilation ~2e3 carry a few units
-    # in the fourth digit of conjugation noise; this is a sanity check only
-    assert lambda_max(m_conj) == pytest.approx(lambda_max(m), rel=1e-3)
+    conjugators = [orc.random_moebius(np.random.default_rng(seed)) for seed in range(40)]
+    conjugators = [c for c in conjugators if np.linalg.cond(c) < 1e5]
+    assert len(conjugators) >= 5
+    for conj in conjugators:
+        m_conj = conj @ m @ lz.inverse(conj)
+        assert lambda_max(m_conj) == pytest.approx(lambda_max(m), rel=1e-6)

@@ -7,14 +7,14 @@ from wildknot import complexes as cx
 from wildknot import groups as gr
 from wildknot.cli import Run, RunConfig, _check_orbit, main, run_pipeline
 
+import oracles as orc
+
 
 @pytest.fixture
 def tube_complex(tmp_path):
     """Two big cubes joined by a straight tube; passes all ten checks in ~1 s."""
-    big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
-    tube = tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6))
     path = tmp_path / "tube.txt"
-    cx.save_complex(cx.CubeComplex(big, tube), path)
+    cx.save_complex(orc.straight_tube_complex(), path)
     return str(path)
 
 
@@ -36,6 +36,21 @@ def test_alexander_from_file(tmp_path, capsys):
     p.write_text("ab\nabaBAB\n", encoding="utf-8")
     assert main(["alexander", "--file", str(p)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "t^2 - t + 1"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(None, "FAIL alexander: [Errno 2] No such file or directory"),
+     ("ab\nabQ\n", "FAIL alexander: letter 'Q' is not among the first 2 generators"),
+     ("ab\n", "FAIL alexander: need a deficiency-1 presentation, got deficiency 2")],
+    ids=["missing", "bad-letter", "deficiency"],
+)
+def test_alexander_bad_file_fails_without_traceback(tmp_path, capsys, text, expected):
+    p = tmp_path / "pres.txt"
+    if text is not None:
+        p.write_text(text, encoding="utf-8")
+    assert main(["alexander", "--file", str(p)]) == 1
+    assert capsys.readouterr().out.startswith(expected)
 
 
 def test_enumerate_length_zero(tmp_path, capsys):
@@ -113,6 +128,12 @@ def test_broken_complex_file_fails(tmp_path, capsys):
     bad.write_text("wildknot-complex 1\nbig 0 0 0 0 0 3\n", encoding="utf-8")
     assert main(["validate", "--complex", str(bad), "--out", str(tmp_path)]) == 1
     assert "FAIL complex: edge must be positive" in capsys.readouterr().out
+    missing = str(tmp_path / "missing.txt")
+    assert main(["build", "--complex", missing, "--out", str(tmp_path)]) == 1
+    assert "FAIL complex: cannot read the complex file: " in capsys.readouterr().out
+    bad.write_bytes(b"wildknot-complex 1\n\xff\xfe\n")  # not UTF-8
+    assert main(["build", "--complex", str(bad), "--out", str(tmp_path)]) == 1
+    assert "FAIL complex: cannot read the complex file: 'utf-8' codec" in capsys.readouterr().out
 
 
 def test_runconfig_guards():
@@ -128,7 +149,7 @@ def test_runconfig_guards():
 @pytest.mark.parametrize(
     "argv",
     [["report", "--domain-budget", "0"], ["report", "--domain-budget", "-1"],
-     ["validate", "--samples-per-face", "0"]],
+     ["validate", "--samples-per-face", "0"], ["alexander", "--depth", "-1"]],
 )
 def test_out_of_range_settings_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -212,11 +233,13 @@ def test_unknown_preset_fails_without_traceback(tmp_path, capsys):
     [
         ("big 0 0 0 0 2 3\nbig 9 0 0 4 2 3\ntube 0 0 0 1 1 2\n", "do not meet in a 2-face"),
         ("big 0 0 0 0 0 3\n", "edge must be positive"),
+        (None, "cannot read the complex file: [Errno 2] No such file or directory"),
     ],
 )
 def test_run_pipeline_records_an_invalid_complex_file(tmp_path, text, issue):
     bad = tmp_path / "bad.txt"
-    bad.write_text("wildknot-complex 1\n" + text, encoding="utf-8")
+    if text is not None:  # else the file is missing
+        bad.write_text("wildknot-complex 1\n" + text, encoding="utf-8")
     checks, out = run_pipeline(RunConfig(complex_path=str(bad), out_dir=str(tmp_path / "b")))
     assert list(checks) == ["complex"]
     ok, msg = checks["complex"]

@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from wildknot import complexes as cx
@@ -43,7 +46,13 @@ class TestPresetComplex:
     def test_validates(self, preset, preset_surface):
         assert cx.validate_complex(preset) == []
         issues, surf = cx.check_complex(preset)
-        assert issues == [] and surf == preset_surface
+        assert issues == []
+        for field in dataclasses.fields(cx.KnotSurface):
+            got, want = getattr(surf, field.name), getattr(preset_surface, field.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
 
     def test_hyperplane_levels(self, preset):
         assert preset.hyperplane_levels() == [-27, 0, 54, 81]
@@ -119,7 +128,7 @@ class TestSurface:
         assert s.n_vertices - s.n_edges + len(s.faces) == 2
 
     def test_single_cube_boundary(self):
-        s = cx.knot_surface(presets.degenerate_single_cube(edge=3))
+        s = cx.knot_surface(orc.degenerate_single_cube(edge=3))
         assert s.euler_characteristic == 2
         assert len(s.faces) == 6 * 9  # rasterized to unit squares
         assert s.closed and s.orientable
@@ -129,11 +138,11 @@ class TestSurface:
         assert (s.n_vertices, s.n_edges, len(s.faces)) == (8, 12, 6)
 
     def test_attach_squares_not_on_surface(self, preset, preset_surface):
-        faces = set(preset_surface.faces)
+        faces = {tuple(f) for f in preset_surface.faces.tolist()}
         for sq in preset.attach_squares():
             corner = tuple(lo for lo, hi in sq)
             axes = tuple(a for a in range(4) if sq[a][1] > sq[a][0])
-            assert (corner, axes) not in faces
+            assert corner + axes not in faces
 
     def test_two_sheets_at_an_edge_detected(self):
         # two unit cubes sharing one edge -> pinched, non-manifold surface
@@ -142,6 +151,45 @@ class TestSurface:
         )
         s = cx.knot_surface(c)
         assert not s.closed or not s.connected
+
+
+def _unit_cubes(*corners):
+    return cx.CubeComplex((cx.Cube3(corners[0], 1, 3),),
+                          tuple(cx.Cube3(c, 1, 3) for c in corners[1:]))
+
+
+REFERENCE_INPUTS = {
+    "preset": (presets.spun_trefoil_preset, None),
+    "single-cube-1": (lambda: orc.degenerate_single_cube(1), None),
+    "single-cube-3": (lambda: orc.degenerate_single_cube(3), None),
+    "straight-tube": (orc.straight_tube_complex, None),
+    # a unit cube stacked twice inside a 2-cube: 3 cells at its inner faces
+    "overlapping": (lambda: cx.CubeComplex(
+        (cx.Cube3((0, 0, 0, 0), 2, 3),),
+        (cx.Cube3((1, 0, 0, 0), 1, 3), cx.Cube3((1, 0, 0, 0), 1, 3))),
+        "faces shared by more than two cells"),
+    "edge-contact": (lambda: _unit_cubes((0, 0, 0, 0), (1, 1, 0, 0)),
+                     "do not bound exactly two faces"),
+    "disjoint": (lambda: _unit_cubes((0, 0, 0, 0), (5, 0, 0, 0)), "surface is disconnected"),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_surface_matches_the_reference(name):
+    """The array surface equals the dict reference field by field, the issue
+    strings and their examples included; each malformed input names its fault."""
+    make, fault = REFERENCE_INPUTS[name]
+    c = make()
+    got, want = cx.knot_surface(c), orc.knot_surface(c)
+    assert [(tuple(f[:4]), tuple(f[4:])) for f in got.faces.tolist()] == want["faces"]
+    assert [tuple(v) for v in got.vertices.tolist()] == want["vertices"]
+    for field in ("unit", "n_vertices", "n_edges", "euler_characteristic", "orientable",
+                  "connected", "closed", "issues"):
+        assert getattr(got, field) == want[field], field
+    if fault is None:
+        assert got.issues == []
+    else:
+        assert any(fault in issue for issue in got.issues)
 
 
 class TestFileRoundtrip:

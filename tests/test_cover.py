@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
-from wildknot.complexes import face_vertices, knot_surface
+from wildknot.complexes import knot_surface
 from wildknot.cover import (
     ROLE_FACE,
     ROLE_JUNCTION,
@@ -23,7 +23,10 @@ from wildknot.cover import (
     pairwise_sweep,
     validate_cover,
 )
-from wildknot.presets import degenerate_single_cube, spun_trefoil_preset
+from wildknot.presets import spun_trefoil_preset
+
+import oracles as orc
+from oracles import degenerate_single_cube
 
 
 def test_closed_form_constants():
@@ -270,11 +273,9 @@ def coverage_reference(cover, surf, face_of, n_samples=10_000, seed=0, chunk=200
     per_face = [[] for _ in faces]
     for b in np.nonzero(face_of >= 0)[0]:
         per_face[face_of[b]].append(int(b))
-    for f_idx, face in enumerate(faces):
-        for v in face_vertices(face, cover.unit):
-            b = cover.vertex_index.get(v)
-            if b is not None:
-                per_face[f_idx].append(b)
+    corner_balls = cover.vertex_balls(face_corners(surf))
+    for f_idx, balls in enumerate(corner_balls.tolist()):
+        per_face[f_idx] += [b for b in balls if b >= 0]
     width = max((len(c) for c in per_face), default=1)
     n_faces = len(faces)
     cand = np.zeros((n_faces, width), dtype=np.int64)
@@ -285,8 +286,8 @@ def coverage_reference(cover, surf, face_of, n_samples=10_000, seed=0, chunk=200
     cand_c = cover.centers[cand].astype(np.float32)
     cand_r2 = (cover.radii[cand] ** 2).astype(np.float32)
     cand_r2[~cand_mask] = -1.0
-    corners = np.array([f[0] for f in faces], dtype=np.float32)
-    span = np.array([f[1] for f in faces], dtype=np.int64)
+    corners = faces[:, :4].astype(np.float32)
+    span = faces[:, 4:]
     total = 0
     covered = 0
     misses = []
@@ -312,6 +313,13 @@ def coverage_reference(cover, surf, face_of, n_samples=10_000, seed=0, chunk=200
     return covered / total, misses
 
 
+def face_corners(surf):
+    """(F, 4, 4): each face's four lattice vertices, by the reference's
+    one-face formula."""
+    return np.array([orc.face_vertices((tuple(f[:4]), tuple(f[4:])), surf.unit)
+                     for f in surf.faces.tolist()])
+
+
 def face_pattern_faces(cover, surf):
     """Per ball, the face whose five-ball pattern it belongs to, -1 for the
     rest: build_cover lists those balls face by face after the vertex balls."""
@@ -327,15 +335,14 @@ def face_template(cover, surf, f):
     """Face f's nine template balls: its four corner vertex balls, then the
     face-role balls within the face offset of its middle, the four face balls
     first and the centre ball, centred on the middle, last."""
-    corner, (i, j) = surf.faces[f]
-    mid = np.array(corner, dtype=float)
-    mid[[i, j]] += cover.unit / 2.0
+    mid = surf.faces[f, :4].astype(float)
+    mid[surf.faces[f, 4:]] += cover.unit / 2.0
     dist = np.linalg.norm(cover.centers - mid, axis=1)
     own = np.flatnonzero((cover.roles == ROLE_FACE)
                          & (dist <= face_ball_offset(cover.unit) + 1e-9))
     own = own[np.argsort(-dist[own], kind="stable")]
     assert len(own) == 5 and dist[own[-1]] == 0.0
-    return [cover.vertex_index[v] for v in face_vertices(surf.faces[f], cover.unit)] + list(own)
+    return cover.vertex_balls(face_corners(surf)[f]).tolist() + list(own)
 
 
 def without_ball(cover, victim):
@@ -347,8 +354,7 @@ def without_ball(cover, victim):
         roles=cover.roles[keep],
         host=cover.host[keep],
         polars=cover.polars[keep],
-        vertex_index={v: i - (i > victim) for v, i in cover.vertex_index.items()
-                      if i != victim},
+        vertices=cover.vertices[np.arange(len(cover.vertices)) != victim],
     )
 
 
@@ -369,8 +375,7 @@ def test_removed_ball_breaks_coverage_locally(single_cube, slot):
     surf, cover = single_cube
     victim = face_template(cover, surf, 0)[slot]
     if cover.roles[victim] == ROLE_VERTEX:
-        v = tuple(int(x) for x in cover.centers[victim])
-        met = {f for f, face in enumerate(surf.faces) if v in face_vertices(face, cover.unit)}
+        met = set(np.flatnonzero((face_corners(surf) == cover.centers[victim]).all(-1).any(-1)))
         assert len(met) == 3
     else:
         met = {0}
@@ -390,12 +395,11 @@ def test_coverage_reaches_the_completeness_bound(single_cube):
     the result equals the reference, which checks each sample against every
     ball."""
     surf, cover = single_cube
-    corner, (i, j) = surf.faces[0]
     for radius in np.linspace(0.3, 0.8, 11):
-        center = np.array(corner, dtype=float)
-        center[[i, j]] += [1.0 + 0.75 * radius, 0.5]
+        center = surf.faces[0, :4].astype(float)
+        center[surf.faces[0, 4:]] += [1.0 + 0.75 * radius, 0.5]
         one = dataclasses.replace(cover, centers=center[None], radii=np.array([radius]),
-                                  vertex_index={})
+                                  vertices=np.zeros((0, 4), dtype=np.int64))
         got = coverage_check(one, surf, n_samples=300, seed=0)
         assert got[0] > 0.0
         assert got == coverage_reference(one, surf, np.full(1, -1), n_samples=300, seed=0)
@@ -452,11 +456,20 @@ def test_host_cubes_contain_centers():
 
 
 def test_vertex_index_roundtrip():
-    c = degenerate_single_cube(1)
-    cover = build_cover(c)
-    for v, i in cover.vertex_index.items():
-        assert cover.roles[i] == ROLE_VERTEX
-        assert tuple(cover.centers[i]) == tuple(float(x) for x in v)
+    """Every vertex ball is found at its own lattice point, as floats or as
+    ints and in any batch shape; off-lattice, absent and out-of-box points
+    give -1."""
+    cover = build_cover(degenerate_single_cube(2))
+    ids = np.flatnonzero(cover.roles == ROLE_VERTEX)
+    assert len(ids) == 26
+    assert np.array_equal(cover.vertex_balls(cover.centers[ids]), ids)
+    points = cover.centers[ids].astype(np.int64).reshape(2, 13, 4)
+    assert np.array_equal(cover.vertex_balls(points), ids.reshape(2, 13))
+    assert (cover.vertex_balls(cover.centers[cover.roles != ROLE_VERTEX]) == -1).all()
+    probes = [(0.5, 0, 0, 0), (0, 0, 0, 1e-9),  # off the lattice
+              (1, 1, 1, 0),  # inside the cube: in the box, no vertex ball
+              (3, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)]  # out of the box
+    assert cover.vertex_balls(np.array(probes, dtype=float)).tolist() == [-1] * len(probes)
 
 
 def test_deterministic_build():

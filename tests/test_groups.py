@@ -25,14 +25,14 @@ from wildknot.groups import (
     relation_suite,
     subassembly,
 )
-from wildknot.presets import degenerate_single_cube, spun_trefoil_preset
+from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
 
 
 @pytest.fixture(scope="module")
 def cube_group():
-    c = degenerate_single_cube(1)
+    c = orc.degenerate_single_cube(1)
     cover = build_cover(c)
     return c, cover, assemble_group(c, cover)
 
@@ -713,7 +713,7 @@ def test_relation_residuals_oracle():
 
 
 def test_subassembly_rejects_bad_pairs():
-    c = degenerate_single_cube(1)
+    c = orc.degenerate_single_cube(1)
     cover = build_cover(c)
     with pytest.raises(GroupError):
         subassembly(cover, [0, 0])

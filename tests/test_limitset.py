@@ -25,7 +25,8 @@ from wildknot.limitset import (
     slice_cloud,
     stage_report,
 )
-from wildknot.presets import degenerate_single_cube
+
+import oracles as orc
 
 
 def hausdorff_reference(cloud_a, cloud_b, block=1024):
@@ -51,7 +52,7 @@ def _cloud(points):
 
 @pytest.fixture(scope="module")
 def setup():
-    c = degenerate_single_cube(1)
+    c = orc.degenerate_single_cube(1)
     cover = build_cover(c)
     sub = pairwise_disjoint_subassembly(cover, n=4)
     orbit = orbit_spheres(sub, 6)
