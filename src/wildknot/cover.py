@@ -182,14 +182,55 @@ def build_cover(c, k=0, surf=None):
 
 
 def _host_cubes(c, centers):
-    host = np.full(len(centers), -1, dtype=np.int64)
-    for idx, cube in enumerate(c.all_cubes):
-        inside = np.ones(len(centers), dtype=bool)
-        for a in range(4):
-            lo, hi = cube.interval(a)
-            inside &= (centers[:, a] >= lo) & (centers[:, a] <= hi)
-        host[(host == -1) & inside] = idx
-    if (host == -1).any():
+    """Lowest c.all_cubes index of a cube whose closure holds each centre.
+
+    The big cubes are tested by interval.  The tube's cubes, all of edge ell
+    on one lattice of step ell, are found by one packed-key lookup: a closed
+    tube cube with omitted axis o holds x only if x is on the lattice along o
+    and the floor cell of x is the cube's own cell, or its next cell along
+    spanned axes where x is on the lattice.  Each cube is listed under those 8
+    cells, each centre is looked up under its floor cell once per axis o, and
+    the matches are confirmed by interval.
+    """
+    cubes = c.all_cubes
+    first = 1 if len(c.big) == 2 else len(c.big)  # all_cubes index of tube[0]
+    host = np.full(len(centers), len(cubes), dtype=np.int64)
+    for idx in [i for i in range(len(cubes)) if not first <= i < first + len(c.tube)]:
+        box = np.array([cubes[idx].interval(a) for a in range(4)])
+        inside = ((box[:, 0] <= centers) & (centers <= box[:, 1])).all(axis=1)
+        host[inside] = np.minimum(host[inside], idx)
+    if c.tube:
+        ell = c.unit
+        lo = np.array([t.corner for t in c.tube], dtype=np.int64)
+        omit = np.array([t.omitted_axis for t in c.tube])
+        hi = lo + ell * (np.arange(4) != omit[:, None])
+        cell, rem = np.divmod(lo - lo[0], ell)
+        if rem.any() or any(t.edge != ell for t in c.tube):
+            raise CoverError("tube cubes are not cells of one lattice of the tube unit")
+        # tube cube t is listed under (omit[t], cell[t] + s) for the 8 shifts
+        # s in {0, 1}^4 with s[omit[t]] = 0
+        shift = np.array(list(itertools.product((0, 1), repeat=4)))
+        t, s = np.nonzero(shift.T[omit] == 0)
+        base = cell.min(axis=0)
+        span = cell.max(axis=0) - base + 2
+        dims = (4, *span.tolist())
+        keys = np.ravel_multi_index((omit[t], *(cell[t] + shift[s] - base).T), dims)
+        order = np.argsort(keys, kind="stable")
+        keys, t = keys[order], t[order]
+        # centre i is looked up under (o, its floor cell) for each axis o
+        # along which it is on the lattice
+        rel = (centers - lo[0]) / ell
+        q = np.floor(rel)
+        inbox = ((q >= base) & (q < base + span)).all(axis=1)
+        i, o = np.nonzero((q == rel) & inbox[:, None])
+        query = np.ravel_multi_index((o, *(q[i] - base).astype(np.int64).T), dims)
+        at = np.searchsorted(keys, query, "left")
+        count = np.searchsorted(keys, query, "right") - at
+        i = np.repeat(i, count)
+        t = t[np.repeat(at - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        held = ((lo[t] <= centers[i]) & (centers[i] <= hi[t])).all(axis=1)
+        np.minimum.at(host, i[held], first + t[held])
+    if (host == len(cubes)).any():
         raise CoverError("ball center outside every cube closure")
     return host
 
@@ -329,9 +370,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     closed square, from one grid join of the face middles against the ball
     centres; the cell side r_max + ell/sqrt(2) bounds a centre's distance from
     the middle of any square its ball meets, so the lists are complete.  The
-    float32 samples are tested in float64, in the face plane, against every
-    candidate disk, so no recheck is needed.  Returns (fraction, misses) with misses as (face index,
-    point) pairs, the point being the face's float32 corner plus the sample.
+    candidates go into one face-major table of (F, width) rows u, v and
+    reach2 = r^2 - h^2, width being the largest candidate count; padding
+    slots have reach2 = -inf, so they contain no point.  The float32 samples
+    of a block of faces are widened to float64 once and tested rank by rank
+    against the table's columns, in the face plane, with no recheck.  Returns
+    (fraction, misses) with misses as (face index, point) pairs in face then
+    sample order, the point being the face's float32 corner plus the sample.
     """
     ell = float(cover.unit)
     n_faces = len(surf.faces)
@@ -353,22 +398,34 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
     by_face = np.argsort(face, kind="stable")
     face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
+    count = np.bincount(face, minlength=n_faces)
+    rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    width = int(count.max(initial=0))
+    table_u, table_v = np.zeros((2, n_faces, width))
+    table_r2 = np.full((n_faces, width), -np.inf)  # padding: no point inside
+    table_u[face, rank], table_v[face, rank] = cuv.T
+    table_r2[face, rank] = reach2
 
     rng = np.random.default_rng(seed)
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
+    work = np.empty((4, block, n_samples))  # u, v, du, dv of one block
+    flags = np.empty((2, block, n_samples), dtype=bool)  # ok, inside
     misses = []
     for lo in range(0, n_faces, block):
         hi = min(lo + block, n_faces)
         uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell
-        a, z = np.searchsorted(face, (lo, hi))
-        f = face[a:z] - lo
-        du = uv[f, :, 0] - cuv[a:z, 0, None]  # (pairs, samples), float64
-        dv = uv[f, :, 1] - cuv[a:z, 1, None]
-        inside = du * du + dv * dv < reach2[a:z, None]
-        ok = np.zeros((hi - lo, n_samples), dtype=bool)
-        hit, first = np.unique(f, return_index=True)
-        if len(hit):
-            ok[hit] = np.logical_or.reduceat(inside, first, axis=0)
+        u, v, du, dv = work[:, : hi - lo]
+        ok, inside = flags[:, : hi - lo]
+        np.copyto(u, uv[:, :, 0])
+        np.copyto(v, uv[:, :, 1])
+        ok[...] = False
+        for r in range(width):
+            np.subtract(u, table_u[lo:hi, r, None], out=du)
+            np.subtract(v, table_v[lo:hi, r, None], out=dv)
+            np.multiply(du, du, out=du)
+            np.multiply(dv, dv, out=dv)
+            np.add(du, dv, out=du)
+            ok |= np.less(du, table_r2[lo:hi, r, None], out=inside)
         fi, si = np.nonzero(~ok)
         pts = corner[lo + fi].astype(np.float32)
         for col in (0, 1):

@@ -143,7 +143,7 @@ def relation_residuals(centers, radii, orders):
     mid = 0.5 * (centers[:, 0] + centers[:, 1])
     pi = lz.spheres(centers[:, 0] - mid, radii[:, 0])
     pk = lz.spheres(centers[:, 1] - mid, radii[:, 1])
-    prod = np.einsum("nab,nbc->nac", reflection_matrices(pi), reflection_matrices(pk))
+    prod = reflection_matrices(pi) @ reflection_matrices(pk)
     residual = np.zeros(len(orders))
     gap = np.full(len(orders), math.inf)
     power = prod
@@ -153,7 +153,7 @@ def relation_residuals(centers, radii, orders):
         residual = np.where(orders == p, dist, residual)
         gap = np.where(orders > p, np.minimum(gap, dist), gap)
         if p < top:
-            power = np.einsum("nab,nbc->nac", power, prod)
+            power = power @ prod
     return residual, gap
 
 
@@ -361,7 +361,7 @@ def enumerate_words(sub, max_length, dtype=float):
 def lorentz_drift(table):
     """Max || M^T J M - J ||_inf over all words in the table."""
     m = table.matrices
-    g = np.einsum("nba,bc,ncd->nad", m, lz.J, m)  # M^T J M
+    g = np.swapaxes(m, 1, 2) @ (m * np.diag(lz.J)[:, None])  # M^T J M, J diagonal
     return float(np.abs(g - lz.J[None]).max())
 
 

@@ -1,11 +1,12 @@
 """Scalar reference implementations that the tests use as oracles.
 
-The library computes spheres, reflections, pair classes and the knot
-surface in batches (`lorentz.spheres`, `groups.reflection_matrices`,
-`cover.pair_orders`, `complexes.knot_surface`); the one-at-a-time formulas
-here are the tests' independent check on them.  The point maps, random
-Moebius maps, the presentation, polynomial and group-ring helpers, the
-single-cube complex and the complex-file loader serve only the tests.
+The library computes spheres, reflections, pair classes, the knot surface
+and each ball's host cube in batches (`lorentz.spheres`,
+`groups.reflection_matrices`, `cover.pair_orders`, `complexes.knot_surface`,
+`cover._host_cubes`); the one-at-a-time formulas here are the tests'
+independent check on them.  The point maps, random Moebius maps, the
+presentation, polynomial and group-ring helpers, the single-cube complex and
+the complex-file loader serve only the tests.
 """
 
 from __future__ import annotations
@@ -202,6 +203,19 @@ def straight_tube_complex():
     """Two big cubes joined by a straight tube of six unit cubes."""
     big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
     return cx.CubeComplex(big, tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6)))
+
+
+def host_cubes(c, centers):
+    """Per centre, the lowest c.all_cubes index of a cube whose closure holds
+    it, -1 where none does: one interval pass per cube."""
+    host = np.full(len(centers), -1, dtype=np.int64)
+    for idx, cube in enumerate(c.all_cubes):
+        inside = np.ones(len(centers), dtype=bool)
+        for a in range(4):
+            lo, hi = cube.interval(a)
+            inside &= (centers[:, a] >= lo) & (centers[:, a] <= hi)
+        host[(host == -1) & inside] = idx
+    return host
 
 
 # ---------------------------------------------------------------------------

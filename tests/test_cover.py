@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
-from wildknot.complexes import knot_surface
+from wildknot.complexes import Cube3, knot_surface
 from wildknot.cover import (
     ROLE_FACE,
     ROLE_JUNCTION,
     ROLE_VERTEX,
     CoverError,
     _adjacency,
+    _host_cubes,
     _near_pairs,
     build_cover,
     closed_form_parameters,
@@ -405,6 +406,38 @@ def test_coverage_reaches_the_completeness_bound(single_cube):
         assert got == coverage_reference(one, surf, np.full(1, -1), n_samples=300, seed=0)
 
 
+def test_coverage_faces_without_candidates_miss_every_sample(single_cube):
+    """Face 0's own five face-role balls reach no other face, so the other
+    faces' rows of the disk table are padding only and every sample of theirs
+    is a miss; a lone ball far away leaves no candidate anywhere."""
+    surf, cover = single_cube
+    n = 300
+    own = np.isin(np.arange(len(cover)), face_template(cover, surf, 0)[4:])
+    part = dataclasses.replace(cover, centers=cover.centers[own], radii=cover.radii[own],
+                               vertices=np.zeros((0, 4), dtype=np.int64))
+    frac, misses = coverage_check(part, surf, n_samples=n, seed=0)
+    per_face = np.bincount([fi for fi, _pt in misses], minlength=len(surf.faces))
+    assert 0 < per_face[0] < n and (per_face[1:] == n).all()
+    assert (frac, misses) == coverage_reference(part, surf, np.zeros(5, dtype=int),
+                                                n_samples=n, seed=0)
+    far = dataclasses.replace(part, centers=np.full((1, 4), 50.0), radii=np.ones(1))
+    got = coverage_check(far, surf, n_samples=n, seed=0)
+    assert got[0] == 0.0 and len(got[1]) == n * len(surf.faces)
+    assert got == coverage_reference(far, surf, np.full(1, -1), n_samples=n, seed=0)
+
+
+def trace_candidates(cover, surf, f):
+    """The balls whose open trace disk in face f's plane meets its closed
+    square, from every ball of the cover."""
+    d = cover.centers - surf.faces[f, :4]
+    normal = np.ones(4, dtype=bool)
+    normal[surf.faces[f, 4:]] = False
+    uv = d[:, surf.faces[f, 4:]]
+    gap = np.maximum(np.maximum(-uv, uv - cover.unit), 0.0)
+    reach2 = cover.radii**2 - (d[:, normal] ** 2).sum(axis=1)
+    return np.flatnonzero((gap**2).sum(axis=1) < reach2)
+
+
 @pytest.fixture(scope="module")
 def preset_covers():
     c = spun_trefoil_preset()
@@ -422,6 +455,34 @@ def test_coverage_matches_reference_on_the_preset(preset_covers, k):
     assert got == (1.0, [])
     assert got == coverage_reference(cover, surf, face_pattern_faces(cover, surf),
                                      n_samples=20, seed=0)
+
+
+def test_coverage_misses_on_the_junction_rows(preset_covers):
+    """At k = 2 the faces by a junction ball have ten candidate disks, the
+    widest rows of the table.  The junction balls cover nothing the face
+    pattern leaves open, so dropping one leaves no miss; dropping a corner
+    vertex ball of such a face leaves misses on it, and only on faces at that
+    corner.  Both equal the reference."""
+    surf, covers = preset_covers
+    cover = covers[2]
+    face_of = face_pattern_faces(cover, surf)
+    junction = np.flatnonzero(cover.roles == ROLE_JUNCTION)
+    near = (np.abs(cover.centers[junction, None] - surf.faces[:, :4]) <= 1).all(-1).any(0)
+    wide = [f for f in np.flatnonzero(near) if len(trace_candidates(cover, surf, f)) == 10]
+    assert wide and all(np.isin(trace_candidates(cover, surf, f), junction).any() for f in wide)
+    f = wide[0]
+    vertex = face_template(cover, surf, f)[0]
+    for victim in (junction[0], vertex):
+        broken = without_ball(cover, victim)
+        got = coverage_check(broken, surf, n_samples=200, seed=0)
+        assert got == coverage_reference(broken, surf, face_of[np.arange(len(cover)) != victim],
+                                         n_samples=200, seed=0)
+        if victim == vertex:
+            missed = {fi for fi, _pt in got[1]}
+            met = (face_corners(surf) == cover.centers[vertex]).all(-1).any(-1)
+            assert f in missed and missed <= set(np.flatnonzero(met))
+        else:
+            assert got == (1.0, [])
 
 
 def test_preset_cover_junction_counts(preset_covers):
@@ -453,6 +514,36 @@ def test_host_cubes_contain_centers():
         for a in range(4):
             lo, hi = cube.interval(a)
             assert lo - 1e-12 <= cover.centers[idx][a] <= hi + 1e-12
+
+
+@pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "straight tube", "single cube"])
+def test_host_cubes_match_the_cube_by_cube_reference(preset_covers, name):
+    """The lowest-index host of every ball centre, as one interval pass per
+    cube finds it."""
+    if name.startswith("preset"):
+        c, cover = spun_trefoil_preset(), preset_covers[1][int(name[-1])]
+    else:
+        c = orc.straight_tube_complex() if name == "straight tube" else degenerate_single_cube(3)
+        cover = build_cover(c)
+    assert np.array_equal(cover.host, orc.host_cubes(c, cover.centers))
+
+
+def test_host_cubes_on_the_tube_lattice_and_off_every_cube():
+    """Every half-lattice point of the straight tube complex's box that some
+    cube holds, corners and shared faces included, gets the reference's
+    lowest index; a point no cube holds raises, and so does a tube whose
+    cubes are not cells of one lattice."""
+    c = orc.straight_tube_complex()
+    grid = np.stack(np.meshgrid(*[np.arange(-0.5, 9.01, 0.5)] * 4, indexing="ij"), -1)
+    points = grid.reshape(-1, 4)
+    want = orc.host_cubes(c, points)
+    assert set(want.tolist()) == set(range(-1, len(c.all_cubes)))
+    assert np.array_equal(_host_cubes(c, points[want >= 0]), want[want >= 0])
+    with pytest.raises(CoverError, match="outside every cube"):
+        _host_cubes(c, points[want < 0][:1])
+    skew = dataclasses.replace(c, tube=(Cube3((1, 1, 0, 0), 2, 2), Cube3((2, 1, 0, 2), 2, 2)))
+    with pytest.raises(CoverError, match="one lattice"):
+        _host_cubes(skew, points[want >= 0])
 
 
 def test_vertex_index_roundtrip():

@@ -463,6 +463,29 @@ def test_lorentz_drift_small(cube_group):
     assert lorentz_drift(table) <= 1e-7
 
 
+def test_lorentz_drift_is_the_largest_defect_and_sees_a_perturbation(cube_group):
+    """Per matrix the drift is the oracle's defect, and over the table its
+    maximum, up to float64 rounding of entries near 1e4 (~1e-8, summed in
+    another order); one entry of one generator moved by 1e-6 shows.  A
+    long-double table keeps its precision: its drift stays far below that
+    rounding."""
+    _c, cover, _g = cube_group
+    sub = pairwise_disjoint_subassembly(cover, n=4)
+    table = enumerate_words(sub, 6)
+    defects = [orc.lorentz_defect(m) for m in table.matrices]
+    for i in range(0, len(defects), 97):
+        one = dataclasses.replace(table, matrices=table.matrices[i : i + 1])
+        assert lorentz_drift(one) == pytest.approx(defects[i], abs=1e-8)
+    assert lorentz_drift(table) == pytest.approx(max(defects), abs=1e-8)
+    bent = table.matrices.copy()
+    bent[1, 0, 0] += 1e-6
+    drift = lorentz_drift(dataclasses.replace(table, matrices=bent))
+    assert drift > 1e-7 and drift == pytest.approx(orc.lorentz_defect(bent[1]), abs=1e-8)
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        long = enumerate_words(sub, 6, dtype=np.longdouble)
+        assert np.abs(long.matrices).max() > 1e4 and lorentz_drift(long) < 1e-9
+
+
 def test_faithfulness_scan(cube_group):
     _c, cover, _g = cube_group
     sub = pairwise_disjoint_subassembly(cover, n=4)
