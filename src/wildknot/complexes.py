@@ -23,6 +23,11 @@ import itertools
 import numpy as np
 
 FORMAT_HEADER = "wildknot-complex 1"
+# Bound on the fields of a complex file, so that the int64 boxes and their
+# sums cannot overflow.
+FIELD_LIMIT = 1 << 60
+# Cube pairs per block of check_complex's tube-by-tube meet.
+PAIR_BLOCK = 1 << 16
 
 
 class ComplexError(ValueError):
@@ -51,25 +56,23 @@ class Cube3:
     def spanned_axes(self):
         return tuple(a for a in range(4) if a != self.omitted_axis)
 
-    def interval(self, axis):
-        """Closed extent along an axis; degenerate on the omitted axis."""
-        lo = self.corner[axis]
-        return (lo, lo if axis == self.omitted_axis else lo + self.edge)
 
-    def box_intersection(self, other):
-        """Closed-box intersection as intervals, or None if empty."""
-        out = []
-        for a in range(4):
-            lo = max(self.interval(a)[0], other.interval(a)[0])
-            hi = min(self.interval(a)[1], other.interval(a)[1])
-            if lo > hi:
-                return None
-            out.append((lo, hi))
-        return out
+def boxes(cubes):
+    """The closed boxes of a cube sequence: (n, 4, 2) int64 [lo, hi] per axis,
+    degenerate on each cube's omitted axis."""
+    rows = np.array([(*cu.corner, cu.edge, cu.omitted_axis) for cu in cubes],
+                    dtype=np.int64).reshape(-1, 6)
+    lo = rows[:, :4]
+    hi = lo + rows[:, 4:5] * (np.arange(4) != rows[:, 5:])
+    return np.stack([lo, hi], axis=-1)
 
 
-def intersection_dim(box):
-    return sum(1 for lo, hi in box if hi > lo)
+def meet(a, b):
+    """Closed intersection of two box arrays (..., 4, 2), broadcast: the meet
+    box and its dimension (the axes of positive extent), -1 where disjoint."""
+    box = np.stack([np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1])], axis=-1)
+    span = box[..., 1] - box[..., 0]
+    return box, np.where((span >= 0).all(axis=-1), (span > 0).sum(axis=-1), -1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,13 +91,13 @@ class CubeComplex:
         return self.tube[0].edge if self.tube else 1
 
     def attach_squares(self):
-        """The two squares where the tube meets the big cubes (boxes)."""
+        """The two squares where the tube meets the big cubes, as lists of
+        (lo, hi) per axis; None where the two cubes do not meet."""
         if len(self.big) != 2 or not self.tube:
             return []
-        return [
-            self.big[0].box_intersection(self.tube[0]),
-            self.big[1].box_intersection(self.tube[-1]),
-        ]
+        box, dim = meet(boxes(self.big), boxes((self.tube[0], self.tube[-1])))
+        return [list(map(tuple, b)) if d >= 0 else None
+                for b, d in zip(box.tolist(), dim.tolist())]
 
     def hyperplane_levels(self):
         """Sorted x4-levels of the cubes lying inside a w = const hyperplane."""
@@ -129,6 +132,8 @@ def loads_complex(text):
             nums = [int(p) for p in parts[1:]]
         except ValueError:
             raise ComplexError([f"non-integer field in record: {ln!r}"]) from None
+        if max(map(abs, nums)) >= FIELD_LIMIT:
+            raise ComplexError([f"field out of range (|field| < 2**60) in record: {ln!r}"])
         try:
             cube = Cube3(tuple(nums[:4]), nums[4], nums[5])
         except ValueError as exc:
@@ -173,73 +178,70 @@ def check_complex(c):
     if c.big[0].edge % unit != 0:
         issues.append("big edge is not a multiple of the tube unit")
 
-    chain = [c.big[0]] + list(c.tube) + [c.big[1]]
+    chain = boxes(c.all_cubes)  # Q0, the tube in order, Q1
+    tube = chain[1:-1]
     names = ["Q0"] + [f"tube[{i}]" for i in range(len(c.tube))] + ["Q1"]
 
     # consecutive cubes share exactly one full unit square 2-face
-    for i in range(len(chain) - 1):
-        box = chain[i].box_intersection(chain[i + 1])
-        if box is None or intersection_dim(box) != 2:
+    box, dim = meet(chain[:-1], chain[1:])
+    sides = np.sort(box[..., 1] - box[..., 0], axis=1)[:, 2:]
+    for i in np.flatnonzero((dim != 2) | (sides != unit).any(axis=1)).tolist():
+        if dim[i] != 2:
             issues.append(f"{names[i]} and {names[i + 1]} do not meet in a 2-face")
             continue
-        sides = sorted(hi - lo for lo, hi in box if hi > lo)
-        if sides != [unit, unit]:
-            issues.append(
-                f"{names[i]} and {names[i + 1]} meet in a {sides[0]}x{sides[1]} "
-                f"rectangle, not a {unit}x{unit} square"
-            )
+        s0, s1 = sides[i].tolist()
+        issues.append(
+            f"{names[i]} and {names[i + 1]} meet in a {s0}x{s1} "
+            f"rectangle, not a {unit}x{unit} square"
+        )
 
-    # attachment squares centered at the centers of big-cube faces
-    for b_idx, (big, t) in enumerate([(c.big[0], c.tube[0]), (c.big[1], c.tube[-1])]):
-        box = big.box_intersection(t)
-        if box is None or intersection_dim(box) != 2:
-            continue  # already reported
-        square_axes = [a for a in range(4) if box[a][1] > box[a][0]]
-        for a in square_axes:
-            mid = (box[a][0] + box[a][1]) / 2.0
-            big_mid = (big.interval(a)[0] + big.interval(a)[1]) / 2.0
-            if mid != big_mid:
-                issues.append(
-                    f"attach square of Q{b_idx} is off-center along axis {a} "
-                    f"(square center {mid}, face center {big_mid})"
-                )
+    # attachment squares centered at the centers of big-cube faces; the first
+    # and last consecutive meets are Q0 with tube[0] and tube[-1] with Q1
+    square, big = box[[0, -1]], chain[[0, -1]]
+    off = ((dim[[0, -1], None] == 2) & (square[..., 1] > square[..., 0])
+           & (square.sum(axis=-1) != big.sum(axis=-1)))
+    for b_idx, a in np.argwhere(off).tolist():
+        mid, big_mid = sum(square[b_idx, a].tolist()) / 2.0, sum(big[b_idx, a].tolist()) / 2.0
+        issues.append(
+            f"attach square of Q{b_idx} is off-center along axis {a} "
+            f"(square center {mid}, face center {big_mid})"
+        )
 
     # big cubes meet the tube nowhere else, and never each other
-    if c.big[0].box_intersection(c.big[1]) is not None:
+    if meet(chain[0], chain[-1])[1] >= 0:
         issues.append("Q0 and Q1 intersect")
-    for b_idx, big in enumerate(c.big):
-        for i, t in enumerate(c.tube):
-            if (b_idx, i) in ((0, 0), (1, len(c.tube) - 1)):
-                continue
-            if big.box_intersection(t) is not None:
-                issues.append(f"tube[{i}] touches Q{b_idx} away from the attach square")
+    touch = meet(big[:, None], tube[None])[1] >= 0
+    touch[0, 0] = touch[1, -1] = False
+    for b_idx, i in np.argwhere(touch).tolist():
+        issues.append(f"tube[{i}] touches Q{b_idx} away from the attach square")
 
     # non-consecutive tube cubes: disjoint closures, except that the cubes
-    # immediately before and after a turn may share exactly one edge
-    for i in range(len(c.tube)):
-        for j in range(i + 2, len(c.tube)):
-            box = c.tube[i].box_intersection(c.tube[j])
-            if box is None:
-                continue
-            dim = intersection_dim(box)
-            if j == i + 2 and dim == 1:
-                continue  # turn contact: a single shared edge
+    # immediately before and after a turn may share exactly one edge; the
+    # rows go in blocks of about PAIR_BLOCK pairs
+    n = len(tube)
+    rows = max(1, PAIR_BLOCK // n)
+    for i0 in range(0, n, rows):
+        pair_dim = meet(tube[i0 : i0 + rows, None], tube[None])[1]
+        gap = np.arange(n) - np.arange(i0, i0 + len(pair_dim))[:, None]  # j - i
+        bad = (gap >= 2) & (pair_dim >= 0) & ~((gap == 2) & (pair_dim == 1))
+        for i, j in np.argwhere(bad).tolist():
             issues.append(
-                f"tube[{i}] and tube[{j}] overlap in a {dim}-dimensional set "
+                f"tube[{i0 + i}] and tube[{j}] overlap in a {pair_dim[i, j]}-dimensional set "
                 "(non-consecutive cubes must have disjoint closures)"
             )
 
-    # every cube lies in a w-hyperplane or is a vertical (w-spanning) connector
+    # every cube lies in a w-hyperplane or is a vertical (w-spanning)
+    # connector between the lowest and the highest of those hyperplanes
     levels = c.hyperplane_levels()
     if len(levels) > 4:
         issues.append(f"hyperplane cubes occupy {len(levels)} levels {levels}, expected <= 4")
-    lo_w = min(cu.interval(3)[0] for cu in c.all_cubes)
-    hi_w = max(cu.interval(3)[1] for cu in c.all_cubes)
-    for i, t in enumerate(c.tube):
-        if t.omitted_axis != 3:
-            w0, w1 = t.interval(3)
-            if w0 < lo_w or w1 > hi_w:
-                issues.append(f"tube[{i}] connector leaves the hyperplane range")
+    if not levels:
+        issues.append("no cube lies in a w-hyperplane")
+    else:
+        w0, w1 = tube[:, 3, 0], tube[:, 3, 1]
+        leaves = (w1 > w0) & ((w0 < levels[0]) | (w1 > levels[-1]))
+        for i in np.flatnonzero(leaves).tolist():
+            issues.append(f"tube[{i}] connector leaves the hyperplane range")
 
     if issues:
         return issues, None

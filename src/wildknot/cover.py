@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import knot_surface, lattice_index
+from .complexes import boxes, knot_surface, lattice_index
 
 ROLE_VERTEX = 0
 ROLE_FACE = 1
@@ -192,20 +192,19 @@ def _host_cubes(c, centers):
     cells, each centre is looked up under its floor cell once per axis o, and
     the matches are confirmed by interval.
     """
-    cubes = c.all_cubes
+    box = boxes(c.all_cubes)
+    n_cubes = len(box)
     first = 1 if len(c.big) == 2 else len(c.big)  # all_cubes index of tube[0]
-    host = np.full(len(centers), len(cubes), dtype=np.int64)
-    for idx in [i for i in range(len(cubes)) if not first <= i < first + len(c.tube)]:
-        box = np.array([cubes[idx].interval(a) for a in range(4)])
-        inside = ((box[:, 0] <= centers) & (centers <= box[:, 1])).all(axis=1)
-        host[inside] = np.minimum(host[inside], idx)
+    tube = np.arange(first, first + len(c.tube))
+    big = np.setdiff1d(np.arange(n_cubes), tube)
+    inside = ((box[big, None, :, 0] <= centers) & (centers <= box[big, None, :, 1])).all(axis=2)
+    host = np.where(inside, big[:, None], n_cubes).min(axis=0, initial=n_cubes)
     if c.tube:
         ell = c.unit
-        lo = np.array([t.corner for t in c.tube], dtype=np.int64)
-        omit = np.array([t.omitted_axis for t in c.tube])
-        hi = lo + ell * (np.arange(4) != omit[:, None])
+        lo, hi = box[tube, :, 0], box[tube, :, 1]
+        omit = np.argmin(hi - lo, axis=1)  # the axis without extent
         cell, rem = np.divmod(lo - lo[0], ell)
-        if rem.any() or any(t.edge != ell for t in c.tube):
+        if rem.any() or ((hi - lo).max(axis=1) != ell).any():
             raise CoverError("tube cubes are not cells of one lattice of the tube unit")
         # tube cube t is listed under (omit[t], cell[t] + s) for the 8 shifts
         # s in {0, 1}^4 with s[omit[t]] = 0
@@ -230,7 +229,7 @@ def _host_cubes(c, centers):
         t = t[np.repeat(at - np.cumsum(count) + count, count) + np.arange(count.sum())]
         held = ((lo[t] <= centers[i]) & (centers[i] <= hi[t])).all(axis=1)
         np.minimum.at(host, i[held], first + t[held])
-    if (host == len(cubes)).any():
+    if (host == n_cubes).any():
         raise CoverError("ball center outside every cube closure")
     return host
 

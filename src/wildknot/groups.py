@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import intersection_dim
+from .complexes import boxes, meet
 from .cover import ROLE_VERTEX, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
@@ -63,43 +63,36 @@ class ReflectionGroup:
 
 
 def reflection_matrices(polars):
-    """(N,6,6) inversion matrices: M = I - 2 v (Jv)^T for unit polars v."""
-    v = np.asarray(polars, dtype=float)
+    """(N,6,6) inversion matrices: M = I - 2 v (Jv)^T for unit polars v, in
+    the polars' float precision (float64 for any narrower input)."""
+    v = np.asarray(polars)
+    v = v.astype(np.result_type(v, float))
     jv = v.copy()
     jv[:, 5] *= -1.0
-    return np.eye(6)[None, :, :] - 2.0 * v[:, :, None] * jv[:, None, :]
+    return np.eye(6, dtype=v.dtype)[None, :, :] - 2.0 * v[:, :, None] * jv[:, None, :]
 
 
 def assemble_group(c, cover):
     """Group data: the cover's adjacency as relations, and the amalgams: the
     shared squares of consecutive cubes whose four corners hold vertex balls."""
-    cubes = c.all_cubes
-    squares = [(p, cubes[p].box_intersection(cubes[p + 1])) for p in range(len(cubes) - 1)]
-    squares = [(p, box) for p, box in squares if box and intersection_dim(box) == 2]
-    boxes = np.array([box for _p, box in squares]).reshape(-1, 4, 2)
-    lo, span = boxes[..., 0], boxes[..., 1] - boxes[..., 0]
+    chain = boxes(c.all_cubes)
+    box, dim = meet(chain[:-1], chain[1:])
+    pos = np.flatnonzero(dim == 2)
+    lo, span = box[pos, :, 0], box[pos, :, 1] - box[pos, :, 0]
     # corner q takes bit 0 of q along the first spanned axis, bit 1 along the second
     bit = np.maximum(np.cumsum(span > 0, axis=1) - 1, 0)
     corners = lo[:, None] + (np.arange(4)[:, None] >> bit[:, None] & 1) * span[:, None]
     ids = np.sort(cover.vertex_balls(corners), axis=1)
-    amalgams = []
-    for (p, square), balls in zip(squares, ids.tolist()):
-        if balls[0] < 0:
-            continue
-        a, b = cubes[p], cubes[p + 1]
-        straight = a.omitted_axis == b.omitted_axis and sum(
-            x != y for x, y in zip(a.corner, b.corner)
-        ) == 1
-        amalgams.append(
-            Amalgam(
-                index=len(amalgams),
-                cube_pair=(p, p + 1),
-                square=square,
-                ball_ids=tuple(balls),
-                straight=straight,
-            )
-        )
-
+    # straight: the same omitted axis (the one without extent), corners one axis apart
+    extent = chain[..., 1] > chain[..., 0]
+    straight = ((extent[:-1] == extent[1:]).all(axis=1)
+                & ((chain[:-1, :, 0] != chain[1:, :, 0]).sum(axis=1) == 1))
+    held = ids[:, 0] >= 0  # all four corners hold vertex balls
+    amalgams = [
+        Amalgam(index=k, cube_pair=(p, p + 1), square=list(map(tuple, box[p].tolist())),
+                ball_ids=tuple(balls), straight=bool(straight[p]))
+        for k, (p, balls) in enumerate(zip(pos[held].tolist(), ids[held].tolist()))
+    ]
     group = ReflectionGroup(cover=cover, relations=cover.adjacency, amalgams=amalgams)
     _check_amalgams(group)
     return group
@@ -320,9 +313,7 @@ def enumerate_words(sub, max_length, dtype=float):
         # word norm squared just like accumulation rounding
         v = sub.polars.astype(dtype)
         qv = (v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2
-        v = v / np.sqrt(qv)[:, None]
-        jv = v * np.diag(lz.J).astype(dtype)[None, :]
-        gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
+        gen_mats = reflection_matrices(v / np.sqrt(qv)[:, None])
     words = [()]
     tits = [eye[None]]  # one block per length
     mats = [np.eye(6, dtype=dtype)[None]]

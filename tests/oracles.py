@@ -1,10 +1,11 @@
 """Scalar reference implementations that the tests use as oracles.
 
-The library computes spheres, reflections, pair classes, the knot surface
-and each ball's host cube in batches (`lorentz.spheres`,
-`groups.reflection_matrices`, `cover.pair_orders`, `complexes.knot_surface`,
-`cover._host_cubes`); the one-at-a-time formulas here are the tests'
-independent check on them.  The point maps, random Moebius maps, the
+The library computes spheres, reflections, pair classes, cube boxes and
+their meets, the complex's structural checks, the knot surface and each
+ball's host cube in batches (`lorentz.spheres`, `groups.reflection_matrices`,
+`cover.pair_orders`, `complexes.boxes` and `complexes.meet`,
+`complexes.check_complex`, `complexes.knot_surface`, `cover._host_cubes`);
+the one-at-a-time formulas here are the tests' independent check on them.  The point maps, random Moebius maps, the
 presentation, polynomial and group-ring helpers, the single-cube complex and
 the complex-file loader serve only the tests.
 """
@@ -205,6 +206,136 @@ def straight_tube_complex():
     return cx.CubeComplex(big, tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6)))
 
 
+# ---------------------------------------------------------------------------
+# Cube boxes and the complex's structural checks, one pair at a time
+
+
+def interval(cube, axis):
+    """A cube's closed extent along an axis; degenerate on the omitted axis."""
+    lo = cube.corner[axis]
+    return (lo, lo if axis == cube.omitted_axis else lo + cube.edge)
+
+
+def box_intersection(a, b):
+    """Closed-box intersection of two cubes as (lo, hi) per axis, or None."""
+    out = []
+    for axis in range(4):
+        lo = max(interval(a, axis)[0], interval(b, axis)[0])
+        hi = min(interval(a, axis)[1], interval(b, axis)[1])
+        if lo > hi:
+            return None
+        out.append((lo, hi))
+    return out
+
+
+def intersection_dim(box):
+    return sum(1 for lo, hi in box if hi > lo)
+
+
+def attach_squares(c):
+    if len(c.big) != 2 or not c.tube:
+        return []
+    return [box_intersection(c.big[0], c.tube[0]), box_intersection(c.big[1], c.tube[-1])]
+
+
+def consecutive_squares(c):
+    """(p, square, straight) for each consecutive cube pair p, p + 1 of
+    c.all_cubes that meets in a 2-dimensional box."""
+    cubes = c.all_cubes
+    out = []
+    for p in range(len(cubes) - 1):
+        a, b = cubes[p], cubes[p + 1]
+        box = box_intersection(a, b)
+        if box and intersection_dim(box) == 2:
+            straight = a.omitted_axis == b.omitted_axis and sum(
+                x != y for x, y in zip(a.corner, b.corner)) == 1
+            out.append((p, box, straight))
+    return out
+
+
+def structural_issues(c):
+    """complexes.check_complex's issues before the surface is built, from
+    one box intersection per cube pair.  A connector must lie within the
+    range of the hyperplane levels."""
+    issues = []
+    if len(c.big) != 2:
+        issues.append(f"need exactly 2 big cubes, got {len(c.big)}")
+        return issues
+    if not c.tube:
+        issues.append("empty tube: no fusion between the two big cubes")
+        return issues
+    unit = c.tube[0].edge
+    for i, t in enumerate(c.tube):
+        if t.edge != unit:
+            issues.append(f"tube cube {i} has edge {t.edge}, expected uniform {unit}")
+    if c.big[0].edge != c.big[1].edge:
+        issues.append("big cubes differ in edge length")
+    if c.big[0].edge % unit != 0:
+        issues.append("big edge is not a multiple of the tube unit")
+
+    chain = [c.big[0]] + list(c.tube) + [c.big[1]]
+    names = ["Q0"] + [f"tube[{i}]" for i in range(len(c.tube))] + ["Q1"]
+    for i in range(len(chain) - 1):
+        box = box_intersection(chain[i], chain[i + 1])
+        if box is None or intersection_dim(box) != 2:
+            issues.append(f"{names[i]} and {names[i + 1]} do not meet in a 2-face")
+            continue
+        sides = sorted(hi - lo for lo, hi in box if hi > lo)
+        if sides != [unit, unit]:
+            issues.append(
+                f"{names[i]} and {names[i + 1]} meet in a {sides[0]}x{sides[1]} "
+                f"rectangle, not a {unit}x{unit} square"
+            )
+
+    for b_idx, (big, t) in enumerate([(c.big[0], c.tube[0]), (c.big[1], c.tube[-1])]):
+        box = box_intersection(big, t)
+        if box is None or intersection_dim(box) != 2:
+            continue
+        for a in [a for a in range(4) if box[a][1] > box[a][0]]:
+            mid = (box[a][0] + box[a][1]) / 2.0
+            big_mid = (interval(big, a)[0] + interval(big, a)[1]) / 2.0
+            if mid != big_mid:
+                issues.append(
+                    f"attach square of Q{b_idx} is off-center along axis {a} "
+                    f"(square center {mid}, face center {big_mid})"
+                )
+
+    if box_intersection(c.big[0], c.big[1]) is not None:
+        issues.append("Q0 and Q1 intersect")
+    for b_idx, big in enumerate(c.big):
+        for i, t in enumerate(c.tube):
+            if (b_idx, i) in ((0, 0), (1, len(c.tube) - 1)):
+                continue
+            if box_intersection(big, t) is not None:
+                issues.append(f"tube[{i}] touches Q{b_idx} away from the attach square")
+
+    for i in range(len(c.tube)):
+        for j in range(i + 2, len(c.tube)):
+            box = box_intersection(c.tube[i], c.tube[j])
+            if box is None:
+                continue
+            dim = intersection_dim(box)
+            if j == i + 2 and dim == 1:
+                continue
+            issues.append(
+                f"tube[{i}] and tube[{j}] overlap in a {dim}-dimensional set "
+                "(non-consecutive cubes must have disjoint closures)"
+            )
+
+    levels = c.hyperplane_levels()
+    if len(levels) > 4:
+        issues.append(f"hyperplane cubes occupy {len(levels)} levels {levels}, expected <= 4")
+    if not levels:
+        issues.append("no cube lies in a w-hyperplane")
+        return issues
+    for i, t in enumerate(c.tube):
+        if t.omitted_axis != 3:
+            w0, w1 = interval(t, 3)
+            if w0 < levels[0] or w1 > levels[-1]:
+                issues.append(f"tube[{i}] connector leaves the hyperplane range")
+    return issues
+
+
 def host_cubes(c, centers):
     """Per centre, the lowest c.all_cubes index of a cube whose closure holds
     it, -1 where none does: one interval pass per cube."""
@@ -212,7 +343,7 @@ def host_cubes(c, centers):
     for idx, cube in enumerate(c.all_cubes):
         inside = np.ones(len(centers), dtype=bool)
         for a in range(4):
-            lo, hi = cube.interval(a)
+            lo, hi = interval(cube, a)
             inside &= (centers[:, a] >= lo) & (centers[:, a] <= hi)
         host[(host == -1) & inside] = idx
     return host

@@ -233,6 +233,7 @@ def test_unknown_preset_fails_without_traceback(tmp_path, capsys):
     [
         ("big 0 0 0 0 2 3\nbig 9 0 0 4 2 3\ntube 0 0 0 1 1 2\n", "do not meet in a 2-face"),
         ("big 0 0 0 0 0 3\n", "edge must be positive"),
+        ("big 0 0 0 0 3 3\nbig 0 0 0 100000000000000000000 3 3\n", "field out of range"),
         (None, "cannot read the complex file: [Errno 2] No such file or directory"),
     ],
 )

@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from wildknot import complexes as cx
 from wildknot import presets
 
 import oracles as orc
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -23,17 +28,20 @@ class TestCube3:
     def test_intervals(self):
         c = cx.Cube3((1, 2, 3, 4), 2, 3)
         assert c.spanned_axes == (0, 1, 2)
-        assert c.interval(0) == (1, 3)
-        assert c.interval(3) == (4, 4)  # degenerate on the omitted axis
+        # degenerate on the omitted axis
+        assert cx.boxes([c]).tolist() == [[[1, 3], [2, 4], [3, 5], [4, 4]]]
+        assert [orc.interval(c, a) for a in range(4)] == [(1, 3), (2, 4), (3, 5), (4, 4)]
+        assert cx.boxes([]).shape == (0, 4, 2)
 
     def test_box_intersection_dims(self):
-        a = cx.Cube3((0, 0, 0, 0), 1, 3)
-        assert cx.intersection_dim(a.box_intersection(cx.Cube3((1, 0, 0, 0), 1, 3))) == 2
-        assert cx.intersection_dim(a.box_intersection(cx.Cube3((1, 1, 0, 0), 1, 3))) == 1
-        assert a.box_intersection(cx.Cube3((2, 0, 0, 0), 1, 3)) is None
-        # same footprint, different omitted axis: shares only the z=0 plane square
-        fold = a.box_intersection(cx.Cube3((0, 0, 0, 0), 1, 2))
-        assert cx.intersection_dim(fold) == 2
+        a = cx.boxes([cx.Cube3((0, 0, 0, 0), 1, 3)])
+        others = cx.boxes([cx.Cube3((1, 0, 0, 0), 1, 3), cx.Cube3((1, 1, 0, 0), 1, 3),
+                           cx.Cube3((2, 0, 0, 0), 1, 3),
+                           # same footprint, other omitted axis: the z=0 square
+                           cx.Cube3((0, 0, 0, 0), 1, 2)])
+        box, dim = cx.meet(a, others)
+        assert dim.tolist() == [2, 1, -1, 2]
+        assert box[3].tolist() == [[0, 1], [0, 1], [0, 0], [0, 0]]
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -71,14 +79,14 @@ class TestPresetComplex:
             for a in range(4):
                 lo, hi = sq[a]
                 if hi > lo:
-                    blo, bhi = big.interval(a)
+                    blo, bhi = orc.interval(big, a)
                     assert lo + hi == blo + bhi  # centered
 
     def test_consecutive_cubes_share_full_faces(self, preset):
-        chain = preset.all_cubes
-        for i in range(len(chain) - 1):
-            box = chain[i].box_intersection(chain[i + 1])
-            assert box is not None and cx.intersection_dim(box) == 2
+        chain = cx.boxes(preset.all_cubes)
+        box, dim = cx.meet(chain[:-1], chain[1:])
+        assert (dim == 2).all()
+        assert (np.sort(box[..., 1] - box[..., 0], axis=1)[:, 2:] == preset.unit).all()
 
 
 class TestValidatorRejections:
@@ -117,6 +125,159 @@ class TestValidatorRejections:
     def test_loads_rejects_bad_header(self):
         with pytest.raises(cx.ComplexError):
             cx.loads_complex("not-a-header\nbig 0 0 0 0 3 3\n")
+
+
+def test_meet_matches_the_scalar_reference():
+    """Every pair of a batch of random small cubes, the pair with itself
+    included, gets the scalar box and dimension (-1 for None)."""
+    rng = np.random.default_rng(7)
+    cubes = [cx.Cube3(tuple(rng.integers(-2, 3, 4).tolist()), int(rng.integers(1, 4)),
+                      int(rng.integers(4))) for _ in range(40)]
+    b = cx.boxes(cubes)
+    box, dim = cx.meet(b[:, None], b[None])
+    for i, p in enumerate(cubes):
+        for j, q in enumerate(cubes):
+            want = orc.box_intersection(p, q)
+            if want is None:
+                assert dim[i, j] == -1
+            else:
+                assert list(map(tuple, box[i, j].tolist())) == want
+                assert dim[i, j] == orc.intersection_dim(want)
+    assert set(dim.ravel().tolist()) == {-1, 0, 1, 2, 3}
+
+
+def _q(corner, edge=3, omit=3):
+    return cx.Cube3(corner, edge, omit)
+
+
+def _tube(*corners, omit=2):
+    return tuple(cx.Cube3(c, 1, omit) for c in corners)
+
+
+_STRAIGHT = orc.straight_tube_complex()
+_Q0, _Q1 = _STRAIGHT.big
+_OVERLAP = "(non-consecutive cubes must have disjoint closures)"
+
+# One broken complex per check_complex rule, with its exact issue list.  The
+# "flat" tubes lie in the hyperplane w = 0 with both big cubes.
+NEGATIVE_CONTROLS = {
+    "big-count": (
+        cx.CubeComplex((_Q0,), _STRAIGHT.tube), ["need exactly 2 big cubes, got 1"]),
+    "empty-tube": (
+        cx.CubeComplex((_Q0, _Q1), ()), ["empty tube: no fusion between the two big cubes"]),
+    "tube-edge": (
+        cx.CubeComplex((_Q0, _Q1), _tube((1, 1, 0, 0)) + (cx.Cube3((1, 1, 0, 1), 2, 2),)
+                       + _tube((1, 1, 0, 3), (1, 1, 0, 4), (1, 1, 0, 5))),
+        ["tube cube 1 has edge 2, expected uniform 1"]),
+    "big-edges": (
+        cx.CubeComplex((_Q0, _q((-1, -1, -1, 6), 5)), _STRAIGHT.tube),
+        ["big cubes differ in edge length"]),
+    "big-multiple": (
+        cx.CubeComplex((_q((0, 0, 0, 0), 5), _q((0, 0, 0, 9), 5)),
+                       tuple(cx.Cube3((1, 1, 0, w), 3, 2) for w in (0, 3, 6))),
+        ["big edge is not a multiple of the tube unit"]),
+    "edge-contact": (
+        cx.CubeComplex((_Q0, _q((2, 0, 0, 6))), _STRAIGHT.tube),
+        ["tube[5] and Q1 do not meet in a 2-face"]),
+    "rectangle": (
+        cx.CubeComplex((_Q0, _q((2, 0, 0, 3))),
+                       _tube((1, 1, 0, 0)) + (cx.Cube3((1, 0, 0, 1), 2, 2),)),
+        ["tube cube 1 has edge 2, expected uniform 1",
+         "tube[1] and Q1 meet in a 1x2 rectangle, not a 1x1 square",
+         "attach square of Q1 is off-center along axis 0 (square center 2.5, face center 3.5)",
+         "attach square of Q1 is off-center along axis 1 (square center 1.0, face center 1.5)"]),
+    "off-center": (
+        cx.CubeComplex((_Q0, _Q1), _tube(*[(0, 1, 0, w) for w in range(6)])),
+        ["attach square of Q0 is off-center along axis 0 (square center 0.5, face center 1.5)",
+         "attach square of Q1 is off-center along axis 0 (square center 0.5, face center 1.5)"]),
+    "big-meet": (
+        cx.CubeComplex((_q((0, 0, 0, 0)), _q((3, 0, 0, 0))), _tube(
+            (1, 1, 3, 0), (1, 1, 4, 0), (2, 1, 4, 0), (3, 1, 4, 0), (4, 1, 4, 0), (4, 1, 3, 0),
+            omit=3)),
+        ["Q0 and Q1 intersect"]),
+    "touch": (
+        cx.CubeComplex((_q((0, 0, 0, 0)), _q((6, 0, 0, 0))), _tube(
+            (1, 1, 3, 0), (2, 1, 3, 0), *[(x, 1, 4, 0) for x in range(2, 8)], (7, 1, 3, 0),
+            omit=3)),
+        ["tube[1] touches Q0 away from the attach square"]),
+    "overlap": (
+        cx.CubeComplex((_q((0, 0, 0, 0)), _q((6, 0, 0, 0))), _tube(
+            (1, 1, 3, 0), (1, 1, 4, 0), (1, 1, 5, 0), (2, 1, 5, 0),
+            *[(x, 1, 4, 0) for x in range(2, 8)], (7, 1, 3, 0), omit=3)),
+        [f"tube[0] and tube[4] overlap in a 1-dimensional set {_OVERLAP}",
+         f"tube[1] and tube[4] overlap in a 2-dimensional set {_OVERLAP}"]),
+    # a connector and a hyperplane cube per level, stepping up in z
+    "levels": (
+        cx.CubeComplex((_Q0, _q((0, 0, 3, 4))), tuple(
+            cx.Cube3((1, 1, k // 2, (k + 1) // 2), 1, 2 + k % 2) for k in range(7))),
+        ["hyperplane cubes occupy 5 levels [0, 1, 2, 3, 4], expected <= 4"]),
+    # every connector lies below the only level, w = 0
+    "connector-dip": (
+        cx.CubeComplex((_q((0, 0, 0, 0)), _q((6, 0, 0, 0))), _tube(
+            (1, 1, 0, -1), (1, 1, 0, -2), *[(x, 1, 0, -2) for x in range(2, 8)], (7, 1, 0, -1))),
+        [f"tube[{i}] connector leaves the hyperplane range" for i in range(9)]),
+    # the straight tube complex with the axes x and w swapped
+    "no-levels": (
+        cx.CubeComplex((_q((0, 0, 0, 0), 3, 0), _q((6, 0, 0, 0), 3, 0)),
+                       _tube(*[(w, 1, 0, 1) for w in range(6)])),
+        ["no cube lies in a w-hyperplane"]),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_check_complex_negative_controls(name):
+    """Each broken complex gets exactly its rule's issues, as the one-pair-at-
+    a-time reference finds them, and no surface."""
+    c, want = NEGATIVE_CONTROLS[name]
+    issues, surf = cx.check_complex(c)
+    assert issues == want
+    assert orc.structural_issues(c) == want
+    assert surf is None
+
+
+def test_connector_dip_has_a_sphere_surface():
+    """The connector-dip control fails only the connector rule: its surface
+    is a 2-sphere, so only the level range can reject it."""
+    c, _want = NEGATIVE_CONTROLS["connector-dip"]
+    surf = cx.knot_surface(c)
+    assert surf.issues == [] and surf.euler_characteristic == 2
+
+
+def _scaled(edge):
+    return lambda: workloads.scaled_spun_trefoil(edge)
+
+
+VALID_AND_INVALID = {
+    "preset": presets.spun_trefoil_preset,
+    "scaled-5": _scaled(5),
+    "scaled-11": _scaled(11),
+    "scaled-27": _scaled(27),
+    "straight-tube": orc.straight_tube_complex,
+    "single-cube-3": lambda: orc.degenerate_single_cube(3),
+}
+
+
+@pytest.mark.parametrize("name", VALID_AND_INVALID)
+def test_check_complex_matches_the_reference(name, monkeypatch):
+    """The issue list equals the reference's, in order, with the tube-by-tube
+    meet in its default blocks and in blocks of a few rows."""
+    c = VALID_AND_INVALID[name]()
+    want = orc.structural_issues(c)
+    issues, surf = cx.check_complex(c)
+    assert issues == (want or surf.issues)
+    monkeypatch.setattr(cx, "PAIR_BLOCK", 3 * len(c.tube) - 1)
+    assert cx.check_complex(c)[0] == issues
+    if name == "scaled-5":
+        assert issues == [f"tube[50] and tube[53] overlap in a 0-dimensional set {_OVERLAP}"]
+
+
+def test_attach_squares_match_the_reference():
+    """On every complex above, and on a tube that meets neither big cube."""
+    loose = cx.CubeComplex((_Q0, _Q1), _tube((5, 5, 0, 3)))
+    assert loose.attach_squares() == [None, None]
+    complexes = [make() for make in VALID_AND_INVALID.values()]
+    for c in complexes + [c for c, _want in NEGATIVE_CONTROLS.values()] + [loose]:
+        assert c.attach_squares() == orc.attach_squares(c)
 
 
 class TestSurface:

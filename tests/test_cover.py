@@ -512,7 +512,7 @@ def test_host_cubes_contain_centers():
     for idx in range(0, len(cover), 7):
         cube = c.all_cubes[cover.host[idx]]
         for a in range(4):
-            lo, hi = cube.interval(a)
+            lo, hi = orc.interval(cube, a)
             assert lo - 1e-12 <= cover.centers[idx][a] <= hi + 1e-12
 
 

@@ -322,6 +322,15 @@ def test_preset_amalgams(preset_group):
     assert g.amalgams[-1].square == squares[1]
 
 
+def test_amalgam_squares_match_the_pairwise_reference(preset_group, tube_cover):
+    """Every amalgam's first cube, square and straight flag are the scalar
+    reference's; on the preset and the straight tube every consecutive pair
+    has one."""
+    for c, g in [(preset_group[0], preset_group[2]), (tube_complex(), tube_cover[1])]:
+        got = [(am.cube_pair[0], am.square, am.straight) for am in g.amalgams]
+        assert got == orc.consecutive_squares(c)
+
+
 def test_dihedral_oracle(cube_group):
     """Two pi/3 generators enumerate to exactly the order-6 dihedral group."""
     _c, cover, g = cube_group
