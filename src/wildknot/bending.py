@@ -155,9 +155,13 @@ def crossing_relations(group, j):
     plate of the big cube qualifies).  Pairs with no commuting member make
     the amalgam unsuitable for bending.
     """
+    return _crossing(group, j, group.relations)
+
+
+def _crossing(group, j, rels):
+    """crossing_relations over the relation rows `rels` only."""
     locus = bending_locus(group, j)
     side_b = split_sides(group, j)
-    rels = group.relations
     rows = rels[side_b[rels[:, 0]] != side_b[rels[:, 1]]]
     pairs = rows[:, :2]
     off = group.cover.centers[pairs] - locus.center
@@ -215,8 +219,11 @@ def bend(group, j, t, tol=1e-8):
 def suitable_amalgams(group):
     """Amalgam indices where every crossing relation has a member commuting
     with the bending rotation (the exact condition for one-sided conjugation
-    to preserve all relations)."""
-    return [j for j in range(len(group.amalgams)) if crossing_relations(group, j)[1].all()]
+    to preserve all relations).  Sides follow the host cubes, so only the
+    rows whose two balls have different hosts can cross: they are taken once."""
+    host = group.cover.host[group.relations[:, :2]]
+    straddling = group.relations[host[:, 0] != host[:, 1]]
+    return [j for j in range(len(group.amalgams)) if _crossing(group, j, straddling)[1].all()]
 
 
 def crossing_word(group, j):

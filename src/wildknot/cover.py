@@ -22,14 +22,17 @@ it meets the two vertex balls of its edge at exterior cosine -1/2 (order 3),
 is exactly orthogonal to the nearest face balls (the same quadratic
 A^2 - 3 A ell + ell^2/2 = 0 that drives the face pattern), and is disjoint
 from all other balls.  All pairwise claims are certified in validate_cover
-rather than trusted: one grid search lists every pair whose inversive
-product is below 1.15 (cell side sqrt(4.3) times the largest radius, so the
-pairs it skips are provably disjoint), and the legality sweep and the
-adjacency are both read from that one list.  The adjacency is one (n, 3) int
-array of rows (i, j, m), which is also the reflection group's relation array.
-Coverage is a query on the same grid join: it lists every ball whose trace
-disk meets a face's square, and the Monte-Carlo samples are tested against
-those disks in float64, in the face plane, with no recheck.
+rather than trusted: one search lists every pair whose inversive product is
+below 1.15, and the legality sweep and the adjacency are both read from that
+one list.  The search groups the balls by radius octave and runs one grid
+join per pair of groups, at cell side sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for
+the groups' largest radii R_a and R_b, so the pairs it skips are provably
+disjoint and the small balls are not binned at the vertex balls' scale.
+The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
+reflection group's relation array.  Coverage is a query on the same grid
+join: it lists every ball whose trace disk meets a face's square, and the
+Monte-Carlo samples are tested against those disks in float64, in the face
+plane, with no recheck.
 """
 
 from __future__ import annotations
@@ -168,13 +171,14 @@ def build_cover(c, k=0, surf=None):
     ])
     roles = np.repeat(np.array([ROLE_VERTEX, ROLE_FACE, ROLE_JUNCTION], dtype=np.int8),
                       [n_v, 5 * n_f, len(junction)])
+    adjacency = _adjacency(centers, radii)  # first: it rejects a bad ball by name
     return BallCover(
         centers=centers,
         radii=radii,
         roles=roles,
         host=_host_cubes(c, centers),
         polars=lz.spheres(centers, radii),
-        adjacency=_adjacency(centers, radii),
+        adjacency=adjacency,
         refinement=k,
         unit=c.unit,
         vertices=surf.vertices,
@@ -268,12 +272,29 @@ def pair_orders(centers, radii, i, j):
     return prod, _classify(prod)[2]
 
 
+# Rows of a per lookup and pairs per yielded slice of _grid_join: together
+# they bound its memory whatever the density of the cells (the slices end at
+# a row's run, so one may exceed _JOIN_PAIRS by the rows of three cells).
+_JOIN_ROWS = 1 << 12
+_JOIN_PAIRS = 1 << 14
+
+
 def _grid_join(a, b, side):
     """Yield index arrays (i, j): rows i of a and j of b in equal or neighbouring
-    cells of one 4-D grid of the given side, for at most 2^14 rows of a at a
-    time; a self-join (b is a) yields each unordered pair of distinct rows once.
-    Axes renumber their occupied cells from 1, closing gaps wider than one cell,
-    so the key size follows the number of points rather than the extent."""
+    cells of one 4-D grid of the given side, about _JOIN_PAIRS pairs at a
+    time; a self-join (b is a) yields each unordered pair of distinct rows
+    once, as (i, j) with i < j inside a cell and i in the lower-keyed cell
+    across cells.  Axes renumber their occupied cells from 1, closing gaps
+    wider than one cell, so the key size follows the number of points rather
+    than the extent.
+
+    Neighbours are looked up per occupied cell, as runs: the three neighbours
+    of a cell along the last axis have consecutive keys, so each offset on the
+    first three axes meets one run of b's rows sorted by key.  The rows of a,
+    sorted by key, are taken _JOIN_ROWS at a time; each distinct cell among
+    them finds each of its 27 runs (14 in a self-join) by one binary search
+    among b's occupied cells, and each of its rows meets every row of them.
+    """
     both = a if b is a else np.concatenate([a, b])  # a self-join keys its set once
     cell = np.floor(both / side).astype(np.int64)
     for ax in range(4):
@@ -285,47 +306,83 @@ def _grid_join(a, b, side):
         raise CoverError("points too sparse for a 64-bit grid key")
     strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
     key = cell @ strides
-    order_a = np.argsort(key[: len(a)], kind="stable")  # sorted queries search faster
-    order_b = np.argsort(key[len(both) - len(b) :], kind="stable")
-    query, sorted_key = key[order_a], key[len(both) - len(b) :][order_b]
-    # in a self-join the lexicographically non-negative offsets suffice
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=4) if b is not a or o >= (0,) * 4]
-    for s in range(0, len(a), 1 << 14):  # slices of a bound the memory
-        q = query[s : s + (1 << 14)]
-        for shift in np.array(offsets) @ strides:
-            lo = np.searchsorted(sorted_key, q + shift, "left")
-            count = np.searchsorted(sorted_key, q + shift, "right") - lo
-            i = order_a[s + np.repeat(np.arange(len(q)), count)]
-            j = order_b[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
-            if b is a and shift == 0:  # a pair inside one cell is met from both ends
-                i, j = i[i < j], j[i < j]
-            yield i, j
+    order_a = np.argsort(key[: len(a)], kind="stable")
+    order_b = order_a if b is a else np.argsort(key[len(a) :], kind="stable")
+    key_a, key_b = key[: len(a)][order_a], key[len(both) - len(b) :][order_b]
+    # a self-join needs only the lexicographically non-negative offsets; at
+    # offset 0 a row meets the rest of its own cell and the whole next cell
+    heads = [o for o in itertools.product((-1, 0, 1), repeat=3) if b is not a or o >= (0,) * 3]
+    shifts = np.array(heads) @ strides[:3]
+    # b's occupied cells and the first sorted row of each, then 3 sentinels
+    first = np.flatnonzero(np.diff(key_b, prepend=-1))
+    cells_b = np.append(key_b[first], np.full(3, np.iinfo(np.int64).max))
+    first = np.append(first, np.full(3, len(key_b)))
+    for s in range(0, len(a), _JOIN_ROWS):
+        keys = key_a[s : s + _JOIN_ROWS]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # this slice's cells
+        mid = shifts[:, None] + keys[starts]  # offset-major: each row ascends
+        u = np.searchsorted(cells_b, mid - 1)  # the run's first cell, if any
+        top = mid + 1  # and at most three cells up to key mid + 1
+        v = u + (cells_b[u] <= top) + (cells_b[u + 1] <= top) + (cells_b[u + 2] <= top)
+        lo, hi = first[u], first[v]
+        o, c = np.nonzero(hi > lo)
+        # every row of slice cell c meets run (lo, hi): one item per row
+        rows = np.diff(np.append(starts, len(keys)))[c]
+        k = np.repeat(np.arange(len(c)), rows)
+        p = s + np.repeat(starts[c] - np.cumsum(rows) + rows, rows) + np.arange(len(k))
+        lo, hi = lo[o, c][k], hi[o, c][k]
+        if b is a:
+            lo = np.where(shifts[o][k] == 0, p + 1, lo)
+        count = hi - lo
+        cuts = np.searchsorted(np.cumsum(count), np.arange(_JOIN_PAIRS, count.sum(), _JOIN_PAIRS))
+        for part in np.split(np.arange(len(count)), cuts):
+            n = count[part]
+            j = np.repeat(lo[part] - np.cumsum(n) + n, n) + np.arange(n.sum())
+            yield order_a[np.repeat(p[part], n)], order_b[j]
 
 
 def _near_pairs(centers, radii):
     """Every pair i < j with inversive product below 1.15, sorted by (i, j).
 
-    Returns arrays (i, j, product).  The pairs come from a 4-D grid self-join.
-    A product < 1.15 forces d^2 < r_i^2 + r_j^2 + 2.3 r_i r_j <= 4.3 r_max^2,
-    so with cell side sqrt(4.3) r_max (widened by 1e-9 against rounding) the
-    two centers lie in the same or in neighbouring cells: every pair the 3^4
+    Returns arrays (i, j, product).  The balls are grouped by radius octave,
+    round(log2(r_max / r)), and each pair of groups (a, b) gets its own 4-D
+    grid join (a self-join when a = b).  A product < 1.15 forces
+    d^2 < r_i^2 + r_j^2 + 2.3 r_i r_j <= R_a^2 + R_b^2 + 2.3 R_a R_b, R being
+    a group's largest radius, so with that bound's square root as the cell
+    side (widened by 1e-9 against rounding) the two centers lie in the same
+    or in neighbouring cells of their group pair's grid: every pair the 3^4
     neighbouring cells miss is provably disjoint.  The design's closest
     disjoint pairs sit above 1.3, so the list holds all intersecting, tangent
-    and nested pairs and no designed disjoint one.
+    and nested pairs and no designed disjoint one.  A ball with a non-finite
+    centre or radius, or a radius <= 0, raises CoverError.
     """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
+    bad = ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii) & (radii > 0))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise CoverError(
+            f"ball {b} (centre {tuple(float(x) for x in centers[b])}, radius {float(radii[b])}) "
+            "needs a finite centre and a finite positive radius"
+        )
     if len(radii) < 2:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    side = math.sqrt(4.3) * float(radii.max()) * (1.0 + 1e-9)
+    octave = np.rint(np.log2(radii.max()) - np.log2(radii))
+    groups = [np.flatnonzero(octave == g) for g in np.unique(octave)]
+    top = [float(radii[g].max()) for g in groups]
     parts = []
-    for i, j in _grid_join(centers, centers, side):
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        prod = _products(centers, radii, i, j)
-        near = prod < 1.15
-        parts.append((i[near], j[near], prod[near]))
+    for x, y in itertools.combinations_with_replacement(range(len(groups)), 2):
+        side = math.sqrt(top[x] ** 2 + top[y] ** 2 + 2.3 * top[x] * top[y]) * (1.0 + 1e-9)
+        ga, gb = sorted((groups[x], groups[y]), key=len)  # the smaller group queries
+        pa = centers[ga]
+        for i, j in _grid_join(pa, pa if x == y else centers[gb], side):
+            i, j = ga[i], gb[j]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            prod = _products(centers, radii, i, j)
+            near = prod < 1.15
+            parts.append((i[near], j[near], prod[near]))
     i, j, prod = (np.concatenate(col) for col in zip(*parts))
-    by_pair = np.lexsort((j, i))
+    by_pair = np.argsort(i * len(radii) + j)  # the pairs are distinct
     return i[by_pair], j[by_pair], prod[by_pair]
 
 
@@ -373,7 +430,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     reach2 = r^2 - h^2, width being the largest candidate count; padding
     slots have reach2 = -inf, so they contain no point.  The float32 samples
     of a block of faces are widened to float64 once and tested rank by rank
-    against the table's columns, in the face plane, with no recheck.  Returns
+    against the table's columns, up to the block's largest candidate count,
+    in the face plane, with no recheck.  Returns
     (fraction, misses) with misses as (face index, point) pairs in face then
     sample order, the point being the face's float32 corner plus the sample.
     """
@@ -418,7 +476,7 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
         np.copyto(u, uv[:, :, 0])
         np.copyto(v, uv[:, :, 1])
         ok[...] = False
-        for r in range(width):
+        for r in range(int(count[lo:hi].max())):  # ranks past it are padding
             np.subtract(u, table_u[lo:hi, r, None], out=du)
             np.subtract(v, table_v[lo:hi, r, None], out=dv)
             np.multiply(du, du, out=du)

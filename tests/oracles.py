@@ -5,7 +5,11 @@ their meets, the complex's structural checks, the knot surface and each
 ball's host cube in batches (`lorentz.spheres`, `groups.reflection_matrices`,
 `cover.pair_orders`, `complexes.boxes` and `complexes.meet`,
 `complexes.check_complex`, `complexes.knot_surface`, `cover._host_cubes`);
-the one-at-a-time formulas here are the tests' independent check on them.  The point maps, random Moebius maps, the
+the one-at-a-time formulas here are the tests' independent check on them.
+The near-pair search is checked against its earlier form, one self-join at
+the largest radius's cell side over a join that searches one row at a time
+(`near_pairs` and `grid_join` against `cover._near_pairs` and
+`cover._grid_join`).  The point maps, random Moebius maps, the
 presentation, polynomial and group-ring helpers, the single-cube complex and
 the complex-file loader serve only the tests.
 """
@@ -13,6 +17,7 @@ the complex-file loader serve only the tests.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import string
 from collections import defaultdict, deque
@@ -20,6 +25,7 @@ from collections import defaultdict, deque
 import numpy as np
 
 from wildknot import complexes as cx
+from wildknot import cover as cv
 from wildknot import lorentz as lz
 from wildknot.alexander import GroupPresentation, free_reduce
 
@@ -347,6 +353,56 @@ def host_cubes(c, centers):
             inside &= (centers[:, a] >= lo) & (centers[:, a] <= hi)
         host[(host == -1) & inside] = idx
     return host
+
+
+def grid_join(a, b, side):
+    """The grid join one row of a at a time: per row and per offset, two
+    binary searches of the row's neighbouring cell key among b's sorted keys.
+    Yields the same pair set as cover._grid_join, in another order."""
+    both = a if b is a else np.concatenate([a, b])
+    cell = np.floor(both / side).astype(np.int64)
+    for ax in range(4):
+        occupied, at = np.unique(cell[:, ax], return_inverse=True)
+        gaps = np.minimum(np.diff(occupied, prepend=occupied[0] - 1), 2)
+        cell[:, ax] = np.cumsum(gaps)[at]
+    dims = [int(d) for d in cell.max(axis=0) + 2]
+    if math.prod(dims) >= 2**63:
+        raise cv.CoverError("points too sparse for a 64-bit grid key")
+    strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
+    key = cell @ strides
+    order_a = np.argsort(key[: len(a)], kind="stable")
+    order_b = np.argsort(key[len(both) - len(b) :], kind="stable")
+    query, sorted_key = key[order_a], key[len(both) - len(b) :][order_b]
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=4) if b is not a or o >= (0,) * 4]
+    for s in range(0, len(a), 1 << 14):
+        q = query[s : s + (1 << 14)]
+        for shift in np.array(offsets) @ strides:
+            lo = np.searchsorted(sorted_key, q + shift, "left")
+            count = np.searchsorted(sorted_key, q + shift, "right") - lo
+            i = order_a[s + np.repeat(np.arange(len(q)), count)]
+            j = order_b[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            if b is a and shift == 0:
+                i, j = i[i < j], j[i < j]
+            yield i, j
+
+
+def near_pairs(centers, radii):
+    """cover._near_pairs as one self-join at cell side sqrt(4.3) r_max: every
+    pair i < j with inversive product below 1.15, as sorted (i, j, product)."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if len(radii) < 2:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    side = math.sqrt(4.3) * float(radii.max()) * (1.0 + 1e-9)
+    parts = []
+    for i, j in grid_join(centers, centers, side):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        prod = cv._products(centers, radii, i, j)
+        near = prod < 1.15
+        parts.append((i[near], j[near], prod[near]))
+    i, j, prod = (np.concatenate(col) for col in zip(*parts))
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair], prod[by_pair]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""The near-pair search by radius octave and the cell-run grid join, against
+the single self-join and the one-row-at-a-time join of `oracles`
+(`near_pairs`, `grid_join`), with the search's bounds and input checks."""
+
+import math
+import pathlib
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wildknot import cover as cv
+from wildknot import groups as gr
+from wildknot import limitset as ls
+from wildknot.cli import RunConfig, run_pipeline
+from wildknot.complexes import knot_surface, save_complex
+from wildknot.cover import CoverError, _near_pairs, build_cover, pairwise_sweep
+from wildknot.presets import spun_trefoil_preset
+
+import oracles as orc
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def preset():
+    c = spun_trefoil_preset()
+    surf = knot_surface(c)
+    return surf, {k: build_cover(c, k=k, surf=surf) for k in (0, 2)}
+
+
+def scrambled(cover, seed):
+    """The cover's centres moved by N(0, 0.3) and its radii scaled by U(0.5, 1.5):
+    the radii spread over five octaves, the centres off every lattice."""
+    rng = np.random.default_rng(seed)
+    return (cover.centers + rng.normal(0.0, 0.3, cover.centers.shape),
+            cover.radii * rng.uniform(0.5, 1.5, len(cover.radii)))
+
+
+def balls(preset, name):
+    _surf, covers = preset
+    if name.startswith("scrambled"):
+        return scrambled(covers[0], int(name[-1]))
+    cover = {
+        "preset k=0": lambda: covers[0],
+        "preset k=2": lambda: covers[2],
+        "edge 5": lambda: build_cover(workloads.scaled_spun_trefoil(5)),
+        "edge 11": lambda: build_cover(workloads.scaled_spun_trefoil(11)),
+        "straight tube": lambda: build_cover(orc.straight_tube_complex()),
+        "single cube 3": lambda: build_cover(orc.degenerate_single_cube(3)),
+    }[name]()
+    return cover.centers, cover.radii
+
+
+@pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "edge 5", "edge 11",
+                                  "straight tube", "single cube 3",
+                                  "scrambled 0", "scrambled 1", "scrambled 2"])
+def test_near_pairs_equal_the_single_self_join(preset, name):
+    centers, radii = balls(preset, name)
+    got = _near_pairs(centers, radii)
+    want = orc.near_pairs(centers, radii)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert len(got[0]) > 0
+
+
+@pytest.fixture
+def oracle_join(monkeypatch):
+    """Switch every module that reads the grid join to the oracle's."""
+    def use():
+        for mod in (cv, gr, ls):
+            monkeypatch.setattr(mod, "_grid_join", orc.grid_join)
+    return use
+
+
+def test_join_consumers_match_the_oracle_join(preset, oracle_join):
+    """Coverage, the domain sampler and the Hausdorff distance read the join:
+    each gives the same result through the oracle's, on the preset and on
+    the orbit7 clouds at L = 7 and 6."""
+    surf, covers = preset
+    cover = covers[0]
+    sch = gr.pairwise_disjoint_subassembly(cover, n=4)
+    deep = ls.cloud_from_orbit(gr.orbit_spheres(sch, 7), np.inf)
+    coarse_orbit = gr.orbit_spheres(sch, 6)
+    coarse = ls.cloud_from_orbit(coarse_orbit, np.inf)
+    lox, _skipped = ls.loxodromic_points(sch, 100, seed=0, word_length=6)
+    lox_ref = ls.cloud_from_orbit(coarse_orbit, np.inf, offset=sch.offset)
+
+    def run():
+        return (cv.coverage_check(cover, surf, n_samples=1000, seed=0),
+                gr.fundamental_domain_check(cover, budget=100_000, seed=0),
+                ls.hausdorff_one_sided(deep, coarse),
+                ls.hausdorff_one_sided(lox, lox_ref))
+
+    got = run()
+    assert got[0] == (1.0, []) and got[1]["ok"] and got[2] > 0.0
+    oracle_join()
+    assert run() == got
+
+
+@pytest.mark.parametrize("ratio", [2.0, 4.0, 5.65])
+def test_cross_group_search_reaches_the_completeness_bound(ratio):
+    """Two balls in different radius octaves at product just below 1.15 are
+    found wherever they sit relative to the cells of their group pair's grid,
+    along an axis and along a diagonal."""
+    radii = np.array([1.0, 1.0 / ratio])
+    assert len(set(np.rint(np.log2(radii.max() / radii)))) == 2
+    d = math.sqrt(radii[0] ** 2 + radii[1] ** 2 + 2.0 * 1.1499 * radii[0] * radii[1])
+    for step in ([1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]):
+        for t in np.linspace(0.0, 3.0, 301):
+            centers = np.array([np.full(4, t), t + d * np.array(step)])
+            i, j, prod = _near_pairs(centers, radii)
+            assert list(zip(i, j)) == [(0, 1)], (ratio, step, t)
+            assert 1.14 < prod[0] < 1.15
+
+
+def test_near_pairs_memory_stays_at_the_oracle(preset):
+    """The search yields its pairs in bounded slices: its traced peak on the
+    preset stays within 1.1 times the single self-join's."""
+    cover = preset[1][0]
+    peaks = []
+    for search in (orc.near_pairs, _near_pairs):
+        tracemalloc.start()
+        try:
+            search(cover.centers, cover.radii)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("radius, centre, bad", [
+    (np.nan, 0.0, 0), (0.0, 0.0, 0), (-1.0, 0.0, 0), (1.0, np.nan, 2), (1.0, np.inf, 2),
+])
+def test_sweep_rejects_a_bad_ball(radius, centre, bad):
+    """Negative controls: a NaN, zero or negative radius, or a non-finite
+    centre, is an error naming the first bad ball, not a ball the sweep
+    silently leaves out."""
+    centers = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    radii = np.array([radius, 1.0, 1.0])
+    centers[2, 1] = centre
+    with pytest.raises(CoverError, match=f"^ball {bad} .*finite positive radius"):
+        pairwise_sweep(centers, radii)
+
+
+def test_report_fails_the_cover_check_on_a_bad_radius(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tube.txt"
+    save_complex(orc.straight_tube_complex(), path)
+    forms = cv.closed_form_parameters
+    monkeypatch.setattr(cv, "closed_form_parameters",
+                        lambda ell: {**forms(ell), "center_radius": float("nan")})
+    checks, _out = run_pipeline(RunConfig(complex_path=str(path), out_dir=str(tmp_path / "b")))
+    assert list(checks) == ["complex", "cover"] and not checks["cover"][0]
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL cover: ball ") and "radius nan" in line for line in lines)
