@@ -30,9 +30,11 @@ the groups' largest radii R_a and R_b, so the pairs it skips are provably
 disjoint and the small balls are not binned at the vertex balls' scale.
 The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
 reflection group's relation array.  Coverage is a query on the same grid
-join: it lists every ball whose trace disk meets a face's square, and the
-Monte-Carlo samples are tested against those disks in float64, in the face
-plane, with no recheck.
+join, again one per radius octave: it lists every ball whose trace disk
+meets a face's square, and the Monte-Carlo samples are tested against those
+disks in float64, in the face plane, with no recheck.  Its candidate filter
+and its sample blocks run on _thread_map, which the relation suite of
+wildknot.groups shares.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,9 +60,45 @@ _COSINES = np.array([c for cs in lz.ORDER_COSINES.values() for c in cs])
 _ORDERS = np.array([m for m, cs in lz.ORDER_COSINES.items() for _ in cs], dtype=np.int64)
 ANGLE_TOL = 1e-9
 
+# Threads of _thread_map: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
 
 class CoverError(ValueError):
     pass
+
+
+def _thread_map(kernel, items):
+    """Yield kernel(*args) for each argument tuple of `items`, in input order.
+
+    The kernels run on _WORKERS threads: the calling thread runs one item
+    while a pool that this call opens and closes runs the next
+    _WORKERS - 1, so at most _WORKERS items are drawn and not yet yielded;
+    with one worker there is no pool.  `items` is drawn in the calling
+    thread, in order.  A kernel's exception reaches the caller unchanged, in
+    input order, and no pool thread outlives the call, however it ends.  The
+    kernels are numpy code that releases the GIL, and must reach no public
+    wildknot function: the benchmark's call tracing keeps one span stack for
+    the process.
+    """
+    items = iter(items)
+    if _WORKERS == 1:
+        for args in items:
+            yield kernel(*args)
+        return
+    with ThreadPoolExecutor(_WORKERS - 1) as pool:
+        futures = []
+        try:
+            for args in items:
+                futures = [pool.submit(kernel, *more)
+                           for more in itertools.islice(items, _WORKERS - 1)]
+                yield kernel(*args)
+                for future in futures:
+                    yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def face_ball_offset(ell):
@@ -341,6 +381,30 @@ def _grid_join(a, b, side):
             yield order_a[np.repeat(p[part], n)], order_b[j]
 
 
+def _finite_balls(centers, radii):
+    """(centers, radii) as float arrays; CoverError names the first ball
+    without a finite centre and a finite positive radius."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    bad = ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii) & (radii > 0))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise CoverError(
+            f"ball {b} (centre {tuple(float(x) for x in centers[b])}, radius {float(radii[b])}) "
+            "needs a finite centre and a finite positive radius"
+        )
+    return centers, radii
+
+
+def _radius_octaves(radii):
+    """(groups, top): the ball indices of each radius octave,
+    round(log2(r_max / r)), from the largest radii down, and each group's
+    largest radius."""
+    octave = np.rint(np.log2(radii.max()) - np.log2(radii))
+    groups = [np.flatnonzero(octave == g) for g in np.unique(octave)]
+    return groups, [float(radii[g].max()) for g in groups]
+
+
 def _near_pairs(centers, radii):
     """Every pair i < j with inversive product below 1.15, sorted by (i, j).
 
@@ -356,20 +420,10 @@ def _near_pairs(centers, radii):
     and nested pairs and no designed disjoint one.  A ball with a non-finite
     centre or radius, or a radius <= 0, raises CoverError.
     """
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    bad = ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii) & (radii > 0))
-    if bad.any():
-        b = int(np.argmax(bad))
-        raise CoverError(
-            f"ball {b} (centre {tuple(float(x) for x in centers[b])}, radius {float(radii[b])}) "
-            "needs a finite centre and a finite positive radius"
-        )
+    centers, radii = _finite_balls(centers, radii)
     if len(radii) < 2:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    octave = np.rint(np.log2(radii.max()) - np.log2(radii))
-    groups = [np.flatnonzero(octave == g) for g in np.unique(octave)]
-    top = [float(radii[g].max()) for g in groups]
+    groups, top = _radius_octaves(radii)
     parts = []
     for x, y in itertools.combinations_with_replacement(range(len(groups)), 2):
         side = math.sqrt(top[x] ** 2 + top[y] ** 2 + 2.3 * top[x] * top[y]) * (1.0 + 1e-9)
@@ -417,25 +471,78 @@ def pairwise_sweep(centers, radii):
     return max_residual, int(intersecting.sum()), violations
 
 
+def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
+    """Candidate filter of coverage_check: of the face-ball candidates (f, b),
+    those whose ball's open trace disk in face f's plane meets its closed
+    square, as (face, (u, v) of the disk centre, squared disk radius)."""
+    d = centers[b]
+    d -= corner[f]
+    uv = np.take_along_axis(d, plane[f], axis=1)
+    d *= d
+    d *= off[f]
+    reach2 = radii[b] ** 2 - d.sum(axis=1)
+    gap = np.maximum(-uv, uv - ell)
+    np.maximum(gap, 0.0, out=gap)  # per-axis distance to the square
+    gap *= gap
+    meets = gap.sum(axis=1) < reach2
+    return f[meets], uv[meets], reach2[meets]
+
+
+def _uncovered(lo, uv, ell, corner, plane, table_u, table_v, table_r2, width):
+    """Sample kernel of coverage_check for the block of faces from `lo`: their
+    float32 samples uv (faces, n, 2), scaled by ell in place and widened to
+    float64, are tested rank by rank against their rows of the disk table, up
+    to rank `width`.  Returns (faces, points) of the uncovered samples, in
+    face then sample order, each point being the face's float32 corner plus
+    the sample."""
+    rows = slice(lo, lo + len(uv))
+    uv *= ell
+    u, v = uv[:, :, 0].astype(float), uv[:, :, 1].astype(float)
+    du, dv = np.empty_like(u), np.empty_like(u)
+    ok = np.zeros(u.shape, dtype=bool)
+    inside = np.empty(u.shape, dtype=bool)
+    for r in range(width):
+        np.subtract(u, table_u[rows, r, None], out=du)
+        np.subtract(v, table_v[rows, r, None], out=dv)
+        np.multiply(du, du, out=du)
+        np.multiply(dv, dv, out=dv)
+        np.add(du, dv, out=du)
+        ok |= np.less(du, table_r2[rows, r, None], out=inside)
+    fi, si = np.nonzero(~ok)
+    pts = corner[lo + fi].astype(np.float32)
+    for col in (0, 1):
+        pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
+    return lo + fi, pts
+
+
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
     """Monte-Carlo coverage of every surface face by the open cover balls.
 
     A ball meets a face plane in the open disk of centre (u, v), in face
     coordinates, and squared radius r^2 - h^2, h being the centre's distance
     from the plane.  A face's candidates are the balls whose disk meets its
-    closed square, from one grid join of the face middles against the ball
-    centres; the cell side r_max + ell/sqrt(2) bounds a centre's distance from
-    the middle of any square its ball meets, so the lists are complete.  The
-    candidates go into one face-major table of (F, width) rows u, v and
-    reach2 = r^2 - h^2, width being the largest candidate count; padding
-    slots have reach2 = -inf, so they contain no point.  The float32 samples
-    of a block of faces are widened to float64 once and tested rank by rank
-    against the table's columns, up to the block's largest candidate count,
-    in the face plane, with no recheck.  Returns
-    (fraction, misses) with misses as (face index, point) pairs in face then
-    sample order, the point being the face's float32 corner plus the sample.
+    closed square.  They come from one grid join of the face middles against
+    the ball centres per radius octave g, at cell side R_g + ell/sqrt(2)
+    (widened by 1e-9 against rounding), R_g being the octave's largest
+    radius.  The lists are complete: a ball of octave g that meets the square
+    holds a point of it within r <= R_g of its centre, and every point of the
+    square lies within ell/sqrt(2) of its middle, so centre and middle differ
+    by less than the cell side on every axis and lie in the same or in
+    neighbouring cells.  The candidates go into one face-major table of
+    (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
+    candidate count; padding slots have reach2 = -inf, so they contain no
+    point.  The float32 samples are drawn from one generator in blocks of
+    about 2^16 samples, in face order, and each block is tested in float64,
+    in the face plane, against its faces' table rows (_uncovered), with no
+    recheck.  The candidate filter of each join slice and the blocks' tests
+    run on _thread_map's threads; no result depends on the worker count.
+    Returns (fraction, misses) with misses as (face index, point) pairs in
+    face then sample order, the point being the face's float32 corner plus
+    the sample.  A ball without a finite centre and a finite positive radius
+    raises CoverError.
     """
     ell = float(cover.unit)
+    centers, radii = _finite_balls(cover.centers, cover.radii)
     n_faces = len(surf.faces)
     corner = surf.faces[:, :4].astype(float)
     plane = surf.faces[:, 4:]  # (F, 2) in-plane axes
@@ -443,15 +550,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     off[np.arange(n_faces)[:, None], plane] = 0.0
     mids = corner + (1.0 - off) * (ell / 2.0)
 
-    side = (float(cover.radii.max()) + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
-    parts = []
-    for f, b in _grid_join(mids, cover.centers, side):
-        d = cover.centers[b] - corner[f]
-        uv = np.take_along_axis(d, plane[f], axis=1)
-        reach2 = cover.radii[b] ** 2 - (d * d * off[f]).sum(axis=1)
-        gap = np.maximum(np.maximum(-uv, uv - ell), 0.0)  # per-axis distance to the square
-        meets = (gap * gap).sum(axis=1) < reach2
-        parts.append((f[meets], uv[meets], reach2[meets]))
+    def candidates():
+        for g, top in zip(*_radius_octaves(radii)):
+            side = (top + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
+            for f, b in _grid_join(mids, centers[g], side):
+                yield f, g[b], centers, radii, corner, plane, off, ell
+
+    parts = list(_thread_map(_trace_disks, candidates()))
     face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
     by_face = np.argsort(face, kind="stable")
     face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
@@ -465,29 +570,17 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
     rng = np.random.default_rng(seed)
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
-    work = np.empty((4, block, n_samples))  # u, v, du, dv of one block
-    flags = np.empty((2, block, n_samples), dtype=bool)  # ok, inside
+
+    def blocks():
+        for lo in range(0, n_faces, block):
+            hi = min(lo + block, n_faces)
+            uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32)
+            width = int(count[lo:hi].max())  # ranks past it are padding
+            yield lo, uv, ell, corner, plane, table_u, table_v, table_r2, width
+
     misses = []
-    for lo in range(0, n_faces, block):
-        hi = min(lo + block, n_faces)
-        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell
-        u, v, du, dv = work[:, : hi - lo]
-        ok, inside = flags[:, : hi - lo]
-        np.copyto(u, uv[:, :, 0])
-        np.copyto(v, uv[:, :, 1])
-        ok[...] = False
-        for r in range(int(count[lo:hi].max())):  # ranks past it are padding
-            np.subtract(u, table_u[lo:hi, r, None], out=du)
-            np.subtract(v, table_v[lo:hi, r, None], out=dv)
-            np.multiply(du, du, out=du)
-            np.multiply(dv, dv, out=dv)
-            np.add(du, dv, out=du)
-            ok |= np.less(du, table_r2[lo:hi, r, None], out=inside)
-        fi, si = np.nonzero(~ok)
-        pts = corner[lo + fi].astype(np.float32)
-        for col in (0, 1):
-            pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
-        misses.extend((lo + int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
+    for fi, pts in _thread_map(_uncovered, blocks()):
+        misses.extend((int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
     total = n_faces * n_samples
     return (total - len(misses)) / total, misses
 

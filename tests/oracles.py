@@ -9,7 +9,12 @@ the one-at-a-time formulas here are the tests' independent check on them.
 The near-pair search is checked against its earlier form, one self-join at
 the largest radius's cell side over a join that searches one row at a time
 (`near_pairs` and `grid_join` against `cover._near_pairs` and
-`cover._grid_join`).  The point maps, random Moebius maps, the
+`cover._grid_join`).  Criteria 2 and 3 are checked against their serial
+forms: `coverage_check` here joins all ball centres at the largest radius's
+cell side and tests one block of about 2^16 samples at a time, and
+`relation_suite` runs its batches one after another, against the
+threaded `cover.coverage_check` and `groups.relation_suite`, which must give
+the same bits at any worker count.  The point maps, random Moebius maps, the
 presentation, polynomial and group-ring helpers, the single-cube complex and
 the complex-file loader serve only the tests.
 """
@@ -26,6 +31,7 @@ import numpy as np
 
 from wildknot import complexes as cx
 from wildknot import cover as cv
+from wildknot import groups as gr
 from wildknot import lorentz as lz
 from wildknot.alexander import GroupPresentation, free_reduce
 
@@ -403,6 +409,108 @@ def near_pairs(centers, radii):
     i, j, prod = (np.concatenate(col) for col in zip(*parts))
     by_pair = np.lexsort((j, i))
     return i[by_pair], j[by_pair], prod[by_pair]
+
+
+def coverage_check(cover, surf, n_samples=10_000, seed=0):
+    """cover.coverage_check on one thread: one grid join of the face middles
+    against all ball centres, one block of faces at a time.
+
+    A ball meets a face plane in the open disk of centre (u, v), in face
+    coordinates, and squared radius r^2 - h^2, h being the centre's distance
+    from the plane.  A face's candidates are the balls whose disk meets its
+    closed square, from one grid join of the face middles against the ball
+    centres; the cell side r_max + ell/sqrt(2) bounds a centre's distance from
+    the middle of any square its ball meets, so the lists are complete.  The
+    candidates go into one face-major table of (F, width) rows u, v and
+    reach2 = r^2 - h^2, width being the largest candidate count; padding
+    slots have reach2 = -inf, so they contain no point.  The float32 samples
+    of a block of faces are widened to float64 once and tested rank by rank
+    against the table's columns, up to the block's largest candidate count,
+    in the face plane, with no recheck.  Returns
+    (fraction, misses) with misses as (face index, point) pairs in face then
+    sample order, the point being the face's float32 corner plus the sample.
+    """
+    ell = float(cover.unit)
+    n_faces = len(surf.faces)
+    corner = surf.faces[:, :4].astype(float)
+    plane = surf.faces[:, 4:]  # (F, 2) in-plane axes
+    off = np.ones_like(corner)  # 1 on the two axes normal to the face plane
+    off[np.arange(n_faces)[:, None], plane] = 0.0
+    mids = corner + (1.0 - off) * (ell / 2.0)
+
+    side = (float(cover.radii.max()) + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
+    parts = []
+    for f, b in cv._grid_join(mids, cover.centers, side):
+        d = cover.centers[b] - corner[f]
+        uv = np.take_along_axis(d, plane[f], axis=1)
+        reach2 = cover.radii[b] ** 2 - (d * d * off[f]).sum(axis=1)
+        gap = np.maximum(np.maximum(-uv, uv - ell), 0.0)  # per-axis distance to the square
+        meets = (gap * gap).sum(axis=1) < reach2
+        parts.append((f[meets], uv[meets], reach2[meets]))
+    face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
+    by_face = np.argsort(face, kind="stable")
+    face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
+    count = np.bincount(face, minlength=n_faces)
+    rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    width = int(count.max(initial=0))
+    table_u, table_v = np.zeros((2, n_faces, width))
+    table_r2 = np.full((n_faces, width), -np.inf)  # padding: no point inside
+    table_u[face, rank], table_v[face, rank] = cuv.T
+    table_r2[face, rank] = reach2
+
+    rng = np.random.default_rng(seed)
+    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
+    work = np.empty((4, block, n_samples))  # u, v, du, dv of one block
+    flags = np.empty((2, block, n_samples), dtype=bool)  # ok, inside
+    misses = []
+    for lo in range(0, n_faces, block):
+        hi = min(lo + block, n_faces)
+        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell
+        u, v, du, dv = work[:, : hi - lo]
+        ok, inside = flags[:, : hi - lo]
+        np.copyto(u, uv[:, :, 0])
+        np.copyto(v, uv[:, :, 1])
+        ok[...] = False
+        for r in range(int(count[lo:hi].max())):  # ranks past it are padding
+            np.subtract(u, table_u[lo:hi, r, None], out=du)
+            np.subtract(v, table_v[lo:hi, r, None], out=dv)
+            np.multiply(du, du, out=du)
+            np.multiply(dv, dv, out=dv)
+            np.add(du, dv, out=du)
+            ok |= np.less(du, table_r2[lo:hi, r, None], out=inside)
+        fi, si = np.nonzero(~ok)
+        pts = corner[lo + fi].astype(np.float32)
+        for col in (0, 1):
+            pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
+        misses.extend((lo + int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
+    total = n_faces * n_samples
+    return (total - len(misses)) / total, misses
+
+
+def relation_suite(group, tol=1e-8, separation=0.5):
+    """groups.relation_suite on one thread: batches of 4096 relations through
+    groups.relation_residuals, one after another."""
+    cover = group.cover
+    rels = group.relations
+    max_residual = 0.0
+    min_premature = math.inf
+    for lo in range(0, len(rels), 4096):
+        chunk = rels[lo : lo + 4096]
+        residual, gap = gr.relation_residuals(
+            cover.centers[chunk[:, :2]], cover.radii[chunk[:, :2]], chunk[:, 2]
+        )
+        max_residual = max(max_residual, float(residual.max()))
+        min_premature = min(min_premature, float(gap.min()))
+    report = {
+        "n_relations": len(rels),
+        "max_residual": max_residual,
+        "min_premature_gap": min_premature,
+        "tolerance": tol,
+        "ok": max_residual <= tol and min_premature > separation,
+    }
+    if not report["ok"]:
+        raise gr.GroupError(f"relation suite failed: {report}")
+    return report
 
 
 # ---------------------------------------------------------------------------

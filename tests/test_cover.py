@@ -406,6 +406,31 @@ def test_coverage_reaches_the_completeness_bound(single_cube):
         assert got == coverage_reference(one, surf, np.full(1, -1), n_samples=300, seed=0)
 
 
+def test_coverage_join_per_radius_octave_is_complete(single_cube):
+    """One small ball at a time, beside an anchor ball of radius 0.6 far away
+    that sets r_max, so the small ball has an octave and a join of its own.
+    Its centre lies 0.5 + r/2 from a face's middle along an in-plane axis,
+    so its trace disk reaches r/2 into the square by an edge, a per-axis
+    offset that a join side below r/2 + 1/2 can put two cells apart.  Over
+    radii in four octaves and every face, the result equals the serial
+    form's, whose one join runs at the anchor's cell side."""
+    surf, cover = single_cube
+    rng = np.random.default_rng(5)
+    anchor = np.full(4, 50.0)
+    for radius in 0.6 * 2.0 ** -rng.uniform(0.6, 3.6, size=16):
+        f = int(rng.integers(len(surf.faces)))
+        i, j = surf.faces[f, 4:]
+        center = surf.faces[f, :4].astype(float)
+        center[i] += 0.5 + (0.5 + 0.5 * radius) * rng.choice([-1.0, 1.0])
+        center[j] += rng.uniform(0.0, 1.0)
+        two = dataclasses.replace(cover, centers=np.stack([anchor, center]),
+                                  radii=np.array([0.6, radius]),
+                                  vertices=np.zeros((0, 4), dtype=np.int64))
+        got = coverage_check(two, surf, n_samples=5000, seed=0)
+        assert got[0] > 0.0
+        assert got == orc.coverage_check(two, surf, n_samples=5000, seed=0)
+
+
 def test_coverage_faces_without_candidates_miss_every_sample(single_cube):
     """Face 0's own five face-role balls reach no other face, so the other
     faces' rows of the disk table are padding only and every sample of theirs
