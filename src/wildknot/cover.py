@@ -522,12 +522,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     coordinates, and squared radius r^2 - h^2, h being the centre's distance
     from the plane.  A face's candidates are the balls whose disk meets its
     closed square.  They come from one grid join of the face middles against
-    the ball centres per radius octave g, at cell side R_g + ell/sqrt(2)
-    (widened by 1e-9 against rounding), R_g being the octave's largest
-    radius.  The lists are complete: a ball of octave g that meets the square
-    holds a point of it within r <= R_g of its centre, and every point of the
-    square lies within ell/sqrt(2) of its middle, so centre and middle differ
-    by less than the cell side on every axis and lie in the same or in
+    the ball centres per radius octave g, at cell side R_g + ell/2 (widened
+    by 1e-9 against rounding), R_g being the octave's largest radius.  The
+    lists are complete: a ball of octave g that meets the closed square holds
+    a point p of it with |c - p| < r <= R_g, c being its centre, and on every
+    axis p differs from the square's middle by at most ell/2 (ell/2 on the
+    two in-plane axes, 0 on the normal ones).  So on every axis c and the
+    middle differ by less than R_g + ell/2, and they lie in the same or in
     neighbouring cells.  The candidates go into one face-major table of
     (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
     candidate count; padding slots have reach2 = -inf, so they contain no
@@ -552,7 +553,7 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
     def candidates():
         for g, top in zip(*_radius_octaves(radii)):
-            side = (top + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
+            side = (top + ell / 2.0) * (1.0 + 1e-9)
             for f, b in _grid_join(mids, centers[g], side):
                 yield f, g[b], centers, radii, corner, plane, off, ell
 

@@ -77,8 +77,12 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     length (no immediate repeats, first letter != last letter), so the
     attracting fixed point lies inside the word's own orbit sphere;
     non-loxodromic samples (possible when letters share a mirror pattern)
-    are skipped and counted.  Points are reported in the sub-assembly's
-    original coordinates (offset added back).
+    are skipped and counted, and at most 50 n words are drawn.  Each round
+    draws as many words as points are still missing (within that cap),
+    multiplies and classifies them as one stack, and keeps the loxodromic
+    ones in draw order, so the words are those of a one-at-a-time loop.
+    Points are reported in the sub-assembly's original coordinates (offset
+    added back).
     """
     if word_length % 2:
         raise ValueError("word_length must be even (reflections are involutions)")
@@ -86,43 +90,47 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     k = len(sub.ball_ids)
     if k < 3 and word_length > 2:
         raise ValueError("need at least 3 generators for cyclically reduced words")
-    pts = []
-    provenance = []
-    skipped = 0
-    n_infinite = 0
-    attempts = 0
-    while len(pts) < n and attempts < 50 * max(n, 1):
-        attempts += 1
-        word = [int(rng.integers(k))]
-        while len(word) < word_length:
-            g = int(rng.integers(k))
-            if g == word[-1]:
-                continue
-            if len(word) == word_length - 1 and g == word[0]:
-                continue
-            word.append(g)
+    cap = 50 * max(n, 1)
+    pts, provenance = [], []
+    skipped = n_infinite = attempts = 0
+    while len(provenance) < n and attempts < cap:
+        words = np.array([_cyclic_word(rng, k, word_length)
+                          for _ in range(min(n - len(provenance), cap - attempts))])
+        attempts += len(words)
         m = np.eye(6)
-        for g in word:
-            m = m @ sub.matrices[g]
-        kind, data = lz.classify_map(m)
-        if kind != "loxodromic":
-            skipped += 1
-            continue
-        _lam, att, _rep = data
-        if att is None:
-            n_infinite += 1
-            continue
-        pts.append(att + sub.offset)
-        provenance.append("loxodromic_fixed(" + ",".join(map(str, word)) + ")")
-    if not pts:
+        for letters in words.T:
+            m = m @ sub.matrices[letters]
+        kind, _lam, att, _rep = lz.classify_maps(m)
+        lox = kind == lz.LOXODROMIC
+        finite = lox & ~np.isnan(att[:, 0])
+        skipped += int((~lox).sum())
+        n_infinite += int((lox & ~finite).sum())
+        pts.append(att[finite] + sub.offset)
+        provenance += ["loxodromic_fixed(" + ",".join(map(str, w)) + ")"
+                       for w in words[finite].tolist()]
+    if not provenance:
         return _empty_cloud(4, notice="no loxodromic words found"), skipped
     cloud = PointCloud(
-        points=np.array(pts),
+        points=np.concatenate(pts),
         provenance=provenance,
-        generation=np.full(len(pts), word_length, dtype=np.int64),
+        generation=np.full(len(provenance), word_length, dtype=np.int64),
         n_infinite=n_infinite,
     )
     return cloud, skipped
+
+
+def _cyclic_word(rng, k, length):
+    """One cyclically reduced word on k letters, drawn letter by letter with
+    rejection (no letter repeats its predecessor, the last differs from the first)."""
+    word = [int(rng.integers(k))]
+    while len(word) < length:
+        g = int(rng.integers(k))
+        if g == word[-1]:
+            continue
+        if len(word) == length - 1 and g == word[0]:
+            continue
+        word.append(g)
+    return word
 
 
 def containment_fraction(cloud, centers, radii, slack=0.0):

@@ -20,8 +20,6 @@ dihedral angle theta, < -1 for spheres with disjoint exteriors-of-interiors
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 J = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
@@ -78,74 +76,99 @@ def centers_radii(polars, tol=1e-12):
 
 
 def inverse(m):
-    """Group inverse via the Lorentz adjugate J M^T J (never numeric inv)."""
-    return J @ np.asarray(m).T @ J
+    """Group inverse via the Lorentz adjugate J M^T J (never numeric inv);
+    broadcasts over leading axes."""
+    return J @ np.swapaxes(m, -1, -2) @ J
 
 
-def classify_map(m, tol=1e-9):
-    """Classify a Lorentz matrix as identity/elliptic/parabolic/loxodromic.
+KINDS = ("identity", "elliptic", "parabolic", "loxodromic")
+LOXODROMIC = 3
 
-    Returns (kind, data): for loxodromic maps data is (dilation, attracting
-    fixed point, repelling fixed point) with fixed points as R^4 vectors or
-    None for infinity; otherwise data is None.
+
+def classify_maps(ms, tol=1e-9):
+    """Classify a stack of Lorentz matrices as identity/elliptic/parabolic/loxodromic.
+
+    Returns (kind, lam, att, rep) for the (n, 6, 6) stack: kind (n,) indexes
+    KINDS; on loxodromic rows lam is the dilation and att, rep (n, 4) are the
+    attracting and repelling fixed points in R^4, NaN rows for infinity.
+    lam, att and rep are NaN on the other rows.
     """
-    m = np.asarray(m, dtype=float)
-    if np.max(np.abs(m - np.eye(6))) <= tol:
-        return "identity", None
+    ms = np.asarray(ms, dtype=float)
+    top = np.abs(ms).max(axis=(1, 2))
     # Eigenvalue moduli are too noisy to separate parabolic from mildly
     # loxodromic directly; instead look at the growth of ||M^(2^k)|| under
     # repeated squaring with renormalisation.  log-norm L_k is bounded for
     # elliptic, ~2k log 2 for parabolic (polynomial growth) and ~2^k log(lam)
     # for loxodromic, so the ratio L_10 / L_9 cleanly separates the latter two.
-    cur = m.copy()
-    log_norm = math.log(np.max(np.abs(cur)))
-    cur = cur / np.max(np.abs(cur))
-    logs = [log_norm]
+    cur = ms / top[:, None, None]
+    log_norm = np.log(top)
     for _ in range(10):
+        prev = log_norm
         cur = cur @ cur
-        n = np.max(np.abs(cur))
-        log_norm = 2.0 * log_norm + math.log(n)
-        cur = cur / n
-        logs.append(log_norm)
-    if logs[-1] < math.log(1e4 * (1.0 + np.max(np.abs(m)))):
-        return "elliptic", None
-    if logs[-1] / max(logs[-2], 1e-30) > 1.5:
+        norm = np.abs(cur).max(axis=(1, 2))
+        log_norm = 2.0 * log_norm + np.log(norm)
+        cur = cur / norm[:, None, None]
+    kind = np.select(
+        [np.abs(ms - np.eye(6)).max(axis=(1, 2)) <= tol,
+         log_norm < np.log(1e4 * (1.0 + top)),
+         log_norm / np.maximum(prev, 1e-30) > 1.5],
+        [0, 1, LOXODROMIC], default=2)  # indices into KINDS
+    lam = np.full(len(ms), np.nan)
+    att, rep = np.full((2, len(ms), 4), np.nan)
+    rows = np.flatnonzero(kind == LOXODROMIC)
+    if len(rows):
+        m = ms[rows]
         vals, vecs = np.linalg.eig(m)
         moduli = np.abs(vals)
-        i_max = int(np.argmax(moduli))
-        i_min = int(np.argmin(moduli))
-        lam = float(moduli[i_max])
+        at = np.arange(len(rows))
+        i_max, i_min = moduli.argmax(axis=1), moduli.argmin(axis=1)
+        lam[rows] = moduli[at, i_max]
         # polish the eigenvectors by power iteration: eig's output for a
         # nonsymmetric matrix at lattice scale carries ~1e-7 absolute noise,
         # while each multiply contracts the off-dominant error by 1/lam
-        att = _lightlike_fixed_point(_power_polish(m, vecs[:, i_max]))
-        rep = _lightlike_fixed_point(_power_polish(inverse(m), vecs[:, i_min]))
-        return "loxodromic", (lam, att, rep)
-    return "parabolic", None
+        att[rows] = _lightlike_fixed_points(_power_polish(m, vecs[at, :, i_max].real))
+        rep[rows] = _lightlike_fixed_points(
+            _power_polish(inverse(m), vecs[at, :, i_min].real))
+    return kind, lam, att, rep
 
 
-def _power_polish(m, col, iterations=64):
-    v = np.real(np.real_if_close(col, tol=1e6))
+def classify_map(m, tol=1e-9):
+    """One-row `classify_maps`: (kind, data), data being (dilation, attracting
+    fixed point, repelling fixed point) for a loxodromic map, with None for
+    a fixed point at infinity, and None for the other kinds."""
+    kind, lam, att, rep = classify_maps(np.asarray(m, dtype=float)[None], tol)
+    if kind[0] != LOXODROMIC:
+        return KINDS[kind[0]], None
+    att, rep = (None if np.isnan(p[0]) else p for p in (att[0], rep[0]))
+    return KINDS[LOXODROMIC], (float(lam[0]), att, rep)
+
+
+def _power_polish(ms, v, iterations=64):
+    """v <- M v / max|M v| on each row, until a row moves by at most 1e-16
+    (kept) or M v has a zero or non-finite norm (the row keeps its v)."""
+    v = v.copy()
+    live = np.arange(len(v))
     for _ in range(iterations):
-        w = m @ v
-        norm = np.max(np.abs(w))
-        if norm == 0 or not np.isfinite(norm):
-            return v
-        w = w / norm
-        if np.max(np.abs(w - v)) <= 1e-16:
-            return w
-        v = w
+        w = (ms[live] @ v[live, :, None])[:, :, 0]
+        norm = np.abs(w).max(axis=1)
+        ok = (norm != 0) & np.isfinite(norm)
+        live, w = live[ok], w[ok] / norm[ok, None]
+        moved = np.abs(w - v[live]).max(axis=1) > 1e-16
+        v[live] = w
+        live = live[moved]
+        if not len(live):
+            break
     return v
 
 
-def _lightlike_fixed_point(col):
-    v = np.real_if_close(col, tol=1e6)
-    v = np.real(v)
-    norm = np.max(np.abs(v))
-    if norm == 0:
-        return None
-    v = v / norm
-    # orient to the positive cone
-    if v[5] < 0:
-        v = -v
-    return project(v)
+def _lightlike_fixed_points(v, tol=1e-12):
+    """Rows of light-cone vectors -> the points of R^4 they lift, NaN rows
+    for infinity (a zero row included)."""
+    norm = np.abs(v).max(axis=1)
+    v = v / np.where(norm == 0, 1.0, norm)[:, None]
+    v = np.where(v[:, 5:] < 0, -v, v)  # orient to the positive cone
+    scale = v[:, 5] - v[:, 4]
+    at_inf = np.abs(scale) <= tol * np.maximum(1.0, np.abs(v[:, 5]) + np.abs(v[:, 4]))
+    pts = v[:, :4] / np.where(at_inf, 1.0, scale)[:, None]
+    pts[at_inf] = np.nan
+    return pts

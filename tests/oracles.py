@@ -14,9 +14,13 @@ forms: `coverage_check` here joins all ball centres at the largest radius's
 cell side and tests one block of about 2^16 samples at a time, and
 `relation_suite` runs its batches one after another, against the
 threaded `cover.coverage_check` and `groups.relation_suite`, which must give
-the same bits at any worker count.  The point maps, random Moebius maps, the
-presentation, polynomial and group-ring helpers, the single-cube complex and
-the complex-file loader serve only the tests.
+the same bits at any worker count.  `limitset.loxodromic_points` and
+`lorentz.classify_maps`, which classify a stack of words at once, must give
+the bits of the loop here that draws, multiplies and classifies one word at
+a time (`loxodromic_points`, with the scalar `classify_map` and its power
+polish).  The point maps, random Moebius maps, the presentation, polynomial
+and group-ring helpers, the single-cube complex and the complex-file loader
+serve only the tests.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
+from wildknot import limitset as ls
 from wildknot import lorentz as lz
 from wildknot.alexander import GroupPresentation, free_reduce
 
@@ -144,6 +149,111 @@ def random_moebius(rng, n_reflections=4, scale=2.0):
         r = rng.uniform(0.3, scale)
         m = m @ reflection(sphere(c, r))
     return m
+
+
+def classify_map(m, tol=1e-9):
+    """lorentz.classify_maps one matrix at a time, with scalar logs.
+
+    Returns (kind, data): for loxodromic maps data is (dilation, attracting
+    fixed point, repelling fixed point) with fixed points as R^4 vectors or
+    None for infinity; otherwise data is None.
+    """
+    m = np.asarray(m, dtype=float)
+    if np.max(np.abs(m - np.eye(6))) <= tol:
+        return "identity", None
+    cur = m.copy()
+    log_norm = math.log(np.max(np.abs(cur)))
+    cur = cur / np.max(np.abs(cur))
+    logs = [log_norm]
+    for _ in range(10):
+        cur = cur @ cur
+        n = np.max(np.abs(cur))
+        log_norm = 2.0 * log_norm + math.log(n)
+        cur = cur / n
+        logs.append(log_norm)
+    if logs[-1] < math.log(1e4 * (1.0 + np.max(np.abs(m)))):
+        return "elliptic", None
+    if logs[-1] / max(logs[-2], 1e-30) > 1.5:
+        vals, vecs = np.linalg.eig(m)
+        moduli = np.abs(vals)
+        i_max = int(np.argmax(moduli))
+        i_min = int(np.argmin(moduli))
+        lam = float(moduli[i_max])
+        att = _lightlike_fixed_point(_power_polish(m, vecs[:, i_max]))
+        rep = _lightlike_fixed_point(_power_polish(lz.J @ m.T @ lz.J, vecs[:, i_min]))
+        return "loxodromic", (lam, att, rep)
+    return "parabolic", None
+
+
+def _power_polish(m, col, iterations=64):
+    v = np.real(np.real_if_close(col, tol=1e6))
+    for _ in range(iterations):
+        w = m @ v
+        norm = np.max(np.abs(w))
+        if norm == 0 or not np.isfinite(norm):
+            return v
+        w = w / norm
+        if np.max(np.abs(w - v)) <= 1e-16:
+            return w
+        v = w
+    return v
+
+
+def _lightlike_fixed_point(col):
+    v = np.real(np.real_if_close(col, tol=1e6))
+    norm = np.max(np.abs(v))
+    if norm == 0:
+        return None
+    v = v / norm
+    if v[5] < 0:  # orient to the positive cone
+        v = -v
+    return lz.project(v)
+
+
+def loxodromic_points(sub, n, seed=0, word_length=6):
+    """limitset.loxodromic_points one word at a time: draw a word, multiply
+    it out, classify it with `classify_map`, until n finite attracting fixed
+    points or 50 n words.  Returns (cloud, skipped)."""
+    if word_length % 2:
+        raise ValueError("word_length must be even (reflections are involutions)")
+    rng = np.random.default_rng(seed)
+    k = len(sub.ball_ids)
+    if k < 3 and word_length > 2:
+        raise ValueError("need at least 3 generators for cyclically reduced words")
+    pts, provenance = [], []
+    skipped = n_infinite = attempts = 0
+    while len(pts) < n and attempts < 50 * max(n, 1):
+        attempts += 1
+        word = [int(rng.integers(k))]
+        while len(word) < word_length:
+            g = int(rng.integers(k))
+            if g == word[-1]:
+                continue
+            if len(word) == word_length - 1 and g == word[0]:
+                continue
+            word.append(g)
+        m = np.eye(6)
+        for g in word:
+            m = m @ sub.matrices[g]
+        kind, data = classify_map(m)
+        if kind != "loxodromic":
+            skipped += 1
+            continue
+        _lam, att, _rep = data
+        if att is None:
+            n_infinite += 1
+            continue
+        pts.append(att + sub.offset)
+        provenance.append("loxodromic_fixed(" + ",".join(map(str, word)) + ")")
+    if not pts:
+        return ls._empty_cloud(4, notice="no loxodromic words found"), skipped
+    cloud = ls.PointCloud(
+        points=np.array(pts),
+        provenance=provenance,
+        generation=np.full(len(pts), word_length, dtype=np.int64),
+        n_infinite=n_infinite,
+    )
+    return cloud, skipped
 
 
 def word_to_string(word):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildknot.cover import build_cover
+from wildknot.cover import ROLE_VERTEX, build_cover
 from wildknot.groups import (
+    assemble_group,
     orbit_spheres,
     pairwise_disjoint_subassembly,
     polyhedron_stages,
+    subassembly,
 )
 from wildknot.limitset import (
     PointCloud,
@@ -25,6 +27,7 @@ from wildknot.limitset import (
     slice_cloud,
     stage_report,
 )
+from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
 
@@ -107,6 +110,75 @@ def test_loxodromic_points_inside_hull(setup):
     assert containment_fraction(
         cloud, orbit.centers[gen1] + sub.offset, orbit.radii[gen1], slack=1e-9
     ) == 1.0
+
+
+@pytest.fixture(scope="module")
+def preset_subs():
+    c = spun_trefoil_preset()
+    cover = build_cover(c, k=0)
+    group = assemble_group(c, cover)
+    subs = {"schottky": pairwise_disjoint_subassembly(cover, n=4)}
+    subs.update((f"amalgam {j}", subassembly(cover, group.amalgams[j].ball_ids))
+                for j in (0, 60, 132, 270))
+    return subs
+
+
+def _same_cloud(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert got.provenance == want.provenance
+    assert np.array_equal(got.generation, want.generation)
+    assert (got.n_infinite, got.notice) == (want.n_infinite, want.notice)
+
+
+@pytest.fixture
+def made_rngs(monkeypatch):
+    """Every generator np.random.default_rng makes, in order."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return made
+
+
+@pytest.mark.parametrize("name", ["schottky", "amalgam 0", "amalgam 60", "amalgam 132",
+                                  "amalgam 270"])
+def test_loxodromic_points_match_the_word_by_word_loop(preset_subs, name, made_rngs):
+    """The per-round stacks give the one-word-at-a-time loop's points, bit for
+    bit, with its provenance, skip count and points at infinity, and draw no
+    word past the loop's last.  The amalgams' order-2 and order-3 pairs give
+    non-loxodromic words, so their calls redraw in later rounds."""
+    sub = preset_subs[name]
+    redrawn = 0
+    for seed, length in itertools.product((0, 3, 11), (4, 6, 8)):
+        cloud, skipped = loxodromic_points(sub, 100, seed=seed, word_length=length)
+        want, want_skipped = orc.loxodromic_points(sub, 100, seed=seed, word_length=length)
+        assert len(cloud) == 100 and skipped == want_skipped
+        _same_cloud(cloud, want)
+        assert made_rngs[-2].bit_generator.state == made_rngs[-1].bit_generator.state
+        redrawn += skipped
+    assert (redrawn > 0) == (name != "schottky")
+
+
+def test_loxodromic_points_stop_at_the_attempts_cap(setup, made_rngs):
+    """Two adjacent vertex balls generate the order-3 dihedral group, so every
+    word of length 2 is elliptic: the call draws its cap of 50 n words, no
+    more, skips them all and returns the empty cloud."""
+    cover = setup[0]
+    roles = cover.roles
+    i, j, _m = next(r for r in cover.adjacency
+                    if r[2] == 3 and roles[r[0]] == roles[r[1]] == ROLE_VERTEX)
+    pair = subassembly(cover, [i, j])
+    cloud, skipped = loxodromic_points(pair, 5, seed=0, word_length=2)
+    want, want_skipped = orc.loxodromic_points(pair, 5, seed=0, word_length=2)
+    assert skipped == want_skipped == 250
+    assert len(cloud) == 0 and cloud.notice == "no loxodromic words found"
+    _same_cloud(cloud, want)
+    # the oracle stops after its 250th word: both generators are at the same state
+    assert made_rngs[0].bit_generator.state == made_rngs[1].bit_generator.state
 
 
 def test_loxodromic_rejects_odd_length(setup):

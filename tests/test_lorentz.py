@@ -210,3 +210,38 @@ def test_classify_parabolic():
 def test_random_moebius_is_lorentz(seed):
     m = orc.random_moebius(np.random.default_rng(seed))
     assert orc.lorentz_defect(m) < 1e-10 * max(1.0, float(np.max(np.abs(m))) ** 2)
+
+
+def test_classifier_stack_matches_the_scalar_oracle():
+    """One stack of the cases above and random Moebius words: every row's
+    kind is the scalar oracle's, and its dilation and both fixed points are
+    bit-equal to the oracle's, a NaN row standing for its None at infinity."""
+    u, v = orc.sphere([0, 0, 0, 0], 1.0), orc.sphere([1, 0, 0, 0], 1.0)
+    cases = [
+        np.eye(6),
+        orc.reflection(u) @ orc.reflection(v),
+        orc.reflection(u) @ orc.reflection(orc.sphere([2, 0, 0, 0], 1.0)),
+        orc.reflection(orc.sphere([0, 0, 0, 0], 2.0)) @ orc.reflection(u),
+    ]
+    rng = np.random.default_rng(5)
+    cases += [orc.random_moebius(rng, n_reflections=r) for r in (1, 2, 3, 4, 6) for _ in range(12)]
+    kind, lam, att, rep = lz.classify_maps(np.array(cases))
+    assert [lz.KINDS[k] for k in kind[:4]] == ["identity", "elliptic", "parabolic", "loxodromic"]
+    assert {"elliptic", "loxodromic"} <= {lz.KINDS[k] for k in kind[4:]}
+    for i, m in enumerate(cases):
+        want, data = orc.classify_map(m)
+        assert lz.KINDS[kind[i]] == want, i
+        if data is None:
+            assert np.isnan(lam[i]) and np.isnan(att[i]).all() and np.isnan(rep[i]).all()
+            continue
+        assert lam[i] == data[0], i
+        for got, ref in ((att[i], data[1]), (rep[i], data[2])):
+            if ref is None:
+                assert np.isnan(got).all(), i
+            else:
+                assert np.array_equal(got, ref), i
+    # x -> 4x: one fixed point at 0, the other at infinity
+    assert lam[3] == pytest.approx(4.0, rel=1e-9)
+    fixed = [att[3], rep[3]]
+    assert sum(np.isnan(p).all() for p in fixed) == 1
+    assert np.allclose(next(p for p in fixed if not np.isnan(p).any()), 0.0, atol=1e-9)
