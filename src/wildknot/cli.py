@@ -173,33 +173,25 @@ def _fmt(x):
 
 
 def _write_cover(cover, path):
+    """One row per ball; %r of a Python float is repr(float), as in _fmt."""
+    roles = ("vertex", "face", "junction")
     lines = ["# ball x1 x2 x3 x4 radius role host"]
-    roles = {0: "vertex", 1: "face", 2: "junction"}
-    for i in range(len(cover)):
-        lines.append(
-            " ".join(
-                [str(i)]
-                + [_fmt(v) for v in cover.centers[i]]
-                + [_fmt(cover.radii[i]), roles[int(cover.roles[i])], str(int(cover.host[i]))]
-            )
-        )
+    lines += ["%d %r %r %r %r %r %s %d" % (i, *c, r, roles[o], h) for i, (c, r, o, h) in
+              enumerate(zip(cover.centers.tolist(), cover.radii.tolist(),
+                            cover.roles.tolist(), cover.host.tolist()))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_orbit(orbit, sub, path):
+    """One row per orbit sphere, centers in the complex's coordinates."""
     lines = ["# seq word seed x1 x2 x3 x4 radius parent generation"]
-    for i in range(len(orbit.radii)):
-        word = ",".join(map(str, orbit.words[i])) or "-"
-        center = orbit.centers[i] + sub.offset
-        lines.append(
-            " ".join(
-                [str(int(orbit.seq[i])), word, str(int(orbit.seed[i]))]
-                + [_fmt(v) for v in center]
-                + [_fmt(orbit.radii[i]), str(int(orbit.parent[i])),
-                   str(int(orbit.generation[i]))]
-            )
-        )
+    row = "%d %s %d %r %r %r %r %r %d %d"
+    lines += [row % (i, ",".join(map(str, w)) or "-", s, *c, r, p, g)
+              for i, w, s, c, r, p, g in
+              zip(orbit.seq.tolist(), orbit.words, orbit.seed.tolist(),
+                  (orbit.centers + sub.offset).tolist(), orbit.radii.tolist(),
+                  orbit.parent.tolist(), orbit.generation.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -35,6 +35,8 @@ TITS_MAX = 2**62 // 3
 MAX_ELEMENTS = 2_000_000
 # Relations checked per batch by relation_suite, shared among its threads.
 RELATION_BATCH = 4096
+# Vertices in the first chunk pairwise_disjoint_subassembly searches for a tetrahedron.
+QUAD_CHUNK = 256
 
 
 class GroupError(ValueError):
@@ -250,18 +252,23 @@ def pairwise_disjoint_subassembly(cover, n=4):
     far pair (dilation ~1e4) drives generation-8 radii below what float64
     center arithmetic can resolve.  For n=4 a regular tetrahedron of face
     diagonals (all pairs at sqrt(2) * unit, dilation ~13.9) is sought first;
-    otherwise fall back to a greedy sweep.
+    otherwise fall back to a greedy sweep.  The tetrahedra are sought in
+    vertex order, in chunks that double in size from QUAD_CHUNK vertices, up
+    to the first chunk that holds one.
     """
     if n < 1:
         raise GroupError(f"a Schottky sub-assembly needs n >= 1 generators, not {n}")
     ell = cover.unit
     verts = cover.vertices  # row v is vertex ball v, in sorted lattice order
     if n == 4:
-        offsets = ((0, 0, 0, 0), (ell, ell, 0, 0), (ell, 0, ell, 0), (0, ell, ell, 0))
-        quads = cover.vertex_balls(verts[:, None] + np.array(offsets))
-        found = np.flatnonzero((quads >= 0).all(axis=1))
-        if len(found):
-            return subassembly(cover, quads[found[0]])
+        offsets = np.array(((0, 0, 0, 0), (ell, ell, 0, 0), (ell, 0, ell, 0), (0, ell, ell, 0)))
+        lo, size = 0, QUAD_CHUNK
+        while lo < len(verts):
+            quads = cover.vertex_balls(verts[lo : lo + size, None] + offsets)
+            found = np.flatnonzero((quads >= 0).all(axis=1))
+            if len(found):
+                return subassembly(cover, quads[found[0]])
+            lo, size = lo + size, 2 * size
     chosen = []
     for v in range(len(verts)):
         if all(((verts[v] - verts[w]) ** 2).sum() >= 2 * ell**2 for w in chosen):
@@ -275,7 +282,10 @@ def pairwise_disjoint_subassembly(cover, n=4):
 
 @dataclasses.dataclass
 class WordTable:
-    """Group elements with their shortlex-least words, sorted by (length, word)."""
+    """Group elements with their shortlex-least words, sorted by (length, word).
+
+    Row i is the product words[prefix[i]] . last[i]: its word minus the last
+    letter is row prefix[i], and both are -1 at the identity (row 0)."""
 
     words: list  # tuples of local generator indices; words[0] == ()
     matrices: np.ndarray  # (n, 6, 6) Moebius matrices of the words
@@ -284,14 +294,27 @@ class WordTable:
     n_merged: int  # products that reached an element already listed
     truncated: bool
     lengths: np.ndarray  # word lengths
+    prefix: np.ndarray  # (n,) int64 row of words[i][:-1], -1 at the identity
+    last: np.ndarray  # (n,) int64 last letter words[i][-1], -1 at the identity
 
 
 def _first_rows(rows):
     """(first, rank): the index of each distinct row's first occurrence,
-    ascending, and per row the position of its first occurrence in first."""
-    _, idx, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(idx)
-    return idx[order], np.argsort(order)[inverse.reshape(-1)]
+    ascending, and per row the position of its first occurrence in first.
+
+    One stable np.lexsort over the columns puts equal rows next to each other
+    in input order, so the head of each run of equal rows is its first
+    occurrence; no row is compared as a structured (void) scalar."""
+    n = len(rows)
+    order = np.lexsort(rows.T)
+    srt = rows[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[order[head]] = True
+    first_of = np.empty(n, dtype=np.intp)  # per row, its first occurrence
+    first_of[order] = order[head][np.cumsum(head) - 1]
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
 def enumerate_words(sub, max_length, dtype=float):
@@ -330,6 +353,7 @@ def enumerate_words(sub, max_length, dtype=float):
     words = [()]
     tits = [eye[None]]  # one block per length
     mats = [np.eye(6, dtype=dtype)[None]]
+    prefix, last = [np.full(1, -1)], [np.full(1, -1)]
     n_raw, n_merged, truncated = 1, 0, False
     for length in range(max_length):
         front = tits[-1]
@@ -349,6 +373,8 @@ def enumerate_words(sub, max_length, dtype=float):
         f, g = f[first], g[first]
         base = len(words) - len(front)
         words += [words[base + i] + (j,) for i, j in zip(f.tolist(), g.tolist())]
+        prefix.append(base + f)
+        last.append(g)
         tits.append(cand[first])
         mats.append(mats[-1][f] @ gen_mats[g])
     return WordTable(
@@ -359,6 +385,8 @@ def enumerate_words(sub, max_length, dtype=float):
         n_merged=n_merged,
         truncated=truncated,
         lengths=np.repeat(np.arange(len(tits)), [len(t) for t in tits]),
+        prefix=np.concatenate(prefix),
+        last=np.concatenate(last),
     )
 
 
@@ -444,13 +472,13 @@ def orbit_spheres(sub, max_length):
         word = table.words[int(np.argmax(flat)) // k]
         raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
     # walls[w, :len(w)]: seqs of w's prefix spheres; the last one is the sphere
-    # at row w[:-1].k + w[-1], and the others are w[:-1]'s walls
-    index = {w: i for i, w in enumerate(table.words[:n])}
-    step = np.array([0] + [index[w[:-1]] * k + w[-1] for w in table.words[1:n]])
+    # at row prefix.k + last, and the others are the prefix word's walls
+    prefix = table.prefix[:n]
+    step = prefix * k + table.last[:n]
     walls = np.full((n, max(1, max_length)), -1)
     for length in range(1, max_length + 1):
         at = table.lengths[:n] == length
-        walls[at, : length - 1] = walls[step[at] // k, : length - 1]
+        walls[at, : length - 1] = walls[prefix[at], : length - 1]
         walls[at, length - 1] = seq_of[step[at]]
     word_of = rows // k
     return OrbitTable(
@@ -503,18 +531,18 @@ def polyhedron_stages(sub, orbit, n_stages):
     """
     sides = {tuple(r) for r in np.eye(len(sub.ball_ids), dtype=np.int64).tolist()}
     stages = [PolyhedronStage(0, -1, len(sides), tuple(sorted(sides)))]
-    orbit_roots = [tuple(r) for r in orbit.roots.tolist()]
+    roots = orbit.roots
     used = set()
     for k in range(1, n_stages + 1):
-        mirror_seq = next(
-            (i for i, r in enumerate(orbit_roots) if r in sides and i not in used),
+        mirror_seq = next(  # rows become tuples lazily, in seq order
+            (i for i in range(len(roots)) if i not in used and tuple(roots[i].tolist()) in sides),
             None,
         )
         if mirror_seq is None:
             break  # orbit exhausted before the requested stage count
         used.add(mirror_seq)
-        mirror = orbit_roots[mirror_seq]
-        gamma = np.array(mirror)
+        gamma = roots[mirror_seq]
+        mirror = tuple(gamma.tolist())
         new_sides = set()
         for side in sides - {mirror}:  # the mirror stops being a side of the doubled body
             beta = np.array(side)

@@ -65,7 +65,7 @@ def cloud_from_orbit(orbit, eps, offset=None):
         pts += np.asarray(offset, dtype=float)[None, :]
     return PointCloud(
         points=pts,
-        provenance=[f"sphere_center({int(i)})" for i in keep],
+        provenance=[f"sphere_center({i})" for i in keep.tolist()],
         generation=orbit.generation[keep].copy(),
     )
 
@@ -86,8 +86,12 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     """
     if word_length % 2:
         raise ValueError("word_length must be even (reflections are involutions)")
+    if word_length < 2:
+        raise ValueError(f"word_length must be at least 2, not {word_length}")
     rng = np.random.default_rng(seed)
     k = len(sub.ball_ids)
+    if k < 2:
+        raise ValueError("need at least 2 generators: a second letter must differ from the first")
     if k < 3 and word_length > 2:
         raise ValueError("need at least 3 generators for cyclically reduced words")
     cap = 50 * max(n, 1)
@@ -214,10 +218,6 @@ def slice_cloud(cloud, axis, value, thickness):
 # Exports (byte-deterministic)
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def export_cloud(cloud, fmt, path):
     if fmt == "csv":
         data = cloud_to_csv(cloud)
@@ -233,16 +233,15 @@ def export_cloud(cloud, fmt, path):
 
 
 def cloud_to_csv(cloud):
+    """One row per point; %r of a Python float is repr(float), so each
+    coordinate is written shortest round-trip."""
     dim = cloud.points.shape[1] if len(cloud) else 4
     cols = ["x1", "x2", "x3", "x4"][:dim]
+    row = "%r," * dim + "%d,%s"
     lines = [",".join(cols + ["generation", "provenance"])]
-    for i in range(len(cloud)):
-        lines.append(
-            ",".join(
-                [_fmt(v) for v in cloud.points[i]]
-                + [str(int(cloud.generation[i])), cloud.provenance[i]]
-            )
-        )
+    lines += [row % (*p, g, s) for p, g, s in
+              zip(cloud.points.astype(float).tolist(), cloud.generation.tolist(),
+                  cloud.provenance)]
     return "\n".join(lines) + "\n"
 
 
@@ -283,10 +282,9 @@ def cloud_to_ply(cloud):
     if dim == 4:
         header.append("property float w")
     header += ["property int generation", "end_header"]
-    rows = [
-        " ".join([_fmt(v) for v in cloud.points[i]] + [str(int(cloud.generation[i]))])
-        for i in range(len(cloud))
-    ]
+    row = "%r " * dim + "%d"
+    rows = [row % (*p, g)
+            for p, g in zip(cloud.points.astype(float).tolist(), cloud.generation.tolist())]
     return "\n".join(header + rows) + "\n"
 
 

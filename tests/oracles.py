@@ -18,9 +18,14 @@ the same bits at any worker count.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
-polish).  The point maps, random Moebius maps, the presentation, polynomial
-and group-ring helpers, the single-cube complex and the complex-file loader
-serve only the tests.
+polish).  `groups._first_rows`, one lexsort over the columns, must give the
+arrays of `first_rows` here, a structured-row `np.unique`.  The bundle's text
+writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv` and
+`limitset.cloud_to_ply`), which format each row with one %-format over
+`.tolist()` values, must give the text of the per-field loops here.  The
+point maps, random Moebius maps, the presentation, polynomial and group-ring
+helpers, the single-cube complex and the complex-file loader serve only the
+tests.
 """
 
 from __future__ import annotations
@@ -216,8 +221,12 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     points or 50 n words.  Returns (cloud, skipped)."""
     if word_length % 2:
         raise ValueError("word_length must be even (reflections are involutions)")
+    if word_length < 2:
+        raise ValueError(f"word_length must be at least 2, not {word_length}")
     rng = np.random.default_rng(seed)
     k = len(sub.ball_ids)
+    if k < 2:
+        raise ValueError("need at least 2 generators: a second letter must differ from the first")
     if k < 3 and word_length > 2:
         raise ValueError("need at least 3 generators for cyclically reduced words")
     pts, provenance = [], []
@@ -254,6 +263,72 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         n_infinite=n_infinite,
     )
     return cloud, skipped
+
+
+def first_rows(rows):
+    """groups._first_rows by np.unique over structured rows: (first, rank)."""
+    _, idx, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(idx)
+    return idx[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def cover_text(cover):
+    """cli._write_cover's file text, one field at a time."""
+    lines = ["# ball x1 x2 x3 x4 radius role host"]
+    roles = {0: "vertex", 1: "face", 2: "junction"}
+    for i in range(len(cover)):
+        lines.append(
+            " ".join(
+                [str(i)]
+                + [_fmt(v) for v in cover.centers[i]]
+                + [_fmt(cover.radii[i]), roles[int(cover.roles[i])], str(int(cover.host[i]))]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def orbit_text(orbit, sub):
+    """cli._write_orbit's file text, one field at a time."""
+    lines = ["# seq word seed x1 x2 x3 x4 radius parent generation"]
+    for i in range(len(orbit.radii)):
+        word = ",".join(map(str, orbit.words[i])) or "-"
+        center = orbit.centers[i] + sub.offset
+        lines.append(
+            " ".join(
+                [str(int(orbit.seq[i])), word, str(int(orbit.seed[i]))]
+                + [_fmt(v) for v in center]
+                + [_fmt(orbit.radii[i]), str(int(orbit.parent[i])),
+                   str(int(orbit.generation[i]))]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def cloud_to_csv(cloud):
+    """limitset.cloud_to_csv, one field at a time."""
+    dim = cloud.points.shape[1] if len(cloud) else 4
+    cols = ["x1", "x2", "x3", "x4"][:dim]
+    lines = [",".join(cols + ["generation", "provenance"])]
+    for i in range(len(cloud)):
+        lines.append(
+            ",".join(
+                [_fmt(v) for v in cloud.points[i]]
+                + [str(int(cloud.generation[i])), cloud.provenance[i]]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def cloud_to_ply_rows(cloud):
+    """The vertex rows of limitset.cloud_to_ply, one field at a time."""
+    return [
+        " ".join([_fmt(v) for v in cloud.points[i]] + [str(int(cloud.generation[i]))])
+        for i in range(len(cloud))
+    ]
 
 
 def word_to_string(word):

@@ -1,3 +1,4 @@
+import pathlib
 import sys
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 
 from wildknot import complexes as cx
 from wildknot import groups as gr
-from wildknot.cli import Run, RunConfig, _check_orbit, main, run_pipeline
+from wildknot import limitset as ls
+from wildknot.cli import (Run, RunConfig, _check_orbit, _write_cover, _write_orbit, main,
+                          run_pipeline)
+from wildknot.cover import build_cover
 
 import oracles as orc
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -290,3 +297,30 @@ def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatc
                                           out_dir=str(tmp_path / "b")))
     assert all(ok for ok, _msg in checks.values())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["single cube", "scaled preset"])
+def test_bundle_text_writers_match_the_per_field_loops(tmp_path, name):
+    """cover.txt, orbit.txt and the CSV and PLY clouds, written with one
+    %-format per row, equal the per-field repr(float) loops' text, on the
+    single cube and on the preset scaled to edge 11 (the report workload)."""
+    if name == "single cube":
+        c = orc.degenerate_single_cube(1)
+    else:
+        c = workloads.scaled_spun_trefoil(11)
+    cover = build_cover(c)
+    _write_cover(cover, tmp_path / "cover.txt")
+    assert (tmp_path / "cover.txt").read_bytes().decode() == orc.cover_text(cover)
+    sub = gr.pairwise_disjoint_subassembly(cover, n=4)
+    orbit = gr.orbit_spheres(sub, 5)
+    _write_orbit(orbit, sub, tmp_path / "orbit.txt")
+    assert (tmp_path / "orbit.txt").read_bytes().decode() == orc.orbit_text(orbit, sub)
+    cloud = ls.cloud_from_orbit(orbit, np.inf, offset=sub.offset)
+    lox, _skipped = ls.loxodromic_points(sub, 20, seed=0)
+    sliced = ls.slice_cloud(cloud, 3, float(np.median(cloud.points[:, 3])), 0.5)
+    clouds = [cloud, lox, sliced, ls.cloud_from_orbit(orbit, 0.0)]
+    assert min(len(cl) for cl in clouds[:3]) > 0 and len(clouds[3]) == 0
+    for cl in clouds:
+        assert ls.cloud_to_csv(cl) == orc.cloud_to_csv(cl)
+        lines = ls.cloud_to_ply(cl).splitlines()
+        assert lines[lines.index("end_header") + 1 :] == orc.cloud_to_ply_rows(cl)

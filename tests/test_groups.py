@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wildknot import complexes as cx
 from wildknot import groups as gr
@@ -123,7 +125,8 @@ def stages_reference(sub, orbit, n_stages):
 
 def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=float):
     """enumerate_words as a per-word loop: a `seen` set of Tits-matrix bytes
-    across all lengths, and one matrix product per word."""
+    across all lengths, and one matrix product per word, recording each new
+    word's prefix row and last letter."""
     k = len(sub.ball_ids)
     eye = np.eye(k, dtype=np.int64)
     tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
@@ -139,6 +142,7 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
         jv = v * np.diag(lz.J).astype(dtype)[None, :]
         gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
     words = [()]
+    prefix, last = [-1], [-1]
     tits = [eye]
     mats = [np.eye(6, dtype=dtype)]
     seen = {eye.tobytes()}
@@ -166,6 +170,8 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
                 seen.add(key)
                 new_frontier.append(len(words))
                 words.append(words[i] + (g,))
+                prefix.append(i)
+                last.append(g)
                 tits.append(t)
                 mats.append(mats[i] @ gen_mats[g])
             if truncated:
@@ -181,6 +187,8 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
         n_merged=n_merged,
         truncated=truncated,
         lengths=np.array([len(w) for w in words]),
+        prefix=np.array(prefix),
+        last=np.array(last),
     )
 
 
@@ -246,11 +254,20 @@ def assert_same_table(got, ref, label):
             assert a == b, (label, field.name)
 
 
+def assert_prefix_rows(table, label):
+    """Row prefix[i] holds words[i] without its last letter last[i]."""
+    assert table.prefix[0] == table.last[0] == -1, label
+    for i in range(1, len(table.words)):
+        assert table.words[table.prefix[i]] == table.words[i][:-1], (label, i)
+        assert table.last[i] == table.words[i][-1], (label, i)
+
+
 def assert_matches_reference(sub, max_length, label, dtypes=(float, np.longdouble)):
     for dtype in dtypes:
-        assert_same_table(enumerate_words(sub, max_length, dtype=dtype),
-                          enumerate_words_reference(sub, max_length, dtype=dtype),
+        table = enumerate_words(sub, max_length, dtype=dtype)
+        assert_same_table(table, enumerate_words_reference(sub, max_length, dtype=dtype),
                           (label, max_length, dtype))
+        assert_prefix_rows(table, (label, max_length, dtype))
     try:
         ref = orbit_spheres_reference(sub, max_length)
     except GroupError as exc:
@@ -399,6 +416,33 @@ def test_growth_series(cube_group, tube_cover, name, growth):
     assert all(a != b for w in table.words for a, b in zip(w, w[1:]))
 
 
+# entries that repeat, negative ones and the extremes of the Tits range
+_ENTRIES = st.sampled_from([-gr.TITS_MAX, 1 - gr.TITS_MAX, -2, -1, 0, 1, 3,
+                            gr.TITS_MAX - 1, gr.TITS_MAX])
+
+
+@st.composite
+def _int_rows(draw):
+    """(n, c) int64 rows drawn from a few distinct rows, so most repeat."""
+    cols = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_rows())
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
+@example(np.array([[2], [-1], [2], [0], [-1]], dtype=np.int64))
+def test_first_rows_match_the_structured_unique(rows):
+    """The lexsort dedupe gives np.unique's first occurrences and ranks,
+    dtype included, on 0 rows, 1 row, 1 column and entries near +-TITS_MAX."""
+    for got, want in zip(gr._first_rows(rows), orc.first_rows(rows)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_tits_entry_guard(cube_group, monkeypatch):
     """Entries past TITS_MAX raise instead of wrapping around int64."""
     sub = pairwise_disjoint_subassembly(cube_group[1], n=2)  # infinite dihedral
@@ -459,7 +503,9 @@ def test_element_cap_truncates_like_the_reference_loops(cube_group, tube_cover, 
         for dtype in (float, np.longdouble):
             ref = enumerate_words_reference(sub, 6, max_elements=cap, dtype=dtype)
             assert ref.truncated
-            assert_same_table(enumerate_words(sub, 6, dtype=dtype), ref, (name, cap))
+            table = enumerate_words(sub, 6, dtype=dtype)
+            assert_same_table(table, ref, (name, cap))
+            assert_prefix_rows(table, (name, cap))
         ref = orbit_spheres_reference(sub, 6, max_elements=cap)
         assert ref.truncated and len(ref.words) == cap
         assert_same_table(orbit_spheres(sub, 6), ref, (name, cap))

@@ -187,6 +187,20 @@ def test_loxodromic_rejects_odd_length(setup):
         loxodromic_points(sub, 1, word_length=3)
 
 
+def test_loxodromic_rejects_one_generator(setup):
+    """With one generator no second letter can differ from the first: an
+    error, not an endless rejection loop."""
+    one = pairwise_disjoint_subassembly(setup[0], n=1)
+    with pytest.raises(ValueError, match="at least 2 generators"):
+        loxodromic_points(one, 5, word_length=2)
+
+
+def test_loxodromic_rejects_a_length_below_two(setup):
+    _cover, sub, _orbit = setup
+    with pytest.raises(ValueError, match="at least 2"):
+        loxodromic_points(sub, 5, word_length=0)
+
+
 def test_hausdorff_step_bounded_by_radius(setup):
     """One-sided step from depth L+1 back to depth L is at most the max gen-L
     radius: every new center lies inside its depth-L parent sphere."""
