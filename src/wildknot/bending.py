@@ -59,7 +59,7 @@ class BentRepresentation:
 
     def generator_matrix(self, ball):
         """Image of generator `ball`, in the amalgam frame."""
-        m = _frame_reflections(self.group.cover, [ball], self.locus.center)[0]
+        m = _frame_reflection_matrices(self.group.cover, [ball], self.locus.center)[0]
         if self.side_b[ball]:
             m = self.e_matrix @ m @ lz.inverse(self.e_matrix)
         return m
@@ -71,7 +71,7 @@ class BentRepresentation:
         return m
 
 
-def _frame_reflections(cover, balls, origin):
+def _frame_reflection_matrices(cover, balls, origin):
     """(k, 6, 6) reflections in the given balls, in the frame centered at `origin`."""
     balls = list(balls)
     return reflection_matrices(lz.spheres(cover.centers[balls] - origin, cover.radii[balls]))
@@ -131,7 +131,7 @@ def commutation_residual(group, locus, t):
     """max || E_t R E_t^-1 - R ||_inf over the four amalgam reflections."""
     e = bending_rotation(locus, t)
     am = group.amalgams[locus.amalgam_index]
-    r = _frame_reflections(group.cover, am.ball_ids, locus.center)
+    r = _frame_reflection_matrices(group.cover, am.ball_ids, locus.center)
     return float(np.abs(e @ r @ lz.inverse(e) - r).max())
 
 

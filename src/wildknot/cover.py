@@ -32,9 +32,7 @@ The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
 reflection group's relation array.  Coverage is a query on the same grid
 join, again one per radius octave: it lists every ball whose trace disk
 meets a face's square, and the Monte-Carlo samples are tested against those
-disks in float64, in the face plane, with no recheck.  Its candidate filter
-and its sample blocks run on _thread_map, which the relation suite of
-wildknot.groups shares.
+disks in float64, in the face plane, with no recheck.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,45 +56,9 @@ _COSINES = np.array([c for cs in lz.ORDER_COSINES.values() for c in cs])
 _ORDERS = np.array([m for m, cs in lz.ORDER_COSINES.items() for _ in cs], dtype=np.int64)
 ANGLE_TOL = 1e-9
 
-# Threads of _thread_map: the CPUs this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
 
 class CoverError(ValueError):
     pass
-
-
-def _thread_map(kernel, items):
-    """Yield kernel(*args) for each argument tuple of `items`, in input order.
-
-    The kernels run on _WORKERS threads: the calling thread runs one item
-    while a pool that this call opens and closes runs the next
-    _WORKERS - 1, so at most _WORKERS items are drawn and not yet yielded;
-    with one worker there is no pool.  `items` is drawn in the calling
-    thread, in order.  A kernel's exception reaches the caller unchanged, in
-    input order, and no pool thread outlives the call, however it ends.  The
-    kernels are numpy code that releases the GIL, and must reach no public
-    wildknot function: the benchmark's call tracing keeps one span stack for
-    the process.
-    """
-    items = iter(items)
-    if _WORKERS == 1:
-        for args in items:
-            yield kernel(*args)
-        return
-    with ThreadPoolExecutor(_WORKERS - 1) as pool:
-        futures = []
-        try:
-            for args in items:
-                futures = [pool.submit(kernel, *more)
-                           for more in itertools.islice(items, _WORKERS - 1)]
-                yield kernel(*args)
-                for future in futures:
-                    yield future.result()
-        finally:
-            for future in futures:
-                future.cancel()
 
 
 def face_ball_offset(ell):
@@ -492,23 +452,37 @@ def _uncovered(lo, uv, ell, corner, plane, table_u, table_v, table_r2, width):
     """Sample kernel of coverage_check for the block of faces from `lo`: their
     float32 samples uv (faces, n, 2), scaled by ell in place and widened to
     float64, are tested rank by rank against their rows of the disk table, up
-    to rank `width`.  Returns (faces, points) of the uncovered samples, in
+    to rank `width`.  Every sample is tested while more than 1/8 of them are
+    uncovered, then only the uncovered ones: on the preset the four vertex
+    disks come first and leave about 7% of a face open, so the later ranks
+    touch few samples.  Returns (faces, points) of the uncovered samples, in
     face then sample order, each point being the face's float32 corner plus
     the sample."""
     rows = slice(lo, lo + len(uv))
+    n = uv.shape[1]
     uv *= ell
     u, v = uv[:, :, 0].astype(float), uv[:, :, 1].astype(float)
     du, dv = np.empty_like(u), np.empty_like(u)
     ok = np.zeros(u.shape, dtype=bool)
     inside = np.empty(u.shape, dtype=bool)
-    for r in range(width):
+    r = 0
+    while r < width and 8 * np.count_nonzero(ok) < 7 * ok.size:
         np.subtract(u, table_u[rows, r, None], out=du)
         np.subtract(v, table_v[rows, r, None], out=dv)
         np.multiply(du, du, out=du)
         np.multiply(dv, dv, out=dv)
         np.add(du, dv, out=du)
         ok |= np.less(du, table_r2[rows, r, None], out=inside)
-    fi, si = np.nonzero(~ok)
+        r += 1
+    live = np.flatnonzero(~ok)  # (face, sample) in block order
+    face = lo + live // n
+    u, v = u.ravel()[live], v.ravel()[live]
+    covered = np.zeros(len(live), dtype=bool)
+    for rank in range(r, width):
+        du = u - table_u[face, rank]
+        dv = v - table_v[face, rank]
+        covered |= du * du + dv * dv < table_r2[face, rank]
+    fi, si = np.divmod(live[~covered], n)
     pts = corner[lo + fi].astype(np.float32)
     for col in (0, 1):
         pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
@@ -535,12 +509,10 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     point.  The float32 samples are drawn from one generator in blocks of
     about 2^16 samples, in face order, and each block is tested in float64,
     in the face plane, against its faces' table rows (_uncovered), with no
-    recheck.  The candidate filter of each join slice and the blocks' tests
-    run on _thread_map's threads; no result depends on the worker count.
-    Returns (fraction, misses) with misses as (face index, point) pairs in
-    face then sample order, the point being the face's float32 corner plus
-    the sample.  A ball without a finite centre and a finite positive radius
-    raises CoverError.
+    recheck.  Returns (fraction, misses) with misses as (face index, point)
+    pairs in face then sample order, the point being the face's float32
+    corner plus the sample.  A ball without a finite centre and a finite
+    positive radius raises CoverError.
     """
     ell = float(cover.unit)
     centers, radii = _finite_balls(cover.centers, cover.radii)
@@ -551,13 +523,11 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     off[np.arange(n_faces)[:, None], plane] = 0.0
     mids = corner + (1.0 - off) * (ell / 2.0)
 
-    def candidates():
-        for g, top in zip(*_radius_octaves(radii)):
-            side = (top + ell / 2.0) * (1.0 + 1e-9)
-            for f, b in _grid_join(mids, centers[g], side):
-                yield f, g[b], centers, radii, corner, plane, off, ell
-
-    parts = list(_thread_map(_trace_disks, candidates()))
+    parts = []
+    for g, top in zip(*_radius_octaves(radii)):
+        side = (top + ell / 2.0) * (1.0 + 1e-9)
+        for f, b in _grid_join(mids, centers[g], side):
+            parts.append(_trace_disks(f, g[b], centers, radii, corner, plane, off, ell))
     face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
     by_face = np.argsort(face, kind="stable")
     face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
@@ -572,15 +542,12 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
 
-    def blocks():
-        for lo in range(0, n_faces, block):
-            hi = min(lo + block, n_faces)
-            uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32)
-            width = int(count[lo:hi].max())  # ranks past it are padding
-            yield lo, uv, ell, corner, plane, table_u, table_v, table_r2, width
-
     misses = []
-    for fi, pts in _thread_map(_uncovered, blocks()):
+    for lo in range(0, n_faces, block):
+        hi = min(lo + block, n_faces)
+        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32)
+        width = int(count[lo:hi].max())  # ranks past it are padding
+        fi, pts = _uncovered(lo, uv, ell, corner, plane, table_u, table_v, table_r2, width)
         misses.extend((int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
     total = n_faces * n_samples
     return (total - len(misses)) / total, misses
@@ -616,9 +583,9 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     own = np.where(adj[:, 2:] == _ORDERS, np.abs(cos[:, None] - _COSINES), np.inf)
     adj_residual = float(own.min(axis=1).max(initial=0.0))
 
-    # every ball orthogonal to the surface: center on its face's 2-plane
-    # (true by construction: all centers have at most two non-lattice coords,
-    # each lying inside a face; certified here by checking unit polars)
+    # max |Q(v, v) - 1| over the polars.  lz.spheres gives unit polars by its
+    # closed form, so this measures that form's rounding; it does not test
+    # where a ball sits relative to the surface
     polar_norm_residual = float(
         np.abs(lz.q(cover.polars, cover.polars) - 1.0).max()
     )

@@ -24,16 +24,16 @@ import math
 
 import numpy as np
 
-from . import cover as cv
 from . import lorentz as lz
 from .complexes import boxes, meet
-from .cover import ROLE_VERTEX, _grid_join, _thread_map, pair_orders
+from .cover import ROLE_VERTEX, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
 # Cap on listed group elements, and on listed orbit spheres.
 MAX_ELEMENTS = 2_000_000
-# Relations checked per batch by relation_suite, shared among its threads.
+# Relations checked per batch by relation_suite: it bounds the (batch, 6, 6)
+# temporaries of relation_residuals.
 RELATION_BATCH = 4096
 # Vertices in the first chunk pairwise_disjoint_subassembly searches for a tetrahedron.
 QUAD_CHUNK = 256
@@ -68,10 +68,6 @@ class ReflectionGroup:
 def reflection_matrices(polars):
     """(N,6,6) inversion matrices: M = I - 2 v (Jv)^T for unit polars v, in
     the polars' float precision (float64 for any narrower input)."""
-    return _reflections(polars)
-
-
-def _reflections(polars):
     v = np.asarray(polars)
     v = v.astype(np.result_type(v, float))
     jv = v.copy()
@@ -140,16 +136,10 @@ def relation_residuals(centers, radii, orders):
     distance of (R_i R_k)^m from I, and the least such distance over the
     powers 1..m-1 (inf for m = 1).
     """
-    return _relation_batch(centers, radii, orders)
-
-
-def _relation_batch(centers, radii, orders):
-    """relation_residuals' kernel, also run on relation_suite's threads, so it
-    reaches no public function of the package."""
     mid = 0.5 * (centers[:, 0] + centers[:, 1])
     pi = lz.spheres(centers[:, 0] - mid, radii[:, 0])
     pk = lz.spheres(centers[:, 1] - mid, radii[:, 1])
-    prod = _reflections(pi) @ _reflections(pk)
+    prod = reflection_matrices(pi) @ reflection_matrices(pk)
     residual = np.zeros(len(orders))
     gap = np.full(len(orders), math.inf)
     power = prod
@@ -167,20 +157,18 @@ def relation_suite(group, tol=1e-8, separation=0.5):
     """Verify (R_i R_j)^m = I for every finite-order pair, in batches.
 
     Also checks no smaller positive power is within `separation` of I (so the
-    order is exactly m, not a divisor).  See `relation_residuals`.  The
-    batches, of RELATION_BATCH / cover._WORKERS relations, run on the cover
-    module's _thread_map and are reduced in order, so the report does not
-    depend on the worker count.  Returns a report dict; raises GroupError on
-    a violation.
+    order is exactly m, not a divisor).  See `relation_residuals`, which
+    checks RELATION_BATCH relations at a time.  Returns a report dict;
+    raises GroupError on a violation.
     """
     cover = group.cover
     rels = group.relations
-    step = max(1, RELATION_BATCH // cv._WORKERS)
-    batches = ((cover.centers[chunk[:, :2]], cover.radii[chunk[:, :2]], chunk[:, 2])
-               for chunk in (rels[lo : lo + step] for lo in range(0, len(rels), step)))
     max_residual = 0.0
     min_premature = math.inf
-    for residual, gap in _thread_map(_relation_batch, batches):
+    for lo in range(0, len(rels), RELATION_BATCH):
+        chunk = rels[lo : lo + RELATION_BATCH]
+        residual, gap = relation_residuals(cover.centers[chunk[:, :2]],
+                                           cover.radii[chunk[:, :2]], chunk[:, 2])
         max_residual = max(max_residual, float(residual.max()))
         min_premature = min(min_premature, float(gap.min()))
     report = {

@@ -132,17 +132,6 @@ def classify_maps(ms, tol=1e-9):
     return kind, lam, att, rep
 
 
-def classify_map(m, tol=1e-9):
-    """One-row `classify_maps`: (kind, data), data being (dilation, attracting
-    fixed point, repelling fixed point) for a loxodromic map, with None for
-    a fixed point at infinity, and None for the other kinds."""
-    kind, lam, att, rep = classify_maps(np.asarray(m, dtype=float)[None], tol)
-    if kind[0] != LOXODROMIC:
-        return KINDS[kind[0]], None
-    att, rep = (None if np.isnan(p[0]) else p for p in (att[0], rep[0]))
-    return KINDS[LOXODROMIC], (float(lam[0]), att, rep)
-
-
 def _power_polish(ms, v, iterations=64):
     """v <- M v / max|M v| on each row, until a row moves by at most 1e-16
     (kept) or M v has a zero or non-finite norm (the row keeps its v)."""

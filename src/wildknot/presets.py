@@ -1,7 +1,7 @@
 """Bundled cube-complex presets.
 
 The main preset realizes the fusion of two 27-cubes by a tube of unit cubes
-threaded through the four hyperplanes w in {-27, 0, 54, 81} with the
+routed through the four hyperplanes w in {-27, 0, 54, 81} with the
 over/under crossing pattern of a trefoil arc: the tube leaves the first cube
 downward, passes under it, comes back up, travels over the second cube in the
 top hyperplane and finally approaches it from below.  The identity of this

@@ -12,9 +12,9 @@ the largest radius's cell side over a join that searches one row at a time
 `cover._grid_join`).  Criteria 2 and 3 are checked against their serial
 forms: `coverage_check` here joins all ball centres at the largest radius's
 cell side and tests one block of about 2^16 samples at a time, and
-`relation_suite` runs its batches one after another, against the
-threaded `cover.coverage_check` and `groups.relation_suite`, which must give
-the same bits at any worker count.  `limitset.loxodromic_points` and
+`relation_suite` runs its batches one after another; `cover.coverage_check`,
+with one join per radius octave, and `groups.relation_suite` must give the
+same bits.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
@@ -597,7 +597,7 @@ def near_pairs(centers, radii):
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
-    """cover.coverage_check on one thread: one grid join of the face middles
+    """cover.coverage_check's serial form: one grid join of the face middles
     against all ball centres, one block of faces at a time.
 
     A ball meets a face plane in the open disk of centre (u, v), in face
@@ -673,8 +673,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
 
 def relation_suite(group, tol=1e-8, separation=0.5):
-    """groups.relation_suite on one thread: batches of 4096 relations through
-    groups.relation_residuals, one after another."""
+    """groups.relation_suite's reference loop: batches of 4096 relations
+    through groups.relation_residuals, reduced one after another."""
     cover = group.cover
     rels = group.relations
     max_residual = 0.0

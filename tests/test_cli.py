@@ -150,13 +150,20 @@ def test_runconfig_guards():
         RunConfig(max_word_length=-2).validate()
     with pytest.raises(ValueError):
         RunConfig(relation_tol=1.0).validate()
+    with pytest.raises(ValueError, match="caps must be positive"):
+        RunConfig(eps=float("nan")).validate()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="bending angles must be finite"):
+            RunConfig(bend_ts=(0.0, bad)).validate()
     RunConfig().validate()
 
 
 @pytest.mark.parametrize(
     "argv",
     [["report", "--domain-budget", "0"], ["report", "--domain-budget", "-1"],
-     ["validate", "--samples-per-face", "0"], ["alexander", "--depth", "-1"]],
+     ["validate", "--samples-per-face", "0"], ["alexander", "--depth", "-1"],
+     ["bend", "--bend-ts", "0,nan"], ["report", "--bend-ts", "nan"],
+     ["limitset", "--eps", "nan"]],
 )
 def test_out_of_range_settings_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

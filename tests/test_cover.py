@@ -510,6 +510,58 @@ def test_coverage_misses_on_the_junction_rows(preset_covers):
             assert got == (1.0, [])
 
 
+# Face 4000 of the preset and, by build_cover's order (the vertex balls, then
+# five balls per face), its first face ball and its centre ball.
+FACE = 4000
+DROPPED = ("vertex", "face", "centre")
+
+
+def dropped_ball(cover, surf, which):
+    n_vertex = int((cover.roles == ROLE_VERTEX).sum())
+    if which == "vertex":
+        return int(cover.vertex_balls(surf.faces[FACE, :4]))
+    return n_vertex + 5 * FACE + (0 if which == "face" else 4)
+
+
+@pytest.fixture(scope="module")
+def broken_preset(preset_covers):
+    """Per dropped ball: the k = 0 preset cover without it, and the serial
+    result at 1,000 samples per face on the whole surface and at 10^4 on the
+    400 faces around face FACE (a slice keeps the test short; the cover is
+    whole)."""
+    surf, covers = preset_covers
+    cover = covers[0]
+    near = dataclasses.replace(surf, faces=surf.faces[FACE - 200 : FACE + 200])
+    out = {}
+    for which in DROPPED:
+        broken = without_ball(cover, dropped_ball(cover, surf, which))
+        out[which] = (broken, {
+            1000: (surf, orc.coverage_check(broken, surf, n_samples=1000, seed=3)),
+            10_000: (near, orc.coverage_check(broken, near, n_samples=10_000, seed=3)),
+        })
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [1000, 10_000])
+@pytest.mark.parametrize("which", DROPPED)
+def test_dropped_ball_coverage_matches_the_serial_form(broken_preset, which, n_samples):
+    """Negative controls for criterion 2 on the preset, at the sample counts
+    of the benchmark and of the acceptance gate: each dropped ball leaves
+    misses, and the result has the bits of the serial form in oracles.py."""
+    broken, reference = broken_preset[which]
+    surf, want = reference[n_samples]
+    assert want[1], "the dropped ball must leave misses"
+    assert coverage_check(broken, surf, n_samples=n_samples, seed=3) == want
+
+
+def test_coverage_rejects_a_non_finite_radius(single_cube):
+    surf, cover = single_cube
+    radii = cover.radii.copy()
+    radii[5] = np.nan
+    with pytest.raises(CoverError, match="ball 5 .* finite positive radius"):
+        coverage_check(dataclasses.replace(cover, radii=radii), surf, n_samples=500)
+
+
 def test_preset_cover_junction_counts(preset_covers):
     surf, covers = preset_covers
     cover0 = covers[0]

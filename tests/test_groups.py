@@ -877,3 +877,18 @@ def test_preset_relation_suite(preset_group):
     report = relation_suite(g)
     assert report["ok"]
     assert report["max_residual"] <= 1e-8
+
+
+def test_relation_suite_matches_the_serial_form(preset_group):
+    """The preset's report, and the GroupError text of a moved ball, are
+    those of the reference loop in oracles.py."""
+    _c, cover, g = preset_group
+    assert relation_suite(g) == orc.relation_suite(g)
+    centers = cover.centers.copy()
+    centers[40_000, 0] += 1e-3
+    moved = dataclasses.replace(g, cover=dataclasses.replace(cover, centers=centers))
+    with pytest.raises(GroupError) as want:
+        orc.relation_suite(moved)
+    with pytest.raises(GroupError) as got:
+        relation_suite(moved)
+    assert str(got.value) == str(want.value)

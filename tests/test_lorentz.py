@@ -179,30 +179,30 @@ def test_apply_to_polar_transports_spheres():
 
 
 def test_classify_identity_and_elliptic():
-    assert lz.classify_map(np.eye(6))[0] == "identity"
+    assert lz.KINDS[lz.classify_maps(np.eye(6)[None])[0][0]] == "identity"
     u = orc.sphere([0, 0, 0, 0], 1.0)
     v = orc.sphere([1, 0, 0, 0], 1.0)
-    kind, _ = lz.classify_map(orc.reflection(u) @ orc.reflection(v))
-    assert kind == "elliptic"
+    kind = lz.classify_maps((orc.reflection(u) @ orc.reflection(v))[None])[0]
+    assert lz.KINDS[kind[0]] == "elliptic"
 
 
 def test_classify_loxodromic_dilation():
     # Reflections in concentric spheres of radii 1 and 2 give x -> 4x,
     # a loxodromic map with dilation 4, fixed points 0 and infinity.
     m = orc.reflection(orc.sphere([0, 0, 0, 0], 2.0)) @ orc.reflection(orc.sphere([0, 0, 0, 0], 1.0))
-    kind, (lam, att, rep) = lz.classify_map(m)
-    assert kind == "loxodromic"
-    assert lam == pytest.approx(4.0, rel=1e-9)
+    kind, lam, att, rep = lz.classify_maps(m[None])
+    assert lz.KINDS[kind[0]] == "loxodromic"
+    assert lam[0] == pytest.approx(4.0, rel=1e-9)
     fixed = {(
-        "inf" if p is None else tuple(np.round(p, 9))
-    ) for p in (att, rep)}
+        "inf" if np.isnan(p).all() else tuple(np.round(p, 9))
+    ) for p in (att[0], rep[0])}
     assert fixed == {"inf", (0.0, 0.0, 0.0, 0.0)}
 
 
 def test_classify_parabolic():
     # Reflections in two tangent spheres compose to a parabolic map.
     m = orc.reflection(orc.sphere([0, 0, 0, 0], 1.0)) @ orc.reflection(orc.sphere([2, 0, 0, 0], 1.0))
-    assert lz.classify_map(m)[0] == "parabolic"
+    assert lz.KINDS[lz.classify_maps(m[None])[0][0]] == "parabolic"
 
 
 @given(st.integers(0, 2**32 - 1))
