@@ -12,6 +12,10 @@ connected-sum tower: the stage-i knot is the connected sum of 2^i copies of
 the base, so its polynomial is the 2^i-th power of the base polynomial, and
 the limit is certified nontrivial as soon as the base polynomial is not a
 unit +-t^k.
+
+Polynomials are `sympy.Poly` in t over ZZ, normalised to lowest exponent 0
+and a positive leading coefficient, so Laurent polynomials that differ by a
+unit +-t^k compare equal.
 """
 
 from __future__ import annotations
@@ -20,124 +24,11 @@ import dataclasses
 import string
 
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 _T = sympy.Symbol("t")
 
 Word = tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials over Z
-
-
-class LaurentPolynomial:
-    """Exact integer Laurent polynomial, a finite map exponent -> coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {int(e): int(c) for e, c in dict(coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def unit(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent, coefficient=1):
-        return cls({exponent: coefficient})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = LaurentPolynomial.unit()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_unit(self):
-        """True iff the polynomial is +-t^k."""
-        return len(self.coeffs) == 1 and abs(next(iter(self.coeffs.values()))) == 1
-
-    @property
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def degree(self):
-        """Span of the support (degree after normalization); 0 for constants."""
-        return max(self.coeffs) - min(self.coeffs) if self.coeffs else 0
-
-    def evaluate(self, value):
-        return sum(c * value**e for e, c in self.coeffs.items())
-
-    def normalized(self):
-        """Shift lowest exponent to 0 and make the leading coefficient positive."""
-        if not self.coeffs:
-            return LaurentPolynomial()
-        lo = self.min_exponent
-        sign = 1 if self.coeffs[max(self.coeffs)] > 0 else -1
-        return LaurentPolynomial({e - lo: sign * c for e, c in self.coeffs.items()})
-
-    def to_sympy(self):
-        return sum(c * _T**e for e, c in self.coeffs.items())
-
-    @classmethod
-    def from_sympy(cls, expr):
-        expr = sympy.expand(expr)
-        poly = sympy.Poly(expr, _T)
-        return cls({e[0]: int(c) for e, c in poly.terms()})
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if e != 0 and abs(c) == 1:
-                body = mono
-            elif e == 0:
-                body = str(abs(c))
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-    def __repr__(self):
-        return f"LaurentPolynomial({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +132,27 @@ def fox_derivative(word, generator):
 
 
 def abelianize(elem):
-    """Map a group-ring element into Z[t, 1/t] sending every generator to t."""
+    """Map a group-ring element into Z[t, 1/t] sending every generator to t,
+    as a dict {exponent: nonzero coefficient}."""
     out: dict[int, int] = {}
     for w, c in elem.items():
         e = sum(1 if g > 0 else -1 for g in w)
         out[e] = out.get(e, 0) + c
-    return LaurentPolynomial(out)
+    return {e: c for e, c in out.items() if c}
 
 
 def alexander_matrix(p):
-    """Fox-derivative matrix abelianized at t; rows = relators, cols = generators."""
-    return [
-        [abelianize(fox_derivative(r, j + 1)) for j in range(p.n_generators)]
+    """Fox-derivative matrix abelianized at t; rows = relators, cols = generators.
+
+    The row of relator r is multiplied by the unit t^len(r).  Every prefix of
+    r has length at most len(r), so every Fox-derivative exponent is at least
+    -len(r) and every entry is a polynomial in t.
+    """
+    return sympy.Matrix([
+        [sum(c * _T ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
+         for j in range(p.n_generators)]
         for r in p.relators
-    ]
+    ])
 
 
 def _abelianization_is_infinite_cyclic(p):
@@ -269,16 +167,20 @@ def _abelianization_is_infinite_cyclic(p):
         rows.append(row)
     if not rows:
         return p.n_generators == 1
-    m = sympy.Matrix(rows)
-    from sympy.matrices.normalforms import smith_normal_form
-
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(sympy.Matrix(rows))
     diag = [snf[i, i] for i in range(min(snf.shape))]
     nonzero = [abs(d) for d in diag if d != 0]
     rank = len(nonzero)
     # quotient is Z^(n - rank) x products of Z/d; infinite cyclic needs
     # n - rank == 1 and all nonzero invariant factors equal 1
     return p.n_generators - rank == 1 and all(d == 1 for d in nonzero)
+
+
+def _normalized(poly):
+    """poly divided by the unit +-t^k that makes its lowest exponent 0 and its
+    leading coefficient positive (0 stays 0)."""
+    poly = poly.terms_gcd()[1]
+    return -poly if poly.LC() < 0 else poly
 
 
 def alexander_polynomial(p):
@@ -288,36 +190,43 @@ def alexander_polynomial(p):
     if not _abelianization_is_infinite_cyclic(p):
         raise ValueError("abelianization is not infinite cyclic")
     if not p.relators:
-        return LaurentPolynomial.unit()  # free group of rank 1: unknot
+        return sympy.Poly(1, _T)  # free group of rank 1: unknot
     mat = alexander_matrix(p)
     n = p.n_generators
-    # clear denominators: multiply each entry by t^shift so entries live in Z[t]
-    shift = max(0, -min(e.min_exponent for row in mat for e in row if not e.is_zero()))
-    sym = sympy.Matrix(
-        [[(ent * LaurentPolynomial.monomial(shift)).to_sympy() for ent in row] for row in mat]
-    )
     minors = []
     for j in range(n):
-        cols = [k for k in range(n) if k != j]
-        det = sym[:, cols].det()
+        det = mat[:, [k for k in range(n) if k != j]].det()
         if det != 0:
             minors.append(sympy.Poly(det, _T))
     if not minors:
         raise ValueError("all maximal minors vanish; Alexander ideal is zero")
     g = minors[0]
     for m in minors[1:]:
-        g = sympy.gcd(g, m)
-    delta = LaurentPolynomial.from_sympy(g.as_expr()).normalized()
-    if abs(delta.evaluate(1)) != 1:
-        raise ValueError(f"Delta(1) = {delta.evaluate(1)} != +-1: not a knot-group presentation")
+        g = g.gcd(m)
+    delta = _normalized(g)
+    if abs(delta.eval(1)) != 1:
+        raise ValueError(f"Delta(1) = {delta.eval(1)} != +-1: not a knot-group presentation")
     return delta
 
 
 def stage_polynomial(delta, i):
-    """Polynomial of the i-th connected-sum doubling stage: delta^(2^i)."""
+    """Polynomial of the i-th connected-sum doubling stage: delta^(2^i).
+
+    A normalised delta gives a normalised power."""
     if i < 0:
         raise ValueError("stage must be >= 0")
-    return (delta ** (2**i)).normalized()
+    return delta ** 2**i
+
+
+def _format(poly):
+    """`t^2 - 3*t + 1`: terms from the highest exponent down, 0 for zero."""
+    parts = []
+    for (e,), c in poly.terms():
+        mono = "t" if e == 1 else f"t^{e}"
+        body = str(abs(c)) if e == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
 def nontriviality_verdict(delta, depth=6):
@@ -325,27 +234,24 @@ def nontriviality_verdict(delta, depth=6):
 
     Returns a report dict.  The verdict is NONTRIVIAL iff delta is not a unit
     +-t^k; the finite stages double the knot each time, so their polynomials
-    are delta^(2^i) and are non-units exactly when delta is.
+    are delta^(2^i) and are non-units exactly when delta is.  Since Z[t, 1/t]
+    has no zero divisors, stage i has degree 2^i deg(delta); a stage is
+    expanded and printed only up to degree 16.
     """
-    delta = delta.normalized()
-    nontrivial = not delta.is_unit() and not delta.is_zero()
+    delta = _normalized(delta)
+    degree = 0 if delta.is_zero else delta.degree()
+    unit = delta.is_one
     stages = []
     for i in range(depth + 1):
-        poly = stage_polynomial(delta, i)
-        stages.append(
-            {
-                "stage": i,
-                "copies": 2**i,
-                "degree": poly.degree,
-                "unit": poly.is_unit(),
-                "polynomial": str(poly) if poly.degree <= 16 else f"degree-{poly.degree} power",
-            }
-        )
+        d = 2**i * degree
+        text = _format(stage_polynomial(delta, i)) if d <= 16 else f"degree-{d} power"
+        stages.append({"stage": i, "copies": 2**i, "degree": d, "unit": unit,
+                       "polynomial": text})
     return {
-        "verdict": "NONTRIVIAL" if nontrivial else "TRIVIAL",
-        "base_polynomial": str(delta),
-        "base_degree": delta.degree,
-        "delta_at_1": delta.evaluate(1),
+        "verdict": "TRIVIAL" if unit or delta.is_zero else "NONTRIVIAL",
+        "base_polynomial": _format(delta),
+        "base_degree": degree,
+        "delta_at_1": int(delta.eval(1)),
         "stages": stages,
         "assumed_facts": [
             # Standard results used but not recomputed here; the polynomial

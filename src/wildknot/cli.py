@@ -312,7 +312,7 @@ def _check_invariants(run):
     for name in sorted(ax.PRESETS):
         delta = ax.alexander_polynomial(ax.PRESETS[name])
         verdict = ax.nontriviality_verdict(delta, depth=3)
-        rows[name] = {"polynomial": str(delta), "verdict": verdict["verdict"],
+        rows[name] = {"polynomial": verdict["base_polynomial"], "verdict": verdict["verdict"],
                       "delta_at_1": verdict["delta_at_1"]}
     ok = (
         all(r["delta_at_1"] in (1, -1) for r in rows.values())
@@ -482,7 +482,7 @@ def cmd_alexander(args):
         print(f"FAIL alexander: {exc}")
         return 1
     verdict = ax.nontriviality_verdict(delta, depth=args.depth)
-    print(str(delta))
+    print(verdict["base_polynomial"])
     print(f"verdict: {verdict['verdict']} (Delta(1) = {verdict['delta_at_1']})")
     if args.verbose:
         for s in verdict["stages"]:
@@ -612,14 +612,15 @@ def main(argv=None):
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
+    usage_error = subs.choices[args.command].error
     if args.func is cmd_alexander:
         if args.depth < 0:
-            parser.error("depth must be >= 0")
+            usage_error("depth must be >= 0")
         return cmd_alexander(args)
     try:
         cfg = _config_from_args(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        usage_error(str(exc))
     run = Run(cfg, getattr(args, "amalgam", None), getattr(args, "schottky", 4))
     try:
         return args.func(run, args)

@@ -9,12 +9,13 @@ the one-at-a-time formulas here are the tests' independent check on them.
 The near-pair search is checked against its earlier form, one self-join at
 the largest radius's cell side over a join that searches one row at a time
 (`near_pairs` and `grid_join` against `cover._near_pairs` and
-`cover._grid_join`).  Criteria 2 and 3 are checked against their serial
-forms: `coverage_check` here joins all ball centres at the largest radius's
-cell side and tests one block of about 2^16 samples at a time, and
-`relation_suite` runs its batches one after another; `cover.coverage_check`,
-with one join per radius octave, and `groups.relation_suite` must give the
-same bits.  `limitset.loxodromic_points` and
+`cover._grid_join`).  Criterion 2 is checked against its serial form:
+`coverage_check` here joins all ball centres at the largest radius's cell
+side and tests one block of about 2^16 samples at a time, and
+`cover.coverage_check`, with one join per radius octave, must give the same
+bits.  Criterion 3's batched `groups.relation_residuals` must agree with
+`relation_residual` here, which multiplies the scalar reflections of one
+pair at a time.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
@@ -23,8 +24,8 @@ arrays of `first_rows` here, a structured-row `np.unique`.  The bundle's text
 writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv` and
 `limitset.cloud_to_ply`), which format each row with one %-format over
 `.tolist()` values, must give the text of the per-field loops here.  The
-point maps, random Moebius maps, the presentation, polynomial and group-ring
-helpers, the single-cube complex and the complex-file loader serve only the
+point maps, random Moebius maps, the presentation and group-ring helpers,
+the single-cube complex and the complex-file loader serve only the
 tests.
 """
 
@@ -345,15 +346,6 @@ def render_presentation(p):
     return "\n".join(lines) + "\n"
 
 
-def coefficient_list(poly):
-    """A LaurentPolynomial's coefficients from its lowest exponent upward
-    (empty for zero)."""
-    if not poly.coeffs:
-        return []
-    lo, hi = min(poly.coeffs), max(poly.coeffs)
-    return [poly.coeffs.get(e, 0) for e in range(lo, hi + 1)]
-
-
 def ring_left_multiply(word, elem):
     """Left-multiply a group-ring element {reduced word: coefficient} by a word."""
     out = {}
@@ -672,30 +664,19 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     return (total - len(misses)) / total, misses
 
 
-def relation_suite(group, tol=1e-8, separation=0.5):
-    """groups.relation_suite's reference loop: batches of 4096 relations
-    through groups.relation_residuals, reduced one after another."""
-    cover = group.cover
-    rels = group.relations
-    max_residual = 0.0
-    min_premature = math.inf
-    for lo in range(0, len(rels), 4096):
-        chunk = rels[lo : lo + 4096]
-        residual, gap = gr.relation_residuals(
-            cover.centers[chunk[:, :2]], cover.radii[chunk[:, :2]], chunk[:, 2]
-        )
-        max_residual = max(max_residual, float(residual.max()))
-        min_premature = min(min_premature, float(gap.min()))
-    report = {
-        "n_relations": len(rels),
-        "max_residual": max_residual,
-        "min_premature_gap": min_premature,
-        "tolerance": tol,
-        "ok": max_residual <= tol and min_premature > separation,
-    }
-    if not report["ok"]:
-        raise gr.GroupError(f"relation suite failed: {report}")
-    return report
+def relation_residual(centers, radii, order):
+    """One pair's (residual, gap) of groups.relation_residuals: the scalar
+    sphere and reflection of each ball in the pair's midpoint frame, and the
+    max-norm distance of each power 1..m of their product from I."""
+    mid = 0.5 * (centers[0] + centers[1])
+    prod = reflection(sphere(centers[0] - mid, radii[0])) @ reflection(
+        sphere(centers[1] - mid, radii[1]))
+    power = np.eye(6)
+    dists = []
+    for _ in range(order):
+        power = power @ prod
+        dists.append(float(np.abs(power - np.eye(6)).max()))
+    return dists[-1], min(dists[:-1], default=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 preset and the names its tracer patches, `from ... import` bindings
 included.  A refactor that drops one of those bindings fails here, and so
 does one that renames an argument or a result field that the tracer's work
-counters read, which the traced run below records.
+counters read, which the traced run below records.  Each workload's phase
+also runs once here under the benchmark's own checks.
 """
 
 import os
@@ -27,6 +28,27 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     passed, attempted = proc.stdout.split()[0].split("/")
     assert passed == attempted != "0", proc.stdout
+
+
+def test_benchmark_phases_pass_their_checks(tmp_path, monkeypatch):
+    """The set-up and each workload's prepare, phase and check, once at seed
+    0: every oracle the benchmark applies holds on this tree.  The phases
+    call the library positionally (`orbit_spheres(sub, L)`), so a renamed or
+    reordered argument fails here.  `report_prepare` writes its complex and
+    bundle under the working directory."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    checks = workloads.Checks()
+    ctx = workloads.setup()
+    workloads.check_setup(ctx, checks)
+    for w in workloads.WORKLOADS.values():
+        w.prepare(ctx)
+        w.check(w.phase(ctx, 0), checks)
+    assert (checks.attempted, checks.failures) == (37, [])
 
 
 def test_traced_run_spans_and_counters():

@@ -26,10 +26,13 @@ def tube_complex(tmp_path):
 
 
 def test_alexander_preset_trefoil(capsys):
-    assert main(["alexander", "--preset", "trefoil"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "t^2 - t + 1"
-    assert "NONTRIVIAL" in out
+    """Stages past degree 16 print their degree only, so depth 40 returns."""
+    assert main(["alexander", "--preset", "trefoil", "-v", "--depth", "40"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "t^2 - t + 1"
+    assert "NONTRIVIAL" in out[1]
+    assert out[2] == "  stage 0: 1 copies, degree 2: t^2 - t + 1"
+    assert out[42] == f"  stage 40: {2**40} copies, degree {2**41}: degree-{2**41} power"
 
 
 def test_alexander_unknot_trivial(capsys):
@@ -165,10 +168,12 @@ def test_runconfig_guards():
      ["bend", "--bend-ts", "0,nan"], ["report", "--bend-ts", "nan"],
      ["limitset", "--eps", "nan"]],
 )
-def test_out_of_range_settings_are_usage_errors(argv):
+def test_out_of_range_settings_are_usage_errors(argv, capsys):
+    """Exit 2 with the subcommand's usage line, which names its flags."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: wildknot {argv[0]} ")
 
 
 def test_limitset_exports(tmp_path, capsys):

@@ -879,16 +879,35 @@ def test_preset_relation_suite(preset_group):
     assert report["max_residual"] <= 1e-8
 
 
-def test_relation_suite_matches_the_serial_form(preset_group):
-    """The preset's report, and the GroupError text of a moved ball, are
-    those of the reference loop in oracles.py."""
+def test_relation_residuals_match_the_scalar_reference(preset_group):
+    """Criterion 3 against one pair at a time: on every 97th relation of the
+    preset and on every relation of ball 40,000, the batched residuals and
+    gaps are those of oracles.relation_residual, which multiplies the scalar
+    reflections.  With that ball moved by 1e-3 the reference sees a broken
+    relation there, and relation_suite raises."""
     _c, cover, g = preset_group
-    assert relation_suite(g) == orc.relation_suite(g)
+    rels = g.relations
+    rows = np.union1d(np.arange(0, len(rels), 97),
+                      np.flatnonzero((rels[:, :2] == 40_000).any(axis=1)))
+    assert (rels[rows, :2] == 40_000).any()
+
+    def compare(centers):
+        pairs = rels[rows, :2]
+        residual, gap = gr.relation_residuals(centers[pairs], cover.radii[pairs], rels[rows, 2])
+        want = np.array([orc.relation_residual(centers[[i, k]], cover.radii[[i, k]], m)
+                         for i, k, m in rels[rows].tolist()])
+        np.testing.assert_allclose(residual, want[:, 0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gap, want[:, 1], rtol=0, atol=1e-9)
+        return want
+
+    want = compare(cover.centers)
+    report = relation_suite(g)
+    assert report["max_residual"] >= want[:, 0].max()
+    assert report["min_premature_gap"] <= want[:, 1].min()
     centers = cover.centers.copy()
     centers[40_000, 0] += 1e-3
+    want = compare(centers)
+    assert want[(rels[rows, :2] == 40_000).any(axis=1), 0].max() > 1e-8
     moved = dataclasses.replace(g, cover=dataclasses.replace(cover, centers=centers))
-    with pytest.raises(GroupError) as want:
-        orc.relation_suite(moved)
-    with pytest.raises(GroupError) as got:
+    with pytest.raises(GroupError, match="relation suite failed"):
         relation_suite(moved)
-    assert str(got.value) == str(want.value)
