@@ -236,7 +236,8 @@ def nontriviality_verdict(delta, depth=6):
     +-t^k; the finite stages double the knot each time, so their polynomials
     are delta^(2^i) and are non-units exactly when delta is.  Since Z[t, 1/t]
     has no zero divisors, stage i has degree 2^i deg(delta); a stage is
-    expanded and printed only up to degree 16.
+    expanded and printed only while 2^i max(deg(delta), 1) <= 16, so that a
+    constant's coefficients stay small too (0 and 1 are their own powers).
     """
     delta = _normalized(delta)
     degree = 0 if delta.is_zero else delta.degree()
@@ -244,7 +245,8 @@ def nontriviality_verdict(delta, depth=6):
     stages = []
     for i in range(depth + 1):
         d = 2**i * degree
-        text = _format(stage_polynomial(delta, i)) if d <= 16 else f"degree-{d} power"
+        small = unit or delta.is_zero or 2**i * max(degree, 1) <= 16
+        text = _format(stage_polynomial(delta, i)) if small else f"degree-{d} power"
         stages.append({"stage": i, "copies": 2**i, "degree": d, "unit": unit,
                        "polynomial": text})
     return {

@@ -181,6 +181,16 @@ class TestStagesAndVerdict:
         assert [s["degree"] for s in report["stages"]] == [2 ** (i + 1) for i in range(41)]
         assert not any(s["unit"] for s in report["stages"])
 
+    @pytest.mark.parametrize("depth", [16, 20])
+    def test_constant_verdict_expands_no_large_power(self, depth):
+        """A constant delta has degree 0 at every stage, but 3^(2^i) grows:
+        stages are expanded only while 2^i <= 16."""
+        report = ax.nontriviality_verdict(P(3), depth=depth)
+        assert report["verdict"] == "NONTRIVIAL"
+        texts = [s["polynomial"] for s in report["stages"]]
+        assert texts[:5] == ["3", "9", "81", "6561", str(3**16)]
+        assert texts[5:] == ["degree-0 power"] * (depth - 4)
+
 
 class TestPresentationIO:
     def test_roundtrip(self):

@@ -911,3 +911,76 @@ def test_relation_residuals_match_the_scalar_reference(preset_group):
     moved = dataclasses.replace(g, cover=dataclasses.replace(cover, centers=centers))
     with pytest.raises(GroupError, match="relation suite failed"):
         relation_suite(moved)
+
+
+def frame_rows(cover, rels):
+    """Each relation's inputs to relation_residuals, as raw bits: both centres
+    less their midpoint, both radii, and m."""
+    centers = cover.centers[rels[:, :2]]
+    mid = 0.5 * (centers[:, 0] + centers[:, 1])
+    frame = np.hstack([centers[:, 0] - mid, centers[:, 1] - mid, cover.radii[rels[:, :2]]])
+    return np.hstack([frame.view(np.int64), rels[:, 2:]])
+
+
+@pytest.mark.parametrize("fixture, n_frames", [("preset_group", 768), ("cube_group", None)])
+def test_relation_suite_is_exact_over_all_rows(request, monkeypatch, fixture, n_frames):
+    """The suite computes once per distinct midpoint frame, and its max and
+    min are bit for bit those of one relation_residuals call on every row."""
+    _c, cover, g = request.getfixturevalue(fixture)
+    rels = g.relations
+    residual, gap = relation_residuals(cover.centers[rels[:, :2]], cover.radii[rels[:, :2]],
+                                       rels[:, 2])
+    sizes = []
+
+    def counted(centers, radii, orders):
+        sizes.append(len(orders))
+        return relation_residuals(centers, radii, orders)
+
+    monkeypatch.setattr(gr, "relation_residuals", counted)
+    report = relation_suite(g)
+    assert report["max_residual"] == residual.max()
+    assert report["min_premature_gap"] == gap.min()
+    distinct = len(np.unique(frame_rows(cover, rels), axis=0))
+    assert sum(sizes) == distinct == (n_frames or distinct) < len(rels)
+
+
+@pytest.mark.parametrize("fixture", ["preset_group", "cube_group"])
+def test_relation_suite_survives_hash_collisions(request, monkeypatch, fixture):
+    """With every row hashed alike, each row that differs from the first is a
+    collision and goes through relation_residuals itself: the same report."""
+    _c, _cover, g = request.getfixturevalue(fixture)
+    want = relation_suite(g)
+    monkeypatch.setattr(gr, "_row_hash", lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    assert relation_suite(g) == want
+
+
+def test_relation_suite_without_relations(cube_group):
+    _c, _cover, g = cube_group
+    empty = dataclasses.replace(g, relations=np.zeros((0, 3), dtype=np.int64))
+    assert relation_suite(empty) == {"n_relations": 0, "max_residual": 0.0,
+                                     "min_premature_gap": math.inf, "tolerance": 1e-8,
+                                     "ok": True}
+
+
+def test_relation_suite_keys_on_order_and_radius(preset_group):
+    """Negative controls for the frame key.  The last order-2 relation's
+    frame repeats an earlier relation's, so a key without m would take its
+    residual from that one; declared order 3 it must fail.  Likewise a ball
+    grown by 1e-6, whose relations repeat earlier frames in centres and m."""
+    _c, cover, g = preset_group
+    rels = g.relations
+    frames = frame_rows(cover, rels)
+    row = np.flatnonzero(rels[:, 2] == 2)[-1]
+    assert (frames[:row] == frames[row]).all(axis=1).any()
+    reordered = rels.copy()
+    reordered[row, 2] = 3
+    with pytest.raises(GroupError, match="relation suite failed"):
+        relation_suite(dataclasses.replace(g, relations=reordered))
+    ball = rels[-1, 1]
+    radii = cover.radii.copy()
+    radii[ball] *= 1.0 + 1e-6
+    mine = np.flatnonzero((rels[:, :2] == ball).any(axis=1))
+    cols = np.r_[0:8, 10]
+    assert all((frames[: mine[0]][:, cols] == frames[k, cols]).all(axis=1).any() for k in mine)
+    with pytest.raises(GroupError, match="relation suite failed"):
+        relation_suite(dataclasses.replace(g, cover=dataclasses.replace(cover, radii=radii)))
