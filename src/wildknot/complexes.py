@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -340,12 +341,17 @@ def knot_surface(c):
     Faces, edges and vertices are packed into mixed-radix int64 keys over the
     complex's box, as (corner, plane), (lower endpoint, axis) and point; the
     keys sort as the tuples do, and one np.unique with counts finds each kind.
-    Issue examples are the first offender in cell order and face order.
+    Issue examples are the first offender in cell order and face order.  A
+    box too large for those keys raises ComplexError.
     """
     unit = c.unit
     cells, omitted = _cells(c)
     lo = cells.min(axis=0)
     dims = tuple(int(d) for d in cells.max(axis=0) - lo + unit + 1)
+    if math.prod(dims) * 6 >= 2**63:  # the face keys have the largest radix, 6 planes
+        hi = cells.max(axis=0) + unit
+        raise ComplexError([f"complex box {tuple(lo.tolist())} to {tuple(hi.tolist())} "
+                            "is too large for 64-bit surface keys"])
 
     def pack(points, code, radix):
         return np.ravel_multi_index((*(points - lo).T, code), dims + (radix,))

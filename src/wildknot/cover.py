@@ -188,13 +188,12 @@ def build_cover(c, k=0, surf=None):
 def _host_cubes(c, centers):
     """Lowest c.all_cubes index of a cube whose closure holds each centre.
 
-    The big cubes are tested by interval.  The tube's cubes, all of edge ell
-    on one lattice of step ell, are found by one packed-key lookup: a closed
-    tube cube with omitted axis o holds x only if x is on the lattice along o
-    and the floor cell of x is the cube's own cell, or its next cell along
-    spanned axes where x is on the lattice.  Each cube is listed under those 8
-    cells, each centre is looked up under its floor cell once per axis o, and
-    the matches are confirmed by interval.
+    The big cubes are tested by interval.  The tube's cubes are found by one
+    grid join of their box middles against the centres, at cell side the
+    largest tube edge (widened by 1e-9 against rounding): a closed cube holds
+    x only if x is within half an edge of its middle on every axis, so the two
+    share a cell or sit in neighbouring ones.  The join's pairs are confirmed
+    by interval.
     """
     box = boxes(c.all_cubes)
     n_cubes = len(box)
@@ -204,35 +203,11 @@ def _host_cubes(c, centers):
     inside = ((box[big, None, :, 0] <= centers) & (centers <= box[big, None, :, 1])).all(axis=2)
     host = np.where(inside, big[:, None], n_cubes).min(axis=0, initial=n_cubes)
     if c.tube:
-        ell = c.unit
         lo, hi = box[tube, :, 0], box[tube, :, 1]
-        omit = np.argmin(hi - lo, axis=1)  # the axis without extent
-        cell, rem = np.divmod(lo - lo[0], ell)
-        if rem.any() or ((hi - lo).max(axis=1) != ell).any():
-            raise CoverError("tube cubes are not cells of one lattice of the tube unit")
-        # tube cube t is listed under (omit[t], cell[t] + s) for the 8 shifts
-        # s in {0, 1}^4 with s[omit[t]] = 0
-        shift = np.array(list(itertools.product((0, 1), repeat=4)))
-        t, s = np.nonzero(shift.T[omit] == 0)
-        base = cell.min(axis=0)
-        span = cell.max(axis=0) - base + 2
-        dims = (4, *span.tolist())
-        keys = np.ravel_multi_index((omit[t], *(cell[t] + shift[s] - base).T), dims)
-        order = np.argsort(keys, kind="stable")
-        keys, t = keys[order], t[order]
-        # centre i is looked up under (o, its floor cell) for each axis o
-        # along which it is on the lattice
-        rel = (centers - lo[0]) / ell
-        q = np.floor(rel)
-        inbox = ((q >= base) & (q < base + span)).all(axis=1)
-        i, o = np.nonzero((q == rel) & inbox[:, None])
-        query = np.ravel_multi_index((o, *(q[i] - base).astype(np.int64).T), dims)
-        at = np.searchsorted(keys, query, "left")
-        count = np.searchsorted(keys, query, "right") - at
-        i = np.repeat(i, count)
-        t = t[np.repeat(at - np.cumsum(count) + count, count) + np.arange(count.sum())]
-        held = ((lo[t] <= centers[i]) & (centers[i] <= hi[t])).all(axis=1)
-        np.minimum.at(host, i[held], first + t[held])
+        side = float((hi - lo).max()) * (1.0 + 1e-9)
+        for t, i in _grid_join((lo + hi) / 2.0, centers, side):
+            held = ((lo[t] <= centers[i]) & (centers[i] <= hi[t])).all(axis=1)
+            np.minimum.at(host, i[held], first + t[held])
     if (host == n_cubes).any():
         raise CoverError("ball center outside every cube closure")
     return host

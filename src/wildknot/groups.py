@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lorentz as lz
 from .complexes import boxes, meet
-from .cover import ROLE_VERTEX, _grid_join, pair_orders
+from .cover import ROLE_VERTEX, _finite_balls, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
@@ -182,9 +182,11 @@ def relation_suite(group, tol=1e-8, separation=0.5):
     firsts and every relation that differs (a hash collision) go through
     `relation_residuals`.  Every relation's residual and gap are thus those
     of a computed row, so the max and min are exact.  Returns a report dict;
-    raises GroupError on a violation.
+    raises GroupError on a violation, and CoverError on a ball without a
+    finite centre and a finite positive radius.
     """
     cover, rels = group.cover, group.relations
+    _finite_balls(cover.centers, cover.radii)
     slices = [slice(lo, lo + RELATION_BATCH) for lo in range(0, len(rels), RELATION_BATCH)]
     hashes = np.zeros(len(rels), dtype=np.uint64)
     for s in slices:
@@ -583,8 +585,10 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     min(n, budget) generators of a random order with per_gen =
     max(1, budget // n) of the points each, that the inversion image of each
     point lies strictly inside the generator's ball (hence outside the
-    domain).  Returns a report with the violation count.
+    domain).  Returns a report with the violation count.  A ball without a
+    finite centre and a finite positive radius raises CoverError.
     """
+    _finite_balls(cover.centers, cover.radii)
     rng = np.random.default_rng(seed)
     n = len(cover)
     per_gen = max(1, budget // n)

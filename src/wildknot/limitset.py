@@ -245,23 +245,6 @@ def cloud_to_csv(cloud):
     return "\n".join(lines) + "\n"
 
 
-def cloud_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    dim = header.index("generation")
-    pts, gens, prov = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        pts.append([float(x) for x in parts[:dim]])
-        gens.append(int(parts[dim]))
-        prov.append(",".join(parts[dim + 1 :]))
-    return PointCloud(
-        points=np.array(pts).reshape(len(pts), dim),
-        provenance=prov,
-        generation=np.array(gens, dtype=np.int64),
-    )
-
-
 def cloud_to_ply(cloud):
     """PLY 1.0 ascii; vertices carry generation as an int scalar property.
 

@@ -37,15 +37,6 @@ def q(u, v):
     return (u[..., :5] * v[..., :5]).sum(axis=-1) - u[..., 5] * v[..., 5]
 
 
-def project(w, tol=1e-12):
-    """Light-cone vector -> point of R^4 it lifts, or None for inf."""
-    w = np.asarray(w, dtype=float)
-    scale = w[5] - w[4]
-    if abs(scale) <= tol * max(1.0, abs(w[5]) + abs(w[4])):
-        return None
-    return w[:4] / scale
-
-
 def spheres(centers, radii):
     """Vectorized polar vectors: (N,4) centers, (N,) radii -> (N,6) polars."""
     c = np.asarray(centers, dtype=float)

@@ -61,6 +61,15 @@ def lift_infinity():
     return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
 
+def project(w, tol=1e-12):
+    """Light-cone vector -> point of R^4 it lifts, or None for inf."""
+    w = np.asarray(w, dtype=float)
+    scale = w[5] - w[4]
+    if abs(scale) <= tol * max(1.0, abs(w[5]) + abs(w[4])):
+        return None
+    return w[:4] / scale
+
+
 def sphere(center, radius):
     """Polar vector of the round 3-sphere with given Euclidean data."""
     if radius <= 0:
@@ -138,7 +147,7 @@ def lorentz_defect(m):
 def apply_to_point(m, p):
     """Apply a Lorentz matrix to a point of S^4 (p=None means infinity)."""
     w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
-    return lz.project(np.asarray(m) @ w)
+    return project(np.asarray(m) @ w)
 
 
 def point_side(polar, p):
@@ -213,7 +222,7 @@ def _lightlike_fixed_point(col):
     v = v / norm
     if v[5] < 0:  # orient to the positive cone
         v = -v
-    return lz.project(v)
+    return project(v)
 
 
 def loxodromic_points(sub, n, seed=0, word_length=6):

@@ -146,6 +146,21 @@ def test_broken_complex_file_fails(tmp_path, capsys):
     assert "FAIL complex: cannot read the complex file: 'utf-8' codec" in capsys.readouterr().out
 
 
+def test_report_fails_on_a_box_too_large_for_surface_keys(tmp_path, capsys):
+    """Negative control: the straight tube scaled by 2^14 has fields far
+    below the loader's 2^60, but its box holds more lattice points than the
+    surface's int64 keys can pack; report prints a FAIL line, not a
+    traceback."""
+    def scaled(cube):
+        return cx.Cube3(tuple(x << 14 for x in cube.corner), cube.edge << 14, cube.omitted_axis)
+    c = orc.straight_tube_complex()
+    path = tmp_path / "big.txt"
+    cx.save_complex(cx.CubeComplex(tuple(map(scaled, c.big)), tuple(map(scaled, c.tube))), path)
+    assert main(["report", "--complex", str(path), "--out", str(tmp_path / "b")]) == 1
+    assert ("FAIL complex: complex box (0, 0, 0, 0) to (49152, 49152, 49152, 114688) "
+            "is too large for 64-bit surface keys") in capsys.readouterr().out.splitlines()
+
+
 def test_runconfig_guards():
     with pytest.raises(ValueError):
         RunConfig(refinement=-1).validate()

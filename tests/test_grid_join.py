@@ -76,11 +76,12 @@ def oracle_join(monkeypatch):
 
 
 def test_join_consumers_match_the_oracle_join(preset, oracle_join):
-    """Coverage, the domain sampler and the Hausdorff distance read the join:
-    each gives the same result through the oracle's, on the preset and on
-    the orbit7 clouds at L = 7 and 6."""
+    """Coverage, the host cubes, the domain sampler and the Hausdorff
+    distance read the join: each gives the same result through the oracle's,
+    on the preset and on the orbit7 clouds at L = 7 and 6."""
     surf, covers = preset
     cover = covers[0]
+    c = spun_trefoil_preset()
     sch = gr.pairwise_disjoint_subassembly(cover, n=4)
     deep = ls.cloud_from_orbit(gr.orbit_spheres(sch, 7), np.inf)
     coarse_orbit = gr.orbit_spheres(sch, 6)
@@ -90,12 +91,14 @@ def test_join_consumers_match_the_oracle_join(preset, oracle_join):
 
     def run():
         return (cv.coverage_check(cover, surf, n_samples=1000, seed=0),
+                cv._host_cubes(c, cover.centers).tolist(),
                 gr.fundamental_domain_check(cover, budget=100_000, seed=0),
                 ls.hausdorff_one_sided(deep, coarse),
                 ls.hausdorff_one_sided(lox, lox_ref))
 
     got = run()
-    assert got[0] == (1.0, []) and got[1]["ok"] and got[2] > 0.0
+    assert got[0] == (1.0, []) and got[1] == cover.host.tolist()
+    assert got[2]["ok"] and got[3] > 0.0
     oracle_join()
     assert run() == got
 

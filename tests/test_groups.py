@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wildknot import complexes as cx
 from wildknot import groups as gr
 from wildknot import lorentz as lz
-from wildknot.cover import build_cover
+from wildknot.cover import CoverError, build_cover
 from wildknot.groups import (
     GroupError,
     assemble_group,
@@ -984,3 +984,21 @@ def test_relation_suite_keys_on_order_and_radius(preset_group):
     assert all((frames[: mine[0]][:, cols] == frames[k, cols]).all(axis=1).any() for k in mine)
     with pytest.raises(GroupError, match="relation suite failed"):
         relation_suite(dataclasses.replace(g, cover=dataclasses.replace(cover, radii=radii)))
+
+
+@pytest.mark.parametrize("check", ["relation_suite", "fundamental_domain_check"])
+def test_criteria_3_and_6_reject_a_non_finite_ball(check):
+    """Negative control: a NaN centre would drop its relations out of the
+    suite's max and its points out of the domain check's count, so both
+    raise CoverError naming the ball instead."""
+    c = orc.degenerate_single_cube(3)
+    cover = build_cover(c)
+    g = assemble_group(c, cover)
+    centers = cover.centers.copy()
+    centers[5, 0] = np.nan
+    bad = dataclasses.replace(cover, centers=centers)
+    with pytest.raises(CoverError, match=r"^ball 5 \(centre \(nan, .*finite positive radius"):
+        if check == "relation_suite":
+            relation_suite(dataclasses.replace(g, cover=bad))
+        else:
+            fundamental_domain_check(bad, budget=2000)
