@@ -31,8 +31,10 @@ disjoint and the small balls are not binned at the vertex balls' scale.
 The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
 reflection group's relation array.  Coverage is a query on the same grid
 join, again one per radius octave: it lists every ball whose trace disk
-meets a face's square, and the Monte-Carlo samples are tested against those
-disks in float64, in the face plane, with no recheck.
+meets a face's square.  The faces whose disks are bit for bit the same share
+one certificate of the cells of the face square that a disk holds, and only
+the Monte-Carlo samples outside those cells are tested against the disks, in
+float64, in the face plane, with no recheck.
 """
 
 from __future__ import annotations
@@ -406,6 +408,17 @@ def pairwise_sweep(centers, radii):
     return max_residual, int(intersecting.sum()), violations
 
 
+def _row_hash(keys):
+    """One uint64 per row of the (n, k) uint64 array `keys`: each word
+    xor-folded, so that its high bits reach the low ones, then a wrapping dot
+    product with k fixed odd weights.  Any weights would do: the callers
+    compare rows of equal hash bit for bit."""
+    weights = np.random.default_rng(0).integers(0, 2**63, keys.shape[1], dtype=np.uint64)
+    folded = keys >> np.uint64(32)
+    folded ^= keys
+    return folded @ (weights * 2 + 1)
+
+
 def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
     """Candidate filter of coverage_check: of the face-ball candidates (f, b),
     those whose ball's open trace disk in face f's plane meets its closed
@@ -423,45 +436,33 @@ def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
     return f[meets], uv[meets], reach2[meets]
 
 
-def _uncovered(lo, uv, ell, corner, plane, table_u, table_v, table_r2, width):
-    """Sample kernel of coverage_check for the block of faces from `lo`: their
-    float32 samples uv (faces, n, 2), scaled by ell in place and widened to
-    float64, are tested rank by rank against their rows of the disk table, up
-    to rank `width`.  Every sample is tested while more than 1/8 of them are
-    uncovered, then only the uncovered ones: on the preset the four vertex
-    disks come first and leave about 7% of a face open, so the later ranks
-    touch few samples.  Returns (faces, points) of the uncovered samples, in
-    face then sample order, each point being the face's float32 corner plus
-    the sample."""
-    rows = slice(lo, lo + len(uv))
-    n = uv.shape[1]
-    uv *= ell
-    u, v = uv[:, :, 0].astype(float), uv[:, :, 1].astype(float)
-    du, dv = np.empty_like(u), np.empty_like(u)
-    ok = np.zeros(u.shape, dtype=bool)
-    inside = np.empty(u.shape, dtype=bool)
-    r = 0
-    while r < width and 8 * np.count_nonzero(ok) < 7 * ok.size:
-        np.subtract(u, table_u[rows, r, None], out=du)
-        np.subtract(v, table_v[rows, r, None], out=dv)
-        np.multiply(du, du, out=du)
-        np.multiply(dv, dv, out=dv)
-        np.add(du, dv, out=du)
-        ok |= np.less(du, table_r2[rows, r, None], out=inside)
-        r += 1
-    live = np.flatnonzero(~ok)  # (face, sample) in block order
-    face = lo + live // n
-    u, v = u.ravel()[live], v.ravel()[live]
-    covered = np.zeros(len(live), dtype=bool)
-    for rank in range(r, width):
-        du = u - table_u[face, rank]
-        dv = v - table_v[face, rank]
-        covered |= du * du + dv * dv < table_r2[face, rank]
-    fi, si = np.divmod(live[~covered], n)
-    pts = corner[lo + fi].astype(np.float32)
-    for col in (0, 1):
-        pts[np.arange(len(fi)), plane[lo + fi, col]] += uv[fi, si, col]
-    return lo + fi, pts
+# Cells per side of the grid on which coverage_check certifies each disk
+# template, and templates certified at a time (2^16 cells, like a block of
+# samples)
+_CELLS = 32
+_TEMPLATES = 64
+
+
+def _certified_cells(table_u, table_v, table_r2, ell):
+    """(T, _CELLS^2) bool, one row per template row of the disk table: the
+    cells of a _CELLS x _CELLS grid on the face square, in (u, v) row-major
+    order, that one of its disks holds with coverage_check's margin."""
+    pad = ell * 2.0**-20
+    edges = np.arange(_CELLS + 1) * (ell / _CELLS)
+    lo, hi = edges[:-1] - pad, edges[1:] + pad
+    cert = np.zeros((len(table_u), _CELLS, _CELLS), dtype=bool)
+    for s in range(0, len(table_u), _TEMPLATES):
+        rows = slice(s, s + _TEMPLATES)
+        for r in range(table_u.shape[1]):
+            # per axis, the squared distance from the disk centre to the
+            # padded cell's farther end, raised by the relative margin
+            far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[rows, r, None]),
+                                                          np.abs(hi - t[rows, r, None])) ** 2
+                            for t in (table_u, table_v))
+            r2 = table_r2[rows, r, None]
+            inner = r2 - 2.0**-30 * np.abs(r2) - pad * ell - far_u  # per u cell
+            cert[rows] |= far_v[:, None, :] < inner[:, :, None]
+    return cert.reshape(len(table_u), _CELLS**2)
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
@@ -481,13 +482,47 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     neighbouring cells.  The candidates go into one face-major table of
     (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
     candidate count; padding slots have reach2 = -inf, so they contain no
-    point.  The float32 samples are drawn from one generator in blocks of
-    about 2^16 samples, in face order, and each block is tested in float64,
-    in the face plane, against its faces' table rows (_uncovered), with no
-    recheck.  Returns (fraction, misses) with misses as (face index, point)
-    pairs in face then sample order, the point being the face's float32
-    corner plus the sample.  A ball without a finite centre and a finite
-    positive radius raises CoverError.
+    point.
+
+    The float32 samples x in [0, 1)^2 are drawn from one generator in blocks
+    of about 2^16 samples, in face order.  A sample is the point ell * x,
+    rounded to float32, and it is covered when, in float64 and in the face
+    plane, (u - cu)^2 + (v - cv)^2 < reach2 for one of its face's table rows.
+    Most samples are decided without that test, by a cell certificate:
+
+    * A face's template is its row of the table: u, v and reach2.  Faces are
+      grouped by a hash of the rows' bits (the lattice cover repeats them: the
+      preset's 9,850 faces have 181 templates), and every face is compared
+      bit for bit with its group's first; one that differs (a hash collision)
+      gets no certificate.  So a certificate serves only faces whose disks
+      are exactly the template's.
+    * Each template certifies the cells of a 32 x 32 grid on the unit square
+      that one of its disks holds.  A sample falls in cell floor(32 x),
+      exactly, as 32 x is exact in float32.  float32 rounds ell and ell * x
+      each to a relative 2^-24, so on each axis the sample's point lies
+      within 2^-23 ell of ell times the cell's x-range: inside the cell's
+      square scaled by ell and widened by pad = 2^-20 ell on every side
+      (the float64 rounding of its bounds is far below the slack).  A cell is
+      certified when, in float64, the widened square's farthest corner from
+      the disk centre has (1 + 2^-30) far^2 < reach2 - 2^-30 |reach2| -
+      pad ell.  Every point of the widened square is within far of the
+      centre, and the computed far^2 is within a relative 2^-50 of exact.
+      The sample test rounds one difference per axis, two squares and a sum
+      of non-negative terms, each to a relative 2^-53, so it computes at
+      most the point's exact value times 1 + 2^-50.  Together that is below
+      2^-48 far^2; the certificate's own rounding, of terms no larger than
+      far^2 and |reach2|, is smaller still, and both lie far under the margin
+      2^-30 (far^2 + |reach2|).  pad ell covers the subnormal range, where
+      rounding is not relative.  So the test accepts every sample of a
+      certified cell.
+    * The samples in cells that their face's template leaves open go through
+      the float64 test against all their face's rows, one block at a time.
+
+    The certificate thus changes which samples are tested, never a result.
+    Returns (fraction, misses) with misses as (face index, point) pairs in
+    face then sample order, the point being the face's float32 corner plus
+    the sample.  A ball without a finite centre and a finite positive radius
+    raises CoverError.
     """
     ell = float(cover.unit)
     centers, radii = _finite_balls(cover.centers, cover.radii)
@@ -509,43 +544,62 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     count = np.bincount(face, minlength=n_faces)
     rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
     width = int(count.max(initial=0))
-    table_u, table_v = np.zeros((2, n_faces, width))
-    table_r2 = np.full((n_faces, width), -np.inf)  # padding: no point inside
+    table = np.zeros((n_faces, 3, width))  # each face's template: its rows u, v, reach2
+    table_u, table_v, table_r2 = table.transpose(1, 0, 2)
+    table_r2[...] = -np.inf  # padding: no point inside
     table_u[face, rank], table_v[face, rank] = cuv.T
     table_r2[face, rank] = reach2
+    del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
+
+    keys = table.reshape(n_faces, -1).view(np.uint64)
+    _, first, template = np.unique(_row_hash(keys), return_index=True, return_inverse=True)
+    # the cells whose samples take the float64 test: per template, then all
+    # cells for the faces that differ from their group's first (a collision)
+    open_cells = np.ones((len(first) + 1, _CELLS**2), dtype=bool)
+    open_cells[:-1] = ~_certified_cells(table_u[first], table_v[first], table_r2[first], ell)
+    template[(keys != keys[first[template]]).any(axis=1)] = len(first)
 
     rng = np.random.default_rng(seed)
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
-
     misses = []
     for lo in range(0, n_faces, block):
         hi = min(lo + block, n_faces)
         uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32)
-        width = int(count[lo:hi].max())  # ranks past it are padding
-        fi, pts = _uncovered(lo, uv, ell, corner, plane, table_u, table_v, table_r2, width)
-        misses.extend((int(m), tuple(pt)) for m, pt in zip(fi, pts.astype(float)))
+        cell = np.floor(uv * _CELLS) @ np.array([_CELLS, 1], dtype=np.float32)  # exact
+        cell = cell.astype(np.intp) + template[lo:hi, None] * _CELLS**2
+        fi, si = np.divmod(np.flatnonzero(open_cells.ravel()[cell]), n_samples)
+        face, pt = lo + fi, uv[fi, si] * ell  # the float32 points ell * x
+        ranks = slice(0, int(count[lo:hi].max()))  # ranks past it are padding
+        du = pt[:, 0, None].astype(float) - table_u[face, ranks]
+        dv = pt[:, 1, None].astype(float) - table_v[face, ranks]
+        missed = ~(du * du + dv * dv < table_r2[face, ranks]).any(axis=1)
+        face, pt = face[missed], pt[missed]
+        pts = corner[face].astype(np.float32)
+        for col in (0, 1):
+            pts[np.arange(len(face)), plane[face, col]] += pt[:, col]
+        misses.extend((int(m), tuple(p)) for m, p in zip(face, pts.astype(float)))
     total = n_faces * n_samples
     return (total - len(misses)) / total, misses
 
 
 def validate_cover(cover, surf, n_samples=2000, seed=0):
-    """Full validation report: closed forms, pairwise legality, coverage."""
+    """Full validation report: closed forms, pairwise legality, coverage.
+
+    A closed-form residual is the largest distance of a ball's radius from
+    the nearer closed form of its role (the face role has two: face and
+    centre balls); `ok` needs each to be at most 1e-9 * unit."""
     p = closed_form_parameters(float(cover.unit))
+
+    def residual(role, *forms):
+        r = cover.radii[cover.roles == role, None]
+        return float(np.abs(r - np.array(forms)).min(axis=1).max(initial=0.0))
+
     form_residuals = {
-        "vertex_radius": float(
-            np.abs(cover.radii[cover.roles == ROLE_VERTEX] - p["vertex_radius"]).max()
-        ),
-        "face_and_center_radius": float(
-            np.abs(
-                np.sort(np.unique(cover.radii[cover.roles == ROLE_FACE]))
-                - np.sort([p["center_radius"], p["face_radius"]])
-            ).max()
-        ),
+        "vertex_radius": residual(ROLE_VERTEX, p["vertex_radius"]),
+        "face_and_center_radius": residual(ROLE_FACE, p["face_radius"], p["center_radius"]),
     }
     if (cover.roles == ROLE_JUNCTION).any():
-        form_residuals["junction_radius"] = float(
-            np.abs(cover.radii[cover.roles == ROLE_JUNCTION] - p["junction_radius"]).max()
-        )
+        form_residuals["junction_radius"] = residual(ROLE_JUNCTION, p["junction_radius"])
 
     max_residual, n_intersecting, violations = pairwise_sweep(
         cover.centers, cover.radii
@@ -566,7 +620,8 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     )
 
     ok = (
-        not violations
+        max(form_residuals.values()) <= 1e-9 * cover.unit
+        and not violations
         and max_residual <= ANGLE_TOL
         and adj_residual <= ANGLE_TOL
         and fraction == 1.0

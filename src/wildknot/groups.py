@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lorentz as lz
 from .complexes import boxes, meet
-from .cover import ROLE_VERTEX, _finite_balls, _grid_join, pair_orders
+from .cover import ROLE_VERTEX, _finite_balls, _grid_join, _row_hash, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
@@ -37,9 +37,6 @@ MAX_ELEMENTS = 2_000_000
 RELATION_BATCH = 4096
 # Vertices in the first chunk pairwise_disjoint_subassembly searches for a tetrahedron.
 QUAD_CHUNK = 256
-# Odd 64-bit weights of relation_suite's frame hash; any would do, since rows
-# of equal hash are compared bit for bit.
-_HASH_WEIGHTS = np.random.default_rng(0).integers(0, 2**63, 11, dtype=np.uint64) * 2 + 1
 
 
 class GroupError(ValueError):
@@ -163,12 +160,6 @@ def _frame_keys(cover, rels):
     mid = 0.5 * (ci + cj)
     frame = np.column_stack([ci - mid, cj - mid, cover.radii[rels[:, 0]], cover.radii[rels[:, 1]]])
     return np.column_stack([frame.view(np.uint64), rels[:, 2].astype(np.uint64)])
-
-
-def _row_hash(keys):
-    """One uint64 per key row: each word xor-folded, so that its high bits
-    reach the low ones, then a wrapping dot product with odd weights."""
-    return (keys ^ keys >> np.uint64(32)) @ _HASH_WEIGHTS
 
 
 def relation_suite(group, tol=1e-8, separation=0.5):

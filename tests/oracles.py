@@ -25,8 +25,8 @@ writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv` and
 `limitset.cloud_to_ply`), which format each row with one %-format over
 `.tolist()` values, must give the text of the per-field loops here.  The
 point maps, random Moebius maps, the presentation and group-ring helpers,
-the single-cube complex and the complex-file loader serve only the
-tests.
+the single-cube complex, the cover less one ball and the complex-file
+loader serve only the tests.
 """
 
 from __future__ import annotations
@@ -402,6 +402,20 @@ def straight_tube_complex():
     """Two big cubes joined by a straight tube of six unit cubes."""
     big = (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 6), 3, 3))
     return cx.CubeComplex(big, tuple(cx.Cube3((1, 1, 0, w), 1, 2) for w in range(6)))
+
+
+def without_ball(cover, victim):
+    """The cover less ball `victim`; the adjacency is kept as it was."""
+    keep = np.arange(len(cover)) != victim
+    return dataclasses.replace(
+        cover,
+        centers=cover.centers[keep],
+        radii=cover.radii[keep],
+        roles=cover.roles[keep],
+        host=cover.host[keep],
+        polars=cover.polars[keep],
+        vertices=cover.vertices[np.arange(len(cover.vertices)) != victim],
+    )
 
 
 # ---------------------------------------------------------------------------

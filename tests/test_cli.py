@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import pathlib
 import sys
 
@@ -7,9 +9,9 @@ import pytest
 from wildknot import complexes as cx
 from wildknot import groups as gr
 from wildknot import limitset as ls
-from wildknot.cli import (Run, RunConfig, _check_orbit, _write_cover, _write_orbit, main,
-                          run_pipeline)
-from wildknot.cover import build_cover
+from wildknot.cli import (STAGES, Run, RunConfig, _check_orbit, _write_cover, _write_orbit,
+                          main, run_pipeline)
+from wildknot.cover import ROLE_FACE, _adjacency, build_cover
 
 import oracles as orc
 
@@ -112,6 +114,36 @@ def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypa
     assert msg.startswith("50 spheres, parents assigned, truncated, max radius")
     ok, msg = _check_orbit(Run(cfg, amalgam=0))  # truncation fails an amalgam too
     assert not ok and ", truncated, max radius" in msg
+
+
+@pytest.mark.parametrize("fault", ["moved-vertex-ball", "dropped-face-ball"])
+def test_cover_stage_fails_on_a_broken_cover(tube_complex, tmp_path, fault):
+    """Negative controls for criteria 1 and 2 through the pipeline's own
+    cover stage: the tube's cover with vertex ball 0 moved by 0.05 has
+    illegal pairs, and without its first face ball it leaves a sample
+    uncovered.  Each broken cover gets the adjacency build_cover would give
+    it."""
+    run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
+    cover = run.cover
+    if fault == "moved-vertex-ball":
+        centers = cover.centers.copy()
+        centers[0, 0] += 0.05
+        broken = dataclasses.replace(cover, centers=centers)
+    else:
+        broken = orc.without_ball(cover, int(np.flatnonzero(cover.roles == ROLE_FACE)[0]))
+    run.cover = dataclasses.replace(broken, adjacency=_adjacency(broken.centers, broken.radii))
+    ok, msg = dict(STAGES)["cover"](run)
+    report = json.loads((tmp_path / "cover_report.json").read_text(encoding="utf-8"))
+    assert not ok and not report["ok"]
+    if fault == "moved-vertex-ball":
+        assert msg == "max angle residual 4.206e-01 (tol 1e-09), coverage 1.0"
+        assert len(report["illegal_pairs"]) == 11
+        assert all(pair[0] == 0 for pair in report["illegal_pairs"])
+    else:
+        assert report["illegal_pairs"] == []
+        assert report["max_angle_residual"] <= report["tolerance"]
+        assert msg.endswith(", coverage 0.9999615384615385")  # 1 of 130 x 200 samples
+        assert [face for face, _point in report["coverage_misses"]] == [0]
 
 
 def test_build_writes_artifacts(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildknot import cover as cv
 from wildknot import lorentz as lz
 from wildknot.complexes import Cube3, knot_surface
 from wildknot.cover import (
+    ANGLE_TOL,
     ROLE_FACE,
     ROLE_JUNCTION,
     ROLE_VERTEX,
@@ -27,7 +30,7 @@ from wildknot.cover import (
 from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
-from oracles import degenerate_single_cube
+from oracles import degenerate_single_cube, without_ball
 
 
 def test_closed_form_constants():
@@ -135,6 +138,35 @@ def test_validate_cover_rejects_a_moved_ball_and_a_wrong_order():
     assert not relabelled["ok"]
     assert relabelled["adjacency_residual"] == pytest.approx(0.5, abs=1e-12)
     assert relabelled["illegal_pairs"] == []  # the angles themselves are all legal
+
+
+def test_validate_cover_gates_the_closed_forms():
+    """A face ball 1% too large is reported by its distance to the nearer
+    closed form, not raised.  The cover scaled by 1 - 1e-6 about the origin
+    keeps every angle and covers every sample, so only its radii, off the
+    closed forms by more than 1e-9 * unit, fail it."""
+    c = degenerate_single_cube(3)
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    p = closed_form_parameters(float(cover.unit))
+    radii = cover.radii.copy()
+    radii[np.flatnonzero(cover.roles == ROLE_FACE)[0]] *= 1.01  # a face ball, not a centre
+    grown = validate_cover(dataclasses.replace(cover, radii=radii), surf, n_samples=200)
+    assert not grown["ok"]
+    assert grown["closed_form_residuals"] == {
+        "vertex_radius": 0.0,
+        "face_and_center_radius": pytest.approx(0.01 * p["face_radius"], rel=1e-12),
+    }
+    s = 1.0 - 1e-6
+    scaled = validate_cover(dataclasses.replace(cover, centers=cover.centers * s,
+                                                radii=cover.radii * s), surf, n_samples=200)
+    assert not scaled["ok"]
+    assert scaled["illegal_pairs"] == [] and scaled["coverage_fraction"] == 1.0
+    assert max(scaled["max_angle_residual"], scaled["adjacency_residual"]) <= ANGLE_TOL
+    assert scaled["closed_form_residuals"]["vertex_radius"] == pytest.approx(
+        1e-6 * p["vertex_radius"], rel=1e-6)
+    assert validate_cover(cover, surf, n_samples=200)["closed_form_residuals"] == {
+        "vertex_radius": 0.0, "face_and_center_radius": 0.0}
 
 
 def brute_force_products(centers, radii):
@@ -346,19 +378,6 @@ def face_template(cover, surf, f):
     return cover.vertex_balls(face_corners(surf)[f]).tolist() + list(own)
 
 
-def without_ball(cover, victim):
-    keep = np.arange(len(cover)) != victim
-    return dataclasses.replace(
-        cover,
-        centers=cover.centers[keep],
-        radii=cover.radii[keep],
-        roles=cover.roles[keep],
-        host=cover.host[keep],
-        polars=cover.polars[keep],
-        vertices=cover.vertices[np.arange(len(cover.vertices)) != victim],
-    )
-
-
 @pytest.fixture(scope="module")
 def single_cube():
     c = degenerate_single_cube(1)
@@ -560,6 +579,120 @@ def test_coverage_rejects_a_non_finite_radius(single_cube):
     radii[5] = np.nan
     with pytest.raises(CoverError, match="ball 5 .* finite positive radius"):
         coverage_check(dataclasses.replace(cover, radii=radii), surf, n_samples=500)
+
+
+def record_certificates(monkeypatch):
+    """Record each cv._certified_cells call as (template rows u, v and
+    reach2, ell, its certificate)."""
+    calls = []
+    real = cv._certified_cells
+
+    def spy(table_u, table_v, table_r2, ell):
+        cert = real(table_u, table_v, table_r2, ell)
+        calls.append((table_u, table_v, table_r2, ell, cert))
+        return cert
+
+    monkeypatch.setattr(cv, "_certified_cells", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def jittered_cube():
+    """The edge-3 single cube's cover with every centre moved by N(0, 0.3) and
+    every radius scaled by U(0.5, 1.5): no two faces share a template."""
+    c = degenerate_single_cube(3)
+    cover = build_cover(c)
+    rng = np.random.default_rng(11)
+    return knot_surface(c), dataclasses.replace(
+        cover, centers=cover.centers + rng.normal(0.0, 0.3, cover.centers.shape),
+        radii=cover.radii * rng.uniform(0.5, 1.5, len(cover)))
+
+
+def big_ball(surf, cover):
+    """One ball of radius 1e4 centred in face 0's plane, 1e4 - 1.5 before its
+    corner along its first axis: the trace disk covers face 0 and reaches
+    half an edge past it, and the table holds u and reach2 near 1e4 and 1e8."""
+    center = surf.faces[0, :4].astype(float)
+    center[surf.faces[0, 4:]] += [1.5 - 1e4, 0.5]
+    return dataclasses.replace(cover, centers=center[None], radii=np.array([1e4]),
+                               vertices=np.zeros((0, 4), dtype=np.int64))
+
+
+def test_coverage_certificate_on_distinct_templates(jittered_cube, monkeypatch):
+    surf, cover = jittered_cube
+    calls = record_certificates(monkeypatch)
+    got = coverage_check(cover, surf, n_samples=2000, seed=0)
+    assert len(calls[0][0]) == len(surf.faces)  # one template per face
+    assert 0.0 < got[0] < 1.0
+    assert got == orc.coverage_check(cover, surf, n_samples=2000, seed=0)
+
+
+def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
+    """The margin is relative: far^2 and reach2 near 1e8 carry rounding far
+    above any fixed margin.  Face 0 is wholly certified and missed nowhere;
+    the faces that the ball cuts are missed in part."""
+    c = degenerate_single_cube(3)
+    surf = knot_surface(c)
+    one = big_ball(surf, build_cover(c))
+    calls = record_certificates(monkeypatch)
+    got = coverage_check(one, surf, n_samples=2000, seed=0)
+    table_u, _v, table_r2, _ell, cert = calls[0]
+    assert table_u.min() < -9000.0 and table_r2.max() > 9e7
+    assert cert.all(axis=1).any()  # face 0's template
+    assert 0.0 < got[0] < 1.0 and 0 not in {fi for fi, _pt in got[1]}
+    assert got == orc.coverage_check(one, surf, n_samples=2000, seed=0)
+
+
+def test_coverage_certificate_under_hash_collisions(monkeypatch):
+    """With a constant row hash every face is grouped with face 0, and every
+    face whose rows differ from face 0's is left uncertified; a vertex ball
+    away from face 0 is dropped so that the faces at it differ and miss.
+    The result keeps the bits of the unpatched run and of the serial form."""
+    c = degenerate_single_cube(3)
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    victim = int(cover.vertex_balls(np.array([3, 3, 3, 0])))
+    broken = without_ball(cover, victim)
+    want = coverage_check(broken, surf, n_samples=2000, seed=1)
+    assert want[1] and 0 not in {fi for fi, _pt in want[1]}
+    calls = record_certificates(monkeypatch)
+    monkeypatch.setattr(cv, "_row_hash", lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    assert coverage_check(broken, surf, n_samples=2000, seed=1) == want
+    assert len(calls[0][0]) == 1
+    assert want == orc.coverage_check(broken, surf, n_samples=2000, seed=1)
+
+
+def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
+    """Brute force: every point of the 257 x 257 lattice k ell / 256 on the
+    face square that lies in a closed certified cell passes coverage_check's
+    float64 test against its template's disks.  Over the preset's templates
+    at k = 0 and 2, the jittered cube's and the radius-1e4 disk's.  On the
+    preset more than 99% of the template cells are certified."""
+    calls = record_certificates(monkeypatch)
+    surf, covers = preset_covers
+    for cover in covers.values():
+        coverage_check(cover, surf, n_samples=1, seed=0)
+    preset_cells = np.concatenate([cert for *_rows, cert in calls])
+    assert preset_cells.mean() > 0.99
+    cube_surf, cube = jittered_cube
+    coverage_check(cube, cube_surf, n_samples=1, seed=0)
+    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    k = np.arange(257)
+    # the closed cells holding lattice index k along one axis: k // 8 and,
+    # on a cell edge, the cell below
+    near = [np.minimum(k // 8, cv._CELLS - 1), np.maximum((k - 1) // 8, 0)]
+    for table_u, table_v, table_r2, ell, cert in calls:
+        grid = k * (ell / 256)
+        for t, cells in enumerate(cert.reshape(-1, cv._CELLS, cv._CELLS)):
+            inside = np.zeros((257, 257), dtype=bool)
+            for a, b in itertools.product(near, repeat=2):
+                inside |= cells[a][:, b]
+            u, v = (grid[kk] for kk in np.nonzero(inside))
+            for u0, v0, r2 in zip(table_u[t], table_v[t], table_r2[t]):
+                du, dv = u - u0, v - v0
+                open_ = ~(du * du + dv * dv < r2)  # the test of coverage_check, per disk
+                u, v = u[open_], v[open_]
+            assert len(u) == 0
 
 
 def test_preset_cover_junction_counts(preset_covers):
