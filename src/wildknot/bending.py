@@ -176,7 +176,8 @@ def bend(group, j, t, tol=1e-8):
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
     Every relation that genuinely mixes the two sides is re-verified on the
     images (the side-B sphere rotated by E_t, each pair in its midpoint
-    frame); a residual above `tol` raises with the failing relation.
+    frame); a residual above `tol`, or one that is not a number, raises
+    with the failing relation.
     Same-side relations equal their base counterparts exactly (see module
     docstring) and are covered by the base suite.
     """
@@ -190,7 +191,7 @@ def bend(group, j, t, tol=1e-8):
     centers[moved] = centers[moved] @ e[:4, :4].T
     residual, _gap = relation_residuals(centers, group.cover.radii[pairs], rows[:, 2])
     max_residual = float(residual.max(initial=0.0))
-    if max_residual > tol:
+    if not max_residual <= tol:  # a NaN residual fails too
         w = int(residual.argmax())
         i, k, m = (int(x) for x in rows[w])
         raise GroupError(

@@ -175,25 +175,25 @@ def _fmt(x):
 
 
 def _write_cover(cover, path):
-    """One row per ball; %r of a Python float is repr(float), as in _fmt."""
-    roles = ("vertex", "face", "junction")
+    """One row per ball.  Each column formats its distinct floats once, by
+    repr as in _fmt, and its rows reuse that text."""
+    roles = np.array(["vertex", "face", "junction"], dtype=object)
+    columns = ls._float_columns(np.column_stack([cover.centers, cover.radii]))
     lines = ["# ball x1 x2 x3 x4 radius role host"]
-    lines += ["%d %r %r %r %r %r %s %d" % (i, *c, r, roles[o], h) for i, (c, r, o, h) in
-              enumerate(zip(cover.centers.tolist(), cover.radii.tolist(),
-                            cover.roles.tolist(), cover.host.tolist()))]
+    lines += ["%d %s %s %s %s %s %s %d" % row for row in
+              zip(range(len(cover)), *columns, roles[cover.roles].tolist(), cover.host.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_orbit(orbit, sub, path):
-    """One row per orbit sphere, centers in the complex's coordinates."""
+    """One row per orbit sphere, centers in the complex's coordinates; floats
+    as in _write_cover."""
+    columns = ls._float_columns(np.column_stack([orbit.centers + sub.offset, orbit.radii]))
     lines = ["# seq word seed x1 x2 x3 x4 radius parent generation"]
-    row = "%d %s %d %r %r %r %r %r %d %d"
-    lines += [row % (i, ",".join(map(str, w)) or "-", s, *c, r, p, g)
-              for i, w, s, c, r, p, g in
-              zip(orbit.seq.tolist(), orbit.words, orbit.seed.tolist(),
-                  (orbit.centers + sub.offset).tolist(), orbit.radii.tolist(),
-                  orbit.parent.tolist(), orbit.generation.tolist())]
+    lines += ["%d %s %d %s %s %s %s %s %d %d" % row for row in
+              zip(orbit.seq.tolist(), [",".join(map(str, w)) or "-" for w in orbit.words],
+                  orbit.seed.tolist(), *columns, orbit.parent.tolist(), orbit.generation.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -24,10 +24,12 @@ A^2 - 3 A ell + ell^2/2 = 0 that drives the face pattern), and is disjoint
 from all other balls.  All pairwise claims are certified in validate_cover
 rather than trusted: one search lists every pair whose inversive product is
 below 1.15, and the legality sweep and the adjacency are both read from that
-one list.  The search groups the balls by radius octave and runs one grid
-join per pair of groups, at cell side sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for
-the groups' largest radii R_a and R_b, so the pairs it skips are provably
-disjoint and the small balls are not binned at the vertex balls' scale.
+one list; validate_cover checks a cover's adjacency against the rows that
+list gives, so a dropped or an added relation fails it.  The search groups
+the balls by radius octave and runs one grid join per pair of groups, at
+cell side sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for the groups' largest radii
+R_a and R_b, so the pairs it skips are provably disjoint and the small
+balls are not binned at the vertex balls' scale.
 The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
 reflection group's relation array.  Coverage is a query on the same grid
 join, again one per radius octave: it lists every ball whose trace disk
@@ -381,7 +383,11 @@ def _adjacency(centers, radii):
     """All intersecting pairs as (n, 3) int64 rows (i, j, m), sorted by (i, j);
     m is the order of the legal cosine nearest the pair's product, even for an
     illegal pair, so that validate_cover reports its residual from that order."""
-    i, j, prod = _near_pairs(centers, radii)
+    return _intersecting_rows(*_near_pairs(centers, radii))
+
+
+def _intersecting_rows(i, j, prod):
+    """The rows (i, j, m) of the near pairs whose product is below 1."""
     hit = prod < 1.0
     return np.stack([i[hit], j[hit], _classify(prod[hit])[1]], axis=1)
 
@@ -390,7 +396,33 @@ def _adjacency(centers, radii):
 # Validation
 
 
-def pairwise_sweep(centers, radii):
+def _check_indices(adjacency, n):
+    """CoverError unless `adjacency` is an (m, 3) integer array whose pairs
+    index balls 0..n-1 (numpy would wrap a negative index, and raise a bare
+    IndexError on one past the end)."""
+    adj = np.asarray(adjacency)
+    if adj.ndim != 2 or adj.shape[1] != 3 or not np.issubdtype(adj.dtype, np.integer):
+        raise CoverError(f"adjacency must be an (n, 3) integer array, not {adj.dtype} {adj.shape}")
+    out = ((adj[:, :2] < 0) | (adj[:, :2] >= n)).any(axis=1)
+    if out.any():
+        k = int(np.argmax(out))
+        raise CoverError(
+            f"adjacency row {k} {tuple(adj[k].tolist())} names a ball outside 0..{n - 1}"
+        )
+
+
+def _match_adjacency(adjacency, rows):
+    """CoverError naming the first row where the pairs (i, j) of `adjacency`
+    and of the sweep's `rows` differ, or where one list ends first."""
+    n = min(len(adjacency), len(rows))
+    diff = np.flatnonzero((adjacency[:n, :2] != rows[:n, :2]).any(axis=1))
+    k = int(diff[0]) if len(diff) else n
+    if k < max(len(adjacency), len(rows)):
+        have, want = (tuple(a[k].tolist()) if k < len(a) else "missing" for a in (adjacency, rows))
+        raise CoverError(f"adjacency row {k} is {have}, the pair sweep's row {k} is {want}")
+
+
+def pairwise_sweep(centers, radii, adjacency=None):
     """Certify every pair of balls: disjoint or at an exact legal angle.
 
     Pairs with inversive product >= 1.15 are disjoint by a wide margin; the
@@ -398,11 +430,21 @@ def pairwise_sweep(centers, radii):
     n_intersecting, violations): residual is the distance of an intersecting
     pair's product from {0, +-1/2}; violations lists up to 50 pairs of
     pair_orders' order -1 as (i, j, product) triples.
+
+    Given a cover's `adjacency`, its rows must index the balls, and when no
+    pair is illegal their pairs (i, j) must be the sweep's intersecting pairs
+    (product < 1) in order; CoverError names the first row that is not.  Each
+    row's order m is checked by validate_cover's adjacency residual, and a
+    cover with an illegal pair fails on that pair.
     """
+    if adjacency is not None:
+        _check_indices(adjacency, len(radii))
     i, j, prod = _near_pairs(centers, radii)
     res, _nearest, order = _classify(prod)
     intersecting = np.abs(prod) < 1.0 - ANGLE_TOL
     bad = np.nonzero(order < 0)[0]
+    if adjacency is not None and not len(bad):
+        _match_adjacency(np.asarray(adjacency), _intersecting_rows(i, j, prod))
     violations = [(int(i[b]), int(j[b]), float(prod[b])) for b in bad[:50]]
     max_residual = float(res[intersecting].max(initial=0.0))
     return max_residual, int(intersecting.sum()), violations
@@ -587,7 +629,10 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
 
     A closed-form residual is the largest distance of a ball's radius from
     the nearer closed form of its role (the face role has two: face and
-    centre balls); `ok` needs each to be at most 1e-9 * unit."""
+    centre balls); `ok` needs each to be at most 1e-9 * unit.  An adjacency
+    row that names no ball, or (on a cover whose pairs are all legal) an
+    adjacency that is not the pair sweep's rows, raises CoverError (see
+    pairwise_sweep)."""
     p = closed_form_parameters(float(cover.unit))
 
     def residual(role, *forms):
@@ -602,7 +647,7 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
         form_residuals["junction_radius"] = residual(ROLE_JUNCTION, p["junction_radius"])
 
     max_residual, n_intersecting, violations = pairwise_sweep(
-        cover.centers, cover.radii
+        cover.centers, cover.radii, cover.adjacency
     )
     fraction, misses = coverage_check(cover, surf, n_samples=n_samples, seed=seed)
 

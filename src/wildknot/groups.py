@@ -415,15 +415,16 @@ def faithfulness_scan(sub, max_length):
     Every class is a distinct element of the abstract Coxeter group (the
     Tits representation is faithful), so a non-identity class whose Moebius
     matrix is within 0.1 of I is a relation the geometry adds that the
-    Coxeter orders do not: a failure of faithfulness.  Reports the minimum
-    gap and every violating word.
+    Coxeter orders do not: a failure of faithfulness.  A class whose gap is
+    not a number is counted as a violation too.  Reports the minimum gap and
+    every violating word.
     """
     table = enumerate_words(sub, max_length)
     gaps = np.abs(table.matrices - np.eye(6)[None]).max(axis=(1, 2))
     nontrivial = table.lengths > 0
     min_gap = float(gaps[nontrivial].min()) if nontrivial.any() else math.inf
     violations = [
-        table.words[i] for i in np.nonzero(nontrivial & (gaps <= 0.1))[0]
+        table.words[i] for i in np.nonzero(nontrivial & ~(gaps > 0.1))[0]  # NaN too
     ]
     return {
         "max_length": max_length,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -218,6 +219,31 @@ def slice_cloud(cloud, axis, value, thickness):
 # Exports (byte-deterministic)
 
 
+def _float_columns(a, fmt=float.__repr__):
+    """[[fmt(x) for x in column] for column in a.T] for an (n, k) float array,
+    calling fmt once per distinct uint64 bit pattern of a column, not per
+    entry: -0.0 and 0.0 compare equal but keep their own text, and so does
+    every NaN payload."""
+    out = []
+    for col in np.asarray(a, dtype=np.float64).T:
+        bits, inverse = np.unique(np.ascontiguousarray(col).view(np.uint64), return_inverse=True)
+        text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        out.append(text[inverse.reshape(-1)].tolist())
+    return out
+
+
+def _json_float(x):
+    """A float as json.dumps writes it: NaN, Infinity and -Infinity for the
+    non-finite ones, float.__repr__ for the rest."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def export_cloud(cloud, fmt, path):
     if fmt == "csv":
         data = cloud_to_csv(cloud)
@@ -233,15 +259,14 @@ def export_cloud(cloud, fmt, path):
 
 
 def cloud_to_csv(cloud):
-    """One row per point; %r of a Python float is repr(float), so each
-    coordinate is written shortest round-trip."""
+    """One row per point, each coordinate written shortest round-trip by
+    repr(float), once per distinct value of its column."""
     dim = cloud.points.shape[1] if len(cloud) else 4
     cols = ["x1", "x2", "x3", "x4"][:dim]
-    row = "%r," * dim + "%d,%s"
+    row = "%s," * dim + "%d,%s"
     lines = [",".join(cols + ["generation", "provenance"])]
-    lines += [row % (*p, g, s) for p, g, s in
-              zip(cloud.points.astype(float).tolist(), cloud.generation.tolist(),
-                  cloud.provenance)]
+    lines += [row % r for r in
+              zip(*_float_columns(cloud.points), cloud.generation.tolist(), cloud.provenance)]
     return "\n".join(lines) + "\n"
 
 
@@ -265,25 +290,32 @@ def cloud_to_ply(cloud):
     if dim == 4:
         header.append("property float w")
     header += ["property int generation", "end_header"]
-    row = "%r " * dim + "%d"
-    rows = [row % (*p, g)
-            for p, g in zip(cloud.points.astype(float).tolist(), cloud.generation.tolist())]
+    row = "%s " * dim + "%d"
+    rows = [row % r for r in zip(*_float_columns(cloud.points), cloud.generation.tolist())]
     return "\n".join(header + rows) + "\n"
 
 
 def cloud_to_json(cloud):
-    doc = {
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" text of the cloud, with
+    the points written from one template per point: each distinct coordinate
+    and each distinct provenance is formatted once.  The scalar head and the
+    empty cloud come from json.dumps itself; "points" sorts after the other
+    keys, so the points list closes the document."""
+    head = json.dumps({
         "dim": int(cloud.points.shape[1]) if len(cloud) else 4,
-        "n_points": len(cloud),
         "n_infinite": cloud.n_infinite,
+        "n_points": len(cloud),
         "notice": cloud.notice,
-        "points": [
-            {
-                "coords": [float(v) for v in cloud.points[i]],
-                "generation": int(cloud.generation[i]),
-                "provenance": cloud.provenance[i],
-            }
-            for i in range(len(cloud))
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        "points": [],
+    }, indent=2, sort_keys=True)
+    if not len(cloud):
+        return head + "\n"
+    dim = cloud.points.shape[1]
+    coords = "[\n" + ",\n".join(["        %s"] * dim) + "\n      ]" if dim else "[]"
+    item = ('    {\n      "coords": ' + coords
+            + ',\n      "generation": %d,\n      "provenance": %s\n    }')
+    names = {p: json.dumps(p) for p in set(cloud.provenance)}
+    items = [item % row for row in zip(*_float_columns(cloud.points, _json_float),
+                                        cloud.generation.tolist(),
+                                        (names[p] for p in cloud.provenance))]
+    return head[: -len("[]\n}")] + "[\n" + ",\n".join(items) + "\n  ]\n}\n"

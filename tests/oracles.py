@@ -21,9 +21,11 @@ the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
 polish).  `groups._first_rows`, one lexsort over the columns, must give the
 arrays of `first_rows` here, a structured-row `np.unique`.  The bundle's text
-writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv` and
-`limitset.cloud_to_ply`), which format each row with one %-format over
-`.tolist()` values, must give the text of the per-field loops here.  The
+writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv`,
+`limitset.cloud_to_ply` and `limitset.cloud_to_json`), which format each
+distinct float of a column once and each row with one %-format, must give
+the text of the per-field loops here, and for `cloud_to_json` the text of
+`cloud_to_json` here, one `json.dumps` of the whole document.  The
 point maps, random Moebius maps, the presentation and group-ring helpers,
 the single-cube complex, the cover less one ball and the complex-file
 loader serve only the tests.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import string
 from collections import defaultdict, deque
@@ -339,6 +342,25 @@ def cloud_to_ply_rows(cloud):
         " ".join([_fmt(v) for v in cloud.points[i]] + [str(int(cloud.generation[i]))])
         for i in range(len(cloud))
     ]
+
+
+def cloud_to_json(cloud):
+    """limitset.cloud_to_json, as one json.dumps of the whole document."""
+    doc = {
+        "dim": int(cloud.points.shape[1]) if len(cloud) else 4,
+        "n_points": len(cloud),
+        "n_infinite": cloud.n_infinite,
+        "notice": cloud.notice,
+        "points": [
+            {
+                "coords": [float(v) for v in cloud.points[i]],
+                "generation": int(cloud.generation[i]),
+                "provenance": cloud.provenance[i],
+            }
+            for i in range(len(cloud))
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def word_to_string(word):

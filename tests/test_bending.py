@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,22 @@ def test_turn_amalgams_unsuitable(preset, suitable):
     assert not crossing_relations(group, j)[1].all()
     with pytest.raises(GroupError, match="relation"):
         bend(group, j, 0.2)
+
+
+def test_bend_fails_on_a_nan_residual():
+    """Fail-closed control on the straight tube: one crossing relation's
+    side-B ball with a NaN centre gives a NaN residual, which is no residual
+    within the tolerance, so bending refuses the relation."""
+    c = orc.straight_tube_complex()
+    group = assemble_group(c, build_cover(c))
+    rows, _safe = crossing_relations(group, 0)
+    ball = next(int(b) for b in rows[:, :2].ravel() if b not in group.amalgams[0].ball_ids)
+    assert bend(group, 0, 0.2).relation_report["max_residual"] <= 1e-8
+    centers = group.cover.centers.copy()
+    centers[ball] = np.nan
+    broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
+    with pytest.raises(GroupError, match=f"amalgam 0 breaks relation .*R_{ball}.*: residual nan"):
+        bend(broken, 0, 0.2)
 
 
 def test_bend_zero_is_base(preset, mid_leg_amalgam):

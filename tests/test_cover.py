@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,43 @@ def test_validate_cover_rejects_a_moved_ball_and_a_wrong_order():
     assert not relabelled["ok"]
     assert relabelled["adjacency_residual"] == pytest.approx(0.5, abs=1e-12)
     assert relabelled["illegal_pairs"] == []  # the angles themselves are all legal
+
+
+@pytest.fixture(scope="module")
+def tube_cover():
+    c = orc.straight_tube_complex()
+    surf = knot_surface(c)
+    return build_cover(c, surf=surf), surf
+
+
+@pytest.mark.parametrize("fault", ["dropped row", "extra row", "index N", "index -1"])
+def test_validate_cover_checks_the_adjacency_against_the_sweep(tube_cover, fault):
+    """Negative controls for criterion 1's adjacency on the straight tube: a
+    relation dropped from the adjacency, or one added for a disjoint pair,
+    differs from the pair sweep's rows, and a row naming ball N or ball -1
+    names no ball; CoverError names the first such row.  The tube's own
+    adjacency is the sweep's rows."""
+    cover, surf = tube_cover
+    adj, n = cover.adjacency, len(cover)
+    assert pairwise_sweep(cover.centers, cover.radii, adj)[1] == len(adj)
+
+    def row(r):
+        return re.escape(str(tuple(np.asarray(r).tolist())))
+
+    if fault == "dropped row":
+        broken = adj[1:]  # every intersecting pair stays legal
+        message = f"adjacency row 0 is {row(adj[1])}, the pair sweep's row 0 is {row(adj[0])}"
+    elif fault == "extra row":
+        assert pair_orders(cover.centers, cover.radii, [0], [n - 1])[1][0] == 0  # disjoint
+        broken = np.concatenate([adj, [[0, n - 1, 2]]])
+        message = f"adjacency row {len(adj)} is {row((0, n - 1, 2))}, the pair sweep's .* missing"
+    else:
+        bad = n if fault == "index N" else -1
+        broken = adj.copy()
+        broken[7, 1] = bad
+        message = f"adjacency row 7 {row(broken[7])} names a ball outside 0..{n - 1}"
+    with pytest.raises(CoverError, match=message):
+        validate_cover(dataclasses.replace(cover, adjacency=broken), surf, n_samples=10)
 
 
 def test_validate_cover_gates_the_closed_forms():

@@ -549,6 +549,19 @@ def test_faithfulness_scan(cube_group):
     assert report["min_gap"] > 0.1
 
 
+def test_faithfulness_scan_counts_a_nan_gap(cube_group):
+    """Fail-closed control: one NaN entry in a reflection matrix makes every
+    word through that generator's gap NaN, and a gap that is not above 0.1
+    is a violation."""
+    _c, cover, _g = cube_group
+    sub = pairwise_disjoint_subassembly(cover, n=4)
+    matrices = sub.matrices.copy()
+    matrices[0, 0, 0] = np.nan
+    report = faithfulness_scan(dataclasses.replace(sub, matrices=matrices), 5)
+    assert not report["ok"]
+    assert (0,) in report["violations"]
+
+
 def test_faithfulness_scan_rejects_the_affine_triangle():
     """Negative control for criterion 4: the triangle's infinite Coxeter group
     maps onto a finite group, so distinct elements share a matrix and some
