@@ -89,7 +89,7 @@ def bending_locus(group, j, tol=1e-9):
     d2 = ((cover.centers[balls] - center[None, :]) ** 2).sum(axis=1)
     r2 = cover.radii[balls] ** 2
     rho2 = d2 - r2
-    if np.any(rho2 <= 0) or np.ptp(rho2) > tol:
+    if np.any(rho2 <= 0) or not np.ptp(rho2) <= tol:  # a NaN spread fails too
         raise GroupError(
             f"amalgam {j} has no common orthogonal circle: rho^2 spread {rho2}"
         )
@@ -100,7 +100,7 @@ def bending_locus(group, j, tol=1e-9):
         residuals = np.maximum(
             residuals, np.abs(cover.centers[balls, a] - center[a])
         )
-    if residuals.max() > tol:
+    if not residuals.max() <= tol:
         raise GroupError(f"amalgam {j} orthogonality residual {residuals.max()}")
     return BendingLocus(
         amalgam_index=j,
@@ -177,7 +177,8 @@ def bend(group, j, t, tol=1e-8):
     Every relation that genuinely mixes the two sides is re-verified on the
     images (the side-B sphere rotated by E_t, each pair in its midpoint
     frame); a residual above `tol`, or one that is not a number, raises
-    with the failing relation.
+    with the failing relation.  So does a commutation residual of E_t with
+    the Gamma_j reflections above `tol` or not a number.
     Same-side relations equal their base counterparts exactly (see module
     docstring) and are covered by the base suite.
     """
@@ -199,11 +200,15 @@ def bend(group, j, t, tol=1e-8):
             f"residual {max_residual:.3e}"
             + ("" if safe[w] else " (no member commutes with the bending rotation)")
         )
+    commutation = commutation_residual(group, locus, t)
+    if not commutation <= tol:
+        raise GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
+                         f"commutation residual {commutation:.3e}")
     report = {
         "t": t,
         "n_crossing_relations": len(rows),
         "max_residual": max_residual,
-        "commutation_residual": commutation_residual(group, locus, t),
+        "commutation_residual": commutation,
         "tolerance": tol,
     }
     return BentRepresentation(

@@ -21,27 +21,30 @@ Every edge-midpoint ball is automatically legal against the whole family:
 it meets the two vertex balls of its edge at exterior cosine -1/2 (order 3),
 is exactly orthogonal to the nearest face balls (the same quadratic
 A^2 - 3 A ell + ell^2/2 = 0 that drives the face pattern), and is disjoint
-from all other balls.  All pairwise claims are certified in validate_cover
-rather than trusted: one search lists every pair whose inversive product is
-below 1.15, and the legality sweep and the adjacency are both read from that
-one list; validate_cover checks a cover's adjacency against the rows that
-list gives, so a dropped or an added relation fails it.  The search groups
-the balls by radius octave and runs one grid join per pair of groups, at
-cell side sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for the groups' largest radii
-R_a and R_b, so the pairs it skips are provably disjoint and the small
-balls are not binned at the vertex balls' scale.
-The adjacency is one (n, 3) int array of rows (i, j, m), which is also the
-reflection group's relation array.  Coverage is a query on the same grid
-join, again one per radius octave: it lists every ball whose trace disk
-meets a face's square.  The faces whose disks are bit for bit the same share
-one certificate of the cells of the face square that a disk holds, and only
-the Monte-Carlo samples outside those cells are tested against the disks, in
-float64, in the face plane, with no recheck.
+from all other balls.  All pairwise claims are certified rather than
+trusted: one search lists every pair whose inversive product is below 1.15,
+and pairwise_sweep reads from that one list both the legality verdict and
+the adjacency.  A cover stores no adjacency: it runs that sweep on its own
+balls on first use and keeps the result, so the relations it hands to the
+group are the pairs that validate_cover certifies, and a cover with other
+balls gets a search of its own.  The search groups the balls by radius
+octave and runs one grid join per pair of groups, at cell side
+sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for the groups' largest radii R_a and
+R_b, so the pairs it skips are provably disjoint and the small balls are
+not binned at the vertex balls' scale.  The adjacency is one (n, 3) int
+array of rows (i, j, m), which is also the reflection group's relation
+array.  Coverage is a query on the same grid join, again one per radius
+octave: it lists every ball whose trace disk meets a face's square.  The
+faces whose disks are bit for bit the same share one certificate of the
+cells of the face square that a disk holds, and only the Monte-Carlo samples
+outside those cells are tested against the disks, in float64, in the face
+plane, with no recheck.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -83,18 +86,34 @@ def closed_form_parameters(ell):
 
 @dataclasses.dataclass
 class BallCover:
+    """The balls of a cover.  Their pair graph is not a field: `sweep` is
+    pairwise_sweep of the cover's own centres and radii, run on first use and
+    kept, and `adjacency` is its rows.  A cover made by dataclasses.replace
+    starts without it, so its adjacency is always that of its balls."""
+
     centers: np.ndarray  # (N, 4)
     radii: np.ndarray  # (N,)
     roles: np.ndarray  # (N,) ints, see ROLE_*
     host: np.ndarray  # (N,) index into complex.all_cubes
     polars: np.ndarray  # (N, 6)
-    adjacency: np.ndarray  # (n, 3) int64 rows (i, j, order m), sorted by (i, j)
     refinement: int
     unit: int
     vertices: np.ndarray  # (V, 4) int64 sorted lattice points; row v is vertex ball v
 
     def __len__(self):
         return len(self.radii)
+
+    @functools.cached_property
+    def sweep(self):
+        """(max_residual, n_intersecting, violations, adjacency): see
+        pairwise_sweep."""
+        return pairwise_sweep(self.centers, self.radii)
+
+    @property
+    def adjacency(self):
+        """(n, 3) int64 rows (i, j, order m) of the pairs with inversive
+        product below 1, sorted by (i, j): the group's relations."""
+        return self.sweep[3]
 
     def role_counts(self):
         return {
@@ -175,14 +194,12 @@ def build_cover(c, k=0, surf=None):
     ])
     roles = np.repeat(np.array([ROLE_VERTEX, ROLE_FACE, ROLE_JUNCTION], dtype=np.int8),
                       [n_v, 5 * n_f, len(junction)])
-    adjacency = _adjacency(centers, radii)  # first: it rejects a bad ball by name
     return BallCover(
         centers=centers,
         radii=radii,
         roles=roles,
         host=_host_cubes(c, centers),
         polars=lz.spheres(centers, radii),
-        adjacency=adjacency,
         refinement=k,
         unit=c.unit,
         vertices=surf.vertices,
@@ -379,75 +396,33 @@ def _near_pairs(centers, radii):
     return i[by_pair], j[by_pair], prod[by_pair]
 
 
-def _adjacency(centers, radii):
-    """All intersecting pairs as (n, 3) int64 rows (i, j, m), sorted by (i, j);
-    m is the order of the legal cosine nearest the pair's product, even for an
-    illegal pair, so that validate_cover reports its residual from that order."""
-    return _intersecting_rows(*_near_pairs(centers, radii))
-
-
-def _intersecting_rows(i, j, prod):
-    """The rows (i, j, m) of the near pairs whose product is below 1."""
-    hit = prod < 1.0
-    return np.stack([i[hit], j[hit], _classify(prod[hit])[1]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def _check_indices(adjacency, n):
-    """CoverError unless `adjacency` is an (m, 3) integer array whose pairs
-    index balls 0..n-1 (numpy would wrap a negative index, and raise a bare
-    IndexError on one past the end)."""
-    adj = np.asarray(adjacency)
-    if adj.ndim != 2 or adj.shape[1] != 3 or not np.issubdtype(adj.dtype, np.integer):
-        raise CoverError(f"adjacency must be an (n, 3) integer array, not {adj.dtype} {adj.shape}")
-    out = ((adj[:, :2] < 0) | (adj[:, :2] >= n)).any(axis=1)
-    if out.any():
-        k = int(np.argmax(out))
-        raise CoverError(
-            f"adjacency row {k} {tuple(adj[k].tolist())} names a ball outside 0..{n - 1}"
-        )
-
-
-def _match_adjacency(adjacency, rows):
-    """CoverError naming the first row where the pairs (i, j) of `adjacency`
-    and of the sweep's `rows` differ, or where one list ends first."""
-    n = min(len(adjacency), len(rows))
-    diff = np.flatnonzero((adjacency[:n, :2] != rows[:n, :2]).any(axis=1))
-    k = int(diff[0]) if len(diff) else n
-    if k < max(len(adjacency), len(rows)):
-        have, want = (tuple(a[k].tolist()) if k < len(a) else "missing" for a in (adjacency, rows))
-        raise CoverError(f"adjacency row {k} is {have}, the pair sweep's row {k} is {want}")
-
-
-def pairwise_sweep(centers, radii, adjacency=None):
+def pairwise_sweep(centers, radii):
     """Certify every pair of balls: disjoint or at an exact legal angle.
 
     Pairs with inversive product >= 1.15 are disjoint by a wide margin; the
-    rest come from the grid search of _near_pairs.  Returns (max_residual,
-    n_intersecting, violations): residual is the distance of an intersecting
-    pair's product from {0, +-1/2}; violations lists up to 50 pairs of
-    pair_orders' order -1 as (i, j, product) triples.
-
-    Given a cover's `adjacency`, its rows must index the balls, and when no
-    pair is illegal their pairs (i, j) must be the sweep's intersecting pairs
-    (product < 1) in order; CoverError names the first row that is not.  Each
-    row's order m is checked by validate_cover's adjacency residual, and a
-    cover with an illegal pair fails on that pair.
+    rest come from one grid search, _near_pairs, classified once.  Returns
+    (max_residual, n_intersecting, violations, adjacency): residual is the
+    distance of an intersecting pair's product from {0, +-1/2}; violations
+    lists up to 50 pairs of pair_orders' order -1 as (i, j, product)
+    triples; adjacency is the (n, 3) int64 rows (i, j, m) of the pairs with
+    product below 1, sorted by (i, j), m being the order of the legal cosine
+    nearest the product, even for an illegal pair, so that validate_cover
+    reports its residual from that order.  The near-pair list itself is not
+    kept.  BallCover.sweep is this call on the cover's own balls.
     """
-    if adjacency is not None:
-        _check_indices(adjacency, len(radii))
     i, j, prod = _near_pairs(centers, radii)
-    res, _nearest, order = _classify(prod)
+    res, nearest, order = _classify(prod)
     intersecting = np.abs(prod) < 1.0 - ANGLE_TOL
     bad = np.nonzero(order < 0)[0]
-    if adjacency is not None and not len(bad):
-        _match_adjacency(np.asarray(adjacency), _intersecting_rows(i, j, prod))
     violations = [(int(i[b]), int(j[b]), float(prod[b])) for b in bad[:50]]
     max_residual = float(res[intersecting].max(initial=0.0))
-    return max_residual, int(intersecting.sum()), violations
+    hit = prod < 1.0
+    adjacency = np.stack([i[hit], j[hit], nearest[hit]], axis=1)
+    return max_residual, int(intersecting.sum()), violations, adjacency
 
 
 def _row_hash(keys):
@@ -629,10 +604,11 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
 
     A closed-form residual is the largest distance of a ball's radius from
     the nearer closed form of its role (the face role has two: face and
-    centre balls); `ok` needs each to be at most 1e-9 * unit.  An adjacency
-    row that names no ball, or (on a cover whose pairs are all legal) an
-    adjacency that is not the pair sweep's rows, raises CoverError (see
-    pairwise_sweep)."""
+    centre balls); `ok` needs each to be at most 1e-9 * unit.  The pair
+    verdict and the adjacency are the cover's one sweep, `cover.sweep`, run
+    here on first use: the relations the group takes from the cover are the
+    pairs certified here.  A ball without a finite centre and a finite
+    positive radius raises CoverError."""
     p = closed_form_parameters(float(cover.unit))
 
     def residual(role, *forms):
@@ -646,13 +622,10 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     if (cover.roles == ROLE_JUNCTION).any():
         form_residuals["junction_radius"] = residual(ROLE_JUNCTION, p["junction_radius"])
 
-    max_residual, n_intersecting, violations = pairwise_sweep(
-        cover.centers, cover.radii, cover.adjacency
-    )
+    max_residual, n_intersecting, violations, adj = cover.sweep
     fraction, misses = coverage_check(cover, surf, n_samples=n_samples, seed=seed)
 
     # each adjacency row realized exactly: its product at a cosine of its order m
-    adj = cover.adjacency
     cos = _products(cover.centers, cover.radii, adj[:, 0], adj[:, 1])
     own = np.where(adj[:, 2:] == _ORDERS, np.abs(cos[:, None] - _COSINES), np.inf)
     adj_residual = float(own.min(axis=1).max(initial=0.0))
@@ -680,7 +653,7 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
         "max_angle_residual": max_residual,
         "adjacency_residual": adj_residual,
         "n_intersecting_pairs": n_intersecting,
-        "n_adjacency_pairs": len(cover.adjacency),
+        "n_adjacency_pairs": len(adj),
         "illegal_pairs": violations,
         "coverage_fraction": fraction,
         "coverage_misses": misses[:20],

@@ -427,7 +427,8 @@ def straight_tube_complex():
 
 
 def without_ball(cover, victim):
-    """The cover less ball `victim`; the adjacency is kept as it was."""
+    """The cover less ball `victim`; its adjacency is the sweep of the balls
+    that remain, run on first use like any cover's."""
     keep = np.arange(len(cover)) != victim
     return dataclasses.replace(
         cover,

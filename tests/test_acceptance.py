@@ -84,7 +84,7 @@ def test_criterion_1_cover_geometry(complex_, cover):
     assert len(built) == len(expected)
     assert max(abs(b - e) for b, e in zip(built, expected)) <= 1e-9
 
-    max_res, n_int, violations = pairwise_sweep(cover.centers, cover.radii)
+    max_res, n_int, violations, _adj = pairwise_sweep(cover.centers, cover.radii)
     elapsed = time.perf_counter() - t0
     assert violations == []
     assert max_res <= 1e-9

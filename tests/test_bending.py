@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from wildknot import bending as bd
 from wildknot import lorentz as lz
 from wildknot.bending import (
     bend,
@@ -213,6 +215,34 @@ def test_bend_fails_on_a_nan_residual():
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
     with pytest.raises(GroupError, match=f"amalgam 0 breaks relation .*R_{ball}.*: residual nan"):
         bend(broken, 0, 0.2)
+
+
+def test_a_nan_amalgam_ball_has_no_bending_locus():
+    """Fail-closed control on the straight tube: amalgam 0's first ball at
+    x = NaN gives a NaN rho^2 spread, which is no spread within the
+    tolerance, so amalgam 0 has no bending locus, bend refuses it and
+    suitable_amalgams does not list it."""
+    c = orc.straight_tube_complex()
+    group = assemble_group(c, build_cover(c))
+    assert 0 in suitable_amalgams(group)
+    centers = group.cover.centers.copy()
+    centers[group.amalgams[0].ball_ids[0], 0] = np.nan
+    broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
+    for call, args in [(bending_locus, (0,)), (bend, (0, 0.2)), (suitable_amalgams, ())]:
+        with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
+            call(broken, *args)
+
+
+def test_bend_gates_the_commutation_residual(monkeypatch):
+    """Negative control: a commutation residual of NaN or of 1.0 is none
+    within the tolerance, so bend raises and names it."""
+    c = orc.straight_tube_complex()
+    group = assemble_group(c, build_cover(c))
+    assert bend(group, 0, 0.2).relation_report["commutation_residual"] <= 1e-8
+    for value in (np.nan, 1.0):
+        monkeypatch.setattr(bd, "commutation_residual", lambda *_args, v=value: v)
+        with pytest.raises(GroupError, match=re.escape(f"commutation residual {value:.3e}")):
+            bend(group, 0, 0.2)
 
 
 def test_bend_zero_is_base(preset, mid_leg_amalgam):

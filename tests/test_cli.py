@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from wildknot import complexes as cx
+from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import limitset as ls
 from wildknot.cli import (STAGES, Run, RunConfig, _check_orbit, _write_cover, _write_orbit,
                           main, run_pipeline)
-from wildknot.cover import ROLE_FACE, _adjacency, build_cover
+from wildknot.cover import ROLE_FACE, build_cover
 
 import oracles as orc
 
@@ -121,8 +122,8 @@ def test_cover_stage_fails_on_a_broken_cover(tube_complex, tmp_path, fault):
     """Negative controls for criteria 1 and 2 through the pipeline's own
     cover stage: the tube's cover with vertex ball 0 moved by 0.05 has
     illegal pairs, and without its first face ball it leaves a sample
-    uncovered.  Each broken cover gets the adjacency build_cover would give
-    it."""
+    uncovered.  Each broken cover's pair sweep is its own, run by the
+    stage."""
     run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
     cover = run.cover
     if fault == "moved-vertex-ball":
@@ -131,7 +132,7 @@ def test_cover_stage_fails_on_a_broken_cover(tube_complex, tmp_path, fault):
         broken = dataclasses.replace(cover, centers=centers)
     else:
         broken = orc.without_ball(cover, int(np.flatnonzero(cover.roles == ROLE_FACE)[0]))
-    run.cover = dataclasses.replace(broken, adjacency=_adjacency(broken.centers, broken.radii))
+    run.cover = broken
     ok, msg = dict(STAGES)["cover"](run)
     report = json.loads((tmp_path / "cover_report.json").read_text(encoding="utf-8"))
     assert not ok and not report["ok"]
@@ -356,6 +357,24 @@ def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatc
                                           out_dir=str(tmp_path / "b")))
     assert all(ok for ok, _msg in checks.values())
     assert len(calls) == 1
+
+
+def test_report_searches_the_pairs_once(tube_complex, tmp_path, monkeypatch):
+    """The cover's pair search runs once per report, under criterion 1, and
+    the group's relations are that same search; build never runs it."""
+    original = cv._near_pairs
+    calls = []
+
+    def counted(centers, radii):
+        calls.append(len(radii))
+        return original(centers, radii)
+
+    monkeypatch.setattr(cv, "_near_pairs", counted)
+    assert main(["report", "--complex", tube_complex, "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["build", "--complex", tube_complex, "--out", str(tmp_path / "b")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["single cube", "scaled preset"])

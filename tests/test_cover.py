@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from wildknot.cover import (
     ROLE_JUNCTION,
     ROLE_VERTEX,
     CoverError,
-    _adjacency,
     _host_cubes,
     _near_pairs,
     build_cover,
@@ -121,10 +119,9 @@ def test_single_cube_adjacency_orders():
         assert min(abs(cos - t) for t in {2: (0.0,), 3: (0.5, -0.5)}[m]) <= 1e-12
 
 
-def test_validate_cover_rejects_a_moved_ball_and_a_wrong_order():
-    """Negative controls: one vertex ball moved off its lattice point, and one
-    order-2 row relabelled order 3, each push the adjacency residual past the
-    tolerance."""
+def test_validate_cover_rejects_a_moved_ball():
+    """Negative control: one vertex ball moved off its lattice point pushes
+    the adjacency residual past the tolerance."""
     c = degenerate_single_cube(1)
     surf = knot_surface(c)
     cover = build_cover(c)
@@ -133,49 +130,24 @@ def test_validate_cover_rejects_a_moved_ball_and_a_wrong_order():
     moved = validate_cover(dataclasses.replace(cover, centers=centers), surf, n_samples=500)
     assert not moved["ok"]
     assert moved["adjacency_residual"] > moved["tolerance"]
-    adjacency = cover.adjacency.copy()
-    adjacency[np.flatnonzero(adjacency[:, 2] == 2)[0], 2] = 3
-    relabelled = validate_cover(dataclasses.replace(cover, adjacency=adjacency), surf, n_samples=500)
-    assert not relabelled["ok"]
-    assert relabelled["adjacency_residual"] == pytest.approx(0.5, abs=1e-12)
-    assert relabelled["illegal_pairs"] == []  # the angles themselves are all legal
 
 
-@pytest.fixture(scope="module")
-def tube_cover():
+def test_a_replaced_cover_gets_the_sweep_of_its_own_balls():
+    """The adjacency is no field that dataclasses.replace could carry over:
+    the tube's cover with vertex ball 0 moved by 0.05 has the adjacency of a
+    fresh sweep of its moved balls, which differs from the original's, and
+    the original keeps its own."""
     c = orc.straight_tube_complex()
-    surf = knot_surface(c)
-    return build_cover(c, surf=surf), surf
-
-
-@pytest.mark.parametrize("fault", ["dropped row", "extra row", "index N", "index -1"])
-def test_validate_cover_checks_the_adjacency_against_the_sweep(tube_cover, fault):
-    """Negative controls for criterion 1's adjacency on the straight tube: a
-    relation dropped from the adjacency, or one added for a disjoint pair,
-    differs from the pair sweep's rows, and a row naming ball N or ball -1
-    names no ball; CoverError names the first such row.  The tube's own
-    adjacency is the sweep's rows."""
-    cover, surf = tube_cover
-    adj, n = cover.adjacency, len(cover)
-    assert pairwise_sweep(cover.centers, cover.radii, adj)[1] == len(adj)
-
-    def row(r):
-        return re.escape(str(tuple(np.asarray(r).tolist())))
-
-    if fault == "dropped row":
-        broken = adj[1:]  # every intersecting pair stays legal
-        message = f"adjacency row 0 is {row(adj[1])}, the pair sweep's row 0 is {row(adj[0])}"
-    elif fault == "extra row":
-        assert pair_orders(cover.centers, cover.radii, [0], [n - 1])[1][0] == 0  # disjoint
-        broken = np.concatenate([adj, [[0, n - 1, 2]]])
-        message = f"adjacency row {len(adj)} is {row((0, n - 1, 2))}, the pair sweep's .* missing"
-    else:
-        bad = n if fault == "index N" else -1
-        broken = adj.copy()
-        broken[7, 1] = bad
-        message = f"adjacency row 7 {row(broken[7])} names a ball outside 0..{n - 1}"
-    with pytest.raises(CoverError, match=message):
-        validate_cover(dataclasses.replace(cover, adjacency=broken), surf, n_samples=10)
+    cover = build_cover(c)
+    before = cover.adjacency.copy()
+    centers = cover.centers.copy()
+    centers[0, 0] += 0.05
+    moved = dataclasses.replace(cover, centers=centers)
+    sweep = pairwise_sweep(centers, cover.radii)
+    assert np.array_equal(moved.adjacency, sweep[3])
+    assert moved.sweep[:3] == sweep[:3] and sweep[2]  # the moved ball's pairs are illegal
+    assert not np.array_equal(moved.adjacency, before)
+    assert cover.adjacency is cover.sweep[3] and np.array_equal(cover.adjacency, before)
 
 
 def test_validate_cover_gates_the_closed_forms():
@@ -227,7 +199,7 @@ def brute_force_sweep(centers, radii, tol=1e-9):
 def test_sweep_matches_adjacency_count():
     c = degenerate_single_cube(1)
     cover = build_cover(c)
-    max_res, n_inter, violations = pairwise_sweep(cover.centers, cover.radii)
+    max_res, n_inter, violations, _adj = pairwise_sweep(cover.centers, cover.radii)
     assert violations == []
     assert n_inter == len(cover.adjacency)
     assert max_res <= 1e-12
@@ -238,7 +210,8 @@ def test_sweep_matches_adjacency_count():
     assert np.array_equal(cover.adjacency[:, :2], np.stack([i[hit], j[hit]], axis=1))
     # fewer than two balls: nothing to certify
     for n in (0, 1):
-        assert pairwise_sweep(cover.centers[:n], cover.radii[:n]) == (0.0, 0, [])
+        empty = pairwise_sweep(cover.centers[:n], cover.radii[:n])
+        assert empty[:3] == (0.0, 0, []) and empty[3].shape == (0, 3)
 
 
 @st.composite
@@ -276,7 +249,12 @@ def test_sweep_matches_brute_force(balls):
     gi, gj, gprod = _near_pairs(centers, radii)
     assert np.array_equal(gi, i[near]) and np.array_equal(gj, j[near])
     assert np.array_equal(gprod, prod[near])
-    assert pairwise_sweep(centers, radii) == brute_force_sweep(centers, radii)
+    sweep = pairwise_sweep(centers, radii)
+    assert sweep[:3] == brute_force_sweep(centers, radii)
+    # the adjacency: every pair with product below 1, at its nearest legal order
+    hit = prod < 1.0
+    nearest = np.where(np.abs(prod[hit]) <= np.abs(np.abs(prod[hit]) - 0.5), 2, 3)
+    assert np.array_equal(sweep[3], np.stack([i[hit], j[hit], nearest], axis=1))
 
 
 def test_grid_search_reaches_the_completeness_bound():
@@ -294,7 +272,7 @@ def test_grid_search_reaches_the_completeness_bound():
 def test_grid_key_follows_ball_count_not_extent():
     # an orthogonal pair of tiny balls and one ball 10^12 away
     far = np.array([[0.0, 0, 0, 0], [1e-3, 1e-3, 0, 0], [1e12, 1e12, 1e12, 1e12]])
-    max_res, n_inter, violations = pairwise_sweep(far, np.full(3, 1e-3))
+    max_res, n_inter, violations, _adj = pairwise_sweep(far, np.full(3, 1e-3))
     assert (n_inter, violations) == (1, []) and max_res <= 1e-12
     # 3 * 10^4 balls in distinct cells on every axis overflow a 64-bit key
     diagonal = np.repeat(np.arange(30_000.0)[:, None], 4, axis=1)
@@ -305,7 +283,7 @@ def test_grid_key_follows_ball_count_not_extent():
 def test_sweep_flags_illegal_pair():
     centers = np.array([[0, 0, 0, 0], [0.9, 0, 0, 0]], dtype=float)
     radii = np.array([0.6, 0.6])
-    max_res, n_inter, violations = pairwise_sweep(centers, radii)
+    max_res, n_inter, violations, _adj = pairwise_sweep(centers, radii)
     assert n_inter == 1
     assert violations and violations[0][:2] == (0, 1)
     assert max_res > 1e-3
@@ -319,17 +297,17 @@ def test_adjacency_keeps_the_nearest_order_of_an_illegal_pair():
     radii = np.array([0.6, 0.6])
     prod, order = pair_orders(centers, radii, [0], [1])
     assert prod[0] == pytest.approx(0.125) and order.tolist() == [-1]
-    assert _adjacency(centers, radii).tolist() == [[0, 1, 2]]
+    assert pairwise_sweep(centers, radii)[3].tolist() == [[0, 1, 2]]
 
 
 def test_sweep_flags_nested_and_tangent_pairs():
     # nested
-    _r, _n, v = pairwise_sweep(np.zeros((2, 4)) + [[0, 0, 0, 0], [0.1, 0, 0, 0]],
-                               np.array([1.0, 0.2]))
+    _r, _n, v, _adj = pairwise_sweep(np.zeros((2, 4)) + [[0, 0, 0, 0], [0.1, 0, 0, 0]],
+                                     np.array([1.0, 0.2]))
     assert v
     # externally tangent
-    _r, _n, v = pairwise_sweep(np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0]]),
-                               np.array([0.5, 0.5]))
+    _r, _n, v, _adj = pairwise_sweep(np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0]]),
+                                     np.array([0.5, 0.5]))
     assert v
 
 
