@@ -401,7 +401,6 @@ def cmd_validate(run, _args):
           f"{rep['tolerance']}):")
     print(f"  intersecting pairs : {rep['n_intersecting_pairs']}")
     print(f"  max cos residual   : {rep['max_angle_residual']:.3e}")
-    print(f"  adjacency residual : {rep['adjacency_residual']:.3e}")
     print(f"  illegal pairs      : {len(rep['illegal_pairs'])}")
     print(f"coverage fraction    : {rep['coverage_fraction']} "
           f"({rep['n_samples_per_face']} samples/face, seed {run.cfg.seed})")

@@ -86,17 +86,15 @@ def closed_form_parameters(ell):
 
 @dataclasses.dataclass
 class BallCover:
-    """The balls of a cover.  Their pair graph is not a field: `sweep` is
-    pairwise_sweep of the cover's own centres and radii, run on first use and
-    kept, and `adjacency` is its rows.  A cover made by dataclasses.replace
-    starts without it, so its adjacency is always that of its balls."""
+    """The balls of a cover; nothing derived from them is a field.  `sweep`
+    is pairwise_sweep of the cover's own centres and radii, run on first use
+    and kept, and `adjacency` is its rows, so a cover made by
+    dataclasses.replace gets the adjacency of its own balls."""
 
     centers: np.ndarray  # (N, 4)
     radii: np.ndarray  # (N,)
     roles: np.ndarray  # (N,) ints, see ROLE_*
     host: np.ndarray  # (N,) index into complex.all_cubes
-    polars: np.ndarray  # (N, 6)
-    refinement: int
     unit: int
     vertices: np.ndarray  # (V, 4) int64 sorted lattice points; row v is vertex ball v
 
@@ -199,8 +197,6 @@ def build_cover(c, k=0, surf=None):
         radii=radii,
         roles=roles,
         host=_host_cubes(c, centers),
-        polars=lz.spheres(centers, radii),
-        refinement=k,
         unit=c.unit,
         vertices=surf.vertices,
     )
@@ -410,9 +406,10 @@ def pairwise_sweep(centers, radii):
     lists up to 50 pairs of pair_orders' order -1 as (i, j, product)
     triples; adjacency is the (n, 3) int64 rows (i, j, m) of the pairs with
     product below 1, sorted by (i, j), m being the order of the legal cosine
-    nearest the product, even for an illegal pair, so that validate_cover
-    reports its residual from that order.  The near-pair list itself is not
-    kept.  BallCover.sweep is this call on the cover's own balls.
+    nearest the product: an illegal pair stays a relation row with a real
+    order, which criterion 3 measures too (at m = -1, relation_residuals
+    would give it residual 0).  BallCover.sweep is this call on the cover's
+    own balls; the near-pair list is not kept.
     """
     i, j, prod = _near_pairs(centers, radii)
     res, nearest, order = _classify(prod)
@@ -607,8 +604,10 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
     centre balls); `ok` needs each to be at most 1e-9 * unit.  The pair
     verdict and the adjacency are the cover's one sweep, `cover.sweep`, run
     here on first use: the relations the group takes from the cover are the
-    pairs certified here.  A ball without a finite centre and a finite
-    positive radius raises CoverError."""
+    pairs certified here.  A relation row needs no check of its own: its
+    order is that of the legal cosine nearest its product, which it misses by
+    more than ANGLE_TOL only if the sweep lists it as illegal.  A ball
+    without a finite centre and a finite positive radius raises CoverError."""
     p = closed_form_parameters(float(cover.unit))
 
     def residual(role, *forms):
@@ -624,24 +623,10 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
 
     max_residual, n_intersecting, violations, adj = cover.sweep
     fraction, misses = coverage_check(cover, surf, n_samples=n_samples, seed=seed)
-
-    # each adjacency row realized exactly: its product at a cosine of its order m
-    cos = _products(cover.centers, cover.radii, adj[:, 0], adj[:, 1])
-    own = np.where(adj[:, 2:] == _ORDERS, np.abs(cos[:, None] - _COSINES), np.inf)
-    adj_residual = float(own.min(axis=1).max(initial=0.0))
-
-    # max |Q(v, v) - 1| over the polars.  lz.spheres gives unit polars by its
-    # closed form, so this measures that form's rounding; it does not test
-    # where a ball sits relative to the surface
-    polar_norm_residual = float(
-        np.abs(lz.q(cover.polars, cover.polars) - 1.0).max()
-    )
-
     ok = (
         max(form_residuals.values()) <= 1e-9 * cover.unit
         and not violations
         and max_residual <= ANGLE_TOL
-        and adj_residual <= ANGLE_TOL
         and fraction == 1.0
         and not misses
     )
@@ -651,13 +636,11 @@ def validate_cover(cover, surf, n_samples=2000, seed=0):
         "role_counts": cover.role_counts(),
         "closed_form_residuals": form_residuals,
         "max_angle_residual": max_residual,
-        "adjacency_residual": adj_residual,
         "n_intersecting_pairs": n_intersecting,
         "n_adjacency_pairs": len(adj),
         "illegal_pairs": violations,
         "coverage_fraction": fraction,
         "coverage_misses": misses[:20],
         "n_samples_per_face": n_samples,
-        "polar_norm_residual": polar_norm_residual,
         "tolerance": ANGLE_TOL,
     }

@@ -27,8 +27,8 @@ distinct float of a column once and each row with one %-format, must give
 the text of the per-field loops here, and for `cloud_to_json` the text of
 `cloud_to_json` here, one `json.dumps` of the whole document.  The
 point maps, random Moebius maps, the presentation and group-ring helpers,
-the single-cube complex, the cover less one ball and the complex-file
-loader serve only the tests.
+the single-cube complex, the cover less one ball, the complex-file loader
+and the two-run bundle comparison serve only the tests.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 import string
 from collections import defaultdict, deque
 
 import numpy as np
 
+from wildknot import cli
 from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
@@ -436,9 +438,26 @@ def without_ball(cover, victim):
         radii=cover.radii[keep],
         roles=cover.roles[keep],
         host=cover.host[keep],
-        polars=cover.polars[keep],
         vertices=cover.vertices[np.arange(len(cover.vertices)) != victim],
     )
+
+
+def rerun_bundle(make_cfg):
+    """Run the pipeline twice, each time on a fresh `make_cfg()` with the
+    same out_dir, and compare the two bundles byte for byte.  Returns
+    (checks, files, snapshot, differing): each run's checks and sorted file
+    paths, the first run's bytes per path, and the names of the first run's
+    files whose bytes the second run changed."""
+
+    def one_run():
+        checks, out = cli.run_pipeline(make_cfg())
+        return checks, sorted(p for p in pathlib.Path(out).rglob("*") if p.is_file())
+
+    checks1, files1 = one_run()
+    snapshot = {p: p.read_bytes() for p in files1}
+    checks2, files2 = one_run()
+    differing = [p.name for p in files1 if p.read_bytes() != snapshot[p]]
+    return (checks1, checks2), (files1, files2), snapshot, differing
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ pytest failure for that criterion only.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -19,7 +20,8 @@ from wildknot import complexes as cx
 from wildknot import groups as gr
 from wildknot import limitset as ls
 from wildknot import lorentz as lz
-from wildknot.cli import RunConfig, run_pipeline
+from wildknot import cli
+from wildknot.cli import RunConfig
 from wildknot.cover import (
     ROLE_VERTEX,
     build_cover,
@@ -29,6 +31,8 @@ from wildknot.cover import (
     pairwise_sweep,
 )
 from wildknot.presets import spun_trefoil_preset
+
+import oracles as orc
 
 
 def _report(n, message):
@@ -335,20 +339,39 @@ def test_criterion_10_determinism(tmp_path):
             domain_budget=20_000,
         )
 
-    checks1, out = run_pipeline(small_cfg())
-    files = sorted(p for p in (tmp_path / "bundle").rglob("*") if p.is_file())
-    snapshot = {p: p.read_bytes() for p in files}
-
-    checks2, _out = run_pipeline(small_cfg())
-    files2 = sorted(p for p in (tmp_path / "bundle").rglob("*") if p.is_file())
+    (checks1, checks2), (files, files2), snapshot, differing = orc.rerun_bundle(small_cfg)
     assert files2 == files
     assert {k: v[0] for k, v in checks1.items()} == {
         k: v[0] for k, v in checks2.items()
     }
-    differing = [p.name for p in files if p.read_bytes() != snapshot[p]]
     assert differing == []
     _report(
         10,
         f"two identical runs produced byte-identical bundles "
         f"({len(files)} files, {sum(len(v) for v in snapshot.values())} bytes)",
     )
+
+
+def test_criterion_10_control_sees_a_changed_file(tmp_path, monkeypatch):
+    """Negative control: a summary that counts the calls that wrote it
+    differs between two runs, and the comparison names exactly that file."""
+    path = tmp_path / "tube.txt"
+    cx.save_complex(orc.straight_tube_complex(), path)
+    original, calls = cli._write_summary, []
+
+    def counted(cfg, checks, out):
+        original(cfg, checks, out)
+        calls.append(out)
+        with open(os.path.join(out, "summary.txt"), "a", encoding="utf-8") as fh:
+            fh.write(f"call {len(calls)}\n")
+
+    monkeypatch.setattr(cli, "_write_summary", counted)
+
+    def tube_cfg():
+        return RunConfig(complex_path=str(path), max_word_length=3, n_stages=3,
+                         out_dir=str(tmp_path / "bundle"), samples_per_face=20,
+                         domain_budget=20_000)
+
+    _checks, (files, files2), _snapshot, differing = orc.rerun_bundle(tube_cfg)
+    assert len(calls) == 2 and files2 == files
+    assert differing == ["summary.txt"]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import pathlib
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from wildknot import bending as bd
 from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
@@ -117,25 +119,56 @@ def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypa
     assert not ok and ", truncated, max radius" in msg
 
 
-@pytest.mark.parametrize("fault", ["moved-vertex-ball", "dropped-face-ball"])
-def test_cover_stage_fails_on_a_broken_cover(tube_complex, tmp_path, fault):
-    """Negative controls for criteria 1 and 2 through the pipeline's own
-    cover stage: the tube's cover with vertex ball 0 moved by 0.05 has
-    illegal pairs, and without its first face ball it leaves a sample
-    uncovered.  Each broken cover's pair sweep is its own, run by the
-    stage."""
+@pytest.mark.parametrize(("stage", "fault"), [
+    ("cover", "moved-vertex-ball"), ("cover", "dropped-face-ball"),
+    ("relations", "order-2-row-relabelled-3"), ("bending", "side-a-crossing-word"),
+])
+def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, stage, fault):
+    """Negative controls for criteria 1, 2, 3 and 8 through the pipeline's
+    own stages on the tube.  Criteria 1 and 2: its cover with vertex ball 0
+    moved by 0.05 has illegal pairs, and without its first face ball it
+    leaves a sample uncovered; each broken cover's pair sweep is its own,
+    run by the stage.  Criterion 3: its group with the first order-2
+    relation relabelled 3 fails the relation suite.  Criterion 8: a crossing
+    word of two disjoint vertex balls on the same side of the amalgam is not
+    moved by the bending, so lambda_max does not change."""
     run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
-    cover = run.cover
-    if fault == "moved-vertex-ball":
-        centers = cover.centers.copy()
+    if stage == "relations":
+        rows = run.group.relations.copy()
+        rows[np.flatnonzero(rows[:, 2] == 2)[0], 2] = 3
+        run.group = dataclasses.replace(run.group, relations=rows)
+    elif stage == "bending":
+        sides = bd.split_sides(run.group, 3)
+        word = (0, 4)  # both on side A, outside amalgam 3 and disjoint
+        assert not sides[list(word)].any()
+        assert not set(word) & set(run.group.amalgams[3].ball_ids)
+        _prod, order = cv.pair_orders(run.cover.centers, run.cover.radii, [0], [4])
+        assert order.tolist() == [0]
+        monkeypatch.setattr(bd, "crossing_word", lambda _group, _j: word)
+    elif fault == "moved-vertex-ball":
+        centers = run.cover.centers.copy()
         centers[0, 0] += 0.05
-        broken = dataclasses.replace(cover, centers=centers)
+        run.cover = dataclasses.replace(run.cover, centers=centers)
     else:
-        broken = orc.without_ball(cover, int(np.flatnonzero(cover.roles == ROLE_FACE)[0]))
-    run.cover = broken
-    ok, msg = dict(STAGES)["cover"](run)
+        face = int(np.flatnonzero(run.cover.roles == ROLE_FACE)[0])
+        run.cover = orc.without_ball(run.cover, face)
+    ok, msg = dict(STAGES)[stage](run)
+    assert not ok
+    if stage == "relations":
+        assert msg.startswith("relation suite failed: ")
+        rep = ast.literal_eval(msg.removeprefix("relation suite failed: "))
+        assert not rep["ok"] and round(rep["max_residual"], 1) == 28.1
+        assert f"{rep['min_premature_gap']:.1e}" == "9.6e-14"
+        assert json.loads((tmp_path / "relations.json").read_text(encoding="utf-8"))["ok"] is False
+        return
+    if stage == "bending":
+        assert run.bending["amalgam"] == 3 and run.bending["crossing_word"] == [0, 4]
+        lams = {row["lambda_max"] for row in run.bending["rows"]}
+        assert len(lams) == 1
+        assert msg.startswith("amalgam 3, lambda_max spread 0.000000e+00 over t in ")
+        return
     report = json.loads((tmp_path / "cover_report.json").read_text(encoding="utf-8"))
-    assert not ok and not report["ok"]
+    assert not report["ok"]
     if fault == "moved-vertex-ball":
         assert msg == "max angle residual 4.206e-01 (tol 1e-09), coverage 1.0"
         assert len(report["illegal_pairs"]) == 11
@@ -327,11 +360,16 @@ def test_subcommands_reject_flags_they_do_not_read(argv):
     assert exc.value.code == 2
 
 
-def test_subcommands_write_the_report_bundle_files(tube_complex, tmp_path):
-    for command in ("report", "build", "enumerate", "bend"):
+def test_subcommands_write_the_report_bundle_files(tube_complex, tmp_path, capsys):
+    printed = {}
+    for command in ("report", "build", "validate", "enumerate", "bend"):
         out = str(tmp_path / command)
         assert main([command, "--complex", tube_complex, "--out", out]) == 0
+        printed[command] = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS cover: ") for line in printed["validate"])
+    assert not any("adjacency residual" in line for line in printed["validate"])
     for command, name in [("build", "complex.txt"), ("build", "cover.txt"),
+                          ("validate", "cover.txt"), ("validate", "cover_report.json"),
                           ("enumerate", "orbit.txt"), ("bend", "bending.json")]:
         expected = (tmp_path / "report" / name).read_bytes()
         assert (tmp_path / command / name).read_bytes() == expected, (command, name)

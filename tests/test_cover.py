@@ -95,13 +95,11 @@ def test_single_cube_cover_counts_and_validation():
     counts = cover.role_counts()
     assert counts == {"vertex": 8, "face": 30, "junction": 0}
     assert len(cover) == 38
-    assert cover.polars.shape == (38, 6)
     report = validate_cover(cover, surf, n_samples=3000, seed=7)
     assert report["ok"], report
     assert report["coverage_fraction"] == 1.0
     assert report["max_angle_residual"] <= 1e-9
     assert report["illegal_pairs"] == []
-    assert report["polar_norm_residual"] <= 1e-9
 
 
 def test_single_cube_adjacency_orders():
@@ -121,7 +119,8 @@ def test_single_cube_adjacency_orders():
 
 def test_validate_cover_rejects_a_moved_ball():
     """Negative control: one vertex ball moved off its lattice point pushes
-    the adjacency residual past the tolerance."""
+    the angle residual past the tolerance, and each pair it breaks is listed
+    as illegal."""
     c = degenerate_single_cube(1)
     surf = knot_surface(c)
     cover = build_cover(c)
@@ -129,7 +128,9 @@ def test_validate_cover_rejects_a_moved_ball():
     centers[0, 0] += 0.05
     moved = validate_cover(dataclasses.replace(cover, centers=centers), surf, n_samples=500)
     assert not moved["ok"]
-    assert moved["adjacency_residual"] > moved["tolerance"]
+    assert moved["max_angle_residual"] > moved["tolerance"]
+    assert len(moved["illegal_pairs"]) == 11
+    assert all(pair[0] == 0 for pair in moved["illegal_pairs"])
 
 
 def test_a_replaced_cover_gets_the_sweep_of_its_own_balls():
@@ -172,7 +173,7 @@ def test_validate_cover_gates_the_closed_forms():
                                                 radii=cover.radii * s), surf, n_samples=200)
     assert not scaled["ok"]
     assert scaled["illegal_pairs"] == [] and scaled["coverage_fraction"] == 1.0
-    assert max(scaled["max_angle_residual"], scaled["adjacency_residual"]) <= ANGLE_TOL
+    assert scaled["max_angle_residual"] <= ANGLE_TOL
     assert scaled["closed_form_residuals"]["vertex_radius"] == pytest.approx(
         1e-6 * p["vertex_radius"], rel=1e-6)
     assert validate_cover(cover, surf, n_samples=200)["closed_form_residuals"] == {

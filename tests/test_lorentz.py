@@ -32,7 +32,11 @@ def test_lift_infinity():
 @given(point4, radius)
 def test_sphere_polar_is_unit_and_roundtrips(c, r):
     v = orc.sphere(c, r)
-    assert abs(lz.q(v, v) - 1.0) < 1e-12 * max(1.0, float(v @ v))
+    bound = 1e-12 * max(1.0, float(v @ v))
+    assert abs(lz.q(v, v) - 1.0) < bound
+    w = lz.spheres(np.array(c)[None], [r])[0]  # the vectorised constructor
+    assert np.abs(w - v).max() < bound
+    assert abs(lz.q(w, w) - 1.0) < bound
     c2, r2 = lz.centers_radii(v[None])
     assert np.allclose(c2[0], c, atol=1e-6 * max(1, np.max(np.abs(c))))
     assert r2[0] == pytest.approx(r, rel=1e-9)
