@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .cover import ROLE_VERTEX, pair_orders
+from .cover import ROLE_VERTEX, _finite_balls, pair_orders
 from .groups import GroupError, reflection_matrices, relation_residuals
 
 
@@ -237,8 +237,11 @@ def crossing_word(group, j):
     vertex balls, a on side A and b on side B.  Each side's vertex balls
     outside Gamma_j are ranked by (squared distance to the square's centre,
     id), and (a, b) is the first pair in rank order that pair_orders finds
-    disjoint."""
+    disjoint.  A ball without a finite centre and a finite positive radius
+    raises CoverError: it would rank last and never be chosen, so the word
+    would silently avoid it."""
     cover = group.cover
+    _finite_balls(cover.centers, cover.radii)
     am = group.amalgams[j]
     balls = np.flatnonzero(cover.roles == ROLE_VERTEX)
     balls = balls[~np.isin(balls, am.ball_ids)]

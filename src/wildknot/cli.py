@@ -230,8 +230,8 @@ def _check_relations(run):
     group, tol = run.group, run.cfg.relation_tol
     try:
         rep = gr.relation_suite(group, tol=tol)  # raises unless rep["ok"]
-    except gr.GroupError as exc:
-        rep = {"ok": False, "error": str(exc)}
+    except gr.GroupError as exc:  # the failing report's numbers stay fields
+        rep = {**(exc.report or {}), "ok": False, "error": str(exc)}
     _json_dump(rep, run.path("relations.json"))
     return rep["ok"], rep.get("error") or (
         f"{rep['n_relations']} relations, max residual {rep['max_residual']:.3e} "

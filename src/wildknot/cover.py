@@ -34,11 +34,13 @@ R_b, so the pairs it skips are provably disjoint and the small balls are
 not binned at the vertex balls' scale.  The adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation
 array.  Coverage is a query on the same grid join, again one per radius
-octave: it lists every ball whose trace disk meets a face's square.  The
-faces whose disks are bit for bit the same share one certificate of the
-cells of the face square that a disk holds, and only the Monte-Carlo samples
-outside those cells are tested against the disks, in float64, in the face
-plane, with no recheck.
+octave, queried from its smaller side: it lists every ball whose trace
+disk meets a face's square.  The faces whose disks are bit for bit the same
+share one certificate of the cells of the face square that a disk holds.
+Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
+top five bits of each half of the word are its cell, exactly, so only the
+samples outside certified cells become points; they are tested against the
+disks, in float64, in the face plane, with no recheck.
 """
 
 from __future__ import annotations
@@ -269,6 +271,9 @@ def pair_orders(centers, radii, i, j):
 # a row's run, so one may exceed _JOIN_PAIRS by the rows of three cells).
 _JOIN_ROWS = 1 << 12
 _JOIN_PAIRS = 1 << 14
+# An axis of _grid_join spanning at most this many cells per point numbers
+# its occupied cells on a bool array of its span; a wider one sorts them.
+_BITMAP_CELLS = 4
 
 
 def _grid_join(a, b, side):
@@ -278,7 +283,14 @@ def _grid_join(a, b, side):
     once, as (i, j) with i < j inside a cell and i in the lower-keyed cell
     across cells.  Axes renumber their occupied cells from 1, closing gaps
     wider than one cell, so the key size follows the number of points rather
-    than the extent.
+    than the extent.  An axis, shifted to start at 0, that spans at most
+    _BITMAP_CELLS cells per point marks each occupied cell and the cell after
+    it on a bool array, and an occupied cell's number is the count of marks
+    up to it; a wider axis sorts its occupied cells (np.unique) and adds
+    min(step, 2) per step between them.  Both number the first occupied cell
+    1 and each next one 1 higher when it is adjacent, 2 higher across a gap
+    (whose first cell is the only mark in it), so the keys, the pairs and
+    their order do not depend on the branch.
 
     Neighbours are looked up per occupied cell, as runs: the three neighbours
     of a cell along the last axis have consecutive keys, so each offset on the
@@ -289,10 +301,19 @@ def _grid_join(a, b, side):
     """
     both = a if b is a else np.concatenate([a, b])  # a self-join keys its set once
     cell = np.floor(both / side).astype(np.int64)
+    cell -= cell.min(axis=0)
     for ax in range(4):
-        occupied, at = np.unique(cell[:, ax], return_inverse=True)
-        gaps = np.minimum(np.diff(occupied, prepend=occupied[0] - 1), 2)
-        cell[:, ax] = np.cumsum(gaps)[at]
+        col = cell[:, ax]
+        span = int(col.max()) + 2  # the occupied cells and the one past them
+        if span <= _BITMAP_CELLS * len(col):
+            mark = np.zeros(span, dtype=bool)
+            mark[col] = True
+            mark[1:][col] = True  # the cell after each: the first free one of a gap
+            cell[:, ax] = np.cumsum(mark)[col]
+        else:
+            occupied, at = np.unique(col, return_inverse=True)
+            gaps = np.minimum(np.diff(occupied, prepend=-1), 2)
+            cell[:, ax] = np.cumsum(gaps)[at]
     dims = [int(d) for d in cell.max(axis=0) + 2]  # a free cell on each side
     if math.prod(dims) >= 2**63:
         raise CoverError("points too sparse for a 64-bit grid key")
@@ -485,24 +506,30 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     A ball meets a face plane in the open disk of centre (u, v), in face
     coordinates, and squared radius r^2 - h^2, h being the centre's distance
     from the plane.  A face's candidates are the balls whose disk meets its
-    closed square.  They come from one grid join of the face middles against
-    the ball centres per radius octave g, at cell side R_g + ell/2 (widened
-    by 1e-9 against rounding), R_g being the octave's largest radius.  The
-    lists are complete: a ball of octave g that meets the closed square holds
-    a point p of it with |c - p| < r <= R_g, c being its centre, and on every
-    axis p differs from the square's middle by at most ell/2 (ell/2 on the
-    two in-plane axes, 0 on the normal ones).  So on every axis c and the
-    middle differ by less than R_g + ell/2, and they lie in the same or in
-    neighbouring cells.  The candidates go into one face-major table of
-    (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
-    candidate count; padding slots have reach2 = -inf, so they contain no
-    point.
+    closed square.  They come from one grid join of the face middles and the
+    ball centres per radius octave g, the smaller set querying the larger
+    (the preset's 8 junction balls query its 9,850 faces), at cell side
+    R_g + ell/2 (widened by 1e-9 against rounding), R_g being the octave's
+    largest radius.  The lists are complete: a ball of octave g that meets
+    the closed square holds a point p of it with |c - p| < r <= R_g, c being
+    its centre, and on every axis p differs from the square's middle by at
+    most ell/2 (ell/2 on the two in-plane axes, 0 on the normal ones).  So
+    on every axis c and the middle differ by less than R_g + ell/2, and they
+    lie in the same or in neighbouring cells.  The candidates go into one
+    face-major table of (F, width) rows u, v and reach2 = r^2 - h^2, width
+    being the largest candidate count; padding slots have reach2 = -inf, so
+    they contain no point.
 
-    The float32 samples x in [0, 1)^2 are drawn from one generator in blocks
-    of about 2^16 samples, in face order.  A sample is the point ell * x,
-    rounded to float32, and it is covered when, in float64 and in the face
-    plane, (u - cu)^2 + (v - cv)^2 < reach2 for one of its face's table rows.
-    Most samples are decided without that test, by a cell certificate:
+    The float32 samples x = (u, v) in [0, 1)^2 are read from the seeded
+    PCG64 generator's 64-bit words, one word per sample, in blocks of about
+    2^16 samples, in face order.  They are the samples that
+    Generator.random(dtype=np.float32) draws from the same words: it spends
+    one word on two floats, u from the low 32 bits and v from the high 32,
+    each as its top 24 bits times 2^-24 (exact in float32), and a block
+    draws whole words.  A sample is the point ell * x, rounded to float32,
+    and it is covered when, in float64 and in the face plane,
+    (u - cu)^2 + (v - cv)^2 < reach2 for one of its face's table rows.  Most
+    samples are decided without that test, by a cell certificate:
 
     * A face's template is its row of the table: u, v and reach2.  Faces are
       grouped by a hash of the rows' bits (the lattice cover repeats them: the
@@ -511,24 +538,27 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       gets no certificate.  So a certificate serves only faces whose disks
       are exactly the template's.
     * Each template certifies the cells of a 32 x 32 grid on the unit square
-      that one of its disks holds.  A sample falls in cell floor(32 x),
-      exactly, as 32 x is exact in float32.  float32 rounds ell and ell * x
-      each to a relative 2^-24, so on each axis the sample's point lies
-      within 2^-23 ell of ell times the cell's x-range: inside the cell's
-      square scaled by ell and widened by pad = 2^-20 ell on every side
-      (the float64 rounding of its bounds is far below the slack).  A cell is
-      certified when, in float64, the widened square's farthest corner from
-      the disk centre has (1 + 2^-30) far^2 < reach2 - 2^-30 |reach2| -
-      pad ell.  Every point of the widened square is within far of the
-      centre, and the computed far^2 is within a relative 2^-50 of exact.
-      The sample test rounds one difference per axis, two squares and a sum
-      of non-negative terms, each to a relative 2^-53, so it computes at
-      most the point's exact value times 1 + 2^-50.  Together that is below
-      2^-48 far^2; the certificate's own rounding, of terms no larger than
-      far^2 and |reach2|, is smaller still, and both lie far under the margin
-      2^-30 (far^2 + |reach2|).  pad ell covers the subnormal range, where
-      rounding is not relative.  So the test accepts every sample of a
-      certified cell.
+      that one of its disks holds.  A sample falls in cell floor(32 u) * 32
+      + floor(32 v), exactly: 32 u is u's 24-bit integer times 2^-19, so its
+      floor is that integer's top five bits, bits 27-31 of the word, and
+      floor(32 v) is bits 59-63.  So the cell is read from the word, and
+      only the samples in open cells are made into floats.  float32 rounds
+      ell and ell * x each to a relative 2^-24, so on each axis the sample's
+      point lies within 2^-23 ell of ell times the cell's x-range: inside
+      the cell's square scaled by ell and widened by pad = 2^-20 ell on
+      every side (the float64 rounding of its bounds is far below the
+      slack).  A cell is certified when, in float64, the widened square's
+      farthest corner from the disk centre has (1 + 2^-30) far^2 < reach2 -
+      2^-30 |reach2| - pad ell.  Every point of the widened square is within
+      far of the centre, and the computed far^2 is within a relative 2^-50
+      of exact.  The sample test rounds one difference per axis, two
+      squares and a sum of non-negative terms, each to a relative 2^-53, so
+      it computes at most the point's exact value times 1 + 2^-50.  Together
+      that is below 2^-48 far^2; the certificate's own rounding, of terms no
+      larger than far^2 and |reach2|, is smaller still, and both lie far
+      under the margin 2^-30 (far^2 + |reach2|).  pad ell covers the
+      subnormal range, where rounding is not relative.  So the test accepts
+      every sample of a certified cell.
     * The samples in cells that their face's template leaves open go through
       the float64 test against all their face's rows, one block at a time.
 
@@ -550,7 +580,9 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     parts = []
     for g, top in zip(*_radius_octaves(radii)):
         side = (top + ell / 2.0) * (1.0 + 1e-9)
-        for f, b in _grid_join(mids, centers[g], side):
+        swap = len(g) < n_faces  # the smaller side queries
+        for f, b in _grid_join(*((centers[g], mids) if swap else (mids, centers[g])), side):
+            f, b = (b, f) if swap else (f, b)
             parts.append(_trace_disks(f, g[b], centers, radii, corner, plane, off, ell))
     face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
     by_face = np.argsort(face, kind="stable")
@@ -573,16 +605,24 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     open_cells[:-1] = ~_certified_cells(table_u[first], table_v[first], table_r2[first], ell)
     template[(keys != keys[first[template]]).any(axis=1)] = len(first)
 
-    rng = np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
+    base = template * _CELLS**2  # each face's first cell in open_cells
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
+    cell, high = np.empty((2, block * n_samples), dtype=np.int64)
     misses = []
     for lo in range(0, n_faces, block):
         hi = min(lo + block, n_faces)
-        uv = rng.random((hi - lo, n_samples, 2), dtype=np.float32)
-        cell = np.floor(uv * _CELLS) @ np.array([_CELLS, 1], dtype=np.float32)  # exact
-        cell = cell.astype(np.intp) + template[lo:hi, None] * _CELLS**2
-        fi, si = np.divmod(np.flatnonzero(open_cells.ravel()[cell]), n_samples)
-        face, pt = lo + fi, uv[fi, si] * ell  # the float32 points ell * x
+        word = bits.random_raw((hi - lo, n_samples)).view(np.int64)  # one per sample
+        c, t = (buf[: word.size].reshape(word.shape) for buf in (cell, high))
+        np.right_shift(word, 22, out=c)
+        c &= 0x3E0  # floor(32 u) * 32, from bits 27-31
+        np.right_shift(word, 59, out=t)
+        t &= 0x1F  # floor(32 v), from bits 59-63
+        c |= t
+        c += base[lo:hi, None]
+        at = np.flatnonzero(open_cells.ravel()[c])  # the samples in open cells
+        x = (word.ravel()[at, None] >> [8, 40]) & 0xFFFFFF  # u, v times 2^24, exactly
+        face, pt = lo + at // n_samples, x.astype(np.float32) * np.float32(2.0**-24) * ell
         ranks = slice(0, int(count[lo:hi].max()))  # ranks past it are padding
         du = pt[:, 0, None].astype(float) - table_u[face, ranks]
         dv = pt[:, 1, None].astype(float) - table_v[face, ranks]

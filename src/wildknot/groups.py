@@ -40,7 +40,12 @@ QUAD_CHUNK = 256
 
 
 class GroupError(ValueError):
-    pass
+    """A group check failed; `report` is the failing check's report dict,
+    when it has one."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,8 +178,9 @@ def relation_suite(group, tol=1e-8, separation=0.5):
     firsts and every relation that differs (a hash collision) go through
     `relation_residuals`.  Every relation's residual and gap are thus those
     of a computed row, so the max and min are exact.  Returns a report dict;
-    raises GroupError on a violation, and CoverError on a ball without a
-    finite centre and a finite positive radius.
+    raises GroupError on a violation, with that dict as its `report`, and
+    CoverError on a ball without a finite centre and a finite positive
+    radius.
     """
     cover, rels = group.cover, group.relations
     _finite_balls(cover.centers, cover.radii)
@@ -203,7 +209,7 @@ def relation_suite(group, tol=1e-8, separation=0.5):
         "ok": max_residual <= tol and min_premature > separation,
     }
     if not report["ok"]:
-        raise GroupError(f"relation suite failed: {report}")
+        raise GroupError(f"relation suite failed: {report}", report=report)
     return report
 
 

@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import json
 import pathlib
@@ -12,8 +11,8 @@ from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import limitset as ls
-from wildknot.cli import (STAGES, Run, RunConfig, _check_orbit, _write_cover, _write_orbit,
-                          main, run_pipeline)
+from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _write_cover,
+                          _write_orbit, main, run_pipeline)
 from wildknot.cover import ROLE_FACE, build_cover
 
 import oracles as orc
@@ -122,17 +121,50 @@ def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypa
 @pytest.mark.parametrize(("stage", "fault"), [
     ("cover", "moved-vertex-ball"), ("cover", "dropped-face-ball"),
     ("relations", "order-2-row-relabelled-3"), ("bending", "side-a-crossing-word"),
+    ("relations", "nan-relation-ball"), ("fundamental_domain", "nan-cover-ball"),
+    ("bending", "nan-crossing-ball"), ("bending", "nan-crossing-ball-at-amalgam-3"),
 ])
 def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, stage, fault):
-    """Negative controls for criteria 1, 2, 3 and 8 through the pipeline's
-    own stages on the tube.  Criteria 1 and 2: its cover with vertex ball 0
-    moved by 0.05 has illegal pairs, and without its first face ball it
-    leaves a sample uncovered; each broken cover's pair sweep is its own,
-    run by the stage.  Criterion 3: its group with the first order-2
-    relation relabelled 3 fails the relation suite.  Criterion 8: a crossing
-    word of two disjoint vertex balls on the same side of the amalgam is not
-    moved by the bending, so lambda_max does not change."""
-    run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
+    """Negative controls for criteria 1, 2, 3, 6 and 8 through the
+    pipeline's own stages on the tube.  Criteria 1 and 2: its cover with
+    vertex ball 0 moved by 0.05 has illegal pairs, and without its first face
+    ball it leaves a sample uncovered; each broken cover's pair sweep is its
+    own, run by the stage.  Criterion 3: its group with the first order-2
+    relation relabelled 3 fails the relation suite, and relations.json keeps
+    the failing report's numbers.  Criterion 8: a crossing word of two
+    disjoint vertex balls on the same side of the amalgam is not moved by
+    the bending, so lambda_max does not change.
+
+    NaN rows for criteria 3, 6 and 8: one centre coordinate of a relation
+    ball, a face ball, or the side-A ball of amalgam 3's crossing word is
+    NaN in the run's cover and group.  Each stage raises one of
+    INPUT_ERRORS, which run_pipeline turns into a FAIL line: the criterion-8
+    row fails on the bending locus of another amalgam at that ball, and at
+    amalgam 3 itself on the crossing word's ball check."""
+    bend_amalgam = 3 if fault.endswith("at-amalgam-3") else None
+    run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path),
+                        bend_amalgam=bend_amalgam))
+    if fault.startswith("nan-"):
+        group = run.group  # assembled on the intact cover
+        if stage == "relations":
+            ball = int(group.relations[0, 0])
+        elif stage == "fundamental_domain":
+            ball = int(np.flatnonzero(run.cover.roles == ROLE_FACE)[0])
+        else:
+            ball = bd.crossing_word(group, 3)[0]
+        centers = run.cover.centers.copy()
+        centers[ball, 1] = np.nan
+        run.cover = dataclasses.replace(run.cover, centers=centers)
+        run.group = dataclasses.replace(group, cover=run.cover)
+        with pytest.raises(INPUT_ERRORS) as raised:
+            dict(STAGES)[stage](run)
+        if fault == "nan-crossing-ball":
+            assert isinstance(raised.value, gr.GroupError)
+            assert "has no common orthogonal circle: rho^2 spread [" in str(raised.value)
+        else:
+            assert isinstance(raised.value, cv.CoverError)
+            assert str(raised.value).startswith(f"ball {ball} (centre (")
+        return
     if stage == "relations":
         rows = run.group.relations.copy()
         rows[np.flatnonzero(rows[:, 2] == 2)[0], 2] = 3
@@ -155,11 +187,11 @@ def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, s
     ok, msg = dict(STAGES)[stage](run)
     assert not ok
     if stage == "relations":
+        rep = json.loads((tmp_path / "relations.json").read_text(encoding="utf-8"))
+        assert rep["ok"] is False and msg == rep["error"]
         assert msg.startswith("relation suite failed: ")
-        rep = ast.literal_eval(msg.removeprefix("relation suite failed: "))
-        assert not rep["ok"] and round(rep["max_residual"], 1) == 28.1
+        assert rep["n_relations"] == len(rows) and round(rep["max_residual"], 1) == 28.1
         assert f"{rep['min_premature_gap']:.1e}" == "9.6e-14"
-        assert json.loads((tmp_path / "relations.json").read_text(encoding="utf-8"))["ok"] is False
         return
     if stage == "bending":
         assert run.bending["amalgam"] == 3 and run.bending["crossing_word"] == [0, 4]

@@ -43,6 +43,15 @@ def balls(preset, name):
     _surf, covers = preset
     if name.startswith("scrambled"):
         return scrambled(covers[0], int(name[-1]))
+    if name == "straight tube far":
+        # copies of the first adjacent pair 1e6 away on every axis: each axis
+        # of their octave's joins then spans far more cells per point than
+        # _BITMAP_CELLS, so it numbers its cells by sorting, while the other
+        # joins number theirs on the bool array
+        cover = build_cover(orc.straight_tube_complex())
+        pair = cover.adjacency[0, :2]
+        return (np.concatenate([cover.centers, cover.centers[pair] + 1e6]),
+                np.append(cover.radii, cover.radii[pair]))
     cover = {
         "preset k=0": lambda: covers[0],
         "preset k=2": lambda: covers[2],
@@ -55,7 +64,7 @@ def balls(preset, name):
 
 
 @pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "edge 5", "edge 11",
-                                  "straight tube", "single cube 3",
+                                  "straight tube", "straight tube far", "single cube 3",
                                   "scrambled 0", "scrambled 1", "scrambled 2"])
 def test_near_pairs_equal_the_single_self_join(preset, name):
     centers, radii = balls(preset, name)
