@@ -175,13 +175,14 @@ def _fmt(x):
 
 
 def _write_cover(cover, path):
-    """One row per ball.  Each column formats its distinct floats once, by
-    repr as in _fmt, and its rows reuse that text."""
+    """One row per ball, joined from string columns.  Each float column
+    formats its distinct floats once, by repr as in _fmt, and its rows reuse
+    that text."""
     roles = np.array(["vertex", "face", "junction"], dtype=object)
     columns = ls._float_columns(np.column_stack([cover.centers, cover.radii]))
     lines = ["# ball x1 x2 x3 x4 radius role host"]
-    lines += ["%d %s %s %s %s %s %s %d" % row for row in
-              zip(range(len(cover)), *columns, roles[cover.roles].tolist(), cover.host.tolist())]
+    lines += map(" ".join, zip(map(str, range(len(cover))), *columns,
+                               roles[cover.roles].tolist(), map(str, cover.host.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -248,6 +249,12 @@ def _check_faithfulness(run):
     )
 
 
+def _disjoint(sub):
+    """Whether the generators are pairwise disjoint: every off-diagonal
+    Cartan entry is -2."""
+    return bool((sub.cartan[~np.eye(len(sub.cartan), dtype=bool)] == -2).all())
+
+
 def _check_orbit(run):
     """Decay, no truncation, and a parent for every sphere of generation >= 1
     when the generators are pairwise disjoint: only then is strict nesting a
@@ -256,22 +263,31 @@ def _check_orbit(run):
     _write_orbit(orbit, run.sub, run.path("orbit.txt"))
     deeper = orbit.generation >= 1
     orphans = int((orbit.parent[deeper] < 0).sum())
-    disjoint = (run.sub.cartan[~np.eye(len(run.sub.cartan), dtype=bool)] == -2).all()
     decay = gr.max_radius_per_generation(orbit)
     gens = sorted(decay)
     decay_ok = all(decay[a] >= decay[b] for a, b in zip(gens, gens[1:]))
     nesting = (f"{orphans} of {int(deeper.sum())} spheres without a parent" if orphans
                else "parents assigned") + (", truncated" if orbit.truncated else "")
-    return not (orphans and disjoint) and not orbit.truncated and decay_ok, (
+    return not (orphans and _disjoint(run.sub)) and not orbit.truncated and decay_ok, (
         f"{len(orbit.radii)} spheres, {nesting}, max radius by "
         f"generation {[round(decay[g], 6) for g in gens]}"
     )
 
 
 def _check_stages(run):
+    """Every requested stage, and on pairwise-disjoint generators the side
+    counts n, 2n - 2, 2(2n - 2) - 2, ... of n generators: doubling across a
+    side drops that side and keeps each other side beside its new image.
+    Other sub-assemblies can have two sides that are mirror images, so only
+    the stage count is checked there."""
     stages = gr.polyhedron_stages(run.sub, run.orbit, run.cfg.n_stages)
     _json_dump(ls.stage_report(stages), run.path("stages.json"))
-    return len(stages) == run.cfg.n_stages + 1, f"side counts {[s.n_sides for s in stages]}"
+    counts = [s.n_sides for s in stages]
+    ok = len(stages) == run.cfg.n_stages + 1
+    if _disjoint(run.sub):
+        n = len(run.sub.cartan)
+        ok = ok and counts == [(n - 2) * 2**k + 2 for k in range(len(counts))]
+    return ok, f"side counts {counts}"
 
 
 def _check_limitset(run):

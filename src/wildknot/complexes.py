@@ -3,9 +3,13 @@
 A complex is two large 3-cubes (the knot's two ball factors) joined by a tube
 of unit 3-cubes embedded in R^4.  Each cube is axis-aligned and spans exactly
 three of the four coordinate axes; consecutive tube cubes share a full square
-2-face.  The knot surface is the boundary of the resulting 3-manifold: after
-rasterizing everything to unit cells, it is the set of unit square 2-faces
-incident to exactly one cell.
+2-face.  The knot surface is the boundary of the resulting 3-manifold: the
+set of unit square 2-faces incident to exactly one unit cell of the cubes.
+A cube bounds each square of its boundary with one of its cells and each
+square of its relative interior with two, so a square's cell count is the
+number of cube boundaries it lies on plus twice the number of cube interiors;
+the surface is built from the cubes' boundary squares and never rasterizes a
+cube into cells.
 
 Lattice tubes cannot turn without the cube before a turn and the cube after
 it touching along a single edge, so the disjointness rule for non-consecutive
@@ -255,19 +259,22 @@ def check_complex(c):
 
 # The six coordinate planes (i, j), i < j, numbered in sorted order.
 PLANES = np.array(list(itertools.combinations(range(4), 2)))
-# The six faces of a cell omitting axis o: for each spanned axis a in turn,
-# the lower and the upper face normal to a.  _FACE_STEP[o] holds their
-# corners' shifts in units, _FACE_PLANE[o] their planes' numbers.
-_FACE_STEP = np.zeros((4, 6, 4), dtype=np.int64)
-_FACE_PLANE = np.zeros((4, 6), dtype=np.int64)
-for _o, _a in itertools.permutations(range(4), 2):
-    _s = 2 * (_a - (_a > _o))
-    _FACE_STEP[_o, _s + 1, _a] = 1
-    _FACE_PLANE[_o, _s : _s + 2] = PLANES.tolist().index(sorted({0, 1, 2, 3} - {_o, _a}))
+# A cube omitting axis o spans the axes _SPAN[o] (unit rows _AXES[o]).  Its
+# cells' six faces are numbered by slot: for each spanned axis a = _SPAN[o][s]
+# in turn, the lower face (slot 2s) and the upper face (slot 2s + 1) normal to
+# a; _FACE_PLANE[o] holds the slots' planes' numbers.  _NORMAL[p, o] is the
+# normal axis of plane p inside such a cube, -1 where p contains o.
+_SPAN = np.array([[a for a in range(4) if a != o] for o in range(4)])
+_AXES = np.eye(4, dtype=np.int64)[_SPAN]
+_FACE_PLANE = np.array([[PLANES.tolist().index(sorted(set(span) - {a})) for a in span
+                         for _side in (0, 1)] for span in _SPAN.tolist()])
+_NORMAL = np.array([[-1 if o in ij else 6 - o - sum(ij) for o in range(4)]
+                    for ij in PLANES.tolist()])
 # A face's corners in cyclic order, as unit shifts along its plane (i, j);
 # edge k runs from corner k to corner k + 1, along i for even k and along j
 # for odd k, in the direction _EDGE_SIGN[k].
 _CYCLE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_RING = _CYCLE @ np.eye(4, dtype=np.int64)[PLANES]  # the shifts, plane by plane
 _EDGE_SIGN = np.array([1, 1, -1, -1])
 
 
@@ -305,24 +312,27 @@ def lattice_index(table, points):
     return np.where(ok & (keys[order[at]] == query), order[at], -1)
 
 
-def _cells(c):
-    """Every cube as unit 3-cells: (n, 4) int corners and each cell's omitted axis."""
-    corners, omitted = [], []
-    for cube in c.all_cubes:
-        n = cube.edge // c.unit
-        steps = np.indices((n, n, n)).reshape(3, -1).T @ np.eye(4, dtype=np.int64)[
-            list(cube.spanned_axes)]
-        corners.append(np.array(cube.corner) + c.unit * steps)
-        omitted.append(np.full(n**3, cube.omitted_axis))
-    return np.concatenate(corners), np.concatenate(omitted)
+def _boundary_squares(n):
+    """The 6 n^2 boundary squares of a cube of n cells per side, in its cell
+    index space: (6 n^2, 3) corner steps along the spanned axes, slot by
+    slot, and the rank (in np.indices order) and face slot of the one cell
+    each square bounds."""
+    uv = np.indices((n, n)).reshape(2, -1).T
+    steps = np.concatenate([np.insert(uv, s, side * n, axis=1)
+                            for s in range(3) for side in (0, 1)])
+    rank = np.minimum(steps, n - 1) @ np.array([n * n, n, 1])
+    return steps, rank, np.repeat(np.arange(6), n * n)
 
 
 def _orientation(neighbour, flip):
     """(orientable, reached) by sign propagation from face 0: a face's sign is
     its neighbour's, negated where `flip` says the two traverse their shared
-    edge in the same direction; one front of faces is signed per pass."""
+    edge in the same direction; one front of faces is signed per pass, and
+    the next front is the faces it newly signed, in ascending order, read off
+    a bool mark over the faces."""
     sign = np.zeros(len(neighbour), dtype=np.int64)
     sign[0] = 1
+    mark = np.zeros(len(neighbour), dtype=bool)
     front = np.zeros(1, dtype=np.int64)
     orientable = True
     while len(front):
@@ -331,48 +341,111 @@ def _orientation(neighbour, flip):
         new = sign[nbr] == 0
         sign[nbr[new]] = want[new]
         orientable &= bool((sign[nbr] == want).all())
-        front = np.unique(nbr[new])
+        mark[nbr[new]] = True
+        front = np.flatnonzero(mark)
+        mark[front] = False
     return orientable, int((sign != 0).sum())
 
 
 def knot_surface(c):
-    """Boundary surface = unit faces incident to exactly one rasterized cell.
+    """Boundary surface = unit squares incident to exactly one unit cell.
 
+    Each cube of n = edge // unit cells per side bounds the squares of its
+    boundary with one cell each and those of its relative interior with two,
+    so a square's cell count is
+
+        sum over cubes q of [square on the boundary of q] + 2 [square inside q].
+
+    The first term is the multiset of every cube's 6 n^2 boundary squares,
+    built for all cubes of one n at once; the second is an integer box test
+    against the cubes with n > 1, on the multiset's squares and on the
+    squares where two such cubes meet (none on a well-formed complex).
     Faces, edges and vertices are packed into mixed-radix int64 keys over the
-    complex's box, as (corner, plane), (lower endpoint, axis) and point; the
-    keys sort as the tuples do, and one np.unique with counts finds each kind.
-    Issue examples are the first offender in cell order and face order.  A
-    box too large for those keys raises ComplexError.
+    cells' box, as (corner, plane), (lower endpoint, axis) and point; the
+    keys sort as the tuples do, and one np.unique finds each kind.  Issue
+    examples are the first offender in cell order and face order: an
+    incidence's position is 6 (cell rank) + face slot, the cell rank being
+    the cube's cell offset plus the cell's rank in np.indices order.  A box
+    too large for those keys raises ComplexError.
     """
     unit = c.unit
-    cells, omitted = _cells(c)
-    lo = cells.min(axis=0)
-    dims = tuple(int(d) for d in cells.max(axis=0) - lo + unit + 1)
+    rows = np.array([(*cu.corner, cu.edge, cu.omitted_axis) for cu in c.all_cubes],
+                    dtype=np.int64).reshape(-1, 6)
+    corner, n, omit = rows[:, :4], rows[:, 4] // unit, rows[:, 5]
+    offset = np.cumsum(n**3) - n**3
+    extent = unit * n[:, None] * (np.arange(4) != omit[:, None])
+    live = n > 0
+    lo = corner[live].min(axis=0)
+    hi = (corner + np.maximum(extent, unit))[live].max(axis=0)  # the cells' far corner
+    dims = tuple(int(d) for d in hi - lo + 1)
     if math.prod(dims) * 6 >= 2**63:  # the face keys have the largest radix, 6 planes
-        hi = cells.max(axis=0) + unit
         raise ComplexError([f"complex box {tuple(lo.tolist())} to {tuple(hi.tolist())} "
                             "is too large for 64-bit surface keys"])
 
     def pack(points, code, radix):
         return np.ravel_multi_index((*(points - lo).T, code), dims + (radix,))
 
-    corner = (cells[:, None, :] + unit * _FACE_STEP[omitted]).reshape(-1, 4)
-    plane = _FACE_PLANE[omitted].ravel()
-    keys, first, count = np.unique(pack(corner, plane, 6), return_index=True,
-                                   return_counts=True)
+    # every cube's boundary squares with their positions, then the squares
+    # where two cubes with n > 1 meet in a set of dimension >= 2
+    squares, planes, position = [], [], []
+    for m in np.unique(n[live]).tolist():
+        at = np.flatnonzero(n == m)
+        steps, rank, slot = _boundary_squares(m)
+        squares.append((corner[at, None] + unit * (steps @ _AXES[omit[at]])).reshape(-1, 4))
+        planes.append(_FACE_PLANE[omit[at]][:, slot].ravel())
+        position.append((6 * (offset[at, None] + rank) + slot).ravel())
+    n_bound = sum(map(len, planes))
+    big = np.flatnonzero(n > 1)
+    box = np.stack([corner, corner + extent], axis=-1)[big]
+    cut, dim = meet(box[:, None], box[None])
+    for i, j in np.argwhere(np.triu(dim >= 2, 1)).tolist():
+        # the lattice points of cube i's grid in the meet, and the squares of
+        # its three planes at those points that fit in the meet
+        base, (low, high) = box[i, :, 0], cut[i, j].T
+        first, last = -((base - low) // unit), (high - base) // unit
+        points = base + unit * (first + np.indices(last - first + 1).reshape(4, -1).T)
+        plane = _FACE_PLANE[omit[big[i]], ::2]
+        at, k = np.nonzero((points[:, PLANES[plane]] + unit <= high[PLANES[plane]]).all(axis=-1))
+        squares.append(points[at])
+        planes.append(plane[k])
+
+    keys, inverse = np.unique(pack(np.concatenate(squares), np.concatenate(planes), 6),
+                              return_inverse=True)
+    *xyzw, plane = np.unravel_index(keys, dims + (6,))
+    square = np.column_stack(xyzw) + lo
+    count = np.bincount(inverse[:n_bound], minlength=len(keys))
+    # the cubes with n > 1 whose relative interior holds a square: on each
+    # of their grid's axes, 1 <= steps <= n - 1 along the square's normal,
+    # 0 <= steps <= n - 1 in its plane and steps == 0 on the omitted axis
+    steps, rem = np.divmod(square[:, None] - corner[big], unit)
+    normal = _NORMAL[plane[:, None], omit[big]]
+    top = np.where(np.arange(4) == omit[big, None], 0, n[big, None] - 1)
+    inside = ((normal >= 0) & (rem == 0).all(axis=-1)
+              & (steps >= (np.arange(4) == normal[..., None])).all(axis=-1)
+              & (steps <= top).all(axis=-1))
+    hit, col = np.nonzero(inside)
+    count += 2 * np.bincount(hit, minlength=len(keys))
     issues = []
     over = count > 2
     if over.any():
-        f = first[over].min()
-        example = (tuple(corner[f].tolist()), tuple(PLANES[plane[f]].tolist()))
+        # an interior square first meets the cell below it, through its upper face
+        a, q = normal[hit, col], big[col]
+        below = steps[hit, col] - (np.arange(4) == a[:, None])
+        cell = np.take_along_axis(below, _SPAN[omit[q]], axis=1)
+        rank = (cell * n[q, None] ** np.array([2, 1, 0])).sum(axis=1)
+        slot = 2 * (a - (a > omit[q])) + 1
+        key = np.concatenate([inverse[:n_bound], hit])
+        pos = np.concatenate([*position, 6 * (offset[q] + rank) + slot])[over[key]]
+        f = key[over[key]][pos.argmin()]
+        example = (tuple(square[f].tolist()), tuple(PLANES[plane[f]].tolist()))
         issues.append(f"{over.sum()} faces shared by more than two cells (e.g. {example})")
-    *xyzw, plane = np.unravel_index(keys[count == 1], dims + (6,))
-    faces = np.column_stack([*(xyzw + lo[:, None]), PLANES[plane]])
+    one = count == 1
+    faces = np.column_stack([square[one], PLANES[plane[one]]])
     n_f = len(faces)
 
     # each face's corners (F, 4, 4) and its edges at rows 4 f + k
     ij = faces[:, 4:]
-    ring = faces[:, None, :4] + unit * (_CYCLE @ np.eye(4, dtype=np.int64)[ij])
+    ring = faces[:, None, :4] + unit * _RING[plane[one]]
     low = np.minimum(ring, np.roll(ring, -1, axis=1)).reshape(-1, 4)
     axis = ij[:, [0, 1, 0, 1]].ravel()
     e_keys, e_first, e_inverse, e_count = np.unique(

@@ -11,8 +11,8 @@ from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import limitset as ls
-from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _write_cover,
-                          _write_orbit, main, run_pipeline)
+from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _check_stages,
+                          _write_cover, _write_orbit, main, run_pipeline)
 from wildknot.cover import ROLE_FACE, build_cover
 
 import oracles as orc
@@ -118,11 +118,34 @@ def test_orbit_check_fails_on_a_truncated_orbit(tube_complex, tmp_path, monkeypa
     assert not ok and ", truncated, max radius" in msg
 
 
+def test_stages_check_fails_on_a_dropped_side(tube_complex, tmp_path, monkeypatch):
+    """Negative control for the stages check: on the tube's Schottky generators
+    the side counts follow n, 2n - 2, ..., so a last stage with one side
+    dropped fails with the same stage count; under an amalgam's Cartan
+    matrix, where two sides can be mirror images, the same stages pass."""
+    run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
+    assert _check_stages(run) == (True, "side counts [4, 6, 10, 18, 34]")
+    real = gr.polyhedron_stages
+
+    def dropped(sub, orbit, n_stages):
+        *stages, last = real(sub, orbit, n_stages)
+        return stages + [dataclasses.replace(last, n_sides=last.n_sides - 1,
+                                             sides=last.sides[1:])]
+
+    monkeypatch.setattr(gr, "polyhedron_stages", dropped)
+    assert _check_stages(run) == (False, "side counts [4, 6, 10, 18, 33]")
+    cartan = run.sub.cartan.copy()
+    cartan[0, 1] = cartan[1, 0] = -1  # one pair at pi/3
+    monkeypatch.setattr(run.sub, "cartan", cartan)
+    assert _check_stages(run) == (True, "side counts [4, 6, 10, 18, 33]")
+
+
 @pytest.mark.parametrize(("stage", "fault"), [
     ("cover", "moved-vertex-ball"), ("cover", "dropped-face-ball"),
     ("relations", "order-2-row-relabelled-3"), ("bending", "side-a-crossing-word"),
     ("relations", "nan-relation-ball"), ("fundamental_domain", "nan-cover-ball"),
     ("bending", "nan-crossing-ball"), ("bending", "nan-crossing-ball-at-amalgam-3"),
+    ("orbit_nesting", "nan-generation-2-radius"), ("limitset", "nan-generation-1-centre"),
 ])
 def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, stage, fault):
     """Negative controls for criteria 1, 2, 3, 6 and 8 through the
@@ -140,10 +163,27 @@ def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, s
     NaN in the run's cover and group.  Each stage raises one of
     INPUT_ERRORS, which run_pipeline turns into a FAIL line: the criterion-8
     row fails on the bending locus of another amalgam at that ball, and at
-    amalgam 3 itself on the crossing word's ball check."""
+    amalgam 3 itself on the crossing word's ball check.
+
+    NaN rows for criteria 5 and 7: the radius of the first generation-2
+    orbit sphere, or one centre coordinate of the first generation-1 sphere,
+    is NaN in the run's orbit.  Criterion 5 fails on the radius decay, which
+    reads NaN for generation 2; criterion 7 fails because the loxodromic
+    points in that sphere are not inside it."""
     bend_amalgam = 3 if fault.endswith("at-amalgam-3") else None
     run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path),
                         bend_amalgam=bend_amalgam))
+    if stage in ("orbit_nesting", "limitset"):
+        orbit = run.orbit
+        if stage == "orbit_nesting":
+            orbit.radii[np.flatnonzero(orbit.generation == 2)[0]] = np.nan
+        else:
+            orbit.centers[np.flatnonzero(orbit.generation == 1)[0], 0] = np.nan
+        ok, msg = dict(STAGES)[stage](run)
+        assert not ok
+        if stage == "orbit_nesting":
+            assert "max radius by generation [0.57735, 0.11547, nan, 0.008132" in msg
+        return
     if fault.startswith("nan-"):
         group = run.group  # assembled on the intact cover
         if stage == "relations":

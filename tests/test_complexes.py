@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildknot import complexes as cx
 from wildknot import presets
@@ -332,6 +334,22 @@ REFERENCE_INPUTS = {
     "edge-contact": (lambda: _unit_cubes((0, 0, 0, 0), (1, 1, 0, 0)),
                      "do not bound exactly two faces"),
     "disjoint": (lambda: _unit_cubes((0, 0, 0, 0), (5, 0, 0, 0)), "surface is disconnected"),
+    # every interior square lies inside both cubes and on neither boundary
+    "identical-big-cubes": (lambda: cx.CubeComplex(
+        (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 0), 3, 3)), ()),
+        "faces shared by more than two cells"),
+    # the unit cube's faces lie in the 3-cube's relative interior
+    "unit-inside-3-cube": (lambda: cx.CubeComplex(
+        (cx.Cube3((0, 0, 0, 0), 3, 3),), (cx.Cube3((1, 1, 1, 0), 1, 3),)),
+        "faces shared by more than two cells"),
+    # 2-cubes in the flats w = 0 and z = 0 meet in the square [0, 2]^2 x {0}^2,
+    # whose four unit squares lie inside both cubes and on neither boundary
+    "crossing-2-cubes": (lambda: cx.CubeComplex(
+        (cx.Cube3((0, 0, -1, 0), 2, 3), cx.Cube3((0, 0, 0, -1), 2, 2)), ()),
+        "faces shared by more than two cells"),
+    # edge 5 on a unit of 2: the cube is rasterized as 2 x 2 x 2 cells of side 2
+    "edge-not-a-multiple": (lambda: cx.CubeComplex(
+        (cx.Cube3((0, 0, 0, 0), 5, 3),), (cx.Cube3((4, 0, 0, 0), 2, 3),)), None),
 }
 
 
@@ -351,6 +369,26 @@ def test_surface_matches_the_reference(name):
         assert got.issues == []
     else:
         assert any(fault in issue for issue in got.issues)
+
+
+_CUBES = st.builds(cx.Cube3, st.tuples(*[st.integers(0, 3)] * 4), st.integers(1, 3),
+                   st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CUBES, min_size=1, max_size=4), st.integers(1, 2))
+def test_random_surfaces_match_the_reference(cubes, n_big):
+    """1-4 cubes of edge 1-3 with corners in a 4^4 box, overlapping at will:
+    the boundary-square count equals the reference's cell-by-cell count, the
+    issue strings and their examples included."""
+    n_big = min(n_big, len(cubes))
+    c = cx.CubeComplex(tuple(cubes[:n_big]), tuple(cubes[n_big:]))
+    got, want = cx.knot_surface(c), orc.knot_surface(c)
+    assert [(tuple(f[:4]), tuple(f[4:])) for f in got.faces.tolist()] == want["faces"]
+    assert [tuple(v) for v in got.vertices.tolist()] == want["vertices"]
+    for field in ("unit", "n_vertices", "n_edges", "euler_characteristic", "orientable",
+                  "connected", "closed", "issues"):
+        assert getattr(got, field) == want[field], field
 
 
 class TestFileRoundtrip:
