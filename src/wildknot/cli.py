@@ -236,7 +236,7 @@ def _check_relations(run):
     _json_dump(rep, run.path("relations.json"))
     return rep["ok"], rep.get("error") or (
         f"{rep['n_relations']} relations, max residual {rep['max_residual']:.3e} "
-        f"(tol {tol}), premature gap {rep['min_premature_gap']:.3f} (> 0.5)"
+        f"(tol {tol}), premature gap {rep['min_premature_gap']:.3f} (> {gr.RELATION_SEPARATION})"
     )
 
 
@@ -245,7 +245,7 @@ def _check_faithfulness(run):
     _json_dump(faith, run.path("faithfulness.json"))
     return faith["ok"], (
         f"{faith['n_classes']} classes at L={run.cfg.max_word_length}, min gap "
-        f"{faith['min_gap']:.4f} (> 0.1)"
+        f"{faith['min_gap']:.4f} (> {gr.FAITHFUL_GAP})"
     )
 
 
@@ -298,8 +298,10 @@ def _check_limitset(run):
     inside = ls.containment_fraction(lox, orbit.centers[gen1] + sub.offset,
                                      orbit.radii[gen1], slack=1e-9)
     ls.export_cloud(lox, "csv", run.path("loxodromic.csv"))
-    return len(run.cloud) > 0 and len(lox) == 50 and inside == 1.0, (
-        f"{len(run.cloud)} cloud points (eps {run.cfg.eps}), 50 loxodromic fixed "
+    held = round(inside * len(lox))  # the drawn points inside
+    drawn = "" if held == len(lox) == 50 else f" of {len(lox)}"
+    return len(run.cloud) > 0 and held == len(lox) == 50, (
+        f"{len(run.cloud)} cloud points (eps {run.cfg.eps}), {held}{drawn} loxodromic fixed "
         f"points inside generation-1 spheres ({skipped} non-loxodromic skipped)"
     )
 

@@ -36,7 +36,10 @@ array of rows (i, j, m), which is also the reflection group's relation
 array.  Coverage is a query on the same grid join, again one per radius
 octave, queried from its smaller side: it lists every ball whose trace
 disk meets a face's square.  The faces whose disks are bit for bit the same
-share one certificate of the cells of the face square that a disk holds.
+share one certificate of the cells of the face square that a disk holds;
+they are grouped by _first_rows, one exact lexsort of their rows, which is
+also how the relation suite groups its frames and the word tables their
+Tits matrices and roots.
 Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
 top five bits of each half of the word are its cell, exactly, so only the
 samples outside certified cells become points; they are tested against the
@@ -354,6 +357,26 @@ def _grid_join(a, b, side):
             yield order_a[np.repeat(p[part], n)], order_b[j]
 
 
+def _first_rows(rows):
+    """(first, rank): the index of each distinct row's first occurrence,
+    ascending, and per row the position of its first occurrence in first.
+
+    One stable np.lexsort over the columns puts equal rows next to each other
+    in input order, so the head of each run of equal rows is its first
+    occurrence; no row is compared as a structured (void) scalar.  Rows
+    without columns are all equal."""
+    n = len(rows)
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(n)
+    srt = rows[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[order[head]] = True
+    first_of = np.empty(n, dtype=np.intp)  # per row, its first occurrence
+    first_of[order] = order[head][np.cumsum(head) - 1]
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
+
+
 def _finite_balls(centers, radii):
     """(centers, radii) as float arrays; CoverError names the first ball
     without a finite centre and a finite positive radius."""
@@ -443,17 +466,6 @@ def pairwise_sweep(centers, radii):
     return max_residual, int(intersecting.sum()), violations, adjacency
 
 
-def _row_hash(keys):
-    """One uint64 per row of the (n, k) uint64 array `keys`: each word
-    xor-folded, so that its high bits reach the low ones, then a wrapping dot
-    product with k fixed odd weights.  Any weights would do: the callers
-    compare rows of equal hash bit for bit."""
-    weights = np.random.default_rng(0).integers(0, 2**63, keys.shape[1], dtype=np.uint64)
-    folded = keys >> np.uint64(32)
-    folded ^= keys
-    return folded @ (weights * 2 + 1)
-
-
 def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
     """Candidate filter of coverage_check: of the face-ball candidates (f, b),
     those whose ball's open trace disk in face f's plane meets its closed
@@ -532,11 +544,10 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     samples are decided without that test, by a cell certificate:
 
     * A face's template is its row of the table: u, v and reach2.  Faces are
-      grouped by a hash of the rows' bits (the lattice cover repeats them: the
-      preset's 9,850 faces have 181 templates), and every face is compared
-      bit for bit with its group's first; one that differs (a hash collision)
-      gets no certificate.  So a certificate serves only faces whose disks
-      are exactly the template's.
+      grouped by the rows' bits, exactly, by _first_rows (the lattice cover
+      repeats them: the preset's 9,850 faces have 181 templates), and the
+      templates are numbered in the order of their first faces.  So a
+      certificate serves only faces whose disks are exactly the template's.
     * Each template certifies the cells of a 32 x 32 grid on the unit square
       that one of its disks holds.  A sample falls in cell floor(32 u) * 32
       + floor(32 v), exactly: 32 u is u's 24-bit integer times 2^-19, so its
@@ -597,13 +608,9 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     table_r2[face, rank] = reach2
     del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
 
-    keys = table.reshape(n_faces, -1).view(np.uint64)
-    _, first, template = np.unique(_row_hash(keys), return_index=True, return_inverse=True)
-    # the cells whose samples take the float64 test: per template, then all
-    # cells for the faces that differ from their group's first (a collision)
-    open_cells = np.ones((len(first) + 1, _CELLS**2), dtype=bool)
-    open_cells[:-1] = ~_certified_cells(table_u[first], table_v[first], table_r2[first], ell)
-    template[(keys != keys[first[template]]).any(axis=1)] = len(first)
+    first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
+    # the cells whose samples take the float64 test, per template
+    open_cells = ~_certified_cells(table_u[first], table_v[first], table_r2[first], ell)
 
     bits = np.random.default_rng(seed).bit_generator
     base = template * _CELLS**2  # each face's first cell in open_cells

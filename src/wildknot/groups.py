@@ -26,15 +26,21 @@ import numpy as np
 
 from . import lorentz as lz
 from .complexes import boxes, meet
-from .cover import ROLE_VERTEX, _finite_balls, _grid_join, _row_hash, pair_orders
+from .cover import ROLE_VERTEX, _finite_balls, _first_rows, _grid_join, pair_orders
 
 # Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
 TITS_MAX = 2**62 // 3
 # Cap on listed group elements, and on listed orbit spheres.
 MAX_ELEMENTS = 2_000_000
-# Rows per batch in relation_suite: relations per frame-key slice, and distinct
-# frames per relation_residuals call, whose (batch, 6, 6) temporaries it bounds.
+# Rows per batch in relation_suite: relations per frame-key slice, whose
+# (batch, 11) key temporaries it bounds, and distinct frames per
+# relation_residuals call, whose (batch, 6, 6) temporaries it bounds.
 RELATION_BATCH = 4096
+# A relation of order m passes when no power below m is within this
+# max-norm distance of I; a nonempty word passes faithfulness_scan when its
+# matrix is farther than FAITHFUL_GAP from I.
+RELATION_SEPARATION = 0.5
+FAITHFUL_GAP = 0.1
 # Vertices in the first chunk pairwise_disjoint_subassembly searches for a tetrahedron.
 QUAD_CHUNK = 256
 
@@ -167,32 +173,31 @@ def _frame_keys(cover, rels):
     return np.column_stack([frame.view(np.uint64), rels[:, 2].astype(np.uint64)])
 
 
-def relation_suite(group, tol=1e-8, separation=0.5):
+def relation_suite(group, tol=1e-8):
     """Verify (R_i R_j)^m = I for every finite-order pair, once per frame.
 
-    Also checks no smaller positive power is within `separation` of I (so the
-    order is exactly m, not a divisor).  A relation's residual and gap depend
-    only on its `_frame_keys` row, and the lattice cover repeats those rows
-    (the preset's 177,358 relations have 768).  Relations are grouped by a
-    hash of the row and compared bit for bit with their group's first; the
-    firsts and every relation that differs (a hash collision) go through
-    `relation_residuals`.  Every relation's residual and gap are thus those
-    of a computed row, so the max and min are exact.  Returns a report dict;
-    raises GroupError on a violation, with that dict as its `report`, and
-    CoverError on a ball without a finite centre and a finite positive
-    radius.
+    Also checks no smaller positive power is within RELATION_SEPARATION of I
+    (so the order is exactly m, not a divisor).  A relation's residual and
+    gap depend only on its `_frame_keys` row, and the lattice cover repeats
+    those rows (the preset's 177,358 relations have 768).  The rows are
+    grouped exactly by _first_rows in two levels: within each slice of
+    RELATION_BATCH relations, then over the slices' first rows.  Only each
+    distinct row's first relation goes through `relation_residuals`, and
+    every relation's residual and gap are those of a computed row, so the max
+    and min are exact.  Returns a report dict; raises GroupError on a
+    violation, with that dict as its `report`, and CoverError on a ball
+    without a finite centre and a finite positive radius.
     """
     cover, rels = group.cover, group.relations
     _finite_balls(cover.centers, cover.radii)
-    slices = [slice(lo, lo + RELATION_BATCH) for lo in range(0, len(rels), RELATION_BATCH)]
-    hashes = np.zeros(len(rels), dtype=np.uint64)
-    for s in slices:
-        hashes[s] = _row_hash(_frame_keys(cover, rels[s]))
-    _, first, group_of = np.unique(hashes, return_index=True, return_inverse=True)
-    first_keys = _frame_keys(cover, rels[first])
-    rows = np.concatenate([first] + [
-        s.start + np.flatnonzero((_frame_keys(cover, rels[s]) != first_keys[group_of[s]]).any(1))
-        for s in slices])
+    rows, keys = [np.zeros(0, dtype=np.intp)], [_frame_keys(cover, rels[:0])]
+    for lo in range(0, len(rels), RELATION_BATCH):
+        k = _frame_keys(cover, rels[lo : lo + RELATION_BATCH])
+        first, _ = _first_rows(k)
+        rows.append(lo + first)
+        keys.append(k[first])
+    first, _ = _first_rows(np.concatenate(keys))
+    rows = np.concatenate(rows)[first]
     max_residual = 0.0
     min_premature = math.inf
     for lo in range(0, len(rows), RELATION_BATCH):
@@ -206,7 +211,7 @@ def relation_suite(group, tol=1e-8, separation=0.5):
         "max_residual": max_residual,
         "min_premature_gap": min_premature,
         "tolerance": tol,
-        "ok": max_residual <= tol and min_premature > separation,
+        "ok": max_residual <= tol and min_premature > RELATION_SEPARATION,
     }
     if not report["ok"]:
         raise GroupError(f"relation suite failed: {report}", report=report)
@@ -316,25 +321,6 @@ class WordTable:
     last: np.ndarray  # (n,) int64 last letter words[i][-1], -1 at the identity
 
 
-def _first_rows(rows):
-    """(first, rank): the index of each distinct row's first occurrence,
-    ascending, and per row the position of its first occurrence in first.
-
-    One stable np.lexsort over the columns puts equal rows next to each other
-    in input order, so the head of each run of equal rows is its first
-    occurrence; no row is compared as a structured (void) scalar."""
-    n = len(rows)
-    order = np.lexsort(rows.T)
-    srt = rows[order]
-    head = np.ones(n, dtype=bool)
-    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    is_first = np.zeros(n, dtype=bool)
-    is_first[order[head]] = True
-    first_of = np.empty(n, dtype=np.intp)  # per row, its first occurrence
-    first_of[order] = order[head][np.cumsum(head) - 1]
-    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
-
-
 def enumerate_words(sub, max_length, dtype=float):
     """Every group element of length <= max_length, once, by its shortlex word.
 
@@ -420,7 +406,7 @@ def faithfulness_scan(sub, max_length):
 
     Every class is a distinct element of the abstract Coxeter group (the
     Tits representation is faithful), so a non-identity class whose Moebius
-    matrix is within 0.1 of I is a relation the geometry adds that the
+    matrix is within FAITHFUL_GAP of I is a relation the geometry adds that the
     Coxeter orders do not: a failure of faithfulness.  A class whose gap is
     not a number is counted as a violation too.  Reports the minimum gap and
     every violating word.
@@ -430,7 +416,7 @@ def faithfulness_scan(sub, max_length):
     nontrivial = table.lengths > 0
     min_gap = float(gaps[nontrivial].min()) if nontrivial.any() else math.inf
     violations = [
-        table.words[i] for i in np.nonzero(nontrivial & ~(gaps > 0.1))[0]  # NaN too
+        table.words[i] for i in np.nonzero(nontrivial & ~(gaps > FAITHFUL_GAP))[0]  # NaN too
     ]
     return {
         "max_length": max_length,
@@ -487,7 +473,7 @@ def orbit_spheres(sub, max_length):
     try:
         centers, radii = lz.centers_radii(pol)
     except ValueError as exc:  # a sphere through infinity has no center
-        flat = np.abs(pol[:, 4] - pol[:, 5]) <= 1e-12  # centers_radii's test
+        flat = np.abs(pol[:, 4] - pol[:, 5]) <= lz.HYPERPLANE_TOL  # centers_radii's test
         word = table.words[int(np.argmax(flat)) // k]
         raise GroupError(f"word {word} sends a generator sphere through infinity") from exc
     # walls[w, :len(w)]: seqs of w's prefix spheres; the last one is the sphere

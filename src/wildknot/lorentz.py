@@ -28,6 +28,8 @@ J = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
 # exterior angle theta and its complement pi - theta generate the same
 # dihedral group, so both signs of the cosine are legal for a given order.
 ORDER_COSINES = {2: (0.0,), 3: (0.5, -0.5)}
+# A polar with |v_4 - v_5| (the inverse radius) at most this is a hyperplane.
+HYPERPLANE_TOL = 1e-12
 
 
 def q(u, v):
@@ -51,15 +53,15 @@ def spheres(centers, radii):
     return -out
 
 
-def centers_radii(polars, tol=1e-12):
+def centers_radii(polars):
     """Vectorized inverse of `spheres`: (N,6) polars -> (centers, radii).
 
-    Raises on hyperplanes (spheres through infinity); accepts either
-    orientation and returns positive radii.
+    Raises on hyperplanes (spheres through infinity: |v_4 - v_5| at most
+    HYPERPLANE_TOL); accepts either orientation and returns positive radii.
     """
     v = np.asarray(polars, dtype=float)
     inv_r = v[:, 4] - v[:, 5]
-    if np.any(np.abs(inv_r) <= tol):
+    if np.any(np.abs(inv_r) <= HYPERPLANE_TOL):
         raise ValueError("polar describes a hyperplane (sphere through infinity)")
     r = 1.0 / inv_r
     c = -v[:, :4] * r[:, None]

@@ -19,8 +19,9 @@ pair at a time.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
-polish).  `groups._first_rows`, one lexsort over the columns, must give the
-arrays of `first_rows` here, a structured-row `np.unique`.  The bundle's text
+polish).  `cover._first_rows`, one lexsort over the columns and the
+pipeline's one row grouping, must give the arrays of `first_rows` here, a
+structured-row `np.unique`.  The bundle's text
 writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv`,
 `limitset.cloud_to_ply` and `limitset.cloud_to_json`), which format each
 distinct float of a column once and each row with one %-format, must give
@@ -281,7 +282,7 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
 
 
 def first_rows(rows):
-    """groups._first_rows by np.unique over structured rows: (first, rank)."""
+    """cover._first_rows by np.unique over structured rows: (first, rank)."""
     _, idx, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(idx)
     return idx[order], np.argsort(order)[inverse.reshape(-1)]

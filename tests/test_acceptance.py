@@ -123,7 +123,7 @@ def test_criterion_2_coverage(complex_, cover):
 
 
 def test_criterion_3_relations_and_drift(group):
-    suite = gr.relation_suite(group, tol=1e-8, separation=0.5)
+    suite = gr.relation_suite(group, tol=1e-8)
     assert suite["ok"]
     assert suite["max_residual"] <= 1e-8
     assert suite["min_premature_gap"] > 0.5

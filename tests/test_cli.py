@@ -16,6 +16,7 @@ from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _c
 from wildknot.cover import ROLE_FACE, build_cover
 
 import oracles as orc
+from test_groups import triangle_subassembly
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -146,16 +147,24 @@ def test_stages_check_fails_on_a_dropped_side(tube_complex, tmp_path, monkeypatc
     ("relations", "nan-relation-ball"), ("fundamental_domain", "nan-cover-ball"),
     ("bending", "nan-crossing-ball"), ("bending", "nan-crossing-ball-at-amalgam-3"),
     ("orbit_nesting", "nan-generation-2-radius"), ("limitset", "nan-generation-1-centre"),
+    ("faithfulness", "affine-triangle"), ("orbit_nesting", "generation-2-radius-raised"),
+    ("limitset", "translated-orbit"),
 ])
 def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, stage, fault):
-    """Negative controls for criteria 1, 2, 3, 6 and 8 through the
-    pipeline's own stages on the tube.  Criteria 1 and 2: its cover with
-    vertex ball 0 moved by 0.05 has illegal pairs, and without its first face
-    ball it leaves a sample uncovered; each broken cover's pair sweep is its
-    own, run by the stage.  Criterion 3: its group with the first order-2
-    relation relabelled 3 fails the relation suite, and relations.json keeps
-    the failing report's numbers.  Criterion 8: a crossing word of two
-    disjoint vertex balls on the same side of the amalgam is not moved by
+    """Negative controls for criteria 1, 2, 3, 4, 5, 7 and 8 through the
+    pipeline's own stages on the tube; criteria 6 and 9 have no control yet
+    (criterion 6 has only its NaN row, which raises before the check).
+    Criteria 1 and 2: its cover with vertex ball 0 moved by 0.05 has illegal
+    pairs, and without its first face ball it leaves a sample uncovered; each
+    broken cover's pair sweep is its own, run by the stage.  Criterion 3: its
+    group with the first order-2 relation relabelled 3 fails the relation
+    suite, and relations.json keeps the failing report's numbers.  Criterion
+    4: the affine triangle sub-assembly maps onto a finite group, so at L = 8
+    a nonempty word evaluates to I.  Criterion 5: the first generation-2
+    radius raised to twice the generation-1 maximum breaks the decay.
+    Criterion 7: the orbit translated by 10 along x leaves every loxodromic
+    point outside its generation-1 spheres.  Criterion 8: a crossing word of
+    two disjoint vertex balls on the same side of the amalgam is not moved by
     the bending, so lambda_max does not change.
 
     NaN rows for criteria 3, 6 and 8: one centre coordinate of a relation
@@ -169,20 +178,33 @@ def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, s
     orbit sphere, or one centre coordinate of the first generation-1 sphere,
     is NaN in the run's orbit.  Criterion 5 fails on the radius decay, which
     reads NaN for generation 2; criterion 7 fails because the loxodromic
-    points in that sphere are not inside it."""
+    points in that sphere are not inside it, and its message counts them."""
     bend_amalgam = 3 if fault.endswith("at-amalgam-3") else None
     run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path),
-                        bend_amalgam=bend_amalgam))
+                        bend_amalgam=bend_amalgam,
+                        max_word_length=8 if fault == "affine-triangle" else 5))
+    if stage == "faithfulness":
+        run.sub = triangle_subassembly()
+        assert dict(STAGES)[stage](run) == (False, "109 classes at L=8, min gap 0.0000 (> 0.1)")
+        return
     if stage in ("orbit_nesting", "limitset"):
         orbit = run.orbit
-        if stage == "orbit_nesting":
-            orbit.radii[np.flatnonzero(orbit.generation == 2)[0]] = np.nan
+        gen1, gen2 = (np.flatnonzero(orbit.generation == g) for g in (1, 2))
+        if fault == "nan-generation-2-radius":
+            orbit.radii[gen2[0]] = np.nan
+        elif fault == "generation-2-radius-raised":
+            orbit.radii[gen2[0]] = 2.0 * orbit.radii[gen1].max()
+        elif fault == "nan-generation-1-centre":
+            orbit.centers[gen1[0], 0] = np.nan
         else:
-            orbit.centers[np.flatnonzero(orbit.generation == 1)[0], 0] = np.nan
+            orbit.centers += [10.0, 0.0, 0.0, 0.0]
         ok, msg = dict(STAGES)[stage](run)
         assert not ok
-        if stage == "orbit_nesting":
-            assert "max radius by generation [0.57735, 0.11547, nan, 0.008132" in msg
+        want = {"nan-generation-2-radius": "by generation [0.57735, 0.11547, nan, 0.008132",
+                "generation-2-radius-raised": "by generation [0.57735, 0.11547, 0.23094, ",
+                "nan-generation-1-centre": "), 46 of 50 loxodromic fixed points inside ",
+                "translated-orbit": "), 0 of 50 loxodromic fixed points inside "}
+        assert want[fault] in msg
         return
     if fault.startswith("nan-"):
         group = run.group  # assembled on the intact cover

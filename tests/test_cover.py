@@ -660,25 +660,6 @@ def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
     assert got == orc.coverage_check(one, surf, n_samples=2000, seed=0)
 
 
-def test_coverage_certificate_under_hash_collisions(monkeypatch):
-    """With a constant row hash every face is grouped with face 0, and every
-    face whose rows differ from face 0's is left uncertified; a vertex ball
-    away from face 0 is dropped so that the faces at it differ and miss.
-    The result keeps the bits of the unpatched run and of the serial form."""
-    c = degenerate_single_cube(3)
-    surf = knot_surface(c)
-    cover = build_cover(c)
-    victim = int(cover.vertex_balls(np.array([3, 3, 3, 0])))
-    broken = without_ball(cover, victim)
-    want = coverage_check(broken, surf, n_samples=2000, seed=1)
-    assert want[1] and 0 not in {fi for fi, _pt in want[1]}
-    calls = record_certificates(monkeypatch)
-    monkeypatch.setattr(cv, "_row_hash", lambda keys: np.zeros(len(keys), dtype=np.uint64))
-    assert coverage_check(broken, surf, n_samples=2000, seed=1) == want
-    assert len(calls[0][0]) == 1
-    assert want == orc.coverage_check(broken, surf, n_samples=2000, seed=1)
-
-
 def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
     """Brute force: every point of the 257 x 257 lattice k ell / 256 on the
     face square that lies in a closed certified cell passes coverage_check's

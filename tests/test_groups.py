@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildknot import complexes as cx
+from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import lorentz as lz
 from wildknot.cover import CoverError, build_cover
@@ -437,10 +438,12 @@ def _int_rows(draw):
 @example(np.zeros((0, 3), dtype=np.int64))
 @example(np.array([[gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
 @example(np.array([[2], [-1], [2], [0], [-1]], dtype=np.int64))
+@example(np.zeros((5, 0), dtype=np.int64))
 def test_first_rows_match_the_structured_unique(rows):
     """The lexsort dedupe gives np.unique's first occurrences and ranks,
-    dtype included, on 0 rows, 1 row, 1 column and entries near +-TITS_MAX."""
-    for got, want in zip(gr._first_rows(rows), orc.first_rows(rows)):
+    dtype included, on 0 rows, 1 row, 1 column, 0 columns (every row equal)
+    and entries near +-TITS_MAX."""
+    for got, want in zip(cv._first_rows(rows), orc.first_rows(rows)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -956,16 +959,6 @@ def test_relation_suite_is_exact_over_all_rows(request, monkeypatch, fixture, n_
     assert report["min_premature_gap"] == gap.min()
     distinct = len(np.unique(frame_rows(cover, rels), axis=0))
     assert sum(sizes) == distinct == (n_frames or distinct) < len(rels)
-
-
-@pytest.mark.parametrize("fixture", ["preset_group", "cube_group"])
-def test_relation_suite_survives_hash_collisions(request, monkeypatch, fixture):
-    """With every row hashed alike, each row that differs from the first is a
-    collision and goes through relation_residuals itself: the same report."""
-    _c, _cover, g = request.getfixturevalue(fixture)
-    want = relation_suite(g)
-    monkeypatch.setattr(gr, "_row_hash", lambda keys: np.zeros(len(keys), dtype=np.uint64))
-    assert relation_suite(g) == want
 
 
 def test_relation_suite_without_relations(cube_group):
