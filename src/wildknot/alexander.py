@@ -15,18 +15,15 @@ unit +-t^k.
 
 Polynomials are `sympy.Poly` in t over ZZ, normalised to lowest exponent 0
 and a positive leading coefficient, so Laurent polynomials that differ by a
-unit +-t^k compare equal.
+unit +-t^k compare equal.  sympy is imported where the first matrix or
+polynomial is built, not with the module: the presets and the word parsing
+need none of it, so importing the command line costs no sympy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import string
-
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
-
-_T = sympy.Symbol("t")
 
 Word = tuple[int, ...]
 
@@ -148,8 +145,11 @@ def alexander_matrix(p):
     r has length at most len(r), so every Fox-derivative exponent is at least
     -len(r) and every entry is a polynomial in t.
     """
+    import sympy
+
+    t = sympy.Symbol("t")
     return sympy.Matrix([
-        [sum(c * _T ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
+        [sum(c * t ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
          for j in range(p.n_generators)]
         for r in p.relators
     ])
@@ -167,6 +167,9 @@ def _abelianization_is_infinite_cyclic(p):
         rows.append(row)
     if not rows:
         return p.n_generators == 1
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
     snf = smith_normal_form(sympy.Matrix(rows))
     diag = [snf[i, i] for i in range(min(snf.shape))]
     nonzero = [abs(d) for d in diag if d != 0]
@@ -189,15 +192,18 @@ def alexander_polynomial(p):
         raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
     if not _abelianization_is_infinite_cyclic(p):
         raise ValueError("abelianization is not infinite cyclic")
+    import sympy
+
+    t = sympy.Symbol("t")
     if not p.relators:
-        return sympy.Poly(1, _T)  # free group of rank 1: unknot
+        return sympy.Poly(1, t)  # free group of rank 1: unknot
     mat = alexander_matrix(p)
     n = p.n_generators
     minors = []
     for j in range(n):
         det = mat[:, [k for k in range(n) if k != j]].det()
         if det != 0:
-            minors.append(sympy.Poly(det, _T))
+            minors.append(sympy.Poly(det, t))
     if not minors:
         raise ValueError("all maximal minors vanish; Alexander ideal is zero")
     g = minors[0]

@@ -72,12 +72,25 @@ def boxes(cubes):
     return np.stack([lo, hi], axis=-1)
 
 
+def _fold(op, a, dtype=None):
+    """op.reduce(a, axis=-1) over a short, nonempty last axis, as op on its
+    columns from left to right, without a reduction's loop per row.  For
+    np.add on floats these are the bits of numpy's own sum when the axis has
+    fewer than 8 entries, which it too adds left to right.  `dtype` is the
+    result's (np.int64 counts a bool array's Trues)."""
+    out = np.array(a[..., 0], dtype=dtype)
+    for k in range(1, a.shape[-1]):
+        op(out, a[..., k], out=out)
+    return out
+
+
 def meet(a, b):
     """Closed intersection of two box arrays (..., 4, 2), broadcast: the meet
     box and its dimension (the axes of positive extent), -1 where disjoint."""
     box = np.stack([np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1])], axis=-1)
     span = box[..., 1] - box[..., 0]
-    return box, np.where((span >= 0).all(axis=-1), (span > 0).sum(axis=-1), -1)
+    dim = _fold(np.add, span > 0, dtype=np.int64)
+    return box, np.where(_fold(np.logical_and, span >= 0), dim, -1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,26 +338,50 @@ def _boundary_squares(n):
 
 
 def _orientation(neighbour, flip):
-    """(orientable, reached) by sign propagation from face 0: a face's sign is
-    its neighbour's, negated where `flip` says the two traverse their shared
-    edge in the same direction; one front of faces is signed per pass, and
-    the next front is the faces it newly signed, in ascending order, read off
-    a bool mark over the faces."""
-    sign = np.zeros(len(neighbour), dtype=np.int64)
-    sign[0] = 1
-    mark = np.zeros(len(neighbour), dtype=bool)
-    front = np.zeros(1, dtype=np.int64)
-    orientable = True
-    while len(front):
-        nbr = neighbour[front]
-        want = np.where(flip[front], -1, 1) * sign[front, None]
-        new = sign[nbr] == 0
-        sign[nbr[new]] = want[new]
-        orientable &= bool((sign[nbr] == want).all())
-        mark[nbr[new]] = True
-        front = np.flatnonzero(mark)
-        mark[front] = False
-    return orientable, int((sign != 0).sum())
+    """(orientable, reached) of face 0's component: whether a sign per face
+    exists that is its neighbour's, negated where `flip` says the two traverse
+    their shared edge in the same direction, and how many faces the edges
+    reach from face 0.
+
+    A parity spanning forest, built in levels over the faces' edges
+    (u, v, parity).  Each root hooks to its least neighbour with a lower
+    index, so every hook points down and the hooks form trees whose roots
+    are their least faces.  Pointer jumping takes every face to its root and
+    carries the parity of its path with it; the edges between two trees
+    become edges between their roots, with the parities of both paths added,
+    and the next level hooks those.  The levels end when no edge joins two
+    trees: every component is one tree, rooted at its least face, and face
+    0's parity to its root is 0.  The signs the tree paths give are the only
+    candidates, so face 0's component is orientable exactly when every one
+    of its edges agrees with them, which one final pass over the edges tests.
+    """
+    n = len(neighbour)
+    u = np.repeat(np.arange(n), neighbour.shape[1])
+    v, p = neighbour.ravel(), flip.ravel()
+    # per face: the root of its tree and the parity of its path to it
+    root, parity = np.arange(n), np.zeros(n, dtype=bool)
+    a, b, q = u, v, p  # this level's edges, between roots
+    while len(a):
+        up = np.arange(n)
+        down = b < a
+        np.minimum.at(up, a[down], b[down])
+        hop = np.zeros(n, dtype=bool)  # the parity of the hook up[x] of x
+        hook = down & (b == up[a])
+        hop[a[hook]] = q[hook]
+        while True:
+            nxt = up[up]
+            if np.array_equal(nxt, up):
+                break
+            hop ^= hop[up]
+            up = nxt
+        parity ^= hop[root]
+        root = up[root]
+        a, b, q = up[a], up[b], q ^ hop[a] ^ hop[b]
+        keep = a != b
+        a, b, q = a[keep], b[keep], q[keep]
+    mine = root[u] == 0
+    orientable = bool((parity[u[mine]] ^ parity[v[mine]] == p[mine]).all())
+    return orientable, int((root == 0).sum())
 
 
 def knot_surface(c):
@@ -362,7 +399,7 @@ def knot_surface(c):
     squares where two such cubes meet (none on a well-formed complex).
     Faces, edges and vertices are packed into mixed-radix int64 keys over the
     cells' box, as (corner, plane), (lower endpoint, axis) and point; the
-    keys sort as the tuples do, and one np.unique finds each kind.  Issue
+    keys sort as the tuples do, and one sort finds each kind.  Issue
     examples are the first offender in cell order and face order: an
     incidence's position is 6 (cell rank) + face slot, the cell rank being
     the cube's cell offset plus the cell's rank in np.indices order.  A box
@@ -461,7 +498,8 @@ def knot_surface(c):
             f"(e.g. edge {ends} bounds {e_count[e_inverse[e]]})"
         )
 
-    v_keys = np.unique(pack(ring.reshape(-1, 4), 0, 1))
+    v_keys = np.sort(pack(ring.reshape(-1, 4), 0, 1))
+    v_keys = v_keys[np.diff(v_keys, prepend=-1) != 0]  # keys are >= 0
     vertices = np.column_stack(np.unravel_index(v_keys, dims + (1,))[:4]) + lo
     n_v, n_e = len(vertices), len(e_keys)
     chi = n_v - n_e + n_f

@@ -31,7 +31,9 @@ balls gets a search of its own.  The search groups the balls by radius
 octave and runs one grid join per pair of groups, at cell side
 sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for the groups' largest radii R_a and
 R_b, so the pairs it skips are provably disjoint and the small balls are
-not binned at the vertex balls' scale.  The adjacency is one (n, 3) int
+not binned at the vertex balls' scale; a join between two groups keys
+only the rows of the larger that lie near a cell of the smaller.  The
+adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation
 array.  Coverage is a query on the same grid join, again one per radius
 octave, queried from its smaller side: it lists every ball whose trace
@@ -39,7 +41,7 @@ disk meets a face's square.  The faces whose disks are bit for bit the same
 share one certificate of the cells of the face square that a disk holds;
 they are grouped by _first_rows, one exact lexsort of their rows, which is
 also how the relation suite groups its frames and the word tables their
-Tits matrices and roots.
+Tits matrices' column sums and their roots.
 Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
 top five bits of each half of the word are its cell, exactly, so only the
 samples outside certified cells become points; they are tested against the
@@ -56,7 +58,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import boxes, knot_surface, lattice_index
+from .complexes import _fold, boxes, knot_surface, lattice_index
 
 ROLE_VERTEX = 0
 ROLE_FACE = 1
@@ -222,13 +224,16 @@ def _host_cubes(c, centers):
     first = 1 if len(c.big) == 2 else len(c.big)  # all_cubes index of tube[0]
     tube = np.arange(first, first + len(c.tube))
     big = np.setdiff1d(np.arange(n_cubes), tube)
-    inside = ((box[big, None, :, 0] <= centers) & (centers <= box[big, None, :, 1])).all(axis=2)
+    inside = np.ones((len(big), len(centers)), dtype=bool)
+    for x, (lo, hi) in zip(centers.T, box[big].transpose(1, 2, 0)):  # axis by axis
+        inside &= (lo[:, None] <= x) & (x <= hi[:, None])
     host = np.where(inside, big[:, None], n_cubes).min(axis=0, initial=n_cubes)
     if c.tube:
         lo, hi = box[tube, :, 0], box[tube, :, 1]
         side = float((hi - lo).max()) * (1.0 + 1e-9)
         for t, i in _grid_join((lo + hi) / 2.0, centers, side):
-            held = ((lo[t] <= centers[i]) & (centers[i] <= hi[t])).all(axis=1)
+            x = centers[i]
+            held = _fold(np.logical_and, (lo[t] <= x) & (x <= hi[t]))
             np.minimum.at(host, i[held], first + t[held])
     if (host == n_cubes).any():
         raise CoverError("ball center outside every cube closure")
@@ -244,19 +249,22 @@ def _products(centers, radii, i, j):
     Gram-matrix product suffers at large coordinates.
     """
     diff = centers[i] - centers[j]
-    d2 = (diff * diff).sum(axis=1)
-    return (d2 - radii[i] * radii[i] - radii[j] * radii[j]) / (
-        2.0 * radii[i] * radii[j]
-    )
+    diff *= diff
+    ri, rj = radii[i], radii[j]
+    return (_fold(np.add, diff) - ri * ri - rj * rj) / (2.0 * ri * rj)
 
 
 def _classify(prod):
     """(residual, nearest, order) of inversive products: the distance to the
-    nearest legal cosine, that cosine's Coxeter order, and the pair's order as
-    pair_orders gives it."""
-    dist = np.abs(prod[:, None] - _COSINES)
-    residual = dist.min(axis=1)
-    nearest = _ORDERS[dist.argmin(axis=1)]
+    nearest legal cosine, that cosine's Coxeter order (the first one's on a
+    tie), and the pair's order as pair_orders gives it.  One pass per legal
+    cosine."""
+    residual = np.abs(prod - _COSINES[0])
+    nearest = np.full(len(prod), _ORDERS[0])
+    for cos, m in zip(_COSINES[1:], _ORDERS[1:]):
+        dist = np.abs(prod - cos)
+        nearest[dist < residual] = m
+        np.minimum(residual, dist, out=residual)
     order = np.where(residual <= ANGLE_TOL, nearest, np.where(prod >= 1.0 + ANGLE_TOL, 0, -1))
     return residual, nearest, order
 
@@ -267,6 +275,22 @@ def pair_orders(centers, radii, i, j):
     -1 otherwise (an illegal angle, a tangent or a nested pair)."""
     prod = _products(centers, radii, i, j)
     return prod, _classify(prod)[2]
+
+
+def _floor_cells(x, side):
+    """(4, n) int64: the grid cell floor(x / side) of each row of x, one row
+    per axis."""
+    return np.floor(np.ascontiguousarray(x.T) / side).astype(np.int64)
+
+
+def _near_rows(cell_a, cell_b):
+    """Ascending indices of the columns of cell_b (4, n) whose cell lies, on
+    every axis, within one cell of a cell of cell_a (4, m): axis by axis, the
+    survivors whose coordinate is one of cell_a's, less 1, or plus 1."""
+    rows = np.arange(cell_b.shape[1])
+    for ca, cb in zip(cell_a, cell_b):
+        rows = rows[np.isin(cb[rows], np.concatenate([ca - 1, ca, ca + 1]))]
+    return rows
 
 
 # Rows of a per lookup and pairs per yielded slice of _grid_join: together
@@ -284,16 +308,20 @@ def _grid_join(a, b, side):
     cells of one 4-D grid of the given side, about _JOIN_PAIRS pairs at a
     time; a self-join (b is a) yields each unordered pair of distinct rows
     once, as (i, j) with i < j inside a cell and i in the lower-keyed cell
-    across cells.  Axes renumber their occupied cells from 1, closing gaps
-    wider than one cell, so the key size follows the number of points rather
-    than the extent.  An axis, shifted to start at 0, that spans at most
-    _BITMAP_CELLS cells per point marks each occupied cell and the cell after
-    it on a bool array, and an occupied cell's number is the count of marks
-    up to it; a wider axis sorts its occupied cells (np.unique) and adds
-    min(step, 2) per step between them.  Both number the first occupied cell
-    1 and each next one 1 higher when it is adjacent, 2 higher across a gap
-    (whose first cell is the only mark in it), so the keys, the pairs and
-    their order do not depend on the branch.
+    across cells.  The cells are kept as one row per axis.  A cross join keys
+    only the rows of b whose floored cell lies, on every axis, within one
+    cell of a cell of a (_near_rows): the others have no neighbour in a, and
+    the renumbering below keeps the order of the cells, so the pairs and
+    their order are those of keying all of b.  Axes renumber their occupied
+    cells from 1, closing gaps wider than one cell, so the key size follows
+    the number of points rather than the extent.  An axis, shifted to start
+    at 0, that spans at most _BITMAP_CELLS cells per point marks each
+    occupied cell and the cell after it on a bool array, and an occupied
+    cell's number is the count of marks up to it; a wider axis sorts its
+    occupied cells (np.unique) and adds min(step, 2) per step between them.
+    Both number the first occupied cell 1 and each next one 1 higher when it
+    is adjacent, 2 higher across a gap (whose first cell is the only mark in
+    it), so the keys, the pairs and their order do not depend on the branch.
 
     Neighbours are looked up per occupied cell, as runs: the three neighbours
     of a cell along the last axis have consecutive keys, so each offset on the
@@ -302,29 +330,41 @@ def _grid_join(a, b, side):
     them finds each of its 27 runs (14 in a self-join) by one binary search
     among b's occupied cells, and each of its rows meets every row of them.
     """
-    both = a if b is a else np.concatenate([a, b])  # a self-join keys its set once
-    cell = np.floor(both / side).astype(np.int64)
-    cell -= cell.min(axis=0)
-    for ax in range(4):
-        col = cell[:, ax]
+    n_a = len(a)
+    if not n_a:
+        return  # no row of a: no pair, and no cell to key
+    cell = _floor_cells(a, side)
+    if b is not a:  # a self-join keys its set once
+        cell_b = _floor_cells(b, side)
+        rows_b = _near_rows(cell, cell_b)
+        cell = np.concatenate([cell, cell_b[:, rows_b]], axis=1)
+    for col in cell:
+        col -= col.min()
         span = int(col.max()) + 2  # the occupied cells and the one past them
         if span <= _BITMAP_CELLS * len(col):
             mark = np.zeros(span, dtype=bool)
             mark[col] = True
             mark[1:][col] = True  # the cell after each: the first free one of a gap
-            cell[:, ax] = np.cumsum(mark)[col]
+            col[:] = np.cumsum(mark)[col]
         else:
             occupied, at = np.unique(col, return_inverse=True)
             gaps = np.minimum(np.diff(occupied, prepend=-1), 2)
-            cell[:, ax] = np.cumsum(gaps)[at]
-    dims = [int(d) for d in cell.max(axis=0) + 2]  # a free cell on each side
+            col[:] = np.cumsum(gaps)[at]
+    dims = [int(col.max()) + 2 for col in cell]  # a free cell on each side
     if math.prod(dims) >= 2**63:
         raise CoverError("points too sparse for a 64-bit grid key")
     strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3], dims[3], 1])
-    key = cell @ strides
-    order_a = np.argsort(key[: len(a)], kind="stable")
-    order_b = order_a if b is a else np.argsort(key[len(a) :], kind="stable")
-    key_a, key_b = key[: len(a)][order_a], key[len(both) - len(b) :][order_b]
+    key = cell[0].copy()
+    for col, d in zip(cell[1:], dims[1:]):  # the mixed-radix key, column by column
+        key *= d
+        key += col
+    order_a = np.argsort(key[:n_a], kind="stable")
+    key_a = key[:n_a][order_a]
+    if b is a:
+        order_b, key_b = order_a, key_a
+    else:
+        by_key = np.argsort(key[n_a:], kind="stable")
+        order_b, key_b = rows_b[by_key], key[n_a:][by_key]
     # a self-join needs only the lexicographically non-negative offsets; at
     # offset 0 a row meets the rest of its own cell and the whole next cell
     heads = [o for o in itertools.product((-1, 0, 1), repeat=3) if b is not a or o >= (0,) * 3]
@@ -382,7 +422,7 @@ def _finite_balls(centers, radii):
     without a finite centre and a finite positive radius."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    bad = ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii) & (radii > 0))
+    bad = ~(_fold(np.logical_and, np.isfinite(centers)) & np.isfinite(radii) & (radii > 0))
     if bad.any():
         b = int(np.argmax(bad))
         raise CoverError(
@@ -394,10 +434,11 @@ def _finite_balls(centers, radii):
 
 def _radius_octaves(radii):
     """(groups, top): the ball indices of each radius octave,
-    round(log2(r_max / r)), from the largest radii down, and each group's
-    largest radius."""
+    round(log2(r_max / r)), ascending, from the largest radii down, and each
+    group's largest radius.  One stable sort of the octaves cuts them."""
     octave = np.rint(np.log2(radii.max()) - np.log2(radii))
-    groups = [np.flatnonzero(octave == g) for g in np.unique(octave)]
+    order = np.argsort(octave, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(octave[order])) + 1)
     return groups, [float(radii[g].max()) for g in groups]
 
 
@@ -475,11 +516,11 @@ def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
     uv = np.take_along_axis(d, plane[f], axis=1)
     d *= d
     d *= off[f]
-    reach2 = radii[b] ** 2 - d.sum(axis=1)
+    reach2 = radii[b] ** 2 - _fold(np.add, d)
     gap = np.maximum(-uv, uv - ell)
     np.maximum(gap, 0.0, out=gap)  # per-axis distance to the square
     gap *= gap
-    meets = gap.sum(axis=1) < reach2
+    meets = _fold(np.add, gap) < reach2
     return f[meets], uv[meets], reach2[meets]
 
 

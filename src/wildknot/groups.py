@@ -25,10 +25,12 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .complexes import boxes, meet
+from .complexes import _fold, boxes, meet
 from .cover import ROLE_VERTEX, _finite_balls, _first_rows, _grid_join, pair_orders
 
-# Tits matrix entries at most triple per letter; 3**38 < TITS_MAX.
+# Tits matrix entries at most triple per letter, and a word class's key adds
+# k of them: a front of k generators whose entries are at most TITS_MAX // k
+# keeps every product's entries and their column sums below 2**62.
 TITS_MAX = 2**62 // 3
 # Cap on listed group elements, and on listed orbit spheres.
 MAX_ELEMENTS = 2_000_000
@@ -336,6 +338,21 @@ def enumerate_words(sub, max_length, dtype=float):
     element's shortlex-least word, and the table comes out sorted.  At most
     MAX_ELEMENTS elements are listed.
 
+    The products are grouped by their k column sums 1^T W alone, not by
+    their k^2 entries, and that is exact.  Let rho be the linear form with
+    rho(a_s) = 1 for every simple root a_s, and let W act on forms by
+    (w.phi)(x) = phi(w^-1 x).  Entry g of 1^T W is the coordinate sum of
+    w(a_g), which is rho(w(a_g)) = (w^-1.rho)(a_g): the sums are the
+    coordinates of w^-1.rho.  rho is positive on every simple root, so it
+    lies in the open fundamental chamber, and by Tits' theorem (Bourbaki,
+    Groupes et algebres de Lie V, 4.4-4.6) an element u with u C meeting C
+    is 1, C being that chamber: a point of it has a trivial stabiliser.
+    If v and w have equal sums, v^-1.rho = w^-1.rho, so w v^-1 fixes rho
+    and v = w.  An entry grows at most threefold per letter and a sum adds
+    k entries, so the pass raises GroupError before a front's entries could
+    exceed TITS_MAX // k (checked once 3^length k can pass TITS_MAX): the
+    entries and the sums of its products then stay below 2^62.
+
     `dtype` sets the accumulation precision of the geometric matrices.
     float64 rounding alone puts a floor of ~1e-16 * ||M||^2 on the Lorentz-
     form drift of a word matrix, so certifying drift below 1e-7 for words
@@ -364,10 +381,10 @@ def enumerate_words(sub, max_length, dtype=float):
         f, g = np.nonzero((front >= 0).all(axis=1))  # g is not a descent of word f
         if truncated or not len(f):
             break
-        if length >= 38 and np.abs(front).max() > TITS_MAX:
+        if 3**length * k > TITS_MAX and int(np.abs(front).max()) * k > TITS_MAX:
             raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
         cand = front[f] @ tits_gens[g]
-        first, _ = _first_rows(cand.reshape(len(cand), -1))
+        first, _ = _first_rows(_fold(np.add, cand.transpose(0, 2, 1)))  # the column sums
         room = max(0, MAX_ELEMENTS - len(words))
         truncated = len(first) > room  # then visited up to the first new product past the cap
         seen = int(first[room]) + 1 if truncated else len(cand)
@@ -505,7 +522,8 @@ def _smallest_container(centers, radii, cand):
     |c_i - c_p| + r_i < r_p - 1e-12, the lowest such p on a tie; -1 if none."""
     p = np.maximum(cand, 0)
     diff = centers[p] - centers[:, None, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    diff *= diff
+    d = np.sqrt(_fold(np.add, diff))
     inside = (cand >= 0) & (d + radii[:, None] < radii[p] - 1e-12)
     best = np.argmin(np.where(inside, radii[p], np.inf), axis=1)
     return np.where(inside.any(axis=1), cand[np.arange(len(cand)), best], -1)

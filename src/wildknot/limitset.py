@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
+from .complexes import _fold
 from .cover import _grid_join
 
 
@@ -168,7 +169,9 @@ def hausdorff_one_sided(cloud_a, cloud_b):
     todo = np.arange(len(a))
     while len(todo):
         for i, j in _grid_join(a[todo] - corner, b - corner, side):
-            np.minimum.at(best, todo[i], ((a[todo[i]] - b[j]) ** 2).sum(-1))
+            diff = a[todo[i]] - b[j]
+            diff *= diff
+            np.minimum.at(best, todo[i], _fold(np.add, diff))
         todo = todo[best[todo] >= (side * (1.0 - 1e-9)) ** 2]
         side *= 2.0
     return float(np.sqrt(best).max())

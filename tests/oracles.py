@@ -21,7 +21,9 @@ the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
 polish).  `cover._first_rows`, one lexsort over the columns and the
 pipeline's one row grouping, must give the arrays of `first_rows` here, a
-structured-row `np.unique`.  The bundle's text
+structured-row `np.unique`.  `complexes._orientation`, a parity spanning
+forest built by hooking and pointer jumping, must give the (orientable,
+reached) of `orientation` here, a plain breadth-first search.  The bundle's text
 writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv`,
 `limitset.cloud_to_ply` and `limitset.cloud_to_json`), which format each
 distinct float of a column once and each row with one %-format, must give
@@ -286,6 +288,25 @@ def first_rows(rows):
     _, idx, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(idx)
     return idx[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def orientation(neighbour, flip):
+    """complexes._orientation as a plain breadth-first search from face 0:
+    (orientable, reached) over face 0's component of the (face, neighbour,
+    flip) edges, a flip meaning the two faces take opposite signs."""
+    sign = {0: 1}
+    queue = deque([0])
+    orientable = True
+    while queue:
+        f = queue.popleft()
+        for g, opposite in zip(neighbour[f].tolist(), flip[f].tolist()):
+            want = -sign[f] if opposite else sign[f]
+            if g not in sign:
+                sign[g] = want
+                queue.append(g)
+            elif sign[g] != want:
+                orientable = False
+    return orientable, len(sign)
 
 
 def _fmt(x):

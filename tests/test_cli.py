@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -571,3 +573,27 @@ def test_bundle_text_writers_on_odd_floats(tmp_path):
     assert text == orc.cloud_to_json(cloud)
     assert json.loads(text)["points"][0]["provenance"] == names[0]
     assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text
+
+
+def test_the_command_line_loads_sympy_only_to_compute_invariants(tmp_path):
+    """`import wildknot.cli` leaves sympy unloaded, so a subcommand without
+    invariants never pays for it; `alexander` and report's invariants stage
+    load it where they build a polynomial, and pass."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from wildknot import cli\n"
+        "assert 'sympy' not in sys.modules, 'imported with the command line'\n"
+        "assert cli.main(['alexander', '--preset', 'spun-trefoil']) == 0\n"
+        "assert 'sympy' in sys.modules\n"
+        f"run = cli.Run(cli.RunConfig(out_dir={str(tmp_path)!r}))\n"
+        "ok, msg = cli._check_invariants(run)\n"
+        "assert ok, msg\n"
+        "print(msg)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "t^2 - t + 1" and "NONTRIVIAL" in lines[1]
+    assert lines[-1] == "spun-trefoil polynomial t^2 - t + 1, verdict NONTRIVIAL"

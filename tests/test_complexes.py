@@ -391,6 +391,73 @@ def test_random_surfaces_match_the_reference(cubes, n_big):
         assert getattr(got, field) == want[field], field
 
 
+def _grid_surface(m, n, klein=False, seed=0):
+    """(neighbour, flip) of an m x n grid of faces glued into a torus, or into
+    a Klein bottle: the wrap along j glued with the reflection i -> m - 1 - i
+    and its edges flipped.  The faces carry random signs, which the flips of
+    the other edges encode."""
+    i, j = np.divmod(np.arange(m * n), n)
+    ni = (i[:, None] + np.array([1, -1, 0, 0])) % m
+    nj = j[:, None] + np.array([0, 0, 1, -1])
+    wrap = (nj < 0) | (nj >= n)
+    if klein:
+        ni = np.where(wrap, m - 1 - ni, ni)
+    neighbour = ni * n + nj % n
+    sign = np.random.default_rng(seed).integers(0, 2, m * n).astype(bool)
+    flip = sign[:, None] != sign[neighbour]
+    return neighbour, flip ^ wrap if klein else flip
+
+
+def _strip(length, twisted=False, seed=0):
+    """(neighbour, flip) of a closed strip of faces, each meeting the one
+    before and after it; a twisted strip (a Moebius band) flips its wrap."""
+    f = np.arange(length)
+    neighbour = (f[:, None] + np.array([-1, 1])) % length
+    sign = np.random.default_rng(seed).integers(0, 2, length).astype(bool)
+    flip = sign[:, None] != sign[neighbour]
+    if twisted:
+        flip[0, 0] = flip[-1, 1] = ~flip[0, 0]
+    return neighbour, flip
+
+
+def _beside(first, second):
+    """Two surfaces as one, the second's faces numbered after the first's."""
+    (n1, f1), (n2, f2) = first, second
+    return np.concatenate([n1, n2 + len(n1)]), np.concatenate([f1, f2])
+
+
+_ORIENTATION_CASES = {
+    # name: ((neighbour, flip), (orientable, reached))
+    "torus 7x9": (_grid_surface(7, 9), (True, 63)),
+    "torus 1x5": (_grid_surface(1, 5), (True, 5)),
+    "klein 6x8": (_grid_surface(6, 8, klein=True), (False, 48)),
+    "torus then klein": (_beside(_grid_surface(5, 6), _grid_surface(4, 4, klein=True)),
+                         (True, 30)),
+    "klein then torus": (_beside(_grid_surface(4, 4, klein=True), _grid_surface(5, 6)),
+                         (False, 16)),
+    "strip": (_strip(3000), (True, 3000)),
+    "twisted strip": (_strip(3001, twisted=True), (False, 3001)),
+}
+
+
+@pytest.mark.parametrize("relabel", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", _ORIENTATION_CASES)
+def test_orientation_forest_matches_the_search(name, relabel):
+    """The parity forest gives the breadth-first search's (orientable,
+    reached) on tori, Klein bottles, two components side by side (only face
+    0's counts, a bad second one included) and long strips, and again after a
+    random relabelling of the faces, which makes hooks to lower neighbours
+    rare, so the forest takes several levels."""
+    (neighbour, flip), want = _ORIENTATION_CASES[name]
+    assert orc.orientation(neighbour, flip) == want
+    if relabel is not None:  # face f becomes face new[f]
+        new = np.random.default_rng(relabel).permutation(len(neighbour))
+        neighbour, flip = new[neighbour], flip.copy()
+        neighbour[new], flip[new] = neighbour.copy(), flip.copy()
+        want = orc.orientation(neighbour, flip)
+    assert cx._orientation(neighbour, flip) == want
+
+
 class TestFileRoundtrip:
     def test_roundtrip(self, tmp_path, preset):
         p = tmp_path / "preset.complex"

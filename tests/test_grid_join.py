@@ -167,3 +167,58 @@ def test_report_fails_the_cover_check_on_a_bad_radius(tmp_path, monkeypatch, cap
     assert list(checks) == ["complex", "cover"] and not checks["cover"][0]
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL cover: ball ") and "radius nan" in line for line in lines)
+
+
+def join_in_order(a, b, side):
+    """oracles.grid_join's pairs of a cross join in the order that
+    cover._grid_join yields them: a's rows by cell, lexicographically and
+    stably, in slices of _JOIN_ROWS; in a slice, offset by offset on the
+    first three axes, then row by row; for a row, b's rows by their cell on
+    the last axis, then by index."""
+    i, j = (np.concatenate(col) for col in zip(*orc.grid_join(a, b, side)))
+    ca, cb = np.floor(a / side).astype(np.int64), np.floor(b / side).astype(np.int64)
+    pos = np.empty(len(a), dtype=np.int64)
+    pos[np.lexsort(ca.T[::-1])] = np.arange(len(a))
+    o = cb[j, :3] - ca[i, :3]
+    order = np.lexsort((j, cb[j, 3], pos[i], o[:, 2], o[:, 1], o[:, 0],
+                        pos[i] // cv._JOIN_ROWS))
+    return i[order], j[order]
+
+
+def join_pairs(a, b, side):
+    i, j = (np.concatenate(col) for col in zip(*cv._grid_join(a, b, side)))
+    return i, j
+
+
+def octave_join(preset, x, y):
+    """The centres of radius octaves x and y of the preset's k=0 cover (the
+    smaller group first) and their join's cell side, as _near_pairs has them."""
+    cover = preset[1][0]
+    groups, top = cv._radius_octaves(cover.radii)
+    side = math.sqrt(top[x] ** 2 + top[y] ** 2 + 2.3 * top[x] * top[y]) * (1.0 + 1e-9)
+    ga, gb = sorted((groups[x], groups[y]), key=len)
+    return cover.centers[ga], cover.centers[gb], side
+
+
+@pytest.mark.parametrize("case", ["junction beside faces", "junction beside vertices",
+                                  "far from every row", "vertices beside faces"])
+def test_pruned_cross_join_keeps_the_pairs_and_their_order(preset, case):
+    """A cross join keys only the rows of b near a cell of a, and yields the
+    oracle's pairs in the order it documents: for the preset's 8 junction balls
+    beside its 49,250 face and centre balls (nearly all pruned) and beside its
+    9,852 vertex balls, for rows of a whose widened cells hold no row of b (no
+    pair, and no error on the empty key array), and for the vertex balls
+    beside the face balls, where nothing is pruned."""
+    if case == "far from every row":
+        _a, b, side = octave_join(preset, 1, 2)
+        a = b[:5] + 1e3
+    else:
+        a, b, side = octave_join(preset, *{"junction beside faces": (1, 2),
+                                           "junction beside vertices": (0, 1),
+                                           "vertices beside faces": (0, 2)}[case])
+    kept = len(cv._near_rows(cv._floor_cells(a, side), cv._floor_cells(b, side)))
+    assert kept == len(b) if case == "vertices beside faces" else kept < len(b) // 100
+    got, want = join_pairs(a, b, side), join_in_order(a, b, side)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert (len(got[0]) == 0) == (case == "far from every row")

@@ -456,6 +456,25 @@ def test_tits_entry_guard(cube_group, monkeypatch):
         enumerate_words(sub, 40)
 
 
+@pytest.mark.parametrize("bound", [10, 41, 100])
+@pytest.mark.parametrize("n", [2, 3])
+def test_tits_guard_covers_the_column_sums(cube_group, monkeypatch, n, bound):
+    """A word class is keyed by the k column sums of its Tits matrix, so the
+    guard bounds k times the front's largest entry: enumerating to length L
+    raises exactly when some front below L has k max|entry| > TITS_MAX, once
+    3^length k can exceed it."""
+    sub = pairwise_disjoint_subassembly(cube_group[1], n=n)
+    top = {2: 60, 3: 10}[n]  # entries grow linearly in the infinite dihedral group
+    table = enumerate_words(sub, top)
+    fronts = [np.abs(table.tits[table.lengths == length]).max() for length in range(top)]
+    fails = next(length for length in range(top)
+                 if 3**length * n > bound and n * fronts[length] > bound)
+    monkeypatch.setattr(gr, "TITS_MAX", bound)
+    assert len(enumerate_words(sub, fails).words) == np.sum(table.lengths <= fails)
+    with pytest.raises(GroupError, match=f"overflow int64 beyond length {fails}"):
+        enumerate_words(sub, fails + 1)
+
+
 @pytest.mark.parametrize("max_length", [0, 1, 3, 6, 8])
 def test_words_and_orbits_match_the_reference_loops(cube_group, tube_cover, max_length):
     """The one-pass-per-length enumeration equals the per-word loops bit for
