@@ -86,11 +86,22 @@ def _fold(op, a, dtype=None):
 
 def meet(a, b):
     """Closed intersection of two box arrays (..., 4, 2), broadcast: the meet
-    box and its dimension (the axes of positive extent), -1 where disjoint."""
+    box and its dimension (see _meet_dim)."""
     box = np.stack([np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1])], axis=-1)
-    span = box[..., 1] - box[..., 0]
-    dim = _fold(np.add, span > 0, dtype=np.int64)
-    return box, np.where(_fold(np.logical_and, span >= 0), dim, -1)
+    return box, _meet_dim(a, b)
+
+
+def _meet_dim(a, b):
+    """The dimension of the meet of two box arrays, without building its box:
+    the number of axes of positive extent, -1 where the boxes are disjoint.
+    One axis at a time, so that no (..., 4) temporary is built."""
+    dim, apart = 0, False
+    for k in range(4):
+        span = np.minimum(a[..., k, 1], b[..., k, 1])
+        span -= np.maximum(a[..., k, 0], b[..., k, 0])
+        dim = dim + (span > 0)
+        apart = apart | (span < 0)
+    return np.where(apart, -1, dim)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,9 +237,9 @@ def check_complex(c):
         )
 
     # big cubes meet the tube nowhere else, and never each other
-    if meet(chain[0], chain[-1])[1] >= 0:
+    if _meet_dim(chain[0], chain[-1]) >= 0:
         issues.append("Q0 and Q1 intersect")
-    touch = meet(big[:, None], tube[None])[1] >= 0
+    touch = _meet_dim(big[:, None], tube[None]) >= 0
     touch[0, 0] = touch[1, -1] = False
     for b_idx, i in np.argwhere(touch).tolist():
         issues.append(f"tube[{i}] touches Q{b_idx} away from the attach square")
@@ -239,7 +250,7 @@ def check_complex(c):
     n = len(tube)
     rows = max(1, PAIR_BLOCK // n)
     for i0 in range(0, n, rows):
-        pair_dim = meet(tube[i0 : i0 + rows, None], tube[None])[1]
+        pair_dim = _meet_dim(tube[i0 : i0 + rows, None], tube[None])
         gap = np.arange(n) - np.arange(i0, i0 + len(pair_dim))[:, None]  # j - i
         bad = (gap >= 2) & (pair_dim >= 0) & ~((gap == 2) & (pair_dim == 1))
         for i, j in np.argwhere(bad).tolist():

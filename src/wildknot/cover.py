@@ -45,7 +45,12 @@ Tits matrices' column sums and their roots.
 Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
 top five bits of each half of the word are its cell, exactly, so only the
 samples outside certified cells become points; they are tested against the
-disks, in float64, in the face plane, with no recheck.
+disks, in float64, in the face plane, with no recheck.  An open cell is
+split once into quarters under the same certificate; a template whose open
+cells all split is whole, and a block of faces with whole templates draws
+no word: the generator is advanced past it, which leaves the stream where
+drawing would, so the result is the same bits.  A lattice cover's templates
+are all whole, so its coverage draws no sample.
 """
 
 from __future__ import annotations
@@ -525,32 +530,56 @@ def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
 
 
 # Cells per side of the grid on which coverage_check certifies each disk
-# template, and templates certified at a time (2^16 cells, like a block of
-# samples)
+# template, templates certified at a time and open cells split at a time
+# (2^16 squares, like a block of samples)
 _CELLS = 32
 _TEMPLATES = 64
+_SPLIT = 2**14
 
 
-def _certified_cells(table_u, table_v, table_r2, ell):
-    """(T, _CELLS^2) bool, one row per template row of the disk table: the
-    cells of a _CELLS x _CELLS grid on the face square, in (u, v) row-major
-    order, that one of its disks holds with coverage_check's margin."""
+def _certified_squares(iu, iv, n, table_u, table_v, table_r2, ell):
+    """(R, a, b) bool, one row per row of disks u, v and reach2 (R of them):
+    the squares [iu, iu + 1] x [iv, iv + 1] of side ell / n on the face
+    square that one of the row's disks holds with coverage_check's margin,
+    iu and iv being (R, a) and (R, b) grid indices, or (1, a) and (1, b)
+    shared by every row."""
     pad = ell * 2.0**-20
-    edges = np.arange(_CELLS + 1) * (ell / _CELLS)
-    lo, hi = edges[:-1] - pad, edges[1:] + pad
-    cert = np.zeros((len(table_u), _CELLS, _CELLS), dtype=bool)
+    lo_u, lo_v = (i * (ell / n) - pad for i in (iu, iv))
+    hi_u, hi_v = ((i + 1) * (ell / n) + pad for i in (iu, iv))
+    cert = np.zeros((len(table_u), iu.shape[1], iv.shape[1]), dtype=bool)
+    for r in range(table_u.shape[1]):
+        # per axis, the squared distance from the disk centre to the padded
+        # square's farther end, raised by the relative margin
+        far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[:, r, None]),
+                                                      np.abs(hi - t[:, r, None])) ** 2
+                        for t, lo, hi in ((table_u, lo_u, hi_u), (table_v, lo_v, hi_v)))
+        r2 = table_r2[:, r, None]
+        inner = r2 - 2.0**-30 * np.abs(r2) - pad * ell - far_u  # per u square
+        cert |= far_v[:, None, :] < inner[:, :, None]
+    return cert
+
+
+def _template_certificates(table_u, table_v, table_r2, ell):
+    """The certificate of each template row of the disk table: (T, _CELLS^2)
+    bool, the cells of a _CELLS x _CELLS grid on the face square, in (u, v)
+    row-major order, that none of its disks holds with coverage_check's
+    margin, and (T,) bool, the templates whole: each of those open cells has
+    its four quarters, split at its middle on both axes, held by the disks."""
+    cells = np.arange(_CELLS)[None]
+    open_cells = np.empty((len(table_u), _CELLS**2), dtype=bool)
     for s in range(0, len(table_u), _TEMPLATES):
         rows = slice(s, s + _TEMPLATES)
-        for r in range(table_u.shape[1]):
-            # per axis, the squared distance from the disk centre to the
-            # padded cell's farther end, raised by the relative margin
-            far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[rows, r, None]),
-                                                          np.abs(hi - t[rows, r, None])) ** 2
-                            for t in (table_u, table_v))
-            r2 = table_r2[rows, r, None]
-            inner = r2 - 2.0**-30 * np.abs(r2) - pad * ell - far_u  # per u cell
-            cert[rows] |= far_v[:, None, :] < inner[:, :, None]
-    return cert.reshape(len(table_u), _CELLS**2)
+        cert = _certified_squares(cells, cells, _CELLS, table_u[rows], table_v[rows],
+                                  table_r2[rows], ell)
+        open_cells[rows] = ~cert.reshape(-1, _CELLS**2)
+    whole = np.ones(len(table_u), dtype=bool)
+    cut = np.flatnonzero(open_cells)
+    for s in range(0, len(cut), _SPLIT):
+        t, c = np.divmod(cut[s : s + _SPLIT], _CELLS**2)
+        i, j = 2 * np.stack(np.divmod(c, _CELLS))[:, :, None] + [0, 1]  # its halves, per axis
+        split = _certified_squares(i, j, 2 * _CELLS, table_u[t], table_v[t], table_r2[t], ell)
+        whole[t[~split.all(axis=(1, 2))]] = False
+    return open_cells, whole
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
@@ -611,15 +640,41 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       under the margin 2^-30 (far^2 + |reach2|).  pad ell covers the
       subnormal range, where rounding is not relative.  So the test accepts
       every sample of a certified cell.
-    * The samples in cells that their face's template leaves open go through
-      the float64 test against all their face's rows, one block at a time.
+    * Each cell that a template leaves open is split once into its four
+      quarters, the squares of side ell/64 halving it on both axes, and
+      they are certified by the same inequality, with the quarter's square
+      widened by pad.  A sample's quarter within its cell is bit 26 of the
+      word along u and bit 58 along v: floor(64 u) is the top six bits of
+      u's 24-bit integer, bits 26-31.  As for a cell, the sample's point
+      lies within 2^-23 ell of ell times the quarter's x-range, so inside
+      the widened quarter, and the test accepts every sample of a certified
+      quarter.  A template is whole when each of its open cells has all four
+      quarters certified: every sample of a face with a whole template lies
+      in a certified cell or quarter, and the test accepts it.
+    * A block whose faces all have whole templates draws no word: the
+      generator is advanced past its words instead.  PCG64 steps a 128-bit
+      linear congruential state s -> a s + c (mod 2^128) once per 64-bit
+      word, the word being a function of the new state, and random_raw(m)
+      takes m steps; advance(d) sets the state d steps on,
+      a^d s + c (a^d - 1)/(a - 1), by squaring, and random_raw reads none
+      of the 32-bit buffer that advance clears.  So the words after
+      advance(d) are the words that follow d drawn ones: a drawn block gets
+      the words it would get if every block were drawn, and a skipped block
+      would have given no miss.  The lattice cover's templates are all whole
+      (the preset's 181 at k = 0 and 213 at k = 2), so its coverage draws
+      no sample.
+    * The blocks that are drawn go through the cell test above, and the
+      samples in cells that their face's template leaves open through the
+      float64 test against all their face's rows.
 
-    The certificate thus changes which samples are tested, never a result.
-    Returns (fraction, misses) with misses as (face index, point) pairs in
-    face then sample order, the point being the face's float32 corner plus
-    the sample.  A ball without a finite centre and a finite positive radius
-    raises CoverError.
+    The certificates thus change which samples are drawn and tested, never
+    a result.  Returns (fraction, misses) with misses as (face index, point)
+    pairs in face then sample order, the point being the face's float32
+    corner plus the sample.  n_samples below 1 raises ValueError, and a ball
+    without a finite centre and a finite positive radius CoverError.
     """
+    if n_samples < 1:
+        raise ValueError(f"coverage_check needs n_samples >= 1, got {n_samples}")
     ell = float(cover.unit)
     centers, radii = _finite_balls(cover.centers, cover.radii)
     n_faces = len(surf.faces)
@@ -650,8 +705,10 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
 
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
-    # the cells whose samples take the float64 test, per template
-    open_cells = ~_certified_cells(table_u[first], table_v[first], table_r2[first], ell)
+    # the cells whose samples take the float64 test, per template, and the
+    # templates whose every sample the test provably accepts
+    open_cells, whole = _template_certificates(table_u[first], table_v[first], table_r2[first], ell)
+    whole = whole[template]
 
     bits = np.random.default_rng(seed).bit_generator
     base = template * _CELLS**2  # each face's first cell in open_cells
@@ -660,6 +717,9 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     misses = []
     for lo in range(0, n_faces, block):
         hi = min(lo + block, n_faces)
+        if whole[lo:hi].all():
+            bits.advance((hi - lo) * n_samples)  # the stream as if drawn
+            continue
         word = bits.random_raw((hi - lo, n_samples)).view(np.int64)  # one per sample
         c, t = (buf[: word.size].reshape(word.shape) for buf in (cell, high))
         np.right_shift(word, 22, out=c)

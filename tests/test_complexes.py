@@ -43,6 +43,7 @@ class TestCube3:
                            cx.Cube3((0, 0, 0, 0), 1, 2)])
         box, dim = cx.meet(a, others)
         assert dim.tolist() == [2, 1, -1, 2]
+        assert cx._meet_dim(a, others).tolist() == [2, 1, -1, 2]
         assert box[3].tolist() == [[0, 1], [0, 1], [0, 0], [0, 0]]
 
     def test_rejects_bad_fields(self):
@@ -131,12 +132,14 @@ class TestValidatorRejections:
 
 def test_meet_matches_the_scalar_reference():
     """Every pair of a batch of random small cubes, the pair with itself
-    included, gets the scalar box and dimension (-1 for None)."""
+    included, gets the scalar box and dimension (-1 for None), from meet and
+    from the dimension-only _meet_dim."""
     rng = np.random.default_rng(7)
     cubes = [cx.Cube3(tuple(rng.integers(-2, 3, 4).tolist()), int(rng.integers(1, 4)),
                       int(rng.integers(4))) for _ in range(40)]
     b = cx.boxes(cubes)
     box, dim = cx.meet(b[:, None], b[None])
+    assert np.array_equal(cx._meet_dim(b[:, None], b[None]), dim)
     for i, p in enumerate(cubes):
         for j, q in enumerate(cubes):
             want = orc.box_intersection(p, q)

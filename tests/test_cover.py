@@ -562,9 +562,10 @@ def dropped_ball(cover, surf, which):
 @pytest.fixture(scope="module")
 def broken_preset(preset_covers):
     """Per dropped ball: the k = 0 preset cover without it, and the serial
-    result at 1,000 samples per face on the whole surface and at 10^4 on the
-    400 faces around face FACE (a slice keeps the test short; the cover is
-    whole)."""
+    result at 1,000 samples per face on the whole surface and at 3,000 and
+    10^4 on the 400 faces around face FACE (a slice keeps the test short;
+    the cover is whole).  3,000 samples make blocks of 21 faces, which do
+    not divide 2^16 samples."""
     surf, covers = preset_covers
     cover = covers[0]
     near = dataclasses.replace(surf, faces=surf.faces[FACE - 200 : FACE + 200])
@@ -573,17 +574,20 @@ def broken_preset(preset_covers):
         broken = without_ball(cover, dropped_ball(cover, surf, which))
         out[which] = (broken, {
             1000: (surf, orc.coverage_check(broken, surf, n_samples=1000, seed=3)),
+            3000: (near, orc.coverage_check(broken, near, n_samples=3000, seed=3)),
             10_000: (near, orc.coverage_check(broken, near, n_samples=10_000, seed=3)),
         })
     return out
 
 
-@pytest.mark.parametrize("n_samples", [1000, 10_000])
+@pytest.mark.parametrize("n_samples", [1000, 3000, 10_000])
 @pytest.mark.parametrize("which", DROPPED)
 def test_dropped_ball_coverage_matches_the_serial_form(broken_preset, which, n_samples):
     """Negative controls for criterion 2 on the preset, at the sample counts
     of the benchmark and of the acceptance gate: each dropped ball leaves
-    misses, and the result has the bits of the serial form in oracles.py."""
+    misses, and the result has the bits of the serial form in oracles.py.
+    Only the blocks that hold a face the dropped ball met are drawn, so the
+    result also pins the skipped blocks' advance of the generator."""
     broken, reference = broken_preset[which]
     surf, want = reference[n_samples]
     assert want[1], "the dropped ball must leave misses"
@@ -599,18 +603,26 @@ def test_coverage_rejects_a_non_finite_radius(single_cube):
 
 
 def record_certificates(monkeypatch):
-    """Record each cv._certified_cells call as (template rows u, v and
-    reach2, ell, its certificate)."""
+    """Record each cv._certified_squares call as (grid indices iu and iv,
+    grid side n, disk rows u, v and reach2, ell, its certificate): n = 32 for
+    the cells, 64 for the quarters of the open cells."""
     calls = []
-    real = cv._certified_cells
+    real = cv._certified_squares
 
-    def spy(table_u, table_v, table_r2, ell):
-        cert = real(table_u, table_v, table_r2, ell)
-        calls.append((table_u, table_v, table_r2, ell, cert))
+    def spy(iu, iv, n, table_u, table_v, table_r2, ell):
+        cert = real(iu, iv, n, table_u, table_v, table_r2, ell)
+        calls.append((iu, iv, n, table_u, table_v, table_r2, ell, cert))
         return cert
 
-    monkeypatch.setattr(cv, "_certified_cells", spy)
+    monkeypatch.setattr(cv, "_certified_squares", spy)
     return calls
+
+
+def cell_calls(calls):
+    """The recorded cell certificates as (template rows u, v and reach2, ell,
+    (T, _CELLS^2) certificate)."""
+    return [(u, v, r2, ell, cert.reshape(len(cert), -1))
+            for _iu, _iv, n, u, v, r2, ell, cert in calls if n == cv._CELLS]
 
 
 @pytest.fixture(scope="module")
@@ -639,7 +651,7 @@ def test_coverage_certificate_on_distinct_templates(jittered_cube, monkeypatch):
     surf, cover = jittered_cube
     calls = record_certificates(monkeypatch)
     got = coverage_check(cover, surf, n_samples=2000, seed=0)
-    assert len(calls[0][0]) == len(surf.faces)  # one template per face
+    assert sum(len(u) for u, *_rest in cell_calls(calls)) == len(surf.faces)  # one per face
     assert 0.0 < got[0] < 1.0
     assert got == orc.coverage_check(cover, surf, n_samples=2000, seed=0)
 
@@ -653,7 +665,7 @@ def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
     one = big_ball(surf, build_cover(c))
     calls = record_certificates(monkeypatch)
     got = coverage_check(one, surf, n_samples=2000, seed=0)
-    table_u, _v, table_r2, _ell, cert = calls[0]
+    (table_u, _v, table_r2, _ell, cert), = cell_calls(calls)
     assert table_u.min() < -9000.0 and table_r2.max() > 9e7
     assert cert.all(axis=1).any()  # face 0's template
     assert 0.0 < got[0] < 1.0 and 0 not in {fi for fi, _pt in got[1]}
@@ -670,7 +682,7 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     surf, covers = preset_covers
     for cover in covers.values():
         coverage_check(cover, surf, n_samples=1, seed=0)
-    preset_cells = np.concatenate([cert for *_rows, cert in calls])
+    preset_cells = np.concatenate([cert for *_rows, cert in cell_calls(calls)])
     assert preset_cells.mean() > 0.99
     cube_surf, cube = jittered_cube
     coverage_check(cube, cube_surf, n_samples=1, seed=0)
@@ -679,7 +691,7 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     # the closed cells holding lattice index k along one axis: k // 8 and,
     # on a cell edge, the cell below
     near = [np.minimum(k // 8, cv._CELLS - 1), np.maximum((k - 1) // 8, 0)]
-    for table_u, table_v, table_r2, ell, cert in calls:
+    for table_u, table_v, table_r2, ell, cert in cell_calls(calls):
         grid = k * (ell / 256)
         for t, cells in enumerate(cert.reshape(-1, cv._CELLS, cv._CELLS)):
             inside = np.zeros((257, 257), dtype=bool)
@@ -691,6 +703,183 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
                 open_ = ~(du * du + dv * dv < r2)  # the test of coverage_check, per disk
                 u, v = u[open_], v[open_]
             assert len(u) == 0
+
+
+def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
+    """Brute force for the split: every point of the lattice k ell / 512 that
+    lies in a closed certified quarter of an open cell (9 x 9 points per
+    quarter) passes coverage_check's float64 test against its template's
+    disks.  Over the preset's templates at k = 0 and 2, the jittered cube's
+    and the radius-1e4 disk's.  On the preset every quarter is certified."""
+    calls = record_certificates(monkeypatch)
+    surf, covers = preset_covers
+    for cover in covers.values():
+        coverage_check(cover, surf, n_samples=1, seed=0)
+    assert all(cert.all() for *_rows, n, _u, _v, _r2, _ell, cert in calls if n == 2 * cv._CELLS)
+    cube_surf, cube = jittered_cube
+    coverage_check(cube, cube_surf, n_samples=1, seed=0)
+    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    steps = np.arange(9)
+    tested = 0
+    for iu, iv, n, table_u, table_v, table_r2, ell, cert in calls:
+        if n != 2 * cv._CELLS:
+            continue
+        row, a, b = np.nonzero(cert)
+        u = (8 * iu[row, a, None] + steps)[:, :, None] * (ell / 512)
+        v = (8 * iv[row, b, None] + steps)[:, None, :] * (ell / 512)
+        open_ = np.ones((len(row), 9, 9), dtype=bool)
+        for u0, v0, r2 in zip(table_u[row].T, table_v[row].T, table_r2[row].T):
+            du, dv = u - u0[:, None, None], v - v0[:, None, None]
+            open_ &= ~(du * du + dv * dv < r2[:, None, None])  # the test of coverage_check
+        assert not open_.any()
+        tested += len(row)
+    assert tested > 1000
+
+
+def test_whole_templates_match_the_full_quarter_grid(preset_covers, broken_preset,
+                                                    jittered_cube, monkeypatch):
+    """A template is whole when every cell its 32 x 32 certificate leaves open
+    has the four quarters of the 64 x 64 grid inside it certified; here the
+    quarters come from certifying the full 64 x 64 grid of every template at
+    once, not from the split of the open cells.  Over the preset at k = 0
+    and 2 (all whole), the dropped-ball controls (some not), the jittered
+    cube and the radius-1e4 disk."""
+    calls = []
+    real = cv._template_certificates
+
+    def spy(table_u, table_v, table_r2, ell):
+        out = real(table_u, table_v, table_r2, ell)
+        calls.append((table_u, table_v, table_r2, ell, *out))
+        return out
+
+    monkeypatch.setattr(cv, "_template_certificates", spy)
+    surf, covers = preset_covers
+    for cover in [*covers.values(), *(broken for broken, _ref in broken_preset.values())]:
+        coverage_check(cover, surf, n_samples=1, seed=0)
+    cube_surf, cube = jittered_cube
+    coverage_check(cube, cube_surf, n_samples=1, seed=0)
+    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    grid = np.arange(2 * cv._CELLS)[None]
+    counts = []
+    for table_u, table_v, table_r2, ell, open_cells, whole in calls:
+        quarters = cv._certified_squares(grid, grid, 2 * cv._CELLS, table_u, table_v,
+                                         table_r2, ell)
+        # per cell, its four quarters certified
+        split = quarters.reshape(-1, cv._CELLS, 2, cv._CELLS, 2).all(axis=(2, 4))
+        assert np.array_equal(whole, (split.reshape(len(whole), -1) | ~open_cells).all(axis=1))
+        counts.append((int(whole.sum()), len(whole)))
+    assert counts[:2] == [(181, 181), (213, 213)]
+    assert all(n_whole < n for n_whole, n in counts[2:5])
+
+
+def test_a_cell_split_in_part_is_drawn(single_cube):
+    """Two balls of radius about 1e3 centred in face 0's plane cut its square
+    along v = 33/64 + 1e-3 and v = 33.5/64: the cells of row 16 are open,
+    their lower quarters certified by the first ball and their upper ones
+    by neither, so face 0's template is not whole although each open cell
+    has a certified quarter, and the uncovered strip between the two gives
+    misses.  At 70,000 samples face 0 is a block of its own; the result
+    equals the serial form's."""
+    surf, cover = single_cube
+    far = 1e3
+    centers = np.repeat(surf.faces[:1, :4].astype(float), 2, axis=0)
+    centers[np.arange(2)[:, None], surf.faces[0, 4:]] += [(0.5, -far), (0.5, 1.0 + far)]
+    two = dataclasses.replace(cover, centers=centers,
+                              radii=np.array([far + 33 / 64 + 1e-3, far + 1.0 - 33.5 / 64]),
+                              vertices=np.zeros((0, 4), dtype=np.int64))
+    got = coverage_check(two, surf, n_samples=70_000, seed=0)
+    assert 0 in {f for f, _pt in got[1]}
+    assert got == orc.coverage_check(two, surf, n_samples=70_000, seed=0)
+
+
+def count_words(monkeypatch):
+    """Count the words coverage_check draws from and advances past its
+    generator: {"drawn": ..., "advanced": ...}."""
+    counts = {"drawn": 0, "advanced": 0}
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, bits):
+            self.bits = bits
+
+        def random_raw(self, size):
+            counts["drawn"] += math.prod(size)
+            return self.bits.random_raw(size)
+
+        def advance(self, delta):
+            counts["advanced"] += delta
+            self.bits.advance(delta)
+
+    class Rng:
+        def __init__(self, seed):
+            self.bit_generator = Counting(real(seed).bit_generator)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    return counts
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, k):
+    """Every template of the preset is whole, so coverage advances the
+    generator past all its words and draws none."""
+    surf, covers = preset_covers
+    counts = count_words(monkeypatch)
+    assert coverage_check(covers[k], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert counts == {"drawn": 0, "advanced": 1000 * len(surf.faces)}
+
+
+@pytest.mark.parametrize("which", DROPPED)
+def test_dropped_ball_draws_only_its_blocks(broken_preset, preset_covers, monkeypatch, which):
+    """With one ball dropped, only the blocks that hold a face its trace disk
+    met are drawn (at 1,000 samples, 65 faces a block), the others advanced
+    past, and every missed face is one of those faces."""
+    surf, covers = preset_covers
+    broken, reference = broken_preset[which]
+    want = reference[1000][1]
+    victim = dropped_ball(covers[0], surf, which)
+    # the faces whose closed square the victim's open trace disk meets
+    d = covers[0].centers[victim] - surf.faces[:, :4]
+    uv = np.take_along_axis(d, surf.faces[:, 4:], axis=1)
+    reach2 = covers[0].radii[victim] ** 2 - (d * d).sum(axis=1) + (uv * uv).sum(axis=1)
+    gap = np.maximum(np.maximum(-uv, uv - covers[0].unit), 0.0)
+    met = np.flatnonzero((gap * gap).sum(axis=1) < reach2)
+    assert FACE in met and {f for f, _pt in want[1]} <= set(met)
+    counts = count_words(monkeypatch)
+    assert coverage_check(broken, surf, n_samples=1000, seed=3) == want
+    block = 2**16 // 1000
+    drawn = {f // block for f in met}
+    assert counts["drawn"] == 1000 * sum(min(block, len(surf.faces) - b * block) for b in drawn)
+    assert counts["drawn"] + counts["advanced"] == 1000 * len(surf.faces)
+
+
+def test_one_face_per_block_matches_the_serial_form():
+    """At 70,000 samples a block is one face: on the straight tube less one
+    face ball, the face it belonged to is drawn and the others advanced
+    past, one at a time, and the result has the serial form's bits."""
+    c = orc.straight_tube_complex()
+    surf = knot_surface(c)
+    cover = build_cover(c, surf=surf)
+    broken = without_ball(cover, int((cover.roles == ROLE_VERTEX).sum()) + 5 * 7)
+    got = coverage_check(broken, surf, n_samples=70_000, seed=3)
+    assert {f for f, _pt in got[1]} == {7}
+    assert got == orc.coverage_check(broken, surf, n_samples=70_000, seed=3)
+
+
+@pytest.mark.parametrize("d, m", [(0, 5), (1, 1), (65_000, 3), (70_000, 1000)])
+def test_advance_leaves_the_stream_where_drawing_would(d, m):
+    """coverage_check advances the generator past a block it need not draw:
+    the words after advance(d) are those after d drawn words."""
+    skipped = np.random.default_rng(3).bit_generator
+    skipped.advance(d)
+    drawn = np.random.default_rng(3).bit_generator.random_raw(d + m)[d:]
+    assert np.array_equal(skipped.random_raw(m), drawn)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_coverage_rejects_fewer_than_one_sample(single_cube, n_samples):
+    surf, cover = single_cube
+    with pytest.raises(ValueError, match=f"n_samples >= 1, got {n_samples}"):
+        coverage_check(cover, surf, n_samples=n_samples)
 
 
 def test_preset_cover_junction_counts(preset_covers):
