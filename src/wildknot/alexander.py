@@ -13,16 +13,19 @@ the base, so its polynomial is the 2^i-th power of the base polynomial, and
 the limit is certified nontrivial as soon as the base polynomial is not a
 unit +-t^k.
 
-Polynomials are `sympy.Poly` in t over ZZ, normalised to lowest exponent 0
-and a positive leading coefficient, so Laurent polynomials that differ by a
-unit +-t^k compare equal.  sympy is imported where the first matrix or
-polynomial is built, not with the module: the presets and the word parsing
-need none of it, so importing the command line costs no sympy.
+Polynomials are tuples of Python ints, the coefficients of t^0, t^1, ...
+(the empty tuple is 0), normalised to lowest exponent 0 and a positive
+leading coefficient, so Laurent polynomials that differ by a unit +-t^k
+compare equal.  All arithmetic is exact over the integers and needs no
+computer algebra: determinants by fraction-free elimination, each
+polynomial minor rebuilt from its integer values at t = 0, 1, 2, ... by
+Newton's forward differences, and gcds by primitive pseudo-remainders.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import string
 
 Word = tuple[int, ...]
@@ -143,75 +146,136 @@ def alexander_matrix(p):
 
     The row of relator r is multiplied by the unit t^len(r).  Every prefix of
     r has length at most len(r), so every Fox-derivative exponent is at least
-    -len(r) and every entry is a polynomial in t.
+    -len(r) and every entry is a polynomial in t, a coefficient tuple.
     """
-    import sympy
+    rows = []
+    for r in p.relators:
+        derivs = (abelianize(fox_derivative(r, j + 1)) for j in range(p.n_generators))
+        rows.append([_trim(d.get(e, 0) for e in range(-len(r), len(r) + 1)) for d in derivs])
+    return rows
 
-    t = sympy.Symbol("t")
-    return sympy.Matrix([
-        [sum(c * t ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
-         for j in range(p.n_generators)]
-        for r in p.relators
-    ])
+
+def _det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact; the empty matrix has det 1."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def _maximal_minors(rows, n):
+    """The n determinants of the (n - 1) x n matrix with column j deleted."""
+    return [_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n)]
 
 
 def _abelianization_is_infinite_cyclic(p):
-    """Check Z^n / (relator exponent vectors) == Z via Smith normal form."""
-    if p.n_generators == 0:
-        return False
-    rows = []
-    for r in p.relators:
-        row = [0] * p.n_generators
-        for g in r:
-            row[abs(g) - 1] += 1 if g > 0 else -1
-        rows.append(row)
-    if not rows:
-        return p.n_generators == 1
-    import sympy
-    from sympy.matrices.normalforms import smith_normal_form
+    """Z^n / (relator exponent vectors) == Z for a deficiency-1 presentation.
 
-    snf = smith_normal_form(sympy.Matrix(rows))
-    diag = [snf[i, i] for i in range(min(snf.shape))]
-    nonzero = [abs(d) for d in diag if d != 0]
-    rank = len(nonzero)
-    # quotient is Z^(n - rank) x products of Z/d; infinite cyclic needs
-    # n - rank == 1 and all nonzero invariant factors equal 1
-    return p.n_generators - rank == 1 and all(d == 1 for d in nonzero)
+    Its n - 1 exponent vectors span a sublattice with quotient Z exactly when
+    their n maximal minors have gcd 1: the gcd is 0 when their rank is below
+    n - 1, and otherwise the product of the invariant factors of the torsion.
+    """
+    rows = [[sum(g // j for g in r if abs(g) == j) for j in range(1, p.n_generators + 1)]
+            for r in p.relators]
+    return math.gcd(*_maximal_minors(rows, p.n_generators)) == 1
+
+
+def _trim(coeffs):
+    """Coefficient tuple without the zero coefficients above the degree."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _interpolate(values):
+    """The integer polynomial of degree below len(values) that takes them at
+    t = 0, 1, 2, ...: Newton's forward differences d_k, in Horner form
+    sum_k d_k / k! * t (t - 1) ... (t - k + 1).  k! divides the k-th
+    difference of an integer polynomial, so the division is exact."""
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    poly = []
+    for k in reversed(range(len(diffs))):
+        poly = [a - k * b for a, b in zip([0, *poly], [*poly, 0])]  # (t - k) poly
+        poly[0] += diffs[k] // math.factorial(k)
+    return _trim(poly)
+
+
+def _mul(f, g):
+    """Product of two coefficient tuples."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _gcd(f, g):
+    """gcd in Z[t] of nonzero f and g, up to sign: by Gauss's lemma, the gcd
+    of their contents times the last member of the primitive
+    pseudo-remainder sequence of their primitive parts."""
+    content = math.gcd(*f, *g)
+    f, g = sorted(map(_primitive, (f, g)), key=len, reverse=True)
+    while g:
+        while len(f) >= len(g):  # f <- lc(g) f - lc(f) t^shift g
+            shift = len(f) - len(g)
+            f = _trim(g[-1] * a - f[-1] * (g[i - shift] if i >= shift else 0)
+                      for i, a in enumerate(f))
+        f, g = g, _primitive(f) if f else ()
+    return tuple(content * c for c in f)
+
+
+def _primitive(f):
+    """Nonzero f divided by the gcd of its coefficients."""
+    return tuple(c // math.gcd(*f) for c in f)
 
 
 def _normalized(poly):
     """poly divided by the unit +-t^k that makes its lowest exponent 0 and its
-    leading coefficient positive (0 stays 0)."""
-    poly = poly.terms_gcd()[1]
-    return -poly if poly.LC() < 0 else poly
+    leading coefficient positive (0, the empty tuple, stays 0)."""
+    poly = _trim(poly)
+    poly = poly[next((e for e, c in enumerate(poly) if c), 0) :]
+    return tuple(-c for c in poly) if poly and poly[-1] < 0 else poly
 
 
 def alexander_polynomial(p):
-    """gcd of the maximal minors of the one-column-deleted Alexander matrix."""
+    """gcd of the maximal minors of the one-column-deleted Alexander matrix.
+
+    Each minor has degree at most D, the sum over the rows of their largest
+    entry degree, so it is rebuilt from its integer values at t = 0 ... D."""
     if p.deficiency != 1:
         raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
     if not _abelianization_is_infinite_cyclic(p):
         raise ValueError("abelianization is not infinite cyclic")
-    import sympy
-
-    t = sympy.Symbol("t")
     if not p.relators:
-        return sympy.Poly(1, t)  # free group of rank 1: unknot
+        return (1,)  # free group of rank 1: unknot
     mat = alexander_matrix(p)
-    n = p.n_generators
-    minors = []
-    for j in range(n):
-        det = mat[:, [k for k in range(n) if k != j]].det()
-        if det != 0:
-            minors.append(sympy.Poly(det, t))
+    top = sum(max(1, *map(len, row)) - 1 for row in mat)
+    values = [_maximal_minors([[sum(c * x**e for e, c in enumerate(entry)) for entry in row]
+                               for row in mat], p.n_generators)
+              for x in range(top + 1)]
+    minors = [m for m in map(_interpolate, map(list, zip(*values))) if m]
     if not minors:
         raise ValueError("all maximal minors vanish; Alexander ideal is zero")
     g = minors[0]
     for m in minors[1:]:
-        g = g.gcd(m)
+        g = _gcd(g, m)
     delta = _normalized(g)
-    if abs(delta.eval(1)) != 1:
-        raise ValueError(f"Delta(1) = {delta.eval(1)} != +-1: not a knot-group presentation")
+    if abs(sum(delta)) != 1:
+        raise ValueError(f"Delta(1) = {sum(delta)} != +-1: not a knot-group presentation")
     return delta
 
 
@@ -221,13 +285,15 @@ def stage_polynomial(delta, i):
     A normalised delta gives a normalised power."""
     if i < 0:
         raise ValueError("stage must be >= 0")
-    return delta ** 2**i
+    for _ in range(i):
+        delta = _mul(delta, delta)
+    return delta
 
 
 def _format(poly):
     """`t^2 - 3*t + 1`: terms from the highest exponent down, 0 for zero."""
     parts = []
-    for (e,), c in poly.terms():
+    for e, c in [(e, c) for e, c in enumerate(poly) if c][::-1] or [(0, 0)]:
         mono = "t" if e == 1 else f"t^{e}"
         body = str(abs(c)) if e == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
         parts.append(("- " if c < 0 else "+ ") + body)
@@ -246,20 +312,20 @@ def nontriviality_verdict(delta, depth=6):
     constant's coefficients stay small too (0 and 1 are their own powers).
     """
     delta = _normalized(delta)
-    degree = 0 if delta.is_zero else delta.degree()
-    unit = delta.is_one
+    degree = max(len(delta) - 1, 0)
+    unit = delta == (1,)
     stages = []
     for i in range(depth + 1):
         d = 2**i * degree
-        small = unit or delta.is_zero or 2**i * max(degree, 1) <= 16
+        small = unit or not delta or 2**i * max(degree, 1) <= 16
         text = _format(stage_polynomial(delta, i)) if small else f"degree-{d} power"
         stages.append({"stage": i, "copies": 2**i, "degree": d, "unit": unit,
                        "polynomial": text})
     return {
-        "verdict": "TRIVIAL" if unit or delta.is_zero else "NONTRIVIAL",
+        "verdict": "TRIVIAL" if unit or not delta else "NONTRIVIAL",
         "base_polynomial": _format(delta),
         "base_degree": degree,
-        "delta_at_1": int(delta.eval(1)),
+        "delta_at_1": sum(delta),
         "stages": stages,
         "assumed_facts": [
             # Standard results used but not recomputed here; the polynomial

@@ -501,10 +501,10 @@ def cmd_alexander(args):
     verdict = ax.nontriviality_verdict(delta, depth=args.depth)
     print(verdict["base_polynomial"])
     print(f"verdict: {verdict['verdict']} (Delta(1) = {verdict['delta_at_1']})")
+    for s in verdict["stages"] if args.verbose else verdict["stages"][-1:]:
+        print(f"  stage {s['stage']}: {s['copies']} copies, degree "
+              f"{s['degree']}: {s['polynomial']}")
     if args.verbose:
-        for s in verdict["stages"]:
-            print(f"  stage {s['stage']}: {s['copies']} copies, degree "
-                  f"{s['degree']}: {s['polynomial']}")
         for fact in verdict["assumed_facts"]:
             print(f"  {fact}")
     return 0
@@ -620,7 +620,8 @@ def main(argv=None):
                    choices=sorted(ax.PRESETS))
     p.add_argument("--file", default=None,
                    help="presentation file instead of a preset")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=6,
+                   help="last connected-sum stage, printed alone (every stage with -v)")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_alexander)
 

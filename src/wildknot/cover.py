@@ -49,8 +49,9 @@ disks, in float64, in the face plane, with no recheck.  An open cell is
 split once into quarters under the same certificate; a template whose open
 cells all split is whole, and a block of faces with whole templates draws
 no word: the generator is advanced past it, which leaves the stream where
-drawing would, so the result is the same bits.  A lattice cover's templates
-are all whole, so its coverage draws no sample.
+drawing would, so the result is the same bits.  Only the templates of
+blocks that can be skipped are split.  A lattice cover's templates are all
+whole, so its coverage draws no sample.
 """
 
 from __future__ import annotations
@@ -559,12 +560,11 @@ def _certified_squares(iu, iv, n, table_u, table_v, table_r2, ell):
     return cert
 
 
-def _template_certificates(table_u, table_v, table_r2, ell):
-    """The certificate of each template row of the disk table: (T, _CELLS^2)
-    bool, the cells of a _CELLS x _CELLS grid on the face square, in (u, v)
-    row-major order, that none of its disks holds with coverage_check's
-    margin, and (T,) bool, the templates whole: each of those open cells has
-    its four quarters, split at its middle on both axes, held by the disks."""
+def _open_cells(table_u, table_v, table_r2, ell):
+    """The cell certificate of each template row of the disk table: (T,
+    _CELLS^2) bool, the cells of a _CELLS x _CELLS grid on the face square,
+    in (u, v) row-major order, that none of its disks holds with
+    coverage_check's margin."""
     cells = np.arange(_CELLS)[None]
     open_cells = np.empty((len(table_u), _CELLS**2), dtype=bool)
     for s in range(0, len(table_u), _TEMPLATES):
@@ -572,6 +572,13 @@ def _template_certificates(table_u, table_v, table_r2, ell):
         cert = _certified_squares(cells, cells, _CELLS, table_u[rows], table_v[rows],
                                   table_r2[rows], ell)
         open_cells[rows] = ~cert.reshape(-1, _CELLS**2)
+    return open_cells
+
+
+def _whole_templates(open_cells, table_u, table_v, table_r2, ell):
+    """(T,) bool, the templates whole: each cell their row of open_cells
+    leaves open has its four quarters, split at its middle on both axes,
+    held by the disks."""
     whole = np.ones(len(table_u), dtype=bool)
     cut = np.flatnonzero(open_cells)
     for s in range(0, len(cut), _SPLIT):
@@ -579,7 +586,7 @@ def _template_certificates(table_u, table_v, table_r2, ell):
         i, j = 2 * np.stack(np.divmod(c, _CELLS))[:, :, None] + [0, 1]  # its halves, per axis
         split = _certified_squares(i, j, 2 * _CELLS, table_u[t], table_v[t], table_r2[t], ell)
         whole[t[~split.all(axis=(1, 2))]] = False
-    return open_cells, whole
+    return whole
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
@@ -650,7 +657,12 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       the widened quarter, and the test accepts every sample of a certified
       quarter.  A template is whole when each of its open cells has all four
       quarters certified: every sample of a face with a whole template lies
-      in a certified cell or quarter, and the test accepts it.
+      in a certified cell or quarter, and the test accepts it.  Templates
+      are split only where that can spare a block: first the template of
+      each block's first face, then the other templates of the blocks whose
+      first template is whole.  A template left unsplit counts as not
+      whole; each of its blocks has a first template that is not whole and
+      is drawn in any case.
     * A block whose faces all have whole templates draws no word: the
       generator is advanced past its words instead.  PCG64 steps a 128-bit
       linear congruential state s -> a s + c (mod 2^128) once per 64-bit
@@ -705,14 +717,21 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
 
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
-    # the cells whose samples take the float64 test, per template, and the
-    # templates whose every sample the test provably accepts
-    open_cells, whole = _template_certificates(table_u[first], table_v[first], table_r2[first], ell)
+    rows = table_u[first], table_v[first], table_r2[first]
+    open_cells = _open_cells(*rows, ell)  # the cells whose samples take the float64 test
+    # the templates whose every sample the test provably accepts, split only
+    # where that can skip a block: each block's first, then the others of the
+    # blocks whose first is whole; a template not split counts as not whole
+    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
+    heads = np.unique(template[::block])
+    whole = np.zeros(len(first), dtype=bool)
+    whole[heads] = _whole_templates(open_cells[heads], *(r[heads] for r in rows), ell)
+    rest = np.setdiff1d(template[np.repeat(whole[template[::block]], block)[:n_faces]], heads)
+    whole[rest] = _whole_templates(open_cells[rest], *(r[rest] for r in rows), ell)
     whole = whole[template]
 
     bits = np.random.default_rng(seed).bit_generator
     base = template * _CELLS**2  # each face's first cell in open_cells
-    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
     cell, high = np.empty((2, block * n_samples), dtype=np.int64)
     misses = []
     for lo in range(0, n_faces, block):

@@ -28,7 +28,10 @@ writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv`,
 `limitset.cloud_to_ply` and `limitset.cloud_to_json`), which format each
 distinct float of a column once and each row with one %-format, must give
 the text of the per-field loops here, and for `cloud_to_json` the text of
-`cloud_to_json` here, one `json.dumps` of the whole document.  The
+`cloud_to_json` here, one `json.dumps` of the whole document.  Alexander
+polynomials, now exact integer arithmetic in `alexander`, must equal the
+sympy computation here (`alexander_polynomial` and `nontriviality_verdict`,
+on `sympy.Poly`), error messages included.  The
 point maps, random Moebius maps, the presentation and group-ring helpers,
 the single-cube complex, the cover less one ball, the complex-file loader
 and the two-run bundle comparison serve only the tests.
@@ -427,6 +430,120 @@ def connected_sum(p1, p2):
     return GroupPresentation(
         p1.n_generators + p2.n_generators, p1.relators + shifted + (merge,)
     )
+
+
+# The Alexander polynomial in sympy, as `alexander` computed it before its
+# integer arithmetic: sympy determinants of the Fox matrix, the Poly gcd of
+# the minors and the Smith normal form of the exponent-sum matrix.
+
+
+def abelianization_is_infinite_cyclic(p):
+    """Z^n / (relator exponent vectors) == Z via the Smith normal form."""
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if p.n_generators == 0:
+        return False
+    rows = [[sum((g > 0) - (g < 0) for g in r if abs(g) == j + 1)
+             for j in range(p.n_generators)] for r in p.relators]
+    if not rows:
+        return p.n_generators == 1
+    snf = smith_normal_form(sympy.Matrix(rows))
+    nonzero = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    return p.n_generators - len(nonzero) == 1 and all(d == 1 for d in nonzero)
+
+
+def normalized(poly):
+    """`sympy.Poly` divided by the unit +-t^k that makes its lowest exponent
+    0 and its leading coefficient positive."""
+    poly = poly.terms_gcd()[1]
+    return -poly if poly.LC() < 0 else poly
+
+
+def alexander_polynomial(p):
+    """`alexander.alexander_polynomial` as a `sympy.Poly` in t over ZZ, with
+    its ValueError messages."""
+    import sympy
+
+    from wildknot.alexander import abelianize, fox_derivative
+
+    if p.deficiency != 1:
+        raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
+    if not abelianization_is_infinite_cyclic(p):
+        raise ValueError("abelianization is not infinite cyclic")
+    t = sympy.Symbol("t")
+    if not p.relators:
+        return sympy.Poly(1, t)
+    mat = sympy.Matrix([
+        [sum(c * t ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
+         for j in range(p.n_generators)]
+        for r in p.relators
+    ])
+    n = p.n_generators
+    minors = [sympy.Poly(det, t) for j in range(n)
+              if (det := mat[:, [k for k in range(n) if k != j]].det()) != 0]
+    if not minors:
+        raise ValueError("all maximal minors vanish; Alexander ideal is zero")
+    g = minors[0]
+    for m in minors[1:]:
+        g = g.gcd(m)
+    delta = normalized(g)
+    if abs(delta.eval(1)) != 1:
+        raise ValueError(f"Delta(1) = {delta.eval(1)} != +-1: not a knot-group presentation")
+    return delta
+
+
+def format_poly(poly):
+    """`alexander._format` of a `sympy.Poly`."""
+    parts = []
+    for (e,), c in poly.terms():
+        mono = "t" if e == 1 else f"t^{e}"
+        body = str(abs(c)) if e == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def nontriviality_verdict(delta, depth=6):
+    """`alexander.nontriviality_verdict` of a `sympy.Poly`: each stage's
+    polynomial is the sympy power delta^(2^i)."""
+    from wildknot.alexander import nontriviality_verdict as integer_verdict
+
+    delta = normalized(delta)
+    degree = 0 if delta.is_zero else delta.degree()
+    unit = delta.is_one
+    stages = []
+    for i in range(depth + 1):
+        d = 2**i * degree
+        small = unit or delta.is_zero or 2**i * max(degree, 1) <= 16
+        text = format_poly(delta ** 2**i) if small else f"degree-{d} power"
+        stages.append({"stage": i, "copies": 2**i, "degree": d, "unit": unit,
+                       "polynomial": text})
+    return {
+        "verdict": "TRIVIAL" if unit or delta.is_zero else "NONTRIVIAL",
+        "base_polynomial": format_poly(delta),
+        "base_degree": degree,
+        "delta_at_1": int(delta.eval(1)),
+        "stages": stages,
+        "assumed_facts": integer_verdict((1,), depth=0)["assumed_facts"],
+    }
+
+
+def coefficients(poly):
+    """A `sympy.Poly` in t as `alexander`'s coefficient tuple, constant term
+    first (() for 0)."""
+    return () if poly.is_zero else tuple(int(c) for c in reversed(poly.all_coeffs()))
+
+
+def random_presentation(rng, n_relators=None):
+    """1 to 4 generators and, unless given, one relator fewer, each a freely
+    reduced word of up to 10 random letters."""
+    n = int(rng.integers(1, 5))
+    count = n - 1 if n_relators is None else n_relators
+    return GroupPresentation(n, tuple(
+        free_reduce(tuple(int(g) for g in rng.choice([1, -1], size=length)
+                          * rng.integers(1, n + 1, size=length)))
+        for length in rng.integers(0, 11, size=count)))
 
 
 def load_complex(path):

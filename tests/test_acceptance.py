@@ -294,11 +294,11 @@ def test_criterion_8_bending(group):
 def test_criterion_9_invariants():
     t = sympy.Symbol("t")
     trefoil = ax.alexander_polynomial(ax.PRESETS["trefoil"])
-    assert trefoil == sympy.Poly(t**2 - t + 1, t, domain="ZZ")
+    assert trefoil == orc.coefficients(sympy.Poly(t**2 - t + 1, t, domain="ZZ"))
     fig8 = ax.alexander_polynomial(ax.PRESETS["figure-eight"])
-    assert fig8 == sympy.Poly(t**2 - 3 * t + 1, t, domain="ZZ")
+    assert fig8 == orc.coefficients(sympy.Poly(t**2 - 3 * t + 1, t, domain="ZZ"))
     granny = ax.alexander_polynomial(ax.PRESETS["granny"])
-    assert granny == trefoil * trefoil
+    assert granny == orc.coefficients(sympy.Poly((t**2 - t + 1) ** 2, t, domain="ZZ"))
 
     spun = ax.nontriviality_verdict(
         ax.alexander_polynomial(ax.PRESETS["spun-trefoil"]), depth=6
@@ -310,7 +310,7 @@ def test_criterion_9_invariants():
     assert not any(row["unit"] for row in spun["stages"])  # every stage nontrivial
     # Delta(1) = +-1 on all presets (it is a knot-group invariant)
     for name, pres in ax.PRESETS.items():
-        assert abs(ax.alexander_polynomial(pres).eval(1)) == 1, name
+        assert abs(sum(ax.alexander_polynomial(pres))) == 1, name
 
     unknot = ax.nontriviality_verdict(
         ax.alexander_polynomial(ax.PRESETS["unknot"]), depth=6

@@ -736,40 +736,68 @@ def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, m
     assert tested > 1000
 
 
+def record_splits(monkeypatch):
+    """Record each cv._whole_templates call as (open cells, template rows u,
+    v and reach2, ell, whole) in the list of the last coverage_check, a new
+    list appended to the returned one before each call."""
+    checks = []
+    real = cv._whole_templates
+
+    def spy(open_cells, table_u, table_v, table_r2, ell):
+        whole = real(open_cells, table_u, table_v, table_r2, ell)
+        checks[-1].append((open_cells, table_u, table_v, table_r2, ell, whole))
+        return whole
+
+    monkeypatch.setattr(cv, "_whole_templates", spy)
+    return checks
+
+
 def test_whole_templates_match_the_full_quarter_grid(preset_covers, broken_preset,
                                                     jittered_cube, monkeypatch):
     """A template is whole when every cell its 32 x 32 certificate leaves open
     has the four quarters of the 64 x 64 grid inside it certified; here the
-    quarters come from certifying the full 64 x 64 grid of every template at
-    once, not from the split of the open cells.  Over the preset at k = 0
-    and 2 (all whole), the dropped-ball controls (some not), the jittered
-    cube and the radius-1e4 disk."""
-    calls = []
-    real = cv._template_certificates
-
-    def spy(table_u, table_v, table_r2, ell):
-        out = real(table_u, table_v, table_r2, ell)
-        calls.append((table_u, table_v, table_r2, ell, *out))
-        return out
-
-    monkeypatch.setattr(cv, "_template_certificates", spy)
+    quarters come from certifying the full 64 x 64 grid of every template
+    split at once, not from the split of the open cells.  Over the preset at
+    k = 0 and 2 (all whole, every template split), the dropped-ball controls
+    (some not), the jittered cube and the radius-1e4 disk."""
+    checks = record_splits(monkeypatch)
     surf, covers = preset_covers
-    for cover in [*covers.values(), *(broken for broken, _ref in broken_preset.values())]:
-        coverage_check(cover, surf, n_samples=1, seed=0)
+    runs = [(cover, surf) for cover in [*covers.values(),
+                                        *(broken for broken, _ref in broken_preset.values())]]
     cube_surf, cube = jittered_cube
-    coverage_check(cube, cube_surf, n_samples=1, seed=0)
-    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    for cover, s in [*runs, (cube, cube_surf), (big_ball(cube_surf, cube), cube_surf)]:
+        checks.append([])
+        coverage_check(cover, s, n_samples=1, seed=0)
     grid = np.arange(2 * cv._CELLS)[None]
     counts = []
-    for table_u, table_v, table_r2, ell, open_cells, whole in calls:
-        quarters = cv._certified_squares(grid, grid, 2 * cv._CELLS, table_u, table_v,
-                                         table_r2, ell)
-        # per cell, its four quarters certified
-        split = quarters.reshape(-1, cv._CELLS, 2, cv._CELLS, 2).all(axis=(2, 4))
-        assert np.array_equal(whole, (split.reshape(len(whole), -1) | ~open_cells).all(axis=1))
-        counts.append((int(whole.sum()), len(whole)))
+    for calls in checks:
+        n_whole = n_split = 0
+        for open_cells, table_u, table_v, table_r2, ell, whole in calls:
+            quarters = cv._certified_squares(grid, grid, 2 * cv._CELLS, table_u, table_v,
+                                             table_r2, ell)
+            # per cell, its four quarters certified
+            split = quarters.reshape(-1, cv._CELLS, 2, cv._CELLS, 2).all(axis=(2, 4))
+            split = split.reshape(-1, cv._CELLS**2)
+            assert np.array_equal(whole, (split | ~open_cells).all(axis=1))
+            n_whole, n_split = n_whole + int(whole.sum()), n_split + len(whole)
+        counts.append((n_whole, n_split))
     assert counts[:2] == [(181, 181), (213, 213)]
     assert all(n_whole < n for n_whole, n in counts[2:5])
+
+
+def test_split_takes_only_blocks_that_can_be_skipped(jittered_cube, monkeypatch):
+    """No two faces of the jittered cube share a template.  At 10,000
+    samples (6 faces a block) the split takes the first template of each of
+    the 9 blocks, then only the 5 other templates of each block whose first
+    one came out whole; the result equals the serial form's."""
+    surf, cover = jittered_cube
+    checks = record_splits(monkeypatch)
+    checks.append([])
+    got = coverage_check(cover, surf, n_samples=10_000, seed=0)
+    (*heads, heads_whole), (*rest, _rest_whole) = checks[0]
+    assert len(heads_whole) == 9 and len(rest[0]) == 5 * heads_whole.sum()
+    assert 0 < heads_whole.sum() < 9
+    assert got == orc.coverage_check(cover, surf, n_samples=10_000, seed=0)
 
 
 def test_a_cell_split_in_part_is_drawn(single_cube):
