@@ -178,18 +178,6 @@ def _maximal_minors(rows, n):
     return [_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n)]
 
 
-def _abelianization_is_infinite_cyclic(p):
-    """Z^n / (relator exponent vectors) == Z for a deficiency-1 presentation.
-
-    Its n - 1 exponent vectors span a sublattice with quotient Z exactly when
-    their n maximal minors have gcd 1: the gcd is 0 when their rank is below
-    n - 1, and otherwise the product of the invariant factors of the torsion.
-    """
-    rows = [[sum(g // j for g in r if abs(g) == j) for j in range(1, p.n_generators + 1)]
-            for r in p.relators]
-    return math.gcd(*_maximal_minors(rows, p.n_generators)) == 1
-
-
 def _trim(coeffs):
     """Coefficient tuple without the zero coefficients above the degree."""
     coeffs = list(coeffs)
@@ -255,28 +243,27 @@ def alexander_polynomial(p):
     """gcd of the maximal minors of the one-column-deleted Alexander matrix.
 
     Each minor has degree at most D, the sum over the rows of their largest
-    entry degree, so it is rebuilt from its integer values at t = 0 ... D."""
+    entry degree, so it is rebuilt from its integer values at t = 0 ...
+    max(D, 1).  At t = 1 the matrix is the relators' exponent-sum matrix, and
+    the abelianization, Z^n modulo the span of its rows, is Z exactly when
+    its maximal minors have gcd 1 (the gcd is 0 below rank n - 1, and
+    otherwise the order of the torsion).  That gcd of 1 leaves some minor
+    nonzero, and it makes Delta(1), which divides every minor's value at 1,
+    equal to +-1."""
     if p.deficiency != 1:
         raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
-    if not _abelianization_is_infinite_cyclic(p):
-        raise ValueError("abelianization is not infinite cyclic")
-    if not p.relators:
-        return (1,)  # free group of rank 1: unknot
     mat = alexander_matrix(p)
     top = sum(max(1, *map(len, row)) - 1 for row in mat)
     values = [_maximal_minors([[sum(c * x**e for e, c in enumerate(entry)) for entry in row]
                                for row in mat], p.n_generators)
-              for x in range(top + 1)]
+              for x in range(max(top, 1) + 1)]
+    if math.gcd(*values[1]) != 1:
+        raise ValueError("abelianization is not infinite cyclic")
     minors = [m for m in map(_interpolate, map(list, zip(*values))) if m]
-    if not minors:
-        raise ValueError("all maximal minors vanish; Alexander ideal is zero")
     g = minors[0]
     for m in minors[1:]:
         g = _gcd(g, m)
-    delta = _normalized(g)
-    if abs(sum(delta)) != 1:
-        raise ValueError(f"Delta(1) = {sum(delta)} != +-1: not a knot-group presentation")
-    return delta
+    return _normalized(g)
 
 
 def stage_polynomial(delta, i):

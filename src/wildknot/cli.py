@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("refinement must be >= 0")
         if self.max_word_length < 0:
             raise ValueError("word-length cap must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if (not self.eps > 0 or self.n_stages < 0 or self.samples_per_face <= 0
                 or self.domain_budget < 1):
             raise ValueError("caps must be positive")
@@ -621,7 +623,10 @@ def main(argv=None):
     p.add_argument("--file", default=None,
                    help="presentation file instead of a preset")
     p.add_argument("--depth", type=int, default=6,
-                   help="last connected-sum stage, printed alone (every stage with -v)")
+                   help="last connected-sum stage, 0 to 1000, printed alone (every stage "
+                   "with -v); stage i has 2^i copies, and the cap keeps each stage's "
+                   "copy count and degree far under Python's 4,300-digit limit on "
+                   "printing an int")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_alexander)
 
@@ -632,8 +637,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     usage_error = subs.choices[args.command].error
     if args.func is cmd_alexander:
-        if args.depth < 0:
-            usage_error("depth must be >= 0")
+        if not 0 <= args.depth <= 1000:
+            usage_error("depth must be between 0 and 1000")
         return cmd_alexander(args)
     try:
         cfg = _config_from_args(args)

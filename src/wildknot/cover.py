@@ -43,15 +43,13 @@ they are grouped by _first_rows, one exact lexsort of their rows, which is
 also how the relation suite groups its frames and the word tables their
 Tits matrices' column sums and their roots.
 Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
-top five bits of each half of the word are its cell, exactly, so only the
-samples outside certified cells become points; they are tested against the
-disks, in float64, in the face plane, with no recheck.  An open cell is
-split once into quarters under the same certificate; a template whose open
-cells all split is whole, and a block of faces with whole templates draws
-no word: the generator is advanced past it, which leaves the stream where
-drawing would, so the result is the same bits.  Only the templates of
-blocks that can be skipped are split.  A lattice cover's templates are all
-whole, so its coverage draws no sample.
+top six bits of each half of the word are its cell of a 64 x 64 grid,
+exactly, so only the samples outside certified cells become points; they
+are tested against the disks, in float64, in the face plane, with no
+recheck.  A template with no open cell is whole, and a block of faces with
+whole templates draws no word: the generator is advanced past it, which
+leaves the stream where drawing would, so the result is the same bits.  A
+lattice cover's templates are all whole, so its coverage draws no sample.
 """
 
 from __future__ import annotations
@@ -531,62 +529,33 @@ def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
 
 
 # Cells per side of the grid on which coverage_check certifies each disk
-# template, templates certified at a time and open cells split at a time
-# (2^16 squares, like a block of samples)
-_CELLS = 32
+# template, and templates certified at a time (2^18 cells)
+_CELLS = 64
 _TEMPLATES = 64
-_SPLIT = 2**14
-
-
-def _certified_squares(iu, iv, n, table_u, table_v, table_r2, ell):
-    """(R, a, b) bool, one row per row of disks u, v and reach2 (R of them):
-    the squares [iu, iu + 1] x [iv, iv + 1] of side ell / n on the face
-    square that one of the row's disks holds with coverage_check's margin,
-    iu and iv being (R, a) and (R, b) grid indices, or (1, a) and (1, b)
-    shared by every row."""
-    pad = ell * 2.0**-20
-    lo_u, lo_v = (i * (ell / n) - pad for i in (iu, iv))
-    hi_u, hi_v = ((i + 1) * (ell / n) + pad for i in (iu, iv))
-    cert = np.zeros((len(table_u), iu.shape[1], iv.shape[1]), dtype=bool)
-    for r in range(table_u.shape[1]):
-        # per axis, the squared distance from the disk centre to the padded
-        # square's farther end, raised by the relative margin
-        far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[:, r, None]),
-                                                      np.abs(hi - t[:, r, None])) ** 2
-                        for t, lo, hi in ((table_u, lo_u, hi_u), (table_v, lo_v, hi_v)))
-        r2 = table_r2[:, r, None]
-        inner = r2 - 2.0**-30 * np.abs(r2) - pad * ell - far_u  # per u square
-        cert |= far_v[:, None, :] < inner[:, :, None]
-    return cert
 
 
 def _open_cells(table_u, table_v, table_r2, ell):
     """The cell certificate of each template row of the disk table: (T,
-    _CELLS^2) bool, the cells of a _CELLS x _CELLS grid on the face square,
-    in (u, v) row-major order, that none of its disks holds with
-    coverage_check's margin."""
-    cells = np.arange(_CELLS)[None]
+    _CELLS^2) bool, the cells [i, i + 1] x [j, j + 1] of side ell / _CELLS on
+    the face square, in (i, j) row-major order, that none of its disks holds
+    with coverage_check's margin."""
+    pad = ell * 2.0**-20
+    cells = np.arange(_CELLS)
+    lo, hi = cells * (ell / _CELLS) - pad, (cells + 1) * (ell / _CELLS) + pad
     open_cells = np.empty((len(table_u), _CELLS**2), dtype=bool)
     for s in range(0, len(table_u), _TEMPLATES):
-        rows = slice(s, s + _TEMPLATES)
-        cert = _certified_squares(cells, cells, _CELLS, table_u[rows], table_v[rows],
-                                  table_r2[rows], ell)
-        open_cells[rows] = ~cert.reshape(-1, _CELLS**2)
+        u, v, r2 = (t[s : s + _TEMPLATES] for t in (table_u, table_v, table_r2))
+        cert = np.zeros((len(u), _CELLS, _CELLS), dtype=bool)
+        for r in range(u.shape[1]):
+            # per axis, the squared distance from the disk centre to the padded
+            # cell's farther end, raised by the relative margin
+            far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[:, r, None]),
+                                                          np.abs(hi - t[:, r, None])) ** 2
+                            for t in (u, v))
+            inner = r2[:, r, None] - 2.0**-30 * np.abs(r2[:, r, None]) - pad * ell - far_u
+            cert |= far_v[:, None, :] < inner[:, :, None]  # inner is per u cell
+        open_cells[s : s + _TEMPLATES] = ~cert.reshape(-1, _CELLS**2)
     return open_cells
-
-
-def _whole_templates(open_cells, table_u, table_v, table_r2, ell):
-    """(T,) bool, the templates whole: each cell their row of open_cells
-    leaves open has its four quarters, split at its middle on both axes,
-    held by the disks."""
-    whole = np.ones(len(table_u), dtype=bool)
-    cut = np.flatnonzero(open_cells)
-    for s in range(0, len(cut), _SPLIT):
-        t, c = np.divmod(cut[s : s + _SPLIT], _CELLS**2)
-        i, j = 2 * np.stack(np.divmod(c, _CELLS))[:, :, None] + [0, 1]  # its halves, per axis
-        split = _certified_squares(i, j, 2 * _CELLS, table_u[t], table_v[t], table_r2[t], ell)
-        whole[t[~split.all(axis=(1, 2))]] = False
-    return whole
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
@@ -625,11 +594,11 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       repeats them: the preset's 9,850 faces have 181 templates), and the
       templates are numbered in the order of their first faces.  So a
       certificate serves only faces whose disks are exactly the template's.
-    * Each template certifies the cells of a 32 x 32 grid on the unit square
-      that one of its disks holds.  A sample falls in cell floor(32 u) * 32
-      + floor(32 v), exactly: 32 u is u's 24-bit integer times 2^-19, so its
-      floor is that integer's top five bits, bits 27-31 of the word, and
-      floor(32 v) is bits 59-63.  So the cell is read from the word, and
+    * Each template certifies the cells of a 64 x 64 grid on the unit square
+      that one of its disks holds.  A sample falls in cell floor(64 u) * 64
+      + floor(64 v), exactly: 64 u is u's 24-bit integer times 2^-18, so its
+      floor is that integer's top six bits, bits 26-31 of the word, and
+      floor(64 v) is bits 58-63.  So the cell is read from the word, and
       only the samples in open cells are made into floats.  float32 rounds
       ell and ell * x each to a relative 2^-24, so on each axis the sample's
       point lies within 2^-23 ell of ell times the cell's x-range: inside
@@ -646,23 +615,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       larger than far^2 and |reach2|, is smaller still, and both lie far
       under the margin 2^-30 (far^2 + |reach2|).  pad ell covers the
       subnormal range, where rounding is not relative.  So the test accepts
-      every sample of a certified cell.
-    * Each cell that a template leaves open is split once into its four
-      quarters, the squares of side ell/64 halving it on both axes, and
-      they are certified by the same inequality, with the quarter's square
-      widened by pad.  A sample's quarter within its cell is bit 26 of the
-      word along u and bit 58 along v: floor(64 u) is the top six bits of
-      u's 24-bit integer, bits 26-31.  As for a cell, the sample's point
-      lies within 2^-23 ell of ell times the quarter's x-range, so inside
-      the widened quarter, and the test accepts every sample of a certified
-      quarter.  A template is whole when each of its open cells has all four
-      quarters certified: every sample of a face with a whole template lies
-      in a certified cell or quarter, and the test accepts it.  Templates
-      are split only where that can spare a block: first the template of
-      each block's first face, then the other templates of the blocks whose
-      first template is whole.  A template left unsplit counts as not
-      whole; each of its blocks has a first template that is not whole and
-      is drawn in any case.
+      every sample of a certified cell, and a template is whole when it
+      leaves no cell open.
     * A block whose faces all have whole templates draws no word: the
       generator is advanced past its words instead.  PCG64 steps a 128-bit
       linear congruential state s -> a s + c (mod 2^128) once per 64-bit
@@ -717,20 +671,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
 
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
-    rows = table_u[first], table_v[first], table_r2[first]
-    open_cells = _open_cells(*rows, ell)  # the cells whose samples take the float64 test
-    # the templates whose every sample the test provably accepts, split only
-    # where that can skip a block: each block's first, then the others of the
-    # blocks whose first is whole; a template not split counts as not whole
-    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
-    heads = np.unique(template[::block])
-    whole = np.zeros(len(first), dtype=bool)
-    whole[heads] = _whole_templates(open_cells[heads], *(r[heads] for r in rows), ell)
-    rest = np.setdiff1d(template[np.repeat(whole[template[::block]], block)[:n_faces]], heads)
-    whole[rest] = _whole_templates(open_cells[rest], *(r[rest] for r in rows), ell)
-    whole = whole[template]
+    # the cells whose samples take the float64 test, and the faces of whole
+    # templates, whose every sample the test provably accepts
+    open_cells = _open_cells(table_u[first], table_v[first], table_r2[first], ell)
+    whole = ~open_cells.any(axis=1)[template]
 
     bits = np.random.default_rng(seed).bit_generator
+    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
     base = template * _CELLS**2  # each face's first cell in open_cells
     cell, high = np.empty((2, block * n_samples), dtype=np.int64)
     misses = []
@@ -741,10 +688,10 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
             continue
         word = bits.random_raw((hi - lo, n_samples)).view(np.int64)  # one per sample
         c, t = (buf[: word.size].reshape(word.shape) for buf in (cell, high))
-        np.right_shift(word, 22, out=c)
-        c &= 0x3E0  # floor(32 u) * 32, from bits 27-31
-        np.right_shift(word, 59, out=t)
-        t &= 0x1F  # floor(32 v), from bits 59-63
+        np.right_shift(word, 20, out=c)
+        c &= 0xFC0  # floor(64 u) * 64, from bits 26-31
+        np.right_shift(word, 58, out=t)
+        t &= 0x3F  # floor(64 v), from bits 58-63
         c |= t
         c += base[lo:hi, None]
         at = np.flatnonzero(open_cells.ravel()[c])  # the samples in open cells

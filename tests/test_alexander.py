@@ -259,20 +259,6 @@ class TestSympyOracle:
         assert any(m.startswith("ValueError: need a deficiency-1") for m in messages)
         assert len(messages) < 150  # most have a polynomial
 
-    def test_errors_past_the_abelianization_match_sympy(self, monkeypatch):
-        """The zero-ideal and Delta(1) errors cannot follow a passed
-        abelianization check: a gcd of 1 for the exponent-sum minors, the
-        Alexander minors at t = 1, leaves some minor nonzero and makes
-        Delta(1), which divides each of them there, +-1.  With the check
-        passed over in both, random presentations reach those errors."""
-        monkeypatch.setattr(ax, "_abelianization_is_infinite_cyclic", lambda p: True)
-        monkeypatch.setattr(orc, "abelianization_is_infinite_cyclic", lambda p: True)
-        rng = np.random.default_rng(7)
-        messages = assert_matches_sympy(orc.random_presentation(rng) for _ in range(300))
-        assert "ValueError: all maximal minors vanish; Alexander ideal is zero" in messages
-        assert "ValueError: Delta(1) = 2 != +-1: not a knot-group presentation" in messages
-        assert "ValueError: Delta(1) = 0 != +-1: not a knot-group presentation" in messages
-
     def test_stages_match_sympy_powers(self):
         for p in knots():
             delta = outcome(ax.alexander_polynomial, p)

@@ -346,6 +346,8 @@ def test_runconfig_guards():
         RunConfig(relation_tol=1.0).validate()
     with pytest.raises(ValueError, match="caps must be positive"):
         RunConfig(eps=float("nan")).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(seed=-1).validate()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="bending angles must be finite"):
             RunConfig(bend_ts=(0.0, bad)).validate()
@@ -357,7 +359,8 @@ def test_runconfig_guards():
     [["report", "--domain-budget", "0"], ["report", "--domain-budget", "-1"],
      ["validate", "--samples-per-face", "0"], ["alexander", "--depth", "-1"],
      ["bend", "--bend-ts", "0,nan"], ["report", "--bend-ts", "nan"],
-     ["limitset", "--eps", "nan"]],
+     ["limitset", "--eps", "nan"], ["validate", "--seed", "-1"], ["report", "--seed", "-1"],
+     ["alexander", "--depth", "14300"]],
 )
 def test_out_of_range_settings_are_usage_errors(argv, capsys):
     """Exit 2 with the subcommand's usage line, which names its flags."""

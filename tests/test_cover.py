@@ -603,26 +603,18 @@ def test_coverage_rejects_a_non_finite_radius(single_cube):
 
 
 def record_certificates(monkeypatch):
-    """Record each cv._certified_squares call as (grid indices iu and iv,
-    grid side n, disk rows u, v and reach2, ell, its certificate): n = 32 for
-    the cells, 64 for the quarters of the open cells."""
+    """Record each cv._open_cells call as (template rows u, v and reach2, ell,
+    its (T, _CELLS^2) certificate, True where a cell is certified)."""
     calls = []
-    real = cv._certified_squares
+    real = cv._open_cells
 
-    def spy(iu, iv, n, table_u, table_v, table_r2, ell):
-        cert = real(iu, iv, n, table_u, table_v, table_r2, ell)
-        calls.append((iu, iv, n, table_u, table_v, table_r2, ell, cert))
-        return cert
+    def spy(table_u, table_v, table_r2, ell):
+        open_cells = real(table_u, table_v, table_r2, ell)
+        calls.append((table_u, table_v, table_r2, ell, ~open_cells))
+        return open_cells
 
-    monkeypatch.setattr(cv, "_certified_squares", spy)
+    monkeypatch.setattr(cv, "_open_cells", spy)
     return calls
-
-
-def cell_calls(calls):
-    """The recorded cell certificates as (template rows u, v and reach2, ell,
-    (T, _CELLS^2) certificate)."""
-    return [(u, v, r2, ell, cert.reshape(len(cert), -1))
-            for _iu, _iv, n, u, v, r2, ell, cert in calls if n == cv._CELLS]
 
 
 @pytest.fixture(scope="module")
@@ -651,7 +643,7 @@ def test_coverage_certificate_on_distinct_templates(jittered_cube, monkeypatch):
     surf, cover = jittered_cube
     calls = record_certificates(monkeypatch)
     got = coverage_check(cover, surf, n_samples=2000, seed=0)
-    assert sum(len(u) for u, *_rest in cell_calls(calls)) == len(surf.faces)  # one per face
+    assert sum(len(u) for u, *_rest in calls) == len(surf.faces)  # one per face
     assert 0.0 < got[0] < 1.0
     assert got == orc.coverage_check(cover, surf, n_samples=2000, seed=0)
 
@@ -665,7 +657,7 @@ def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
     one = big_ball(surf, build_cover(c))
     calls = record_certificates(monkeypatch)
     got = coverage_check(one, surf, n_samples=2000, seed=0)
-    (table_u, _v, table_r2, _ell, cert), = cell_calls(calls)
+    (table_u, _v, table_r2, _ell, cert), = calls
     assert table_u.min() < -9000.0 and table_r2.max() > 9e7
     assert cert.all(axis=1).any()  # face 0's template
     assert 0.0 < got[0] < 1.0 and 0 not in {fi for fi, _pt in got[1]}
@@ -673,141 +665,48 @@ def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
 
 
 def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
-    """Brute force: every point of the 257 x 257 lattice k ell / 256 on the
-    face square that lies in a closed certified cell passes coverage_check's
-    float64 test against its template's disks.  Over the preset's templates
-    at k = 0 and 2, the jittered cube's and the radius-1e4 disk's.  On the
-    preset more than 99% of the template cells are certified."""
+    """Brute force: every point of the 513 x 513 lattice k ell / 512 on the
+    face square that lies in a closed certified cell (9 x 9 points per cell)
+    passes coverage_check's float64 test against its template's disks.  Over
+    the preset's templates at k = 0 and 2, where every cell is certified, the
+    jittered cube's and the radius-1e4 disk's."""
     calls = record_certificates(monkeypatch)
     surf, covers = preset_covers
     for cover in covers.values():
         coverage_check(cover, surf, n_samples=1, seed=0)
-    preset_cells = np.concatenate([cert for *_rows, cert in cell_calls(calls)])
-    assert preset_cells.mean() > 0.99
+    assert all(cert.all() for *_rows, cert in calls)
     cube_surf, cube = jittered_cube
     coverage_check(cube, cube_surf, n_samples=1, seed=0)
     coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
-    k = np.arange(257)
+    k = np.arange(513)
     # the closed cells holding lattice index k along one axis: k // 8 and,
     # on a cell edge, the cell below
     near = [np.minimum(k // 8, cv._CELLS - 1), np.maximum((k - 1) // 8, 0)]
-    for table_u, table_v, table_r2, ell, cert in cell_calls(calls):
-        grid = k * (ell / 256)
+    tested = 0
+    for table_u, table_v, table_r2, ell, cert in calls:
+        grid = k * (ell / 512)
         for t, cells in enumerate(cert.reshape(-1, cv._CELLS, cv._CELLS)):
-            inside = np.zeros((257, 257), dtype=bool)
+            inside = np.zeros((513, 513), dtype=bool)
             for a, b in itertools.product(near, repeat=2):
                 inside |= cells[a][:, b]
             u, v = (grid[kk] for kk in np.nonzero(inside))
+            tested += len(u)
             for u0, v0, r2 in zip(table_u[t], table_v[t], table_r2[t]):
                 du, dv = u - u0, v - v0
                 open_ = ~(du * du + dv * dv < r2)  # the test of coverage_check, per disk
                 u, v = u[open_], v[open_]
             assert len(u) == 0
-
-
-def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
-    """Brute force for the split: every point of the lattice k ell / 512 that
-    lies in a closed certified quarter of an open cell (9 x 9 points per
-    quarter) passes coverage_check's float64 test against its template's
-    disks.  Over the preset's templates at k = 0 and 2, the jittered cube's
-    and the radius-1e4 disk's.  On the preset every quarter is certified."""
-    calls = record_certificates(monkeypatch)
-    surf, covers = preset_covers
-    for cover in covers.values():
-        coverage_check(cover, surf, n_samples=1, seed=0)
-    assert all(cert.all() for *_rows, n, _u, _v, _r2, _ell, cert in calls if n == 2 * cv._CELLS)
-    cube_surf, cube = jittered_cube
-    coverage_check(cube, cube_surf, n_samples=1, seed=0)
-    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
-    steps = np.arange(9)
-    tested = 0
-    for iu, iv, n, table_u, table_v, table_r2, ell, cert in calls:
-        if n != 2 * cv._CELLS:
-            continue
-        row, a, b = np.nonzero(cert)
-        u = (8 * iu[row, a, None] + steps)[:, :, None] * (ell / 512)
-        v = (8 * iv[row, b, None] + steps)[:, None, :] * (ell / 512)
-        open_ = np.ones((len(row), 9, 9), dtype=bool)
-        for u0, v0, r2 in zip(table_u[row].T, table_v[row].T, table_r2[row].T):
-            du, dv = u - u0[:, None, None], v - v0[:, None, None]
-            open_ &= ~(du * du + dv * dv < r2[:, None, None])  # the test of coverage_check
-        assert not open_.any()
-        tested += len(row)
-    assert tested > 1000
-
-
-def record_splits(monkeypatch):
-    """Record each cv._whole_templates call as (open cells, template rows u,
-    v and reach2, ell, whole) in the list of the last coverage_check, a new
-    list appended to the returned one before each call."""
-    checks = []
-    real = cv._whole_templates
-
-    def spy(open_cells, table_u, table_v, table_r2, ell):
-        whole = real(open_cells, table_u, table_v, table_r2, ell)
-        checks[-1].append((open_cells, table_u, table_v, table_r2, ell, whole))
-        return whole
-
-    monkeypatch.setattr(cv, "_whole_templates", spy)
-    return checks
-
-
-def test_whole_templates_match_the_full_quarter_grid(preset_covers, broken_preset,
-                                                    jittered_cube, monkeypatch):
-    """A template is whole when every cell its 32 x 32 certificate leaves open
-    has the four quarters of the 64 x 64 grid inside it certified; here the
-    quarters come from certifying the full 64 x 64 grid of every template
-    split at once, not from the split of the open cells.  Over the preset at
-    k = 0 and 2 (all whole, every template split), the dropped-ball controls
-    (some not), the jittered cube and the radius-1e4 disk."""
-    checks = record_splits(monkeypatch)
-    surf, covers = preset_covers
-    runs = [(cover, surf) for cover in [*covers.values(),
-                                        *(broken for broken, _ref in broken_preset.values())]]
-    cube_surf, cube = jittered_cube
-    for cover, s in [*runs, (cube, cube_surf), (big_ball(cube_surf, cube), cube_surf)]:
-        checks.append([])
-        coverage_check(cover, s, n_samples=1, seed=0)
-    grid = np.arange(2 * cv._CELLS)[None]
-    counts = []
-    for calls in checks:
-        n_whole = n_split = 0
-        for open_cells, table_u, table_v, table_r2, ell, whole in calls:
-            quarters = cv._certified_squares(grid, grid, 2 * cv._CELLS, table_u, table_v,
-                                             table_r2, ell)
-            # per cell, its four quarters certified
-            split = quarters.reshape(-1, cv._CELLS, 2, cv._CELLS, 2).all(axis=(2, 4))
-            split = split.reshape(-1, cv._CELLS**2)
-            assert np.array_equal(whole, (split | ~open_cells).all(axis=1))
-            n_whole, n_split = n_whole + int(whole.sum()), n_split + len(whole)
-        counts.append((n_whole, n_split))
-    assert counts[:2] == [(181, 181), (213, 213)]
-    assert all(n_whole < n for n_whole, n in counts[2:5])
-
-
-def test_split_takes_only_blocks_that_can_be_skipped(jittered_cube, monkeypatch):
-    """No two faces of the jittered cube share a template.  At 10,000
-    samples (6 faces a block) the split takes the first template of each of
-    the 9 blocks, then only the 5 other templates of each block whose first
-    one came out whole; the result equals the serial form's."""
-    surf, cover = jittered_cube
-    checks = record_splits(monkeypatch)
-    checks.append([])
-    got = coverage_check(cover, surf, n_samples=10_000, seed=0)
-    (*heads, heads_whole), (*rest, _rest_whole) = checks[0]
-    assert len(heads_whole) == 9 and len(rest[0]) == 5 * heads_whole.sum()
-    assert 0 < heads_whole.sum() < 9
-    assert got == orc.coverage_check(cover, surf, n_samples=10_000, seed=0)
+    assert tested > 10**8
 
 
 def test_a_cell_split_in_part_is_drawn(single_cube):
     """Two balls of radius about 1e3 centred in face 0's plane cut its square
-    along v = 33/64 + 1e-3 and v = 33.5/64: the cells of row 16 are open,
-    their lower quarters certified by the first ball and their upper ones
-    by neither, so face 0's template is not whole although each open cell
-    has a certified quarter, and the uncovered strip between the two gives
-    misses.  At 70,000 samples face 0 is a block of its own; the result
-    equals the serial form's."""
+    along v = 33/64 + 1e-3 and v = 33.5/64: the cells with v in [33/64,
+    34/64] are open, the first ball holding the part of each below its cut
+    and the second the part above its own, so face 0's template is not whole
+    although each open cell is held in part, and the uncovered strip between
+    the two cuts gives misses.  At 70,000 samples face 0 is a block of its
+    own; the result equals the serial form's."""
     surf, cover = single_cube
     far = 1e3
     centers = np.repeat(surf.faces[:1, :4].astype(float), 2, axis=0)
@@ -848,12 +747,37 @@ def count_words(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, k):
-    """Every template of the preset is whole, so coverage advances the
-    generator past all its words and draws none."""
+    """Every template of the preset (181 at k = 0, 213 at k = 2) leaves no
+    cell open, so it is whole, and coverage advances the generator past all
+    its words and draws none."""
     surf, covers = preset_covers
+    calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
     assert coverage_check(covers[k], surf, n_samples=1000, seed=0) == (1.0, [])
     assert counts == {"drawn": 0, "advanced": 1000 * len(surf.faces)}
+    (*_rows, cert), = calls
+    assert len(cert) == {0: 181, 2: 213}[k] and cert.all()
+
+
+def test_drawn_blocks_are_those_with_an_open_cell(jittered_cube, monkeypatch):
+    """No two faces of the jittered cube share a template, so template t is
+    face t's.  At 10,000 samples (6 faces a block) exactly the blocks that
+    hold a face whose template leaves a cell open are drawn, although some
+    faces are whole; the result equals the serial form's."""
+    surf, cover = jittered_cube
+    want = orc.coverage_check(cover, surf, n_samples=10_000, seed=0)
+    calls = record_certificates(monkeypatch)
+    counts = count_words(monkeypatch)
+    assert coverage_check(cover, surf, n_samples=10_000, seed=0) == want
+    (*_rows, cert), = calls
+    n_faces = len(surf.faces)
+    assert len(cert) == n_faces
+    whole = cert.all(axis=1)
+    assert 0 < whole.sum() < n_faces
+    block = 2**16 // 10_000
+    drawn = {f // block for f in np.flatnonzero(~whole)}
+    assert counts["drawn"] == 10_000 * sum(min(block, n_faces - b * block) for b in drawn)
+    assert counts["drawn"] + counts["advanced"] == 10_000 * n_faces
 
 
 @pytest.mark.parametrize("which", DROPPED)
