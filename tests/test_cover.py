@@ -699,6 +699,39 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     assert tested > 10**8
 
 
+def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
+    """Brute force at the edge of the open area: every certified cell that is
+    a quarter of a 2 x 2 block (a cell of side ell/32) with an open cell
+    passes coverage_check's float64 test at the 9 x 9 points of the lattice
+    k ell / 512 in it, against its template's disks, all quarters at once.
+    Over the preset's templates at k = 0 and 2, where every cell is
+    certified, the jittered cube's and the radius-1e4 disk's."""
+    calls = record_certificates(monkeypatch)
+    surf, covers = preset_covers
+    for cover in covers.values():
+        coverage_check(cover, surf, n_samples=1, seed=0)
+    assert all(cert.all() for *_rows, cert in calls)
+    cube_surf, cube = jittered_cube
+    coverage_check(cube, cube_surf, n_samples=1, seed=0)
+    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    steps = np.arange(9)
+    tested = 0
+    for table_u, table_v, table_r2, ell, cert in calls:
+        cells = cert.reshape(-1, cv._CELLS, cv._CELLS)
+        blocks = cells.reshape(-1, cv._CELLS // 2, 2, cv._CELLS // 2, 2).all(axis=(2, 4))
+        in_open_block = ~blocks.repeat(2, axis=1).repeat(2, axis=2)
+        row, a, b = np.nonzero(cells & in_open_block)
+        u = (8 * a[:, None] + steps)[:, :, None] * (ell / 512)
+        v = (8 * b[:, None] + steps)[:, None, :] * (ell / 512)
+        open_ = np.ones((len(row), 9, 9), dtype=bool)
+        for u0, v0, r2 in zip(table_u[row].T, table_v[row].T, table_r2[row].T):
+            du, dv = u - u0[:, None, None], v - v0[:, None, None]
+            open_ &= ~(du * du + dv * dv < r2[:, None, None])  # the test of coverage_check
+        assert not open_.any()
+        tested += len(row)
+    assert tested > 1000
+
+
 def test_a_cell_split_in_part_is_drawn(single_cube):
     """Two balls of radius about 1e3 centred in face 0's plane cut its square
     along v = 33/64 + 1e-3 and v = 33.5/64: the cells with v in [33/64,
