@@ -288,16 +288,26 @@ def _format(poly):
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
+# The last stage a verdict reports: stage i has 2^i copies, and the cap keeps
+# each stage's copy count and degree (302 digits at most) far under Python's
+# 4,300-digit limit on printing an int.
+MAX_DEPTH = 1000
+
+
 def nontriviality_verdict(delta, depth=6):
     """Certify nontriviality of the infinite connected-sum limit knot.
 
-    Returns a report dict.  The verdict is NONTRIVIAL iff delta is not a unit
-    +-t^k; the finite stages double the knot each time, so their polynomials
-    are delta^(2^i) and are non-units exactly when delta is.  Since Z[t, 1/t]
-    has no zero divisors, stage i has degree 2^i deg(delta); a stage is
-    expanded and printed only while 2^i max(deg(delta), 1) <= 16, so that a
-    constant's coefficients stay small too (0 and 1 are their own powers).
+    Returns a report dict with stages 0 to depth.  The verdict is NONTRIVIAL
+    iff delta is not a unit +-t^k; the finite stages double the knot each
+    time, so their polynomials are delta^(2^i) and are non-units exactly when
+    delta is.  Since Z[t, 1/t] has no zero divisors, stage i has degree
+    2^i deg(delta); a stage is expanded and printed only while
+    2^i max(deg(delta), 1) <= 16, so that a constant's coefficients stay
+    small too (0 and 1 are their own powers).  A depth outside 0 to
+    MAX_DEPTH raises ValueError.
     """
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be between 0 and {MAX_DEPTH}, got {depth}")
     delta = _normalized(delta)
     degree = max(len(delta) - 1, 0)
     unit = delta == (1,)

@@ -623,10 +623,8 @@ def main(argv=None):
     p.add_argument("--file", default=None,
                    help="presentation file instead of a preset")
     p.add_argument("--depth", type=int, default=6,
-                   help="last connected-sum stage, 0 to 1000, printed alone (every stage "
-                   "with -v); stage i has 2^i copies, and the cap keeps each stage's "
-                   "copy count and degree far under Python's 4,300-digit limit on "
-                   "printing an int")
+                   help=f"last connected-sum stage, 0 to {ax.MAX_DEPTH}, printed alone "
+                   "(every stage with -v); stage i has 2^i copies")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_alexander)
 
@@ -637,8 +635,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     usage_error = subs.choices[args.command].error
     if args.func is cmd_alexander:
-        if not 0 <= args.depth <= 1000:
-            usage_error("depth must be between 0 and 1000")
+        if not 0 <= args.depth <= ax.MAX_DEPTH:
+            usage_error(f"depth must be between 0 and {ax.MAX_DEPTH}")
         return cmd_alexander(args)
     try:
         cfg = _config_from_args(args)

@@ -38,18 +38,16 @@ array of rows (i, j, m), which is also the reflection group's relation
 array.  Coverage is a query on the same grid join, again one per radius
 octave, queried from its smaller side: it lists every ball whose trace
 disk meets a face's square.  The faces whose disks are bit for bit the same
-share one certificate of the cells of the face square that a disk holds;
-they are grouped by _first_rows, one exact lexsort of their rows, which is
-also how the relation suite groups its frames and the word tables their
-Tits matrices' column sums and their roots.
-Each Monte-Carlo sample is one 64-bit word of the seeded generator, and the
-top six bits of each half of the word are its cell of a 64 x 64 grid,
-exactly, so only the samples outside certified cells become points; they
-are tested against the disks, in float64, in the face plane, with no
-recheck.  A template with no open cell is whole, and a block of faces with
-whole templates draws no word: the generator is advanced past it, which
-leaves the stream where drawing would, so the result is the same bits.  A
-lattice cover's templates are all whole, so its coverage draws no sample.
+share one certificate that their disks hold the whole face square; they
+are grouped by _first_rows, one exact lexsort of their rows, which is also
+how the relation suite groups its frames and the word tables their Tits
+matrices' column sums and their roots.  Each Monte-Carlo sample is a
+float32 pair of the seeded generator, tested against its face's disks, in
+float64, in the face plane, with no recheck.  A block of faces whose
+templates are all whole draws no sample: the generator is advanced past
+it, which leaves the stream where drawing would, so the result is the same
+bits.  A lattice cover's templates are all whole, so its coverage draws no
+sample.
 """
 
 from __future__ import annotations
@@ -534,28 +532,24 @@ _CELLS = 64
 _TEMPLATES = 64
 
 
-def _open_cells(table_u, table_v, table_r2, ell):
-    """The cell certificate of each template row of the disk table: (T,
-    _CELLS^2) bool, the cells [i, i + 1] x [j, j + 1] of side ell / _CELLS on
-    the face square, in (i, j) row-major order, that none of its disks holds
-    with coverage_check's margin."""
+def _held_cells(u, v, r2, ell):
+    """The cell certificate of template rows u, v and reach2 (T, width): (T,
+    _CELLS, _CELLS) bool, True at the cells [i, i + 1] x [j, j + 1] of side
+    ell / _CELLS on the face square that one of its disks holds with
+    coverage_check's margin."""
     pad = ell * 2.0**-20
     cells = np.arange(_CELLS)
     lo, hi = cells * (ell / _CELLS) - pad, (cells + 1) * (ell / _CELLS) + pad
-    open_cells = np.empty((len(table_u), _CELLS**2), dtype=bool)
-    for s in range(0, len(table_u), _TEMPLATES):
-        u, v, r2 = (t[s : s + _TEMPLATES] for t in (table_u, table_v, table_r2))
-        cert = np.zeros((len(u), _CELLS, _CELLS), dtype=bool)
-        for r in range(u.shape[1]):
-            # per axis, the squared distance from the disk centre to the padded
-            # cell's farther end, raised by the relative margin
-            far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[:, r, None]),
-                                                          np.abs(hi - t[:, r, None])) ** 2
-                            for t in (u, v))
-            inner = r2[:, r, None] - 2.0**-30 * np.abs(r2[:, r, None]) - pad * ell - far_u
-            cert |= far_v[:, None, :] < inner[:, :, None]  # inner is per u cell
-        open_cells[s : s + _TEMPLATES] = ~cert.reshape(-1, _CELLS**2)
-    return open_cells
+    held = np.zeros((len(u), _CELLS, _CELLS), dtype=bool)
+    for r in range(u.shape[1]):
+        # per axis, the squared distance from the disk centre to the padded
+        # cell's farther end, raised by the relative margin
+        far_u, far_v = ((1.0 + 2.0**-30) * np.maximum(np.abs(lo - t[:, r, None]),
+                                                      np.abs(hi - t[:, r, None])) ** 2
+                        for t in (u, v))
+        inner = r2[:, r, None] - 2.0**-30 * np.abs(r2[:, r, None]) - pad * ell - far_u
+        held |= far_v[:, None, :] < inner[:, :, None]  # inner is per u cell
+    return held
 
 
 def coverage_check(cover, surf, n_samples=10_000, seed=0):
@@ -578,66 +572,60 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     being the largest candidate count; padding slots have reach2 = -inf, so
     they contain no point.
 
-    The float32 samples x = (u, v) in [0, 1)^2 are read from the seeded
-    PCG64 generator's 64-bit words, one word per sample, in blocks of about
-    2^16 samples, in face order.  They are the samples that
-    Generator.random(dtype=np.float32) draws from the same words: it spends
-    one word on two floats, u from the low 32 bits and v from the high 32,
-    each as its top 24 bits times 2^-24 (exact in float32), and a block
-    draws whole words.  A sample is the point ell * x, rounded to float32,
-    and it is covered when, in float64 and in the face plane,
-    (u - cu)^2 + (v - cv)^2 < reach2 for one of its face's table rows.  Most
-    samples are decided without that test, by a cell certificate:
+    The float32 samples x = (u, v) in [0, 1)^2 are drawn by the seeded
+    generator's Generator.random(dtype=np.float32), in blocks of about 2^16
+    samples, in face order.  A float32 draw is the top 24 bits of 32 times
+    2^-24 (exact in float32), and two draws spend one 64-bit PCG64 word, u
+    from its low 32 bits and v from its high 32, so a sample is one word.  A
+    sample is the point ell * x, rounded to float32, and it is covered when,
+    in float64 and in the face plane, (u - cu)^2 + (v - cv)^2 < reach2 for
+    one of its face's table rows.  Most faces are decided without a draw,
+    by a certificate:
 
     * A face's template is its row of the table: u, v and reach2.  Faces are
       grouped by the rows' bits, exactly, by _first_rows (the lattice cover
       repeats them: the preset's 9,850 faces have 181 templates), and the
       templates are numbered in the order of their first faces.  So a
       certificate serves only faces whose disks are exactly the template's.
-    * Each template certifies the cells of a 64 x 64 grid on the unit square
-      that one of its disks holds.  A sample falls in cell floor(64 u) * 64
-      + floor(64 v), exactly: 64 u is u's 24-bit integer times 2^-18, so its
-      floor is that integer's top six bits, bits 26-31 of the word, and
-      floor(64 v) is bits 58-63.  So the cell is read from the word, and
-      only the samples in open cells are made into floats.  float32 rounds
-      ell and ell * x each to a relative 2^-24, so on each axis the sample's
-      point lies within 2^-23 ell of ell times the cell's x-range: inside
-      the cell's square scaled by ell and widened by pad = 2^-20 ell on
-      every side (the float64 rounding of its bounds is far below the
-      slack).  A cell is certified when, in float64, the widened square's
-      farthest corner from the disk centre has (1 + 2^-30) far^2 < reach2 -
-      2^-30 |reach2| - pad ell.  Every point of the widened square is within
-      far of the centre, and the computed far^2 is within a relative 2^-50
-      of exact.  The sample test rounds one difference per axis, two
-      squares and a sum of non-negative terms, each to a relative 2^-53, so
-      it computes at most the point's exact value times 1 + 2^-50.  Together
-      that is below 2^-48 far^2; the certificate's own rounding, of terms no
-      larger than far^2 and |reach2|, is smaller still, and both lie far
-      under the margin 2^-30 (far^2 + |reach2|).  pad ell covers the
-      subnormal range, where rounding is not relative.  So the test accepts
-      every sample of a certified cell, and a template is whole when it
-      leaves no cell open.
-    * A block whose faces all have whole templates draws no word: the
+    * Each template certifies the cells [i, i + 1] x [j, j + 1] / 64 of the
+      unit square that one of its disks holds, and it is whole when every
+      cell is certified.  float32 rounds ell and ell * x each to a relative
+      2^-24, so on each axis a sample's point lies within 2^-23 ell of ell
+      times its cell's x-range: inside the cell's square scaled by ell and
+      widened by pad = 2^-20 ell on every side (the float64 rounding of its
+      bounds is far below the slack).  A cell is certified when, in float64,
+      the widened square's farthest corner from the disk centre has
+      (1 + 2^-30) far^2 < reach2 - 2^-30 |reach2| - pad ell.  Every point of
+      the widened square is within far of the centre, and the computed far^2
+      is within a relative 2^-50 of exact.  The sample test rounds one
+      difference per axis, two squares and a sum of non-negative terms, each
+      to a relative 2^-53, so it computes at most the point's exact value
+      times 1 + 2^-50.  Together that is below 2^-48 far^2; the
+      certificate's own rounding, of terms no larger than far^2 and
+      |reach2|, is smaller still, and both lie far under the margin 2^-30
+      (far^2 + |reach2|).  pad ell covers the subnormal range, where
+      rounding is not relative.  So the test accepts every sample of a
+      certified cell, and every sample of a whole template.
+    * A block whose faces all have whole templates draws no sample: the
       generator is advanced past its words instead.  PCG64 steps a 128-bit
       linear congruential state s -> a s + c (mod 2^128) once per 64-bit
-      word, the word being a function of the new state, and random_raw(m)
-      takes m steps; advance(d) sets the state d steps on,
-      a^d s + c (a^d - 1)/(a - 1), by squaring, and random_raw reads none
-      of the 32-bit buffer that advance clears.  So the words after
-      advance(d) are the words that follow d drawn ones: a drawn block gets
-      the words it would get if every block were drawn, and a skipped block
-      would have given no miss.  The lattice cover's templates are all whole
-      (the preset's 181 at k = 0 and 213 at k = 2), so its coverage draws
-      no sample.
-    * The blocks that are drawn go through the cell test above, and the
-      samples in cells that their face's template leaves open through the
-      float64 test against all their face's rows.
+      word, the word being a function of the new state, and a block's draw
+      of 2m float32 values takes m steps and leaves the 32-bit buffer of a
+      word's unread half empty, as it found it.  advance(d) sets the state d
+      steps on, a^d s + c (a^d - 1)/(a - 1), by squaring, and clears that
+      buffer.  So the words after advance(d) are the words that follow d
+      drawn ones: a drawn block gets the words it would get if every block
+      were drawn, and a skipped block would have given no miss.  The lattice
+      cover's templates are all whole (the preset's 181 at k = 0 and 213 at
+      k = 2), so its coverage draws no sample.
+    * A block that is drawn tests every sample against all its face's rows,
+      one rank of the table at a time.
 
-    The certificates thus change which samples are drawn and tested, never
-    a result.  Returns (fraction, misses) with misses as (face index, point)
-    pairs in face then sample order, the point being the face's float32
-    corner plus the sample.  n_samples below 1 raises ValueError, and a ball
-    without a finite centre and a finite positive radius CoverError.
+    The certificate thus changes which samples are drawn, never a result.
+    Returns (fraction, misses) with misses as (face index, point) pairs in
+    face then sample order, the point being the face's float32 corner plus
+    the sample.  n_samples below 1 raises ValueError, and a ball without a
+    finite centre and a finite positive radius CoverError.
     """
     if n_samples < 1:
         raise ValueError(f"coverage_check needs n_samples >= 1, got {n_samples}")
@@ -671,40 +659,31 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
 
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
-    # the cells whose samples take the float64 test, and the faces of whole
-    # templates, whose every sample the test provably accepts
-    open_cells = _open_cells(table_u[first], table_v[first], table_r2[first], ell)
-    whole = ~open_cells.any(axis=1)[template]
+    # the faces of whole templates, whose every sample the test provably
+    # accepts; _TEMPLATES at a time, so no cell certificate outlives its batch
+    whole = np.concatenate([
+        _held_cells(table_u[t], table_v[t], table_r2[t], ell).all(axis=(1, 2))
+        for t in np.split(first, range(_TEMPLATES, len(first), _TEMPLATES))])[template]
 
-    bits = np.random.default_rng(seed).bit_generator
+    rng = np.random.default_rng(seed)
     block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
-    base = template * _CELLS**2  # each face's first cell in open_cells
-    cell, high = np.empty((2, block * n_samples), dtype=np.int64)
     misses = []
     for lo in range(0, n_faces, block):
         hi = min(lo + block, n_faces)
         if whole[lo:hi].all():
-            bits.advance((hi - lo) * n_samples)  # the stream as if drawn
+            rng.bit_generator.advance((hi - lo) * n_samples)  # the stream as if drawn
             continue
-        word = bits.random_raw((hi - lo, n_samples)).view(np.int64)  # one per sample
-        c, t = (buf[: word.size].reshape(word.shape) for buf in (cell, high))
-        np.right_shift(word, 20, out=c)
-        c &= 0xFC0  # floor(64 u) * 64, from bits 26-31
-        np.right_shift(word, 58, out=t)
-        t &= 0x3F  # floor(64 v), from bits 58-63
-        c |= t
-        c += base[lo:hi, None]
-        at = np.flatnonzero(open_cells.ravel()[c])  # the samples in open cells
-        x = (word.ravel()[at, None] >> [8, 40]) & 0xFFFFFF  # u, v times 2^24, exactly
-        face, pt = lo + at // n_samples, x.astype(np.float32) * np.float32(2.0**-24) * ell
-        ranks = slice(0, int(count[lo:hi].max()))  # ranks past it are padding
-        du = pt[:, 0, None].astype(float) - table_u[face, ranks]
-        dv = pt[:, 1, None].astype(float) - table_v[face, ranks]
-        missed = ~(du * du + dv * dv < table_r2[face, ranks]).any(axis=1)
-        face, pt = face[missed], pt[missed]
+        x = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell  # a word per sample
+        u, v = x[..., 0].astype(float), x[..., 1].astype(float)
+        covered = np.zeros((hi - lo, n_samples), dtype=bool)
+        for r in range(int(count[lo:hi].max())):  # ranks past it are padding
+            du, dv = u - table_u[lo:hi, r, None], v - table_v[lo:hi, r, None]
+            covered |= du * du + dv * dv < table_r2[lo:hi, r, None]
+        at, s = np.nonzero(~covered)  # each miss's face in the block and sample
+        face = lo + at
         pts = corner[face].astype(np.float32)
         for col in (0, 1):
-            pts[np.arange(len(face)), plane[face, col]] += pt[:, col]
+            pts[np.arange(len(face)), plane[face, col]] += x[at, s, col]
         misses.extend((int(m), tuple(p)) for m, p in zip(face, pts.astype(float)))
     total = n_faces * n_samples
     return (total - len(misses)) / total, misses

@@ -35,7 +35,7 @@ class PointCloud:
 
     @property
     def dim(self):
-        return self.points.shape[1] if self.points.size else self.points.shape[-1]
+        return self.points.shape[1]
 
 
 def _empty_cloud(dim, notice=None):
@@ -264,9 +264,8 @@ def export_cloud(cloud, fmt, path):
 def cloud_to_csv(cloud):
     """One row per point, each coordinate written shortest round-trip by
     repr(float), once per distinct value of its column."""
-    dim = cloud.points.shape[1] if len(cloud) else 4
-    cols = ["x1", "x2", "x3", "x4"][:dim]
-    row = "%s," * dim + "%d,%s"
+    cols = ["x1", "x2", "x3", "x4"][: cloud.dim]
+    row = "%s," * cloud.dim + "%d,%s"
     lines = [",".join(cols + ["generation", "provenance"])]
     lines += [row % r for r in
               zip(*_float_columns(cloud.points), cloud.generation.tolist(), cloud.provenance)]
@@ -278,7 +277,7 @@ def cloud_to_ply(cloud):
 
     4D clouds store the fourth coordinate as an extra float property `w`.
     """
-    dim = cloud.points.shape[1] if len(cloud) else 3
+    dim = cloud.dim
     if dim not in (3, 4):
         raise ValueError("PLY export expects a 3D slice or a 4D cloud")
     header = [
@@ -305,7 +304,7 @@ def cloud_to_json(cloud):
     empty cloud come from json.dumps itself; "points" sorts after the other
     keys, so the points list closes the document."""
     head = json.dumps({
-        "dim": int(cloud.points.shape[1]) if len(cloud) else 4,
+        "dim": cloud.dim,
         "n_infinite": cloud.n_infinite,
         "n_points": len(cloud),
         "notice": cloud.notice,
@@ -313,7 +312,7 @@ def cloud_to_json(cloud):
     }, indent=2, sort_keys=True)
     if not len(cloud):
         return head + "\n"
-    dim = cloud.points.shape[1]
+    dim = cloud.dim
     coords = "[\n" + ",\n".join(["        %s"] * dim) + "\n      ]" if dim else "[]"
     item = ('    {\n      "coords": ' + coords
             + ',\n      "generation": %d,\n      "provenance": %s\n    }')

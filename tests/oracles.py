@@ -350,8 +350,7 @@ def orbit_text(orbit, sub):
 
 def cloud_to_csv(cloud):
     """limitset.cloud_to_csv, one field at a time."""
-    dim = cloud.points.shape[1] if len(cloud) else 4
-    cols = ["x1", "x2", "x3", "x4"][:dim]
+    cols = ["x1", "x2", "x3", "x4"][: cloud.points.shape[1]]
     lines = [",".join(cols + ["generation", "provenance"])]
     for i in range(len(cloud)):
         lines.append(
@@ -374,7 +373,7 @@ def cloud_to_ply_rows(cloud):
 def cloud_to_json(cloud):
     """limitset.cloud_to_json, as one json.dumps of the whole document."""
     doc = {
-        "dim": int(cloud.points.shape[1]) if len(cloud) else 4,
+        "dim": int(cloud.points.shape[1]),
         "n_points": len(cloud),
         "n_infinite": cloud.n_infinite,
         "notice": cloud.notice,

@@ -184,6 +184,17 @@ class TestStagesAndVerdict:
         assert [s["degree"] for s in report["stages"]] == [2 ** (i + 1) for i in range(41)]
         assert not any(s["unit"] for s in report["stages"])
 
+    def test_depth_range(self):
+        """Stages 0 to MAX_DEPTH = 1000 are reported, the last with 2^1000
+        copies; a depth outside that range raises ValueError naming it, where
+        -2 would report no stage and 14300 would fail on printing 2^14300."""
+        report = ax.nontriviality_verdict(TREFOIL, depth=ax.MAX_DEPTH)
+        assert ax.MAX_DEPTH == 1000 and len(report["stages"]) == 1001
+        assert report["stages"][-1]["copies"] == 2**1000
+        for depth in (-2, -1, 1001, 14300):
+            with pytest.raises(ValueError, match=f"between 0 and 1000, got {depth}"):
+                ax.nontriviality_verdict(TREFOIL, depth=depth)
+
     @pytest.mark.parametrize("depth", [16, 20])
     def test_constant_verdict_expands_no_large_power(self, depth):
         """A constant delta has degree 0 at every stage, but 3^(2^i) grows:

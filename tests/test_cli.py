@@ -43,9 +43,10 @@ def test_alexander_preset_trefoil(capsys):
 
 
 def test_alexander_depth_prints_its_stage(capsys):
-    """Without -v, --depth picks the one stage printed after the verdict."""
+    """Without -v, --depth picks the one stage printed after the verdict, up
+    to the deepest it accepts, 1000."""
     outs = []
-    for depth in (3, 6):
+    for depth in (3, 6, 1000):
         assert main(["alexander", "--preset", "trefoil", "--depth", str(depth)]) == 0
         outs.append(capsys.readouterr().out.splitlines())
     assert outs[0][:2] == outs[1][:2] and outs[0] != outs[1]
@@ -54,6 +55,8 @@ def test_alexander_depth_prints_its_stage(capsys):
                           "+ 784*t^6 - 504*t^5 + 266*t^4 - 112*t^3 + 36*t^2 - 8*t + 1")
     assert len(outs[0]) == 3
     assert outs[1][2:] == ["  stage 6: 64 copies, degree 128: degree-128 power"]
+    assert outs[2][2:] == [f"  stage 1000: {2**1000} copies, degree {2**1001}: "
+                           f"degree-{2**1001} power"]
 
 
 def test_alexander_unknot_trivial(capsys):
@@ -360,7 +363,8 @@ def test_runconfig_guards():
      ["validate", "--samples-per-face", "0"], ["alexander", "--depth", "-1"],
      ["bend", "--bend-ts", "0,nan"], ["report", "--bend-ts", "nan"],
      ["limitset", "--eps", "nan"], ["validate", "--seed", "-1"], ["report", "--seed", "-1"],
-     ["alexander", "--depth", "14300"]],
+     ["alexander", "--depth", "14300"], ["alexander", "--depth", "-2"],
+     ["alexander", "--depth", "1001"]],
 )
 def test_out_of_range_settings_are_usage_errors(argv, capsys):
     """Exit 2 with the subcommand's usage line, which names its flags."""

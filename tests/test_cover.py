@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
 from oracles import degenerate_single_cube, without_ball
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_closed_form_constants():
@@ -603,18 +609,25 @@ def test_coverage_rejects_a_non_finite_radius(single_cube):
 
 
 def record_certificates(monkeypatch):
-    """Record each cv._open_cells call as (template rows u, v and reach2, ell,
-    its (T, _CELLS^2) certificate, True where a cell is certified)."""
+    """Record each cv._held_cells call, one per batch of templates, as
+    (template rows u, v and reach2, ell, its (T, _CELLS, _CELLS) certificate,
+    True where a cell is certified)."""
     calls = []
-    real = cv._open_cells
+    real = cv._held_cells
 
-    def spy(table_u, table_v, table_r2, ell):
-        open_cells = real(table_u, table_v, table_r2, ell)
-        calls.append((table_u, table_v, table_r2, ell, ~open_cells))
-        return open_cells
+    def spy(u, v, r2, ell):
+        held = real(u, v, r2, ell)
+        calls.append((u, v, r2, ell, held))
+        return held
 
-    monkeypatch.setattr(cv, "_open_cells", spy)
+    monkeypatch.setattr(cv, "_held_cells", spy)
     return calls
+
+
+def whole_templates(calls):
+    """Per template, in template order, whether its certificate holds every
+    cell."""
+    return np.concatenate([held.all(axis=(1, 2)) for *_rows, held in calls])
 
 
 @pytest.fixture(scope="module")
@@ -659,7 +672,7 @@ def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
     got = coverage_check(one, surf, n_samples=2000, seed=0)
     (table_u, _v, table_r2, _ell, cert), = calls
     assert table_u.min() < -9000.0 and table_r2.max() > 9e7
-    assert cert.all(axis=1).any()  # face 0's template
+    assert cert.all(axis=(1, 2)).any()  # face 0's template
     assert 0.0 < got[0] < 1.0 and 0 not in {fi for fi, _pt in got[1]}
     assert got == orc.coverage_check(one, surf, n_samples=2000, seed=0)
 
@@ -685,7 +698,7 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     tested = 0
     for table_u, table_v, table_r2, ell, cert in calls:
         grid = k * (ell / 512)
-        for t, cells in enumerate(cert.reshape(-1, cv._CELLS, cv._CELLS)):
+        for t, cells in enumerate(cert):
             inside = np.zeros((513, 513), dtype=bool)
             for a, b in itertools.product(near, repeat=2):
                 inside |= cells[a][:, b]
@@ -716,8 +729,7 @@ def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, m
     coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
     steps = np.arange(9)
     tested = 0
-    for table_u, table_v, table_r2, ell, cert in calls:
-        cells = cert.reshape(-1, cv._CELLS, cv._CELLS)
+    for table_u, table_v, table_r2, ell, cells in calls:
         blocks = cells.reshape(-1, cv._CELLS // 2, 2, cv._CELLS // 2, 2).all(axis=(2, 4))
         in_open_block = ~blocks.repeat(2, axis=1).repeat(2, axis=2)
         row, a, b = np.nonzero(cells & in_open_block)
@@ -753,8 +765,9 @@ def test_a_cell_split_in_part_is_drawn(single_cube):
 
 
 def count_words(monkeypatch):
-    """Count the words coverage_check draws from and advances past its
-    generator: {"drawn": ..., "advanced": ...}."""
+    """Count the 64-bit words coverage_check draws from and advances past its
+    generator: {"drawn": ..., "advanced": ...}.  A float32 draw of
+    Generator.random takes half a word, and coverage draws whole words."""
     counts = {"drawn": 0, "advanced": 0}
     real = np.random.default_rng
 
@@ -762,34 +775,58 @@ def count_words(monkeypatch):
         def __init__(self, bits):
             self.bits = bits
 
-        def random_raw(self, size):
-            counts["drawn"] += math.prod(size)
-            return self.bits.random_raw(size)
-
         def advance(self, delta):
             counts["advanced"] += delta
             self.bits.advance(delta)
 
     class Rng:
         def __init__(self, seed):
-            self.bit_generator = Counting(real(seed).bit_generator)
+            self.rng = real(seed)
+            self.bit_generator = Counting(self.rng.bit_generator)
+
+        def random(self, size, dtype):
+            assert dtype == np.float32 and math.prod(size) % 2 == 0
+            counts["drawn"] += math.prod(size) // 2
+            return self.rng.random(size, dtype=dtype)
 
     monkeypatch.setattr(np.random, "default_rng", Rng)
     return counts
 
 
-@pytest.mark.parametrize("k", [0, 2])
-def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, k):
-    """Every template of the preset (181 at k = 0, 213 at k = 2) leaves no
-    cell open, so it is whole, and coverage advances the generator past all
-    its words and draws none."""
-    surf, covers = preset_covers
+def lattice_cover(make, k):
+    """(surface, cover at refinement k) of the complex make() builds."""
+    c = make()
+    surf = knot_surface(c)
+    return surf, build_cover(c, k=k, surf=surf)
+
+
+# Lattice covers besides the preset's: the straight tube, the preset's
+# construction at big-cube edges 9 and 13, at k = 0 and 1, and the edge-3 cube
+LATTICE = {
+    **{f"tube-k{k}": (orc.straight_tube_complex, k) for k in (0, 1)},
+    **{f"edge{e}-k{k}": (functools.partial(workloads.scaled_spun_trefoil, e), k)
+       for e in (9, 13) for k in (0, 1)},
+    "cube3": (lambda: degenerate_single_cube(3), 0),
+}
+
+
+@pytest.mark.parametrize("case", [0, 2, *LATTICE], ids=str)
+def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
+    """Every template of a lattice cover (the preset's 181 at k = 0 and 213
+    at k = 2) has every cell certified, so it is whole, and coverage
+    advances the generator past all its words and draws none."""
+    if case in LATTICE:
+        surf, cover = lattice_cover(*LATTICE[case])
+    else:
+        surf, cover = preset_covers[0], preset_covers[1][case]
     calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
-    assert coverage_check(covers[k], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert coverage_check(cover, surf, n_samples=1000, seed=0) == (1.0, [])
     assert counts == {"drawn": 0, "advanced": 1000 * len(surf.faces)}
-    (*_rows, cert), = calls
-    assert len(cert) == {0: 181, 2: 213}[k] and cert.all()
+    whole = whole_templates(calls)
+    assert whole.all()
+    if case in (0, 2):
+        assert len(whole) == {0: 181, 2: 213}[case]
 
 
 def test_drawn_blocks_are_those_with_an_open_cell(jittered_cube, monkeypatch):
@@ -802,10 +839,9 @@ def test_drawn_blocks_are_those_with_an_open_cell(jittered_cube, monkeypatch):
     calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
     assert coverage_check(cover, surf, n_samples=10_000, seed=0) == want
-    (*_rows, cert), = calls
     n_faces = len(surf.faces)
-    assert len(cert) == n_faces
-    whole = cert.all(axis=1)
+    whole = whole_templates(calls)
+    assert len(whole) == n_faces
     assert 0 < whole.sum() < n_faces
     block = 2**16 // 10_000
     drawn = {f // block for f in np.flatnonzero(~whole)}
@@ -853,11 +889,12 @@ def test_one_face_per_block_matches_the_serial_form():
 @pytest.mark.parametrize("d, m", [(0, 5), (1, 1), (65_000, 3), (70_000, 1000)])
 def test_advance_leaves_the_stream_where_drawing_would(d, m):
     """coverage_check advances the generator past a block it need not draw:
-    the words after advance(d) are those after d drawn words."""
-    skipped = np.random.default_rng(3).bit_generator
-    skipped.advance(d)
-    drawn = np.random.default_rng(3).bit_generator.random_raw(d + m)[d:]
-    assert np.array_equal(skipped.random_raw(m), drawn)
+    the float32 samples after advance(d) are those after d drawn samples,
+    each a pair of float32 draws, one word."""
+    skipped = np.random.default_rng(3)
+    skipped.bit_generator.advance(d)
+    drawn = np.random.default_rng(3).random((d + m, 2), dtype=np.float32)[d:]
+    assert np.array_equal(skipped.random((m, 2), dtype=np.float32), drawn)
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -379,9 +380,20 @@ def test_exports_byte_identical(tmp_path, setup):
 
 
 def test_empty_cloud_exports(tmp_path, setup):
+    """An empty cloud exports its own dimension: the empty 4-D cloud of a
+    too small eps and its empty 3-D slice, in all three formats, each equal
+    to the one-field-at-a-time oracle's text."""
     _cover, sub, orbit = setup
-    cloud = cloud_from_orbit(orbit, 1e-12)
-    csv = cloud_to_csv(cloud)
-    assert csv.count("\n") == 1  # header only
-    doc = cloud_to_json(cloud)
-    assert '"n_points": 0' in doc
+    empty = cloud_from_orbit(orbit, 1e-12)
+    for cloud, dim in ((empty, 4), (slice_cloud(empty, 3, 0.0, 0.5), 3)):
+        assert cloud.dim == dim
+        csv = cloud_to_csv(cloud)
+        assert csv == ",".join(["x1", "x2", "x3", "x4"][:dim] + ["generation", "provenance"]) + "\n"
+        assert csv == orc.cloud_to_csv(cloud)
+        doc = cloud_to_json(cloud)
+        assert json.loads(doc)["dim"] == dim and '"n_points": 0' in doc
+        assert doc == orc.cloud_to_json(cloud)
+        header = cloud_to_ply(cloud).splitlines()
+        assert [h.split()[-1] for h in header if h.startswith("property float")] == [
+            "x", "y", "z", "w"][:dim]
+        assert header[-1] == "end_header" and "element vertex 0" in header
