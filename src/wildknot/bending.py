@@ -42,16 +42,12 @@ class BendingLocus:
     amalgam_index: int
     center: np.ndarray  # (4,) circle center = square center
     radius: float
-    plane_axes: tuple  # the square's two spanned axes (circle plane)
-    rotation_axes: tuple  # the complementary two axes rotated by E_t
-    orthogonality_residuals: np.ndarray  # per Gamma_j sphere, |d^2 - rho^2 - r^2|
+    rotation_axes: tuple  # the two axes off the square's plane, rotated by E_t
 
 
 @dataclasses.dataclass
 class BentRepresentation:
     group: object
-    amalgam_index: int
-    t: float
     locus: BendingLocus
     side_b: np.ndarray  # (N,) bool, True on the balls conjugated by E_t
     e_matrix: np.ndarray  # E_t in the amalgam frame
@@ -77,19 +73,21 @@ def _frame_reflection_matrices(cover, balls, origin):
     return reflection_matrices(lz.spheres(cover.centers[balls] - origin, cover.radii[balls]))
 
 
-def bending_locus(group, j, tol=1e-9):
+def bending_locus(group, j):
+    """The circle orthogonal to amalgam j's four spheres, in the square's
+    plane; raises unless the four spheres agree on rho^2 and are centered
+    in that plane to within 1e-9."""
     if not 0 <= j < len(group.amalgams):
         raise GroupError(f"amalgam index {j} out of range")
     am = group.amalgams[j]
     cover = group.cover
-    plane_axes = tuple(a for a in range(4) if am.square[a][1] > am.square[a][0])
-    rotation_axes = tuple(a for a in range(4) if a not in plane_axes)
+    rotation_axes = tuple(a for a in range(4) if am.square[a][1] == am.square[a][0])
     center = np.array([(lo + hi) / 2.0 for lo, hi in am.square], dtype=float)
     balls = list(am.ball_ids)
     d2 = ((cover.centers[balls] - center[None, :]) ** 2).sum(axis=1)
     r2 = cover.radii[balls] ** 2
     rho2 = d2 - r2
-    if np.any(rho2 <= 0) or not np.ptp(rho2) <= tol:  # a NaN spread fails too
+    if np.any(rho2 <= 0) or not np.ptp(rho2) <= 1e-9:  # a NaN spread fails too
         raise GroupError(
             f"amalgam {j} has no common orthogonal circle: rho^2 spread {rho2}"
         )
@@ -100,15 +98,13 @@ def bending_locus(group, j, tol=1e-9):
         residuals = np.maximum(
             residuals, np.abs(cover.centers[balls, a] - center[a])
         )
-    if not residuals.max() <= tol:
+    if not residuals.max() <= 1e-9:
         raise GroupError(f"amalgam {j} orthogonality residual {residuals.max()}")
     return BendingLocus(
         amalgam_index=j,
         center=center,
         radius=rho,
-        plane_axes=plane_axes,
         rotation_axes=rotation_axes,
-        orthogonality_residuals=residuals,
     )
 
 
@@ -213,8 +209,6 @@ def bend(group, j, t, tol=1e-8):
     }
     return BentRepresentation(
         group=group,
-        amalgam_index=j,
-        t=t,
         locus=locus,
         side_b=side_b,
         e_matrix=e,

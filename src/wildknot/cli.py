@@ -69,16 +69,18 @@ class RunConfig:
 class Run:
     """One pipeline run; each artifact is computed on first use and kept.
 
-    The sub-assembly is amalgam `amalgam`'s balls, else `schottky` disjoint ones.
+    The sub-assembly is amalgam `amalgam`'s balls, else `schottky` disjoint
+    ones.  The output directory is made when the run starts; an `out_dir`
+    that cannot be a directory raises OSError there.
     """
 
     def __init__(self, cfg, amalgam=None, schottky=4):
         self.cfg = cfg
         self.amalgam = amalgam
         self.schottky = schottky
+        os.makedirs(cfg.out_dir, exist_ok=True)
 
     def path(self, name):
-        os.makedirs(self.cfg.out_dir, exist_ok=True)
         return os.path.join(self.cfg.out_dir, name)
 
     @functools.cached_property
@@ -195,7 +197,7 @@ def _write_orbit(orbit, sub, path):
     columns = ls._float_columns(np.column_stack([orbit.centers + sub.offset, orbit.radii]))
     lines = ["# seq word seed x1 x2 x3 x4 radius parent generation"]
     lines += ["%d %s %d %s %s %s %s %s %d %d" % row for row in
-              zip(orbit.seq.tolist(), [",".join(map(str, w)) or "-" for w in orbit.words],
+              zip(range(len(orbit.radii)), [",".join(map(str, w)) or "-" for w in orbit.words],
                   orbit.seed.tolist(), *columns, orbit.parent.tolist(), orbit.generation.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -277,15 +279,16 @@ def _check_orbit(run):
 
 
 def _check_stages(run):
-    """Every requested stage, and on pairwise-disjoint generators the side
-    counts n, 2n - 2, 2(2n - 2) - 2, ... of n generators: doubling across a
-    side drops that side and keeps each other side beside its new image.
-    Other sub-assemblies can have two sides that are mirror images, so only
-    the stage count is checked there."""
+    """Every requested stage, with strictly increasing side counts, and on
+    pairwise-disjoint generators the side counts n, 2n - 2, 2(2n - 2) - 2,
+    ... of n generators: doubling across a side drops that side and keeps
+    each other side beside its new image.  Other sub-assemblies can have two
+    sides that are mirror images, so only the stage count and the increase
+    are checked there."""
     stages = gr.polyhedron_stages(run.sub, run.orbit, run.cfg.n_stages)
     _json_dump(ls.stage_report(stages), run.path("stages.json"))
     counts = [s.n_sides for s in stages]
-    ok = len(stages) == run.cfg.n_stages + 1
+    ok = len(stages) == run.cfg.n_stages + 1 and all(a < b for a, b in zip(counts, counts[1:]))
     if _disjoint(run.sub):
         n = len(run.sub.cartan)
         ok = ok and counts == [(n - 2) * 2**k + 2 for k in range(len(counts))]
@@ -642,7 +645,10 @@ def main(argv=None):
         cfg = _config_from_args(args)
     except ValueError as exc:
         usage_error(str(exc))
-    run = Run(cfg, getattr(args, "amalgam", None), getattr(args, "schottky", 4))
+    try:
+        run = Run(cfg, getattr(args, "amalgam", None), getattr(args, "schottky", 4))
+    except OSError as exc:
+        usage_error(f"cannot make the output directory {cfg.out_dir!r}: {exc.strerror or exc}")
     try:
         return args.func(run, args)
     except INPUT_ERRORS as exc:

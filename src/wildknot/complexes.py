@@ -57,10 +57,6 @@ class Cube3:
         if self.omitted_axis not in (0, 1, 2, 3):
             raise ValueError("omitted_axis must be in 0..3")
 
-    @property
-    def spanned_axes(self):
-        return tuple(a for a in range(4) if a != self.omitted_axis)
-
 
 def boxes(cubes):
     """The closed boxes of a cube sequence: (n, 4, 2) int64 [lo, hi] per axis,
@@ -172,7 +168,7 @@ def loads_complex(text):
 
 
 def save_complex(c, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_complex(c))
 
 
@@ -339,13 +335,11 @@ def lattice_index(table, points):
 def _boundary_squares(n):
     """The 6 n^2 boundary squares of a cube of n cells per side, in its cell
     index space: (6 n^2, 3) corner steps along the spanned axes, slot by
-    slot, and the rank (in np.indices order) and face slot of the one cell
-    each square bounds."""
+    slot, and the face slot of the one cell each square bounds."""
     uv = np.indices((n, n)).reshape(2, -1).T
     steps = np.concatenate([np.insert(uv, s, side * n, axis=1)
                             for s in range(3) for side in (0, 1)])
-    rank = np.minimum(steps, n - 1) @ np.array([n * n, n, 1])
-    return steps, rank, np.repeat(np.arange(6), n * n)
+    return steps, np.repeat(np.arange(6), n * n)
 
 
 def _orientation(neighbour, flip):
@@ -410,17 +404,14 @@ def knot_surface(c):
     squares where two such cubes meet (none on a well-formed complex).
     Faces, edges and vertices are packed into mixed-radix int64 keys over the
     cells' box, as (corner, plane), (lower endpoint, axis) and point; the
-    keys sort as the tuples do, and one sort finds each kind.  Issue
-    examples are the first offender in cell order and face order: an
-    incidence's position is 6 (cell rank) + face slot, the cell rank being
-    the cube's cell offset plus the cell's rank in np.indices order.  A box
-    too large for those keys raises ComplexError.
+    keys sort as the tuples do, and one sort finds each kind; a square on
+    more than two cells is named by the first in face-key order.  A box too
+    large for those keys raises ComplexError.
     """
     unit = c.unit
     rows = np.array([(*cu.corner, cu.edge, cu.omitted_axis) for cu in c.all_cubes],
                     dtype=np.int64).reshape(-1, 6)
     corner, n, omit = rows[:, :4], rows[:, 4] // unit, rows[:, 5]
-    offset = np.cumsum(n**3) - n**3
     extent = unit * n[:, None] * (np.arange(4) != omit[:, None])
     live = n > 0
     lo = corner[live].min(axis=0)
@@ -433,15 +424,14 @@ def knot_surface(c):
     def pack(points, code, radix):
         return np.ravel_multi_index((*(points - lo).T, code), dims + (radix,))
 
-    # every cube's boundary squares with their positions, then the squares
-    # where two cubes with n > 1 meet in a set of dimension >= 2
-    squares, planes, position = [], [], []
+    # every cube's boundary squares, then the squares where two cubes with
+    # n > 1 meet in a set of dimension >= 2
+    squares, planes = [], []
     for m in np.unique(n[live]).tolist():
         at = np.flatnonzero(n == m)
-        steps, rank, slot = _boundary_squares(m)
+        steps, slot = _boundary_squares(m)
         squares.append((corner[at, None] + unit * (steps @ _AXES[omit[at]])).reshape(-1, 4))
         planes.append(_FACE_PLANE[omit[at]][:, slot].ravel())
-        position.append((6 * (offset[at, None] + rank) + slot).ravel())
     n_bound = sum(map(len, planes))
     big = np.flatnonzero(n > 1)
     box = np.stack([corner, corner + extent], axis=-1)[big]
@@ -471,20 +461,11 @@ def knot_surface(c):
     inside = ((normal >= 0) & (rem == 0).all(axis=-1)
               & (steps >= (np.arange(4) == normal[..., None])).all(axis=-1)
               & (steps <= top).all(axis=-1))
-    hit, col = np.nonzero(inside)
-    count += 2 * np.bincount(hit, minlength=len(keys))
+    count += 2 * inside.sum(axis=1)
     issues = []
     over = count > 2
     if over.any():
-        # an interior square first meets the cell below it, through its upper face
-        a, q = normal[hit, col], big[col]
-        below = steps[hit, col] - (np.arange(4) == a[:, None])
-        cell = np.take_along_axis(below, _SPAN[omit[q]], axis=1)
-        rank = (cell * n[q, None] ** np.array([2, 1, 0])).sum(axis=1)
-        slot = 2 * (a - (a > omit[q])) + 1
-        key = np.concatenate([inverse[:n_bound], hit])
-        pos = np.concatenate([*position, 6 * (offset[q] + rank) + slot])[over[key]]
-        f = key[over[key]][pos.argmin()]
+        f = np.argmax(over)
         example = (tuple(square[f].tolist()), tuple(PLANES[plane[f]].tolist()))
         issues.append(f"{over.sum()} faces shared by more than two cells (e.g. {example})")
     one = count == 1

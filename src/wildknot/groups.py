@@ -73,10 +73,6 @@ class ReflectionGroup:
     relations: np.ndarray  # cover.adjacency itself: (n, 3) int64 rows (i, j, order m)
     amalgams: list
 
-    @property
-    def n_generators(self):
-        return len(self.cover)
-
 
 def reflection_matrices(polars):
     """(N,6,6) inversion matrices: M = I - 2 v (Jv)^T for unit polars v, in
@@ -450,15 +446,13 @@ def faithfulness_scan(sub, max_length):
 
 @dataclasses.dataclass
 class OrbitTable:
-    seq: np.ndarray  # enumeration index = row number
     words: list  # acting word per sphere (identity for the seeds)
     seed: np.ndarray  # which generator sphere the word acts on
     roots: np.ndarray  # (n, k) positive Tits root naming each sphere
     centers: np.ndarray  # (n, 4)
     radii: np.ndarray
-    polars: np.ndarray
     generation: np.ndarray  # word length
-    parent: np.ndarray  # seq of the smallest strictly containing prefix sphere, or -1
+    parent: np.ndarray  # row of the smallest strictly containing prefix sphere, or -1
     truncated: bool
 
 
@@ -504,13 +498,11 @@ def orbit_spheres(sub, max_length):
         walls[at, length - 1] = seq_of[step[at]]
     word_of = rows // k
     return OrbitTable(
-        seq=np.arange(len(rows)),
         words=[table.words[w] for w in word_of.tolist()],
         seed=rows % k,
         roots=roots[rows],
         centers=centers[rows],
         radii=radii[rows],
-        polars=pol[rows],
         generation=table.lengths[word_of],
         parent=_smallest_container(centers[rows], radii[rows], np.sort(walls[word_of], axis=1)),
         truncated=truncated,

@@ -78,13 +78,13 @@ KINDS = ("identity", "elliptic", "parabolic", "loxodromic")
 LOXODROMIC = 3
 
 
-def classify_maps(ms, tol=1e-9):
+def classify_maps(ms):
     """Classify a stack of Lorentz matrices as identity/elliptic/parabolic/loxodromic.
 
-    Returns (kind, lam, att, rep) for the (n, 6, 6) stack: kind (n,) indexes
-    KINDS; on loxodromic rows lam is the dilation and att, rep (n, 4) are the
-    attracting and repelling fixed points in R^4, NaN rows for infinity.
-    lam, att and rep are NaN on the other rows.
+    Returns (kind, att) for the (n, 6, 6) stack: kind (n,) indexes KINDS, and
+    att (n, 4) holds each loxodromic row's attracting fixed point in R^4, a
+    NaN row for infinity and on the other kinds.  A map's repelling point is
+    the attracting point of its inverse.
     """
     ms = np.asarray(ms, dtype=float)
     top = np.abs(ms).max(axis=(1, 2))
@@ -102,35 +102,31 @@ def classify_maps(ms, tol=1e-9):
         log_norm = 2.0 * log_norm + np.log(norm)
         cur = cur / norm[:, None, None]
     kind = np.select(
-        [np.abs(ms - np.eye(6)).max(axis=(1, 2)) <= tol,
+        [np.abs(ms - np.eye(6)).max(axis=(1, 2)) <= 1e-9,
          log_norm < np.log(1e4 * (1.0 + top)),
          log_norm / np.maximum(prev, 1e-30) > 1.5],
         [0, 1, LOXODROMIC], default=2)  # indices into KINDS
-    lam = np.full(len(ms), np.nan)
-    att, rep = np.full((2, len(ms), 4), np.nan)
+    att = np.full((len(ms), 4), np.nan)
     rows = np.flatnonzero(kind == LOXODROMIC)
     if len(rows):
         m = ms[rows]
         vals, vecs = np.linalg.eig(m)
-        moduli = np.abs(vals)
-        at = np.arange(len(rows))
-        i_max, i_min = moduli.argmax(axis=1), moduli.argmin(axis=1)
-        lam[rows] = moduli[at, i_max]
+        i_max = np.abs(vals).argmax(axis=1)
         # polish the eigenvectors by power iteration: eig's output for a
         # nonsymmetric matrix at lattice scale carries ~1e-7 absolute noise,
         # while each multiply contracts the off-dominant error by 1/lam
-        att[rows] = _lightlike_fixed_points(_power_polish(m, vecs[at, :, i_max].real))
-        rep[rows] = _lightlike_fixed_points(
-            _power_polish(inverse(m), vecs[at, :, i_min].real))
-    return kind, lam, att, rep
+        att[rows] = _lightlike_fixed_points(
+            _power_polish(m, vecs[np.arange(len(rows)), :, i_max].real))
+    return kind, att
 
 
-def _power_polish(ms, v, iterations=64):
-    """v <- M v / max|M v| on each row, until a row moves by at most 1e-16
-    (kept) or M v has a zero or non-finite norm (the row keeps its v)."""
+def _power_polish(ms, v):
+    """v <- M v / max|M v| on each row, at most 64 times, until a row moves
+    by at most 1e-16 (kept) or M v has a zero or non-finite norm (the row
+    keeps its v)."""
     v = v.copy()
     live = np.arange(len(v))
-    for _ in range(iterations):
+    for _ in range(64):
         w = (ms[live] @ v[live, :, None])[:, :, 0]
         norm = np.abs(w).max(axis=1)
         ok = (norm != 0) & np.isfinite(norm)
@@ -143,14 +139,14 @@ def _power_polish(ms, v, iterations=64):
     return v
 
 
-def _lightlike_fixed_points(v, tol=1e-12):
+def _lightlike_fixed_points(v):
     """Rows of light-cone vectors -> the points of R^4 they lift, NaN rows
     for infinity (a zero row included)."""
     norm = np.abs(v).max(axis=1)
     v = v / np.where(norm == 0, 1.0, norm)[:, None]
     v = np.where(v[:, 5:] < 0, -v, v)  # orient to the positive cone
     scale = v[:, 5] - v[:, 4]
-    at_inf = np.abs(scale) <= tol * np.maximum(1.0, np.abs(v[:, 5]) + np.abs(v[:, 4]))
+    at_inf = np.abs(scale) <= 1e-12 * np.maximum(1.0, np.abs(v[:, 5]) + np.abs(v[:, 4]))
     pts = v[:, :4] / np.where(at_inf, 1.0, scale)[:, None]
     pts[at_inf] = np.nan
     return pts

@@ -180,9 +180,9 @@ def random_moebius(rng, n_reflections=4, scale=2.0):
 def classify_map(m, tol=1e-9):
     """lorentz.classify_maps one matrix at a time, with scalar logs.
 
-    Returns (kind, data): for loxodromic maps data is (dilation, attracting
-    fixed point, repelling fixed point) with fixed points as R^4 vectors or
-    None for infinity; otherwise data is None.
+    Returns (kind, att): for a loxodromic map att is its attracting fixed
+    point as an R^4 vector, None for infinity; for the other kinds att is
+    None.
     """
     m = np.asarray(m, dtype=float)
     if np.max(np.abs(m - np.eye(6))) <= tol:
@@ -201,13 +201,8 @@ def classify_map(m, tol=1e-9):
         return "elliptic", None
     if logs[-1] / max(logs[-2], 1e-30) > 1.5:
         vals, vecs = np.linalg.eig(m)
-        moduli = np.abs(vals)
-        i_max = int(np.argmax(moduli))
-        i_min = int(np.argmin(moduli))
-        lam = float(moduli[i_max])
-        att = _lightlike_fixed_point(_power_polish(m, vecs[:, i_max]))
-        rep = _lightlike_fixed_point(_power_polish(lz.J @ m.T @ lz.J, vecs[:, i_min]))
-        return "loxodromic", (lam, att, rep)
+        i_max = int(np.argmax(np.abs(vals)))
+        return "loxodromic", _lightlike_fixed_point(_power_polish(m, vecs[:, i_max]))
     return "parabolic", None
 
 
@@ -265,11 +260,10 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         m = np.eye(6)
         for g in word:
             m = m @ sub.matrices[g]
-        kind, data = classify_map(m)
+        kind, att = classify_map(m)
         if kind != "loxodromic":
             skipped += 1
             continue
-        _lam, att, _rep = data
         if att is None:
             n_infinite += 1
             continue
@@ -339,7 +333,7 @@ def orbit_text(orbit, sub):
         center = orbit.centers[i] + sub.offset
         lines.append(
             " ".join(
-                [str(int(orbit.seq[i])), word, str(int(orbit.seed[i]))]
+                [str(i), word, str(int(orbit.seed[i]))]
                 + [_fmt(v) for v in center]
                 + [_fmt(orbit.radii[i]), str(int(orbit.parent[i])),
                    str(int(orbit.generation[i]))]
@@ -892,7 +886,7 @@ def rasterize(c):
     cells = []
     for cube in c.all_cubes:
         n = cube.edge // unit
-        ax = cube.spanned_axes
+        ax = tuple(a for a in range(4) if a != cube.omitted_axis)
         base = cube.corner
         for i in range(n):
             for j in range(n):
@@ -943,7 +937,7 @@ def knot_surface(c):
     issues = []
     over = [f for f, n in count.items() if n > 2]
     if over:
-        issues.append(f"{len(over)} faces shared by more than two cells (e.g. {over[0]})")
+        issues.append(f"{len(over)} faces shared by more than two cells (e.g. {min(over)})")
     faces = sorted(f for f, n in count.items() if n == 1)
 
     # closedness: every edge must bound exactly two surface faces

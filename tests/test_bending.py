@@ -90,11 +90,21 @@ def mid_leg_amalgam(preset, suitable):
 
 
 def test_locus_radius_closed_form(preset, mid_leg_amalgam):
-    _c, _cover, group = preset
+    """The circle has radius 1/sqrt(6), lies in the square's plane (the two
+    axes the rotation leaves fixed) and meets the four spheres orthogonally:
+    their centers lie in that plane and d^2 = rho^2 + r^2."""
+    _c, cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
     assert locus.radius == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-9)
-    assert locus.orthogonality_residuals.max() <= 1e-9
-    assert set(locus.plane_axes) | set(locus.rotation_axes) == {0, 1, 2, 3}
+    am = group.amalgams[mid_leg_amalgam]
+    rot = list(locus.rotation_axes)
+    plane = sorted(set(range(4)) - set(rot))
+    assert len(rot) == len(plane) == 2
+    assert all(am.square[a][1] > am.square[a][0] for a in plane)
+    balls = list(am.ball_ids)
+    d2 = ((cover.centers[balls] - locus.center) ** 2).sum(axis=1)
+    assert np.abs(d2 - locus.radius**2 - cover.radii[balls] ** 2).max() <= 1e-9
+    assert np.abs(cover.centers[balls][:, rot] - locus.center[rot]).max() <= 1e-9
 
 
 def test_locus_out_of_range(preset):
@@ -118,7 +128,7 @@ def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
     e = bending_rotation(locus, 0.2)
-    u, v = locus.plane_axes
+    u, v = sorted(set(range(4)) - set(locus.rotation_axes))
     for theta in np.linspace(0.0, 2 * math.pi, 9):
         pt = np.zeros(4)  # amalgam frame: circle about the origin
         pt[u] = locus.radius * math.cos(theta)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -142,7 +143,9 @@ def test_stages_check_fails_on_a_dropped_side(tube_complex, tmp_path, monkeypatc
     """Negative control for the stages check: on the tube's Schottky generators
     the side counts follow n, 2n - 2, ..., so a last stage with one side
     dropped fails with the same stage count; under an amalgam's Cartan
-    matrix, where two sides can be mirror images, the same stages pass."""
+    matrix, where two sides can be mirror images, the same stages pass.  A
+    repeated stage, whose side count does not rise, fails under both, and
+    the pipeline goes on to the later stages."""
     run = Run(RunConfig(complex_path=tube_complex, out_dir=str(tmp_path)))
     assert _check_stages(run) == (True, "side counts [4, 6, 10, 18, 34]")
     real = gr.polyhedron_stages
@@ -152,12 +155,25 @@ def test_stages_check_fails_on_a_dropped_side(tube_complex, tmp_path, monkeypatc
         return stages + [dataclasses.replace(last, n_sides=last.n_sides - 1,
                                              sides=last.sides[1:])]
 
+    def repeated(sub, orbit, n_stages):
+        stages = real(sub, orbit, n_stages)
+        return stages[:2] + stages[1:2] + stages[3:]
+
     monkeypatch.setattr(gr, "polyhedron_stages", dropped)
     assert _check_stages(run) == (False, "side counts [4, 6, 10, 18, 33]")
-    cartan = run.sub.cartan.copy()
+    schottky = run.sub.cartan
+    cartan = schottky.copy()
     cartan[0, 1] = cartan[1, 0] = -1  # one pair at pi/3
     monkeypatch.setattr(run.sub, "cartan", cartan)
     assert _check_stages(run) == (True, "side counts [4, 6, 10, 18, 33]")
+    monkeypatch.setattr(gr, "polyhedron_stages", repeated)
+    assert _check_stages(run) == (False, "side counts [4, 6, 6, 18, 34]")
+    monkeypatch.setattr(run.sub, "cartan", schottky)
+    assert _check_stages(run) == (False, "side counts [4, 6, 6, 18, 34]")
+    checks, _out = run_pipeline(RunConfig(complex_path=tube_complex,
+                                          out_dir=str(tmp_path / "bundle")))
+    assert list(checks) == [name for name, _stage in STAGES]
+    assert checks["stages"] == (False, "side counts [4, 6, 6, 18, 34]")
 
 
 @pytest.mark.parametrize(("stage", "fault"), [
@@ -364,14 +380,27 @@ def test_runconfig_guards():
      ["bend", "--bend-ts", "0,nan"], ["report", "--bend-ts", "nan"],
      ["limitset", "--eps", "nan"], ["validate", "--seed", "-1"], ["report", "--seed", "-1"],
      ["alexander", "--depth", "14300"], ["alexander", "--depth", "-2"],
-     ["alexander", "--depth", "1001"]],
+     ["alexander", "--depth", "1001"], ["report", "--out", "FILE"],
+     ["build", "--out", "FILE/sub"], ["WILDKNOT_OUT=FILE", "enumerate"]],
 )
-def test_out_of_range_settings_are_usage_errors(argv, capsys):
-    """Exit 2 with the subcommand's usage line, which names its flags."""
+def test_out_of_range_settings_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    """Exit 2 with the subcommand's usage line, which names its flags.  FILE
+    stands for an existing file, so that the output directory cannot be
+    made, and the error names that path; a leading NAME=VALUE sets the
+    environment, as in a shell."""
+    path = tmp_path / "FILE"
+    path.write_text("", encoding="utf-8")
+    argv = [a.replace("FILE", str(path)) for a in argv]
+    out = next((a.split("=", 1)[-1] for a in argv if str(path) in a), None)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith(f"usage: wildknot {argv[0]} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: wildknot {argv[0]} ")
+    if out:
+        assert f"error: cannot make the output directory {out!r}" in err
 
 
 def test_limitset_exports(tmp_path, capsys):
@@ -490,6 +519,32 @@ def test_subcommands_write_the_report_bundle_files(tube_complex, tmp_path, capsy
                           ("enumerate", "orbit.txt"), ("bend", "bending.json")]:
         expected = (tmp_path / "report" / name).read_bytes()
         assert (tmp_path / command / name).read_bytes() == expected, (command, name)
+
+
+def test_report_bundle_is_utf8_with_lf_endings(tube_complex, tmp_path, capsys):
+    """Every file of the tube's bundle decodes as UTF-8, holds no carriage
+    return and ends in a newline."""
+    out = tmp_path / "bundle"
+    assert main(["report", "--complex", tube_complex, "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 15 and "complex.txt" in names
+    for name in names:
+        text = (out / name).read_bytes().decode("utf-8")
+        assert "\r" not in text and text.endswith("\n"), name
+
+
+def test_every_text_writer_fixes_lf_endings():
+    """The bundle's line endings do not depend on the platform: each open()
+    in write mode in the package passes newline="\n"."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wildknot"
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                    and len(node.args) > 1 and getattr(node.args[1], "value", "r")[0] == "w"):
+                newline = {k.arg: k.value for k in node.keywords}.get("newline")
+                writers.append((path.name, node.lineno, getattr(newline, "value", None)))
+    assert writers and all(nl == "\n" for _f, _l, nl in writers), writers
 
 
 def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatch):

@@ -29,7 +29,6 @@ def preset_surface(preset):
 class TestCube3:
     def test_intervals(self):
         c = cx.Cube3((1, 2, 3, 4), 2, 3)
-        assert c.spanned_axes == (0, 1, 2)
         # degenerate on the omitted axis
         assert cx.boxes([c]).tolist() == [[[1, 3], [2, 4], [3, 5], [4, 4]]]
         assert [orc.interval(c, a) for a in range(4)] == [(1, 3), (2, 4), (3, 5), (4, 4)]
@@ -333,18 +332,18 @@ REFERENCE_INPUTS = {
     "overlapping": (lambda: cx.CubeComplex(
         (cx.Cube3((0, 0, 0, 0), 2, 3),),
         (cx.Cube3((1, 0, 0, 0), 1, 3), cx.Cube3((1, 0, 0, 0), 1, 3))),
-        "faces shared by more than two cells"),
+        "faces shared by more than two cells (e.g. ((1, 0, 0, 0), (0, 1)))"),
     "edge-contact": (lambda: _unit_cubes((0, 0, 0, 0), (1, 1, 0, 0)),
                      "do not bound exactly two faces"),
     "disjoint": (lambda: _unit_cubes((0, 0, 0, 0), (5, 0, 0, 0)), "surface is disconnected"),
     # every interior square lies inside both cubes and on neither boundary
     "identical-big-cubes": (lambda: cx.CubeComplex(
         (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((0, 0, 0, 0), 3, 3)), ()),
-        "faces shared by more than two cells"),
+        "faces shared by more than two cells (e.g. ((0, 0, 1, 0), (0, 1)))"),
     # the unit cube's faces lie in the 3-cube's relative interior
     "unit-inside-3-cube": (lambda: cx.CubeComplex(
         (cx.Cube3((0, 0, 0, 0), 3, 3),), (cx.Cube3((1, 1, 1, 0), 1, 3),)),
-        "faces shared by more than two cells"),
+        "faces shared by more than two cells (e.g. ((1, 1, 1, 0), (0, 1)))"),
     # 2-cubes in the flats w = 0 and z = 0 meet in the square [0, 2]^2 x {0}^2,
     # whose four unit squares lie inside both cubes and on neither boundary
     "crossing-2-cubes": (lambda: cx.CubeComplex(
@@ -359,7 +358,8 @@ REFERENCE_INPUTS = {
 @pytest.mark.parametrize("name", REFERENCE_INPUTS)
 def test_surface_matches_the_reference(name):
     """The array surface equals the dict reference field by field, the issue
-    strings and their examples included; each malformed input names its fault."""
+    strings and their examples included; each malformed input names its fault,
+    and a square on more than two cells is named by the first in face order."""
     make, fault = REFERENCE_INPUTS[name]
     c = make()
     got, want = cx.knot_surface(c), orc.knot_surface(c)

@@ -109,7 +109,7 @@ def stages_reference(sub, orbit, n_stages):
         mirror = next(i for i in range(len(orbit_rows))
                       if i not in used and find(sides, orbit_rows[i]) is not None)
         absorbed = find(sides, orbit_rows[mirror])
-        reflect = orc.reflection(orbit.polars[mirror])
+        reflect = orc.reflection(orc.sphere(orbit.centers[mirror], orbit.radii[mirror]))
         cen, rad = lz.centers_radii((reflect @ lz.spheres(sides[:, :4], sides[:, 4]).T).T)
         images = np.c_[cen, rad]
         new = np.empty((0, 5))
@@ -201,7 +201,7 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     table = enumerate_words_reference(sub, max_length, max_elements)
     seq_of = {}  # root bytes -> seq
     walls = {(): []}  # word -> seqs of its prefix spheres
-    rows = []  # (word, seed, root, center, radius, polar)
+    rows = []  # (word, seed, root, center, radius)
     truncated = False
     for word, tits, m in zip(table.words, table.tits, table.matrices):
         if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
@@ -220,7 +220,7 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
                 truncated = True
                 break
             seq_of[key] = len(rows)
-            rows.append((word, s, root, cen[s], rad[s], pol[s]))
+            rows.append((word, s, root, cen[s], rad[s]))
         if truncated:
             break
     n = len(rows)
@@ -232,13 +232,11 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     for i, r in enumerate(rows):
         cand[i, : len(r[0])] = sorted(walls[r[0]])
     return gr.OrbitTable(
-        seq=np.arange(n),
         words=[r[0] for r in rows],
         seed=np.array([r[1] for r in rows]),
         roots=np.array([r[2] for r in rows]),
         centers=centers,
         radii=radii,
-        polars=np.array([r[5] for r in rows]),
         generation=np.array([len(r[0]) for r in rows]),
         parent=gr._smallest_container(centers, radii, cand),
         truncated=truncated,
@@ -287,8 +285,7 @@ def preset_group():
 
 
 def test_generator_count_and_blocks(cube_group):
-    c, cover, g = cube_group
-    assert g.n_generators == len(cover)
+    c, cover, _g = cube_group
     # the host cubes' blocks partition the generators
     blocks = [np.flatnonzero(cover.host == h) for h in range(len(c.all_cubes))]
     assert sorted(np.concatenate(blocks).tolist()) == list(range(len(cover)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
+from wildknot.bending import lambda_max
 from wildknot.cover import pair_orders
 
 import oracles as orc
@@ -191,16 +192,15 @@ def test_classify_identity_and_elliptic():
 
 
 def test_classify_loxodromic_dilation():
-    # Reflections in concentric spheres of radii 1 and 2 give x -> 4x,
-    # a loxodromic map with dilation 4, fixed points 0 and infinity.
+    # Reflections in concentric spheres of radii 1 and 2 give x -> 4x, a
+    # loxodromic map with dilation 4 that attracts to infinity and repels
+    # from 0; its inverse x -> x/4 attracts to 0.
     m = orc.reflection(orc.sphere([0, 0, 0, 0], 2.0)) @ orc.reflection(orc.sphere([0, 0, 0, 0], 1.0))
-    kind, lam, att, rep = lz.classify_maps(m[None])
-    assert lz.KINDS[kind[0]] == "loxodromic"
-    assert lam[0] == pytest.approx(4.0, rel=1e-9)
-    fixed = {(
-        "inf" if np.isnan(p).all() else tuple(np.round(p, 9))
-    ) for p in (att[0], rep[0])}
-    assert fixed == {"inf", (0.0, 0.0, 0.0, 0.0)}
+    kind, att = lz.classify_maps(np.stack([m, lz.inverse(m)]))
+    assert [lz.KINDS[k] for k in kind] == ["loxodromic", "loxodromic"]
+    assert np.isnan(att[0]).all()
+    assert np.abs(att[1]).max() <= 1e-9
+    assert lambda_max(m) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_classify_parabolic():
@@ -217,9 +217,11 @@ def test_random_moebius_is_lorentz(seed):
 
 
 def test_classifier_stack_matches_the_scalar_oracle():
-    """One stack of the cases above and random Moebius words: every row's
-    kind is the scalar oracle's, and its dilation and both fixed points are
-    bit-equal to the oracle's, a NaN row standing for its None at infinity."""
+    """One stack of the cases above, random Moebius words and the inverses
+    of all of them: every row's kind is the scalar oracle's, and its
+    attracting point is bit-equal to the oracle's, a NaN row standing for
+    its None at infinity or off the loxodromic rows.  A map's repelling
+    point is the attracting point of its inverse."""
     u, v = orc.sphere([0, 0, 0, 0], 1.0), orc.sphere([1, 0, 0, 0], 1.0)
     cases = [
         np.eye(6),
@@ -229,23 +231,18 @@ def test_classifier_stack_matches_the_scalar_oracle():
     ]
     rng = np.random.default_rng(5)
     cases += [orc.random_moebius(rng, n_reflections=r) for r in (1, 2, 3, 4, 6) for _ in range(12)]
-    kind, lam, att, rep = lz.classify_maps(np.array(cases))
+    cases = np.array(cases)
+    cases = np.concatenate([cases, lz.inverse(cases)])
+    kind, att = lz.classify_maps(cases)
     assert [lz.KINDS[k] for k in kind[:4]] == ["identity", "elliptic", "parabolic", "loxodromic"]
     assert {"elliptic", "loxodromic"} <= {lz.KINDS[k] for k in kind[4:]}
     for i, m in enumerate(cases):
-        want, data = orc.classify_map(m)
+        want, ref = orc.classify_map(m)
         assert lz.KINDS[kind[i]] == want, i
-        if data is None:
-            assert np.isnan(lam[i]) and np.isnan(att[i]).all() and np.isnan(rep[i]).all()
-            continue
-        assert lam[i] == data[0], i
-        for got, ref in ((att[i], data[1]), (rep[i], data[2])):
-            if ref is None:
-                assert np.isnan(got).all(), i
-            else:
-                assert np.array_equal(got, ref), i
-    # x -> 4x: one fixed point at 0, the other at infinity
-    assert lam[3] == pytest.approx(4.0, rel=1e-9)
-    fixed = [att[3], rep[3]]
-    assert sum(np.isnan(p).all() for p in fixed) == 1
-    assert np.allclose(next(p for p in fixed if not np.isnan(p).any()), 0.0, atol=1e-9)
+        if ref is None:
+            assert np.isnan(att[i]).all(), i
+        else:
+            assert np.array_equal(att[i], ref), i
+    # x -> 4x attracts to infinity, its inverse to 0
+    n = len(cases) // 2
+    assert np.isnan(att[3]).all() and np.abs(att[n + 3]).max() <= 1e-9
