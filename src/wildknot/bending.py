@@ -23,6 +23,11 @@ product misses the identity by ~1e2 even at t = 0.  Relations between
 generators on a common side are untouched by the deformation --
 (E R_i E^-1)(E R_j E^-1) = E R_i R_j E^-1 identically -- so they are
 certified once by the base group's relation suite.
+
+The crossing relations of every amalgam come from one table per group,
+`ReflectionGroup.crossings`, built in one pass on first use and kept:
+crossing_relations reads amalgam j's slice of it, bend reads that slice at
+each t, and suitable_amalgams reads the safe flags of all amalgams at once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import lorentz as lz
 from .cover import ROLE_VERTEX, _finite_balls, pair_orders
-from .groups import GroupError, reflection_matrices, relation_residuals
+from .groups import GroupError, _square_frames, reflection_matrices, relation_residuals
 
 
 @dataclasses.dataclass
@@ -80,32 +85,46 @@ def bending_locus(group, j):
     if not 0 <= j < len(group.amalgams):
         raise GroupError(f"amalgam index {j} out of range")
     am = group.amalgams[j]
-    cover = group.cover
     rotation_axes = tuple(a for a in range(4) if am.square[a][1] == am.square[a][0])
-    center = np.array([(lo + hi) / 2.0 for lo, hi in am.square], dtype=float)
-    balls = list(am.ball_ids)
-    d2 = ((cover.centers[balls] - center[None, :]) ** 2).sum(axis=1)
-    r2 = cover.radii[balls] ** 2
-    rho2 = d2 - r2
-    if np.any(rho2 <= 0) or not np.ptp(rho2) <= 1e-9:  # a NaN spread fails too
+    center, rho2, residual = (x[0] for x in _circle_fits(group, [j]))
+    if not _has_circle(rho2):
         raise GroupError(
             f"amalgam {j} has no common orthogonal circle: rho^2 spread {rho2}"
         )
-    rho = math.sqrt(float(rho2.mean()))
-    residuals = np.abs(d2 - rho * rho - r2)
-    # the spheres must also be centered in the circle's 2-plane
-    for a in rotation_axes:
-        residuals = np.maximum(
-            residuals, np.abs(cover.centers[balls, a] - center[a])
-        )
-    if not residuals.max() <= 1e-9:
-        raise GroupError(f"amalgam {j} orthogonality residual {residuals.max()}")
+    if not residual <= 1e-9:
+        raise GroupError(f"amalgam {j} orthogonality residual {residual}")
     return BendingLocus(
         amalgam_index=j,
         center=center,
-        radius=rho,
+        radius=math.sqrt(float(rho2.mean())),
         rotation_axes=rotation_axes,
     )
+
+
+def _circle_fits(group, js):
+    """(center, rho2, residual) of the amalgams js, one row each: the
+    square's centre (4,), rho^2 = d^2 - r^2 per ball (d its centre's distance
+    from the square's centre) (4,), and the largest miss of d^2 = rho^2 + r^2
+    (rho^2 their mean) or of a centre off the square's plane."""
+    ams = [group.amalgams[j] for j in js]
+    center, spanned = _square_frames(ams)
+    balls = np.array([am.ball_ids for am in ams], dtype=np.int64).reshape(-1, 4)
+    off = group.cover.centers[balls] - center[:, None]
+    d2 = (off**2).sum(axis=2)
+    r2 = group.cover.radii[balls] ** 2
+    rho2 = d2 - r2
+    with np.errstate(invalid="ignore"):  # a negative mean: _has_circle fails it
+        rho = np.sqrt(rho2.mean(axis=1, keepdims=True))
+    residual = np.abs(d2 - rho * rho - r2)
+    # the spheres must also be centered in the circle's 2-plane
+    residual = np.maximum(residual, np.where(spanned[:, None], 0.0, np.abs(off)).max(axis=2))
+    return center, rho2, residual.max(axis=1)
+
+
+def _has_circle(rho2):
+    """Per row of rho^2 values: all positive and within 1e-9 of each other
+    (a NaN spread fails too)."""
+    return ~(rho2 <= 0).any(axis=-1) & (np.ptp(rho2, axis=-1) <= 1e-9)
 
 
 def bending_rotation(locus, t):
@@ -141,7 +160,8 @@ def split_sides(group, j):
 
 
 def crossing_relations(group, j):
-    """(rows, safe): the relation rows straddling amalgam j, flagged bending-safe.
+    """(rows, safe): the relation rows straddling amalgam j, in relation
+    order, flagged bending-safe; amalgam j's slice of group.crossings.
 
     A relation (i, k, m) with one member on each side survives one-sided
     conjugation iff one of its members commutes with E_t: then
@@ -151,19 +171,11 @@ def crossing_relations(group, j):
     plate of the big cube qualifies).  Pairs with no commuting member make
     the amalgam unsuitable for bending.
     """
-    return _crossing(group, j, group.relations)
-
-
-def _crossing(group, j, rels):
-    """crossing_relations over the relation rows `rels` only."""
-    locus = bending_locus(group, j)
-    side_b = split_sides(group, j)
-    rows = rels[side_b[rels[:, 0]] != side_b[rels[:, 1]]]
-    pairs = rows[:, :2]
-    off = group.cover.centers[pairs] - locus.center
-    on_plane = (np.abs(off[..., list(locus.rotation_axes)]) <= 1e-9).all(axis=-1)
-    commuting = on_plane | np.isin(pairs, group.amalgams[j].ball_ids)
-    return rows, commuting.any(axis=1)
+    if not 0 <= j < len(group.amalgams):
+        raise GroupError(f"amalgam index {j} out of range")
+    rows, safe, offsets = group.crossings
+    cut = slice(offsets[j], offsets[j + 1])
+    return rows[cut], safe[cut]
 
 
 def bend(group, j, t, tol=1e-8):
@@ -219,11 +231,14 @@ def bend(group, j, t, tol=1e-8):
 def suitable_amalgams(group):
     """Amalgam indices where every crossing relation has a member commuting
     with the bending rotation (the exact condition for one-sided conjugation
-    to preserve all relations).  Sides follow the host cubes, so only the
-    rows whose two balls have different hosts can cross: they are taken once."""
-    host = group.cover.host[group.relations[:, :2]]
-    straddling = group.relations[host[:, 0] != host[:, 1]]
-    return [j for j in range(len(group.amalgams)) if _crossing(group, j, straddling)[1].all()]
+    to preserve all relations).  Every amalgam must have a bending locus:
+    the first that has none raises its own bending_locus error."""
+    _center, rho2, residual = _circle_fits(group, range(len(group.amalgams)))
+    for j in np.flatnonzero(~(_has_circle(rho2) & (residual <= 1e-9))):
+        bending_locus(group, int(j))
+    _rows, safe, offsets = group.crossings
+    unsafe_before = np.concatenate([[0], np.cumsum(~safe)])[offsets]  # at each amalgam's first row
+    return np.flatnonzero(unsafe_before[1:] == unsafe_before[:-1]).tolist()
 
 
 def crossing_word(group, j):

@@ -20,6 +20,7 @@ disjoint, where every reflected sphere is strictly nested in the mirror.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -69,9 +70,52 @@ class Amalgam:
 
 @dataclasses.dataclass
 class ReflectionGroup:
+    """The cover's reflections, its adjacency as relations, and the amalgams.
+    `crossings` is built from them on first use and kept, so a group made by
+    dataclasses.replace gets the crossing table of its own fields."""
+
     cover: object
     relations: np.ndarray  # cover.adjacency itself: (n, 3) int64 rows (i, j, order m)
     amalgams: list
+
+    @functools.cached_property
+    def crossings(self):
+        """(rows, safe, offsets): every amalgam's crossing relations in one
+        pass.  Amalgam j's are rows[offsets[j]:offsets[j + 1]], in relation
+        order, and safe flags those with a member that commutes with j's
+        bending rotation.
+
+        Side B of amalgam j is the balls hosted past its first cube p, so a
+        relation whose hosts are lo <= hi crosses j iff lo <= p < hi: as p
+        ascends with j, the amalgams it crosses are one run of indices.  A
+        member commutes with the rotation when it is centred within 1e-9 on
+        the square's plane, that is on the square's centre along the two axes
+        the square does not span.  Amalgam j's own four balls are among them
+        whenever j has a bending locus, which requires just that of them."""
+        h0, h1 = self.cover.host[self.relations[:, 0]], self.cover.host[self.relations[:, 1]]
+        cross = np.flatnonzero(h0 != h1)
+        lo, hi = np.minimum(h0[cross], h1[cross]), np.maximum(h0[cross], h1[cross])
+        first = np.array([am.cube_pair[0] for am in self.amalgams], dtype=np.int64)
+        start = np.searchsorted(first, lo)
+        count = np.searchsorted(first, hi) - start
+        rel = np.repeat(cross, count)
+        # relation r's run: amalgams start[r] .. start[r] + count[r] - 1
+        j = np.arange(len(rel)) + np.repeat(start - np.cumsum(count) + count, count)
+        order = np.argsort(j, kind="stable")  # by amalgam, relation order within one
+        rows, j = self.relations[rel[order]], j[order]
+        center, spanned = _square_frames(self.amalgams)
+        off = np.abs(self.cover.centers[rows[:, :2]] - center[j, None])
+        on_plane = _fold(np.logical_and, (off <= 1e-9) | spanned[j, None])
+        safe = on_plane[:, 0] | on_plane[:, 1]
+        return rows, safe, np.searchsorted(j, np.arange(len(self.amalgams) + 1))
+
+
+def _square_frames(amalgams):
+    """(center, spanned) of the amalgams' squares, a row each: the (4,)
+    midpoint of the square's extent on every axis, and (4,) bool, True on
+    the two axes the square spans."""
+    square = np.array([am.square for am in amalgams], dtype=float).reshape(-1, 4, 2)
+    return (square[..., 0] + square[..., 1]) / 2.0, square[..., 1] != square[..., 0]
 
 
 def reflection_matrices(polars):

@@ -71,6 +71,46 @@ def reference_crossing_relations(group, j, tol=1e-9):
     return out
 
 
+def reference_crossing_table(group, tol=1e-9):
+    """reference_crossing_relations of every amalgam, in one pass over the
+    relations: entry j lists amalgam j's rows (i, k, m, safe).  A relation
+    whose two balls share a host cube is on one side of every amalgam (side B
+    is the balls hosted past the amalgam's first cube), so only the others
+    are tried against each amalgam in turn."""
+    cover = group.cover
+    loci = [bending_locus(group, j) for j in range(len(group.amalgams))]
+    host = cover.host.tolist()
+
+    def commutes_with_rotation(ball, locus):
+        return all(
+            abs(cover.centers[ball, a] - locus.center[a]) <= tol
+            for a in locus.rotation_axes
+        )
+
+    out = [[] for _ in group.amalgams]
+    for i, k, m in group.relations.tolist():
+        if host[i] == host[k]:
+            continue
+        for j, am in enumerate(group.amalgams):
+            p = am.cube_pair[0]
+            if (host[i] > p) == (host[k] > p):
+                continue
+            safe = (
+                i in am.ball_ids
+                or k in am.ball_ids
+                or commutes_with_rotation(i, loci[j])
+                or commutes_with_rotation(k, loci[j])
+            )
+            out[j].append((i, k, m, safe))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tube():
+    c = orc.straight_tube_complex()
+    return assemble_group(c, build_cover(c))
+
+
 @pytest.fixture(scope="module")
 def mid_leg_amalgam(preset, suitable):
     """A straight amalgam far from both junctions and all turns."""
@@ -169,6 +209,49 @@ def test_crossing_relations_match_reference(preset, mid_leg_amalgam, suitable):
         assert got == reference_crossing_relations(group, j)
 
 
+def test_crossing_table_matches_the_reference_at_every_amalgam(preset, tube):
+    """Every amalgam's crossing rows and safe flags, on the preset (277) and
+    on the tube (7), equal the per-relation reference's, and
+    suitable_amalgams lists exactly the amalgams whose reference rows are
+    all safe.  On the tube the one-pass reference is itself checked against
+    reference_crossing_relations, amalgam by amalgam."""
+    assert reference_crossing_table(tube) == [
+        reference_crossing_relations(tube, j) for j in range(len(tube.amalgams))
+    ]
+    for group in (preset[2], tube):
+        ref = reference_crossing_table(group)
+        for j in range(len(group.amalgams)):
+            rows, safe = crossing_relations(group, j)
+            got = [(i, k, m, bool(f)) for (i, k, m), f in zip(rows.tolist(), safe)]
+            assert got == ref[j], j
+        assert suitable_amalgams(group) == [
+            j for j, rows in enumerate(ref) if all(safe for *_row, safe in rows)
+        ]
+
+
+def test_each_group_has_its_own_crossing_table(preset, suitable):
+    """A group made by dataclasses.replace builds the crossing table of its
+    own relations: with none, every amalgam is suitable and crosses no row,
+    while the original group, whose table is built before and read after,
+    still lists 264."""
+    _c, _cover, group = preset
+    assert suitable_amalgams(group) == suitable
+    bare = dataclasses.replace(group, relations=group.relations[:0])
+    assert suitable_amalgams(bare) == list(range(277))
+    assert all(len(crossing_relations(bare, j)[0]) == 0 for j in range(277))
+    assert suitable_amalgams(group) == suitable and len(suitable) == 264
+
+
+def test_the_crossing_table_is_built_on_first_use():
+    """assemble_group builds no crossing table; the first crossing query
+    builds it, on the group."""
+    c = orc.straight_tube_complex()
+    group = assemble_group(c, build_cover(c))
+    assert "crossings" not in vars(group)
+    crossing_relations(group, 0)
+    assert "crossings" in vars(group)
+
+
 def test_preset_suitable_amalgams(preset, suitable):
     _c, _cover, group = preset
     assert len(group.amalgams) == 277
@@ -231,7 +314,8 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     """Fail-closed control on the straight tube: amalgam 0's first ball at
     x = NaN gives a NaN rho^2 spread, which is no spread within the
     tolerance, so amalgam 0 has no bending locus, bend refuses it and
-    suitable_amalgams does not list it."""
+    suitable_amalgams does not list it.  The failure stays with amalgam 0:
+    bending at each of the tube's other amalgams still goes through."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     assert 0 in suitable_amalgams(group)
@@ -239,6 +323,12 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     centers[group.amalgams[0].ball_ids[0], 0] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
     for call, args in [(bending_locus, (0,)), (bend, (0, 0.2)), (suitable_amalgams, ())]:
+        with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
+            call(broken, *args)
+    assert len(broken.amalgams) == 7
+    for j in range(1, 7):
+        assert bend(broken, j, 0.2).relation_report["max_residual"] <= 1e-8
+    for call, args in [(bend, (0, 0.2)), (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
             call(broken, *args)
 
