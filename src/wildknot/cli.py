@@ -2,12 +2,12 @@
 
 The pipeline is STAGES, one ordered list of (check name, fn(run) -> (ok,
 message)) stages, each writing its own files; a Run builds each artifact
-(so the knot surface) once, on first use.  `report` runs every stage and
-writes a summary with one pass/fail line per check; its exit status is
-nonzero iff any check fails.  The other subcommands run the stages and
-artifacts they need.  All outputs are byte-deterministic for a fixed config
-and seed: sorted keys, shortest-roundtrip floats, LF line endings, no
-timestamps.
+once, on first use, and its complex keeps the one knot surface.  `report`
+runs every stage and writes a summary with one pass/fail line per check;
+its exit status is nonzero iff any check fails.  The other subcommands run
+the stages and artifacts they need.  All outputs are byte-deterministic for
+a fixed config and seed: sorted keys, shortest-roundtrip floats, LF line
+endings, no timestamps.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ class Run:
 
     @functools.cached_property
     def cover(self):
-        return build_cover(self.complex, k=self.cfg.refinement, surf=self.surface)
+        self.surface  # the complex's checks first: ComplexError lists its issues
+        return build_cover(self.complex, k=self.cfg.refinement)
 
     @functools.cached_property
     def cover_report(self):

@@ -22,6 +22,7 @@ exactly two surface squares (closed 2-manifold), Euler characteristic must be
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -102,8 +103,17 @@ def _meet_dim(a, b):
 
 @dataclasses.dataclass(frozen=True)
 class CubeComplex:
+    """Big cubes and a tube, frozen and hashable.  Its knot surface is a pure
+    function of it, built on first use and kept on the instance (`_surface`,
+    read through knot_surface); equality and hashing see only the cubes, and
+    an equal but distinct complex builds its own."""
+
     big: tuple[Cube3, ...]  # normally (Q0, Q1); a single cube in degenerate test mode
     tube: tuple[Cube3, ...]
+
+    @functools.cached_property
+    def _surface(self):
+        return _build_surface(self)
 
     @property
     def all_cubes(self):
@@ -184,8 +194,8 @@ def validate_complex(c):
 def check_complex(c):
     """Invariant violations (empty = valid) and the knot surface, together.
 
-    Returns (issues, surface).  The surface is built only once the structural
-    checks pass, and is None when they fail.
+    Returns (issues, surface).  The surface, knot_surface(c), is reached only
+    once the structural checks pass, and is None when they fail.
     """
     issues = []
     if len(c.big) != 2:
@@ -300,7 +310,9 @@ _EDGE_SIGN = np.array([1, 1, -1, -1])
 
 @dataclasses.dataclass(eq=False)
 class KnotSurface:
-    """Closed boundary surface of a cube complex, as unit lattice squares."""
+    """Closed boundary surface of a cube complex, as unit lattice squares.
+    One complex shares one surface (see knot_surface), so faces and vertices
+    are read-only and issues is a tuple."""
 
     faces: np.ndarray  # (F, 6) int64 rows (corner x, y, z, w, plane axes i < j), sorted
     vertices: np.ndarray  # (V, 4) int64 lattice points, sorted
@@ -311,7 +323,7 @@ class KnotSurface:
     orientable: bool
     connected: bool
     closed: bool
-    issues: list
+    issues: tuple
 
 
 def lattice_index(table, points):
@@ -390,6 +402,13 @@ def _orientation(neighbour, flip):
 
 
 def knot_surface(c):
+    """The knot surface of complex c: built on c's first call and kept on c,
+    so every later call, by check_complex, build_cover or a caller, returns
+    that one object.  Its arrays are read-only and its issues a tuple."""
+    return c._surface
+
+
+def _build_surface(c):
     """Boundary surface = unit squares incident to exactly one unit cell.
 
     Each cube of n = edge // unit cells per side bounds the squares of its
@@ -515,6 +534,8 @@ def knot_surface(c):
         if connected and chi != 2:
             issues.append(f"Euler characteristic {chi} != 2 (not a 2-sphere)")
 
+    faces.setflags(write=False)
+    vertices.setflags(write=False)
     return KnotSurface(
         faces=faces,
         vertices=vertices,
@@ -525,5 +546,5 @@ def knot_surface(c):
         orientable=orientable,
         connected=connected,
         closed=closed,
-        issues=issues,
+        issues=tuple(issues),
     )

@@ -1,7 +1,7 @@
 """Covering family of round 4-balls for the knot surface of a cube complex.
 
 The cover is built at a single uniform scale, the tube unit, on the
-rasterized surface:
+rasterized surface, the one knot_surface(c) keeps on the complex:
 
 * a vertex ball of radius ell/sqrt(3) at every surface lattice vertex
   (adjacent vertices meet at exterior angle pi/3, diagonal pairs are
@@ -32,7 +32,9 @@ octave and runs one grid join per pair of groups, at cell side
 sqrt(R_a^2 + R_b^2 + 2.3 R_a R_b) for the groups' largest radii R_a and
 R_b, so the pairs it skips are provably disjoint and the small balls are
 not binned at the vertex balls' scale; a join between two groups keys
-only the rows of the larger that lie near a cell of the smaller.  The
+only the rows of the larger that lie near a cell of the smaller, and
+searches a cell's neighbours only in the columns (cells on the first three
+axes) that hold a row.  The
 adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation
 array.  Coverage is a query on the same grid join, again one per radius
@@ -156,9 +158,9 @@ def _junction_sites(square_box, k):
     return sites
 
 
-def build_cover(c, k=0, surf=None):
-    """Deterministic ball family for the complex's knot surface `surf`
-    (computed here when the caller has not built it).
+def build_cover(c, k=0):
+    """Deterministic ball family for the complex's knot surface, the one
+    knot_surface(c) keeps on c.
 
     The vertex balls come first, at the surface's sorted lattice vertices;
     then each face's five balls, face by face, at the face-ball offsets
@@ -166,8 +168,7 @@ def build_cover(c, k=0, surf=None):
     then each attach square's junction balls."""
     if k < 0:
         raise CoverError("refinement k must be >= 0")
-    if surf is None:
-        surf = knot_surface(c)
+    surf = knot_surface(c)
     if surf.issues:
         raise CoverError("complex has an invalid surface: " + "; ".join(surf.issues))
     ell = float(c.unit)
@@ -303,6 +304,20 @@ _JOIN_PAIRS = 1 << 14
 # An axis of _grid_join spanning at most this many cells per point numbers
 # its occupied cells on a bool array of its span; a wider one sorts them.
 _BITMAP_CELLS = 4
+# Columns per keyed row up to which _grid_join marks b's occupied columns on
+# a bool table, so that the table's memory follows the rows'.
+_COLUMN_CELLS = 64
+
+
+def _occupied_columns(key_b, dims, n_keyed):
+    """b's occupied columns, key_b // dims[3], as a bool table over all
+    prod(dims[:3]); None past _COLUMN_CELLS columns per keyed row."""
+    n_columns = math.prod(dims[:3])
+    if n_columns > _COLUMN_CELLS * n_keyed:
+        return None
+    occupied = np.zeros(n_columns, dtype=bool)
+    occupied[key_b // dims[3]] = True
+    return occupied
 
 
 def _grid_join(a, b, side):
@@ -331,6 +346,13 @@ def _grid_join(a, b, side):
     sorted by key, are taken _JOIN_ROWS at a time; each distinct cell among
     them finds each of its 27 runs (14 in a self-join) by one binary search
     among b's occupied cells, and each of its rows meets every row of them.
+    A run lies in one column, its cells' first three coordinates, key //
+    dims[3].  Where the columns number at most _COLUMN_CELLS per keyed row,
+    b's occupied ones are marked on a bool table (_occupied_columns) and
+    only the heads in a marked column are searched: an unmarked one holds no
+    run, and the searched heads keep their offset-major order, so the pairs
+    and their order do not depend on the table.  Past the bound the table's
+    memory would not follow the rows', and every run is searched.
     """
     n_a = len(a)
     if not n_a:
@@ -371,6 +393,7 @@ def _grid_join(a, b, side):
     # offset 0 a row meets the rest of its own cell and the whole next cell
     heads = [o for o in itertools.product((-1, 0, 1), repeat=3) if b is not a or o >= (0,) * 3]
     shifts = np.array(heads) @ strides[:3]
+    occupied = _occupied_columns(key_b, dims, len(key))
     # b's occupied cells and the first sorted row of each, then 3 sentinels
     first = np.flatnonzero(np.diff(key_b, prepend=-1))
     cells_b = np.append(key_b[first], np.full(3, np.iinfo(np.int64).max))
@@ -379,16 +402,20 @@ def _grid_join(a, b, side):
         keys = key_a[s : s + _JOIN_ROWS]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))  # this slice's cells
         mid = shifts[:, None] + keys[starts]  # offset-major: each row ascends
+        if occupied is not None:  # only the heads whose column holds a row of b
+            o, c = np.nonzero(occupied[(shifts // dims[3])[:, None] + keys[starts] // dims[3]])
+            mid = mid[o, c]
         u = np.searchsorted(cells_b, mid - 1)  # the run's first cell, if any
         top = mid + 1  # and at most three cells up to key mid + 1
         v = u + (cells_b[u] <= top) + (cells_b[u + 1] <= top) + (cells_b[u + 2] <= top)
         lo, hi = first[u], first[v]
-        o, c = np.nonzero(hi > lo)
+        hit = np.nonzero(hi > lo)
+        o, c = hit if occupied is None else (o[hit], c[hit])
         # every row of slice cell c meets run (lo, hi): one item per row
         rows = np.diff(np.append(starts, len(keys)))[c]
         k = np.repeat(np.arange(len(c)), rows)
         p = s + np.repeat(starts[c] - np.cumsum(rows) + rows, rows) + np.arange(len(k))
-        lo, hi = lo[o, c][k], hi[o, c][k]
+        lo, hi = lo[hit][k], hi[hit][k]
         if b is a:
             lo = np.where(shifts[o][k] == 0, p + 1, lo)
         count = hi - lo

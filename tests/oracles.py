@@ -928,7 +928,7 @@ def face_edges_directed(face, unit):
 
 def knot_surface(c):
     """complexes.knot_surface's fields, from unit faces counted in a dict:
-    faces and vertices as sorted lists of tuples."""
+    faces and vertices as sorted lists of tuples, issues as a tuple."""
     unit = c.unit
     count = defaultdict(int)
     for corner, axes in rasterize(c):
@@ -1003,5 +1003,5 @@ def knot_surface(c):
         "orientable": orientable,
         "connected": connected,
         "closed": closed,
-        "issues": issues,
+        "issues": tuple(issues),
     }

@@ -66,10 +66,10 @@ def test_traced_run_spans_and_counters():
         sys.path.remove(str(ROOT / "perfbench"))
     c = orc.degenerate_single_cube(1)
     surf = cx.knot_surface(c)
-    cover = cv.build_cover(c, surf=surf)
+    cover = cv.build_cover(c)
     # the group on a cover of its own: assembling it on `cover` would run
     # that cover's pair sweep here, before validate_cover is traced
-    group = gr.assemble_group(c, cv.build_cover(c, surf=surf))
+    group = gr.assemble_group(c, cv.build_cover(c))
     sub = gr.pairwise_disjoint_subassembly(cover)
     tracer = spans.Tracer()
     tracer.install("contract")

@@ -548,21 +548,16 @@ def test_every_text_writer_fixes_lf_endings():
 
 
 def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatch):
-    original = cx.knot_surface
+    """The run's complex builds its surface once, though check_complex and
+    build_cover both ask knot_surface for it."""
+    original = cx._build_surface
     calls = []
 
     def counted(c):
         calls.append(c)
         return original(c)
 
-    patched = []
-    for name, mod in list(sys.modules.items()):
-        if name == "wildknot" or name.startswith("wildknot."):
-            for attr, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, attr, counted)
-                    patched.append(f"{name}.{attr}")
-    assert {"wildknot.complexes.knot_surface", "wildknot.cover.knot_surface"} <= set(patched)
+    monkeypatch.setattr(cx, "_build_surface", counted)
     checks, _out = run_pipeline(RunConfig(complex_path=tube_complex,
                                           out_dir=str(tmp_path / "b")))
     assert all(ok for ok, _msg in checks.values())

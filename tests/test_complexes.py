@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildknot import cli
 from wildknot import complexes as cx
 from wildknot import presets
+from wildknot.cover import build_cover
 
 import oracles as orc
 
@@ -244,7 +246,7 @@ def test_connector_dip_has_a_sphere_surface():
     is a 2-sphere, so only the level range can reject it."""
     c, _want = NEGATIVE_CONTROLS["connector-dip"]
     surf = cx.knot_surface(c)
-    assert surf.issues == [] and surf.euler_characteristic == 2
+    assert surf.issues == () and surf.euler_characteristic == 2
 
 
 def _scaled(edge):
@@ -268,11 +270,55 @@ def test_check_complex_matches_the_reference(name, monkeypatch):
     c = VALID_AND_INVALID[name]()
     want = orc.structural_issues(c)
     issues, surf = cx.check_complex(c)
-    assert issues == (want or surf.issues)
+    assert issues == (want or list(surf.issues))
     monkeypatch.setattr(cx, "PAIR_BLOCK", 3 * len(c.tube) - 1)
     assert cx.check_complex(c)[0] == issues
     if name == "scaled-5":
         assert issues == [f"tube[50] and tube[53] overlap in a 0-dimensional set {_OVERLAP}"]
+
+
+def test_one_complex_builds_its_surface_once(tmp_path, monkeypatch):
+    """The complex keeps its surface: the checks, knot_surface, build_cover
+    and a run on it share one build.  An equal but distinct complex builds
+    its own, and equality and hashing see only the cubes."""
+    original = cx._build_surface
+    built = []
+
+    def counted(c):
+        built.append(c)
+        return original(c)
+
+    monkeypatch.setattr(cx, "_build_surface", counted)
+    c = orc.straight_tube_complex()
+    assert cx.validate_complex(c) == []
+    issues, surf = cx.check_complex(c)
+    assert issues == [] and cx.knot_surface(c) is surf
+    assert build_cover(c).vertices is surf.vertices
+    run = cli.Run(cli.RunConfig(out_dir=str(tmp_path)))
+    run.complex = c  # the run on this very complex
+    assert run.surface is surf and run.cover.vertices is surf.vertices
+    assert len(built) == 1 and built[0] is c
+
+    twin = cx.loads_complex(cx.dumps_complex(c))
+    assert twin == c and hash(twin) == hash(c) and twin is not c
+    assert cx.knot_surface(twin) is not surf
+    assert len(built) == 2 and built[1] is twin
+    scaled, preset = workloads.scaled_spun_trefoil(27), presets.spun_trefoil_preset()
+    assert cx.knot_surface(scaled) is not cx.knot_surface(preset)
+    assert scaled == preset and hash(scaled) == hash(preset)
+
+
+def test_the_shared_surface_is_read_only(preset_surface):
+    """Every caller of one complex gets the same surface, so none can change
+    it: its arrays refuse writes and its issues are a tuple."""
+    for array in (preset_surface.faces, preset_surface.vertices):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            array[:, :2] += 1
+    assert isinstance(preset_surface.issues, tuple)
+    with pytest.raises(AttributeError):
+        preset_surface.issues.append("a late issue")
 
 
 def test_attach_squares_match_the_reference():
@@ -289,7 +335,7 @@ class TestSurface:
         s = preset_surface
         assert s.closed and s.connected and s.orientable
         assert s.euler_characteristic == 2
-        assert s.issues == []
+        assert s.issues == ()
         assert s.n_vertices - s.n_edges + len(s.faces) == 2
 
     def test_single_cube_boundary(self):
@@ -369,7 +415,7 @@ def test_surface_matches_the_reference(name):
                   "connected", "closed", "issues"):
         assert getattr(got, field) == want[field], field
     if fault is None:
-        assert got.issues == []
+        assert got.issues == ()
     else:
         assert any(fault in issue for issue in got.issues)
 

@@ -509,7 +509,7 @@ def trace_candidates(cover, surf, f):
 def preset_covers():
     c = spun_trefoil_preset()
     surf = knot_surface(c)
-    return surf, {k: build_cover(c, k=k, surf=surf) for k in (0, 2)}
+    return surf, {k: build_cover(c, k=k) for k in (0, 2)}
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -797,7 +797,7 @@ def lattice_cover(make, k):
     """(surface, cover at refinement k) of the complex make() builds."""
     c = make()
     surf = knot_surface(c)
-    return surf, build_cover(c, k=k, surf=surf)
+    return surf, build_cover(c, k=k)
 
 
 # Lattice covers besides the preset's: the straight tube, the preset's
@@ -879,7 +879,7 @@ def test_one_face_per_block_matches_the_serial_form():
     past, one at a time, and the result has the serial form's bits."""
     c = orc.straight_tube_complex()
     surf = knot_surface(c)
-    cover = build_cover(c, surf=surf)
+    cover = build_cover(c)
     broken = without_ball(cover, int((cover.roles == ROLE_VERTEX).sum()) + 5 * 7)
     got = coverage_check(broken, surf, n_samples=70_000, seed=3)
     assert {f for f, _pt in got[1]} == {7}

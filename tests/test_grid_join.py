@@ -28,7 +28,7 @@ import workloads  # noqa: E402
 def preset():
     c = spun_trefoil_preset()
     surf = knot_surface(c)
-    return surf, {k: build_cover(c, k=k, surf=surf) for k in (0, 2)}
+    return surf, {k: build_cover(c, k=k) for k in (0, 2)}
 
 
 def scrambled(cover, seed):
@@ -63,16 +63,37 @@ def balls(preset, name):
     return cover.centers, cover.radii
 
 
+@pytest.fixture
+def column_tables(monkeypatch):
+    """Spy on the grid join's column table: per join, whether it is a
+    self-join and whether the table was built (None is past the bound)."""
+    log = []
+    build = cv._occupied_columns
+
+    def spy(key_b, dims, n_keyed):
+        table = build(key_b, dims, n_keyed)
+        log.append((n_keyed == len(key_b), table is not None))  # a cross join keys a's rows too
+        return table
+
+    monkeypatch.setattr(cv, "_occupied_columns", spy)
+    return log
+
+
 @pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "edge 5", "edge 11",
                                   "straight tube", "straight tube far", "single cube 3",
                                   "scrambled 0", "scrambled 1", "scrambled 2"])
-def test_near_pairs_equal_the_single_self_join(preset, name):
+def test_near_pairs_equal_the_single_self_join(preset, name, column_tables):
     centers, radii = balls(preset, name)
+    column_tables.clear()
     got = _near_pairs(centers, radii)
     want = orc.near_pairs(centers, radii)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert len(got[0]) > 0
+    if name.startswith("preset"):
+        assert (True, True) in column_tables  # a self-join that takes the column table
+    if name.startswith("scrambled"):  # sparse octaves fall past the bound
+        assert {built for _self, built in column_tables} == {True, False}
 
 
 @pytest.fixture
@@ -84,7 +105,7 @@ def oracle_join(monkeypatch):
     return use
 
 
-def test_join_consumers_match_the_oracle_join(preset, oracle_join):
+def test_join_consumers_match_the_oracle_join(preset, oracle_join, column_tables):
     """Coverage, the host cubes, the domain sampler and the Hausdorff
     distance read the join: each gives the same result through the oracle's,
     on the preset and on the orbit7 clouds at L = 7 and 6."""
@@ -105,7 +126,13 @@ def test_join_consumers_match_the_oracle_join(preset, oracle_join):
                 ls.hausdorff_one_sided(deep, coarse),
                 ls.hausdorff_one_sided(lox, lox_ref))
 
+    column_tables.clear()
     got = run()
+    # coverage, the host cubes and the domain sampler take the column table;
+    # the two Hausdorff joins, run last, are past its bound (640 to 1,700
+    # columns per keyed row) and search every run
+    assert column_tables[-2:] == [(False, False)] * 2
+    assert all(built for _self, built in column_tables[:-2])
     assert got[0] == (1.0, []) and got[1] == cover.host.tolist()
     assert got[2]["ok"] and got[3] > 0.0
     oracle_join()
@@ -202,7 +229,7 @@ def octave_join(preset, x, y):
 
 @pytest.mark.parametrize("case", ["junction beside faces", "junction beside vertices",
                                   "far from every row", "vertices beside faces"])
-def test_pruned_cross_join_keeps_the_pairs_and_their_order(preset, case):
+def test_pruned_cross_join_keeps_the_pairs_and_their_order(preset, case, column_tables):
     """A cross join keys only the rows of b near a cell of a, and yields the
     oracle's pairs in the order it documents: for the preset's 8 junction balls
     beside its 49,250 face and centre balls (nearly all pruned) and beside its
@@ -219,6 +246,7 @@ def test_pruned_cross_join_keeps_the_pairs_and_their_order(preset, case):
     kept = len(cv._near_rows(cv._floor_cells(a, side), cv._floor_cells(b, side)))
     assert kept == len(b) if case == "vertices beside faces" else kept < len(b) // 100
     got, want = join_pairs(a, b, side), join_in_order(a, b, side)
+    assert column_tables == [(False, True)]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert (len(got[0]) == 0) == (case == "far from every row")
