@@ -103,10 +103,10 @@ def parse_presentation(text):
 # A group-ring element is a dict {reduced word: integer coefficient}.
 
 
-def _ring_add(a, b, scale=1):
+def _ring_add(a, b):
     out = dict(a)
     for w, c in b.items():
-        out[w] = out.get(w, 0) + scale * c
+        out[w] = out.get(w, 0) + c
         if out[w] == 0:
             del out[w]
     return out

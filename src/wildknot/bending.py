@@ -26,8 +26,10 @@ certified once by the base group's relation suite.
 
 The crossing relations of every amalgam come from one table per group,
 `ReflectionGroup.crossings`, built in one pass on first use and kept:
-crossing_relations reads amalgam j's slice of it, bend reads that slice at
-each t, and suitable_amalgams reads the safe flags of all amalgams at once.
+crossing_relations reads amalgam j's slice of it, and suitable_amalgams reads
+the safe flags of all amalgams at once.  bend sweeps all the angles of one
+amalgam in one call: the locus, the sides, that slice and the frame
+reflections are built once, and only E_t's work is repeated per angle.
 """
 
 from __future__ import annotations
@@ -44,32 +46,16 @@ from .groups import GroupError, _square_frames, reflection_matrices, relation_re
 
 @dataclasses.dataclass
 class BendingLocus:
-    amalgam_index: int
     center: np.ndarray  # (4,) circle center = square center
     radius: float
     rotation_axes: tuple  # the two axes off the square's plane, rotated by E_t
 
 
-@dataclasses.dataclass
-class BentRepresentation:
-    group: object
-    locus: BendingLocus
-    side_b: np.ndarray  # (N,) bool, True on the balls conjugated by E_t
-    e_matrix: np.ndarray  # E_t in the amalgam frame
-    relation_report: dict
-
-    def generator_matrix(self, ball):
-        """Image of generator `ball`, in the amalgam frame."""
-        m = _frame_reflection_matrices(self.group.cover, [ball], self.locus.center)[0]
-        if self.side_b[ball]:
-            m = self.e_matrix @ m @ lz.inverse(self.e_matrix)
-        return m
-
-    def word_matrix(self, balls):
-        m = np.eye(6)
-        for b in balls:
-            m = m @ self.generator_matrix(b)
-        return m
+def _amalgam(group, j):
+    """Amalgam j of the group; raises unless 0 <= j < len(group.amalgams)."""
+    if not 0 <= j < len(group.amalgams):
+        raise GroupError(f"amalgam index {j} out of range")
+    return group.amalgams[j]
 
 
 def _frame_reflection_matrices(cover, balls, origin):
@@ -82,9 +68,7 @@ def bending_locus(group, j):
     """The circle orthogonal to amalgam j's four spheres, in the square's
     plane; raises unless the four spheres agree on rho^2 and are centered
     in that plane to within 1e-9."""
-    if not 0 <= j < len(group.amalgams):
-        raise GroupError(f"amalgam index {j} out of range")
-    am = group.amalgams[j]
+    am = _amalgam(group, j)
     rotation_axes = tuple(a for a in range(4) if am.square[a][1] == am.square[a][0])
     center, rho2, residual = (x[0] for x in _circle_fits(group, [j]))
     if not _has_circle(rho2):
@@ -94,7 +78,6 @@ def bending_locus(group, j):
     if not residual <= 1e-9:
         raise GroupError(f"amalgam {j} orthogonality residual {residual}")
     return BendingLocus(
-        amalgam_index=j,
         center=center,
         radius=math.sqrt(float(rho2.mean())),
         rotation_axes=rotation_axes,
@@ -142,11 +125,8 @@ def bending_rotation(locus, t):
     return e
 
 
-def commutation_residual(group, locus, t):
-    """max || E_t R E_t^-1 - R ||_inf over the four amalgam reflections."""
-    e = bending_rotation(locus, t)
-    am = group.amalgams[locus.amalgam_index]
-    r = _frame_reflection_matrices(group.cover, am.ball_ids, locus.center)
+def commutation_residual(e, r):
+    """max || E R E^-1 - R ||_inf over the reflections r (k, 6, 6)."""
     return float(np.abs(e @ r @ lz.inverse(e) - r).max())
 
 
@@ -156,7 +136,7 @@ def split_sides(group, j):
     Sides follow the cube chain: balls hosted in cubes up to the amalgam's
     first cube belong to side A, the rest to side B.
     """
-    return group.cover.host > group.amalgams[j].cube_pair[0]
+    return group.cover.host > _amalgam(group, j).cube_pair[0]
 
 
 def crossing_relations(group, j):
@@ -171,61 +151,65 @@ def crossing_relations(group, j):
     plate of the big cube qualifies).  Pairs with no commuting member make
     the amalgam unsuitable for bending.
     """
-    if not 0 <= j < len(group.amalgams):
-        raise GroupError(f"amalgam index {j} out of range")
+    _amalgam(group, j)
     rows, safe, offsets = group.crossings
     cut = slice(offsets[j], offsets[j + 1])
     return rows[cut], safe[cut]
 
 
-def bend(group, j, t, tol=1e-8):
-    """Bent representation at angle t along amalgam j.
+def bend(group, j, ts, word, tol=1e-8):
+    """The bending sweep at amalgam j: one row per angle t in ts.
 
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
-    Every relation that genuinely mixes the two sides is re-verified on the
-    images (the side-B sphere rotated by E_t, each pair in its midpoint
-    frame); a residual above `tol`, or one that is not a number, raises
-    with the failing relation.  So does a commutation residual of E_t with
-    the Gamma_j reflections above `tol` or not a number.
-    Same-side relations equal their base counterparts exactly (see module
-    docstring) and are covered by the base suite.
+    At each t every relation that genuinely mixes the two sides is
+    re-verified on the images (the side-B sphere rotated by E_t, each pair
+    in its midpoint frame); a residual above `tol`, or one that is not a
+    number, raises with the failing relation.  So does a commutation
+    residual of E_t with the Gamma_j reflections above `tol` or not a
+    number.  Same-side relations equal their base counterparts exactly (see
+    module docstring) and are covered by the base suite.  A row records t,
+    both residuals and lambda_max of the bent `word` (ball ids, multiplied
+    left to right, in the amalgam frame).  The GroupError of a failing angle
+    carries the rows of the angles before it as its `report`.
     """
     locus = bending_locus(group, j)
-    e = bending_rotation(locus, t)
     side_b = split_sides(group, j)
     rows, safe = crossing_relations(group, j)
+    cover = group.cover
     pairs = rows[:, :2]
-    centers = group.cover.centers[pairs] - locus.center
+    centers = cover.centers[pairs] - locus.center
+    radii = cover.radii[pairs]
     moved = side_b[pairs]
-    centers[moved] = centers[moved] @ e[:4, :4].T
-    residual, _gap = relation_residuals(centers, group.cover.radii[pairs], rows[:, 2])
-    max_residual = float(residual.max(initial=0.0))
-    if not max_residual <= tol:  # a NaN residual fails too
-        w = int(residual.argmax())
-        i, k, m = (int(x) for x in rows[w])
-        raise GroupError(
-            f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
-            f"residual {max_residual:.3e}"
-            + ("" if safe[w] else " (no member commutes with the bending rotation)")
-        )
-    commutation = commutation_residual(group, locus, t)
-    if not commutation <= tol:
-        raise GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
-                         f"commutation residual {commutation:.3e}")
-    report = {
-        "t": t,
-        "n_crossing_relations": len(rows),
-        "max_residual": max_residual,
-        "commutation_residual": commutation,
-        "tolerance": tol,
-    }
-    return BentRepresentation(
-        group=group,
-        locus=locus,
-        side_b=side_b,
-        e_matrix=e,
-        relation_report=report,
-    )
+    side_b_centers = centers[moved]
+    gamma = _frame_reflection_matrices(cover, group.amalgams[j].ball_ids, locus.center)
+    generators = _frame_reflection_matrices(cover, word, locus.center)
+    out = []
+    for t in ts:
+        t = float(t)
+        e = bending_rotation(locus, t)
+        centers[moved] = side_b_centers @ e[:4, :4].T
+        residual, _gap = relation_residuals(centers, radii, rows[:, 2])
+        max_residual = float(residual.max(initial=0.0))
+        if not max_residual <= tol:  # a NaN residual fails too
+            w = int(residual.argmax())
+            i, k, m = (int(x) for x in rows[w])
+            raise GroupError(
+                f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
+                f"residual {max_residual:.3e}"
+                + ("" if safe[w] else " (no member commutes with the bending rotation)"),
+                report=out,
+            )
+        commutation = commutation_residual(e, gamma)
+        if not commutation <= tol:
+            raise GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
+                             f"commutation residual {commutation:.3e}", report=out)
+        e_inv = lz.inverse(e)
+        bent = np.eye(6)
+        for b, g in zip(word, generators):
+            bent = bent @ (e @ g @ e_inv if side_b[b] else g)
+        out.append({"t": t, "max_relation_residual": max_residual,
+                    "commutation_residual": commutation, "lambda_max": lambda_max(bent)})
+    return out
 
 
 def suitable_amalgams(group):
@@ -249,9 +233,9 @@ def crossing_word(group, j):
     disjoint.  A ball without a finite centre and a finite positive radius
     raises CoverError: it would rank last and never be chosen, so the word
     would silently avoid it."""
+    am = _amalgam(group, j)
     cover = group.cover
     _finite_balls(cover.centers, cover.radii)
-    am = group.amalgams[j]
     balls = np.flatnonzero(cover.roles == ROLE_VERTEX)
     balls = balls[~np.isin(balls, am.ball_ids)]
     d2 = ((cover.centers[balls] - np.mean(am.square, axis=1)) ** 2).sum(axis=1)

@@ -145,17 +145,10 @@ class Run:
             j = straight[len(straight) // 2]
         self._amalgam(j)
         word = bd.crossing_word(group, j)
-        rows = []
         try:
-            for t in self.cfg.bend_ts:
-                rep = bd.bend(group, j, float(t), tol=self.cfg.relation_tol)
-                rows.append({"t": float(t),
-                             "max_relation_residual": rep.relation_report["max_residual"],
-                             "commutation_residual":
-                                 rep.relation_report["commutation_residual"],
-                             "lambda_max": bd.lambda_max(rep.word_matrix(word))})
+            rows = bd.bend(group, j, self.cfg.bend_ts, word, tol=self.cfg.relation_tol)
         except gr.GroupError as exc:
-            rows.append({"error": str(exc)})
+            rows = (exc.report or []) + [{"error": str(exc)}]
         return {"amalgam": j, "crossing_word": list(word), "rows": rows}
 
 

@@ -69,13 +69,12 @@ def boxes(cubes):
     return np.stack([lo, hi], axis=-1)
 
 
-def _fold(op, a, dtype=None):
+def _fold(op, a):
     """op.reduce(a, axis=-1) over a short, nonempty last axis, as op on its
     columns from left to right, without a reduction's loop per row.  For
     np.add on floats these are the bits of numpy's own sum when the axis has
-    fewer than 8 entries, which it too adds left to right.  `dtype` is the
-    result's (np.int64 counts a bool array's Trues)."""
-    out = np.array(a[..., 0], dtype=dtype)
+    fewer than 8 entries, which it too adds left to right."""
+    out = np.array(a[..., 0])
     for k in range(1, a.shape[-1]):
         op(out, a[..., k], out=out)
     return out

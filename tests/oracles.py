@@ -15,7 +15,10 @@ side and tests one block of about 2^16 samples at a time, and
 `cover.coverage_check`, with one join per radius octave, must give the same
 bits.  Criterion 3's batched `groups.relation_residuals` must agree with
 `relation_residual` here, which multiplies the scalar reflections of one
-pair at a time.  `limitset.loxodromic_points` and
+pair at a time.  `bending.bend`, one sweep over all the angles of an
+amalgam, must give the bits of `reference_bend` here, which rebuilds every
+angle-free part at each angle, and the bent word's matrix comes from the
+scalar reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
@@ -49,6 +52,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 
+from wildknot import bending as bd
 from wildknot import cli
 from wildknot import complexes as cx
 from wildknot import cover as cv
@@ -874,6 +878,64 @@ def relation_residual(centers, radii, order):
         power = power @ prod
         dists.append(float(np.abs(power - np.eye(6)).max()))
     return dists[-1], min(dists[:-1], default=math.inf)
+
+
+def bent_word_matrix(group, j, t, word):
+    """The word's matrix in the representation bent by t at amalgam j, in
+    the amalgam frame: each ball's scalar reflection about the locus centre,
+    conjugated by E_t when the ball's host cube lies past the amalgam's first
+    cube (side B), multiplied left to right."""
+    locus = bd.bending_locus(group, j)
+    e = bd.bending_rotation(locus, t)
+    cover = group.cover
+    m = np.eye(6)
+    for b in word:
+        r = reflection(sphere(cover.centers[b] - locus.center, cover.radii[b]))
+        m = m @ (e @ r @ e.T if cover.host[b] > group.amalgams[j].cube_pair[0] else r)
+    return m
+
+
+def reference_bend(group, j, t, word, tol=1e-8):
+    """The row of `bending.bend` at one angle t, computed as bend did before
+    it swept all the angles in one call: the locus, the sides, the crossing
+    rows and every reflection are built again for this t, and each word
+    generator's reflection on its own.  Raises bend's GroupError messages."""
+    locus = bd.bending_locus(group, j)
+    e = bd.bending_rotation(locus, t)
+    side_b = bd.split_sides(group, j)
+    rows, safe = bd.crossing_relations(group, j)
+    cover = group.cover
+
+    def frame_reflections(balls):
+        balls = list(balls)
+        return gr.reflection_matrices(lz.spheres(cover.centers[balls] - locus.center,
+                                                 cover.radii[balls]))
+
+    pairs = rows[:, :2]
+    centers = cover.centers[pairs] - locus.center
+    moved = side_b[pairs]
+    centers[moved] = centers[moved] @ e[:4, :4].T
+    residual, _gap = gr.relation_residuals(centers, cover.radii[pairs], rows[:, 2])
+    max_residual = float(residual.max(initial=0.0))
+    if not max_residual <= tol:
+        w = int(residual.argmax())
+        i, k, m = (int(x) for x in rows[w])
+        raise gr.GroupError(
+            f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
+            f"residual {max_residual:.3e}"
+            + ("" if safe[w] else " (no member commutes with the bending rotation)")
+        )
+    r = frame_reflections(group.amalgams[j].ball_ids)
+    commutation = float(np.abs(e @ r @ lz.inverse(e) - r).max())
+    if not commutation <= tol:
+        raise gr.GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
+                            f"commutation residual {commutation:.3e}")
+    m = np.eye(6)
+    for b in word:
+        g = frame_reflections([b])[0]
+        m = m @ (e @ g @ lz.inverse(e) if side_b[b] else g)
+    return {"t": t, "max_relation_residual": max_residual,
+            "commutation_residual": commutation, "lambda_max": bd.lambda_max(m)}
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,13 @@ def test_criterion_8_bending(group):
     assert abs(locus.radius - ell / math.sqrt(6.0)) <= 1e-9
 
     word = bd.crossing_word(group, j)
-    lam = {}
-    worst_rel = 0.0
-    worst_comm = 0.0
-    for t in (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
-        rep = bd.bend(group, j, t, tol=1e-8)
-        worst_rel = max(worst_rel, rep.relation_report["max_residual"])
-        worst_comm = max(worst_comm, rep.relation_report["commutation_residual"])
-        lam[t] = bd.lambda_max(rep.word_matrix(word))
+    ts = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+    rows = bd.bend(group, j, ts, word, tol=1e-8)
+    assert [row["t"] for row in rows] == list(ts)
+    worst_rel = max(row["max_relation_residual"] for row in rows)
+    worst_comm = max(row["commutation_residual"] for row in rows)
+    lam = {t: bd.lambda_max(orc.bent_word_matrix(group, j, t, word)) for t in ts}
+    assert [row["lambda_max"] for row in rows] == pytest.approx(list(lam.values()), rel=1e-12)
     assert worst_rel <= 1e-8
     assert worst_comm <= 1e-9
     assert abs(lam[0.2] - lam[0.0]) > 1e-4

@@ -18,6 +18,7 @@ from wildknot.bending import (
     split_sides,
     suitable_amalgams,
 )
+from wildknot.cli import RunConfig
 from wildknot.cover import ROLE_VERTEX, build_cover
 from wildknot.groups import GroupError, assemble_group
 from wildknot.presets import spun_trefoil_preset
@@ -178,10 +179,24 @@ def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
 
 
 def test_commutation_with_amalgam_generators(preset, mid_leg_amalgam):
-    _c, _cover, group = preset
+    _c, cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
+    gamma = np.array([orc.reflection(orc.sphere(cover.centers[b] - locus.center, cover.radii[b]))
+                      for b in group.amalgams[mid_leg_amalgam].ball_ids])
     for t in (0.05, 0.2, 0.3):
-        assert commutation_residual(group, locus, t) <= 1e-9
+        assert commutation_residual(bending_rotation(locus, t), gamma) <= 1e-9
+
+
+def test_amalgam_index_out_of_range(tube):
+    """Every function that takes an amalgam index refuses -1 and one past
+    the last amalgam, rather than reading an amalgam from the end or raising
+    IndexError."""
+    word = crossing_word(tube, 0)
+    for j in (-1, len(tube.amalgams)):
+        for call, args in [(bending_locus, ()), (crossing_relations, ()), (crossing_word, ()),
+                           (split_sides, ()), (bend, ((0.0,), word))]:
+            with pytest.raises(GroupError, match=f"^amalgam index {j} out of range$"):
+                call(tube, j, *args)
 
 
 def test_split_sides_partition(preset, mid_leg_amalgam):
@@ -261,15 +276,41 @@ def test_preset_suitable_amalgams(preset, suitable):
 
 def test_bend_every_amalgam(preset, suitable):
     """t = 0 is the base group, so a raise there is a false alarm; at t = 0.2
-    exactly the unsuitable amalgams must refuse."""
+    exactly the unsuitable amalgams must refuse, after the t = 0 row."""
     _c, _cover, group = preset
     for j in range(len(group.amalgams)):
-        assert bend(group, j, 0.0).relation_report["max_residual"] <= 1e-8
+        word = crossing_word(group, j)
         if j in suitable:
-            assert bend(group, j, 0.2).relation_report["max_residual"] <= 1e-8
+            rows = bend(group, j, (0.0, 0.2), word)
         else:
-            with pytest.raises(GroupError, match=f"amalgam {j} breaks relation"):
-                bend(group, j, 0.2)
+            with pytest.raises(GroupError, match=f"amalgam {j} breaks relation") as raised:
+                bend(group, j, (0.0, 0.2), word)
+            rows = raised.value.report
+            assert len(rows) == 1
+        assert all(row["max_relation_residual"] <= 1e-8 for row in rows)
+
+
+def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
+    """One sweep gives the bits of the per-angle reference, which rebuilds
+    every angle-free part at each t: at the default angles on every suitable
+    preset amalgam and on each of the tube's 7.  On the unsuitable amalgam
+    262 the sweep gives the reference's t = 0 row as its error's report and
+    then the reference's error at t = 0.05."""
+    ts = RunConfig().bend_ts
+    assert len(ts) == 7
+    for group, js in [(preset[2], suitable), (tube, range(len(tube.amalgams)))]:
+        for j in js:
+            word = crossing_word(group, j)
+            want = [orc.reference_bend(group, j, t, word) for t in ts]
+            assert repr(bend(group, j, ts, word)) == repr(want), j
+    group = preset[2]
+    word = crossing_word(group, 262)
+    with pytest.raises(GroupError) as want:
+        orc.reference_bend(group, 262, ts[1], word)
+    with pytest.raises(GroupError) as got:
+        bend(group, 262, ts, word)
+    assert str(got.value) == str(want.value)
+    assert repr(got.value.report) == repr([orc.reference_bend(group, 262, ts[0], word)])
 
 
 def test_junction_amalgam_bendable(preset):
@@ -278,8 +319,8 @@ def test_junction_amalgam_bendable(preset):
     _c, _cover, group = preset
     _rows, safe = crossing_relations(group, 0)
     assert safe.all()
-    rep = bend(group, 0, 0.2)
-    assert rep.relation_report["max_residual"] <= 1e-8
+    [row] = bend(group, 0, (0.2,), crossing_word(group, 0))
+    assert row["max_relation_residual"] <= 1e-8
 
 
 def test_turn_amalgams_unsuitable(preset, suitable):
@@ -291,7 +332,7 @@ def test_turn_amalgams_unsuitable(preset, suitable):
     j = unsuitable[0]
     assert not crossing_relations(group, j)[1].all()
     with pytest.raises(GroupError, match="relation"):
-        bend(group, j, 0.2)
+        bend(group, j, (0.2,), crossing_word(group, j))
 
 
 def test_bend_fails_on_a_nan_residual():
@@ -302,12 +343,13 @@ def test_bend_fails_on_a_nan_residual():
     group = assemble_group(c, build_cover(c))
     rows, _safe = crossing_relations(group, 0)
     ball = next(int(b) for b in rows[:, :2].ravel() if b not in group.amalgams[0].ball_ids)
-    assert bend(group, 0, 0.2).relation_report["max_residual"] <= 1e-8
+    word = crossing_word(group, 0)
+    assert bend(group, 0, (0.2,), word)[0]["max_relation_residual"] <= 1e-8
     centers = group.cover.centers.copy()
     centers[ball] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
     with pytest.raises(GroupError, match=f"amalgam 0 breaks relation .*R_{ball}.*: residual nan"):
-        bend(broken, 0, 0.2)
+        bend(broken, 0, (0.2,), word)
 
 
 def test_a_nan_amalgam_ball_has_no_bending_locus():
@@ -315,20 +357,21 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     x = NaN gives a NaN rho^2 spread, which is no spread within the
     tolerance, so amalgam 0 has no bending locus, bend refuses it and
     suitable_amalgams does not list it.  The failure stays with amalgam 0:
-    bending at each of the tube's other amalgams still goes through."""
+    bending at each of the tube's other amalgams still goes through.  The
+    sweeps bend the empty word: a crossing word may hold the NaN ball."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     assert 0 in suitable_amalgams(group)
     centers = group.cover.centers.copy()
     centers[group.amalgams[0].ball_ids[0], 0] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
-    for call, args in [(bending_locus, (0,)), (bend, (0, 0.2)), (suitable_amalgams, ())]:
+    for call, args in [(bending_locus, (0,)), (bend, (0, (0.2,), ())), (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
             call(broken, *args)
     assert len(broken.amalgams) == 7
     for j in range(1, 7):
-        assert bend(broken, j, 0.2).relation_report["max_residual"] <= 1e-8
-    for call, args in [(bend, (0, 0.2)), (suitable_amalgams, ())]:
+        assert bend(broken, j, (0.2,), ())[0]["max_relation_residual"] <= 1e-8
+    for call, args in [(bend, (0, (0.2,), ())), (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
             call(broken, *args)
 
@@ -338,28 +381,39 @@ def test_bend_gates_the_commutation_residual(monkeypatch):
     within the tolerance, so bend raises and names it."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
-    assert bend(group, 0, 0.2).relation_report["commutation_residual"] <= 1e-8
+    word = crossing_word(group, 0)
+    assert bend(group, 0, (0.2,), word)[0]["commutation_residual"] <= 1e-8
     for value in (np.nan, 1.0):
         monkeypatch.setattr(bd, "commutation_residual", lambda *_args, v=value: v)
         with pytest.raises(GroupError, match=re.escape(f"commutation residual {value:.3e}")):
-            bend(group, 0, 0.2)
+            bend(group, 0, (0.2,), word)
 
 
 def test_bend_zero_is_base(preset, mid_leg_amalgam):
+    """At t = 0 E_t is the identity, so the bent crossing word is the
+    product of the base reflections (its side-B ball unconjugated) and the
+    sweep's lambda_max is that product's."""
     _c, cover, group = preset
-    rep = bend(group, mid_leg_amalgam, 0.0)
-    assert np.allclose(rep.e_matrix, np.eye(6))
-    ball = int(np.flatnonzero(rep.side_b)[0])
-    polar = orc.sphere(cover.centers[ball] - rep.locus.center, cover.radii[ball])
-    assert np.allclose(rep.generator_matrix(ball), orc.reflection(polar))
+    locus = bending_locus(group, mid_leg_amalgam)
+    assert np.allclose(bending_rotation(locus, 0.0), np.eye(6))
+    word = crossing_word(group, mid_leg_amalgam)
+    assert split_sides(group, mid_leg_amalgam)[word[1]]
+    base = [orc.reflection(orc.sphere(cover.centers[b] - locus.center, cover.radii[b]))
+            for b in word]
+    m0 = orc.bent_word_matrix(group, mid_leg_amalgam, 0.0, word)
+    assert np.allclose(m0, base[0] @ base[1])
+    [row] = bend(group, mid_leg_amalgam, (0.0,), word)
+    assert row["lambda_max"] == pytest.approx(lambda_max(m0), rel=1e-12)
 
 
 def test_bend_relation_sweep(preset, mid_leg_amalgam):
     _c, _cover, group = preset
-    for t in np.arange(0.0, 0.3001, 0.05):
-        rep = bend(group, mid_leg_amalgam, float(t))
-        assert rep.relation_report["max_residual"] <= 1e-8
-        assert rep.relation_report["commutation_residual"] <= 1e-9
+    ts = np.arange(0.0, 0.3001, 0.05)
+    rows = bend(group, mid_leg_amalgam, ts, crossing_word(group, mid_leg_amalgam))
+    assert [row["t"] for row in rows] == ts.tolist()
+    for row in rows:
+        assert row["max_relation_residual"] <= 1e-8
+        assert row["commutation_residual"] <= 1e-9
 
 
 def test_crossing_word_at_every_suitable_amalgam(preset, suitable):
@@ -380,15 +434,15 @@ def test_crossing_word_at_every_suitable_amalgam(preset, suitable):
 def test_crossing_word_nontrivial_deformation(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     word = crossing_word(group, mid_leg_amalgam)
-    rep0 = bend(group, mid_leg_amalgam, 0.0)
-    rep2 = bend(group, mid_leg_amalgam, 0.2)
-    m0 = rep0.word_matrix(word)
-    m2 = rep2.word_matrix(word)
+    m0 = orc.bent_word_matrix(group, mid_leg_amalgam, 0.0, word)
+    m2 = orc.bent_word_matrix(group, mid_leg_amalgam, 0.2, word)
     kind0 = lz.classify_maps(m0[None])[0]
     assert lz.KINDS[kind0[0]] == "loxodromic"
     l0 = lambda_max(m0)
     l2 = lambda_max(m2)
     assert abs(l2 - l0) > 1e-4
+    rows = bend(group, mid_leg_amalgam, (0.0, 0.2), word)
+    assert [row["lambda_max"] for row in rows] == pytest.approx([l0, l2], rel=1e-12)
 
 
 def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
@@ -399,8 +453,7 @@ def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
     0..39 with cond(C) < 1e5, and the tolerance is 1e-6."""
     _c, _cover, group = preset
     word = crossing_word(group, mid_leg_amalgam)
-    rep = bend(group, mid_leg_amalgam, 0.2)
-    m = rep.word_matrix(word)
+    m = orc.bent_word_matrix(group, mid_leg_amalgam, 0.2, word)
     conjugators = [orc.random_moebius(np.random.default_rng(seed)) for seed in range(40)]
     conjugators = [c for c in conjugators if np.linalg.cond(c) < 1e5]
     assert len(conjugators) >= 5
