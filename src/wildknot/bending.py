@@ -28,8 +28,14 @@ The crossing relations of every amalgam come from one table per group,
 `ReflectionGroup.crossings`, built in one pass on first use and kept:
 crossing_relations reads amalgam j's slice of it, and suitable_amalgams reads
 the safe flags of all amalgams at once.  bend sweeps all the angles of one
-amalgam in one call: the locus, the sides, that slice and the frame
+amalgam in one call: the locus, the sides, that slice and the Gamma_j
 reflections are built once, and only E_t's work is repeated per angle.
+
+The family is a non-trivial deformation through one number, lambda_max of
+the bent crossing word R_a E_t R_b E_t^-1 of a pair (a, b) from
+crossing_word.  It needs no word matrix: E_t only rotates b's centre, and
+two reflections whose balls have inversive product P with |P| > 1 compose
+to a loxodromic map of dilation exp(2 acosh |P|) = (|P| + sqrt(P^2 - 1))^2.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import math
 import numpy as np
 
 from . import lorentz as lz
-from .cover import ROLE_VERTEX, _finite_balls, pair_orders
+from .cover import ROLE_VERTEX, _finite_balls, _products, pair_orders
 from .groups import GroupError, _square_frames, reflection_matrices, relation_residuals
 
 
@@ -54,14 +60,9 @@ class BendingLocus:
 def _amalgam(group, j):
     """Amalgam j of the group; raises unless 0 <= j < len(group.amalgams)."""
     if not 0 <= j < len(group.amalgams):
-        raise GroupError(f"amalgam index {j} out of range")
+        raise GroupError(f"amalgam {j} out of range: the group has "
+                         f"{len(group.amalgams)} amalgams")
     return group.amalgams[j]
-
-
-def _frame_reflection_matrices(cover, balls, origin):
-    """(k, 6, 6) reflections in the given balls, in the frame centered at `origin`."""
-    balls = list(balls)
-    return reflection_matrices(lz.spheres(cover.centers[balls] - origin, cover.radii[balls]))
 
 
 def bending_locus(group, j):
@@ -157,7 +158,7 @@ def crossing_relations(group, j):
     return rows[cut], safe[cut]
 
 
-def bend(group, j, ts, word, tol=1e-8):
+def bend(group, j, ts, pair, tol=1e-8):
     """The bending sweep at amalgam j: one row per angle t in ts.
 
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
@@ -168,27 +169,34 @@ def bend(group, j, ts, word, tol=1e-8):
     residual of E_t with the Gamma_j reflections above `tol` or not a
     number.  Same-side relations equal their base counterparts exactly (see
     module docstring) and are covered by the base suite.  A row records t,
-    both residuals and lambda_max of the bent `word` (ball ids, multiplied
-    left to right, in the amalgam frame).  The GroupError of a failing angle
-    carries the rows of the angles before it as its `report`.
+    both residuals and lambda_max of the bent crossing word of `pair` = (a,
+    b), as crossing_word gives it: the pair's side-B members are rotated as
+    the relations' are, and from the inversive product P of the two balls,
+    lambda_max = (|P| + sqrt(P^2 - 1))^2, the dilation of R_a R_b for
+    disjoint (or nested) balls, and exactly 1.0 when they meet (|P| <= 1:
+    an elliptic or parabolic product).  A pair ball without a finite centre
+    and a finite positive radius raises CoverError.  The GroupError of a
+    failing angle carries the rows of the angles before it as its `report`.
     """
     locus = bending_locus(group, j)
     side_b = split_sides(group, j)
     rows, safe = crossing_relations(group, j)
     cover = group.cover
-    pairs = rows[:, :2]
-    centers = cover.centers[pairs] - locus.center
-    radii = cover.radii[pairs]
-    moved = side_b[pairs]
+    pair = np.asarray(pair)
+    _finite_balls(cover.centers[pair], cover.radii[pair], ids=pair)
+    balls = np.vstack([rows[:, :2], pair])  # the crossing rows, then the pair
+    centers = cover.centers[balls] - locus.center
+    radii = cover.radii[balls]
+    moved = side_b[balls]
     side_b_centers = centers[moved]
-    gamma = _frame_reflection_matrices(cover, group.amalgams[j].ball_ids, locus.center)
-    generators = _frame_reflection_matrices(cover, word, locus.center)
+    ids = list(group.amalgams[j].ball_ids)
+    gamma = reflection_matrices(lz.spheres(cover.centers[ids] - locus.center, cover.radii[ids]))
     out = []
     for t in ts:
         t = float(t)
         e = bending_rotation(locus, t)
         centers[moved] = side_b_centers @ e[:4, :4].T
-        residual, _gap = relation_residuals(centers, radii, rows[:, 2])
+        residual, _gap = relation_residuals(centers[:-1], radii[:-1], rows[:, 2])
         max_residual = float(residual.max(initial=0.0))
         if not max_residual <= tol:  # a NaN residual fails too
             w = int(residual.argmax())
@@ -203,12 +211,10 @@ def bend(group, j, ts, word, tol=1e-8):
         if not commutation <= tol:
             raise GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
                              f"commutation residual {commutation:.3e}", report=out)
-        e_inv = lz.inverse(e)
-        bent = np.eye(6)
-        for b, g in zip(word, generators):
-            bent = bent @ (e @ g @ e_inv if side_b[b] else g)
+        p = max(abs(float(_products(centers[-1], radii[-1], 0, 1))), 1.0)
         out.append({"t": t, "max_relation_residual": max_residual,
-                    "commutation_residual": commutation, "lambda_max": lambda_max(bent)})
+                    "commutation_residual": commutation,
+                    "lambda_max": (p + math.sqrt(p * p - 1.0)) ** 2})
     return out
 
 
@@ -249,7 +255,3 @@ def crossing_word(group, j):
             return int(a), int(far[disjoint[0]])
     raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
 
-
-def lambda_max(m):
-    """Largest eigenvalue modulus (the dilation of a loxodromic map)."""
-    return float(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float))).max())

@@ -95,10 +95,10 @@ class Run:
 
     @functools.cached_property
     def surface(self):
-        issues, surf = cx.check_complex(self.complex)
+        issues = cx.validate_complex(self.complex)
         if issues:
             raise cx.ComplexError(issues)
-        return surf
+        return cx.knot_surface(self.complex)
 
     @functools.cached_property
     def cover(self):
@@ -114,17 +114,11 @@ class Run:
     def group(self):
         return gr.assemble_group(self.complex, self.cover)
 
-    def _amalgam(self, j):
-        if not 0 <= j < len(self.group.amalgams):
-            raise gr.GroupError(f"amalgam {j} out of range: the group has "
-                                f"{len(self.group.amalgams)} amalgams")
-        return self.group.amalgams[j]
-
     @functools.cached_property
     def sub(self):
         if self.amalgam is None:
             return gr.pairwise_disjoint_subassembly(self.cover, n=self.schottky)
-        return gr.subassembly(self.cover, self._amalgam(self.amalgam).ball_ids)
+        return gr.subassembly(self.cover, bd._amalgam(self.group, self.amalgam).ball_ids)
 
     @functools.cached_property
     def orbit(self):
@@ -143,8 +137,7 @@ class Run:
             if not straight:
                 raise gr.GroupError("no suitable straight amalgam")
             j = straight[len(straight) // 2]
-        self._amalgam(j)
-        word = bd.crossing_word(group, j)
+        word = bd.crossing_word(group, j)  # raises unless amalgam j exists
         try:
             rows = bd.bend(group, j, self.cfg.bend_ts, word, tol=self.cfg.relation_tol)
         except gr.GroupError as exc:
@@ -154,18 +147,8 @@ class Run:
 
 def _json_dump(obj, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
 def _fmt(x):

@@ -16,7 +16,10 @@ it touching along a single edge, so the disjointness rule for non-consecutive
 cubes admits exactly that contact for pairs at sequence distance two.  The
 decisive well-formedness test is on the surface itself: every edge must bound
 exactly two surface squares (closed 2-manifold), Euler characteristic must be
-2 and a consistent orientation must exist.
+2 and a consistent orientation must exist.  validate_complex is the one
+check: it lists the structural rules' issues and, only when there are none,
+the surface's.  A caller that needs the surface itself reads knot_surface(c),
+which the complex builds once and keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ FORMAT_HEADER = "wildknot-complex 1"
 # Bound on the fields of a complex file, so that the int64 boxes and their
 # sums cannot overflow.
 FIELD_LIMIT = 1 << 60
-# Cube pairs per block of check_complex's tube-by-tube meet.
+# Cube pairs per block of validate_complex's tube-by-tube meet.
 PAIR_BLOCK = 1 << 16
 
 
@@ -186,23 +189,18 @@ def save_complex(c, path):
 
 
 def validate_complex(c):
-    """Return a list of human-readable invariant violations (empty = valid)."""
-    return check_complex(c)[0]
+    """The complex's human-readable invariant violations (empty = valid).
 
-
-def check_complex(c):
-    """Invariant violations (empty = valid) and the knot surface, together.
-
-    Returns (issues, surface).  The surface, knot_surface(c), is reached only
-    once the structural checks pass, and is None when they fail.
+    The structural checks come first; only once they all pass is the knot
+    surface, knot_surface(c), built, and its issues are the list then.
     """
     issues = []
     if len(c.big) != 2:
         issues.append(f"need exactly 2 big cubes, got {len(c.big)}")
-        return issues, None
+        return issues
     if not c.tube:
         issues.append("empty tube: no fusion between the two big cubes")
-        return issues, None
+        return issues
     unit = c.tube[0].edge
     for i, t in enumerate(c.tube):
         if t.edge != unit:
@@ -278,9 +276,8 @@ def check_complex(c):
             issues.append(f"tube[{i}] connector leaves the hyperplane range")
 
     if issues:
-        return issues, None
-    surf = knot_surface(c)
-    return list(surf.issues), surf
+        return issues
+    return list(knot_surface(c).issues)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +399,7 @@ def _orientation(neighbour, flip):
 
 def knot_surface(c):
     """The knot surface of complex c: built on c's first call and kept on c,
-    so every later call, by check_complex, build_cover or a caller, returns
+    so every later call, by validate_complex, build_cover or a caller, returns
     that one object.  Its arrays are read-only and its issues a tuple."""
     return c._surface
 

@@ -446,16 +446,18 @@ def _first_rows(rows):
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
-def _finite_balls(centers, radii):
+def _finite_balls(centers, radii, ids=None):
     """(centers, radii) as float arrays; CoverError names the first ball
-    without a finite centre and a finite positive radius."""
+    without a finite centre and a finite positive radius, by its row or, given
+    ids, by its row's id."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     bad = ~(_fold(np.logical_and, np.isfinite(centers)) & np.isfinite(radii) & (radii > 0))
     if bad.any():
         b = int(np.argmax(bad))
         raise CoverError(
-            f"ball {b} (centre {tuple(float(x) for x in centers[b])}, radius {float(radii[b])}) "
+            f"ball {b if ids is None else int(ids[b])} (centre "
+            f"{tuple(float(x) for x in centers[b])}, radius {float(radii[b])}) "
             "needs a finite centre and a finite positive radius"
         )
     return centers, radii

@@ -4,7 +4,7 @@ The library computes spheres, reflections, pair classes, cube boxes and
 their meets, the complex's structural checks, the knot surface and each
 ball's host cube in batches (`lorentz.spheres`, `groups.reflection_matrices`,
 `cover.pair_orders`, `complexes.boxes` and `complexes.meet`,
-`complexes.check_complex`, `complexes.knot_surface`, `cover._host_cubes`);
+`complexes.validate_complex`, `complexes.knot_surface`, `cover._host_cubes`);
 the one-at-a-time formulas here are the tests' independent check on them.
 The near-pair search is checked against its earlier form, one self-join at
 the largest radius's cell side over a join that searches one row at a time
@@ -17,8 +17,11 @@ bits.  Criterion 3's batched `groups.relation_residuals` must agree with
 `relation_residual` here, which multiplies the scalar reflections of one
 pair at a time.  `bending.bend`, one sweep over all the angles of an
 amalgam, must give the bits of `reference_bend` here, which rebuilds every
-angle-free part at each angle, and the bent word's matrix comes from the
-scalar reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
+angle-free part at each angle, in its angles and residuals; its lambda_max,
+in closed form from the crossing pair's inversive product, must agree with
+the eigenvalues of the bent word's matrix (`lambda_max` here, on LAPACK's
+eigvals) and with the 50-digit `bent_pair_lambda_mp`, and the bent word's
+matrix comes from the scalar reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
@@ -644,7 +647,7 @@ def consecutive_squares(c):
 
 
 def structural_issues(c):
-    """complexes.check_complex's issues before the surface is built, from
+    """complexes.validate_complex's issues before the surface is built, from
     one box intersection per cube pair.  A connector must lie within the
     range of the hyperplane levels."""
     issues = []
@@ -935,7 +938,41 @@ def reference_bend(group, j, t, word, tol=1e-8):
         g = frame_reflections([b])[0]
         m = m @ (e @ g @ lz.inverse(e) if side_b[b] else g)
     return {"t": t, "max_relation_residual": max_residual,
-            "commutation_residual": commutation, "lambda_max": bd.lambda_max(m)}
+            "commutation_residual": commutation, "lambda_max": lambda_max(m)}
+
+
+def lambda_max(m):
+    """Largest eigenvalue modulus by LAPACK's eigvals: the dilation of a
+    loxodromic map, about 1 for an elliptic or a parabolic one."""
+    return float(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float))).max())
+
+
+def bent_pair_lambda_mp(group, j, t, pair, dps=50):
+    """lambda_max of the crossing word of `pair` bent by t at amalgam j, at
+    `dps` decimal digits: the two balls' float data about the locus centre,
+    the side-B ball's centre rotated by t in E_t's plane with mpmath's cos
+    and sin, their inversive product P, and exp(2 acosh |P|), the dilation
+    of two reflections whose hyperplanes lie acosh |P| apart; 1 when the
+    balls meet (|P| <= 1)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        locus = bd.bending_locus(group, j)
+        p, q = locus.rotation_axes
+        cover = group.cover
+        side_b = bd.split_sides(group, j)
+        cos, sin = mpmath.cos(mpmath.mpf(t)), mpmath.sin(mpmath.mpf(t))
+        centers = []
+        for b in pair:
+            x = [mpmath.mpf(float(v)) - mpmath.mpf(float(o))
+                 for v, o in zip(cover.centers[b], locus.center)]
+            if side_b[b]:
+                x[p], x[q] = cos * x[p] - sin * x[q], sin * x[p] + cos * x[q]
+            centers.append(x)
+        ra, rb = (mpmath.mpf(float(cover.radii[b])) for b in pair)
+        d2 = sum((u - v) ** 2 for u, v in zip(*centers))
+        prod = abs((d2 - ra * ra - rb * rb) / (2 * ra * rb))
+        return mpmath.exp(2 * mpmath.acosh(prod)) if prod > 1 else mpmath.mpf(1)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_criterion_8_bending(group):
     assert [row["t"] for row in rows] == list(ts)
     worst_rel = max(row["max_relation_residual"] for row in rows)
     worst_comm = max(row["commutation_residual"] for row in rows)
-    lam = {t: bd.lambda_max(orc.bent_word_matrix(group, j, t, word)) for t in ts}
+    lam = {t: orc.lambda_max(orc.bent_word_matrix(group, j, t, word)) for t in ts}
     assert [row["lambda_max"] for row in rows] == pytest.approx(list(lam.values()), rel=1e-12)
     assert worst_rel <= 1e-8
     assert worst_comm <= 1e-9

@@ -14,12 +14,11 @@ from wildknot.bending import (
     commutation_residual,
     crossing_relations,
     crossing_word,
-    lambda_max,
     split_sides,
     suitable_amalgams,
 )
 from wildknot.cli import RunConfig
-from wildknot.cover import ROLE_VERTEX, build_cover
+from wildknot.cover import ROLE_VERTEX, CoverError, build_cover
 from wildknot.groups import GroupError, assemble_group
 from wildknot.presets import spun_trefoil_preset
 
@@ -195,7 +194,8 @@ def test_amalgam_index_out_of_range(tube):
     for j in (-1, len(tube.amalgams)):
         for call, args in [(bending_locus, ()), (crossing_relations, ()), (crossing_word, ()),
                            (split_sides, ()), (bend, ((0.0,), word))]:
-            with pytest.raises(GroupError, match=f"^amalgam index {j} out of range$"):
+            with pytest.raises(GroupError,
+                               match=f"^amalgam {j} out of range: the group has 7 amalgams$"):
                 call(tube, j, *args)
 
 
@@ -290,19 +290,32 @@ def test_bend_every_amalgam(preset, suitable):
         assert all(row["max_relation_residual"] <= 1e-8 for row in rows)
 
 
+def assert_rows_match(got, want):
+    """bend's rows against reference_bend's: the same keys, t and both
+    residuals repr-equal, and lambda_max, in closed form from the pair's
+    inversive product, within 1e-12 relative of the reference's eigvals."""
+    assert [sorted(row) for row in got] == [sorted(row) for row in want]
+    fields = ("t", "max_relation_residual", "commutation_residual")
+    assert repr([[row[f] for f in fields] for row in got]) == repr(
+        [[row[f] for f in fields] for row in want])
+    assert [row["lambda_max"] for row in got] == pytest.approx(
+        [row["lambda_max"] for row in want], rel=1e-12, abs=0.0)
+
+
 def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
-    """One sweep gives the bits of the per-angle reference, which rebuilds
-    every angle-free part at each t: at the default angles on every suitable
-    preset amalgam and on each of the tube's 7.  On the unsuitable amalgam
-    262 the sweep gives the reference's t = 0 row as its error's report and
-    then the reference's error at t = 0.05."""
+    """One sweep matches the per-angle reference, which rebuilds every
+    angle-free part at each t and multiplies the bent word's matrices: at
+    the default angles on every suitable preset amalgam and on each of the
+    tube's 7.  On the unsuitable amalgam 262 the sweep gives the reference's
+    t = 0 row as its error's report and then the reference's error at
+    t = 0.05."""
     ts = RunConfig().bend_ts
     assert len(ts) == 7
     for group, js in [(preset[2], suitable), (tube, range(len(tube.amalgams)))]:
         for j in js:
             word = crossing_word(group, j)
-            want = [orc.reference_bend(group, j, t, word) for t in ts]
-            assert repr(bend(group, j, ts, word)) == repr(want), j
+            assert_rows_match(bend(group, j, ts, word),
+                              [orc.reference_bend(group, j, t, word) for t in ts])
     group = preset[2]
     word = crossing_word(group, 262)
     with pytest.raises(GroupError) as want:
@@ -310,7 +323,45 @@ def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
     with pytest.raises(GroupError) as got:
         bend(group, 262, ts, word)
     assert str(got.value) == str(want.value)
-    assert repr(got.value.report) == repr([orc.reference_bend(group, 262, ts[0], word)])
+    assert_rows_match(got.value.report, [orc.reference_bend(group, 262, ts[0], word)])
+
+
+def test_bend_lambda_max_matches_50_digits(preset, suitable, tube):
+    """At the default angles on every suitable preset amalgam and on each of
+    the tube's 7, the closed form's lambda_max is within 1e-14 relative of
+    the crossing pair's dilation evaluated at 50 digits."""
+    ts = RunConfig().bend_ts
+    worst = 0.0
+    for group, js in [(preset[2], suitable), (tube, range(len(tube.amalgams)))]:
+        for j in js:
+            word = crossing_word(group, j)
+            for t, row in zip(ts, bend(group, j, ts, word)):
+                want = orc.bent_pair_lambda_mp(group, j, t, word)
+                worst = max(worst, float(abs(row["lambda_max"] - want) / want))
+    assert worst <= 1e-14
+
+
+def test_a_crossing_pair_that_meets_has_lambda_max_one(preset):
+    """Control: at the report's default amalgam 132, t = 2.0 rotates the
+    crossing pair's side-B ball into its side-A ball (inversive product
+    2 + 3 cos 2 = 0.7516), so the bent word is elliptic and lambda_max is
+    exactly 1.0; the eigvals oracle reads 1 to rounding.  At t = 0 the pair
+    is disjoint (product 5) and lambda_max is (5 + sqrt 24)^2."""
+    _c, cover, group = preset
+    word = crossing_word(group, 132)
+    rows = bend(group, 132, (0.0, 2.0), word)
+    assert rows[0]["lambda_max"] == pytest.approx((5.0 + math.sqrt(24.0)) ** 2, rel=1e-14)
+    assert rows[1]["lambda_max"] == 1.0
+    locus = bending_locus(group, 132)
+    a, b = word
+    moved = (cover.centers[b] - locus.center) @ bending_rotation(locus, 2.0)[:4, :4].T
+    prod = orc.euclidean_exterior_cos(cover.centers[a] - locus.center, cover.radii[a],
+                                      moved, cover.radii[b])
+    assert prod == pytest.approx(2.0 + 3.0 * math.cos(2.0), abs=1e-12)
+    assert round(prod, 4) == 0.7516
+    m = orc.bent_word_matrix(group, 132, 2.0, word)
+    assert lz.KINDS[lz.classify_maps(m[None])[0][0]] == "elliptic"
+    assert orc.lambda_max(m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_junction_amalgam_bendable(preset):
@@ -338,12 +389,14 @@ def test_turn_amalgams_unsuitable(preset, suitable):
 def test_bend_fails_on_a_nan_residual():
     """Fail-closed control on the straight tube: one crossing relation's
     side-B ball with a NaN centre gives a NaN residual, which is no residual
-    within the tolerance, so bending refuses the relation."""
+    within the tolerance, so bending refuses the relation.  The ball is not
+    in the crossing pair, whose own check would refuse it first."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     rows, _safe = crossing_relations(group, 0)
-    ball = next(int(b) for b in rows[:, :2].ravel() if b not in group.amalgams[0].ball_ids)
     word = crossing_word(group, 0)
+    ball = next(int(b) for b in rows[:, :2].ravel()
+                if b not in group.amalgams[0].ball_ids and b not in word)
     assert bend(group, 0, (0.2,), word)[0]["max_relation_residual"] <= 1e-8
     centers = group.cover.centers.copy()
     centers[ball] = np.nan
@@ -356,24 +409,51 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     """Fail-closed control on the straight tube: amalgam 0's first ball at
     x = NaN gives a NaN rho^2 spread, which is no spread within the
     tolerance, so amalgam 0 has no bending locus, bend refuses it and
-    suitable_amalgams does not list it.  The failure stays with amalgam 0:
-    bending at each of the tube's other amalgams still goes through.  The
-    sweeps bend the empty word: a crossing word may hold the NaN ball."""
+    suitable_amalgams does not list it.  Each sweep bends the amalgam's
+    crossing pair on the intact cover.  Amalgam 1's pair holds the NaN
+    ball, so bend refuses that ball there with the CoverError that names
+    it; the tube's other amalgams still bend."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     assert 0 in suitable_amalgams(group)
+    pairs = [crossing_word(group, j) for j in range(7)]
+    ball = group.amalgams[0].ball_ids[0]
     centers = group.cover.centers.copy()
-    centers[group.amalgams[0].ball_ids[0], 0] = np.nan
+    centers[ball, 0] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
-    for call, args in [(bending_locus, (0,)), (bend, (0, (0.2,), ())), (suitable_amalgams, ())]:
+    for call, args in [(bending_locus, (0,)), (bend, (0, (0.2,), pairs[0])),
+                       (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
             call(broken, *args)
     assert len(broken.amalgams) == 7
-    for j in range(1, 7):
-        assert bend(broken, j, (0.2,), ())[0]["max_relation_residual"] <= 1e-8
-    for call, args in [(bend, (0, (0.2,), ())), (suitable_amalgams, ())]:
-        with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
-            call(broken, *args)
+    assert [j for j in range(7) if ball in pairs[j]] == [1]
+    with pytest.raises(CoverError, match=rf"^ball {ball} \(centre \(nan, "):
+        bend(broken, 1, (0.2,), pairs[1])
+    for j in range(2, 7):
+        [row] = bend(broken, j, (0.2,), pairs[j])
+        assert row["max_relation_residual"] <= 1e-8 and row["lambda_max"] > 1.0
+
+
+@pytest.mark.parametrize("member", [0, 1])
+@pytest.mark.parametrize("fault", ["inf-centre", "zero-radius", "nan-radius"])
+def test_bend_refuses_a_pair_ball_that_is_not_finite(fault, member):
+    """Negative control on the straight tube: a crossing pair member (side
+    A or side B) with an infinite centre coordinate, a zero radius or a NaN
+    radius has no inversive product, so bend raises the CoverError that
+    names that ball, before any row."""
+    c = orc.straight_tube_complex()
+    group = assemble_group(c, build_cover(c))
+    pair = crossing_word(group, 3)
+    ball = pair[member]
+    centers, radii = group.cover.centers.copy(), group.cover.radii.copy()
+    if fault == "inf-centre":
+        centers[ball, 2] = np.inf
+    else:
+        radii[ball] = 0.0 if fault == "zero-radius" else np.nan
+    broken = dataclasses.replace(group, cover=dataclasses.replace(
+        group.cover, centers=centers, radii=radii))
+    with pytest.raises(CoverError, match=rf"^ball {ball} \(centre .* needs a finite centre"):
+        bend(broken, 3, (0.0, 0.2), pair)
 
 
 def test_bend_gates_the_commutation_residual(monkeypatch):
@@ -403,7 +483,7 @@ def test_bend_zero_is_base(preset, mid_leg_amalgam):
     m0 = orc.bent_word_matrix(group, mid_leg_amalgam, 0.0, word)
     assert np.allclose(m0, base[0] @ base[1])
     [row] = bend(group, mid_leg_amalgam, (0.0,), word)
-    assert row["lambda_max"] == pytest.approx(lambda_max(m0), rel=1e-12)
+    assert row["lambda_max"] == pytest.approx(orc.lambda_max(m0), rel=1e-12)
 
 
 def test_bend_relation_sweep(preset, mid_leg_amalgam):
@@ -438,8 +518,8 @@ def test_crossing_word_nontrivial_deformation(preset, mid_leg_amalgam):
     m2 = orc.bent_word_matrix(group, mid_leg_amalgam, 0.2, word)
     kind0 = lz.classify_maps(m0[None])[0]
     assert lz.KINDS[kind0[0]] == "loxodromic"
-    l0 = lambda_max(m0)
-    l2 = lambda_max(m2)
+    l0 = orc.lambda_max(m0)
+    l2 = orc.lambda_max(m2)
     assert abs(l2 - l0) > 1e-4
     rows = bend(group, mid_leg_amalgam, (0.0, 0.2), word)
     assert [row["lambda_max"] for row in rows] == pytest.approx([l0, l2], rel=1e-12)
@@ -459,4 +539,4 @@ def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
     assert len(conjugators) >= 5
     for conj in conjugators:
         m_conj = conj @ m @ lz.inverse(conj)
-        assert lambda_max(m_conj) == pytest.approx(lambda_max(m), rel=1e-6)
+        assert orc.lambda_max(m_conj) == pytest.approx(orc.lambda_max(m), rel=1e-6)

@@ -566,8 +566,8 @@ def test_every_text_writer_fixes_lf_endings():
 
 
 def test_run_pipeline_builds_the_surface_once(tube_complex, tmp_path, monkeypatch):
-    """The run's complex builds its surface once, though check_complex and
-    build_cover both ask knot_surface for it."""
+    """The run's complex builds its surface once, though validate_complex,
+    the run's surface and build_cover all ask knot_surface for it."""
     original = cx._build_surface
     calls = []
 

@@ -57,8 +57,7 @@ class TestCube3:
 class TestPresetComplex:
     def test_validates(self, preset, preset_surface):
         assert cx.validate_complex(preset) == []
-        issues, surf = cx.check_complex(preset)
-        assert issues == []
+        surf = cx.knot_surface(preset)
         for field in dataclasses.fields(cx.KnotSurface):
             got, want = getattr(surf, field.name), getattr(preset_surface, field.name)
             if isinstance(want, np.ndarray):
@@ -94,13 +93,14 @@ class TestPresetComplex:
 
 
 class TestValidatorRejections:
-    def test_empty_tube(self):
+    def test_empty_tube(self, monkeypatch):
         c = cx.CubeComplex(
             (cx.Cube3((0, 0, 0, 0), 3, 3), cx.Cube3((10, 0, 0, 0), 3, 3)), ()
         )
+        built = []
+        monkeypatch.setattr(cx, "_build_surface", built.append)
         assert any("empty tube" in s for s in cx.validate_complex(c))
-        issues, surf = cx.check_complex(c)
-        assert surf is None and any("empty tube" in s for s in issues)
+        assert built == []
 
     def test_edge_only_contact_named(self):
         # tube cube meets Q0 along an edge instead of a face
@@ -164,7 +164,7 @@ _STRAIGHT = orc.straight_tube_complex()
 _Q0, _Q1 = _STRAIGHT.big
 _OVERLAP = "(non-consecutive cubes must have disjoint closures)"
 
-# One broken complex per check_complex rule, with its exact issue list.  The
+# One broken complex per validate_complex rule, with its exact issue list.  The
 # "flat" tubes lie in the hyperplane w = 0 with both big cubes.
 NEGATIVE_CONTROLS = {
     "big-count": (
@@ -231,14 +231,18 @@ NEGATIVE_CONTROLS = {
 
 
 @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
-def test_check_complex_negative_controls(name):
-    """Each broken complex gets exactly its rule's issues, as the one-pair-at-
-    a-time reference finds them, and no surface."""
+def test_check_complex_negative_controls(name, monkeypatch):
+    """Each broken complex gets exactly its rule's issues from
+    validate_complex, as the one-pair-at-a-time reference finds them, and
+    builds no surface.  The complex is a fresh copy, so a surface that
+    another test built on the shared control cannot hide a build here."""
     c, want = NEGATIVE_CONTROLS[name]
-    issues, surf = cx.check_complex(c)
-    assert issues == want
+    c = cx.CubeComplex(c.big, c.tube)
+    built = []
+    monkeypatch.setattr(cx, "_build_surface", built.append)
+    assert cx.validate_complex(c) == want
     assert orc.structural_issues(c) == want
-    assert surf is None
+    assert built == []
 
 
 def test_connector_dip_has_a_sphere_surface():
@@ -265,14 +269,15 @@ VALID_AND_INVALID = {
 
 @pytest.mark.parametrize("name", VALID_AND_INVALID)
 def test_check_complex_matches_the_reference(name, monkeypatch):
-    """The issue list equals the reference's, in order, with the tube-by-tube
-    meet in its default blocks and in blocks of a few rows."""
+    """validate_complex's issue list equals the reference's, in order (the
+    surface's issues when the structure passes), with the tube-by-tube meet
+    in its default blocks and in blocks of a few rows."""
     c = VALID_AND_INVALID[name]()
     want = orc.structural_issues(c)
-    issues, surf = cx.check_complex(c)
-    assert issues == (want or list(surf.issues))
+    issues = cx.validate_complex(c)
+    assert issues == (want or list(cx.knot_surface(c).issues))
     monkeypatch.setattr(cx, "PAIR_BLOCK", 3 * len(c.tube) - 1)
-    assert cx.check_complex(c)[0] == issues
+    assert cx.validate_complex(c) == issues
     if name == "scaled-5":
         assert issues == [f"tube[50] and tube[53] overlap in a 0-dimensional set {_OVERLAP}"]
 
@@ -291,8 +296,7 @@ def test_one_complex_builds_its_surface_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cx, "_build_surface", counted)
     c = orc.straight_tube_complex()
     assert cx.validate_complex(c) == []
-    issues, surf = cx.check_complex(c)
-    assert issues == [] and cx.knot_surface(c) is surf
+    surf = cx.knot_surface(c)
     assert build_cover(c).vertices is surf.vertices
     run = cli.Run(cli.RunConfig(out_dir=str(tmp_path)))
     run.complex = c  # the run on this very complex

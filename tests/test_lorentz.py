@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildknot import lorentz as lz
-from wildknot.bending import lambda_max
 from wildknot.cover import pair_orders
 
 import oracles as orc
@@ -200,7 +199,7 @@ def test_classify_loxodromic_dilation():
     assert [lz.KINDS[k] for k in kind] == ["loxodromic", "loxodromic"]
     assert np.isnan(att[0]).all()
     assert np.abs(att[1]).max() <= 1e-9
-    assert lambda_max(m) == pytest.approx(4.0, rel=1e-9)
+    assert orc.lambda_max(m) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_classify_parabolic():
