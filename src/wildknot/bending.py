@@ -57,19 +57,11 @@ class BendingLocus:
     rotation_axes: tuple  # the two axes off the square's plane, rotated by E_t
 
 
-def _amalgam(group, j):
-    """Amalgam j of the group; raises unless 0 <= j < len(group.amalgams)."""
-    if not 0 <= j < len(group.amalgams):
-        raise GroupError(f"amalgam {j} out of range: the group has "
-                         f"{len(group.amalgams)} amalgams")
-    return group.amalgams[j]
-
-
 def bending_locus(group, j):
     """The circle orthogonal to amalgam j's four spheres, in the square's
     plane; raises unless the four spheres agree on rho^2 and are centered
     in that plane to within 1e-9."""
-    am = _amalgam(group, j)
+    am = group.amalgam(j)
     rotation_axes = tuple(a for a in range(4) if am.square[a][1] == am.square[a][0])
     center, rho2, residual = (x[0] for x in _circle_fits(group, [j]))
     if not _has_circle(rho2):
@@ -137,7 +129,7 @@ def split_sides(group, j):
     Sides follow the cube chain: balls hosted in cubes up to the amalgam's
     first cube belong to side A, the rest to side B.
     """
-    return group.cover.host > _amalgam(group, j).cube_pair[0]
+    return group.cover.host > group.amalgam(j).cube_pair[0]
 
 
 def crossing_relations(group, j):
@@ -152,7 +144,7 @@ def crossing_relations(group, j):
     plate of the big cube qualifies).  Pairs with no commuting member make
     the amalgam unsuitable for bending.
     """
-    _amalgam(group, j)
+    group.amalgam(j)
     rows, safe, offsets = group.crossings
     cut = slice(offsets[j], offsets[j + 1])
     return rows[cut], safe[cut]
@@ -239,7 +231,7 @@ def crossing_word(group, j):
     disjoint.  A ball without a finite centre and a finite positive radius
     raises CoverError: it would rank last and never be chosen, so the word
     would silently avoid it."""
-    am = _amalgam(group, j)
+    am = group.amalgam(j)
     cover = group.cover
     _finite_balls(cover.centers, cover.radii)
     balls = np.flatnonzero(cover.roles == ROLE_VERTEX)

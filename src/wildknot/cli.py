@@ -118,7 +118,7 @@ class Run:
     def sub(self):
         if self.amalgam is None:
             return gr.pairwise_disjoint_subassembly(self.cover, n=self.schottky)
-        return gr.subassembly(self.cover, bd._amalgam(self.group, self.amalgam).ball_ids)
+        return gr.subassembly(self.cover, self.group.amalgam(self.amalgam).ball_ids)
 
     @functools.cached_property
     def orbit(self):

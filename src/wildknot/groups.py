@@ -78,6 +78,13 @@ class ReflectionGroup:
     relations: np.ndarray  # cover.adjacency itself: (n, 3) int64 rows (i, j, order m)
     amalgams: list
 
+    def amalgam(self, j):
+        """Amalgam j; raises unless 0 <= j < len(self.amalgams)."""
+        if not 0 <= j < len(self.amalgams):
+            raise GroupError(f"amalgam {j} out of range: the group has "
+                             f"{len(self.amalgams)} amalgams")
+        return self.amalgams[j]
+
     @functools.cached_property
     def crossings(self):
         """(rows, safe, offsets): every amalgam's crossing relations in one

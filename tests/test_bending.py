@@ -412,7 +412,9 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     suitable_amalgams does not list it.  Each sweep bends the amalgam's
     crossing pair on the intact cover.  Amalgam 1's pair holds the NaN
     ball, so bend refuses that ball there with the CoverError that names
-    it; the tube's other amalgams still bend."""
+    it; the tube's other amalgams still bend.  The failure stays with
+    amalgam 0: after those sweeps have filled the cached crossing table,
+    bend and suitable_amalgams still refuse amalgam 0 for its locus."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     assert 0 in suitable_amalgams(group)
@@ -432,6 +434,10 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
     for j in range(2, 7):
         [row] = bend(broken, j, (0.2,), pairs[j])
         assert row["max_relation_residual"] <= 1e-8 and row["lambda_max"] > 1.0
+    assert "crossings" in vars(broken)
+    for call, args in [(bend, (0, (0.2,), pairs[0])), (suitable_amalgams, ())]:
+        with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
+            call(broken, *args)
 
 
 @pytest.mark.parametrize("member", [0, 1])
