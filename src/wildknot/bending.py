@@ -10,19 +10,22 @@ E_t fixes that circle pointwise and rotates the complementary coordinate
 four amalgam reflections, and conjugating every generator on one side of the
 amalgam by E_t yields a new representation of the same abstract group.
 
-Matrices here live in the *amalgam frame*: coordinates translated so the
-square's center is the origin, an exact group conjugation that makes E_t a
-pure block rotation.  E_t is a Euclidean rotation about the square's 2-plane,
-so E_t R E_t^-1 is the reflection in the rotated sphere: bending moves the
-side-B sphere centers and nothing else.  The relations that genuinely mix the
-two sides are therefore checked on rotated centers by the base relation
-suite's own kernel, `groups.relation_residuals`, each pair in its own
-midpoint frame.  The amalgam frame would not do for them: a pair 13.5 units
-from the square's center has reflection entries near 5e4, and its cubed
-product misses the identity by ~1e2 even at t = 0.  Relations between
-generators on a common side are untouched by the deformation --
-(E R_i E^-1)(E R_j E^-1) = E R_i R_j E^-1 identically -- so they are
-certified once by the base group's relation suite.
+The sweep works in the *amalgam frame*, the `lorentz.frame` of the four
+Gamma_j balls: coordinates translated so that their mean centre, the
+square's center, is the origin, which makes E_t a pure block rotation, and
+for the Gamma_j reflections also divided by their radius.  E_t is a
+Euclidean rotation about the square's 2-plane, so E_t R E_t^-1 is the
+reflection in the rotated sphere: bending moves the side-B sphere centers
+and nothing else.  The relations that genuinely mix the two sides are
+therefore checked on rotated centers by the base relation suite's own
+kernel, `groups.relation_residuals`, each pair in its own unit frame.  The
+amalgam frame would not do for them: a pair 13.5 units from the square's
+center has reflection entries near 5e4, and its cubed product misses the
+identity by ~1e2 even at t = 0.  The locus tests measure lengths in tube
+units, so no verdict of the sweep depends on the complex's scale.
+Relations between generators on a common side are untouched by the
+deformation -- (E R_i E^-1)(E R_j E^-1) = E R_i R_j E^-1 identically -- so
+they are certified once by the base group's relation suite.
 
 The crossing relations of every amalgam come from one table per group,
 `ReflectionGroup.crossings`, built in one pass on first use and kept:
@@ -60,7 +63,7 @@ class BendingLocus:
 def bending_locus(group, j):
     """The circle orthogonal to amalgam j's four spheres, in the square's
     plane; raises unless the four spheres agree on rho^2 and are centered
-    in that plane to within 1e-9."""
+    in that plane to within 1e-9, in tube units."""
     am = group.amalgam(j)
     rotation_axes = tuple(a for a in range(4) if am.square[a][1] == am.square[a][0])
     center, rho2, residual = (x[0] for x in _circle_fits(group, [j]))
@@ -72,7 +75,7 @@ def bending_locus(group, j):
         raise GroupError(f"amalgam {j} orthogonality residual {residual}")
     return BendingLocus(
         center=center,
-        radius=math.sqrt(float(rho2.mean())),
+        radius=math.sqrt(float(rho2.mean())) * group.cover.unit,
         rotation_axes=rotation_axes,
     )
 
@@ -81,13 +84,15 @@ def _circle_fits(group, js):
     """(center, rho2, residual) of the amalgams js, one row each: the
     square's centre (4,), rho^2 = d^2 - r^2 per ball (d its centre's distance
     from the square's centre) (4,), and the largest miss of d^2 = rho^2 + r^2
-    (rho^2 their mean) or of a centre off the square's plane."""
+    (rho^2 their mean) or of a centre off the square's plane.  rho2 and the
+    residual are in tube units, so their tolerances hold at any scale."""
     ams = [group.amalgams[j] for j in js]
     center, spanned = _square_frames(ams)
     balls = np.array([am.ball_ids for am in ams], dtype=np.int64).reshape(-1, 4)
-    off = group.cover.centers[balls] - center[:, None]
+    unit = group.cover.unit
+    off = (group.cover.centers[balls] - center[:, None]) / unit
     d2 = (off**2).sum(axis=2)
-    r2 = group.cover.radii[balls] ** 2
+    r2 = (group.cover.radii[balls] / unit) ** 2
     rho2 = d2 - r2
     with np.errstate(invalid="ignore"):  # a negative mean: _has_circle fails it
         rho = np.sqrt(rho2.mean(axis=1, keepdims=True))
@@ -98,8 +103,8 @@ def _circle_fits(group, js):
 
 
 def _has_circle(rho2):
-    """Per row of rho^2 values: all positive and within 1e-9 of each other
-    (a NaN spread fails too)."""
+    """Per row of rho^2 values (in tube units): all positive and within 1e-9
+    of each other (a NaN spread fails too)."""
     return ~(rho2 <= 0).any(axis=-1) & (np.ptp(rho2, axis=-1) <= 1e-9)
 
 
@@ -154,13 +159,15 @@ def bend(group, j, ts, pair, tol=1e-8):
     """The bending sweep at amalgam j: one row per angle t in ts.
 
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
-    At each t every relation that genuinely mixes the two sides is
-    re-verified on the images (the side-B sphere rotated by E_t, each pair
-    in its midpoint frame); a residual above `tol`, or one that is not a
-    number, raises with the failing relation.  So does a commutation
-    residual of E_t with the Gamma_j reflections above `tol` or not a
-    number.  Same-side relations equal their base counterparts exactly (see
-    module docstring) and are covered by the base suite.  A row records t,
+    E_t turns about the frame shift of Gamma_j's four balls (`lz.frame`, the
+    square's centre).  At each t every relation that genuinely mixes the
+    two sides is re-verified on the images (the side-B sphere rotated by
+    E_t, each pair in its own unit frame); a residual above `tol`, or one
+    that is not a number, raises with the failing relation.  So does a
+    commutation residual of E_t with the Gamma_j reflections, built in
+    Gamma_j's unit frame, above `tol` or not a number.  Same-side relations
+    equal their base counterparts exactly (see module docstring) and are
+    covered by the base suite.  A row records t,
     both residuals and lambda_max of the bent crossing word of `pair` = (a,
     b), as crossing_word gives it: the pair's side-B members are rotated as
     the relations' are, and from the inversive product P of the two balls,
@@ -176,13 +183,15 @@ def bend(group, j, ts, pair, tol=1e-8):
     cover = group.cover
     pair = np.asarray(pair)
     _finite_balls(cover.centers[pair], cover.radii[pair], ids=pair)
+    ids = list(group.amalgams[j].ball_ids)
+    shift, scale = lz.frame(cover.centers[ids], cover.radii[ids])
+    gamma = reflection_matrices(lz.spheres((cover.centers[ids] - shift) / scale,
+                                           cover.radii[ids] / scale))
     balls = np.vstack([rows[:, :2], pair])  # the crossing rows, then the pair
-    centers = cover.centers[balls] - locus.center
+    centers = cover.centers[balls] - shift
     radii = cover.radii[balls]
     moved = side_b[balls]
     side_b_centers = centers[moved]
-    ids = list(group.amalgams[j].ball_ids)
-    gamma = reflection_matrices(lz.spheres(cover.centers[ids] - locus.center, cover.radii[ids]))
     out = []
     for t in ts:
         t = float(t)

@@ -39,7 +39,7 @@ class RunConfig:
     complex_path: str | None = None
     refinement: int = 0
     max_word_length: int = 5
-    eps: float = 0.12
+    eps: float = 0.12  # limit-set cloud radius cutoff, in tube units
     n_stages: int = 4
     bend_amalgam: int | None = None  # None = middle suitable straight amalgam
     bend_ts: tuple = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -126,7 +126,8 @@ class Run:
 
     @functools.cached_property
     def cloud(self):
-        return ls.cloud_from_orbit(self.orbit, self.cfg.eps, offset=self.sub.offset)
+        return ls.cloud_from_orbit(self.orbit, self.cfg.eps * self.cover.unit,
+                                   offset=self.sub.offset)
 
     @functools.cached_property
     def bending(self):
@@ -278,7 +279,7 @@ def _check_limitset(run):
     lox, skipped = ls.loxodromic_points(sub, 50, seed=run.cfg.seed)
     gen1 = orbit.generation == 1
     inside = ls.containment_fraction(lox, orbit.centers[gen1] + sub.offset,
-                                     orbit.radii[gen1], slack=1e-9)
+                                     orbit.radii[gen1], slack=1e-9 * run.cover.unit)
     ls.export_cloud(lox, "csv", run.path("loxodromic.csv"))
     held = round(inside * len(lox))  # the drawn points inside
     drawn = "" if held == len(lox) == 50 else f" of {len(lox)}"
@@ -530,7 +531,7 @@ _FLAGS = {
     "refinement": (("-k", "--refinement"), {"type": int, "help": "junction annulus refinement"}),
     "out_dir": (("--out",), {}),
     "max_word_length": (("-L", "--max-len"), {"type": int}),
-    "eps": (("--eps",), {"type": float, "help": "radius cutoff for limit-set clouds"}),
+    "eps": (("--eps",), {"type": float, "help": "limit-set cloud radius cutoff, in tube units"}),
     "n_stages": (("--stages",), {"type": int}),
     "seed": (("--seed",), {"type": int}),
     "samples_per_face": (("--samples-per-face",), {"type": int}),

@@ -9,12 +9,17 @@ of the Coxeter group, runs faithfulness and fundamental-domain evidence
 scans, and computes sphere orbits named by their Tits roots, with their
 nesting parents, plus the doubled-polyhedron stage sequence.
 
-Word enumeration on the full cover is hopeless (tens of thousands of
-generators); the word-level tooling therefore operates on a *sub-assembly*: a
-chosen subset of generators recentered at its own centroid, which is an exact
-conjugation and keeps the 6x6 matrices well-conditioned.  Orbit nesting and
-radius-decay statements use sub-assemblies whose generators are pairwise
-disjoint, where every reflected sphere is strictly nested in the mirror.
+Every 6x6 matrix here is built in a unit frame (`lorentz.frame`): each
+relation in its pair's, translated to the pair's midpoint and divided by
+its mean radius.  Word enumeration on the full cover is hopeless (tens of
+thousands of generators); the word-level tooling therefore operates on a
+*sub-assembly*: a chosen subset of generators whose matrices are built in
+the subset's own unit frame (centroid at the origin, mean radius 1), an
+exact conjugation that keeps them well-conditioned at any position and
+scale; orbit spheres are listed back in the cover's units.  Orbit nesting
+and radius-decay statements use sub-assemblies whose generators are
+pairwise disjoint, where every reflected sphere is strictly nested in the
+mirror.
 """
 
 from __future__ import annotations
@@ -95,10 +100,11 @@ class ReflectionGroup:
         Side B of amalgam j is the balls hosted past its first cube p, so a
         relation whose hosts are lo <= hi crosses j iff lo <= p < hi: as p
         ascends with j, the amalgams it crosses are one run of indices.  A
-        member commutes with the rotation when it is centred within 1e-9 on
-        the square's plane, that is on the square's centre along the two axes
-        the square does not span.  Amalgam j's own four balls are among them
-        whenever j has a bending locus, which requires just that of them."""
+        member commutes with the rotation when it is centred within 1e-9
+        tube units on the square's plane, that is on the square's centre
+        along the two axes the square does not span.  Amalgam j's own four
+        balls are among them whenever j has a bending locus, which requires
+        just that of them."""
         h0, h1 = self.cover.host[self.relations[:, 0]], self.cover.host[self.relations[:, 1]]
         cross = np.flatnonzero(h0 != h1)
         lo, hi = np.minimum(h0[cross], h1[cross]), np.maximum(h0[cross], h1[cross])
@@ -112,7 +118,7 @@ class ReflectionGroup:
         rows, j = self.relations[rel[order]], j[order]
         center, spanned = _square_frames(self.amalgams)
         off = np.abs(self.cover.centers[rows[:, :2]] - center[j, None])
-        on_plane = _fold(np.logical_and, (off <= 1e-9) | spanned[j, None])
+        on_plane = _fold(np.logical_and, (off <= 1e-9 * self.cover.unit) | spanned[j, None])
         safe = on_plane[:, 0] | on_plane[:, 1]
         return rows, safe, np.searchsorted(j, np.arange(len(self.amalgams) + 1))
 
@@ -187,19 +193,19 @@ def _check_amalgams(group):
 
 
 def relation_residuals(centers, radii, orders):
-    """Per-pair residuals of (R_i R_k)^m = I, in each pair's midpoint frame.
+    """Per-pair residuals of (R_i R_k)^m = I, in each pair's unit frame.
 
     `centers` (n, 2, 4) and `radii` (n, 2) give the two spheres of each pair,
-    `orders` (n,) its m.  The pair is translated so its midpoint is the origin
-    before multiplying -- an exact group conjugation that avoids the precision
-    loss of lattice-scale coordinates.  Returns (residual, gap): the max-norm
-    distance of (R_i R_k)^m from I, and the least such distance over the
-    powers 1..m-1 (inf for m = 1).
+    `orders` (n,) its m.  The pair is moved to its `lz.frame`, midpoint at
+    the origin and mean radius 1, before multiplying -- an exact group
+    conjugation, so the residual is the same at any position and scale.
+    Returns (residual, gap): the max-norm distance of (R_i R_k)^m from I, and
+    the least such distance over the powers 1..m-1 (inf for m = 1).
     """
-    mid = 0.5 * (centers[:, 0] + centers[:, 1])
-    pi = lz.spheres(centers[:, 0] - mid, radii[:, 0])
-    pk = lz.spheres(centers[:, 1] - mid, radii[:, 1])
-    prod = reflection_matrices(pi) @ reflection_matrices(pk)
+    shift, scale = lz.frame(centers, radii)
+    pi, pk = (reflection_matrices(lz.spheres((centers[:, a] - shift) / scale[:, None],
+                                             radii[:, a] / scale)) for a in (0, 1))
+    prod = pi @ pk
     residual = np.zeros(len(orders))
     gap = np.full(len(orders), math.inf)
     power = prod
@@ -215,11 +221,16 @@ def relation_residuals(centers, radii, orders):
 
 def _frame_keys(cover, rels):
     """(n, 11) uint64 bits of what relation_residuals reads of each relation:
-    both centres less their midpoint, both radii, and m."""
-    ci, cj = cover.centers[rels[:, 0]], cover.centers[rels[:, 1]]
-    mid = 0.5 * (ci + cj)
-    frame = np.column_stack([ci - mid, cj - mid, cover.radii[rels[:, 0]], cover.radii[rels[:, 1]]])
-    return np.column_stack([frame.view(np.uint64), rels[:, 2].astype(np.uint64)])
+    both centres less the pair's frame shift (their midpoint), both radii,
+    and m.  The unit frame is a function of these bits: its scale is the
+    radii's mean."""
+    pairs = rels[:, :2]
+    centers = np.take(cover.centers, pairs, axis=0)  # a row gather, 3x a fancy index's speed
+    radii = cover.radii[pairs]
+    shift, _scale = lz.frame(centers, radii)
+    centers -= shift[:, None]
+    return np.column_stack([centers.reshape(-1, 8).view(np.uint64), radii.view(np.uint64),
+                            rels[:, 2].astype(np.uint64)])
 
 
 def relation_suite(group, tol=1e-8):
@@ -273,15 +284,18 @@ def relation_suite(group, tol=1e-8):
 
 @dataclasses.dataclass
 class SubAssembly:
-    """A generator subset, recentered for numerical conditioning."""
+    """A generator subset in its `lz.frame`.  Centres and radii are in the
+    cover's units about the frame shift `offset`; the polars and matrices
+    are in the unit frame, these divided by `scale`."""
 
     ball_ids: tuple  # indices into the parent cover
-    centers: np.ndarray  # (k, 4), recentered
+    centers: np.ndarray  # (k, 4), recentered: original = centers + offset
     radii: np.ndarray
-    polars: np.ndarray
+    polars: np.ndarray  # (k, 6) of centers / scale, radii / scale
     matrices: np.ndarray  # (k, 6, 6)
     cartan: np.ndarray  # (k, k) int 2B: 2 on the diagonal, 2 - m at order m, -2 if disjoint
-    offset: np.ndarray  # subtracted centroid (original = centers + offset)
+    offset: np.ndarray  # the frame shift, the generators' mean centre
+    scale: float  # the frame scale, the generators' mean radius
 
 
 def subassembly(cover, ball_ids):
@@ -291,10 +305,10 @@ def subassembly(cover, ball_ids):
     ids = tuple(int(b) for b in ball_ids)
     if len(set(ids)) != len(ids):
         raise GroupError("duplicate generator in sub-assembly")
-    centers = cover.centers[list(ids)].copy()
-    radii = cover.radii[list(ids)].copy()
-    offset = centers.mean(axis=0)
-    centers -= offset
+    centers = cover.centers[list(ids)]
+    radii = cover.radii[list(ids)]
+    offset, scale = lz.frame(centers, radii)
+    centers = centers - offset
     a, b = np.triu_indices(len(ids), 1)
     prod, order = pair_orders(centers, radii, a, b)
     if (order < 0).any():
@@ -303,7 +317,7 @@ def subassembly(cover, ball_ids):
                          f"{prod[x]}: not disjoint, not at pi/2 or pi/3")
     cartan = np.full((len(ids), len(ids)), 2, dtype=np.int64)
     cartan[a, b] = cartan[b, a] = np.where(order > 0, 2 - order, -2)
-    polars = lz.spheres(centers, radii)
+    polars = lz.spheres(centers / scale, radii / scale)
     return SubAssembly(
         ball_ids=ids,
         centers=centers,
@@ -312,6 +326,7 @@ def subassembly(cover, ball_ids):
         matrices=reflection_matrices(polars),
         cartan=cartan,
         offset=offset,
+        scale=float(scale),
     )
 
 
@@ -500,8 +515,8 @@ class OrbitTable:
     words: list  # acting word per sphere (identity for the seeds)
     seed: np.ndarray  # which generator sphere the word acts on
     roots: np.ndarray  # (n, k) positive Tits root naming each sphere
-    centers: np.ndarray  # (n, 4)
-    radii: np.ndarray
+    centers: np.ndarray  # (n, 4), in the cover's units about the sub-assembly's offset
+    radii: np.ndarray  # in the cover's units
     generation: np.ndarray  # word length
     parent: np.ndarray  # row of the smallest strictly containing prefix sphere, or -1
     truncated: bool
@@ -517,7 +532,9 @@ def orbit_spheres(sub, max_length):
     the prefix spheres w[:j].B_{w[j]}: a ball that contains w.B_s has its
     wall between P and wP, and those walls are exactly the prefix walls.
     Rows are in (generation, word, seed) order, so parents come first; at
-    most MAX_ELEMENTS spheres are listed.
+    most MAX_ELEMENTS spheres are listed.  The spheres and their parents are
+    found in the sub-assembly's unit frame, and listed in the cover's units
+    about `sub.offset`.
     """
     k = len(sub.ball_ids)
     table = enumerate_words(sub, max_length)
@@ -552,8 +569,8 @@ def orbit_spheres(sub, max_length):
         words=[table.words[w] for w in word_of.tolist()],
         seed=rows % k,
         roots=roots[rows],
-        centers=centers[rows],
-        radii=radii[rows],
+        centers=centers[rows] * sub.scale,
+        radii=radii[rows] * sub.scale,
         generation=table.lengths[word_of],
         parent=_smallest_container(centers[rows], radii[rows], np.sort(walls[word_of], axis=1)),
         truncated=truncated,
@@ -562,7 +579,8 @@ def orbit_spheres(sub, max_length):
 
 def _smallest_container(centers, radii, cand):
     """Per row i, the candidate p in cand[i] (-1 = none) of least radius with
-    |c_i - c_p| + r_i < r_p - 1e-12, the lowest such p on a tie; -1 if none."""
+    |c_i - c_p| + r_i < r_p - 1e-12 (lengths in a unit frame), the lowest
+    such p on a tie; -1 if none."""
     p = np.maximum(cand, 0)
     diff = centers[p] - centers[:, None, :]
     diff *= diff
@@ -626,20 +644,21 @@ def polyhedron_stages(sub, orbit, n_stages):
 def fundamental_domain_check(cover, budget=100_000, seed=0):
     """Monte-Carlo check that generators push the common exterior inside.
 
-    Samples points outside every ball and verifies, for the first
-    min(n, budget) generators of a random order with per_gen =
-    max(1, budget // n) of the points each, that the inversion image of each
-    point lies strictly inside the generator's ball (hence outside the
-    domain).  Returns a report with the violation count.  A ball without a
-    finite centre and a finite positive radius raises CoverError.
+    Samples points outside every ball, in the centres' bounding box padded
+    by two tube units, and verifies, for the first min(n, budget)
+    generators of a random order with per_gen = max(1, budget // n) of the
+    points each, that the inversion image of each point lies strictly inside
+    the generator's ball (hence outside the domain).  Returns a report with
+    the violation count.  A ball without a finite centre and a finite
+    positive radius raises CoverError.
     """
     _finite_balls(cover.centers, cover.radii)
     rng = np.random.default_rng(seed)
     n = len(cover)
     per_gen = max(1, budget // n)
     gen_order = rng.permutation(n)
-    lo = cover.centers.min(axis=0) - 2.0
-    hi = cover.centers.max(axis=0) + 2.0
+    lo = cover.centers.min(axis=0) - 2.0 * cover.unit
+    hi = cover.centers.max(axis=0) + 2.0 * cover.unit
 
     # sample domain points by rejection; a point inside a ball lies within
     # r_max of its centre, so the grid join lists every ball that holds it

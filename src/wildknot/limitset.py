@@ -83,8 +83,8 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     draws as many words as points are still missing (within that cap),
     multiplies and classifies them as one stack, and keeps the loxodromic
     ones in draw order, so the words are those of a one-at-a-time loop.
-    Points are reported in the sub-assembly's original coordinates (offset
-    added back).
+    The words act in the sub-assembly's unit frame, and the points are
+    reported in the cover's coordinates (scale and offset put back).
     """
     if word_length % 2:
         raise ValueError("word_length must be even (reflections are involutions)")
@@ -111,7 +111,7 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         finite = lox & ~np.isnan(att[:, 0])
         skipped += int((~lox).sum())
         n_infinite += int((lox & ~finite).sum())
-        pts.append(att[finite] + sub.offset)
+        pts.append(att[finite] * sub.scale + sub.offset)
         provenance += ["loxodromic_fixed(" + ",".join(map(str, w)) + ")"
                        for w in words[finite].tolist()]
     if not provenance:

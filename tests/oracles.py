@@ -240,8 +240,10 @@ def _lightlike_fixed_point(col):
 
 def loxodromic_points(sub, n, seed=0, word_length=6):
     """limitset.loxodromic_points one word at a time: draw a word, multiply
-    it out, classify it with `classify_map`, until n finite attracting fixed
-    points or 50 n words.  Returns (cloud, skipped)."""
+    it out in the sub-assembly's unit frame, classify it with
+    `classify_map`, until n finite attracting fixed points or 50 n words;
+    each point is put back in the cover's coordinates.  Returns (cloud,
+    skipped)."""
     if word_length % 2:
         raise ValueError("word_length must be even (reflections are involutions)")
     if word_length < 2:
@@ -274,7 +276,7 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         if att is None:
             n_infinite += 1
             continue
-        pts.append(att + sub.offset)
+        pts.append(att * sub.scale + sub.offset)
         provenance.append("loxodromic_fixed(" + ",".join(map(str, word)) + ")")
     if not pts:
         return ls._empty_cloud(4, notice="no loxodromic words found"), skipped
@@ -870,11 +872,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
 def relation_residual(centers, radii, order):
     """One pair's (residual, gap) of groups.relation_residuals: the scalar
-    sphere and reflection of each ball in the pair's midpoint frame, and the
-    max-norm distance of each power 1..m of their product from I."""
+    sphere and reflection of each ball in the pair's unit frame (midpoint at
+    the origin, mean radius 1), and the max-norm distance of each power
+    1..m of their product from I."""
     mid = 0.5 * (centers[0] + centers[1])
-    prod = reflection(sphere(centers[0] - mid, radii[0])) @ reflection(
-        sphere(centers[1] - mid, radii[1]))
+    scale = 0.5 * (radii[0] + radii[1])
+    prod = reflection(sphere((centers[0] - mid) / scale, radii[0] / scale)) @ reflection(
+        sphere((centers[1] - mid) / scale, radii[1] / scale))
     power = np.eye(6)
     dists = []
     for _ in range(order):
@@ -901,7 +905,8 @@ def bent_word_matrix(group, j, t, word):
 def reference_bend(group, j, t, word, tol=1e-8):
     """The row of `bending.bend` at one angle t, computed as bend did before
     it swept all the angles in one call: the locus, the sides, the crossing
-    rows and every reflection are built again for this t, and each word
+    rows and every reflection are built again for this t (Gamma_j's from
+    the scalar sphere and reflection in Gamma_j's unit frame), and each word
     generator's reflection on its own.  Raises bend's GroupError messages."""
     locus = bd.bending_locus(group, j)
     e = bd.bending_rotation(locus, t)
@@ -928,7 +933,10 @@ def reference_bend(group, j, t, word, tol=1e-8):
             f"residual {max_residual:.3e}"
             + ("" if safe[w] else " (no member commutes with the bending rotation)")
         )
-    r = frame_reflections(group.amalgams[j].ball_ids)
+    ids = list(group.amalgams[j].ball_ids)  # Gamma_j, in its own unit frame
+    shift, scale = cover.centers[ids].mean(axis=0), cover.radii[ids].mean()
+    r = np.array([reflection(sphere((cover.centers[b] - shift) / scale, cover.radii[b] / scale))
+                  for b in ids])
     commutation = float(np.abs(e @ r @ lz.inverse(e) - r).max())
     if not commutation <= tol:
         raise gr.GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "

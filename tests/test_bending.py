@@ -180,8 +180,10 @@ def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
 def test_commutation_with_amalgam_generators(preset, mid_leg_amalgam):
     _c, cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
-    gamma = np.array([orc.reflection(orc.sphere(cover.centers[b] - locus.center, cover.radii[b]))
-                      for b in group.amalgams[mid_leg_amalgam].ball_ids])
+    ids = list(group.amalgams[mid_leg_amalgam].ball_ids)  # in Gamma_j's unit frame
+    shift, scale = cover.centers[ids].mean(axis=0), cover.radii[ids].mean()
+    gamma = np.array([orc.reflection(orc.sphere((cover.centers[b] - shift) / scale,
+                                                cover.radii[b] / scale)) for b in ids])
     for t in (0.05, 0.2, 0.3):
         assert commutation_residual(bending_rotation(locus, t), gamma) <= 1e-9
 

@@ -14,6 +14,7 @@ from wildknot import complexes as cx
 from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import limitset as ls
+from wildknot import lorentz as lz
 from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _check_stages,
                           _write_cover, _write_orbit, main, run_pipeline)
 from wildknot.cover import ROLE_FACE, build_cover
@@ -287,8 +288,8 @@ def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, s
         rep = json.loads((tmp_path / "relations.json").read_text(encoding="utf-8"))
         assert rep["ok"] is False and msg == rep["error"]
         assert msg.startswith("relation suite failed: ")
-        assert rep["n_relations"] == len(rows) and round(rep["max_residual"], 1) == 28.1
-        assert f"{rep['min_premature_gap']:.1e}" == "9.6e-14"
+        assert rep["n_relations"] == len(rows) and round(rep["max_residual"], 1) == 7.3
+        assert f"{rep['min_premature_gap']:.1e}" == "4.8e-14"
         return
     if stage == "bending":
         assert run.bending["amalgam"] == 3 and run.bending["crossing_word"] == [0, 4]
@@ -315,7 +316,7 @@ def test_bend_records_the_rows_before_a_failing_angle(tmp_path, capsys):
     the error, and bend exits 1."""
     assert main(["bend", "--bend-amalgam", "262", "--out", str(tmp_path)]) == 1
     error = ("bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: residual "
-             "4.889e-02 (no member commutes with the bending rotation)")
+             "3.254e-02 (no member commutes with the bending rotation)")
     assert f"\nFAIL {error}\n" in capsys.readouterr().out
     bending = json.loads((tmp_path / "bending.json").read_text(encoding="utf-8"))
     assert bending["amalgam"] == 262 and bending["crossing_word"] == [9288, 8744]
@@ -359,19 +360,87 @@ def test_broken_complex_file_fails(tmp_path, capsys):
     assert "FAIL complex: cannot read the complex file: 'utf-8' codec" in capsys.readouterr().out
 
 
+def moved_tube(path, bits=0, shift=(0, 0, 0, 0)):
+    """oracles.straight_tube_complex() scaled by 2^bits about the origin and
+    then translated by the integer vector `shift`, saved at `path`; returns
+    the path as a string."""
+    def moved(cube):
+        corner = tuple((x << bits) + v for x, v in zip(cube.corner, shift))
+        return cx.Cube3(corner, cube.edge << bits, cube.omitted_axis)
+    c = orc.straight_tube_complex()
+    cx.save_complex(cx.CubeComplex(tuple(map(moved, c.big)), tuple(map(moved, c.tube))), path)
+    return str(path)
+
+
+TOO_BIG_FOR_KEYS = ("complex box (0, 0, 0, 0) to (49152, 49152, 49152, 114688) "
+                    "is too large for 64-bit surface keys")
+
+
 def test_report_fails_on_a_box_too_large_for_surface_keys(tmp_path, capsys):
     """Negative control: the straight tube scaled by 2^14 has fields far
     below the loader's 2^60, but its box holds more lattice points than the
     surface's int64 keys can pack; report prints a FAIL line, not a
     traceback."""
-    def scaled(cube):
-        return cx.Cube3(tuple(x << 14 for x in cube.corner), cube.edge << 14, cube.omitted_axis)
-    c = orc.straight_tube_complex()
-    path = tmp_path / "big.txt"
-    cx.save_complex(cx.CubeComplex(tuple(map(scaled, c.big)), tuple(map(scaled, c.tube))), path)
-    assert main(["report", "--complex", str(path), "--out", str(tmp_path / "b")]) == 1
-    assert ("FAIL complex: complex box (0, 0, 0, 0) to (49152, 49152, 49152, 114688) "
-            "is too large for 64-bit surface keys") in capsys.readouterr().out.splitlines()
+    path = moved_tube(tmp_path / "big.txt", 14)
+    assert main(["report", "--complex", path, "--out", str(tmp_path / "b")]) == 1
+    assert f"FAIL complex: {TOO_BIG_FOR_KEYS}" in capsys.readouterr().out.splitlines()
+
+
+def test_report_is_dilation_invariant(tmp_path, monkeypatch):
+    """Metamorphic test: a dilation and a translation are Moebius maps, so
+    the straight tube at x1, x2^6 and x2^10, and at x1 moved by the lattice
+    vector (37, -21, 13, 50), give the same ten verdicts (all PASS).  Equal
+    on each: whether the relation residual is within its tolerance, the
+    premature gap and the lambda_max spread to 1e-9, the stages' side
+    counts and the faithfulness scan's word classes exactly; and the cloud
+    points correspond under the map, to 1e-12 times the dilation (a power
+    of two changes no bit of the unit frame, so the dilated runs agree
+    exactly; the translation moves the points by about 1e-14).  x2^14 is
+    still refused by knot_surface's key guard.  Negative control: with a
+    frame that shifts but does not rescale, x2^10 fails the relation suite
+    at a residual near 0.65."""
+    def report(name, bits=0, shift=(0, 0, 0, 0)):
+        out = tmp_path / name
+        checks, _ = run_pipeline(RunConfig(complex_path=moved_tube(out.with_suffix(".txt"), bits,
+                                                                   shift), out_dir=str(out)))
+
+        def read(f):
+            return json.loads((out / f).read_text(encoding="utf-8"))
+
+        rel = read("relations.json")
+        lams = [r["lambda_max"] for r in read("bending.json")["rows"] if "lambda_max" in r]
+        return {"verdicts": {n: ok for n, (ok, _msg) in checks.items()},
+                "residual": rel["max_residual"],
+                "within_tol": rel["max_residual"] <= rel["tolerance"],
+                "gap": rel["min_premature_gap"],
+                "spread": max(lams, default=0.0) - min(lams, default=0.0),
+                "sides": [s["side_count"] for s in read("stages.json")],
+                "classes": read("faithfulness.json")["n_classes"],
+                "cloud": np.array([p["coords"] for p in read("cloud.json")["points"]])}
+
+    base = report("x1")
+    assert list(base["verdicts"]) == [n for n, _stage in STAGES]
+    assert all(base["verdicts"].values()) and base["within_tol"] and len(base["cloud"]) == 1452
+    for name, bits, shift in [("x2^6", 6, (0, 0, 0, 0)), ("x2^10", 10, (0, 0, 0, 0)),
+                              ("moved", 0, (37, -21, 13, 50))]:
+        got = report(name, bits, shift)
+        assert got["verdicts"] == base["verdicts"], name
+        assert got["within_tol"] and (got["sides"], got["classes"]) == (base["sides"],
+                                                                         base["classes"])
+        assert got["gap"] == pytest.approx(base["gap"], abs=1e-9), name
+        assert got["spread"] == pytest.approx(base["spread"], abs=1e-9), name
+        assert got["cloud"].shape == base["cloud"].shape, name
+        np.testing.assert_allclose(got["cloud"], base["cloud"] * 2**bits + shift,
+                                   rtol=0, atol=1e-12 * 2**bits, err_msg=name)
+    checks, _ = run_pipeline(RunConfig(complex_path=moved_tube(tmp_path / "x2^14.txt", 14),
+                                       out_dir=str(tmp_path / "x2^14")))
+    assert checks == {"complex": (False, TOO_BIG_FOR_KEYS)}
+
+    frame = lz.frame
+    monkeypatch.setattr(lz, "frame", lambda c, r: (frame(c, r)[0], np.ones(np.shape(r)[:-1])))
+    got = report("x2^10 shift-only frame", 10)
+    assert not got["verdicts"]["relations"] and not got["within_tol"]
+    assert got["residual"] == pytest.approx(0.65, abs=0.01)
 
 
 def test_runconfig_guards():

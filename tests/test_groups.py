@@ -195,8 +195,10 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
 
 def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     """orbit_spheres as a per-word loop: a dict of root bytes to seqs, a dict
-    of prefix walls per word, and one centers_radii call per word.  The word
-    table is capped at `max_elements` too."""
+    of prefix walls per word, and one centers_radii call per word, in the
+    sub-assembly's unit frame, where the parents are found; the table lists
+    the spheres scaled back to the cover's units.  The word table is capped
+    at `max_elements` too."""
     k = len(sub.ball_ids)
     table = enumerate_words_reference(sub, max_length, max_elements)
     seq_of = {}  # root bytes -> seq
@@ -235,8 +237,8 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
         words=[r[0] for r in rows],
         seed=np.array([r[1] for r in rows]),
         roots=np.array([r[2] for r in rows]),
-        centers=centers,
-        radii=radii,
+        centers=centers * sub.scale,
+        radii=radii * sub.scale,
         generation=np.array([len(r[0]) for r in rows]),
         parent=gr._smallest_container(centers, radii, cand),
         truncated=truncated,
@@ -542,8 +544,8 @@ def test_lorentz_drift_is_the_largest_defect_and_sees_a_perturbation(cube_group)
     """Per matrix the drift is the oracle's defect, and over the table its
     maximum, up to float64 rounding of entries near 1e4 (~1e-8, summed in
     another order); one entry of one generator moved by 1e-6 shows.  A
-    long-double table keeps its precision: its drift stays far below that
-    rounding."""
+    long-double table keeps its precision: the float64 table of the same
+    words shows that rounding, and the long-double drift stays far below it."""
     _c, cover, _g = cube_group
     sub = pairwise_disjoint_subassembly(cover, n=4)
     table = enumerate_words(sub, 6)
@@ -558,7 +560,7 @@ def test_lorentz_drift_is_the_largest_defect_and_sees_a_perturbation(cube_group)
     assert drift > 1e-7 and drift == pytest.approx(orc.lorentz_defect(bent[1]), abs=1e-8)
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
         long = enumerate_words(sub, 6, dtype=np.longdouble)
-        assert np.abs(long.matrices).max() > 1e4 and lorentz_drift(long) < 1e-9
+        assert lorentz_drift(table) > 1e-8 and lorentz_drift(long) < 1e-9
 
 
 def test_faithfulness_scan(cube_group):
@@ -794,7 +796,7 @@ def test_relations_are_one_int_array(cube_group):
 
 
 def test_relation_residuals_oracle():
-    """The batched kernel against scalar matrix powers in each pair's midpoint
+    """The batched kernel against scalar matrix powers in each pair's unit
     frame, on pairs placed at lattice scale; a wrong order must show."""
     r = 1.0 / math.sqrt(3.0)
     far = np.array([40.0, -25.0, 13.5, 7.0])
@@ -807,10 +809,9 @@ def test_relation_residuals_oracle():
     orders = np.array([2, 3, 2])
     residual, gap = relation_residuals(centers, radii, orders)
     for n in range(3):
-        mid = centers[n].mean(axis=0)
-        prod = orc.reflection(orc.sphere(centers[n, 0] - mid, radii[n, 0])) @ orc.reflection(
-            orc.sphere(centers[n, 1] - mid, radii[n, 1])
-        )
+        mid, scale = centers[n].mean(axis=0), radii[n].mean()
+        prod = orc.reflection(orc.sphere((centers[n, 0] - mid) / scale, radii[n, 0] / scale)) @ (
+            orc.reflection(orc.sphere((centers[n, 1] - mid) / scale, radii[n, 1] / scale)))
         dist = [
             np.abs(np.linalg.matrix_power(prod, p) - np.eye(6)).max()
             for p in range(1, orders[n] + 1)
