@@ -435,7 +435,7 @@ def cmd_limitset(run, args):
         print(f"FAIL limitset: {exc}")
         return 1
     if args.slice is not None:
-        sl = ls.slice_cloud(cloud, *args.slice, args.slice_thickness)
+        sl = ls.slice_cloud(cloud, *args.slice, args.slice_thickness * run.cover.unit)
         if sl.notice:
             print(f"notice: {sl.notice}")
         written.append(run.path("slice.ply"))
@@ -591,7 +591,8 @@ def main(argv=None):
     p.add_argument("--formats", default="csv,json")
     p.add_argument("--slice", nargs=2, metavar=("AXIS", "VALUE"), default=None,
                    action=_Slice)
-    p.add_argument("--slice-thickness", type=_positive, default=0.5)
+    p.add_argument("--slice-thickness", type=_positive, default=0.5,
+                   help="keep points within this distance of the slice, in tube units")
     p.set_defaults(func=cmd_limitset)
 
     p = subs.add_parser("bend", help="bending deformation sweep at an amalgam")

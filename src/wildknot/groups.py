@@ -419,20 +419,35 @@ def enumerate_words(sub, max_length, dtype=float):
     float64 rounding alone puts a floor of ~1e-16 * ||M||^2 on the Lorentz-
     form drift of a word matrix, so certifying drift below 1e-7 for words
     with ||M|| above ~3e4 (length-8 words through a disjoint pair) needs
-    np.longdouble accumulation.
+    np.longdouble accumulation.  Each new word is its prefix times one
+    reflection R_g = I - v_g (2 J v_g)^T.  float64 keeps the stacked BLAS
+    product with sub.matrices: the report's bundle records its bits, and the
+    rank-1 update's rounding in float64 would raise the drift of the single
+    cube's Schottky table to length 6 from 4.1e-8 to 1.1e-7.  Long double
+    has no BLAS path, and there the product is the rank-1 update
+    M R_g = M - (M v_g)(2 J v_g)^T, 72 multiply-adds per word instead of
+    216, with M v_g summed left to right over its six terms (the per-word
+    reference in the tests pins these bits).
     """
     k = len(sub.ball_ids)
     eye = np.eye(k, dtype=np.int64)
     tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
-        gen_mats = sub.matrices
+        def step(m, g):
+            return m @ sub.matrices[g]
     else:
-        # rebuild the generators at the target precision: a float64 polar has
+        # renormalise the polars at the target precision: a float64 polar has
         # Q(v, v) = 1 only to ~1e-16, and that defect is amplified by the
         # word norm squared just like accumulation rounding
         v = sub.polars.astype(dtype)
-        qv = (v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2
-        gen_mats = reflection_matrices(v / np.sqrt(qv)[:, None])
+        v /= np.sqrt((v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2)[:, None]
+        jv2 = 2.0 * v * np.diag(lz.J)
+
+        def step(m, g):  # m is a fresh gathered stack, updated in place
+            mv, w = np.einsum("nij,nj->ni", m, v[g]), jv2[g]
+            for j in range(6):  # column by column: no (n, 6, 6) temporary
+                m[:, :, j] -= mv * w[:, None, j]
+            return m
     words = [()]
     tits = [eye[None]]  # one block per length
     mats = [np.eye(6, dtype=dtype)[None]]
@@ -459,7 +474,7 @@ def enumerate_words(sub, max_length, dtype=float):
         prefix.append(base + f)
         last.append(g)
         tits.append(cand[first])
-        mats.append(mats[-1][f] @ gen_mats[g])
+        mats.append(step(mats[-1][f], g))
     return WordTable(
         words=words,
         matrices=np.concatenate(mats),
@@ -474,10 +489,23 @@ def enumerate_words(sub, max_length, dtype=float):
 
 
 def lorentz_drift(table):
-    """Max || M^T J M - J ||_inf over all words in the table."""
-    m = table.matrices
-    g = np.swapaxes(m, 1, 2) @ (m * np.diag(lz.J)[:, None])  # M^T J M, J diagonal
-    return float(np.abs(g - lz.J[None]).max())
+    """Max |M^T J M - J| entrywise over all words in the table, NaN if any
+    entry is NaN.
+
+    The form is evaluated in long double whatever the table's dtype, so the
+    value is the matrices' own defect, not the rounding of a float64
+    evaluation (~1e-8 for entries near 1e4).  J is diagonal, so
+    M^T J M = A^T A - b b^T with A the rows 0-4 of M and b its row 5; the
+    form is symmetric, so row i is taken from column i on only.
+    """
+    mt = np.swapaxes(table.matrices, 1, 2).astype(np.longdouble, order="C")  # row i: M's column i
+    worst = []
+    for i in range(6):
+        g = np.einsum("njk,nk->nj", mt[:, i:, :5], mt[:, i, :5])  # (A^T A)[i, i:]
+        g -= mt[:, i:, 5] * mt[:, i, 5, None]
+        g[:, 0] -= lz.J[i, i]
+        worst.append(np.abs(g, out=g).max())
+    return float(np.max(worst))
 
 
 def faithfulness_scan(sub, max_length):

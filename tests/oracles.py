@@ -157,8 +157,10 @@ def euclidean_exterior_cos(c1, r1, c2, r2):
 
 
 def lorentz_defect(m):
-    """Max-norm drift of M from O(5,1): || M^T J M - J ||_inf."""
-    m = np.asarray(m, dtype=float)
+    """Max-norm drift of M from O(5,1): || M^T J M - J ||_inf, in M's float
+    precision (float64 for any narrower input)."""
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, float))
     return float(np.max(np.abs(m.T @ lz.J @ m - lz.J)))
 
 

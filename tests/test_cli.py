@@ -539,6 +539,26 @@ def test_slice_writes_a_3d_ply(tube_complex, tmp_path):
     assert len(rows) > 0 and all(len(r.split()) == 4 for r in rows)
 
 
+def test_slice_thickness_is_in_tube_units(tmp_path):
+    """--slice-thickness scales with the tube, as --eps does: the straight
+    tube at x1 and x2^10, sliced through the median x1 of its cloud at
+    thickness 0.32, keeps the same 648 of its 1,452 points (no cloud point
+    lies between 0.3085 and 0.3315 tube units of that median)."""
+    counts = []
+    for bits in (0, 10):
+        out = tmp_path / f"x2^{bits}"
+        argv = ["limitset", "--complex", moved_tube(tmp_path / f"x2^{bits}.txt", bits),
+                "--out", str(out), "--formats", "csv"]
+        assert main(argv) == 0
+        x1 = np.loadtxt(out / "cloud.csv", delimiter=",", skiprows=1, usecols=0)
+        assert len(x1) == 1452
+        slice_argv = ["--slice", "0", repr(float(np.median(x1))), "--slice-thickness", "0.32"]
+        assert main(argv + slice_argv) == 0
+        header = (out / "slice.ply").read_text(encoding="utf-8").split("end_header\n")[0]
+        counts.append(int(header.split("element vertex ")[1].split()[0]))
+    assert counts == [648, 648]
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

@@ -124,24 +124,35 @@ def stages_reference(sub, orbit, n_stages):
     return out
 
 
+def renormalised_polars(sub, dtype):
+    """The sub-assembly's polars renormalised to Q(v, v) = 1 at `dtype`: a
+    float64 polar has Q(v, v) = 1 only to ~1e-16, and that defect is
+    amplified by the word norm squared just like accumulation rounding."""
+    v = sub.polars.astype(dtype)
+    qv = (v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2
+    return v / np.sqrt(qv)[:, None]
+
+
 def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=float):
     """enumerate_words as a per-word loop: a `seen` set of Tits-matrix bytes
-    across all lengths, and one matrix product per word, recording each new
-    word's prefix row and last letter."""
+    across all lengths, and one product per word, recording each new word's
+    prefix row and last letter.  The product is M @ R_g in float64, and
+    otherwise the rank-1 update M - (M v_g)(2 J v_g)^T with M v_g summed
+    left to right (test_long_double_words_match_their_matrix_products checks
+    it against M @ R_g)."""
     k = len(sub.ball_ids)
     eye = np.eye(k, dtype=np.int64)
     tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
-        gen_mats = sub.matrices
+        def times_generator(m, g):
+            return m @ sub.matrices[g]
     else:
-        # rebuild the generators at the target precision: a float64 polar has
-        # Q(v, v) = 1 only to ~1e-16, and that defect is amplified by the
-        # word norm squared just like accumulation rounding
-        v = sub.polars.astype(dtype)
-        qv = (v[:, :5] ** 2).sum(axis=1) - v[:, 5] ** 2
-        v = v / np.sqrt(qv)[:, None]
-        jv = v * np.diag(lz.J).astype(dtype)[None, :]
-        gen_mats = np.eye(6, dtype=dtype)[None] - 2.0 * v[:, :, None] * jv[:, None, :]
+        v = renormalised_polars(sub, dtype)
+        jv2 = 2.0 * v * np.diag(lz.J).astype(dtype)[None, :]
+
+        def times_generator(m, g):
+            mv = sum(m[:, j] * v[g, j] for j in range(6))
+            return m - np.outer(mv, jv2[g])
     words = [()]
     prefix, last = [-1], [-1]
     tits = [eye]
@@ -174,7 +185,7 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
                 prefix.append(i)
                 last.append(g)
                 tits.append(t)
-                mats.append(mats[i] @ gen_mats[g])
+                mats.append(times_generator(mats[i], g))
             if truncated:
                 break
         frontier = new_frontier
@@ -542,25 +553,59 @@ def test_lorentz_drift_small(cube_group):
 
 def test_lorentz_drift_is_the_largest_defect_and_sees_a_perturbation(cube_group):
     """Per matrix the drift is the oracle's defect, and over the table its
-    maximum, up to float64 rounding of entries near 1e4 (~1e-8, summed in
-    another order); one entry of one generator moved by 1e-6 shows.  A
-    long-double table keeps its precision: the float64 table of the same
-    words shows that rounding, and the long-double drift stays far below it."""
+    maximum, for the float64 and the long-double table of the same words.
+    The oracle evaluates the form in long double too (a float64 matrix is
+    exact there), so the two agree up to 8 ulps of the largest product
+    (entries near 1e4), summed in another order.  One entry of one matrix
+    moved by 1e-6 shows, and a NaN entry makes the drift NaN.  The long-double
+    table keeps its precision: the float64 table shows its rounding, and the
+    long-double drift stays far below it."""
     _c, cover, _g = cube_group
     sub = pairwise_disjoint_subassembly(cover, n=4)
-    table = enumerate_words(sub, 6)
-    defects = [orc.lorentz_defect(m) for m in table.matrices]
-    for i in range(0, len(defects), 97):
-        one = dataclasses.replace(table, matrices=table.matrices[i : i + 1])
-        assert lorentz_drift(one) == pytest.approx(defects[i], abs=1e-8)
-    assert lorentz_drift(table) == pytest.approx(max(defects), abs=1e-8)
-    bent = table.matrices.copy()
-    bent[1, 0, 0] += 1e-6
-    drift = lorentz_drift(dataclasses.replace(table, matrices=bent))
-    assert drift > 1e-7 and drift == pytest.approx(orc.lorentz_defect(bent[1]), abs=1e-8)
+    drifts = {}
+    for dtype in (float, np.longdouble):
+        table = enumerate_words(sub, 6, dtype=dtype)
+        long = table.matrices.astype(np.longdouble)
+        tol = 8 * float(np.finfo(np.longdouble).eps) * float(np.abs(long).max()) ** 2
+        defects = [orc.lorentz_defect(m) for m in long]
+        for i in range(0, len(defects), 97):
+            one = dataclasses.replace(table, matrices=table.matrices[i : i + 1])
+            assert lorentz_drift(one) == pytest.approx(defects[i], abs=tol), (dtype, i)
+        drifts[dtype] = lorentz_drift(table)
+        assert drifts[dtype] == pytest.approx(max(defects), abs=tol), dtype
+        bent = table.matrices.copy()
+        bent[1, 0, 0] += 1e-6
+        drift = lorentz_drift(dataclasses.replace(table, matrices=bent))
+        assert drift > 1e-7, dtype
+        assert drift == pytest.approx(orc.lorentz_defect(bent[1].astype(np.longdouble)), abs=tol)
+        bent[2, 3, 4] = np.nan
+        assert math.isnan(lorentz_drift(dataclasses.replace(table, matrices=bent))), dtype
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-        long = enumerate_words(sub, 6, dtype=np.longdouble)
-        assert lorentz_drift(table) > 1e-8 and lorentz_drift(long) < 1e-9
+        assert drifts[float] > 1e-8 and drifts[np.longdouble] < 1e-9
+
+
+def test_long_double_words_match_their_matrix_products(cube_group, preset_group):
+    """Each long-double word matrix, built by the rank-1 update, is its
+    prefix's matrix times the last letter's reflection matrix I - 2 v (Jv)^T,
+    multiplied out in long double, up to 64 ulps of the word's largest entry
+    (amalgam 0 to length 8 and the single cube's Schottky set to length 6,
+    about 4 ulps at most).  Control: the next generator's reflection misses
+    every word."""
+    _c, cover, g = preset_group
+    subs = [(subassembly(cover, g.amalgams[0].ball_ids), 8),
+            (pairwise_disjoint_subassembly(cube_group[1], n=4), 6)]
+    eps = np.finfo(np.longdouble).eps
+    for sub, max_length in subs:
+        table = enumerate_words(sub, max_length, dtype=np.longdouble)
+        refl = reflection_matrices(renormalised_polars(sub, np.longdouble))
+        assert refl.dtype == np.longdouble
+        m, prefix, last = table.matrices[1:], table.prefix[1:], table.last[1:]
+        bound = 64 * eps * np.abs(m).max(axis=(1, 2))
+        gap = np.abs(m - table.matrices[prefix] @ refl[last]).max(axis=(1, 2))
+        assert (gap <= bound).all(), (sub.ball_ids, max_length)
+        wrong = refl[(last + 1) % len(sub.ball_ids)]
+        gap = np.abs(m - table.matrices[prefix] @ wrong).max(axis=(1, 2))
+        assert (gap > bound).all(), (sub.ball_ids, max_length)
 
 
 def test_faithfulness_scan(cube_group):
