@@ -415,7 +415,7 @@ def cmd_enumerate(run, _args):
     length = run.cfg.max_word_length
     table = gr.enumerate_words(run.sub, length)
     print(f"sub-assembly: balls {run.sub.ball_ids}")
-    print(f"words <= {length}: {len(table.words)} classes "
+    print(f"words <= {length}: {len(table.lengths)} classes "
           f"(raw {table.n_raw}, merged {table.n_merged}, "
           f"truncated {table.truncated})")
     print(f"orbit spheres: {len(run.orbit.radii)}")

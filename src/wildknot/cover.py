@@ -41,7 +41,8 @@ array.  Coverage is a query on the same grid join, again one per radius
 octave, queried from its smaller side: it lists every ball whose trace
 disk meets a face's square.  The faces whose disks are bit for bit the same
 share one certificate that their disks hold the whole face square; they
-are grouped by _first_rows, one exact lexsort of their rows, which is also
+are grouped by _first_rows, one exact stable sort of their rows (one packed
+int64 key for integer rows of small range, else a lexsort), which is also
 how the relation suite groups its frames and the word tables their Tits
 matrices' column sums and their roots.  Each Monte-Carlo sample is a
 float32 pair of the seeded generator, tested against its face's disks, in
@@ -430,12 +431,17 @@ def _first_rows(rows):
     """(first, rank): the index of each distinct row's first occurrence,
     ascending, and per row the position of its first occurrence in first.
 
-    One stable np.lexsort over the columns puts equal rows next to each other
-    in input order, so the head of each run of equal rows is its first
-    occurrence; no row is compared as a structured (void) scalar.  Rows
-    without columns are all equal."""
+    One stable sort puts equal rows next to each other in input order, so
+    the head of each run of equal rows is its first occurrence; no row is
+    compared as a structured (void) scalar.  Integer rows whose column spans
+    (max - min + 1, in Python ints, so no span wraps) multiply to below 2^62
+    are packed into one mixed-radix int64 key each, sorted by one stable
+    argsort; any other rows by one stable np.lexsort over the columns.  The
+    outputs do not depend on which.  Rows without columns are all equal."""
     n = len(rows)
-    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(n)
+    order = _packed_order(rows)
+    if order is None:
+        order = np.lexsort(rows.T) if rows.shape[1] else np.arange(n)
     srt = rows[order]
     head = np.ones(n, dtype=bool)
     head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
@@ -444,6 +450,27 @@ def _first_rows(rows):
     first_of = np.empty(n, dtype=np.intp)  # per row, its first occurrence
     first_of[order] = order[head][np.cumsum(head) - 1]
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
+
+
+def _packed_order(rows):
+    """The stable argsort of integer rows' mixed-radix int64 keys, or None
+    if the rows are not integers or their spans multiply to 2^62 or more.
+    The spans are taken a column at a time, up to the first that passes
+    the bound: float bits as uint64 stop at their first column."""
+    if rows.dtype.kind not in "iu" or not len(rows):
+        return None
+    lo, radix, size = [], [], 1
+    for col in rows.T:
+        a = int(col.min())
+        lo.append(a)
+        radix.append(size)
+        size *= int(col.max()) - a + 1
+        if size >= 2**62:
+            return None
+    # entries less lo lie in [0, span): exact, even where the int64 casts wrap
+    lo = np.array(lo, dtype=rows.dtype).astype(np.int64)
+    key = (rows.astype(np.int64, copy=False) - lo) @ np.array(radix, dtype=np.int64)
+    return np.argsort(key, kind="stable")
 
 
 def _finite_balls(centers, radii, ids=None):

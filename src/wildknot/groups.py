@@ -24,6 +24,7 @@ mirror.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import math
@@ -367,6 +368,40 @@ def pairwise_disjoint_subassembly(cover, n=4):
     return subassembly(cover, chosen)
 
 
+class Words(collections.abc.Sequence):
+    """The words of a table's rows as a read-only sequence of tuples: row i's
+    word is row prefix[i]'s followed by the letter last[i], and row 0 (prefix
+    -1) is the identity ().  `rows`, if given, picks the rows listed, in that
+    order.  len() builds no tuple; the first indexed read or iteration builds
+    every word once."""
+
+    def __init__(self, prefix, last, rows=None):
+        self.prefix, self.last, self.rows = prefix, last, rows
+
+    def __len__(self):
+        return len(self.prefix if self.rows is None else self.rows)
+
+    @functools.cached_property
+    def _tuples(self):
+        words = [()]
+        for p, g in zip(self.prefix[1:].tolist(), self.last[1:].tolist()):
+            words.append(words[p] + (g,))
+        return words if self.rows is None else [words[r] for r in self.rows.tolist()]
+
+    def __getitem__(self, i):
+        return self._tuples[i]
+
+    def __iter__(self):
+        return iter(self._tuples)
+
+    def __eq__(self, other):
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclasses.dataclass
 class WordTable:
     """Group elements with their shortlex-least words, sorted by (length, word).
@@ -374,7 +409,6 @@ class WordTable:
     Row i is the product words[prefix[i]] . last[i]: its word minus the last
     letter is row prefix[i], and both are -1 at the identity (row 0)."""
 
-    words: list  # tuples of local generator indices; words[0] == ()
     matrices: np.ndarray  # (n, 6, 6) Moebius matrices of the words
     tits: np.ndarray  # (n, k, k) integer Tits-representation matrices
     n_raw: int  # length-increasing products w.g visited, plus the identity
@@ -383,6 +417,12 @@ class WordTable:
     lengths: np.ndarray  # word lengths
     prefix: np.ndarray  # (n,) int64 row of words[i][:-1], -1 at the identity
     last: np.ndarray  # (n,) int64 last letter words[i][-1], -1 at the identity
+
+    @functools.cached_property
+    def words(self):
+        """Tuples of local generator indices, read from prefix and last;
+        words[0] == ()."""
+        return Words(self.prefix, self.last)
 
 
 def enumerate_words(sub, max_length, dtype=float):
@@ -448,7 +488,7 @@ def enumerate_words(sub, max_length, dtype=float):
             for j in range(6):  # column by column: no (n, 6, 6) temporary
                 m[:, :, j] -= mv * w[:, None, j]
             return m
-    words = [()]
+    n_words = 1
     tits = [eye[None]]  # one block per length
     mats = [np.eye(6, dtype=dtype)[None]]
     prefix, last = [np.full(1, -1)], [np.full(1, -1)]
@@ -462,21 +502,19 @@ def enumerate_words(sub, max_length, dtype=float):
             raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
         cand = front[f] @ tits_gens[g]
         first, _ = _first_rows(_fold(np.add, cand.transpose(0, 2, 1)))  # the column sums
-        room = max(0, MAX_ELEMENTS - len(words))
+        room = max(0, MAX_ELEMENTS - n_words)
         truncated = len(first) > room  # then visited up to the first new product past the cap
         seen = int(first[room]) + 1 if truncated else len(cand)
         first = first[:room]
         n_raw += seen
         n_merged += seen - len(first) - truncated
         f, g = f[first], g[first]
-        base = len(words) - len(front)
-        words += [words[base + i] + (j,) for i, j in zip(f.tolist(), g.tolist())]
-        prefix.append(base + f)
+        prefix.append(n_words - len(front) + f)
+        n_words += len(first)
         last.append(g)
         tits.append(cand[first])
         mats.append(step(mats[-1][f], g))
     return WordTable(
-        words=words,
         matrices=np.concatenate(mats),
         tits=np.concatenate(tits),
         n_raw=n_raw,
@@ -527,7 +565,7 @@ def faithfulness_scan(sub, max_length):
     ]
     return {
         "max_length": max_length,
-        "n_classes": len(table.words),
+        "n_classes": len(table.lengths),
         "min_gap": min_gap,
         "violations": violations,
         "ok": not violations,
@@ -540,7 +578,7 @@ def faithfulness_scan(sub, max_length):
 
 @dataclasses.dataclass
 class OrbitTable:
-    words: list  # acting word per sphere (identity for the seeds)
+    words: Words  # acting word per sphere, () for the seeds; words.rows: its word table rows
     seed: np.ndarray  # which generator sphere the word acts on
     roots: np.ndarray  # (n, k) positive Tits root naming each sphere
     centers: np.ndarray  # (n, 4), in the cover's units about the sub-assembly's offset
@@ -566,7 +604,7 @@ def orbit_spheres(sub, max_length):
     """
     k = len(sub.ball_ids)
     table = enumerate_words(sub, max_length)
-    n = len(table.words)
+    n = len(table.lengths)
     roots = table.tits.transpose(0, 2, 1).reshape(n * k, k)  # row w.k + s is w(a_s)
     positive = np.flatnonzero((roots >= 0).all(axis=1))
     first, rank = _first_rows(roots[positive])
@@ -594,7 +632,7 @@ def orbit_spheres(sub, max_length):
         walls[at, length - 1] = seq_of[step[at]]
     word_of = rows // k
     return OrbitTable(
-        words=[table.words[w] for w in word_of.tolist()],
+        words=Words(table.prefix, table.last, word_of),
         seed=rows % k,
         roots=roots[rows],
         centers=centers[rows] * sub.scale,
@@ -610,17 +648,22 @@ def _smallest_container(centers, radii, cand):
     |c_i - c_p| + r_i < r_p - 1e-12 (lengths in a unit frame), the lowest
     such p on a tie; -1 if none."""
     p = np.maximum(cand, 0)
-    diff = centers[p] - centers[:, None, :]
+    diff = np.take(centers, p, axis=0) - centers[:, None, :]  # a row gather: faster than [p]
     diff *= diff
     d = np.sqrt(_fold(np.add, diff))
-    inside = (cand >= 0) & (d + radii[:, None] < radii[p] - 1e-12)
-    best = np.argmin(np.where(inside, radii[p], np.inf), axis=1)
+    rp = np.take(radii, p)
+    inside = (cand >= 0) & (d + radii[:, None] < rp - 1e-12)
+    best = np.argmin(np.where(inside, rp, np.inf), axis=1)
     return np.where(inside.any(axis=1), cand[np.arange(len(cand)), best], -1)
 
 
 def max_radius_per_generation(orbit):
-    gens = sorted(set(int(g) for g in orbit.generation))
-    return {g: float(orbit.radii[orbit.generation == g].max()) for g in gens}
+    """{generation: largest radius among its spheres}, ascending by generation."""
+    order = np.argsort(orbit.generation, kind="stable")
+    gen = orbit.generation[order]
+    start = np.flatnonzero(np.diff(gen, prepend=gen[:1] - 1))  # each generation's first row
+    top = np.maximum.reduceat(orbit.radii[order], start)
+    return dict(zip(gen[start].tolist(), top.tolist()))
 
 
 @dataclasses.dataclass(frozen=True)

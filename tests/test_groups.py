@@ -139,7 +139,8 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
     prefix row and last letter.  The product is M @ R_g in float64, and
     otherwise the rank-1 update M - (M v_g)(2 J v_g)^T with M v_g summed
     left to right (test_long_double_words_match_their_matrix_products checks
-    it against M @ R_g)."""
+    it against M @ R_g).  Returns the table and its words, a list of
+    tuples."""
     k = len(sub.ball_ids)
     eye = np.eye(k, dtype=np.int64)
     tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
@@ -192,7 +193,6 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
         if truncated:
             break
     return gr.WordTable(
-        words=words,
         matrices=np.array(mats),
         tits=np.array(tits),
         n_raw=n_raw,
@@ -201,7 +201,7 @@ def enumerate_words_reference(sub, max_length, max_elements=2_000_000, dtype=flo
         lengths=np.array([len(w) for w in words]),
         prefix=np.array(prefix),
         last=np.array(last),
-    )
+    ), words
 
 
 def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
@@ -209,14 +209,15 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     of prefix walls per word, and one centers_radii call per word, in the
     sub-assembly's unit frame, where the parents are found; the table lists
     the spheres scaled back to the cover's units.  The word table is capped
-    at `max_elements` too."""
+    at `max_elements` too.  Returns the table and its spheres' words, a list
+    of tuples."""
     k = len(sub.ball_ids)
-    table = enumerate_words_reference(sub, max_length, max_elements)
+    table, words = enumerate_words_reference(sub, max_length, max_elements)
     seq_of = {}  # root bytes -> seq
     walls = {(): []}  # word -> seqs of its prefix spheres
-    rows = []  # (word, seed, root, center, radius)
+    rows = []  # (word, seed, root, center, radius, word's table row)
     truncated = False
-    for word, tits, m in zip(table.words, table.tits, table.matrices):
+    for row, (word, tits, m) in enumerate(zip(words, table.tits, table.matrices)):
         if word:  # the last prefix sphere has root word[:-1](a_last) = -W a_last
             walls[word] = walls[word[:-1]] + [seq_of[(-tits[:, word[-1]]).tobytes()]]
         pol = (m @ sub.polars.T).T  # images of all seed spheres
@@ -233,7 +234,7 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
                 truncated = True
                 break
             seq_of[key] = len(rows)
-            rows.append((word, s, root, cen[s], rad[s]))
+            rows.append((word, s, root, cen[s], rad[s], row))
         if truncated:
             break
     n = len(rows)
@@ -245,7 +246,7 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     for i, r in enumerate(rows):
         cand[i, : len(r[0])] = sorted(walls[r[0]])
     return gr.OrbitTable(
-        words=[r[0] for r in rows],
+        words=gr.Words(table.prefix, table.last, np.array([r[5] for r in rows])),
         seed=np.array([r[1] for r in rows]),
         roots=np.array([r[2] for r in rows]),
         centers=centers * sub.scale,
@@ -253,17 +254,21 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
         generation=np.array([len(r[0]) for r in rows]),
         parent=gr._smallest_container(centers, radii, cand),
         truncated=truncated,
-    )
+    ), [r[0] for r in rows]
 
 
 def assert_same_table(got, ref, label):
-    """Every field equal bit for bit: arrays in dtype, shape and value."""
+    """Every field equal bit for bit, arrays in dtype, shape and value, and
+    the words equal to the reference loops' list of tuples; `ref` is a
+    reference's (table, words)."""
+    ref, words = ref
     for field in dataclasses.fields(ref):
         a, b = getattr(got, field.name), getattr(ref, field.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), (label, field.name)
         else:
             assert a == b, (label, field.name)
+    assert isinstance(got.words, gr.Words) and list(got.words) == words, label
 
 
 def assert_prefix_rows(table, label):
@@ -449,12 +454,44 @@ def _int_rows(draw):
 @example(np.array([[gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
 @example(np.array([[2], [-1], [2], [0], [-1]], dtype=np.int64))
 @example(np.zeros((5, 0), dtype=np.int64))
+@example(np.array([[2, 0, -1], [1, 1, -1], [2, 0, -1], [0, 5, 3], [1, 1, -1]], dtype=np.int64))
+@example(np.array([[gr.TITS_MAX, -gr.TITS_MAX], [-gr.TITS_MAX, gr.TITS_MAX],
+                   [gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
+@example(np.array([[-2**63], [2**63 - 1], [0], [-2**63], [2**63 - 1]], dtype=np.int64))
+@example(np.array([[1.0, 0.5, 0.25], [-0.0, 0.5, 0.25], [1.0, 0.5, 0.25],
+                   [0.0, 0.5, 0.25]]).view(np.uint64))
 def test_first_rows_match_the_structured_unique(rows):
-    """The lexsort dedupe gives np.unique's first occurrences and ranks,
+    """The sorting dedupe gives np.unique's first occurrences and ranks,
     dtype included, on 0 rows, 1 row, 1 column, 0 columns (every row equal)
-    and entries near +-TITS_MAX."""
+    and entries near +-TITS_MAX, on both sides of the packed key: small
+    spans (packed), two columns at +-TITS_MAX (spans multiply past 2^62),
+    one column from -2^63 to 2^63 - 1 (a span of 2^64, which must not
+    wrap) and float bits as uint64 (lexsort)."""
     for got, want in zip(cv._first_rows(rows), orc.first_rows(rows)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_first_rows_packs_exactly_below_2_to_the_62():
+    """The packed key is taken where the column spans multiply below 2^62,
+    and lexsort otherwise: spans of 2^31 and 2^31 - 1, of 2^31 twice, a
+    span of 2^64 and float bits."""
+    top = np.array([[0, 0], [2**31 - 1, 2**31 - 2]], dtype=np.int64)
+    assert cv._packed_order(top) is not None
+    assert cv._packed_order(top + [[0, 0], [0, 1]]) is None
+    assert cv._packed_order(np.array([[-2**63], [2**63 - 1]], dtype=np.int64)) is None
+    assert cv._packed_order(np.array([[1.0], [-1.0]]).view(np.uint64)) is None  # the sign bit
+    assert cv._packed_order(np.array([[1.0], [0.5]])) is None
+
+
+def test_word_counts_build_no_tuple(cube_group):
+    """len() of a table's or an orbit's words reads the row arrays only: the
+    tuples are built on the first indexed read, once."""
+    sub = pairwise_disjoint_subassembly(cube_group[1], n=4)
+    table, orbit = enumerate_words(sub, 3), orbit_spheres(sub, 3)
+    assert (len(table.words), len(orbit.words)) == (len(table.lengths), len(orbit.radii))
+    assert "_tuples" not in vars(table.words) and "_tuples" not in vars(orbit.words)
+    assert orbit.words[-1] == table.words[orbit.words.rows[-1]] and len(orbit.words[-1]) == 3
+    assert "_tuples" in vars(table.words) and "_tuples" in vars(orbit.words)
 
 
 def test_tits_entry_guard(cube_group, monkeypatch):
@@ -535,12 +572,12 @@ def test_element_cap_truncates_like_the_reference_loops(cube_group, tube_cover, 
         sub = _growth_subassembly(name, cube_group, tube_cover)
         for dtype in (float, np.longdouble):
             ref = enumerate_words_reference(sub, 6, max_elements=cap, dtype=dtype)
-            assert ref.truncated
+            assert ref[0].truncated
             table = enumerate_words(sub, 6, dtype=dtype)
             assert_same_table(table, ref, (name, cap))
             assert_prefix_rows(table, (name, cap))
         ref = orbit_spheres_reference(sub, 6, max_elements=cap)
-        assert ref.truncated and len(ref.words) == cap
+        assert ref[0].truncated and len(ref[1]) == cap
         assert_same_table(orbit_spheres(sub, 6), ref, (name, cap))
 
 
