@@ -37,9 +37,12 @@ searches a cell's neighbours only in the columns (cells on the first three
 axes) that hold a row.  The
 adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation
-array.  Coverage is a query on the same grid join, again one per radius
-octave, queried from its smaller side: it lists every ball whose trace
-disk meets a face's square.  The faces whose disks are bit for bit the same
+array.  Coverage is a query on the same grid join in two searches.  The
+near search, one join at cell side ell/2, lists the balls near each face's
+middle, which hold all of a lattice face's disks; the complete search, one
+join per radius octave queried from its smaller side, lists every ball
+whose trace disk meets a face's square, and runs only for the faces that
+are drawn.  The faces whose near disks are bit for bit the same
 share one certificate that their disks hold the whole face square; they
 are grouped by _first_rows, one exact stable sort of their rows (one packed
 int64 key for integer rows of small range, else a lexsort), which is also
@@ -49,8 +52,9 @@ float32 pair of the seeded generator, tested against its face's disks, in
 float64, in the face plane, with no recheck.  A block of faces whose
 templates are all whole draws no sample: the generator is advanced past
 it, which leaves the stream where drawing would, so the result is the same
-bits.  A lattice cover's templates are all whole, so its coverage draws no
-sample.
+bits.  A drawn block's samples are tested against its faces' complete
+disks.  A lattice cover's templates are all whole, so its coverage draws no
+sample and runs no complete search.
 """
 
 from __future__ import annotations
@@ -582,6 +586,43 @@ def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
     return f[meets], uv[meets], reach2[meets]
 
 
+def _disk_table(pairs, centers, radii, corner, plane, off, ell):
+    """(count, table): the disks of the faces (corner, plane, off) among the
+    face-ball candidates (f, b) of pairs, by _trace_disks.  count is each
+    face's number of disks and table (F, 3, width) its rows u, v and
+    reach2, a face's disks in the order the pairs list them, width being
+    the largest count; padding slots have reach2 = -inf, so they contain no
+    point."""
+    n_faces = len(corner)
+    parts = [(np.zeros(0, np.intp), np.zeros((0, 2)), np.zeros(0))]
+    parts += [_trace_disks(f, b, centers, radii, corner, plane, off, ell) for f, b in pairs]
+    face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
+    by_face = np.argsort(face, kind="stable")
+    face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
+    count = np.bincount(face, minlength=n_faces)
+    rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.zeros((n_faces, 3, int(count.max(initial=0))))
+    table[:, 2] = -np.inf  # padding: no point inside
+    table[face, 0, rank], table[face, 1, rank] = cuv.T
+    table[face, 2, rank] = reach2
+    return count, table
+
+
+def _octave_pairs(mids, centers, radii, ell):
+    """The face-ball candidates (f, b) of coverage_check's complete search:
+    one grid join of the face middles and the ball centres per radius octave
+    g, at cell side R_g + ell/2 (widened by 1e-9 against rounding), R_g being
+    the octave's largest radius, the smaller side querying."""
+    if not len(mids):
+        return  # no face: no pair
+    for g, top in zip(*_radius_octaves(radii)):
+        side = (top + ell / 2.0) * (1.0 + 1e-9)
+        swap = len(g) < len(mids)
+        for f, b in _grid_join(*((centers[g], mids) if swap else (mids, centers[g])), side):
+            f, b = (b, f) if swap else (f, b)
+            yield f, g[b]
+
+
 # Cells per side of the grid on which coverage_check certifies each disk
 # template, and templates certified at a time (2^18 cells)
 _CELLS = 64
@@ -613,20 +654,30 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
     A ball meets a face plane in the open disk of centre (u, v), in face
     coordinates, and squared radius r^2 - h^2, h being the centre's distance
-    from the plane.  A face's candidates are the balls whose disk meets its
-    closed square.  They come from one grid join of the face middles and the
-    ball centres per radius octave g, the smaller set querying the larger
-    (the preset's 8 junction balls query its 9,850 faces), at cell side
-    R_g + ell/2 (widened by 1e-9 against rounding), R_g being the octave's
-    largest radius.  The lists are complete: a ball of octave g that meets
-    the closed square holds a point p of it with |c - p| < r <= R_g, c being
-    its centre, and on every axis p differs from the square's middle by at
-    most ell/2 (ell/2 on the two in-plane axes, 0 on the normal ones).  So
-    on every axis c and the middle differ by less than R_g + ell/2, and they
-    lie in the same or in neighbouring cells.  The candidates go into one
-    face-major table of (F, width) rows u, v and reach2 = r^2 - h^2, width
-    being the largest candidate count; padding slots have reach2 = -inf, so
-    they contain no point.
+    from the plane.  A face's disks are those of the balls whose disk meets
+    its closed square, and _disk_table keeps them as one face-major table of
+    (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
+    count; padding slots have reach2 = -inf, so they contain no point.  Two
+    searches fill such a table:
+
+    * The near search is one grid join of the face middles against all ball
+      centres at cell side ell/2 (widened by 1e-9 against rounding): a
+      face's near disks are those of the balls it pairs with, which include
+      every ball centred within ell/2 of its middle on every axis.  Those
+      hold a lattice cover's nine disks per face (four corner vertex balls,
+      four face balls, the centre ball) and its junction balls, at edge
+      midpoints; on the preset it pairs 128,421 candidates into the same
+      88,666 disks that the complete search finds from 308,409.
+    * The complete search is one grid join of the face middles and the ball
+      centres per radius octave g, the smaller set querying the larger, at
+      cell side R_g + ell/2 (widened by 1e-9), R_g being the octave's
+      largest radius.  Its lists are complete: a ball of octave g that meets
+      the closed square holds a point p of it with |c - p| < r <= R_g, c
+      being its centre, and on every axis p differs from the square's
+      middle by at most ell/2 (ell/2 on the two in-plane axes, 0 on the
+      normal ones).  So on every axis c and the middle differ by less than
+      R_g + ell/2, and they lie in the same or in neighbouring cells.  It
+      runs only for the faces of the blocks that are drawn, below.
 
     The float32 samples x = (u, v) in [0, 1)^2 are drawn by the seeded
     generator's Generator.random(dtype=np.float32), in blocks of about 2^16
@@ -635,14 +686,17 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     from its low 32 bits and v from its high 32, so a sample is one word.  A
     sample is the point ell * x, rounded to float32, and it is covered when,
     in float64 and in the face plane, (u - cu)^2 + (v - cv)^2 < reach2 for
-    one of its face's table rows.  Most faces are decided without a draw,
-    by a certificate:
+    one of its face's complete rows.  Most faces are decided without a
+    draw, by a certificate on their near disks:
 
-    * A face's template is its row of the table: u, v and reach2.  Faces are
-      grouped by the rows' bits, exactly, by _first_rows (the lattice cover
-      repeats them: the preset's 9,850 faces have 181 templates), and the
-      templates are numbered in the order of their first faces.  So a
-      certificate serves only faces whose disks are exactly the template's.
+    * A face's template is its row of the near table: u, v and reach2.
+      Faces are grouped by the rows' bits, exactly, by _first_rows (the
+      lattice cover repeats them: the preset's 9,850 faces have 43
+      templates), and the templates are numbered in the order of their
+      first faces.  So a certificate serves only faces whose near disks are
+      exactly the template's.  The near disks are a subset of the complete
+      ones, and a further disk can only add to their union, so a point that
+      the near disks hold passes the sample test on the complete rows too.
     * Each template certifies the cells [i, i + 1] x [j, j + 1] / 64 of the
       unit square that one of its disks holds, and it is whole when every
       cell is certified.  float32 rounds ell and ell * x each to a relative
@@ -672,10 +726,12 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       buffer.  So the words after advance(d) are the words that follow d
       drawn ones: a drawn block gets the words it would get if every block
       were drawn, and a skipped block would have given no miss.  The lattice
-      cover's templates are all whole (the preset's 181 at k = 0 and 213 at
-      k = 2), so its coverage draws no sample.
-    * A block that is drawn tests every sample against all its face's rows,
-      one rank of the table at a time.
+      cover's templates are all whole (the preset's 43 at k = 0 and 63 at
+      k = 2), so its coverage draws no sample and runs no complete search.
+    * A block that is drawn tests every sample against all its faces'
+      complete rows, one rank of the table at a time, so its misses are
+      those of testing against every ball.  Where no template is whole,
+      every face is in a drawn block and the complete search runs for all.
 
     The certificate thus changes which samples are drawn, never a result.
     Returns (fraction, misses) with misses as (face index, point) pairs in
@@ -694,47 +750,42 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     off[np.arange(n_faces)[:, None], plane] = 0.0
     mids = corner + (1.0 - off) * (ell / 2.0)
 
-    parts = []
-    for g, top in zip(*_radius_octaves(radii)):
-        side = (top + ell / 2.0) * (1.0 + 1e-9)
-        swap = len(g) < n_faces  # the smaller side queries
-        for f, b in _grid_join(*((centers[g], mids) if swap else (mids, centers[g])), side):
-            f, b = (b, f) if swap else (f, b)
-            parts.append(_trace_disks(f, g[b], centers, radii, corner, plane, off, ell))
-    face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
-    by_face = np.argsort(face, kind="stable")
-    face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
-    count = np.bincount(face, minlength=n_faces)
-    rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-    width = int(count.max(initial=0))
-    table = np.zeros((n_faces, 3, width))  # each face's template: its rows u, v, reach2
-    table_u, table_v, table_r2 = table.transpose(1, 0, 2)
-    table_r2[...] = -np.inf  # padding: no point inside
-    table_u[face, rank], table_v[face, rank] = cuv.T
-    table_r2[face, rank] = reach2
-    del parts, face, cuv, reach2, by_face, rank  # dead: freed before the templates
-
+    # the near disks: each face's template, from the balls a join at cell
+    # side ell/2 pairs with its middle
+    near = _grid_join(mids, centers, (ell / 2.0) * (1.0 + 1e-9))
+    _count, table = _disk_table(near, centers, radii, corner, plane, off, ell)
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
     # the faces of whole templates, whose every sample the test provably
     # accepts; _TEMPLATES at a time, so no cell certificate outlives its batch
     whole = np.concatenate([
-        _held_cells(table_u[t], table_v[t], table_r2[t], ell).all(axis=(1, 2))
+        _held_cells(*table[t].transpose(1, 0, 2), ell).all(axis=(1, 2))
         for t in np.split(first, range(_TEMPLATES, len(first), _TEMPLATES))])[template]
+    del table  # dead: freed before the complete search
+
+    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
+    starts = np.arange(0, n_faces, block)
+    drawn = ~np.logical_and.reduceat(whole, starts)
+    # the complete disks of the faces in drawn blocks, in face order
+    faces = np.flatnonzero(np.repeat(drawn, block)[:n_faces])
+    count, table = _disk_table(_octave_pairs(mids[faces], centers, radii, ell), centers,
+                               radii, corner[faces], plane[faces], off[faces], ell)
+    table_u, table_v, table_r2 = table.transpose(1, 0, 2)
 
     rng = np.random.default_rng(seed)
-    block = max(1, 2**16 // n_samples)  # faces per block: ~2^16 samples
     misses = []
-    for lo in range(0, n_faces, block):
+    rows = slice(0, 0)  # the complete table's rows of the last drawn block
+    for lo, draw in zip(starts.tolist(), drawn):
         hi = min(lo + block, n_faces)
-        if whole[lo:hi].all():
+        if not draw:
             rng.bit_generator.advance((hi - lo) * n_samples)  # the stream as if drawn
             continue
+        rows = slice(rows.stop, rows.stop + hi - lo)
         x = rng.random((hi - lo, n_samples, 2), dtype=np.float32) * ell  # a word per sample
         u, v = x[..., 0].astype(float), x[..., 1].astype(float)
         covered = np.zeros((hi - lo, n_samples), dtype=bool)
-        for r in range(int(count[lo:hi].max())):  # ranks past it are padding
-            du, dv = u - table_u[lo:hi, r, None], v - table_v[lo:hi, r, None]
-            covered |= du * du + dv * dv < table_r2[lo:hi, r, None]
+        for r in range(int(count[rows].max())):  # ranks past it are padding
+            du, dv = u - table_u[rows, r, None], v - table_v[rows, r, None]
+            covered |= du * du + dv * dv < table_r2[rows, r, None]
         at, s = np.nonzero(~covered)  # each miss's face in the block and sample
         face = lo + at
         pts = corner[face].astype(np.float32)

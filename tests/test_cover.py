@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildknot import cover as cv
@@ -661,18 +661,37 @@ def test_coverage_certificate_on_distinct_templates(jittered_cube, monkeypatch):
     assert got == orc.coverage_check(cover, surf, n_samples=2000, seed=0)
 
 
-def test_coverage_certificate_of_a_radius_1e4_disk(monkeypatch):
+def complete_rows(cover, surf):
+    """Per face, the rows u, v and reach2 (F, width) of every ball whose
+    trace disk meets its closed square, padded with reach2 = -inf: the disks
+    of coverage_check's complete search, from the oracle's one grid join at
+    cell side r_max + ell/sqrt(2), as in oracles.coverage_check."""
+    ell = float(cover.unit)
+    n_faces = len(surf.faces)
+    corner = surf.faces[:, :4].astype(float)
+    plane = surf.faces[:, 4:]
+    off = np.ones_like(corner)
+    off[np.arange(n_faces)[:, None], plane] = 0.0
+    side = (float(cover.radii.max()) + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
+    pairs = orc.grid_join(corner + (1.0 - off) * (ell / 2.0), cover.centers, side)
+    _count, table = cv._disk_table(pairs, cover.centers, cover.radii, corner, plane, off, ell)
+    return table.transpose(1, 0, 2)
+
+
+def test_coverage_certificate_of_a_radius_1e4_disk():
     """The margin is relative: far^2 and reach2 near 1e8 carry rounding far
-    above any fixed margin.  Face 0 is wholly certified and missed nowhere;
-    the faces that the ball cuts are missed in part."""
+    above any fixed margin.  The ball is no near disk of any face, so its
+    rows are certified through _held_cells directly: face 0's row is whole.
+    Coverage draws every face against its complete rows: face 0 is missed
+    nowhere; the faces that the ball cuts are missed in part."""
     c = degenerate_single_cube(3)
     surf = knot_surface(c)
     one = big_ball(surf, build_cover(c))
-    calls = record_certificates(monkeypatch)
-    got = coverage_check(one, surf, n_samples=2000, seed=0)
-    (table_u, _v, table_r2, _ell, cert), = calls
+    table_u, table_v, table_r2 = complete_rows(one, surf)
     assert table_u.min() < -9000.0 and table_r2.max() > 9e7
-    assert cert.all(axis=(1, 2)).any()  # face 0's template
+    cert = cv._held_cells(table_u, table_v, table_r2, float(one.unit))
+    assert cert.all(axis=(1, 2)).any() and cert[0].all()  # face 0's row
+    got = coverage_check(one, surf, n_samples=2000, seed=0)
     assert 0.0 < got[0] < 1.0 and 0 not in {fi for fi, _pt in got[1]}
     assert got == orc.coverage_check(one, surf, n_samples=2000, seed=0)
 
@@ -682,15 +701,27 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     face square that lies in a closed certified cell (9 x 9 points per cell)
     passes coverage_check's float64 test against its template's disks.  Over
     the preset's templates at k = 0 and 2, where every cell is certified, the
-    jittered cube's and the radius-1e4 disk's."""
+    jittered cube's and the radius-1e4 disk's.  coverage_check certifies its
+    templates from the near disks, so the complete rows go through
+    _held_cells too: every face's of those two, and at k = 2, with every
+    centre moved by N(0, 0.01), those of the preset's 326 faces within 4
+    edges of a junction ball on every axis."""
     calls = record_certificates(monkeypatch)
     surf, covers = preset_covers
     for cover in covers.values():
         coverage_check(cover, surf, n_samples=1, seed=0)
     assert all(cert.all() for *_rows, cert in calls)
     cube_surf, cube = jittered_cube
-    coverage_check(cube, cube_surf, n_samples=1, seed=0)
-    coverage_check(big_ball(cube_surf, cube), cube_surf, n_samples=1, seed=0)
+    for one in (cube, big_ball(cube_surf, cube)):
+        coverage_check(one, cube_surf, n_samples=1, seed=0)
+        cv._held_cells(*complete_rows(one, cube_surf), float(one.unit))
+    cover = covers[2]
+    moved = cover.centers + np.random.default_rng(0).normal(0.0, 0.01, cover.centers.shape)
+    junction = cover.centers[cover.roles == ROLE_JUNCTION]
+    near = (np.abs(junction[:, None] - surf.faces[:, :4]) <= 4).all(-1).any(0)
+    cv._held_cells(*complete_rows(dataclasses.replace(cover, centers=moved),
+                                  dataclasses.replace(surf, faces=surf.faces[near])),
+                   float(cover.unit))
     k = np.arange(513)
     # the closed cells holding lattice index k along one axis: k // 8 and,
     # on a cell edge, the cell below
@@ -812,9 +843,9 @@ LATTICE = {
 
 @pytest.mark.parametrize("case", [0, 2, *LATTICE], ids=str)
 def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
-    """Every template of a lattice cover (the preset's 181 at k = 0 and 213
-    at k = 2) has every cell certified, so it is whole, and coverage
-    advances the generator past all its words and draws none."""
+    """Every template of a lattice cover, from its near disks (the preset's
+    43 at k = 0 and 63 at k = 2), has every cell certified, so it is whole,
+    and coverage advances the generator past all its words and draws none."""
     if case in LATTICE:
         surf, cover = lattice_cover(*LATTICE[case])
     else:
@@ -826,15 +857,54 @@ def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
     whole = whole_templates(calls)
     assert whole.all()
     if case in (0, 2):
-        assert len(whole) == {0: 181, 2: 213}[case]
+        assert len(whole) == {0: 43, 2: 63}[case]
 
 
-def test_drawn_blocks_are_those_with_an_open_cell(jittered_cube, monkeypatch):
-    """No two faces of the jittered cube share a template, so template t is
+def test_preset_certifies_every_face_from_its_near_disks(preset_covers, monkeypatch):
+    """On the preset at k = 0 the near search hands _trace_disks 128,421
+    face-ball candidates, against 308,409 for the per-octave search, and
+    keeps all 88,666 disks; every template is whole, so no face reaches the
+    complete search."""
+    surf, covers = preset_covers
+    seen, kept, complete = [], [], []
+    trace, octave = cv._trace_disks, cv._octave_pairs
+
+    def trace_spy(f, b, *geometry):
+        out = trace(f, b, *geometry)
+        seen.append(len(f))
+        kept.append(len(out[0]))
+        return out
+
+    def octave_spy(mids, *rest):
+        complete.append(len(mids))
+        return octave(mids, *rest)
+
+    monkeypatch.setattr(cv, "_trace_disks", trace_spy)
+    monkeypatch.setattr(cv, "_octave_pairs", octave_spy)
+    assert coverage_check(covers[0], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert (sum(seen), sum(kept)) == (128_421, 88_666)
+    assert complete == [0]
+
+
+@pytest.fixture(scope="module")
+def shrunk_cube():
+    """The edge-3 single cube's cover with every radius scaled by U(0.88,
+    1.3) and the centres kept: every face's near disks are all its disks,
+    no two faces share a template, and some templates are whole."""
+    c = degenerate_single_cube(3)
+    cover = build_cover(c)
+    rng = np.random.default_rng(14)
+    return knot_surface(c), dataclasses.replace(
+        cover, radii=cover.radii * rng.uniform(0.88, 1.3, len(cover)))
+
+
+def test_drawn_blocks_are_those_with_an_open_cell(shrunk_cube, monkeypatch):
+    """No two faces of the shrunk cube share a template, so template t is
     face t's.  At 10,000 samples (6 faces a block) exactly the blocks that
     hold a face whose template leaves a cell open are drawn, although some
-    faces are whole; the result equals the serial form's."""
-    surf, cover = jittered_cube
+    faces in them are whole, and some blocks are not; the result equals the
+    serial form's."""
+    surf, cover = shrunk_cube
     want = orc.coverage_check(cover, surf, n_samples=10_000, seed=0)
     calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
@@ -845,8 +915,56 @@ def test_drawn_blocks_are_those_with_an_open_cell(jittered_cube, monkeypatch):
     assert 0 < whole.sum() < n_faces
     block = 2**16 // 10_000
     drawn = {f // block for f in np.flatnonzero(~whole)}
+    assert 0 < len(drawn) < -(-n_faces // block)
     assert counts["drawn"] == 10_000 * sum(min(block, n_faces - b * block) for b in drawn)
     assert counts["drawn"] + counts["advanced"] == 10_000 * n_faces
+
+
+def test_a_far_ball_closes_an_open_near_template(monkeypatch):
+    """The edge-3 cube's lattice cover less one of face 0's face balls, plus
+    the radius-1e4 ball of big_ball, which covers face 0 and is no near disk
+    of any face.  Face 0's near disks leave a cell open, so its block, and
+    only its block, is drawn, against the complete rows, which hold the far
+    ball: face 0 has no miss, and the result equals the serial form's."""
+    c = degenerate_single_cube(3)
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    broken = without_ball(cover, face_template(cover, surf, 0)[4])
+    far = big_ball(surf, broken)
+    closed = dataclasses.replace(broken, centers=np.vstack([broken.centers, far.centers]),
+                                 radii=np.append(broken.radii, far.radii))
+    calls = record_certificates(monkeypatch)
+    counts = count_words(monkeypatch)
+    got = coverage_check(closed, surf, n_samples=10_000, seed=0)
+    whole = whole_templates(calls)
+    assert not whole.all() and (~whole).sum() == 1  # face 0's template alone
+    block = 2**16 // 10_000
+    assert counts == {"drawn": 10_000 * block, "advanced": 10_000 * (len(surf.faces) - block)}
+    assert got == (1.0, [])
+    assert got == orc.coverage_check(closed, surf, n_samples=10_000, seed=0)
+    # without the far ball the same block is drawn and face 0 is missed
+    assert 0 in {f for f, _pt in coverage_check(broken, surf, n_samples=10_000, seed=0)[1]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.3), st.integers(0, 2**32 - 1),
+       st.sampled_from([1000, 20_000, 70_000]))
+@example(0.0, 0, 20_000)
+def test_coverage_of_a_perturbed_cube_matches_the_serial_form(sigma, seed, n_samples):
+    """The single cube's cover (6 faces, 38 balls) with every centre moved by
+    N(0, sigma), every radius scaled by U(0.5, 1.5) and one random ball
+    dropped, at blocks of 6, 3 and 1 faces: near templates whole or open,
+    blocks drawn or not.  The result has the serial form's bits."""
+    c = degenerate_single_cube(1)
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    rng = np.random.default_rng(seed)
+    moved = dataclasses.replace(
+        cover, centers=cover.centers + rng.normal(0.0, sigma, cover.centers.shape),
+        radii=cover.radii * rng.uniform(0.5, 1.5, len(cover)))
+    broken = without_ball(moved, int(rng.integers(len(cover))))
+    got = coverage_check(broken, surf, n_samples=n_samples, seed=0)
+    assert got == orc.coverage_check(broken, surf, n_samples=n_samples, seed=0)
 
 
 @pytest.mark.parametrize("which", DROPPED)
