@@ -456,8 +456,7 @@ def cmd_bend(run, _args):
         if "error" in row:
             print(f"FAIL {row['error']}")
             continue
-        print(f"t={row['t']:5.2f}  relation residual {row['max_relation_residual']:.3e}  "
-              f"commutation {row['commutation_residual']:.3e}  "
+        print(f"t={row['t']:5.2f}  product shift {row['max_product_shift']:.3e}  "
               f"lambda_max {row['lambda_max']:.10f}")
     print(_check_line("bending", ok, msg))
     print(f"wrote {run.path('bending.json')}")

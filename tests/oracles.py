@@ -15,13 +15,16 @@ side and tests one block of about 2^16 samples at a time, and
 `cover.coverage_check`, with one join per radius octave, must give the same
 bits.  Criterion 3's batched `groups.relation_residuals` must agree with
 `relation_residual` here, which multiplies the scalar reflections of one
-pair at a time.  `bending.bend`, one sweep over all the angles of an
-amalgam, must give the bits of `reference_bend` here, which rebuilds every
-angle-free part at each angle, in its angles and residuals; its lambda_max,
-in closed form from the crossing pair's inversive product, must agree with
-the eigenvalues of the bent word's matrix (`lambda_max` here, on LAPACK's
-eigvals) and with the 50-digit `bent_pair_lambda_mp`, and the bent word's
-matrix comes from the scalar reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
+pair at a time.  `bending.bend`, which checks each crossing relation by
+the shift of its inversive product, must agree with `reference_bend` here,
+which builds E_t as a 6x6 matrix (`bending_rotation`) at each angle and
+measures the bent relations' matrix residuals and E_t's commutation with
+the Gamma_j reflections: in its angles, in the relation it refuses, and in
+lambda_max.  bend's lambda_max, in closed form from the crossing pair's
+inversive product, must agree with the eigenvalues of the bent word's
+matrix (`lambda_max` here, on LAPACK's eigvals) and with the 50-digit
+`bent_pair_lambda_mp`, and the bent word's matrix comes from the scalar
+reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
@@ -889,13 +892,32 @@ def relation_residual(centers, radii, order):
     return dists[-1], min(dists[:-1], default=math.inf)
 
 
+def bending_rotation(locus, t):
+    """E_t in the amalgam frame (the locus centre at the origin): rotation
+    by t in the 2-plane of the locus's rotation axes.  Fixes the circle's
+    2-plane (and the circle itself) pointwise; E_t E_s = E_{t+s} and E_0 = I
+    hold by construction of the rotation block."""
+    p, q = locus.rotation_axes
+    e = np.eye(6)
+    e[p, p] = math.cos(t)
+    e[q, q] = math.cos(t)
+    e[p, q] = -math.sin(t)
+    e[q, p] = math.sin(t)
+    return e
+
+
+def commutation_residual(e, r):
+    """max || E R E^-1 - R ||_inf over the reflections r (k, 6, 6)."""
+    return float(np.abs(e @ r @ lz.inverse(e) - r).max())
+
+
 def bent_word_matrix(group, j, t, word):
     """The word's matrix in the representation bent by t at amalgam j, in
     the amalgam frame: each ball's scalar reflection about the locus centre,
     conjugated by E_t when the ball's host cube lies past the amalgam's first
     cube (side B), multiplied left to right."""
     locus = bd.bending_locus(group, j)
-    e = bd.bending_rotation(locus, t)
+    e = bending_rotation(locus, t)
     cover = group.cover
     m = np.eye(6)
     for b in word:
@@ -905,13 +927,19 @@ def bent_word_matrix(group, j, t, word):
 
 
 def reference_bend(group, j, t, word, tol=1e-8):
-    """The row of `bending.bend` at one angle t, computed as bend did before
-    it swept all the angles in one call: the locus, the sides, the crossing
-    rows and every reflection are built again for this t (Gamma_j's from
-    the scalar sphere and reflection in Gamma_j's unit frame), and each word
-    generator's reflection on its own.  Raises bend's GroupError messages."""
+    """The per-angle matrix reference for `bending.bend` at one angle t,
+    everything built again for this t: the crossing relations' residuals
+    ||(R_i E_t R_k E_t^-1)^m - I|| from `groups.relation_residuals`, each
+    pair in its own unit frame with its side-B sphere rotated by E_t (the
+    6x6 `bending_rotation`); the commutation residual of E_t with the
+    Gamma_j reflections, from the scalar sphere and reflection in Gamma_j's
+    unit frame; and lambda_max from the eigvals of the bent crossing word's
+    matrix.  A row {t, max_relation_residual, commutation_residual,
+    lambda_max}.  A residual above `tol`, or not a number, raises a
+    GroupError that names the relation, as bend's does, or the commutation
+    residual."""
     locus = bd.bending_locus(group, j)
-    e = bd.bending_rotation(locus, t)
+    e = bending_rotation(locus, t)
     side_b = bd.split_sides(group, j)
     rows, safe = bd.crossing_relations(group, j)
     cover = group.cover
@@ -939,7 +967,7 @@ def reference_bend(group, j, t, word, tol=1e-8):
     shift, scale = cover.centers[ids].mean(axis=0), cover.radii[ids].mean()
     r = np.array([reflection(sphere((cover.centers[b] - shift) / scale, cover.radii[b] / scale))
                   for b in ids])
-    commutation = float(np.abs(e @ r @ lz.inverse(e) - r).max())
+    commutation = commutation_residual(e, r)
     if not commutation <= tol:
         raise gr.GroupError(f"bending at amalgam {j} does not commute with Gamma_j: "
                             f"commutation residual {commutation:.3e}")

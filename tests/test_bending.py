@@ -5,13 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from wildknot import bending as bd
 from wildknot import lorentz as lz
 from wildknot.bending import (
     bend,
     bending_locus,
-    bending_rotation,
-    commutation_residual,
     crossing_relations,
     crossing_word,
     split_sides,
@@ -156,18 +153,18 @@ def test_locus_out_of_range(preset):
 def test_rotation_one_parameter_group(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
-    assert np.allclose(bending_rotation(locus, 0.0), np.eye(6))
-    e1 = bending_rotation(locus, 0.1)
-    e2 = bending_rotation(locus, 0.25)
-    assert np.abs(e1 @ e2 - bending_rotation(locus, 0.35)).max() <= 1e-14
-    assert np.abs(e1 @ bending_rotation(locus, -0.1) - np.eye(6)).max() <= 1e-14
+    assert np.allclose(orc.bending_rotation(locus, 0.0), np.eye(6))
+    e1 = orc.bending_rotation(locus, 0.1)
+    e2 = orc.bending_rotation(locus, 0.25)
+    assert np.abs(e1 @ e2 - orc.bending_rotation(locus, 0.35)).max() <= 1e-14
+    assert np.abs(e1 @ orc.bending_rotation(locus, -0.1) - np.eye(6)).max() <= 1e-14
     assert orc.lorentz_defect(e1) <= 1e-14
 
 
 def test_rotation_fixes_circle_pointwise(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
-    e = bending_rotation(locus, 0.2)
+    e = orc.bending_rotation(locus, 0.2)
     u, v = sorted(set(range(4)) - set(locus.rotation_axes))
     for theta in np.linspace(0.0, 2 * math.pi, 9):
         pt = np.zeros(4)  # amalgam frame: circle about the origin
@@ -185,7 +182,7 @@ def test_commutation_with_amalgam_generators(preset, mid_leg_amalgam):
     gamma = np.array([orc.reflection(orc.sphere((cover.centers[b] - shift) / scale,
                                                 cover.radii[b] / scale)) for b in ids])
     for t in (0.05, 0.2, 0.3):
-        assert commutation_residual(bending_rotation(locus, t), gamma) <= 1e-9
+        assert orc.commutation_residual(orc.bending_rotation(locus, t), gamma) <= 1e-9
 
 
 def test_amalgam_index_out_of_range(tube):
@@ -289,28 +286,38 @@ def test_bend_every_amalgam(preset, suitable):
                 bend(group, j, (0.0, 0.2), word)
             rows = raised.value.report
             assert len(rows) == 1
-        assert all(row["max_relation_residual"] <= 1e-8 for row in rows)
+        assert all(row["max_product_shift"] <= 1e-8 for row in rows)
 
 
 def assert_rows_match(got, want):
-    """bend's rows against reference_bend's: the same keys, t and both
-    residuals repr-equal, and lambda_max, in closed form from the pair's
-    inversive product, within 1e-12 relative of the reference's eigvals."""
-    assert [sorted(row) for row in got] == [sorted(row) for row in want]
-    fields = ("t", "max_relation_residual", "commutation_residual")
-    assert repr([[row[f] for f in fields] for row in got]) == repr(
-        [[row[f] for f in fields] for row in want])
+    """bend's rows against reference_bend's: the same angles; lambda_max, in
+    closed form from the pair's inversive product, within 1e-12 relative of
+    the reference's eigvals; every product shift at most 1e-15; and the
+    reference's relation residuals within 1e-8 and its commutation
+    residuals within 1e-9."""
+    assert [sorted(row) for row in got] == [["lambda_max", "max_product_shift", "t"]] * len(got)
+    assert [row["t"] for row in got] == [row["t"] for row in want]
     assert [row["lambda_max"] for row in got] == pytest.approx(
         [row["lambda_max"] for row in want], rel=1e-12, abs=0.0)
+    assert max(row["max_product_shift"] for row in got) <= 1e-15
+    assert max(row["max_relation_residual"] for row in want) <= 1e-8
+    assert max(row["commutation_residual"] for row in want) <= 1e-9
+
+
+def relation_refused(error):
+    """A bending GroupError's message less its measured number: which
+    relation broke, and whether a member commutes with E_t."""
+    return re.sub(r": (product shift|residual) \S+", ":", str(error))
 
 
 def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
-    """One sweep matches the per-angle reference, which rebuilds every
-    angle-free part at each t and multiplies the bent word's matrices: at
-    the default angles on every suitable preset amalgam and on each of the
-    tube's 7.  On the unsuitable amalgam 262 the sweep gives the reference's
-    t = 0 row as its error's report and then the reference's error at
-    t = 0.05."""
+    """The product-shift sweep agrees with the per-angle matrix reference,
+    which builds E_t at each t, measures the bent relations' residuals and
+    E_t's commutation with Gamma_j, and multiplies the bent word's
+    matrices: at the default angles on every suitable preset amalgam and on
+    each of the tube's 7 (assert_rows_match).  On the unsuitable amalgam 262
+    the sweep keeps the t = 0 row as its error's report, and both refuse
+    the same relation at t = 0.05."""
     ts = RunConfig().bend_ts
     assert len(ts) == 7
     for group, js in [(preset[2], suitable), (tube, range(len(tube.amalgams)))]:
@@ -324,7 +331,9 @@ def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
         orc.reference_bend(group, 262, ts[1], word)
     with pytest.raises(GroupError) as got:
         bend(group, 262, ts, word)
-    assert str(got.value) == str(want.value)
+    assert relation_refused(got.value) == relation_refused(want.value) == (
+        "bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: "
+        "(no member commutes with the bending rotation)")
     assert_rows_match(got.value.report, [orc.reference_bend(group, 262, ts[0], word)])
 
 
@@ -356,7 +365,7 @@ def test_a_crossing_pair_that_meets_has_lambda_max_one(preset):
     assert rows[1]["lambda_max"] == 1.0
     locus = bending_locus(group, 132)
     a, b = word
-    moved = (cover.centers[b] - locus.center) @ bending_rotation(locus, 2.0)[:4, :4].T
+    moved = (cover.centers[b] - locus.center) @ orc.bending_rotation(locus, 2.0)[:4, :4].T
     prod = orc.euclidean_exterior_cos(cover.centers[a] - locus.center, cover.radii[a],
                                       moved, cover.radii[b])
     assert prod == pytest.approx(2.0 + 3.0 * math.cos(2.0), abs=1e-12)
@@ -373,7 +382,7 @@ def test_junction_amalgam_bendable(preset):
     _rows, safe = crossing_relations(group, 0)
     assert safe.all()
     [row] = bend(group, 0, (0.2,), crossing_word(group, 0))
-    assert row["max_relation_residual"] <= 1e-8
+    assert row["max_product_shift"] <= 1e-8
 
 
 def test_turn_amalgams_unsuitable(preset, suitable):
@@ -390,20 +399,21 @@ def test_turn_amalgams_unsuitable(preset, suitable):
 
 def test_bend_fails_on_a_nan_residual():
     """Fail-closed control on the straight tube: one crossing relation's
-    side-B ball with a NaN centre gives a NaN residual, which is no residual
-    within the tolerance, so bending refuses the relation.  The ball is not
-    in the crossing pair, whose own check would refuse it first."""
+    side-B ball with a NaN centre gives a NaN product shift, which is no
+    shift within the tolerance, so bending refuses the relation.  The ball
+    is not in the crossing pair, whose own check would refuse it first."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
     rows, _safe = crossing_relations(group, 0)
     word = crossing_word(group, 0)
     ball = next(int(b) for b in rows[:, :2].ravel()
                 if b not in group.amalgams[0].ball_ids and b not in word)
-    assert bend(group, 0, (0.2,), word)[0]["max_relation_residual"] <= 1e-8
+    assert bend(group, 0, (0.2,), word)[0]["max_product_shift"] <= 1e-8
     centers = group.cover.centers.copy()
     centers[ball] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
-    with pytest.raises(GroupError, match=f"amalgam 0 breaks relation .*R_{ball}.*: residual nan"):
+    with pytest.raises(GroupError,
+                       match=f"amalgam 0 breaks relation .*R_{ball}.*: product shift nan"):
         bend(broken, 0, (0.2,), word)
 
 
@@ -435,7 +445,7 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
         bend(broken, 1, (0.2,), pairs[1])
     for j in range(2, 7):
         [row] = bend(broken, j, (0.2,), pairs[j])
-        assert row["max_relation_residual"] <= 1e-8 and row["lambda_max"] > 1.0
+        assert row["max_product_shift"] <= 1e-8 and row["lambda_max"] > 1.0
     assert "crossings" in vars(broken)
     for call, args in [(bend, (0, (0.2,), pairs[0])), (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
@@ -464,17 +474,26 @@ def test_bend_refuses_a_pair_ball_that_is_not_finite(fault, member):
         bend(broken, 3, (0.0, 0.2), pair)
 
 
-def test_bend_gates_the_commutation_residual(monkeypatch):
-    """Negative control: a commutation residual of NaN or of 1.0 is none
-    within the tolerance, so bend raises and names it."""
-    c = orc.straight_tube_complex()
-    group = assemble_group(c, build_cover(c))
-    word = crossing_word(group, 0)
-    assert bend(group, 0, (0.2,), word)[0]["commutation_residual"] <= 1e-8
-    for value in (np.nan, 1.0):
-        monkeypatch.setattr(bd, "commutation_residual", lambda *_args, v=value: v)
-        with pytest.raises(GroupError, match=re.escape(f"commutation residual {value:.3e}")):
-            bend(group, 0, (0.2,), word)
+def test_a_gamma_ball_off_the_fixed_plane_has_no_bending_locus(tube):
+    """Fail-closed control for E_t's commutation with Gamma_j, which holds
+    exactly when the Gamma_j centres lie on E_t's fixed plane: on the
+    straight tube, amalgam 0's first ball moved 1e-6 tube units along a
+    rotation axis no longer commutes with E_t at t = 0.2 (the oracle's
+    residual is above 1e-8), yet its rho^2 moves by only 1e-12.  Only the on-plane test
+    sees the fault, and bending_locus, bend and suitable_amalgams each
+    refuse amalgam 0 for its orthogonality residual."""
+    locus = bending_locus(tube, 0)
+    word = crossing_word(tube, 0)
+    ball = tube.amalgams[0].ball_ids[0]
+    centers = tube.cover.centers.copy()
+    centers[ball, locus.rotation_axes[0]] += 1e-6 * tube.cover.unit
+    broken = dataclasses.replace(tube, cover=dataclasses.replace(tube.cover, centers=centers))
+    r = orc.reflection(orc.sphere(centers[ball] - locus.center, tube.cover.radii[ball]))
+    assert orc.commutation_residual(orc.bending_rotation(locus, 0.2), r[None]) > 1e-8
+    for call, args in [(bending_locus, (0,)), (bend, (0, (0.2,), word)),
+                       (suitable_amalgams, ())]:
+        with pytest.raises(GroupError, match="^amalgam 0 orthogonality residual 1e-06$"):
+            call(broken, *args)
 
 
 def test_bend_zero_is_base(preset, mid_leg_amalgam):
@@ -483,7 +502,7 @@ def test_bend_zero_is_base(preset, mid_leg_amalgam):
     sweep's lambda_max is that product's."""
     _c, cover, group = preset
     locus = bending_locus(group, mid_leg_amalgam)
-    assert np.allclose(bending_rotation(locus, 0.0), np.eye(6))
+    assert np.allclose(orc.bending_rotation(locus, 0.0), np.eye(6))
     word = crossing_word(group, mid_leg_amalgam)
     assert split_sides(group, mid_leg_amalgam)[word[1]]
     base = [orc.reflection(orc.sphere(cover.centers[b] - locus.center, cover.radii[b]))
@@ -497,11 +516,13 @@ def test_bend_zero_is_base(preset, mid_leg_amalgam):
 def test_bend_relation_sweep(preset, mid_leg_amalgam):
     _c, _cover, group = preset
     ts = np.arange(0.0, 0.3001, 0.05)
-    rows = bend(group, mid_leg_amalgam, ts, crossing_word(group, mid_leg_amalgam))
+    word = crossing_word(group, mid_leg_amalgam)
+    rows = bend(group, mid_leg_amalgam, ts, word)
     assert [row["t"] for row in rows] == ts.tolist()
-    for row in rows:
-        assert row["max_relation_residual"] <= 1e-8
-        assert row["commutation_residual"] <= 1e-9
+    assert max(row["max_product_shift"] for row in rows) <= 1e-8
+    for t in ts:
+        want = orc.reference_bend(group, mid_leg_amalgam, t, word)
+        assert want["max_relation_residual"] <= 1e-8 and want["commutation_residual"] <= 1e-9
 
 
 def test_crossing_word_at_every_suitable_amalgam(preset, suitable):

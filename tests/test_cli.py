@@ -315,16 +315,15 @@ def test_bend_records_the_rows_before_a_failing_angle(tmp_path, capsys):
     breaks a relation at t = 0.05: bending.json keeps the t = 0 row and then
     the error, and bend exits 1."""
     assert main(["bend", "--bend-amalgam", "262", "--out", str(tmp_path)]) == 1
-    error = ("bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: residual "
-             "3.254e-02 (no member commutes with the bending rotation)")
+    error = ("bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: product shift "
+             "3.749e-03 (no member commutes with the bending rotation)")
     assert f"\nFAIL {error}\n" in capsys.readouterr().out
     bending = json.loads((tmp_path / "bending.json").read_text(encoding="utf-8"))
     assert bending["amalgam"] == 262 and bending["crossing_word"] == [9288, 8744]
     first, last = bending["rows"]
     assert last == {"error": error}
-    assert sorted(first) == ["commutation_residual", "lambda_max", "max_relation_residual", "t"]
-    assert first["t"] == 0.0 and first["commutation_residual"] == 0.0
-    assert 0.0 < first["max_relation_residual"] <= 1e-12
+    assert sorted(first) == ["lambda_max", "max_product_shift", "t"]
+    assert first["t"] == 0.0 and first["max_product_shift"] == 0.0
     assert first["lambda_max"] == pytest.approx(97.98979485566353, rel=1e-12)
 
 
