@@ -27,7 +27,7 @@ from . import complexes as cx
 from . import groups as gr
 from . import limitset as ls
 from . import presets
-from .cover import CoverError, build_cover, closed_form_parameters, validate_cover
+from .cover import ROLE_NAMES, CoverError, build_cover, closed_form_parameters, validate_cover
 
 # What malformed input raises inside the pipeline; reported as FAIL lines.
 INPUT_ERRORS = (cx.ComplexError, CoverError, gr.GroupError)
@@ -160,7 +160,7 @@ def _write_cover(cover, path):
     """One row per ball, joined from string columns.  Each float column
     formats its distinct floats once, by repr as in _fmt, and its rows reuse
     that text."""
-    roles = np.array(["vertex", "face", "junction"], dtype=object)
+    roles = np.array([ROLE_NAMES[code] for code in range(len(ROLE_NAMES))], dtype=object)
     columns = ls._float_columns(np.column_stack([cover.centers, cover.radii]))
     lines = ["# ball x1 x2 x3 x4 radius role host"]
     lines += map(" ".join, zip(map(str, range(len(cover))), *columns,

@@ -28,7 +28,10 @@ reflections in `bent_word_matrix`.  `limitset.loxodromic_points` and
 `lorentz.classify_maps`, which classify a stack of words at once, must give
 the bits of the loop here that draws, multiplies and classifies one word at
 a time (`loxodromic_points`, with the scalar `classify_map` and its power
-polish).  `cover._first_rows`, one lexsort over the columns and the
+polish, seeded from the squarings' M^1024 and run in long double).  Their
+attracting points must be at least as close to `longdouble_attracting_point`
+as `eig_attracting_point`, the path on LAPACK's eig that the classifier took
+before.  `cover._first_rows`, one lexsort over the columns and the
 pipeline's one row grouping, must give the arrays of `first_rows` here, a
 structured-row `np.unique`.  `complexes._orientation`, a parity spanning
 forest built by hooking and pointer jumping, must give the (orientable,
@@ -41,6 +44,7 @@ the text of the per-field loops here, and for `cloud_to_json` the text of
 polynomials, now exact integer arithmetic in `alexander`, must equal the
 sympy computation here (`alexander_polynomial` and `nontriviality_verdict`,
 on `sympy.Poly`), error messages included.  The
+Lorentz product `q`, the group inverse `inverse`, the
 point maps, random Moebius maps, the presentation and group-ring helpers,
 the single-cube complex, the cover less one ball, the complex-file loader
 and the two-run bundle comparison serve only the tests.
@@ -83,8 +87,10 @@ def lift_infinity():
 
 
 def project(w, tol=1e-12):
-    """Light-cone vector -> point of R^4 it lifts, or None for inf."""
-    w = np.asarray(w, dtype=float)
+    """Light-cone vector -> point of R^4 it lifts, or None for inf; in w's
+    precision, float64 at least."""
+    w = np.asarray(w)
+    w = w.astype(np.result_type(w, float))
     scale = w[5] - w[4]
     if abs(scale) <= tol * max(1.0, abs(w[5]) + abs(w[4])):
         return None
@@ -118,6 +124,19 @@ def reflection(polar):
     return np.eye(6) - 2.0 * np.outer(v, lz.J @ v)
 
 
+def q(u, v):
+    """Lorentz inner product Q(u, v); broadcasts over leading axes."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (u[..., :5] * v[..., :5]).sum(axis=-1) - u[..., 5] * v[..., 5]
+
+
+def inverse(m):
+    """Group inverse via the Lorentz adjugate J M^T J (never numeric inv);
+    broadcasts over leading axes."""
+    return lz.J @ np.swapaxes(m, -1, -2) @ lz.J
+
+
 @dataclasses.dataclass(frozen=True)
 class PairConfiguration:
     """Relative position of two spheres, derived from the inversive product."""
@@ -131,7 +150,7 @@ class PairConfiguration:
 
 def pair_configuration(u, v, angle_tol=1e-9, tangency_tol=1e-9):
     """Classify two spheres from the Lorentz product Q(u, v) of their polars."""
-    prod = float(lz.q(u, v))
+    prod = float(q(u, v))
     ext_cos = -prod
     if abs(prod) < 1.0 - tangency_tol:
         angle = math.acos(max(-1.0, min(1.0, ext_cos)))
@@ -141,7 +160,7 @@ def pair_configuration(u, v, angle_tol=1e-9, tangency_tol=1e-9):
                 order = m
         return PairConfiguration("intersecting", prod, ext_cos, angle, order)
     if abs(abs(prod) - 1.0) <= tangency_tol:
-        if abs(prod - 1.0) <= tangency_tol and abs(float(lz.q(u, u) - lz.q(v, v))) <= tangency_tol:
+        if abs(prod - 1.0) <= tangency_tol and abs(float(q(u, u) - q(v, v))) <= tangency_tol:
             # same unit polar up to orientation: tangency of a sphere with itself
             if float(np.max(np.abs(np.asarray(u) - np.asarray(v)))) <= tangency_tol:
                 return PairConfiguration("equal", prod, ext_cos, None, None)
@@ -176,7 +195,7 @@ def apply_to_point(m, p):
 def point_side(polar, p):
     """Q(lift(p), polar): negative inside, zero on, positive outside."""
     w = lift_infinity() if p is None else lift(np.asarray(p, dtype=float))
-    return float(lz.q(w, polar))
+    return float(q(w, polar))
 
 
 def random_moebius(rng, n_reflections=4, scale=2.0):
@@ -194,7 +213,9 @@ def classify_map(m, tol=1e-9):
 
     Returns (kind, att): for a loxodromic map att is its attracting fixed
     point as an R^4 vector, None for infinity; for the other kinds att is
-    None.
+    None.  The largest column of M^1024 / max|M^1024| from the ten
+    squarings seeds the long-double power polish, which stops once a step
+    moves the iterate by at most a quarter of float64's eps.
     """
     m = np.asarray(m, dtype=float)
     if np.max(np.abs(m - np.eye(6))) <= tol:
@@ -212,35 +233,87 @@ def classify_map(m, tol=1e-9):
     if logs[-1] < math.log(1e4 * (1.0 + np.max(np.abs(m)))):
         return "elliptic", None
     if logs[-1] / max(logs[-2], 1e-30) > 1.5:
-        vals, vecs = np.linalg.eig(m)
-        i_max = int(np.argmax(np.abs(vals)))
-        return "loxodromic", _lightlike_fixed_point(_power_polish(m, vecs[:, i_max]))
+        col = int(np.argmax(np.abs(cur).max(axis=0)))
+        v = _power_polish(m.astype(np.longdouble), cur[:, col], np.finfo(float).eps / 4, 8192)
+        return "loxodromic", _lightlike_fixed_point(v)
     return "parabolic", None
 
 
-def _power_polish(m, col, iterations=64):
-    v = np.real(np.real_if_close(col, tol=1e6))
+def eig_attracting_point(m):
+    """The attracting fixed point of a loxodromic map by LAPACK: the
+    eigenvector of eig's largest eigenvalue modulus, polished in float64
+    until a step moves it by at most 1e-16, 64 steps at most (the path
+    classify_maps took before its squarings seeded the polish).  None for
+    infinity."""
+    m = np.asarray(m, dtype=float)
+    vals, vecs = np.linalg.eig(m)
+    col = np.real(np.real_if_close(vecs[:, int(np.argmax(np.abs(vals)))], tol=1e6))
+    return _lightlike_fixed_point(_power_polish(m, col, 1e-16, 64))
+
+
+def longdouble_attracting_point(m, squarings=20, steps=256):
+    """The attracting fixed point of a loxodromic map in long double: the
+    largest column of M^(2^squarings) by renormalised squarings, then
+    `steps` power steps against M, which remove the squarings' rounding
+    (squaring a near rank-1 matrix keeps its column space, errors
+    included).  The accuracy reference for classify_maps and
+    eig_attracting_point; None for infinity."""
+    m = np.asarray(m, dtype=float).astype(np.longdouble)
+    cur = m / np.max(np.abs(m))
+    for _ in range(squarings):
+        cur = cur @ cur
+        cur = cur / np.max(np.abs(cur))
+    v = cur[:, int(np.argmax(np.abs(cur).max(axis=0)))]
+    for _ in range(steps):
+        v = m @ v
+        v = v / np.max(np.abs(v))
+    return _lightlike_fixed_point(v, np.longdouble)
+
+
+def worst_fixed_point_errors(ms, att, steps=256):
+    """Worst error of the attracting points att of the loxodromic maps ms
+    (none at infinity) and of `eig_attracting_point` on them, against
+    `longdouble_attracting_point` with `steps` power steps, each relative to
+    max(1, max|reference|): (att's, eig's)."""
+    worst = np.zeros(2)
+    for m, p in zip(ms, att):
+        ref = longdouble_attracting_point(m, steps=steps)
+        assert ref is not None and not np.isnan(p).any()  # no test map attracts to infinity
+        eig = eig_attracting_point(m)
+        scale = max(1.0, float(np.abs(ref).max()))
+        worst = np.maximum(worst, [float(np.abs(x.astype(np.longdouble) - ref).max()) / scale
+                                   for x in (p, eig)])
+    return worst
+
+
+def _power_polish(m, v, stop, iterations):
+    """v <- M v / max|M v| in m's precision until a step moves v by at most
+    `stop` (the step is kept) or M v has a zero or non-finite norm (v is
+    kept), at most `iterations` times."""
+    v = v.astype(m.dtype)
     for _ in range(iterations):
         w = m @ v
         norm = np.max(np.abs(w))
         if norm == 0 or not np.isfinite(norm):
             return v
         w = w / norm
-        if np.max(np.abs(w - v)) <= 1e-16:
+        if np.max(np.abs(w - v)) <= stop:
             return w
         v = w
     return v
 
 
-def _lightlike_fixed_point(col):
-    v = np.real(np.real_if_close(col, tol=1e6))
+def _lightlike_fixed_point(v, dtype=float):
+    """A light-cone vector -> the point of R^4 it lifts, in v's precision
+    and then rounded to dtype; None for infinity (a zero vector included)."""
     norm = np.max(np.abs(v))
     if norm == 0:
         return None
     v = v / norm
     if v[5] < 0:  # orient to the positive cone
         v = -v
-    return project(v)
+    p = project(v)
+    return None if p is None else p.astype(dtype)
 
 
 def loxodromic_points(sub, n, seed=0, word_length=6):
@@ -908,7 +981,7 @@ def bending_rotation(locus, t):
 
 def commutation_residual(e, r):
     """max || E R E^-1 - R ||_inf over the reflections r (k, 6, 6)."""
-    return float(np.abs(e @ r @ lz.inverse(e) - r).max())
+    return float(np.abs(e @ r @ inverse(e) - r).max())
 
 
 def bent_word_matrix(group, j, t, word):
@@ -974,7 +1047,7 @@ def reference_bend(group, j, t, word, tol=1e-8):
     m = np.eye(6)
     for b in word:
         g = frame_reflections([b])[0]
-        m = m @ (e @ g @ lz.inverse(e) if side_b[b] else g)
+        m = m @ (e @ g @ inverse(e) if side_b[b] else g)
     return {"t": t, "max_relation_residual": max_residual,
             "commutation_residual": commutation, "lambda_max": lambda_max(m)}
 

@@ -567,5 +567,5 @@ def test_lambda_max_conjugation_invariant(preset, mid_leg_amalgam):
     conjugators = [c for c in conjugators if np.linalg.cond(c) < 1e5]
     assert len(conjugators) >= 5
     for conj in conjugators:
-        m_conj = conj @ m @ lz.inverse(conj)
+        m_conj = conj @ m @ orc.inverse(conj)
         assert orc.lambda_max(m_conj) == pytest.approx(orc.lambda_max(m), rel=1e-6)

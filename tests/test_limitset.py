@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildknot import limitset as ls
+from wildknot import lorentz as lz
 from wildknot.cover import ROLE_VERTEX, build_cover
 from wildknot.groups import (
     assemble_group,
@@ -161,6 +163,44 @@ def test_loxodromic_points_match_the_word_by_word_loop(preset_subs, name, made_r
         assert made_rngs[-2].bit_generator.state == made_rngs[-1].bit_generator.state
         redrawn += skipped
     assert (redrawn > 0) == (name != "schottky")
+
+
+@pytest.mark.parametrize("j", [0, 132])
+def test_amalgam_fixed_points_are_as_accurate_as_the_eig_path(preset_subs, j):
+    """On 100 random cyclically reduced words of each even length to 10 in
+    an amalgam's sub-assembly, the attracting points of the loxodromic
+    words are within 2 eps of the long-double reference and no further from
+    it than LAPACK's eigenvector with its float64 polish (which is 1e-14 off
+    at length 10)."""
+    sub = preset_subs[f"amalgam {j}"]
+    rng = np.random.default_rng(j)
+    ms = []
+    for length in range(2, 11, 2):
+        words = np.array([ls._cyclic_word(rng, len(sub.ball_ids), length) for _ in range(100)])
+        m = np.eye(6)
+        for letters in words.T:
+            m = m @ sub.matrices[letters]
+        ms.append(m)
+    ms = np.concatenate(ms)
+    kind, att = lz.classify_maps(ms)
+    lox = kind == lz.LOXODROMIC
+    assert lox.sum() > 400
+    new, eig = orc.worst_fixed_point_errors(ms[lox], att[lox])
+    assert new <= min(eig, 2 * np.finfo(float).eps), (new, eig)
+
+
+def test_loxodromic_points_run_no_eigensolver(preset_subs, monkeypatch):
+    """With numpy.linalg.eig unavailable, an amalgam's points still come."""
+    sub = preset_subs["amalgam 132"]
+    want, want_skipped = loxodromic_points(sub, 100, seed=3, word_length=8)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("numpy.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    cloud, skipped = loxodromic_points(sub, 100, seed=3, word_length=8)
+    assert len(cloud) == 100 and skipped == want_skipped > 0
+    _same_cloud(cloud, want)
 
 
 def test_loxodromic_points_stop_at_the_attempts_cap(setup, made_rngs):
