@@ -150,19 +150,19 @@ def bend(group, j, ts, pair, tol=1e-8):
     pair = np.asarray(pair)
     _finite_balls(cover.centers[pair], cover.radii[pair], ids=pair)
     balls = np.vstack([rows[:, :2], pair]).T  # (2, n + 1): the crossing rows, then the pair
-    centers = cover.centers[balls] - locus.center
+    cols = np.moveaxis(cover.centers[balls] - locus.center, -1, 0)  # (4, 2, n + 1)
     radii = cover.radii[balls]
     moved = side_b[balls]
-    p, q = locus.rotation_axes
-    u, v = centers[moved, p], centers[moved, q]
-    base = _products(centers, radii, 0, 1)
+    p, q = (cols[a] for a in locus.rotation_axes)
+    u, v = p[moved], q[moved]
+    base = _products(cols, radii, 0, 1)
     out = []
     for t in ts:
         t = float(t)
         cos, sin = math.cos(t), math.sin(t)
-        centers[moved, p] = cos * u - sin * v
-        centers[moved, q] = sin * u + cos * v
-        prod = _products(centers, radii, 0, 1)
+        p[moved] = cos * u - sin * v
+        q[moved] = sin * u + cos * v
+        prod = _products(cols, radii, 0, 1)
         shift = np.abs(prod - base)[:-1]
         max_shift = float(shift.max(initial=0.0))
         if not max_shift <= tol:  # a NaN shift fails too

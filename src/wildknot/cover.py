@@ -248,18 +248,19 @@ def _host_cubes(c, centers):
     return host
 
 
-def _products(centers, radii, i, j):
+def _products(cols, radii, i, j):
     """Inversive products of the ball pairs (i, j), from center differences.
 
     (d^2 - r_i^2 - r_j^2) / (2 r_i r_j) is cos of the exterior angle when the
     balls intersect, > 1 when disjoint, < -1 when nested.  Differencing the
     centers is exact at lattice scale and avoids the cancellation a
-    Gram-matrix product suffers at large coordinates.
+    Gram-matrix product suffers at large coordinates.  i and j index the
+    second axis of cols (4, n, ...), the centres' coordinate columns.
     """
-    diff = centers[i] - centers[j]
+    diff = np.take(cols, i, axis=1) - np.take(cols, j, axis=1)
     diff *= diff
     ri, rj = radii[i], radii[j]
-    return (_fold(np.add, diff) - ri * ri - rj * rj) / (2.0 * ri * rj)
+    return (_fold(np.add, np.moveaxis(diff, 0, -1)) - ri * ri - rj * rj) / (2.0 * ri * rj)
 
 
 def _classify(prod):
@@ -281,7 +282,7 @@ def pair_orders(centers, radii, i, j):
     """(product, order) of the ball pairs (i, j): order 2 or 3 at a legal
     exterior cosine within ANGLE_TOL, 0 if disjoint (product >= 1 + ANGLE_TOL),
     -1 otherwise (an illegal angle, a tangent or a nested pair)."""
-    prod = _products(centers, radii, i, j)
+    prod = _products(np.asarray(centers).T, radii, i, j)
     return prod, _classify(prod)[2]
 
 
@@ -523,6 +524,7 @@ def _near_pairs(centers, radii):
     if len(radii) < 2:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     groups, top = _radius_octaves(radii)
+    cols = np.ascontiguousarray(centers.T)
     parts = []
     for x, y in itertools.combinations_with_replacement(range(len(groups)), 2):
         side = math.sqrt(top[x] ** 2 + top[y] ** 2 + 2.3 * top[x] * top[y]) * (1.0 + 1e-9)
@@ -531,7 +533,7 @@ def _near_pairs(centers, radii):
         for i, j in _grid_join(pa, pa if x == y else centers[gb], side):
             i, j = ga[i], gb[j]
             i, j = np.minimum(i, j), np.maximum(i, j)
-            prod = _products(centers, radii, i, j)
+            prod = _products(cols, radii, i, j)
             near = prod < 1.15
             parts.append((i[near], j[near], prod[near]))
     i, j, prod = (np.concatenate(col) for col in zip(*parts))
@@ -569,42 +571,40 @@ def pairwise_sweep(centers, radii):
     return max_residual, int(intersecting.sum()), violations, adjacency
 
 
-def _trace_disks(f, b, centers, radii, corner, plane, off, ell):
+def _trace_disks(f, b, cols, radii, corner, axes, ell):
     """Candidate filter of coverage_check: of the face-ball candidates (f, b),
     those whose ball's open trace disk in face f's plane meets its closed
-    square, as (face, (u, v) of the disk centre, squared disk radius)."""
-    d = centers[b]
-    d -= corner[f]
-    uv = np.take_along_axis(d, plane[f], axis=1)
-    d *= d
-    d *= off[f]
-    reach2 = radii[b] ** 2 - _fold(np.add, d)
-    gap = np.maximum(-uv, uv - ell)
-    np.maximum(gap, 0.0, out=gap)  # per-axis distance to the square
-    gap *= gap
-    meets = _fold(np.add, gap) < reach2
-    return f[meets], uv[meets], reach2[meets]
+    square, as (face, u, v of the disk centre, squared disk radius).  cols
+    and corner are the centres' and the corners' coordinate columns, and
+    axes (4, F) each face's in-plane axes, then its normal ones."""
+    d = np.take(cols, b, axis=1)
+    d -= np.take(corner, f, axis=1)
+    u, v, *h = np.take_along_axis(d, np.take(axes, f, axis=1), axis=0)
+    reach2 = radii[b] ** 2 - (h[0] * h[0] + h[1] * h[1])
+    gu, gv = (np.maximum(np.maximum(-t, t - ell), 0.0) for t in (u, v))  # distance to the square
+    meets = gu * gu + gv * gv < reach2
+    return f[meets], u[meets], v[meets], reach2[meets]
 
 
-def _disk_table(pairs, centers, radii, corner, plane, off, ell):
-    """(count, table): the disks of the faces (corner, plane, off) among the
+def _disk_table(pairs, cols, radii, corner, axes, ell):
+    """(count, table): the disks of the faces (corner, axes) among the
     face-ball candidates (f, b) of pairs, by _trace_disks.  count is each
     face's number of disks and table (F, 3, width) its rows u, v and
     reach2, a face's disks in the order the pairs list them, width being
     the largest count; padding slots have reach2 = -inf, so they contain no
     point."""
-    n_faces = len(corner)
-    parts = [(np.zeros(0, np.intp), np.zeros((0, 2)), np.zeros(0))]
-    parts += [_trace_disks(f, b, centers, radii, corner, plane, off, ell) for f, b in pairs]
-    face, cuv, reach2 = (np.concatenate(col) for col in zip(*parts))
+    n_faces = corner.shape[1]
+    parts = [(np.zeros(0, np.intp), *[np.zeros(0)] * 3)]
+    parts += [_trace_disks(f, b, cols, radii, corner, axes, ell) for f, b in pairs]
+    face, *disk = (np.concatenate(col) for col in zip(*parts))
     by_face = np.argsort(face, kind="stable")
-    face, cuv, reach2 = face[by_face], cuv[by_face], reach2[by_face]
+    face = face[by_face]
     count = np.bincount(face, minlength=n_faces)
     rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
     table = np.zeros((n_faces, 3, int(count.max(initial=0))))
     table[:, 2] = -np.inf  # padding: no point inside
-    table[face, 0, rank], table[face, 1, rank] = cuv.T
-    table[face, 2, rank] = reach2
+    for k, row in enumerate(disk):
+        table[face, k, rank] = row[by_face]
     return count, table
 
 
@@ -749,11 +749,13 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     off = np.ones_like(corner)  # 1 on the two axes normal to the face plane
     off[np.arange(n_faces)[:, None], plane] = 0.0
     mids = corner + (1.0 - off) * (ell / 2.0)
+    cols, corners = np.ascontiguousarray(centers.T), np.ascontiguousarray(corner.T)
+    axes = np.vstack([plane.T, np.nonzero(off)[1].reshape(-1, 2).T])  # in-plane, normal
 
     # the near disks: each face's template, from the balls a join at cell
     # side ell/2 pairs with its middle
     near = _grid_join(mids, centers, (ell / 2.0) * (1.0 + 1e-9))
-    _count, table = _disk_table(near, centers, radii, corner, plane, off, ell)
+    _count, table = _disk_table(near, cols, radii, corners, axes, ell)
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
     # the faces of whole templates, whose every sample the test provably
     # accepts; _TEMPLATES at a time, so no cell certificate outlives its batch
@@ -767,8 +769,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     drawn = ~np.logical_and.reduceat(whole, starts)
     # the complete disks of the faces in drawn blocks, in face order
     faces = np.flatnonzero(np.repeat(drawn, block)[:n_faces])
-    count, table = _disk_table(_octave_pairs(mids[faces], centers, radii, ell), centers,
-                               radii, corner[faces], plane[faces], off[faces], ell)
+    count, table = _disk_table(_octave_pairs(mids[faces], centers, radii, ell), cols, radii,
+                               corners[:, faces], axes[:, faces], ell)
     table_u, table_v, table_r2 = table.transpose(1, 0, 2)
 
     rng = np.random.default_rng(seed)

@@ -220,18 +220,21 @@ def relation_residuals(centers, radii, orders):
     return residual, gap
 
 
-def _frame_keys(cover, rels):
+def _frame_keys(cols, radii, rels):
     """(n, 11) uint64 bits of what relation_residuals reads of each relation:
     both centres less the pair's frame shift (their midpoint), both radii,
-    and m.  The unit frame is a function of these bits: its scale is the
-    radii's mean."""
-    pairs = rels[:, :2]
-    centers = np.take(cover.centers, pairs, axis=0)  # a row gather, 3x a fancy index's speed
-    radii = cover.radii[pairs]
-    shift, _scale = lz.frame(centers, radii)
-    centers -= shift[:, None]
-    return np.column_stack([centers.reshape(-1, 8).view(np.uint64), radii.view(np.uint64),
-                            rels[:, 2].astype(np.uint64)])
+    and m, from the centres' coordinate columns cols (4, N).  The unit frame
+    is a function of these bits: its scale is the radii's mean."""
+    i, j = rels[:, 0], rels[:, 1]
+    keys = np.empty((len(rels), 11))
+    for a, x in enumerate(cols):
+        ci, cj = x[i], x[j]
+        shift = (ci + cj + 0.0) / 2  # lz.frame's einsum sums from +0.0: -0.0 + -0.0 is +0.0
+        keys[:, a], keys[:, 4 + a] = ci - shift, cj - shift
+    keys[:, 8], keys[:, 9] = radii[i], radii[j]
+    keys = keys.view(np.uint64)
+    keys[:, 10] = rels[:, 2]
+    return keys
 
 
 def relation_suite(group, tol=1e-8):
@@ -251,9 +254,10 @@ def relation_suite(group, tol=1e-8):
     """
     cover, rels = group.cover, group.relations
     _finite_balls(cover.centers, cover.radii)
-    rows, keys = [np.zeros(0, dtype=np.intp)], [_frame_keys(cover, rels[:0])]
+    cols = np.ascontiguousarray(cover.centers.T)
+    rows, keys = [np.zeros(0, dtype=np.intp)], [_frame_keys(cols, cover.radii, rels[:0])]
     for lo in range(0, len(rels), RELATION_BATCH):
-        k = _frame_keys(cover, rels[lo : lo + RELATION_BATCH])
+        k = _frame_keys(cols, cover.radii, rels[lo : lo + RELATION_BATCH])
         first, _ = _first_rows(k)
         rows.append(lo + first)
         keys.append(k[first])
@@ -712,24 +716,38 @@ def polyhedron_stages(sub, orbit, n_stages):
 # Fundamental-domain evidence
 
 
+def _image_dist2(c, r, p):
+    """Squared distances from the centres c of the images of the points p
+    under inversion in the balls (c, r), c and p as coordinate columns
+    (4, ...), each sum over the coordinates left to right."""
+    diff = p - c
+    img = c + r * r / _fold(np.add, np.moveaxis(diff * diff, 0, -1)) * diff
+    img -= c
+    return _fold(np.add, np.moveaxis(img * img, 0, -1))
+
+
 def fundamental_domain_check(cover, budget=100_000, seed=0):
     """Monte-Carlo check that generators push the common exterior inside.
 
     Samples points outside every ball, in the centres' bounding box padded
-    by two tube units, and verifies, for the first min(n, budget)
-    generators of a random order with per_gen = max(1, budget // n) of the
-    points each, that the inversion image of each point lies strictly inside
-    the generator's ball (hence outside the domain).  Returns a report with
-    the violation count.  A ball without a finite centre and a finite
-    positive radius raises CoverError.
+    by two tube units, and counts, for the first min(n, budget) generators
+    of a random order with per_gen = max(1, budget // n) of the points each,
+    the points whose inversion image does not lie strictly inside the
+    generator's ball.  A point outside a ball, at distance d > r from its
+    centre, has its image at distance r^2 / d < r, inside the ball by
+    construction, so the count is 0 whenever the sampler finds exterior
+    points, whatever the cover.  Returns a report with the violation count.
+    A ball without a finite centre and a finite positive radius raises
+    CoverError.
     """
     _finite_balls(cover.centers, cover.radii)
     rng = np.random.default_rng(seed)
     n = len(cover)
     per_gen = max(1, budget // n)
     gen_order = rng.permutation(n)
-    lo = cover.centers.min(axis=0) - 2.0 * cover.unit
-    hi = cover.centers.max(axis=0) + 2.0 * cover.unit
+    cols = np.ascontiguousarray(cover.centers.T)
+    lo = cols.min(axis=1) - 2.0 * cover.unit
+    hi = cols.max(axis=1) + 2.0 * cover.unit
 
     # sample domain points by rejection; a point inside a ball lies within
     # r_max of its centre, so the grid join lists every ball that holds it
@@ -745,16 +763,12 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
             inside[i[dd < 0]] = True
         pts.extend(cand[~inside])
         attempts += 1
-    pts = np.array(pts[:n_points])
+    pts = np.array(pts[:n_points]).reshape(-1, 4)
 
     gens = gen_order[: max(0, budget)]
-    take = pts[rng.integers(0, len(pts), (len(gens), per_gen))]  # (k, per_gen, 4)
-    c = cover.centers[gens][:, None, :]
+    take = np.take(pts.T, rng.integers(0, len(pts), (len(gens), per_gen)), axis=1)
     r = cover.radii[gens][:, None]
-    diff = take - c
-    dist2 = (diff * diff).sum(axis=2)
-    img = c + (r * r / dist2)[:, :, None] * diff
-    img_dist2 = ((img - c) ** 2).sum(axis=2)
+    img_dist2 = _image_dist2(np.take(cols, gens, axis=1)[..., None], r, take)
     violations = int((img_dist2 >= r * r).sum())
     checks = len(gens) * per_gen
     return {

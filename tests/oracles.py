@@ -9,9 +9,13 @@ the one-at-a-time formulas here are the tests' independent check on them.
 The near-pair search is checked against its earlier form, one self-join at
 the largest radius's cell side over a join that searches one row at a time
 (`near_pairs` and `grid_join` against `cover._near_pairs` and
-`cover._grid_join`).  Criterion 2 is checked against its serial form:
-`coverage_check` here joins all ball centres at the largest radius's cell
-side and tests one block of about 2^16 samples at a time, and
+`cover._grid_join`).  The kernels that read the centres as coordinate
+columns (`cover._products`, `cover._trace_disks`, `groups._frame_keys` and
+`groups._image_dist2`) must give the bits of their row-major forms here
+(`products`, `trace_disks`, `frame_keys` and `image_dist2`).  Criterion 2
+is checked against its serial form: `coverage_check` here joins all ball
+centres at the largest radius's cell side and tests one block of about
+2^16 samples at a time, and
 `cover.coverage_check`, with one join per radius octave, must give the same
 bits.  Criterion 3's batched `groups.relation_residuals` must agree with
 `relation_residual` here, which multiplies the scalar reflections of one
@@ -853,6 +857,53 @@ def grid_join(a, b, side):
             yield i, j
 
 
+def products(centers, radii, i, j):
+    """cover._products in its row-major form: each pair's centre difference
+    as a gathered (n, 4) row, squared and summed along the row."""
+    diff = centers[i] - centers[j]
+    diff *= diff
+    ri, rj = radii[i], radii[j]
+    return (cx._fold(np.add, diff) - ri * ri - rj * rj) / (2.0 * ri * rj)
+
+
+def trace_disks(f, b, centers, radii, corner, plane, off, ell):
+    """cover._trace_disks in its row-major form, on (n, 4) centres and (F, 4)
+    corners, with off 1 on the normal axes: (face, (n, 2) rows u and v,
+    reach2) of the candidates whose disk meets the face's square."""
+    d = centers[b]
+    d -= corner[f]
+    uv = np.take_along_axis(d, plane[f], axis=1)
+    d *= d
+    d *= off[f]
+    reach2 = radii[b] ** 2 - cx._fold(np.add, d)
+    gap = np.maximum(-uv, uv - ell)
+    np.maximum(gap, 0.0, out=gap)  # per-axis distance to the square
+    gap *= gap
+    meets = cx._fold(np.add, gap) < reach2
+    return f[meets], uv[meets], reach2[meets]
+
+
+def frame_keys(centers, radii, rels):
+    """groups._frame_keys in its row-major form: the (n, 2, 4) centre pairs
+    less `lorentz.frame`'s shift, then both radii and m."""
+    pairs = rels[:, :2]
+    centers = np.take(centers, pairs, axis=0)
+    radii = radii[pairs]
+    shift, _scale = lz.frame(centers, radii)
+    centers -= shift[:, None]
+    return np.column_stack([centers.reshape(-1, 8).view(np.uint64), radii.view(np.uint64),
+                            rels[:, 2].astype(np.uint64)])
+
+
+def image_dist2(c, r, take):
+    """groups._image_dist2 in its row-major form: c (k, 1, 4) centres, r (k,
+    1) radii and take (k, per_gen, 4) points."""
+    diff = take - c
+    dist2 = (diff * diff).sum(axis=2)
+    img = c + (r * r / dist2)[:, :, None] * diff
+    return ((img - c) ** 2).sum(axis=2)
+
+
 def near_pairs(centers, radii):
     """cover._near_pairs as one self-join at cell side sqrt(4.3) r_max: every
     pair i < j with inversive product below 1.15, as sorted (i, j, product)."""
@@ -864,7 +915,7 @@ def near_pairs(centers, radii):
     parts = []
     for i, j in grid_join(centers, centers, side):
         i, j = np.minimum(i, j), np.maximum(i, j)
-        prod = cv._products(centers, radii, i, j)
+        prod = products(centers, radii, i, j)
         near = prod < 1.15
         parts.append((i[near], j[near], prod[near]))
     i, j, prod = (np.concatenate(col) for col in zip(*parts))

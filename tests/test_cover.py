@@ -674,7 +674,8 @@ def complete_rows(cover, surf):
     off[np.arange(n_faces)[:, None], plane] = 0.0
     side = (float(cover.radii.max()) + ell / math.sqrt(2.0)) * (1.0 + 1e-9)
     pairs = orc.grid_join(corner + (1.0 - off) * (ell / 2.0), cover.centers, side)
-    _count, table = cv._disk_table(pairs, cover.centers, cover.radii, corner, plane, off, ell)
+    axes = np.vstack([plane.T, np.nonzero(off)[1].reshape(-1, 2).T])
+    _count, table = cv._disk_table(pairs, cover.centers.T, cover.radii, corner.T, axes, ell)
     return table.transpose(1, 0, 2)
 
 
