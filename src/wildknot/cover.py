@@ -44,10 +44,10 @@ join per radius octave queried from its smaller side, lists every ball
 whose trace disk meets a face's square, and runs only for the faces that
 are drawn.  The faces whose near disks are bit for bit the same
 share one certificate that their disks hold the whole face square; they
-are grouped by _first_rows, one exact stable sort of their rows (one packed
-int64 key for integer rows of small range, else a lexsort), which is also
-how the relation suite groups its frames and the word tables their Tits
-matrices' column sums and their roots.  Each Monte-Carlo sample is a
+are grouped by _first_rows, exactly and without a sort (hash buckets, every
+row compared with its bucket's first), which is also how the relation
+suite groups its frames and the word tables their Tits matrices' column
+sums and their roots.  Each Monte-Carlo sample is a
 float32 pair of the seeded generator, tested against its face's disks, in
 float64, in the face plane, with no recheck.  A block of faces whose
 templates are all whole draws no sample: the generator is advanced past
@@ -432,50 +432,47 @@ def _grid_join(a, b, side):
             yield order_a[np.repeat(p[part], n)], order_b[j]
 
 
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # the row hash's multiplier: 2^64 / golden ratio, odd
+
+
 def _first_rows(rows):
-    """(first, rank): the index of each distinct row's first occurrence,
-    ascending, and per row the position of its first occurrence in first.
-
-    One stable sort puts equal rows next to each other in input order, so
-    the head of each run of equal rows is its first occurrence; no row is
-    compared as a structured (void) scalar.  Integer rows whose column spans
-    (max - min + 1, in Python ints, so no span wraps) multiply to below 2^62
-    are packed into one mixed-radix int64 key each, sorted by one stable
-    argsort; any other rows by one stable np.lexsort over the columns.  The
-    outputs do not depend on which.  Rows without columns are all equal."""
+    """(first, rank): the index of each distinct integer row's first
+    occurrence, ascending, and per row the position of its first occurrence
+    in first.  No sort: the rows, cast to int64 and viewed as uint64, are
+    hashed a column at a time (h ^= col; h *= _HASH_MUL; h ^= h >> 29) and
+    put in 2^min(16, bits(2n)) buckets by the top bits of h.  Each row is
+    compared, column by column, with its bucket's smallest row index and
+    resolved to it if equal; the rest are bucketed again on the next bits of
+    h, until no row is left.  Equal rows share h, so a class is resolved
+    whole, to its first occurrence; each round resolves at least every
+    bucket's smallest row, whatever the hash does.  Column-major rows are
+    read as contiguous columns.  Rows without columns are all equal."""
     n = len(rows)
-    order = _packed_order(rows)
-    if order is None:
-        order = np.lexsort(rows.T) if rows.shape[1] else np.arange(n)
-    srt = rows[order]
-    head = np.ones(n, dtype=bool)
-    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    is_first = np.zeros(n, dtype=bool)
-    is_first[order[head]] = True
+    if rows.dtype != np.uint64:
+        rows = rows.astype(np.int64, copy=False).view(np.uint64)
+    cols = rows.T
+    h = np.zeros(n, dtype=np.uint64)
+    for col in cols:
+        h ^= col
+        h *= _HASH_MUL
+        h ^= h >> np.uint64(29)
+    bits = min(16, (2 * n).bit_length())
+    up, down = np.uint64(bits), np.uint64(64 - bits)  # h's window: its top bits
     first_of = np.empty(n, dtype=np.intp)  # per row, its first occurrence
-    first_of[order] = order[head][np.cumsum(head) - 1]
+    rest, live = np.arange(n), cols  # the unresolved rows and their columns
+    while len(rest):
+        bucket = (h >> down).astype(np.intp)
+        least = np.full(1 << bits, n)
+        np.minimum.at(least, bucket, rest)
+        least = least[bucket]  # per row, its bucket's smallest row
+        same = np.ones(len(rest), dtype=bool)
+        for x, col in zip(live, cols):
+            same &= x == col[least]
+        first_of[rest[same]] = least[same]
+        rest, h, live = rest[~same], h[~same], live[:, ~same]
+        h = (h << up) | (h >> down)  # the next window
+    is_first = first_of == np.arange(n)
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
-
-
-def _packed_order(rows):
-    """The stable argsort of integer rows' mixed-radix int64 keys, or None
-    if the rows are not integers or their spans multiply to 2^62 or more.
-    The spans are taken a column at a time, up to the first that passes
-    the bound: float bits as uint64 stop at their first column."""
-    if rows.dtype.kind not in "iu" or not len(rows):
-        return None
-    lo, radix, size = [], [], 1
-    for col in rows.T:
-        a = int(col.min())
-        lo.append(a)
-        radix.append(size)
-        size *= int(col.max()) - a + 1
-        if size >= 2**62:
-            return None
-    # entries less lo lie in [0, span): exact, even where the int64 casts wrap
-    lo = np.array(lo, dtype=rows.dtype).astype(np.int64)
-    key = (rows.astype(np.int64, copy=False) - lo) @ np.array(radix, dtype=np.int64)
-    return np.argsort(key, kind="stable")
 
 
 def _finite_balls(centers, radii, ids=None):
@@ -592,7 +589,7 @@ def _disk_table(pairs, cols, radii, corner, axes, ell):
     face's number of disks and table (F, 3, width) its rows u, v and
     reach2, a face's disks in the order the pairs list them, width being
     the largest count; padding slots have reach2 = -inf, so they contain no
-    point."""
+    point.  The faces are its last axis in memory."""
     n_faces = corner.shape[1]
     parts = [(np.zeros(0, np.intp), *[np.zeros(0)] * 3)]
     parts += [_trace_disks(f, b, cols, radii, corner, axes, ell) for f, b in pairs]
@@ -601,7 +598,7 @@ def _disk_table(pairs, cols, radii, corner, axes, ell):
     face = face[by_face]
     count = np.bincount(face, minlength=n_faces)
     rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-    table = np.zeros((n_faces, 3, int(count.max(initial=0))))
+    table = np.zeros((3, int(count.max(initial=0)), n_faces)).transpose(2, 0, 1)
     table[:, 2] = -np.inf  # padding: no point inside
     for k, row in enumerate(disk):
         table[face, k, rank] = row[by_face]

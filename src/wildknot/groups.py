@@ -42,9 +42,9 @@ TITS_MAX = 2**62 // 3
 # Cap on listed group elements, and on listed orbit spheres.
 MAX_ELEMENTS = 2_000_000
 # Rows per batch in relation_suite: relations per frame-key slice, whose
-# (batch, 11) key temporaries it bounds, and distinct frames per
+# (11, batch) key temporaries it bounds, and distinct frames per
 # relation_residuals call, whose (batch, 6, 6) temporaries it bounds.
-RELATION_BATCH = 4096
+RELATION_BATCH = 2**14
 # A relation of order m passes when no power below m is within this
 # max-norm distance of I; a nonempty word passes faithfulness_scan when its
 # matrix is farther than FAITHFUL_GAP from I.
@@ -223,18 +223,19 @@ def relation_residuals(centers, radii, orders):
 def _frame_keys(cols, radii, rels):
     """(n, 11) uint64 bits of what relation_residuals reads of each relation:
     both centres less the pair's frame shift (their midpoint), both radii,
-    and m, from the centres' coordinate columns cols (4, N).  The unit frame
-    is a function of these bits: its scale is the radii's mean."""
+    and m, from the centres' coordinate columns cols (4, N), as the .T of an
+    (11, n) array.  The unit frame is a function of these bits: its scale
+    is the radii's mean."""
     i, j = rels[:, 0], rels[:, 1]
-    keys = np.empty((len(rels), 11))
+    keys = np.empty((11, len(rels)))
     for a, x in enumerate(cols):
         ci, cj = x[i], x[j]
         shift = (ci + cj + 0.0) / 2  # lz.frame's einsum sums from +0.0: -0.0 + -0.0 is +0.0
-        keys[:, a], keys[:, 4 + a] = ci - shift, cj - shift
-    keys[:, 8], keys[:, 9] = radii[i], radii[j]
+        keys[a], keys[4 + a] = ci - shift, cj - shift
+    keys[8], keys[9] = radii[i], radii[j]
     keys = keys.view(np.uint64)
-    keys[:, 10] = rels[:, 2]
-    return keys
+    keys[10] = rels[:, 2]
+    return keys.T
 
 
 def relation_suite(group, tol=1e-8):

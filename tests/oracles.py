@@ -35,9 +35,10 @@ a time (`loxodromic_points`, with the scalar `classify_map` and its power
 polish, seeded from the squarings' M^1024 and run in long double).  Their
 attracting points must be at least as close to `longdouble_attracting_point`
 as `eig_attracting_point`, the path on LAPACK's eig that the classifier took
-before.  `cover._first_rows`, one lexsort over the columns and the
-pipeline's one row grouping, must give the arrays of `first_rows` here, a
-structured-row `np.unique`.  `complexes._orientation`, a parity spanning
+before.  `cover._first_rows`, the pipeline's one row grouping, which
+buckets rows by a hash and compares each with its bucket's first, must give
+the arrays of `first_rows` here, a structured-row `np.unique`, also when
+every row hashes alike.  `complexes._orientation`, a parity spanning
 forest built by hooking and pointer jumping, must give the (orientable,
 reached) of `orientation` here, a plain breadth-first search.  The bundle's text
 writers (`cli._write_cover`, `cli._write_orbit`, `limitset.cloud_to_csv`,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -448,39 +449,55 @@ def _int_rows(draw):
     return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), cols)
 
 
+def _row_examples(test):
+    """The rows both _first_rows tests run besides the drawn ones: 0 rows,
+    1 row, 1 column, 0 columns (every row equal), entries at +-TITS_MAX,
+    one column from -2^63 to 2^63 - 1, float bits as uint64 (-0.0 and 0.0
+    differ) and distinct rows interleaved."""
+    for rows in (
+            np.zeros((0, 3), dtype=np.int64),
+            np.array([[gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64),
+            np.array([[2], [-1], [2], [0], [-1]], dtype=np.int64),
+            np.zeros((5, 0), dtype=np.int64),
+            np.array([[2, 0, -1], [1, 1, -1], [2, 0, -1], [0, 5, 3], [1, 1, -1]], dtype=np.int64),
+            np.array([[gr.TITS_MAX, -gr.TITS_MAX], [-gr.TITS_MAX, gr.TITS_MAX],
+                      [gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64),
+            np.array([[-2**63], [2**63 - 1], [0], [-2**63], [2**63 - 1]], dtype=np.int64),
+            np.array([[1.0, 0.5, 0.25], [-0.0, 0.5, 0.25], [1.0, 0.5, 0.25],
+                      [0.0, 0.5, 0.25]]).view(np.uint64),
+            np.array([[1, 2], [3, 4], [5, 6], [3, 4], [1, 2], [7, 8], [5, 6], [7, 8],
+                      [1, 2]], dtype=np.int64)):
+        test = example(rows)(test)
+    return test
+
+
+def _same_first_rows(rows):
+    """_first_rows gives the oracle's arrays, dtypes included, on the rows
+    and on their column-major copy."""
+    want = orc.first_rows(rows)
+    for layout in (rows, np.asfortranarray(rows)):
+        for got, w in zip(cv._first_rows(layout), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_int_rows())
-@example(np.zeros((0, 3), dtype=np.int64))
-@example(np.array([[gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
-@example(np.array([[2], [-1], [2], [0], [-1]], dtype=np.int64))
-@example(np.zeros((5, 0), dtype=np.int64))
-@example(np.array([[2, 0, -1], [1, 1, -1], [2, 0, -1], [0, 5, 3], [1, 1, -1]], dtype=np.int64))
-@example(np.array([[gr.TITS_MAX, -gr.TITS_MAX], [-gr.TITS_MAX, gr.TITS_MAX],
-                   [gr.TITS_MAX, -gr.TITS_MAX]], dtype=np.int64))
-@example(np.array([[-2**63], [2**63 - 1], [0], [-2**63], [2**63 - 1]], dtype=np.int64))
-@example(np.array([[1.0, 0.5, 0.25], [-0.0, 0.5, 0.25], [1.0, 0.5, 0.25],
-                   [0.0, 0.5, 0.25]]).view(np.uint64))
+@_row_examples
 def test_first_rows_match_the_structured_unique(rows):
-    """The sorting dedupe gives np.unique's first occurrences and ranks,
-    dtype included, on 0 rows, 1 row, 1 column, 0 columns (every row equal)
-    and entries near +-TITS_MAX, on both sides of the packed key: small
-    spans (packed), two columns at +-TITS_MAX (spans multiply past 2^62),
-    one column from -2^63 to 2^63 - 1 (a span of 2^64, which must not
-    wrap) and float bits as uint64 (lexsort)."""
-    for got, want in zip(cv._first_rows(rows), orc.first_rows(rows)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    """The hash-bucket grouping gives np.unique's first occurrences and
+    ranks."""
+    _same_first_rows(rows)
 
 
-def test_first_rows_packs_exactly_below_2_to_the_62():
-    """The packed key is taken where the column spans multiply below 2^62,
-    and lexsort otherwise: spans of 2^31 and 2^31 - 1, of 2^31 twice, a
-    span of 2^64 and float bits."""
-    top = np.array([[0, 0], [2**31 - 1, 2**31 - 2]], dtype=np.int64)
-    assert cv._packed_order(top) is not None
-    assert cv._packed_order(top + [[0, 0], [0, 1]]) is None
-    assert cv._packed_order(np.array([[-2**63], [2**63 - 1]], dtype=np.int64)) is None
-    assert cv._packed_order(np.array([[1.0], [-1.0]]).view(np.uint64)) is None  # the sign bit
-    assert cv._packed_order(np.array([[1.0], [0.5]])) is None
+@settings(max_examples=300, deadline=None)
+@given(_int_rows())
+@_row_examples
+def test_first_rows_verify_every_row_when_all_hashes_collide(rows):
+    """The collision control: with the hash multiplier 0, every row hashes
+    to 0 and shares one bucket in every round, so only the row-by-row
+    comparison tells the classes apart, one per round."""
+    with mock.patch.object(cv, "_HASH_MUL", np.uint64(0)):
+        _same_first_rows(rows)
 
 
 def test_word_counts_build_no_tuple(cube_group):
