@@ -15,21 +15,21 @@ rotated sphere: bending moves the side-B sphere centers and nothing else,
 and keeps the inversive product of any two balls it moves alike.  So
 relations between generators on a common side hold as in the base group,
 whose relation suite certifies them, and a relation mixing the two sides
-holds at t when its pair's product has not moved.  E_t commutes with a
-reflection exactly when the sphere's center lies on E_t's fixed plane,
-which bending_locus checks for the Gamma_j balls in tube units; products
-are dimensionless, so no verdict of the sweep depends on the scale.
+holds at every t when its pair's product P(t) = alpha + beta cos t +
+gamma sin t (groups.bending_terms) never moves: when its shift, the sup
+hypot(beta, gamma) + |beta| of |P_t - P_0|, is 0.  Products are
+dimensionless, so no verdict of the sweep depends on the scale.
 
-The crossing relations of every amalgam come from one table per group,
-`ReflectionGroup.crossings`, built in one pass on first use and kept:
-crossing_relations reads amalgam j's slice of it, and suitable_amalgams reads
-the safe flags of all amalgams at once.
+The crossing relations of every amalgam and their shifts come from one
+table per group, `ReflectionGroup.crossings`, built in one pass on first
+use and kept: crossing_relations reads amalgam j's slice of it, and
+suitable_amalgams reads the shifts of all amalgams at once.
 
 The family is a non-trivial deformation through one number, lambda_max of
 the bent crossing word R_a E_t R_b E_t^-1 of a pair (a, b) from
-crossing_word.  It needs no word matrix: E_t only rotates b's centre, and
-two reflections whose balls have inversive product P with |P| > 1 compose
-to a loxodromic map of dilation exp(2 acosh |P|) = (|P| + sqrt(P^2 - 1))^2.
+crossing_word.  It needs no word matrix: two reflections whose balls have
+inversive product P with |P| > 1 compose to a loxodromic map of dilation
+exp(2 acosh |P|) = (|P| + sqrt(P^2 - 1))^2, and P(t) is the pair's own.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import math
 
 import numpy as np
 
-from .cover import ROLE_VERTEX, _finite_balls, _products, pair_orders
-from .groups import GroupError, _square_frames
+from .cover import ROLE_VERTEX, _finite_balls, pair_orders
+from .groups import GroupError, _square_frames, bending_terms
 
 
 @dataclasses.dataclass
@@ -108,89 +108,70 @@ def split_sides(group, j):
 
 
 def crossing_relations(group, j):
-    """(rows, safe): the relation rows straddling amalgam j, in relation
-    order, flagged bending-safe; amalgam j's slice of group.crossings.
+    """(rows, shift): the relation rows straddling amalgam j, in relation
+    order, and each row's product shift, the sup over all t of |P_t - P_0|;
+    amalgam j's slice of group.crossings.
 
     A relation (i, k, m) with one member on each side survives one-sided
-    conjugation iff one of its members commutes with E_t: then
-    (R_i E R_k E^-1)^m collapses to a conjugate of the base relation.  That
-    holds for the Gamma_j reflections and, more generally, for any ball
-    centered on the rotation's fixed 2-plane (at a junction the entire
-    plate of the big cube qualifies).  Pairs with no commuting member make
-    the amalgam unsuitable for bending.
+    conjugation at every t iff its shift is 0, so that its angle pi/m does
+    not move: iff a member is centred on the rotation's fixed 2-plane, as
+    the Gamma_j balls are and, at a junction, the entire plate of the big
+    cube.  A shift above tolerance makes the amalgam unsuitable.
     """
     group.amalgam(j)
-    rows, safe, offsets = group.crossings
+    rows, shift, offsets = group.crossings
     cut = slice(offsets[j], offsets[j + 1])
-    return rows[cut], safe[cut]
+    return rows[cut], shift[cut]
 
 
 def bend(group, j, ts, pair, tol=1e-8):
-    """The bending sweep at amalgam j: one row per angle t in ts.
+    """The bending sweep at amalgam j: a row {t, lambda_max} per t in ts.
 
     Side-B generators are conjugated by E_t; Gamma_j and side A are kept.
-    Per angle, the side-B centres of the crossing relations and of `pair`
-    turn by t about the square's centre, and one `_products` call takes
-    all their inversive products.  A crossing relation holds at t when its
-    product P_t has not moved: a shift |P_t - P_0| above `tol`, or one that
-    is not a number, raises with the relation.  (The residual of the bent
-    matrices would also pass a jump from 1/2 to -1/2: both are angles of
-    order 3.)  A row holds t, the largest shift and lambda_max of the bent
-    crossing word of `pair` = (a, b) from crossing_word: (|P| + sqrt(P^2 -
-    1))^2 from the pair's product P, the dilation of R_a R_b for disjoint
-    (or nested) balls, and exactly 1.0 when they meet (|P| <= 1).  A pair
-    ball without a finite centre and a finite positive radius raises
-    CoverError.  The GroupError of a failing angle carries the rows of the
-    angles before it as its `report`.
+    The amalgam is refused once, before any row, when a crossing relation's
+    product shift over all t (crossing_relations) is above `tol` or is not
+    a number: the GroupError names the worst relation, with report [].
+    lambda_max is that of the bent crossing word of `pair` = (a, b) from
+    crossing_word: (|P| + sqrt(P^2 - 1))^2 from the pair's product P(t)
+    (groups.bending_terms), the dilation of R_a R_b for disjoint (or
+    nested) balls, and exactly 1.0 when they meet (|P| <= 1); a pair on one
+    side keeps its product.  A pair ball without a finite centre and a
+    finite positive radius raises CoverError.
     """
     locus = bending_locus(group, j)
     side_b = split_sides(group, j)
-    rows, safe = crossing_relations(group, j)
+    rows, shift = crossing_relations(group, j)
     cover = group.cover
-    pair = np.asarray(pair)
-    _finite_balls(cover.centers[pair], cover.radii[pair], ids=pair)
-    balls = np.vstack([rows[:, :2], pair]).T  # (2, n + 1): the crossing rows, then the pair
-    cols = np.moveaxis(cover.centers[balls] - locus.center, -1, 0)  # (4, 2, n + 1)
-    radii = cover.radii[balls]
-    moved = side_b[balls]
-    p, q = (cols[a] for a in locus.rotation_axes)
-    u, v = p[moved], q[moved]
-    base = _products(cols, radii, 0, 1)
-    out = []
-    for t in ts:
-        t = float(t)
-        cos, sin = math.cos(t), math.sin(t)
-        p[moved] = cos * u - sin * v
-        q[moved] = sin * u + cos * v
-        prod = _products(cols, radii, 0, 1)
-        shift = np.abs(prod - base)[:-1]
-        max_shift = float(shift.max(initial=0.0))
-        if not max_shift <= tol:  # a NaN shift fails too
-            w = int(shift.argmax())
-            i, k, m = (int(x) for x in rows[w])
-            raise GroupError(
-                f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
-                f"product shift {max_shift:.3e}"
-                + ("" if safe[w] else " (no member commutes with the bending rotation)"),
-                report=out,
-            )
-        abs_p = max(abs(float(prod[-1])), 1.0)
-        out.append({"t": t, "max_product_shift": max_shift,
-                    "lambda_max": (abs_p + math.sqrt(abs_p * abs_p - 1.0)) ** 2})
-    return out
+    _finite_balls(cover.centers[list(pair)], cover.radii[list(pair)], ids=pair)
+    max_shift = float(shift.max(initial=0.0))
+    if not max_shift <= tol:  # a NaN shift fails too
+        i, k, m = (int(x) for x in rows[int(shift.argmax())])
+        raise GroupError(f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: product "
+                         f"shift {max_shift:.3e} (no member commutes with the bending rotation)",
+                         report=[])
+    a, b = sorted(pair, key=lambda ball: side_b[ball])  # side A first
+    alpha, beta, gamma = map(float, bending_terms(cover, locus.center, locus.rotation_axes, a, b))
+    if side_b[a] == side_b[b]:  # E_t moves both balls or neither
+        alpha, beta, gamma = alpha + beta, 0.0, 0.0
+
+    def lambda_max(t):
+        abs_p = max(abs(alpha + beta * math.cos(t) + gamma * math.sin(t)), 1.0)
+        return (abs_p + math.sqrt(abs_p * abs_p - 1.0)) ** 2
+
+    return [{"t": float(t), "lambda_max": lambda_max(float(t))} for t in ts]
 
 
 def suitable_amalgams(group):
-    """Amalgam indices where every crossing relation has a member commuting
-    with the bending rotation (the exact condition for one-sided conjugation
-    to preserve all relations).  Every amalgam must have a bending locus:
-    the first that has none raises its own bending_locus error."""
+    """Amalgam indices whose every crossing relation has a product shift
+    over all t of at most 1e-9 (crossing_relations): there one-sided
+    conjugation preserves all relations.  Every amalgam must have a bending
+    locus: the first that has none raises its own bending_locus error."""
     _center, rho2, residual = _circle_fits(group, range(len(group.amalgams)))
     for j in np.flatnonzero(~(_has_circle(rho2) & (residual <= 1e-9))):
         bending_locus(group, int(j))
-    _rows, safe, offsets = group.crossings
-    unsafe_before = np.concatenate([[0], np.cumsum(~safe)])[offsets]  # at each amalgam's first row
-    return np.flatnonzero(unsafe_before[1:] == unsafe_before[:-1]).tolist()
+    _rows, shift, offsets = group.crossings
+    moved = np.concatenate([[0], np.cumsum(~(shift <= 1e-9))])[offsets]  # moving rows before j's
+    return np.flatnonzero(moved[1:] == moved[:-1]).tolist()
 
 
 def crossing_word(group, j):

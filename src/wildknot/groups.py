@@ -93,19 +93,15 @@ class ReflectionGroup:
 
     @functools.cached_property
     def crossings(self):
-        """(rows, safe, offsets): every amalgam's crossing relations in one
+        """(rows, shift, offsets): every amalgam's crossing relations in one
         pass.  Amalgam j's are rows[offsets[j]:offsets[j + 1]], in relation
-        order, and safe flags those with a member that commutes with j's
-        bending rotation.
+        order, and shift is each row's sup over all t of |P_t - P_0| under
+        j's bending, hypot(beta, gamma) + |beta| from bending_terms: 0
+        exactly when a member is centred on the square's plane.
 
         Side B of amalgam j is the balls hosted past its first cube p, so a
         relation whose hosts are lo <= hi crosses j iff lo <= p < hi: as p
-        ascends with j, the amalgams it crosses are one run of indices.  A
-        member commutes with the rotation when it is centred within 1e-9
-        tube units on the square's plane, that is on the square's centre
-        along the two axes the square does not span.  Amalgam j's own four
-        balls are among them whenever j has a bending locus, which requires
-        just that of them."""
+        ascends with j, the amalgams it crosses are one run of indices."""
         h0, h1 = self.cover.host[self.relations[:, 0]], self.cover.host[self.relations[:, 1]]
         cross = np.flatnonzero(h0 != h1)
         lo, hi = np.minimum(h0[cross], h1[cross]), np.maximum(h0[cross], h1[cross])
@@ -118,10 +114,31 @@ class ReflectionGroup:
         order = np.argsort(j, kind="stable")  # by amalgam, relation order within one
         rows, j = self.relations[rel[order]], j[order]
         center, spanned = _square_frames(self.amalgams)
-        off = np.abs(self.cover.centers[rows[:, :2]] - center[j, None])
-        on_plane = _fold(np.logical_and, (off <= 1e-9 * self.cover.unit) | spanned[j, None])
-        safe = on_plane[:, 0] | on_plane[:, 1]
-        return rows, safe, np.searchsorted(j, np.arange(len(self.amalgams) + 1))
+        rotated = np.nonzero(~spanned)[1].reshape(-1, 2)[j]  # each row's two axes off the square
+        _alpha, beta, gamma = bending_terms(self.cover, center[j], rotated, rows[:, 0], rows[:, 1])
+        return (rows, np.hypot(beta, gamma) + np.abs(beta),
+                np.searchsorted(j, np.arange(len(self.amalgams) + 1)))
+
+
+def bending_terms(cover, center, rotated, a, b):
+    """(alpha, beta, gamma) with P(t) = alpha + beta cos t + gamma sin t the
+    inversive product of balls a with balls b turned by E_t: the rotation
+    by t about `center` (..., 4) that turns axis p toward axis q, for
+    `rotated` (..., 2) = (p, q).  With u a centre's (p, q) coordinates about
+    `center`, |c_a - E_t c_b|^2 - |c_a - c_b|^2 = 2 (u_a . u_b)(1 - cos t)
+    + 2 (u_a,p u_b,q - u_a,q u_b,p) sin t, so beta and gamma are exactly 0
+    when u_a or u_b is: a ball centred on E_t's fixed plane."""
+    ca, cb = cover.centers[a], cover.centers[b]
+    ra, rb = cover.radii[a], cover.radii[b]
+    d = ca - cb
+    d *= d
+    axes = np.broadcast_to(rotated, ca.shape[:-1] + (2,))
+    ua, ub = (np.take_along_axis(c - center, axes, -1) for c in (ca, cb))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero radius: terms no tolerance passes
+        p0 = (_fold(np.add, d) - ra * ra - rb * rb) / (2.0 * ra * rb)  # as cover._products
+        beta = -(ua[..., 0] * ub[..., 0] + ua[..., 1] * ub[..., 1]) / (ra * rb)
+        gamma = (ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0]) / (ra * rb)
+    return p0 - beta, beta, gamma
 
 
 def _square_frames(amalgams):
@@ -737,9 +754,9 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     generator's ball.  A point outside a ball, at distance d > r from its
     centre, has its image at distance r^2 / d < r, inside the ball by
     construction, so the count is 0 whenever the sampler finds exterior
-    points, whatever the cover.  Returns a report with the violation count.
-    A ball without a finite centre and a finite positive radius raises
-    CoverError.
+    points, whatever the cover; with none, nothing is checked and the
+    report is not ok.  Returns a report with the violation count.  A ball
+    without a finite centre and a finite positive radius raises CoverError.
     """
     _finite_balls(cover.centers, cover.radii)
     rng = np.random.default_rng(seed)
@@ -766,7 +783,7 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
         attempts += 1
     pts = np.array(pts[:n_points]).reshape(-1, 4)
 
-    gens = gen_order[: max(0, budget)]
+    gens = gen_order[: max(0, budget) if len(pts) else 0]  # no exterior point: nothing to check
     take = np.take(pts.T, rng.integers(0, len(pts), (len(gens), per_gen)), axis=1)
     r = cover.radii[gens][:, None]
     img_dist2 = _image_dist2(np.take(cols, gens, axis=1)[..., None], r, take)

@@ -1066,7 +1066,7 @@ def reference_bend(group, j, t, word, tol=1e-8):
     locus = bd.bending_locus(group, j)
     e = bending_rotation(locus, t)
     side_b = bd.split_sides(group, j)
-    rows, safe = bd.crossing_relations(group, j)
+    rows, _shift = bd.crossing_relations(group, j)
     cover = group.cover
 
     def frame_reflections(balls):
@@ -1083,10 +1083,13 @@ def reference_bend(group, j, t, word, tol=1e-8):
     if not max_residual <= tol:
         w = int(residual.argmax())
         i, k, m = (int(x) for x in rows[w])
+        axes = list(locus.rotation_axes)  # a member centred on E_t's fixed plane commutes
+        off = np.abs(cover.centers[[i, k]][:, axes] - locus.center[axes])
         raise gr.GroupError(
             f"bending at amalgam {j} breaks relation (R_{i} R_{k})^{m} = 1: "
             f"residual {max_residual:.3e}"
-            + ("" if safe[w] else " (no member commutes with the bending rotation)")
+            + ("" if (off <= 1e-9 * cover.unit).all(axis=1).any()
+               else " (no member commutes with the bending rotation)")
         )
     ids = list(group.amalgams[j].ball_ids)  # Gamma_j, in its own unit frame
     shift, scale = cover.centers[ids].mean(axis=0), cover.radii[ids].mean()

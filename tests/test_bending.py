@@ -16,7 +16,7 @@ from wildknot.bending import (
 )
 from wildknot.cli import RunConfig
 from wildknot.cover import ROLE_VERTEX, CoverError, build_cover
-from wildknot.groups import GroupError, assemble_group
+from wildknot.groups import GroupError, assemble_group, bending_terms
 from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
@@ -208,9 +208,9 @@ def test_split_sides_partition(preset, mid_leg_amalgam):
 
 def test_mid_leg_crossing_relations_all_in_gamma(preset, mid_leg_amalgam):
     _c, _cover, group = preset
-    rows, safe = crossing_relations(group, mid_leg_amalgam)
+    rows, shift = crossing_relations(group, mid_leg_amalgam)
     assert rows.shape[1] == 3 and len(rows)  # the tube walls do cross the section
-    assert safe.all()
+    assert (shift == 0).all()
 
 
 def test_crossing_relations_match_reference(preset, mid_leg_amalgam, suitable):
@@ -218,25 +218,27 @@ def test_crossing_relations_match_reference(preset, mid_leg_amalgam, suitable):
     straight = [j for j in suitable if group.amalgams[j].straight]
     report_default = straight[len(straight) // 2]
     for j in (0, mid_leg_amalgam, 262, 275, 276, report_default):
-        rows, safe = crossing_relations(group, j)
-        got = [(i, k, m, bool(f)) for (i, k, m), f in zip(rows.tolist(), safe)]
+        rows, shift = crossing_relations(group, j)
+        got = [(i, k, m, bool(s == 0)) for (i, k, m), s in zip(rows.tolist(), shift)]
         assert got == reference_crossing_relations(group, j)
 
 
 def test_crossing_table_matches_the_reference_at_every_amalgam(preset, tube):
-    """Every amalgam's crossing rows and safe flags, on the preset (277) and
-    on the tube (7), equal the per-relation reference's, and
-    suitable_amalgams lists exactly the amalgams whose reference rows are
-    all safe.  On the tube the one-pass reference is itself checked against
-    reference_crossing_relations, amalgam by amalgam."""
+    """Every amalgam's crossing rows, and which of them have product shift
+    0, on the preset (277) and on the tube (7), equal the per-relation
+    reference's rows and its flags of a member that commutes with the
+    rotation, and suitable_amalgams lists exactly the amalgams whose
+    reference rows all have such a member.  On the tube the one-pass
+    reference is itself checked against reference_crossing_relations,
+    amalgam by amalgam."""
     assert reference_crossing_table(tube) == [
         reference_crossing_relations(tube, j) for j in range(len(tube.amalgams))
     ]
     for group in (preset[2], tube):
         ref = reference_crossing_table(group)
         for j in range(len(group.amalgams)):
-            rows, safe = crossing_relations(group, j)
-            got = [(i, k, m, bool(f)) for (i, k, m), f in zip(rows.tolist(), safe)]
+            rows, shift = crossing_relations(group, j)
+            got = [(i, k, m, bool(s == 0)) for (i, k, m), s in zip(rows.tolist(), shift)]
             assert got == ref[j], j
         assert suitable_amalgams(group) == [
             j for j, rows in enumerate(ref) if all(safe for *_row, safe in rows)
@@ -274,32 +276,35 @@ def test_preset_suitable_amalgams(preset, suitable):
 
 
 def test_bend_every_amalgam(preset, suitable):
-    """t = 0 is the base group, so a raise there is a false alarm; at t = 0.2
-    exactly the unsuitable amalgams must refuse, after the t = 0 row."""
+    """Exactly the unsuitable amalgams refuse the sweep over (0, 0.2), once
+    and before any row, so their error's report is []; the suitable ones
+    give both rows, and their crossing relations' product shift over all t
+    is within the tolerance."""
     _c, _cover, group = preset
     for j in range(len(group.amalgams)):
         word = crossing_word(group, j)
+        shift = crossing_relations(group, j)[1].max(initial=0.0)
         if j in suitable:
-            rows = bend(group, j, (0.0, 0.2), word)
+            assert [row["t"] for row in bend(group, j, (0.0, 0.2), word)] == [0.0, 0.2]
+            assert shift <= 1e-8
         else:
             with pytest.raises(GroupError, match=f"amalgam {j} breaks relation") as raised:
                 bend(group, j, (0.0, 0.2), word)
-            rows = raised.value.report
-            assert len(rows) == 1
-        assert all(row["max_product_shift"] <= 1e-8 for row in rows)
+            assert raised.value.report == []
+            assert shift > 1e-8
 
 
-def assert_rows_match(got, want):
+def assert_rows_match(got, want, shift):
     """bend's rows against reference_bend's: the same angles; lambda_max, in
     closed form from the pair's inversive product, within 1e-12 relative of
-    the reference's eigvals; every product shift at most 1e-15; and the
-    reference's relation residuals within 1e-8 and its commutation
-    residuals within 1e-9."""
-    assert [sorted(row) for row in got] == [["lambda_max", "max_product_shift", "t"]] * len(got)
+    the reference's eigvals; the crossing relations' product shift over all
+    t at most 1e-15; and the reference's relation residuals within 1e-8 and
+    its commutation residuals within 1e-9."""
+    assert [sorted(row) for row in got] == [["lambda_max", "t"]] * len(got)
     assert [row["t"] for row in got] == [row["t"] for row in want]
     assert [row["lambda_max"] for row in got] == pytest.approx(
         [row["lambda_max"] for row in want], rel=1e-12, abs=0.0)
-    assert max(row["max_product_shift"] for row in got) <= 1e-15
+    assert shift.max(initial=0.0) <= 1e-15
     assert max(row["max_relation_residual"] for row in want) <= 1e-8
     assert max(row["commutation_residual"] for row in want) <= 1e-9
 
@@ -311,20 +316,22 @@ def relation_refused(error):
 
 
 def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
-    """The product-shift sweep agrees with the per-angle matrix reference,
+    """The closed-form sweep agrees with the per-angle matrix reference,
     which builds E_t at each t, measures the bent relations' residuals and
     E_t's commutation with Gamma_j, and multiplies the bent word's
     matrices: at the default angles on every suitable preset amalgam and on
     each of the tube's 7 (assert_rows_match).  On the unsuitable amalgam 262
-    the sweep keeps the t = 0 row as its error's report, and both refuse
-    the same relation at t = 0.05."""
+    the sweep refuses before any row, its error's report is [], and it
+    names the relation the reference refuses at t = 0.05, where the
+    reference still holds at t = 0."""
     ts = RunConfig().bend_ts
     assert len(ts) == 7
     for group, js in [(preset[2], suitable), (tube, range(len(tube.amalgams)))]:
         for j in js:
             word = crossing_word(group, j)
             assert_rows_match(bend(group, j, ts, word),
-                              [orc.reference_bend(group, j, t, word) for t in ts])
+                              [orc.reference_bend(group, j, t, word) for t in ts],
+                              crossing_relations(group, j)[1])
     group = preset[2]
     word = crossing_word(group, 262)
     with pytest.raises(GroupError) as want:
@@ -334,7 +341,8 @@ def test_bend_sweep_matches_the_per_angle_reference(preset, suitable, tube):
     assert relation_refused(got.value) == relation_refused(want.value) == (
         "bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: "
         "(no member commutes with the bending rotation)")
-    assert_rows_match(got.value.report, [orc.reference_bend(group, 262, ts[0], word)])
+    assert got.value.report == []
+    assert orc.reference_bend(group, 262, ts[0], word)["max_relation_residual"] <= 1e-8
 
 
 def test_bend_lambda_max_matches_50_digits(preset, suitable, tube):
@@ -377,12 +385,13 @@ def test_a_crossing_pair_that_meets_has_lambda_max_one(preset):
 
 def test_junction_amalgam_bendable(preset):
     """At an attach square the whole plate sits on E_t's fixed plane, so
-    every crossing relation has a commuting member and bending goes through."""
+    every crossing relation has a commuting member, no product moves at any
+    t and bending goes through."""
     _c, _cover, group = preset
-    _rows, safe = crossing_relations(group, 0)
-    assert safe.all()
+    _rows, shift = crossing_relations(group, 0)
+    assert (shift == 0).all()
     [row] = bend(group, 0, (0.2,), crossing_word(group, 0))
-    assert row["max_product_shift"] <= 1e-8
+    assert row["t"] == 0.2
 
 
 def test_turn_amalgams_unsuitable(preset, suitable):
@@ -392,7 +401,7 @@ def test_turn_amalgams_unsuitable(preset, suitable):
     unsuitable = sorted(set(range(len(group.amalgams))) - set(suitable))
     assert unsuitable
     j = unsuitable[0]
-    assert not crossing_relations(group, j)[1].all()
+    assert (crossing_relations(group, j)[1] > 1e-9).any()
     with pytest.raises(GroupError, match="relation"):
         bend(group, j, (0.2,), crossing_word(group, j))
 
@@ -404,11 +413,11 @@ def test_bend_fails_on_a_nan_residual():
     is not in the crossing pair, whose own check would refuse it first."""
     c = orc.straight_tube_complex()
     group = assemble_group(c, build_cover(c))
-    rows, _safe = crossing_relations(group, 0)
+    rows, shift = crossing_relations(group, 0)
     word = crossing_word(group, 0)
     ball = next(int(b) for b in rows[:, :2].ravel()
                 if b not in group.amalgams[0].ball_ids and b not in word)
-    assert bend(group, 0, (0.2,), word)[0]["max_product_shift"] <= 1e-8
+    assert shift.max() <= 1e-8 and len(bend(group, 0, (0.2,), word)) == 1
     centers = group.cover.centers.copy()
     centers[ball] = np.nan
     broken = dataclasses.replace(group, cover=dataclasses.replace(group.cover, centers=centers))
@@ -445,7 +454,7 @@ def test_a_nan_amalgam_ball_has_no_bending_locus():
         bend(broken, 1, (0.2,), pairs[1])
     for j in range(2, 7):
         [row] = bend(broken, j, (0.2,), pairs[j])
-        assert row["max_product_shift"] <= 1e-8 and row["lambda_max"] > 1.0
+        assert crossing_relations(broken, j)[1].max() <= 1e-8 and row["lambda_max"] > 1.0
     assert "crossings" in vars(broken)
     for call, args in [(bend, (0, (0.2,), pairs[0])), (suitable_amalgams, ())]:
         with pytest.raises(GroupError, match="amalgam 0 has no common orthogonal circle"):
@@ -496,6 +505,84 @@ def test_a_gamma_ball_off_the_fixed_plane_has_no_bending_locus(tube):
             call(broken, *args)
 
 
+def rotated_products(group, locus, pairs, rotations):
+    """(len(rotations), n): the inversive product of each pair's first ball
+    with its second turned by each rotation (4, 4) of the amalgam frame,
+    the locus centre at the origin."""
+    cover = group.cover
+    ca, cb = (cover.centers[pairs[:, k]] - locus.center for k in (0, 1))
+    ra, rb = cover.radii[pairs[:, 0]], cover.radii[pairs[:, 1]]
+    d2 = ((ca - cb @ rotations.transpose(0, 2, 1)) ** 2).sum(axis=-1)
+    return (d2 - ra * ra - rb * rb) / (2.0 * ra * rb)
+
+
+def test_bending_terms_match_rotated_centres(preset, tube):
+    """P(t) = alpha + beta cos t + gamma sin t from bending_terms is the
+    product of the side-A ball with the side-B centre turned by
+    oracles.bending_rotation, at 64 angles in [0, 2 pi): for every crossing
+    row of the preset's 277 amalgams and the tube's 7, and for the crossing
+    pair of the tube's amalgams and of preset amalgams 0, 90, 132, 262 and
+    276.  Each row's shift equals the largest |P_t - P_0| over 8192 angles
+    in [0, 2 pi), turned the same way, to within the grid's own miss of the
+    supremum, h (2 pi / 8192)^2 / 8 <= 7.4e-8 h with h = hypot(beta,
+    gamma) <= shift: so the shift is that supremum.  182 of the rows, all
+    on the preset, have a shift that is not 0."""
+    ts = np.arange(64) * (2.0 * math.pi / 64)
+    grid = np.arange(8192) * (2.0 * math.pi / 8192)
+    rotations = {}
+    moving = 0
+    for group, pair_at in [(preset[2], (0, 90, 132, 262, 276)), (tube, range(7))]:
+        for j in range(len(group.amalgams)):
+            locus = bending_locus(group, j)
+            axes = locus.rotation_axes
+            if axes not in rotations:
+                rotations[axes] = [np.array([orc.bending_rotation(locus, t)[:4, :4] for t in at])
+                                   for at in (ts, grid)]
+            rows, shift = crossing_relations(group, j)
+            side_b = split_sides(group, j)
+            pairs = np.where(side_b[rows[:, :1]], rows[:, 1::-1], rows[:, :2])  # side A first
+            assert (~side_b[pairs[:, 0]] & side_b[pairs[:, 1]]).all()
+            if j in pair_at:
+                pairs = np.vstack([pairs, crossing_word(group, j)])
+            alpha, beta, gamma = bending_terms(group.cover, locus.center, np.array(axes),
+                                               pairs[:, 0], pairs[:, 1])
+            got = alpha + np.outer(np.cos(ts), beta) + np.outer(np.sin(ts), gamma)
+            want = rotated_products(group, locus, pairs, rotations[axes][0])
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), j
+            moved = rotated_products(group, locus, pairs[:len(rows)], rotations[axes][1])
+            sup = np.abs(moved - moved[0]).max(axis=0, initial=0.0)
+            assert (np.abs(sup - shift) <= 1e-7 * shift + 1e-13).all(), j
+            moving += int((shift > 0).sum())
+    assert moving == 182
+
+
+def test_a_plate_ball_off_the_fixed_plane_refuses_the_amalgam(preset, suitable):
+    """Negative control on the preset: vertex ball 7702 of the Q1 plate is
+    centred on amalgam 276's fixed plane, outside Gamma_276 and its
+    crossing pair, and makes the crossing relation (R_7701 R_7702)^3 hold
+    at every t.  Moved 1e-6 tube units along a rotation axis, it leaves
+    that relation's product moving by 6.0e-06 over t, so bend refuses
+    amalgam 276 before any row and suitable_amalgams drops it, and only it."""
+    _c, cover, group = preset
+    locus = bending_locus(group, 276)
+    word = crossing_word(group, 276)
+    ball, axes = 7702, list(locus.rotation_axes)
+    assert cover.roles[ball] == ROLE_VERTEX and split_sides(group, 276)[ball]
+    assert ball not in group.amalgams[276].ball_ids and ball not in word
+    assert (cover.centers[ball, axes] == locus.center[axes]).all()
+    assert len(bend(group, 276, (0.0, 0.05), word)) == 2
+    centers = cover.centers.copy()
+    centers[ball, axes[0]] += 1e-6 * cover.unit
+    broken = dataclasses.replace(group, cover=dataclasses.replace(cover, centers=centers))
+    with pytest.raises(GroupError) as raised:
+        bend(broken, 276, (0.0, 0.05), word)
+    assert str(raised.value) == (
+        "bending at amalgam 276 breaks relation (R_7701 R_7702)^3 = 1: product shift 6.000e-06 "
+        "(no member commutes with the bending rotation)")
+    assert raised.value.report == []
+    assert suitable_amalgams(broken) == [j for j in suitable if j != 276]
+
+
 def test_bend_zero_is_base(preset, mid_leg_amalgam):
     """At t = 0 E_t is the identity, so the bent crossing word is the
     product of the base reflections (its side-B ball unconjugated) and the
@@ -519,7 +606,7 @@ def test_bend_relation_sweep(preset, mid_leg_amalgam):
     word = crossing_word(group, mid_leg_amalgam)
     rows = bend(group, mid_leg_amalgam, ts, word)
     assert [row["t"] for row in rows] == ts.tolist()
-    assert max(row["max_product_shift"] for row in rows) <= 1e-8
+    assert crossing_relations(group, mid_leg_amalgam)[1].max() <= 1e-8
     for t in ts:
         want = orc.reference_bend(group, mid_leg_amalgam, t, word)
         assert want["max_relation_residual"] <= 1e-8 and want["commutation_residual"] <= 1e-9

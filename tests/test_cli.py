@@ -311,20 +311,19 @@ def test_stage_fails_on_a_broken_artifact(tube_complex, tmp_path, monkeypatch, s
 
 
 def test_bend_records_the_rows_before_a_failing_angle(tmp_path, capsys):
-    """At the preset's unsuitable amalgam 262 the sweep holds at t = 0 and
-    breaks a relation at t = 0.05: bending.json keeps the t = 0 row and then
-    the error, and bend exits 1."""
+    """At the preset's unsuitable amalgam 262 a crossing relation's product
+    moves by 6 over all t, so the sweep is refused before any angle:
+    bending.json holds that bound as max_product_shift and only the error
+    row, the header line prints the bound, and bend exits 1."""
     assert main(["bend", "--bend-amalgam", "262", "--out", str(tmp_path)]) == 1
     error = ("bending at amalgam 262 breaks relation (R_9289 R_9290)^3 = 1: product shift "
-             "3.749e-03 (no member commutes with the bending rotation)")
-    assert f"\nFAIL {error}\n" in capsys.readouterr().out
+             "6.000e+00 (no member commutes with the bending rotation)")
+    out = capsys.readouterr().out
+    assert f"crossing word (9288, 8744), product shift over all t 6.000e+00\nFAIL {error}\n" in out
     bending = json.loads((tmp_path / "bending.json").read_text(encoding="utf-8"))
     assert bending["amalgam"] == 262 and bending["crossing_word"] == [9288, 8744]
-    first, last = bending["rows"]
-    assert last == {"error": error}
-    assert sorted(first) == ["lambda_max", "max_product_shift", "t"]
-    assert first["t"] == 0.0 and first["max_product_shift"] == 0.0
-    assert first["lambda_max"] == pytest.approx(97.98979485566353, rel=1e-12)
+    assert bending["rows"] == [{"error": error}]
+    assert bending["max_product_shift"] == pytest.approx(6.0, rel=1e-14)
 
 
 def test_build_writes_artifacts(tmp_path, capsys):

@@ -832,6 +832,19 @@ def test_fundamental_domain_check_count(cube_group, budget, checks):
     assert report["ok"] == (checks > 0)
 
 
+def test_fundamental_domain_check_without_an_exterior_point(cube_group):
+    """Two balls of radius 100 whose centres are 0.5 apart fill the sampled
+    box, padded by two tube units, so the sampler finds no exterior point:
+    the check makes no generator-point check and so does not pass."""
+    _c, cover, _g = cube_group
+    two = dataclasses.replace(cover, centers=np.array([[0.0] * 4, [0.5, 0.0, 0.0, 0.0]]),
+                              radii=np.array([100.0, 100.0]), roles=cover.roles[:2],
+                              host=cover.host[:2])
+    report = fundamental_domain_check(two, budget=1000, seed=0)
+    assert report == {"budget": 1000, "checks": 0, "n_sample_points": 0, "violations": 0,
+                      "ok": False}
+
+
 def domain_reference(cover, budget, seed):
     """fundamental_domain_check as it was before its rejection sampler used
     the grid join: every candidate point against every ball, 8192 balls at a
