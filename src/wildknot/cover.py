@@ -281,8 +281,12 @@ def _classify(prod):
 def pair_orders(centers, radii, i, j):
     """(product, order) of the ball pairs (i, j): order 2 or 3 at a legal
     exterior cosine within ANGLE_TOL, 0 if disjoint (product >= 1 + ANGLE_TOL),
-    -1 otherwise (an illegal angle, a tangent or a nested pair)."""
-    prod = _products(np.asarray(centers).T, radii, i, j)
+    -1 otherwise (an illegal angle, a tangent or a nested pair).  Only the
+    rows the pairs read are gathered into columns, so a call costs its pairs,
+    not the cover."""
+    centers, k = np.asarray(centers), np.arange(len(i))
+    cols = np.ascontiguousarray(np.concatenate([centers[i], centers[j]]).T)
+    prod = _products(cols, np.concatenate([radii[i], radii[j]]), k, k + len(k))
     return prod, _classify(prod)[2]
 
 

@@ -15,15 +15,13 @@ from wildknot import cover as cv
 from wildknot import groups as gr
 from wildknot import limitset as ls
 from wildknot import lorentz as lz
+from wildknot import presets
 from wildknot.cli import (INPUT_ERRORS, STAGES, Run, RunConfig, _check_orbit, _check_stages,
                           _write_cover, _write_orbit, main, run_pipeline)
 from wildknot.cover import ROLE_FACE, build_cover
 
 import oracles as orc
 from test_groups import triangle_subassembly
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -696,7 +694,7 @@ def test_bundle_text_writers_match_the_per_field_loops(tmp_path, name):
     if name == "single cube":
         c = orc.degenerate_single_cube(1)
     else:
-        c = workloads.scaled_spun_trefoil(11)
+        c = presets.spun_trefoil_preset(11)
     cover = build_cover(c)
     _write_cover(cover, tmp_path / "cover.txt")
     assert (tmp_path / "cover.txt").read_bytes().decode() == orc.cover_text(cover)

@@ -14,8 +14,7 @@ from wildknot.cover import build_cover
 
 import oracles as orc
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +253,7 @@ def test_connector_dip_has_a_sphere_surface():
 
 
 def _scaled(edge):
-    return lambda: workloads.scaled_spun_trefoil(edge)
+    return lambda: presets.spun_trefoil_preset(edge)
 
 
 VALID_AND_INVALID = {
@@ -285,7 +284,9 @@ def test_check_complex_matches_the_reference(name, monkeypatch):
 def test_one_complex_builds_its_surface_once(tmp_path, monkeypatch):
     """The complex keeps its surface: the checks, knot_surface, build_cover
     and a run on it share one build.  An equal but distinct complex builds
-    its own, and equality and hashing see only the cubes."""
+    its own, and equality and hashing see only the cubes: perfbench's copy
+    of the preset's construction against the builder at every edge the
+    suite builds."""
     original = cx._build_surface
     built = []
 
@@ -307,9 +308,15 @@ def test_one_complex_builds_its_surface_once(tmp_path, monkeypatch):
     assert twin == c and hash(twin) == hash(c) and twin is not c
     assert cx.knot_surface(twin) is not surf
     assert len(built) == 2 and built[1] is twin
-    scaled, preset = workloads.scaled_spun_trefoil(27), presets.spun_trefoil_preset()
-    assert cx.knot_surface(scaled) is not cx.knot_surface(preset)
-    assert scaled == preset and hash(scaled) == hash(preset)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for edge in (5, 9, 11, 13, 27):
+        scaled, preset = workloads.scaled_spun_trefoil(edge), presets.spun_trefoil_preset(edge)
+        assert cx.knot_surface(scaled) is not cx.knot_surface(preset)
+        assert scaled == preset and hash(scaled) == hash(preset)
 
 
 def test_the_shared_surface_is_read_only(preset_surface):

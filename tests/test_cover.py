@@ -2,8 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
-import pathlib
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +32,6 @@ from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
 from oracles import degenerate_single_cube, without_ball
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 
 def test_closed_form_constants():
@@ -512,6 +508,25 @@ def preset_covers():
     return surf, {k: build_cover(c, k=k) for k in (0, 2)}
 
 
+def test_pair_orders_gathers_only_its_pairs_rows(preset_covers):
+    """On the preset's cover, pair_orders keeps the bits of _products over all
+    the centres' columns, and a one-pair call allocates kilobytes, not a copy
+    of the 59,110 centres."""
+    cover = preset_covers[1][0]
+    i, j = np.random.default_rng(0).integers(0, len(cover), (2, 1000))
+    prod, order = pair_orders(cover.centers, cover.radii, i, j)
+    want = cv._products(np.ascontiguousarray(cover.centers.T), cover.radii, i, j)
+    assert prod.tobytes() == want.tobytes()
+    assert order.tolist() == cv._classify(want)[2].tolist()
+    tracemalloc.start()
+    try:
+        pair_orders(cover.centers, cover.radii, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cover.centers.nbytes / 100
+
+
 @pytest.mark.parametrize("k", [0, 2])
 def test_coverage_matches_reference_on_the_preset(preset_covers, k):
     """k = 2 puts junction balls among the candidates of the faces near the
@@ -836,7 +851,7 @@ def lattice_cover(make, k):
 # construction at big-cube edges 9 and 13, at k = 0 and 1, and the edge-3 cube
 LATTICE = {
     **{f"tube-k{k}": (orc.straight_tube_complex, k) for k in (0, 1)},
-    **{f"edge{e}-k{k}": (functools.partial(workloads.scaled_spun_trefoil, e), k)
+    **{f"edge{e}-k{k}": (functools.partial(spun_trefoil_preset, e), k)
        for e in (9, 13) for k in (0, 1)},
     "cube3": (lambda: degenerate_single_cube(3), 0),
 }

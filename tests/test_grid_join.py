@@ -3,8 +3,6 @@ the single self-join and the one-row-at-a-time join of `oracles`
 (`near_pairs`, `grid_join`), with the search's bounds and input checks."""
 
 import math
-import pathlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -19,9 +17,6 @@ from wildknot.cover import CoverError, _near_pairs, build_cover, pairwise_sweep
 from wildknot.presets import spun_trefoil_preset
 
 import oracles as orc
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +50,8 @@ def balls(preset, name):
     cover = {
         "preset k=0": lambda: covers[0],
         "preset k=2": lambda: covers[2],
-        "edge 5": lambda: build_cover(workloads.scaled_spun_trefoil(5)),
-        "edge 11": lambda: build_cover(workloads.scaled_spun_trefoil(11)),
+        "edge 5": lambda: build_cover(spun_trefoil_preset(5)),
+        "edge 11": lambda: build_cover(spun_trefoil_preset(11)),
         "straight tube": lambda: build_cover(orc.straight_tube_complex()),
         "single cube 3": lambda: build_cover(orc.degenerate_single_cube(3)),
     }[name]()
