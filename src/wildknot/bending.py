@@ -179,22 +179,26 @@ def crossing_word(group, j):
     vertex balls, a on side A and b on side B.  Each side's vertex balls
     outside Gamma_j are ranked by (squared distance to the square's centre,
     id), and (a, b) is the first pair in rank order that pair_orders finds
-    disjoint.  A ball without a finite centre and a finite positive radius
-    raises CoverError: it would rank last and never be chosen, so the word
-    would silently avoid it."""
+    disjoint: a runs through side A in rank order, each next one a linear
+    minimum over the balls not yet tried, and b is the least-ranked side-B
+    ball disjoint from a, so nothing is sorted.  A ranked ball without a
+    finite centre and a finite positive radius raises CoverError: it would
+    rank last and never be chosen, so the word would silently avoid it."""
     am = group.amalgam(j)
     cover = group.cover
-    _finite_balls(cover.centers, cover.radii)
     balls = np.flatnonzero(cover.roles == ROLE_VERTEX)
     balls = balls[~np.isin(balls, am.ball_ids)]
-    d2 = ((cover.centers[balls] - np.mean(am.square, axis=1)) ** 2).sum(axis=1)
-    ranked = balls[np.lexsort((balls, d2))]
-    side_b = split_sides(group, j)[ranked]
-    near, far = ranked[~side_b], ranked[side_b]
-    for a in near:
-        _prod, order = pair_orders(cover.centers, cover.radii, np.full(len(far), a), far)
-        disjoint = np.flatnonzero(order == 0)
+    centers, radii = _finite_balls(cover.centers[balls], cover.radii[balls], ids=balls)
+    d2 = ((centers - np.mean(am.square, axis=1)) ** 2).sum(axis=1)
+    side_b = split_sides(group, j)[balls]
+    # rows of balls, ascending by id, so the first least d2 has the least id
+    near, far = np.flatnonzero(~side_b), np.flatnonzero(side_b)
+    while len(near):
+        k = int(np.argmin(d2[near]))
+        a = near[k]
+        _prod, order = pair_orders(centers, radii, np.full(len(far), a), far)
+        disjoint = far[order == 0]
         if len(disjoint):
-            return int(a), int(far[disjoint[0]])
+            return int(balls[a]), int(balls[disjoint[np.argmin(d2[disjoint])]])
+        near = np.delete(near, k)
     raise GroupError(f"no disjoint crossing pair found at amalgam {j}")
-

@@ -37,12 +37,13 @@ searches a cell's neighbours only in the columns (cells on the first three
 axes) that hold a row.  The
 adjacency is one (n, 3) int
 array of rows (i, j, m), which is also the reflection group's relation
-array.  Coverage is a query on the same grid join in two searches.  The
-near search, one join at cell side ell/2, lists the balls near each face's
-middle, which hold all of a lattice face's disks; the complete search, one
-join per radius octave queried from its smaller side, lists every ball
-whose trace disk meets a face's square, and runs only for the faces that
-are drawn.  The faces whose near disks are bit for bit the same
+array.  Coverage takes each face's near disks from the construction, with
+no search: the face's construction balls, its four corner vertex balls by
+the exact lattice lookup and the five balls that build_cover labels with
+the face (BallCover.face_balls).  Its complete search, a grid join per
+radius octave queried from its smaller side, lists every ball whose trace
+disk meets a face's square, and runs only for the faces that are drawn.
+The faces whose near disks are bit for bit the same
 share one certificate that their disks hold the whole face square; they
 are grouped by _first_rows, exactly and without a sort (hash buckets, every
 row compared with its bucket's first), which is also how the relation
@@ -105,11 +106,18 @@ class BallCover:
     """The balls of a cover; nothing derived from them is a field.  `sweep`
     is pairwise_sweep of the cover's own centres and radii, run on first use
     and kept, and `adjacency` is its rows, so a cover made by
-    dataclasses.replace gets the adjacency of its own balls."""
+    dataclasses.replace gets the adjacency of its own balls.
+
+    `face` labels each ball with the surface face build_cover put it on: f
+    for each of face f's five balls, -1 for the vertex and junction balls.
+    A cover made with another number of balls passes labels of its own.
+    The labels only pick the disks coverage_check certifies a face's
+    template from (face_balls), never a result."""
 
     centers: np.ndarray  # (N, 4)
     radii: np.ndarray  # (N,)
     roles: np.ndarray  # (N,) ints, see ROLE_*
+    face: np.ndarray  # (N,) ints: the face whose five balls hold the ball, or -1
     host: np.ndarray  # (N,) index into complex.all_cubes
     unit: int
     vertices: np.ndarray  # (V, 4) int64 sorted lattice points; row v is vertex ball v
@@ -138,6 +146,27 @@ class BallCover:
         """The vertex ball at each lattice point of `points` (..., 4), -1
         where there is none."""
         return lattice_index(self.vertices, points)
+
+    def face_balls(self, surf):
+        """(f, b): the construction balls of each face of surf, as pairs of
+        face and ball indices, face by face: its four corner vertex balls
+        (vertex_balls; a corner without one adds none), then the balls that
+        `face` labels with it, in row order.  A label that names no face of
+        surf is ignored."""
+        n_faces = len(surf.faces)
+        plane = np.eye(4, dtype=np.int64)[surf.faces[:, 4:]]  # (F, 2, 4)
+        corners = surf.faces[:, None, :4] + self.unit * (_CORNER_STEPS @ plane)
+        vertex = self.vertex_balls(corners).ravel()
+        held = np.flatnonzero(vertex >= 0)
+        labelled = np.flatnonzero((self.face >= 0) & (self.face < n_faces))
+        f = np.concatenate([held // 4, self.face[labelled]])
+        order = np.argsort(f, kind="stable")
+        return f[order], np.concatenate([vertex[held], labelled])[order]
+
+
+# A face's four corners, in steps along its in-plane axes (i, j), in cyclic
+# order
+_CORNER_STEPS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 # Junction sites of refinement level j around an attach square, in units of
@@ -207,10 +236,13 @@ def build_cover(c, k=0):
     ])
     roles = np.repeat(np.array([ROLE_VERTEX, ROLE_FACE, ROLE_JUNCTION], dtype=np.int8),
                       [n_v, 5 * n_f, len(junction)])
+    face = np.full(len(centers), -1, dtype=np.min_scalar_type(-max(n_f, 1)))
+    face[n_v : n_v + 5 * n_f] = np.repeat(np.arange(n_f), 5)
     return BallCover(
         centers=centers,
         radii=radii,
         roles=roles,
+        face=face,
         host=_host_cubes(c, centers),
         unit=c.unit,
         vertices=surf.vertices,
@@ -659,16 +691,15 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     its closed square, and _disk_table keeps them as one face-major table of
     (F, width) rows u, v and reach2 = r^2 - h^2, width being the largest
     count; padding slots have reach2 = -inf, so they contain no point.  Two
-    searches fill such a table:
+    sets of disks fill such a table:
 
-    * The near search is one grid join of the face middles against all ball
-      centres at cell side ell/2 (widened by 1e-9 against rounding): a
-      face's near disks are those of the balls it pairs with, which include
-      every ball centred within ell/2 of its middle on every axis.  Those
-      hold a lattice cover's nine disks per face (four corner vertex balls,
-      four face balls, the centre ball) and its junction balls, at edge
-      midpoints; on the preset it pairs 128,421 candidates into the same
-      88,666 disks that the complete search finds from 308,409.
+    * A face's near disks are those of its construction balls
+      (BallCover.face_balls): its four corner vertex balls, found by the
+      exact lattice lookup, and the balls that `cover.face` labels with it,
+      on a built cover its four face balls and its centre ball.  The
+      junction balls are no near disk.  A label that names no face of surf
+      is ignored, and a wrong or missing one only leaves a template open,
+      so that more is drawn.
     * The complete search is one grid join of the face middles and the ball
       centres per radius octave g, the smaller set querying the larger, at
       cell side R_g + ell/2 (widened by 1e-9), R_g being the octave's
@@ -692,7 +723,7 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
 
     * A face's template is its row of the near table: u, v and reach2.
       Faces are grouped by the rows' bits, exactly, by _first_rows (the
-      lattice cover repeats them: the preset's 9,850 faces have 43
+      lattice cover repeats them: the preset's 9,850 faces have 23
       templates), and the templates are numbered in the order of their
       first faces.  So a certificate serves only faces whose near disks are
       exactly the template's.  The near disks are a subset of the complete
@@ -727,7 +758,7 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       buffer.  So the words after advance(d) are the words that follow d
       drawn ones: a drawn block gets the words it would get if every block
       were drawn, and a skipped block would have given no miss.  The lattice
-      cover's templates are all whole (the preset's 43 at k = 0 and 63 at
+      cover's templates are all whole (the preset's 23 at k = 0 and at
       k = 2), so its coverage draws no sample and runs no complete search.
     * A block that is drawn tests every sample against all its faces'
       complete rows, one rank of the table at a time, so its misses are
@@ -753,10 +784,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     cols, corners = np.ascontiguousarray(centers.T), np.ascontiguousarray(corner.T)
     axes = np.vstack([plane.T, np.nonzero(off)[1].reshape(-1, 2).T])  # in-plane, normal
 
-    # the near disks: each face's template, from the balls a join at cell
-    # side ell/2 pairs with its middle
-    near = _grid_join(mids, centers, (ell / 2.0) * (1.0 + 1e-9))
-    _count, table = _disk_table(near, cols, radii, corners, axes, ell)
+    # the near disks: each face's template, from the balls built on it
+    _count, table = _disk_table([cover.face_balls(surf)], cols, radii, corners, axes, ell)
     first, template = _first_rows(table.reshape(n_faces, -1).view(np.uint64))
     # the faces of whole templates, whose every sample the test provably
     # accepts; _TEMPLATES at a time, so no cell certificate outlives its batch

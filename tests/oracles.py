@@ -661,6 +661,7 @@ def without_ball(cover, victim):
         centers=cover.centers[keep],
         radii=cover.radii[keep],
         roles=cover.roles[keep],
+        face=cover.face[keep],
         host=cover.host[keep],
         vertices=cover.vertices[np.arange(len(cover.vertices)) != victim],
     )

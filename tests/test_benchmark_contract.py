@@ -92,6 +92,7 @@ def test_traced_run_spans_and_counters():
         ("cover.face_ball_offset", "cover.closed_form_parameters"),
         ("cover.pairwise_sweep", "cover.validate_cover"),
         ("cover.coverage_check", "cover.validate_cover"),
+        ("complexes.lattice_index", "cover.coverage_check"),
         ("groups.relation_suite", None),
         ("groups.relation_residuals", "groups.relation_suite"),
         ("groups.reflection_matrices", "groups.relation_residuals"),

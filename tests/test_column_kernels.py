@@ -51,9 +51,10 @@ def test_products_match_the_row_major_form(case):
 
 
 def test_trace_disks_match_the_row_major_form(case):
-    """Every face against the balls of coverage_check's near join and of the
-    oracle's wider one, whose candidates include disks that miss the square
-    and balls that miss the plane."""
+    """Every face against its construction balls (coverage_check's near
+    set, BallCover.face_balls) and the balls of the oracle's wide join,
+    whose candidates include disks that miss the square and balls that miss
+    the plane."""
     cover, surf = case
     ell = float(cover.unit)
     n_faces = len(surf.faces)
@@ -65,15 +66,15 @@ def test_trace_disks_match_the_row_major_form(case):
     axes = np.vstack([plane.T, np.nonzero(off)[1].reshape(-1, 2).T])
     cols, corners = np.ascontiguousarray(cover.centers.T), np.ascontiguousarray(corner.T)
     kept = 0
-    for side in (ell / 2.0, float(cover.radii.max()) + ell):
-        for f, b in cv._grid_join(mids, cover.centers, side * (1.0 + 1e-9)):
-            face, u, v, reach2 = cv._trace_disks(f, b, cols, cover.radii, corners, axes, ell)
-            want = orc.trace_disks(f, b, cover.centers, cover.radii, corner, plane, off, ell)
-            same_bits(face, want[0])
-            same_bits(u, want[1][:, 0])
-            same_bits(v, want[1][:, 1])
-            same_bits(reach2, want[2])
-            kept += len(face)
+    side = (float(cover.radii.max()) + ell) * (1.0 + 1e-9)
+    for f, b in [cover.face_balls(surf), *cv._grid_join(mids, cover.centers, side)]:
+        face, u, v, reach2 = cv._trace_disks(f, b, cols, cover.radii, corners, axes, ell)
+        want = orc.trace_disks(f, b, cover.centers, cover.radii, corner, plane, off, ell)
+        same_bits(face, want[0])
+        same_bits(u, want[1][:, 0])
+        same_bits(v, want[1][:, 1])
+        same_bits(reach2, want[2])
+        kept += len(face)
     assert kept > 0
 
 

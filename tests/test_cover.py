@@ -383,18 +383,33 @@ def face_pattern_faces(cover, surf):
     return face_of
 
 
+def face_templates(cover, surf):
+    """(F, 9): each face's nine template balls, found by geometry alone: the
+    vertex-role balls centred on its four corners, then the face-role balls
+    within the face offset of its middle (from the oracle's grid join), the
+    four face balls first and the centre ball, centred on the middle, last."""
+    corners = face_corners(surf)
+    vertex = np.flatnonzero(cover.roles == ROLE_VERTEX)
+    at = {tuple(x): v for v, x in zip(vertex.tolist(), cover.centers[vertex].tolist())}
+    corner_balls = [[at.get(tuple(x), -1) for x in face] for face in corners.tolist()]
+    mids = corners.mean(axis=1)  # exact: the corner plus half an edge on two axes
+    face_role = np.flatnonzero(cover.roles == ROLE_FACE)
+    a = face_ball_offset(cover.unit)
+    f, b = (np.concatenate(x) for x in zip(*orc.grid_join(mids, cover.centers[face_role], 2 * a)))
+    b = face_role[b]
+    dist = np.linalg.norm(cover.centers[b] - mids[f], axis=1)
+    mine = dist <= a + 1e-9
+    f, b, dist = f[mine], b[mine], dist[mine]
+    by_face = np.lexsort((b, -dist, f))  # per face: the farthest first, ties by row
+    assert np.array_equal(f[by_face], np.repeat(np.arange(len(corners)), 5))
+    assert (dist[by_face][4::5] == 0.0).all()
+    return np.hstack([np.array(corner_balls, dtype=np.int64).reshape(-1, 4),
+                      b[by_face].reshape(-1, 5)])
+
+
 def face_template(cover, surf, f):
-    """Face f's nine template balls: its four corner vertex balls, then the
-    face-role balls within the face offset of its middle, the four face balls
-    first and the centre ball, centred on the middle, last."""
-    mid = surf.faces[f, :4].astype(float)
-    mid[surf.faces[f, 4:]] += cover.unit / 2.0
-    dist = np.linalg.norm(cover.centers - mid, axis=1)
-    own = np.flatnonzero((cover.roles == ROLE_FACE)
-                         & (dist <= face_ball_offset(cover.unit) + 1e-9))
-    own = own[np.argsort(-dist[own], kind="stable")]
-    assert len(own) == 5 and dist[own[-1]] == 0.0
-    return cover.vertex_balls(face_corners(surf)[f]).tolist() + list(own)
+    """Face f's nine template balls, by face_templates."""
+    return face_templates(cover, surf)[f].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +453,7 @@ def test_coverage_reaches_the_completeness_bound(single_cube):
         center = surf.faces[0, :4].astype(float)
         center[surf.faces[0, 4:]] += [1.0 + 0.75 * radius, 0.5]
         one = dataclasses.replace(cover, centers=center[None], radii=np.array([radius]),
-                                  vertices=np.zeros((0, 4), dtype=np.int64))
+                                  face=np.full(1, -1), vertices=np.zeros((0, 4), dtype=np.int64))
         got = coverage_check(one, surf, n_samples=300, seed=0)
         assert got[0] > 0.0
         assert got == coverage_reference(one, surf, np.full(1, -1), n_samples=300, seed=0)
@@ -462,7 +477,7 @@ def test_coverage_join_per_radius_octave_is_complete(single_cube):
         center[i] += 0.5 + (0.5 + 0.5 * radius) * rng.choice([-1.0, 1.0])
         center[j] += rng.uniform(0.0, 1.0)
         two = dataclasses.replace(cover, centers=np.stack([anchor, center]),
-                                  radii=np.array([0.6, radius]),
+                                  radii=np.array([0.6, radius]), face=np.full(2, -1),
                                   vertices=np.zeros((0, 4), dtype=np.int64))
         got = coverage_check(two, surf, n_samples=5000, seed=0)
         assert got[0] > 0.0
@@ -477,13 +492,14 @@ def test_coverage_faces_without_candidates_miss_every_sample(single_cube):
     n = 300
     own = np.isin(np.arange(len(cover)), face_template(cover, surf, 0)[4:])
     part = dataclasses.replace(cover, centers=cover.centers[own], radii=cover.radii[own],
-                               vertices=np.zeros((0, 4), dtype=np.int64))
+                               face=cover.face[own], vertices=np.zeros((0, 4), dtype=np.int64))
     frac, misses = coverage_check(part, surf, n_samples=n, seed=0)
     per_face = np.bincount([fi for fi, _pt in misses], minlength=len(surf.faces))
     assert 0 < per_face[0] < n and (per_face[1:] == n).all()
     assert (frac, misses) == coverage_reference(part, surf, np.zeros(5, dtype=int),
                                                 n_samples=n, seed=0)
-    far = dataclasses.replace(part, centers=np.full((1, 4), 50.0), radii=np.ones(1))
+    far = dataclasses.replace(part, centers=np.full((1, 4), 50.0), radii=np.ones(1),
+                              face=np.full(1, -1))
     got = coverage_check(far, surf, n_samples=n, seed=0)
     assert got[0] == 0.0 and len(got[1]) == n * len(surf.faces)
     assert got == coverage_reference(far, surf, np.full(1, -1), n_samples=n, seed=0)
@@ -664,7 +680,7 @@ def big_ball(surf, cover):
     center = surf.faces[0, :4].astype(float)
     center[surf.faces[0, 4:]] += [1.5 - 1e4, 0.5]
     return dataclasses.replace(cover, centers=center[None], radii=np.array([1e4]),
-                               vertices=np.zeros((0, 4), dtype=np.int64))
+                               face=np.full(1, -1), vertices=np.zeros((0, 4), dtype=np.int64))
 
 
 def test_coverage_certificate_on_distinct_templates(jittered_cube, monkeypatch):
@@ -805,7 +821,7 @@ def test_a_cell_split_in_part_is_drawn(single_cube):
     centers[np.arange(2)[:, None], surf.faces[0, 4:]] += [(0.5, -far), (0.5, 1.0 + far)]
     two = dataclasses.replace(cover, centers=centers,
                               radii=np.array([far + 33 / 64 + 1e-3, far + 1.0 - 33.5 / 64]),
-                              vertices=np.zeros((0, 4), dtype=np.int64))
+                              face=np.full(2, -1), vertices=np.zeros((0, 4), dtype=np.int64))
     got = coverage_check(two, surf, n_samples=70_000, seed=0)
     assert 0 in {f for f, _pt in got[1]}
     assert got == orc.coverage_check(two, surf, n_samples=70_000, seed=0)
@@ -860,8 +876,9 @@ LATTICE = {
 @pytest.mark.parametrize("case", [0, 2, *LATTICE], ids=str)
 def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
     """Every template of a lattice cover, from its near disks (the preset's
-    43 at k = 0 and 63 at k = 2), has every cell certified, so it is whole,
-    and coverage advances the generator past all its words and draws none."""
+    23 at k = 0 and 23 at k = 2: the junction balls are no near disk), has
+    every cell certified, so it is whole, and coverage advances the
+    generator past all its words and draws none."""
     if case in LATTICE:
         surf, cover = lattice_cover(*LATTICE[case])
     else:
@@ -873,14 +890,14 @@ def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
     whole = whole_templates(calls)
     assert whole.all()
     if case in (0, 2):
-        assert len(whole) == {0: 43, 2: 63}[case]
+        assert len(whole) == {0: 23, 2: 23}[case]
 
 
 def test_preset_certifies_every_face_from_its_near_disks(preset_covers, monkeypatch):
-    """On the preset at k = 0 the near search hands _trace_disks 128,421
-    face-ball candidates, against 308,409 for the per-octave search, and
-    keeps all 88,666 disks; every template is whole, so no face reaches the
-    complete search."""
+    """On the preset at k = 0 the near set hands _trace_disks each face's
+    nine construction balls, 88,650 face-ball candidates, and keeps all
+    88,650 disks; every template is whole, so no face reaches the complete
+    search."""
     surf, covers = preset_covers
     seen, kept, complete = [], [], []
     trace, octave = cv._trace_disks, cv._octave_pairs
@@ -898,7 +915,7 @@ def test_preset_certifies_every_face_from_its_near_disks(preset_covers, monkeypa
     monkeypatch.setattr(cv, "_trace_disks", trace_spy)
     monkeypatch.setattr(cv, "_octave_pairs", octave_spy)
     assert coverage_check(covers[0], surf, n_samples=1000, seed=0) == (1.0, [])
-    assert (sum(seen), sum(kept)) == (128_421, 88_666)
+    assert (sum(seen), sum(kept)) == (88_650, 88_650)
     assert complete == [0]
 
 
@@ -948,7 +965,8 @@ def test_a_far_ball_closes_an_open_near_template(monkeypatch):
     broken = without_ball(cover, face_template(cover, surf, 0)[4])
     far = big_ball(surf, broken)
     closed = dataclasses.replace(broken, centers=np.vstack([broken.centers, far.centers]),
-                                 radii=np.append(broken.radii, far.radii))
+                                 radii=np.append(broken.radii, far.radii),
+                                 face=np.append(broken.face, -1))
     calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
     got = coverage_check(closed, surf, n_samples=10_000, seed=0)
@@ -1018,6 +1036,51 @@ def test_one_face_per_block_matches_the_serial_form():
     got = coverage_check(broken, surf, n_samples=70_000, seed=3)
     assert {f for f, _pt in got[1]} == {7}
     assert got == orc.coverage_check(broken, surf, n_samples=70_000, seed=3)
+
+
+@pytest.mark.parametrize("case", ["preset-k0", "preset-k2", "cube3"])
+def test_face_balls_are_the_geometric_templates(preset_covers, case):
+    """The construction incidence coverage_check certifies from: on the
+    preset at k = 0 and 2 and on the edge-3 cube, each face's balls from
+    BallCover.face_balls are the nine of its geometric template, and the
+    `face` labels are face_pattern_faces."""
+    if case == "cube3":
+        surf, cover = lattice_cover(*LATTICE[case])
+    else:
+        surf, cover = preset_covers[0], preset_covers[1][int(case[-1])]
+    f, b = cover.face_balls(surf)
+    assert np.array_equal(f, np.repeat(np.arange(len(surf.faces)), 9))
+    assert np.array_equal(np.sort(b.reshape(-1, 9), axis=1),
+                          np.sort(face_templates(cover, surf), axis=1))
+    assert np.array_equal(cover.face, face_pattern_faces(cover, surf))
+
+
+def test_face_labels_only_pick_the_certified_disks(monkeypatch):
+    """The labels are a hint: on the straight tube less one face ball, the
+    result has the serial form's bits with the built labels, with every
+    label -1 (no face ball is a near disk, so no template is whole and every
+    sample is drawn), with the labels permuted over the balls and with the
+    face labels moved past the surface's faces, which are ignored."""
+    c = orc.straight_tube_complex()
+    surf = knot_surface(c)
+    cover = build_cover(c)
+    broken = without_ball(cover, int((cover.roles == ROLE_VERTEX).sum()) + 5 * 7)
+    want = orc.coverage_check(broken, surf, n_samples=3000, seed=3)
+    assert want[1]
+    n_faces = len(surf.faces)
+    labels = {
+        "built": broken.face,
+        "none": np.full(len(broken), -1),
+        "permuted": np.random.default_rng(0).permutation(broken.face),
+        "past": np.where(broken.face >= 0, broken.face + n_faces, -1),
+    }
+    counts = count_words(monkeypatch)
+    for name, face in labels.items():
+        drawn = counts["drawn"]
+        got = coverage_check(dataclasses.replace(broken, face=face), surf, n_samples=3000, seed=3)
+        assert got == want, name
+        if name in ("none", "past"):
+            assert counts["drawn"] - drawn == 3000 * n_faces, name
 
 
 @pytest.mark.parametrize("d, m", [(0, 5), (1, 1), (65_000, 3), (70_000, 1000)])

@@ -839,7 +839,7 @@ def test_fundamental_domain_check_without_an_exterior_point(cube_group):
     _c, cover, _g = cube_group
     two = dataclasses.replace(cover, centers=np.array([[0.0] * 4, [0.5, 0.0, 0.0, 0.0]]),
                               radii=np.array([100.0, 100.0]), roles=cover.roles[:2],
-                              host=cover.host[:2])
+                              face=cover.face[:2], host=cover.host[:2])
     report = fundamental_domain_check(two, budget=1000, seed=0)
     assert report == {"budget": 1000, "checks": 0, "n_sample_points": 0, "violations": 0,
                       "ok": False}
