@@ -307,11 +307,12 @@ _EDGE_SIGN = np.array([1, 1, -1, -1])
 @dataclasses.dataclass(eq=False)
 class KnotSurface:
     """Closed boundary surface of a cube complex, as unit lattice squares.
-    One complex shares one surface (see knot_surface), so faces and vertices
-    are read-only and issues is a tuple."""
+    One complex shares one surface (see knot_surface), so its arrays are
+    read-only and issues is a tuple.  corners is the face-vertex incidence."""
 
     faces: np.ndarray  # (F, 6) int64 rows (corner x, y, z, w, plane axes i < j), sorted
     vertices: np.ndarray  # (V, 4) int64 lattice points, sorted
+    corners: np.ndarray  # (F, 4) int64 vertices row at each face corner, in _CYCLE order
     unit: int
     n_vertices: int
     n_edges: int
@@ -325,17 +326,19 @@ class KnotSurface:
 def lattice_index(table, points):
     """Row of the int lattice points `table` (n, 4) at each of `points`
     (..., 4), -1 where a point is off the lattice, outside the table's box or
-    absent.  The rows are packed into sorted int64 keys and searched."""
+    absent.  The rows are packed into sorted int64 keys and searched, one
+    coordinate column at a time, an off-table one clamped into the box."""
     if not len(table):
         return np.full(np.shape(points)[:-1], -1)
-    lo, hi = table.min(axis=0), table.max(axis=0)
+    lo, hi = (np.array([f(t) for t in table.T]) for f in (np.min, np.max))
     dims = tuple(int(d) for d in hi - lo + 1)
-    keys = np.ravel_multi_index(tuple((table - lo).T), dims)
+    keys = np.ravel_multi_index(tuple(table.T - lo[:, None]), dims)
     order = np.argsort(keys)
-    grid = np.rint(points)
-    ok = (grid == points).all(axis=-1) & (grid >= lo).all(axis=-1) & (grid <= hi).all(axis=-1)
-    rel = np.where(ok[..., None], grid - lo, 0).astype(np.int64)
-    query = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), dims)
+    ok, query = True, 0
+    for x, low, high, d in zip(np.moveaxis(np.asarray(points), -1, 0), lo, hi, dims):
+        grid = np.rint(x)
+        ok = ok & (grid == x) & (grid >= low) & (grid <= high)
+        query = query * d + np.fmin(np.fmax(grid - low, 0), d - 1).astype(np.int64)
     at = np.minimum(np.searchsorted(keys, query, sorter=order), len(keys) - 1)
     return np.where(ok & (keys[order[at]] == query), order[at], -1)
 
@@ -420,7 +423,8 @@ def _build_surface(c):
     Faces, edges and vertices are packed into mixed-radix int64 keys over the
     cells' box, as (corner, plane), (lower endpoint, axis) and point; the
     keys sort as the tuples do, and one sort finds each kind; a square on
-    more than two cells is named by the first in face-key order.  A box too
+    more than two cells is named by the first in face-key order, and a face
+    corner's vertex row is its key's place among the vertex keys.  A box too
     large for those keys raises ComplexError.
     """
     unit = c.unit
@@ -505,9 +509,11 @@ def _build_surface(c):
             f"(e.g. edge {ends} bounds {e_count[e_inverse[e]]})"
         )
 
-    v_keys = np.sort(pack(ring.reshape(-1, 4), 0, 1))
+    ring_keys = pack(ring.reshape(-1, 4), 0, 1)
+    v_keys = np.sort(ring_keys)
     v_keys = v_keys[np.diff(v_keys, prepend=-1) != 0]  # keys are >= 0
     vertices = np.column_stack(np.unravel_index(v_keys, dims + (1,))[:4]) + lo
+    corners = np.searchsorted(v_keys, ring_keys).reshape(-1, 4)
     n_v, n_e = len(vertices), len(e_keys)
     chi = n_v - n_e + n_f
 
@@ -530,11 +536,12 @@ def _build_surface(c):
         if connected and chi != 2:
             issues.append(f"Euler characteristic {chi} != 2 (not a 2-sphere)")
 
-    faces.setflags(write=False)
-    vertices.setflags(write=False)
+    for array in (faces, vertices, corners):
+        array.setflags(write=False)
     return KnotSurface(
         faces=faces,
         vertices=vertices,
+        corners=corners,
         unit=unit,
         n_vertices=n_v,
         n_edges=n_e,

@@ -34,21 +34,20 @@ R_b, so the pairs it skips are provably disjoint and the small balls are
 not binned at the vertex balls' scale; a join between two groups keys
 only the rows of the larger that lie near a cell of the smaller, and
 searches a cell's neighbours only in the columns (cells on the first three
-axes) that hold a row.  The
-adjacency is one (n, 3) int
-array of rows (i, j, m), which is also the reflection group's relation
-array.  Coverage takes each face's near disks from the construction, with
-no search: the face's construction balls, its four corner vertex balls by
-the exact lattice lookup and the five balls that build_cover labels with
-the face (BallCover.face_balls).  Its complete search, a grid join per
-radius octave queried from its smaller side, lists every ball whose trace
-disk meets a face's square, and runs only for the faces that are drawn.
-The faces whose near disks are bit for bit the same
-share one certificate that their disks hold the whole face square; they
-are grouped by _first_rows, exactly and without a sort (hash buckets, every
-row compared with its bucket's first), which is also how the relation
-suite groups its frames and the word tables their Tits matrices' column
-sums and their roots.  Each Monte-Carlo sample is a
+axes) that hold a row.  The adjacency is one (n, 3) int array of rows
+(i, j, m), which is also the reflection group's relation array.  Coverage takes
+each face's near disks from the construction, with no search, face by face,
+so their table needs no sort: its four corner vertex balls (surf.corners
+read in one lattice lookup of the surface's vertices) and the five balls
+build_cover labels with it (BallCover.face_balls).  Its complete search, a
+grid join per radius octave queried from its smaller side, lists every ball
+whose trace disk meets a face's square, and runs only for the faces that are
+drawn.  The faces whose near disks are bit for bit the same share one
+certificate that their disks hold the whole face square; they are grouped by
+_first_rows, exactly and without a sort (hash buckets, every row compared
+with its bucket's first), which is also how the relation suite groups its
+frames and the word tables their Tits matrices' column sums and their roots.
+Each Monte-Carlo sample is a
 float32 pair of the seeded generator, tested against its face's disks, in
 float64, in the face plane, with no recheck.  A block of faces whose
 templates are all whole draws no sample: the generator is advanced past
@@ -111,8 +110,8 @@ class BallCover:
     `face` labels each ball with the surface face build_cover put it on: f
     for each of face f's five balls, -1 for the vertex and junction balls.
     A cover made with another number of balls passes labels of its own.
-    The labels only pick the disks coverage_check certifies a face's
-    template from (face_balls), never a result."""
+    The labels, like surf.corners, only pick the disks coverage_check
+    certifies a face's template from (face_balls), never a result."""
 
     centers: np.ndarray  # (N, 4)
     radii: np.ndarray  # (N,)
@@ -149,24 +148,17 @@ class BallCover:
 
     def face_balls(self, surf):
         """(f, b): the construction balls of each face of surf, as pairs of
-        face and ball indices, face by face: its four corner vertex balls
-        (vertex_balls; a corner without one adds none), then the balls that
-        `face` labels with it, in row order.  A label that names no face of
-        surf is ignored."""
+        face and ball indices, face by face: its four corner vertex balls,
+        surf.corners read in one vertex_balls lookup of surf.vertices (a
+        corner without one adds none), then the balls that `face` labels
+        with it, in row order.  A label that names no face is ignored."""
         n_faces = len(surf.faces)
-        plane = np.eye(4, dtype=np.int64)[surf.faces[:, 4:]]  # (F, 2, 4)
-        corners = surf.faces[:, None, :4] + self.unit * (_CORNER_STEPS @ plane)
-        vertex = self.vertex_balls(corners).ravel()
+        vertex = self.vertex_balls(surf.vertices)[surf.corners].ravel()
         held = np.flatnonzero(vertex >= 0)
         labelled = np.flatnonzero((self.face >= 0) & (self.face < n_faces))
         f = np.concatenate([held // 4, self.face[labelled]])
         order = np.argsort(f, kind="stable")
         return f[order], np.concatenate([vertex[held], labelled])[order]
-
-
-# A face's four corners, in steps along its in-plane axes (i, j), in cyclic
-# order
-_CORNER_STEPS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 # Junction sites of refinement level j around an attach square, in units of
@@ -630,7 +622,8 @@ def _disk_table(pairs, cols, radii, corner, axes, ell):
     parts = [(np.zeros(0, np.intp), *[np.zeros(0)] * 3)]
     parts += [_trace_disks(f, b, cols, radii, corner, axes, ell) for f, b in pairs]
     face, *disk = (np.concatenate(col) for col in zip(*parts))
-    by_face = np.argsort(face, kind="stable")
+    # face-major pairs, as face_balls lists them, need no sort
+    by_face = np.argsort(face, kind="stable") if (face[1:] < face[:-1]).any() else slice(None)
     face = face[by_face]
     count = np.bincount(face, minlength=n_faces)
     rank = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
@@ -694,12 +687,12 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
     sets of disks fill such a table:
 
     * A face's near disks are those of its construction balls
-      (BallCover.face_balls): its four corner vertex balls, found by the
-      exact lattice lookup, and the balls that `cover.face` labels with it,
-      on a built cover its four face balls and its centre ball.  The
-      junction balls are no near disk.  A label that names no face of surf
-      is ignored, and a wrong or missing one only leaves a template open,
-      so that more is drawn.
+      (BallCover.face_balls): its four corner vertex balls, surf.corners
+      by one exact lattice lookup, and the balls that `cover.face` labels
+      with it, on a built cover its four face balls and its centre ball.
+      The junction balls are no near disk.  A label that names no face of
+      surf is ignored, and a wrong label or corner only leaves a template
+      open, so that more is drawn.
     * The complete search is one grid join of the face middles and the ball
       centres per radius octave g, the smaller set querying the larger, at
       cell side R_g + ell/2 (widened by 1e-9), R_g being the octave's

@@ -321,8 +321,9 @@ def test_one_complex_builds_its_surface_once(tmp_path, monkeypatch):
 
 def test_the_shared_surface_is_read_only(preset_surface):
     """Every caller of one complex gets the same surface, so none can change
-    it: its arrays refuse writes and its issues are a tuple."""
-    for array in (preset_surface.faces, preset_surface.vertices):
+    it: its arrays (faces, vertices and the corners incidence) refuse writes
+    and its issues are a tuple."""
+    for array in (preset_surface.faces, preset_surface.vertices, preset_surface.corners):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -533,3 +534,48 @@ class TestFileRoundtrip:
         cx.save_complex(bad, p)
         with pytest.raises(cx.ComplexError, match="empty tube"):
             orc.load_complex(p)
+
+
+# Coordinates of lattice_index queries: lattice points in and around a table
+# of points in [-3, 3]^4, far ones, fractional ones, NaN and infinities
+_COORDS = st.one_of(st.integers(-5, 5).map(float), st.sampled_from([-1e30, 2.0**62, 1e30]),
+                    st.floats(-6, 6), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def lattice_queries(draw):
+    """(table, points): distinct int64 lattice points (n, 4), and points
+    (a, b, 4) that are table rows with some coordinates replaced by _COORDS."""
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=1, max_size=40,
+                         unique=True))
+    shape = draw(st.tuples(st.integers(0, 3), st.integers(0, 6)))
+    n = shape[0] * shape[1]
+    points = np.array([rows[draw(st.integers(0, len(rows) - 1))] for _ in range(n)],
+                      dtype=float).reshape(n, 4)
+    for i, k in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, 3)),
+                              max_size=2 * n if n else 0)):
+        points[i, k] = draw(_COORDS)
+    return np.array(rows, dtype=np.int64), points.reshape(*shape, 4)
+
+
+@pytest.mark.filterwarnings("error")
+@given(lattice_queries())
+@settings(max_examples=200, deadline=None)
+def test_lattice_index_matches_a_dict_lookup(query):
+    """lattice_index gives each point's table row, and -1 for a point that is
+    on the lattice but absent, outside the table's box, fractional, NaN or
+    infinite, as a dict of the rows does; int64 points where every
+    coordinate is an integer give the same rows.  No coordinate reaches an
+    undefined float-to-int cast, which would warn."""
+    table, points = query
+    at = {row: i for i, row in enumerate(map(tuple, table.tolist()))}
+    want = np.array([at.get(tuple(p), -1) if np.isfinite(p).all() else -1
+                     for p in points.reshape(-1, 4).tolist()], dtype=np.int64)
+    got = cx.lattice_index(table, points)
+    assert got.shape == points.shape[:-1]
+    assert np.array_equal(got.ravel(), want)
+    if np.isfinite(points).all() and (np.abs(points) < 2**62).all() and \
+            (points == np.rint(points)).all():
+        assert np.array_equal(cx.lattice_index(table, points.astype(np.int64)), got)
+    for i, point in enumerate(points.reshape(-1, 4)):  # one point of shape (4,)
+        assert int(cx.lattice_index(table, point)) == want[i]

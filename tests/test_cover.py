@@ -605,7 +605,8 @@ def broken_preset(preset_covers):
     not divide 2^16 samples."""
     surf, covers = preset_covers
     cover = covers[0]
-    near = dataclasses.replace(surf, faces=surf.faces[FACE - 200 : FACE + 200])
+    rows = slice(FACE - 200, FACE + 200)
+    near = dataclasses.replace(surf, faces=surf.faces[rows], corners=surf.corners[rows])
     out = {}
     for which in DROPPED:
         broken = without_ball(cover, dropped_ball(cover, surf, which))
@@ -752,7 +753,8 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
     junction = cover.centers[cover.roles == ROLE_JUNCTION]
     near = (np.abs(junction[:, None] - surf.faces[:, :4]) <= 4).all(-1).any(0)
     cv._held_cells(*complete_rows(dataclasses.replace(cover, centers=moved),
-                                  dataclasses.replace(surf, faces=surf.faces[near])),
+                                  dataclasses.replace(surf, faces=surf.faces[near],
+                                                      corners=surf.corners[near])),
                    float(cover.unit))
     k = np.arange(513)
     # the closed cells holding lattice index k along one axis: k // 8 and,
@@ -1081,6 +1083,85 @@ def test_face_labels_only_pick_the_certified_disks(monkeypatch):
         assert got == want, name
         if name in ("none", "past"):
             assert counts["drawn"] - drawn == 3000 * n_faces, name
+
+
+# Surfaces whose corners incidence is checked: the preset, its construction
+# at big-cube edges 9 and 13, the straight tube and the edge-3 cube
+CORNER_SURFACES = {
+    "preset": spun_trefoil_preset,
+    **{f"edge{e}": functools.partial(spun_trefoil_preset, e) for e in (9, 13)},
+    "tube": orc.straight_tube_complex,
+    "cube3": lambda: degenerate_single_cube(3),
+}
+
+
+@pytest.mark.parametrize("name", CORNER_SURFACES)
+def test_surface_corners_are_the_geometric_corners(name):
+    """KnotSurface.corners, the face-vertex incidence the surface build keeps:
+    the vertex rows at each face's corners are face_corners' four vertices,
+    in its cyclic order; every vertex row is some face's corner; and the
+    (F, 4) int64 array is read-only."""
+    surf = knot_surface(CORNER_SURFACES[name]())
+    assert surf.corners.dtype == np.int64 and surf.corners.shape == (len(surf.faces), 4)
+    assert np.array_equal(surf.vertices[surf.corners], face_corners(surf))
+    assert np.array_equal(np.unique(surf.corners), np.arange(len(surf.vertices)))
+    assert not surf.corners.flags.writeable
+
+
+def test_coverage_looks_up_each_surface_vertex_once(preset_covers, monkeypatch):
+    """On the preset, coverage_check makes one lattice lookup, of the
+    surface's 9,852 vertices, not one per face corner."""
+    surf, covers = preset_covers
+    shapes = []
+    real = cv.lattice_index
+
+    def spy(table, points):
+        shapes.append(np.shape(points))
+        return real(table, points)
+
+    monkeypatch.setattr(cv, "lattice_index", spy)
+    assert coverage_check(covers[0], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert shapes == [(9852, 4)] and len(surf.vertices) == 9852
+
+
+def test_permuted_vertex_balls_still_certify_every_face(preset_covers, monkeypatch):
+    """The corner balls come from the lattice lookup, not from row numbers:
+    the preset's k = 0 cover with its vertex balls stored in another row
+    order (centres, radii, roles, labels, hosts and `vertices` permuted
+    together) still has 23 templates, all whole, and draws no word."""
+    surf, covers = preset_covers
+    cover = covers[0]
+    n_v = len(cover.vertices)
+    rows = np.concatenate([np.random.default_rng(5).permutation(n_v),
+                           np.arange(n_v, len(cover))])
+    assert not np.array_equal(rows[:n_v], np.arange(n_v))
+    permuted = dataclasses.replace(
+        cover, centers=cover.centers[rows], radii=cover.radii[rows], roles=cover.roles[rows],
+        face=cover.face[rows], host=cover.host[rows], vertices=cover.vertices[rows[:n_v]])
+    calls = record_certificates(monkeypatch)
+    counts = count_words(monkeypatch)
+    assert coverage_check(permuted, surf, n_samples=1000, seed=0) == (1.0, [])
+    assert counts == {"drawn": 0, "advanced": 1000 * len(surf.faces)}
+    whole = whole_templates(calls)
+    assert len(whole) == 23 and whole.all()
+
+
+def test_rolled_corners_only_change_what_is_drawn(monkeypatch):
+    """surf.corners is a hint too: on the straight tube less one face ball,
+    a surface whose corners rows are rolled by one face (so each face takes
+    its neighbour's corner balls as near disks) gives the serial form's
+    bits; only the number of drawn words grows."""
+    c = orc.straight_tube_complex()
+    surf = knot_surface(c)
+    broken = without_ball(build_cover(c), int(len(surf.vertices)) + 5 * 7)
+    want = orc.coverage_check(broken, surf, n_samples=3000, seed=3)
+    assert want[1]
+    rolled = dataclasses.replace(surf, corners=np.roll(surf.corners, 1, axis=0))
+    counts = count_words(monkeypatch)
+    assert coverage_check(broken, surf, n_samples=3000, seed=3) == want
+    drawn = counts["drawn"]
+    assert coverage_check(broken, rolled, n_samples=3000, seed=3) == want
+    assert counts["drawn"] - drawn > drawn
 
 
 @pytest.mark.parametrize("d, m", [(0, 5), (1, 1), (65_000, 3), (70_000, 1000)])
