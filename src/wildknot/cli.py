@@ -37,7 +37,6 @@ INPUT_ERRORS = (cx.ComplexError, CoverError, gr.GroupError)
 class RunConfig:
     preset: str = "spun-trefoil"
     complex_path: str | None = None
-    refinement: int = 0
     max_word_length: int = 5
     eps: float = 0.12  # limit-set cloud radius cutoff, in tube units
     n_stages: int = 4
@@ -50,8 +49,6 @@ class RunConfig:
     relation_tol: float = 1e-8
 
     def validate(self):
-        if self.refinement < 0:
-            raise ValueError("refinement must be >= 0")
         if self.max_word_length < 0:
             raise ValueError("word-length cap must be >= 0")
         if self.seed < 0:
@@ -103,7 +100,7 @@ class Run:
     @functools.cached_property
     def cover(self):
         self.surface  # the complex's checks first: ComplexError lists its issues
-        return build_cover(self.complex, k=self.cfg.refinement)
+        return build_cover(self.complex)
 
     @functools.cached_property
     def cover_report(self):
@@ -387,7 +384,7 @@ def cmd_build(run, _args):
     _write_cover(cover, run.path("cover.txt"))
     print(f"complex: {len(run.complex.all_cubes)} cubes, surface faces={len(surf.faces)}, "
           f"chi={surf.euler_characteristic}")
-    print(f"cover: {len(cover)} balls {cover.role_counts()} (k={run.cfg.refinement})")
+    print(f"cover: {len(cover)} balls {cover.role_counts()}")
     print(f"wrote {run.path('complex.txt')} and {run.path('cover.txt')}")
     return 0
 
@@ -529,7 +526,6 @@ class _Slice(argparse.Action):
 _FLAGS = {
     "preset": (("--preset",), {"help": "bundled complex name (default: spun-trefoil)"}),
     "complex_path": (("--complex",), {"help": "path to a complex file (overrides --preset)"}),
-    "refinement": (("-k", "--refinement"), {"type": int, "help": "junction annulus refinement"}),
     "out_dir": (("--out",), {}),
     "max_word_length": (("-L", "--max-len"), {"type": int}),
     "eps": (("--eps",), {"type": float, "help": "limit-set cloud radius cutoff, in tube units"}),
@@ -545,7 +541,7 @@ _FLAGS = {
 
 def _add_config(p, *fields):
     """Flags for the complex, the cover and the output, plus `fields`'."""
-    for field in dict.fromkeys(("preset", "complex_path", "refinement", "out_dir") + fields):
+    for field in dict.fromkeys(("preset", "complex_path", "out_dir") + fields):
         names, kw = _FLAGS[field]
         default = argparse.SUPPRESS
         if field == "out_dir":

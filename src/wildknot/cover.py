@@ -12,10 +12,9 @@ rasterized surface, the one knot_surface(c) keeps on the complex:
   meeting its ring neighbors at pi/3 -- plus a center ball of radius
   A/sqrt(3) orthogonal to the four face balls and disjoint from everything
   else;
-* around each tube attachment square ("junction annulus"), 4+8k additional
-  balls of radius ell/(2*sqrt(3)) centered at lattice edge midpoints: the 4
-  midpoints of the attachment square's own edges, plus for each refinement
-  level j <= k the 8-point dihedral orbit of an edge midpoint j steps out.
+* at each tube attachment square, 4 junction balls of radius
+  ell/(2*sqrt(3)) at its edges' midpoints; each lies inside the vertex balls
+  v, v' of its edge and reflects as R_v R_v' R_v (ROADMAP item 19).
 
 Every edge-midpoint ball is automatically legal against the whole family:
 it meets the two vertex balls of its edge at exterior cosine -1/2 (order 3),
@@ -161,26 +160,15 @@ class BallCover:
         return f[order], np.concatenate([vertex[held], labelled])[order]
 
 
-# Junction sites of refinement level j around an attach square, in units of
-# the edge along its plane (u, v): (s_u j, s_v / 2) and (s_u / 2, s_v j) for
-# each sign pair.
-_SIGNS = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)])
-
-
-def _junction_sites(square_box, k):
-    """Edge-midpoint centers for the 4+8k annulus balls of one attach square."""
+def _junction_sites(square_box):
+    """The 4 junction ball centres of one attach square: its edges' midpoints."""
     box = np.array(square_box, dtype=float)
     axes = np.flatnonzero(box[:, 1] > box[:, 0])
     if len(axes) != 2:
         raise CoverError("attach square is not two-dimensional")
-    ell = box[axes[0], 1] - box[axes[0], 0]
-    half = ell / 2.0
-    reach = np.full((k, 2, 2), half)
-    reach[:, 0, 0] = reach[:, 1, 1] = ell * np.arange(1, k + 1)
-    uv = np.concatenate([[(0, -half), (0, half), (-half, 0), (half, 0)],
-                         (_SIGNS[:, None] * reach[:, None]).reshape(-1, 2)])
-    sites = np.repeat(box[None, :, 0], len(uv), axis=0)
-    sites[:, axes] = box[axes, 0] + half + uv
+    half = (box[axes[0], 1] - box[axes[0], 0]) / 2.0
+    sites = np.repeat(box[None, :, 0], 4, axis=0)
+    sites[:, axes] = box[axes, 0] + half + np.array([(0, -half), (0, half), (-half, 0), (half, 0)])
     return sites
 
 
@@ -191,9 +179,11 @@ def build_cover(c, k=0):
     The vertex balls come first, at the surface's sorted lattice vertices;
     then each face's five balls, face by face, at the face-ball offsets
     (+-A, 0), (0, +-A) from its middle and the centre ball at the middle;
-    then each attach square's junction balls."""
-    if k < 0:
-        raise CoverError("refinement k must be >= 0")
+    then each attach square's 4 junction balls, on surface edges: its
+    corners are corners of the tube end cube's side faces.  k = 0 is the one
+    junction level, kept as a keyword for perfbench (ROADMAP item 23)."""
+    if k != 0:
+        raise CoverError(f"k={k}: the junction balls have one level, k=0 (ROADMAP item 19)")
     surf = knot_surface(c)
     if surf.issues:
         raise CoverError("complex has an invalid surface: " + "; ".join(surf.issues))
@@ -205,19 +195,8 @@ def build_cover(c, k=0):
     a = p["face_offset"]
     offsets = np.array([(a, 0.0), (-a, 0.0), (0.0, a), (0.0, -a), (0.0, 0.0)])
     face_sites = (mids[:, None, :] + offsets @ plane).reshape(-1, 4)
-    junction = [_junction_sites(square, k) for square in c.attach_squares()]
+    junction = [_junction_sites(square) for square in c.attach_squares()]
     junction = np.concatenate(junction) if junction else np.zeros((0, 4))
-
-    # refinement sites must stay on the surface lattice plate: each is the
-    # midpoint of a surface edge, whose endpoints lie half an edge away
-    # along one axis
-    ends = junction[:, None, None] + ell * np.eye(4)[:, None] * np.array([-0.5, 0.5])[:, None]
-    on_plate = (lattice_index(surf.vertices, ends) >= 0).all(axis=2).any(axis=1)
-    if not on_plate.all():
-        raise CoverError(
-            f"refinement k={k} places a junction ball at {tuple(junction[~on_plate][0])} "
-            "whose edge is not on the surface (annulus exceeds the plate)"
-        )
 
     n_v, n_f = len(surf.vertices), len(surf.faces)
     centers = np.concatenate([surf.vertices.astype(float), face_sites, junction])
@@ -751,8 +730,8 @@ def coverage_check(cover, surf, n_samples=10_000, seed=0):
       buffer.  So the words after advance(d) are the words that follow d
       drawn ones: a drawn block gets the words it would get if every block
       were drawn, and a skipped block would have given no miss.  The lattice
-      cover's templates are all whole (the preset's 23 at k = 0 and at
-      k = 2), so its coverage draws no sample and runs no complete search.
+      cover's templates are all whole (the preset has 23), so its coverage
+      draws no sample and runs no complete search.
     * A block that is drawn tests every sample against all its faces'
       complete rows, one rank of the table at a time, so its misses are
       those of testing against every ball.  Where no template is whole,

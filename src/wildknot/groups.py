@@ -41,6 +41,11 @@ from .cover import ROLE_VERTEX, _finite_balls, _first_rows, _grid_join, pair_ord
 TITS_MAX = 2**62 // 3
 # Cap on listed group elements, and on listed orbit spheres.
 MAX_ELEMENTS = 2_000_000
+# Cap on the Tits entries (k^2 per candidate) of one enumeration pass.
+MAX_TITS_ENTRIES = 2**28
+# Checks per slice of fundamental_domain_check (~135 bytes each): the
+# default budget, 100,000, is one slice.
+DOMAIN_SLICE = 2**17
 # Rows per batch in relation_suite: relations per frame-key slice, whose
 # (11, batch) key temporaries it bounds, and distinct frames per
 # relation_residuals call, whose (batch, 6, 6) temporaries it bounds.
@@ -460,7 +465,8 @@ def enumerate_words(sub, max_length, dtype=float):
     Groups, 1.6 and 4.2), so it can only equal a product of the same pass;
     keeping each product's first occurrence in (w, g) order keeps every
     element's shortlex-least word, and the table comes out sorted.  At most
-    MAX_ELEMENTS elements are listed.
+    MAX_ELEMENTS elements are listed; a pass of more candidate Tits entries
+    than MAX_TITS_ENTRIES raises GroupError before it builds them.
 
     The products are grouped by their k column sums 1^T W alone, not by
     their k^2 entries, and that is exact.  Let rho be the linear form with
@@ -522,6 +528,9 @@ def enumerate_words(sub, max_length, dtype=float):
             break
         if 3**length * k > TITS_MAX and int(np.abs(front).max()) * k > TITS_MAX:
             raise GroupError(f"Tits matrix entries overflow int64 beyond length {length}")
+        if len(f) * k * k > MAX_TITS_ENTRIES:
+            raise GroupError(f"words of length {length + 1} need {len(f) * k * k} Tits entries "
+                             f"({len(f)} candidates of {k} x {k}), past the cap {MAX_TITS_ENTRIES}")
         cand = front[f] @ tits_gens[g]
         first, _ = _first_rows(_fold(np.add, cand.transpose(0, 2, 1)))  # the column sums
         room = max(0, MAX_ELEMENTS - n_words)
@@ -755,8 +764,10 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     centre, has its image at distance r^2 / d < r, inside the ball by
     construction, so the count is 0 whenever the sampler finds exterior
     points, whatever the cover; with none, nothing is checked and the
-    report is not ok.  Returns a report with the violation count.  A ball
-    without a finite centre and a finite positive radius raises CoverError.
+    report is not ok.  The checks run DOMAIN_SLICE at a time, so memory
+    does not grow with the budget; slicing moves no draw or result bit.
+    Returns a report with the violation count.  A ball without a finite
+    centre and a finite positive radius raises CoverError.
     """
     _finite_balls(cover.centers, cover.radii)
     rng = np.random.default_rng(seed)
@@ -784,11 +795,14 @@ def fundamental_domain_check(cover, budget=100_000, seed=0):
     pts = np.array(pts[:n_points]).reshape(-1, 4)
 
     gens = gen_order[: max(0, budget) if len(pts) else 0]  # no exterior point: nothing to check
-    take = np.take(pts.T, rng.integers(0, len(pts), (len(gens), per_gen)), axis=1)
-    r = cover.radii[gens][:, None]
-    img_dist2 = _image_dist2(np.take(cols, gens, axis=1)[..., None], r, take)
-    violations = int((img_dist2 >= r * r).sum())
     checks = len(gens) * per_gen
+    violations = 0
+    for s in range(0, checks, DOMAIN_SLICE):  # check q is generator q // per_gen's
+        q = np.arange(s, min(s + DOMAIN_SLICE, checks))
+        g = gens[q // per_gen]
+        take = np.take(pts.T, rng.integers(0, len(pts), len(q)), axis=1)
+        r = cover.radii[g]
+        violations += int((_image_dist2(np.take(cols, g, axis=1), r, take) >= r * r).sum())
     return {
         "budget": budget,
         "checks": checks,

@@ -46,7 +46,7 @@ def complex_():
 
 @pytest.fixture(scope="module")
 def cover(complex_):
-    return build_cover(complex_, k=0)
+    return build_cover(complex_)
 
 
 @pytest.fixture(scope="module")

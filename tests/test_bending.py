@@ -29,7 +29,7 @@ PRESET_UNSUITABLE = set(range(262, 275))
 @pytest.fixture(scope="module")
 def preset():
     c = spun_trefoil_preset()
-    cover = build_cover(c, k=0)
+    cover = build_cover(c)
     group = assemble_group(c, cover)
     return c, cover, group
 

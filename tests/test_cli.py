@@ -441,8 +441,6 @@ def test_report_is_dilation_invariant(tmp_path, monkeypatch):
 
 def test_runconfig_guards():
     with pytest.raises(ValueError):
-        RunConfig(refinement=-1).validate()
-    with pytest.raises(ValueError):
         RunConfig(max_word_length=-2).validate()
     with pytest.raises(ValueError):
         RunConfig(relation_tol=1.0).validate()
@@ -558,7 +556,10 @@ def test_slice_thickness_is_in_tube_units(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["build", "-k", "40"], "FAIL build: refinement k=40 places a junction ball"),
+        # 20 generators at length 5: 2,606,420 candidate Tits matrices of 20 x 20
+        # entries, refused before they are built
+        (["enumerate", "--schottky", "20"], "FAIL enumerate: words of length 5 need 1042568000 "
+         "Tits entries (2606420 candidates of 20 x 20), past the cap 268435456"),
         (["bend", "--bend-amalgam", "9999"], "FAIL bend: amalgam 9999 out of range"),
         (["report", "--bend-amalgam", "9999"], "FAIL bending: amalgam 9999 out of range"),
         (["enumerate", "--amalgam", "9999"], "FAIL enumerate: amalgam 9999 out of range"),
@@ -601,12 +602,15 @@ def test_run_pipeline_records_an_invalid_complex_file(tmp_path, text, issue):
 @pytest.mark.parametrize(
     "argv",
     [["build", "--eps", "1"], ["build", "--seed", "1"], ["validate", "-L", "3"],
-     ["enumerate", "--bend-ts", "0,1"], ["bend", "--samples-per-face", "9"]],
+     ["enumerate", "--bend-ts", "0,1"], ["bend", "--samples-per-face", "9"],
+     # the cover has one junction level: no subcommand takes -k/--refinement
+     ["build", "-k", "1"], ["report", "--refinement", "0"]],
 )
-def test_subcommands_reject_flags_they_do_not_read(argv):
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_subcommands_write_the_report_bundle_files(tube_complex, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wildknot import cover as cv
 from wildknot import lorentz as lz
-from wildknot.complexes import Cube3, knot_surface
+from wildknot.complexes import Cube3, CubeComplex, knot_surface
 from wildknot.cover import (
     ANGLE_TOL,
     ROLE_FACE,
@@ -518,17 +518,16 @@ def trace_candidates(cover, surf, f):
 
 
 @pytest.fixture(scope="module")
-def preset_covers():
+def preset_cover():
     c = spun_trefoil_preset()
-    surf = knot_surface(c)
-    return surf, {k: build_cover(c, k=k) for k in (0, 2)}
+    return knot_surface(c), build_cover(c)
 
 
-def test_pair_orders_gathers_only_its_pairs_rows(preset_covers):
+def test_pair_orders_gathers_only_its_pairs_rows(preset_cover):
     """On the preset's cover, pair_orders keeps the bits of _products over all
     the centres' columns, and a one-pair call allocates kilobytes, not a copy
     of the 59,110 centres."""
-    cover = preset_covers[1][0]
+    cover = preset_cover[1]
     i, j = np.random.default_rng(0).integers(0, len(cover), (2, 1000))
     prod, order = pair_orders(cover.centers, cover.radii, i, j)
     want = cv._products(np.ascontiguousarray(cover.centers.T), cover.radii, i, j)
@@ -543,31 +542,29 @@ def test_pair_orders_gathers_only_its_pairs_rows(preset_covers):
     assert peak < cover.centers.nbytes / 100
 
 
-@pytest.mark.parametrize("k", [0, 2])
-def test_coverage_matches_reference_on_the_preset(preset_covers, k):
-    """k = 2 puts junction balls among the candidates of the faces near the
+def test_coverage_matches_reference_on_the_preset(preset_cover):
+    """The junction balls are among the candidates of the faces near the
     attach squares."""
-    surf, covers = preset_covers
-    cover = covers[k]
+    surf, cover = preset_cover
     got = coverage_check(cover, surf, n_samples=20, seed=0)
     assert got == (1.0, [])
     assert got == coverage_reference(cover, surf, face_pattern_faces(cover, surf),
                                      n_samples=20, seed=0)
 
 
-def test_coverage_misses_on_the_junction_rows(preset_covers):
-    """At k = 2 the faces by a junction ball have ten candidate disks, the
-    widest rows of the table.  The junction balls cover nothing the face
+def test_coverage_misses_on_the_junction_rows(preset_cover):
+    """The 16 faces by a junction ball that have ten candidate disks hold
+    the widest rows of the table.  The junction balls cover nothing the face
     pattern leaves open, so dropping one leaves no miss; dropping a corner
     vertex ball of such a face leaves misses on it, and only on faces at that
     corner.  Both equal the reference."""
-    surf, covers = preset_covers
-    cover = covers[2]
+    surf, cover = preset_cover
     face_of = face_pattern_faces(cover, surf)
     junction = np.flatnonzero(cover.roles == ROLE_JUNCTION)
     near = (np.abs(cover.centers[junction, None] - surf.faces[:, :4]) <= 1).all(-1).any(0)
     wide = [f for f in np.flatnonzero(near) if len(trace_candidates(cover, surf, f)) == 10]
-    assert wide and all(np.isin(trace_candidates(cover, surf, f), junction).any() for f in wide)
+    assert len(wide) == 16
+    assert all(np.isin(trace_candidates(cover, surf, f), junction).any() for f in wide)
     f = wide[0]
     vertex = face_template(cover, surf, f)[0]
     for victim in (junction[0], vertex):
@@ -597,14 +594,13 @@ def dropped_ball(cover, surf, which):
 
 
 @pytest.fixture(scope="module")
-def broken_preset(preset_covers):
-    """Per dropped ball: the k = 0 preset cover without it, and the serial
+def broken_preset(preset_cover):
+    """Per dropped ball: the preset cover without it, and the serial
     result at 1,000 samples per face on the whole surface and at 3,000 and
     10^4 on the 400 faces around face FACE (a slice keeps the test short;
     the cover is whole).  3,000 samples make blocks of 21 faces, which do
     not divide 2^16 samples."""
-    surf, covers = preset_covers
-    cover = covers[0]
+    surf, cover = preset_cover
     rows = slice(FACE - 200, FACE + 200)
     near = dataclasses.replace(surf, faces=surf.faces[rows], corners=surf.corners[rows])
     out = {}
@@ -729,26 +725,24 @@ def test_coverage_certificate_of_a_radius_1e4_disk():
     assert got == orc.coverage_check(one, surf, n_samples=2000, seed=0)
 
 
-def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
+def test_certified_cells_pass_the_sample_test(preset_cover, jittered_cube, monkeypatch):
     """Brute force: every point of the 513 x 513 lattice k ell / 512 on the
     face square that lies in a closed certified cell (9 x 9 points per cell)
     passes coverage_check's float64 test against its template's disks.  Over
-    the preset's templates at k = 0 and 2, where every cell is certified, the
-    jittered cube's and the radius-1e4 disk's.  coverage_check certifies its
+    the preset's templates, where every cell is certified, the jittered
+    cube's and the radius-1e4 disk's.  coverage_check certifies its
     templates from the near disks, so the complete rows go through
-    _held_cells too: every face's of those two, and at k = 2, with every
-    centre moved by N(0, 0.01), those of the preset's 326 faces within 4
-    edges of a junction ball on every axis."""
+    _held_cells too: every face's of those two, and, with every centre of
+    the preset moved by N(0, 0.01), those of its faces within 4 edges of a
+    junction ball on every axis."""
     calls = record_certificates(monkeypatch)
-    surf, covers = preset_covers
-    for cover in covers.values():
-        coverage_check(cover, surf, n_samples=1, seed=0)
+    surf, cover = preset_cover
+    coverage_check(cover, surf, n_samples=1, seed=0)
     assert all(cert.all() for *_rows, cert in calls)
     cube_surf, cube = jittered_cube
     for one in (cube, big_ball(cube_surf, cube)):
         coverage_check(one, cube_surf, n_samples=1, seed=0)
         cv._held_cells(*complete_rows(one, cube_surf), float(one.unit))
-    cover = covers[2]
     moved = cover.centers + np.random.default_rng(0).normal(0.0, 0.01, cover.centers.shape)
     junction = cover.centers[cover.roles == ROLE_JUNCTION]
     near = (np.abs(junction[:, None] - surf.faces[:, :4]) <= 4).all(-1).any(0)
@@ -774,20 +768,19 @@ def test_certified_cells_pass_the_sample_test(preset_covers, jittered_cube, monk
                 open_ = ~(du * du + dv * dv < r2)  # the test of coverage_check, per disk
                 u, v = u[open_], v[open_]
             assert len(u) == 0
-    assert tested > 10**8
+    assert tested > 9 * 10**7
 
 
-def test_certified_quarters_pass_the_sample_test(preset_covers, jittered_cube, monkeypatch):
+def test_certified_quarters_pass_the_sample_test(preset_cover, jittered_cube, monkeypatch):
     """Brute force at the edge of the open area: every certified cell that is
     a quarter of a 2 x 2 block (a cell of side ell/32) with an open cell
     passes coverage_check's float64 test at the 9 x 9 points of the lattice
     k ell / 512 in it, against its template's disks, all quarters at once.
-    Over the preset's templates at k = 0 and 2, where every cell is
-    certified, the jittered cube's and the radius-1e4 disk's."""
+    Over the preset's templates, where every cell is certified, the
+    jittered cube's and the radius-1e4 disk's."""
     calls = record_certificates(monkeypatch)
-    surf, covers = preset_covers
-    for cover in covers.values():
-        coverage_check(cover, surf, n_samples=1, seed=0)
+    surf, cover = preset_cover
+    coverage_check(cover, surf, n_samples=1, seed=0)
     assert all(cert.all() for *_rows, cert in calls)
     cube_surf, cube = jittered_cube
     coverage_check(cube, cube_surf, n_samples=1, seed=0)
@@ -858,49 +851,44 @@ def count_words(monkeypatch):
     return counts
 
 
-def lattice_cover(make, k):
-    """(surface, cover at refinement k) of the complex make() builds."""
+def lattice_cover(make):
+    """(surface, cover) of the complex make() builds."""
     c = make()
-    surf = knot_surface(c)
-    return surf, build_cover(c, k=k)
+    return knot_surface(c), build_cover(c)
 
 
 # Lattice covers besides the preset's: the straight tube, the preset's
-# construction at big-cube edges 9 and 13, at k = 0 and 1, and the edge-3 cube
+# construction at big-cube edges 9 and 13, and the edge-3 cube
 LATTICE = {
-    **{f"tube-k{k}": (orc.straight_tube_complex, k) for k in (0, 1)},
-    **{f"edge{e}-k{k}": (functools.partial(spun_trefoil_preset, e), k)
-       for e in (9, 13) for k in (0, 1)},
-    "cube3": (lambda: degenerate_single_cube(3), 0),
+    "tube-k0": orc.straight_tube_complex,
+    **{f"edge{e}-k0": functools.partial(spun_trefoil_preset, e) for e in (9, 13)},
+    "cube3": lambda: degenerate_single_cube(3),
 }
 
 
-@pytest.mark.parametrize("case", [0, 2, *LATTICE], ids=str)
-def test_lattice_cover_draws_no_word(preset_covers, monkeypatch, case):
+@pytest.mark.parametrize("case", [0, *LATTICE], ids=str)
+def test_lattice_cover_draws_no_word(preset_cover, monkeypatch, case):
     """Every template of a lattice cover, from its near disks (the preset's
-    23 at k = 0 and 23 at k = 2: the junction balls are no near disk), has
-    every cell certified, so it is whole, and coverage advances the
-    generator past all its words and draws none."""
-    if case in LATTICE:
-        surf, cover = lattice_cover(*LATTICE[case])
-    else:
-        surf, cover = preset_covers[0], preset_covers[1][case]
+    23: the junction balls are no near disk), has every cell certified, so
+    it is whole, and coverage advances the generator past all its words and
+    draws none."""
+    surf, cover = lattice_cover(LATTICE[case]) if case in LATTICE else preset_cover
     calls = record_certificates(monkeypatch)
     counts = count_words(monkeypatch)
     assert coverage_check(cover, surf, n_samples=1000, seed=0) == (1.0, [])
     assert counts == {"drawn": 0, "advanced": 1000 * len(surf.faces)}
     whole = whole_templates(calls)
     assert whole.all()
-    if case in (0, 2):
-        assert len(whole) == {0: 23, 2: 23}[case]
+    if case == 0:
+        assert len(whole) == 23
 
 
-def test_preset_certifies_every_face_from_its_near_disks(preset_covers, monkeypatch):
-    """On the preset at k = 0 the near set hands _trace_disks each face's
+def test_preset_certifies_every_face_from_its_near_disks(preset_cover, monkeypatch):
+    """On the preset the near set hands _trace_disks each face's
     nine construction balls, 88,650 face-ball candidates, and keeps all
     88,650 disks; every template is whole, so no face reaches the complete
     search."""
-    surf, covers = preset_covers
+    surf, cover = preset_cover
     seen, kept, complete = [], [], []
     trace, octave = cv._trace_disks, cv._octave_pairs
 
@@ -916,7 +904,7 @@ def test_preset_certifies_every_face_from_its_near_disks(preset_covers, monkeypa
 
     monkeypatch.setattr(cv, "_trace_disks", trace_spy)
     monkeypatch.setattr(cv, "_octave_pairs", octave_spy)
-    assert coverage_check(covers[0], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert coverage_check(cover, surf, n_samples=1000, seed=0) == (1.0, [])
     assert (sum(seen), sum(kept)) == (88_650, 88_650)
     assert complete == [0]
 
@@ -1004,19 +992,19 @@ def test_coverage_of_a_perturbed_cube_matches_the_serial_form(sigma, seed, n_sam
 
 
 @pytest.mark.parametrize("which", DROPPED)
-def test_dropped_ball_draws_only_its_blocks(broken_preset, preset_covers, monkeypatch, which):
+def test_dropped_ball_draws_only_its_blocks(broken_preset, preset_cover, monkeypatch, which):
     """With one ball dropped, only the blocks that hold a face its trace disk
     met are drawn (at 1,000 samples, 65 faces a block), the others advanced
     past, and every missed face is one of those faces."""
-    surf, covers = preset_covers
+    surf, cover = preset_cover
     broken, reference = broken_preset[which]
     want = reference[1000][1]
-    victim = dropped_ball(covers[0], surf, which)
+    victim = dropped_ball(cover, surf, which)
     # the faces whose closed square the victim's open trace disk meets
-    d = covers[0].centers[victim] - surf.faces[:, :4]
+    d = cover.centers[victim] - surf.faces[:, :4]
     uv = np.take_along_axis(d, surf.faces[:, 4:], axis=1)
-    reach2 = covers[0].radii[victim] ** 2 - (d * d).sum(axis=1) + (uv * uv).sum(axis=1)
-    gap = np.maximum(np.maximum(-uv, uv - covers[0].unit), 0.0)
+    reach2 = cover.radii[victim] ** 2 - (d * d).sum(axis=1) + (uv * uv).sum(axis=1)
+    gap = np.maximum(np.maximum(-uv, uv - cover.unit), 0.0)
     met = np.flatnonzero((gap * gap).sum(axis=1) < reach2)
     assert FACE in met and {f for f, _pt in want[1]} <= set(met)
     counts = count_words(monkeypatch)
@@ -1040,16 +1028,13 @@ def test_one_face_per_block_matches_the_serial_form():
     assert got == orc.coverage_check(broken, surf, n_samples=70_000, seed=3)
 
 
-@pytest.mark.parametrize("case", ["preset-k0", "preset-k2", "cube3"])
-def test_face_balls_are_the_geometric_templates(preset_covers, case):
+@pytest.mark.parametrize("case", ["preset-k0", "cube3"])
+def test_face_balls_are_the_geometric_templates(preset_cover, case):
     """The construction incidence coverage_check certifies from: on the
-    preset at k = 0 and 2 and on the edge-3 cube, each face's balls from
-    BallCover.face_balls are the nine of its geometric template, and the
-    `face` labels are face_pattern_faces."""
-    if case == "cube3":
-        surf, cover = lattice_cover(*LATTICE[case])
-    else:
-        surf, cover = preset_covers[0], preset_covers[1][int(case[-1])]
+    preset, junction balls included, and on the edge-3 cube, each face's
+    balls from BallCover.face_balls are the nine of its geometric template,
+    and the `face` labels are face_pattern_faces."""
+    surf, cover = lattice_cover(LATTICE[case]) if case == "cube3" else preset_cover
     f, b = cover.face_balls(surf)
     assert np.array_equal(f, np.repeat(np.arange(len(surf.faces)), 9))
     assert np.array_equal(np.sort(b.reshape(-1, 9), axis=1),
@@ -1108,10 +1093,10 @@ def test_surface_corners_are_the_geometric_corners(name):
     assert not surf.corners.flags.writeable
 
 
-def test_coverage_looks_up_each_surface_vertex_once(preset_covers, monkeypatch):
+def test_coverage_looks_up_each_surface_vertex_once(preset_cover, monkeypatch):
     """On the preset, coverage_check makes one lattice lookup, of the
     surface's 9,852 vertices, not one per face corner."""
-    surf, covers = preset_covers
+    surf, cover = preset_cover
     shapes = []
     real = cv.lattice_index
 
@@ -1120,17 +1105,16 @@ def test_coverage_looks_up_each_surface_vertex_once(preset_covers, monkeypatch):
         return real(table, points)
 
     monkeypatch.setattr(cv, "lattice_index", spy)
-    assert coverage_check(covers[0], surf, n_samples=1000, seed=0) == (1.0, [])
+    assert coverage_check(cover, surf, n_samples=1000, seed=0) == (1.0, [])
     assert shapes == [(9852, 4)] and len(surf.vertices) == 9852
 
 
-def test_permuted_vertex_balls_still_certify_every_face(preset_covers, monkeypatch):
+def test_permuted_vertex_balls_still_certify_every_face(preset_cover, monkeypatch):
     """The corner balls come from the lattice lookup, not from row numbers:
-    the preset's k = 0 cover with its vertex balls stored in another row
+    the preset's cover with its vertex balls stored in another row
     order (centres, radii, roles, labels, hosts and `vertices` permuted
     together) still has 23 templates, all whole, and draws no word."""
-    surf, covers = preset_covers
-    cover = covers[0]
+    surf, cover = preset_cover
     n_v = len(cover.vertices)
     rows = np.concatenate([np.random.default_rng(5).permutation(n_v),
                            np.arange(n_v, len(cover))])
@@ -1182,24 +1166,99 @@ def test_coverage_rejects_fewer_than_one_sample(single_cube, n_samples):
         coverage_check(cover, surf, n_samples=n_samples)
 
 
-def test_preset_cover_junction_counts(preset_covers):
-    surf, covers = preset_covers
-    cover0 = covers[0]
-    counts = cover0.role_counts()
+def test_preset_cover_junction_counts(preset_cover):
+    surf, cover = preset_cover
+    counts = cover.role_counts()
     assert counts["vertex"] == surf.n_vertices
     assert counts["face"] == 5 * len(surf.faces)
     assert counts["junction"] == 2 * 4
-    cover2 = covers[2]
-    assert cover2.role_counts()["junction"] == 2 * (4 + 8 * 2)
-    # constant junction radius at every refinement level
-    jr = cover2.radii[cover2.roles == ROLE_JUNCTION]
+    jr = cover.radii[cover.roles == ROLE_JUNCTION]
     assert np.allclose(jr, closed_form_parameters(1.0)["junction_radius"])
 
 
+def junction_edges(cover):
+    """(junction, ends): the junction balls and, per junction ball, the two
+    vertex balls at the ends of its edge, half an edge away along the one
+    axis where both are vertex balls."""
+    junction = np.flatnonzero(cover.roles == ROLE_JUNCTION)
+    steps = cover.unit * np.eye(4)[:, None] * np.array([-0.5, 0.5])[:, None]  # (axis, end, 4)
+    ends = cover.vertex_balls(cover.centers[junction, None, None] + steps)
+    on_edge = (ends >= 0).all(axis=2)
+    assert (on_edge.sum(axis=1) == 1).all()
+    return junction, ends[on_edge]
+
+
+def junction_word_residuals(cover, junction, ends):
+    """Per junction ball j with edge ends v, v': the largest entry of
+    R_v R_v' R_v - R_j, the three reflections built in the balls' lz.frame."""
+    balls = np.column_stack([ends, junction])
+    shift, scale = lz.frame(cover.centers[balls], cover.radii[balls])
+    out = []
+    for b, c, s in zip(balls, shift, scale):
+        r_v, r_w, r_j = (orc.reflection(p) for p in
+                         lz.spheres((cover.centers[b] - c) / s, cover.radii[b] / s))
+        out.append(np.abs(r_v @ r_w @ r_v - r_j).max())
+    return np.array(out)
+
+
+def junction_points_outside_their_edge(cover, junction, ends, n=20_000, seed=0):
+    """Per junction ball, how many of n points drawn uniformly in the open
+    ball lie in neither vertex ball of its edge."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j, e in zip(junction, ends):
+        x = rng.normal(size=(n, 4))
+        x *= (cover.radii[j] * rng.random(n) ** 0.25 / np.linalg.norm(x, axis=1))[:, None]
+        p = cover.centers[j] + x
+        d2 = ((p[:, None] - cover.centers[e]) ** 2).sum(axis=2)
+        out.append(int((d2 >= cover.radii[e] ** 2).all(axis=1).sum()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["preset", "edge 11", "tube x8"])
+def test_junction_balls_are_redundant(preset_cover, case):
+    """ROADMAP item 19: each junction ball's reflection is R_v R_v' R_v of the
+    two vertex balls of its edge (its mirror is the third of their dihedral
+    group), to 1e-12 in their unit frame, and 20,000 sampled points of each
+    junction ball lie inside one of those two vertex balls, so the junction
+    balls change neither the group nor the union.  On the preset, the
+    edge-11 preset and the straight tube dilated by 8.  Controls: a junction
+    centre moved by 1e-3 ell along its edge breaks the identity, and a
+    junction radius raised by 10% leaves points outside both vertex balls."""
+    if case == "preset":
+        cover = preset_cover[1]
+    elif case == "edge 11":
+        cover = build_cover(spun_trefoil_preset(11))
+    else:
+        c = orc.straight_tube_complex()
+
+        def dilated(cube):
+            return Cube3(tuple(8 * x for x in cube.corner), 8 * cube.edge, cube.omitted_axis)
+        cover = build_cover(CubeComplex(tuple(map(dilated, c.big)), tuple(map(dilated, c.tube))))
+    junction, ends = junction_edges(cover)
+    assert len(junction) == 8
+    assert junction_word_residuals(cover, junction, ends).max() <= 1e-12
+    assert (junction_points_outside_their_edge(cover, junction, ends) == 0).all()
+
+    edge = cover.centers[ends[:, 1]] - cover.centers[ends[:, 0]]
+    moved = cover.centers.copy()
+    moved[junction] += 1e-3 * edge
+    assert (junction_word_residuals(dataclasses.replace(cover, centers=moved), junction,
+                                    ends) > 1e-4).all()
+    grown = cover.radii.copy()
+    grown[junction] *= 1.1
+    assert (junction_points_outside_their_edge(dataclasses.replace(cover, radii=grown),
+                                               junction, ends) > 0).all()
+
+
 def test_preset_cover_refinement_out_of_range():
+    """The junction balls have one level: build_cover refuses every k but 0,
+    before it builds anything."""
     c = spun_trefoil_preset()
-    with pytest.raises(CoverError):
-        build_cover(c, k=25)
+    for k in (1, 2, -1):
+        with pytest.raises(CoverError, match=rf"k={k}: .* one level, k=0 \(ROADMAP item 19\)"):
+            build_cover(c, k=k)
+    assert "_surface" not in vars(c)  # the surface is not built
 
 
 def test_host_cubes_contain_centers():
@@ -1213,12 +1272,12 @@ def test_host_cubes_contain_centers():
             assert lo - 1e-12 <= cover.centers[idx][a] <= hi + 1e-12
 
 
-@pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "straight tube", "single cube"])
-def test_host_cubes_match_the_cube_by_cube_reference(preset_covers, name):
+@pytest.mark.parametrize("name", ["preset k=0", "straight tube", "single cube"])
+def test_host_cubes_match_the_cube_by_cube_reference(preset_cover, name):
     """The lowest-index host of every ball centre, as one interval pass per
     cube finds it."""
     if name.startswith("preset"):
-        c, cover = spun_trefoil_preset(), preset_covers[1][int(name[-1])]
+        c, cover = spun_trefoil_preset(), preset_cover[1]
     else:
         c = orc.straight_tube_complex() if name == "straight tube" else degenerate_single_cube(3)
         cover = build_cover(c)

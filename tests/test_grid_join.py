@@ -22,8 +22,7 @@ import oracles as orc
 @pytest.fixture(scope="module")
 def preset():
     c = spun_trefoil_preset()
-    surf = knot_surface(c)
-    return surf, {k: build_cover(c, k=k) for k in (0, 2)}
+    return knot_surface(c), build_cover(c)
 
 
 def scrambled(cover, seed):
@@ -35,9 +34,9 @@ def scrambled(cover, seed):
 
 
 def balls(preset, name):
-    _surf, covers = preset
+    _surf, preset_cover = preset
     if name.startswith("scrambled"):
-        return scrambled(covers[0], int(name[-1]))
+        return scrambled(preset_cover, int(name[-1]))
     if name == "straight tube far":
         # copies of the first adjacent pair 1e6 away on every axis: each axis
         # of their octave's joins then spans far more cells per point than
@@ -48,8 +47,7 @@ def balls(preset, name):
         return (np.concatenate([cover.centers, cover.centers[pair] + 1e6]),
                 np.append(cover.radii, cover.radii[pair]))
     cover = {
-        "preset k=0": lambda: covers[0],
-        "preset k=2": lambda: covers[2],
+        "preset k=0": lambda: preset_cover,
         "edge 5": lambda: build_cover(spun_trefoil_preset(5)),
         "edge 11": lambda: build_cover(spun_trefoil_preset(11)),
         "straight tube": lambda: build_cover(orc.straight_tube_complex()),
@@ -74,7 +72,7 @@ def column_tables(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("name", ["preset k=0", "preset k=2", "edge 5", "edge 11",
+@pytest.mark.parametrize("name", ["preset k=0", "edge 5", "edge 11",
                                   "straight tube", "straight tube far", "single cube 3",
                                   "scrambled 0", "scrambled 1", "scrambled 2"])
 def test_near_pairs_equal_the_single_self_join(preset, name, column_tables):
@@ -104,8 +102,7 @@ def test_join_consumers_match_the_oracle_join(preset, oracle_join, column_tables
     """Coverage, the host cubes, the domain sampler and the Hausdorff
     distance read the join: each gives the same result through the oracle's,
     on the preset and on the orbit7 clouds at L = 7 and 6."""
-    surf, covers = preset
-    cover = covers[0]
+    surf, cover = preset
     c = spun_trefoil_preset()
     sch = gr.pairwise_disjoint_subassembly(cover, n=4)
     deep = ls.cloud_from_orbit(gr.orbit_spheres(sch, 7), np.inf)
@@ -153,7 +150,7 @@ def test_cross_group_search_reaches_the_completeness_bound(ratio):
 def test_near_pairs_memory_stays_at_the_oracle(preset):
     """The search yields its pairs in bounded slices: its traced peak on the
     preset stays within 1.1 times the single self-join's."""
-    cover = preset[1][0]
+    cover = preset[1]
     peaks = []
     for search in (orc.near_pairs, _near_pairs):
         tracemalloc.start()
@@ -213,9 +210,9 @@ def join_pairs(a, b, side):
 
 
 def octave_join(preset, x, y):
-    """The centres of radius octaves x and y of the preset's k=0 cover (the
+    """The centres of radius octaves x and y of the preset's cover (the
     smaller group first) and their join's cell side, as _near_pairs has them."""
-    cover = preset[1][0]
+    cover = preset[1]
     groups, top = cv._radius_octaves(cover.radii)
     side = math.sqrt(top[x] ** 2 + top[y] ** 2 + 2.3 * top[x] * top[y]) * (1.0 + 1e-9)
     ga, gb = sorted((groups[x], groups[y]), key=len)

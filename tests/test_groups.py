@@ -299,7 +299,7 @@ def assert_matches_reference(sub, max_length, label, dtypes=(float, np.longdoubl
 @pytest.fixture(scope="module")
 def preset_group():
     c = spun_trefoil_preset()
-    cover = build_cover(c, k=0)
+    cover = build_cover(c)
     return c, cover, assemble_group(c, cover)
 
 
@@ -847,8 +847,9 @@ def test_fundamental_domain_check_without_an_exterior_point(cube_group):
 
 def domain_reference(cover, budget, seed):
     """fundamental_domain_check as it was before its rejection sampler used
-    the grid join: every candidate point against every ball, 8192 balls at a
-    time."""
+    the grid join, every candidate point against every ball, 8192 balls at a
+    time, and before it sliced its checks: (report, the squared image
+    distances (generators, per_gen))."""
     rng = np.random.default_rng(seed)
     n = len(cover)
     per_gen = max(1, budget // n)
@@ -886,15 +887,32 @@ def domain_reference(cover, budget, seed):
         "n_sample_points": len(pts),
         "violations": violations,
         "ok": violations == 0 and len(pts) > 0 and checks > 0,
-    }
+    }, img_dist2
 
 
-@pytest.mark.parametrize("budget, seed", [(100_000, 0), (1_000, 5), (1_000_000, 2)])
+# 177,346 checks make per_gen odd on both covers: 3 on the preset's 59,110
+# balls and 4,667 on the cube's 38, and a generator straddles the cut of
+# the 2^17-check slices.
+@pytest.mark.parametrize("budget, seed", [(100_000, 0), (1_000, 5), (1_000_000, 2),
+                                          (177_346, 4)])
 def test_fundamental_domain_check_matches_dense_reference(cube_group, preset_group,
-                                                          budget, seed):
+                                                          monkeypatch, budget, seed):
+    """The report, and the squared image distances, bit for bit and in the
+    reference's generator-major order, whatever slices the checks run in."""
+    images = []
+    real = gr._image_dist2
+
+    def spy(c, r, p):
+        images.append(real(c, r, p))
+        return images[-1]
+
+    monkeypatch.setattr(gr, "_image_dist2", spy)
     for cover in (cube_group[1], preset_group[1]):
+        images.clear()
         got = fundamental_domain_check(cover, budget=budget, seed=seed)
-        assert got == domain_reference(cover, budget, seed)
+        want, img_dist2 = domain_reference(cover, budget, seed)
+        assert got == want and len(images) == -(-got["checks"] // gr.DOMAIN_SLICE)
+        assert np.concatenate(images).tobytes() == img_dist2.tobytes()
 
 
 def test_relations_are_one_int_array(cube_group):

@@ -117,7 +117,7 @@ def test_loxodromic_points_inside_hull(setup):
 @pytest.fixture(scope="module")
 def preset_subs():
     c = spun_trefoil_preset()
-    cover = build_cover(c, k=0)
+    cover = build_cover(c)
     group = assemble_group(c, cover)
     subs = {"schottky": pairwise_disjoint_subassembly(cover, n=4)}
     subs.update((f"amalgam {j}", subassembly(cover, group.amalgams[j].ball_ids))
