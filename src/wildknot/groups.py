@@ -499,7 +499,6 @@ def enumerate_words(sub, max_length, dtype=float):
     """
     k = len(sub.ball_ids)
     eye = np.eye(k, dtype=np.int64)
-    tits_gens = eye[None] - eye[:, :, None] * sub.cartan[:, None, :]  # s_g = I - e_g (2B)_g
     if np.dtype(dtype) == np.dtype(float):
         def step(m, g):
             return m @ sub.matrices[g]
@@ -531,7 +530,13 @@ def enumerate_words(sub, max_length, dtype=float):
         if len(f) * k * k > MAX_TITS_ENTRIES:
             raise GroupError(f"words of length {length + 1} need {len(f) * k * k} Tits entries "
                              f"({len(f)} candidates of {k} x {k}), past the cap {MAX_TITS_ENTRIES}")
-        cand = front[f] @ tits_gens[g]
+        # W s_g = W - (W e_g)(2B)_g, as s_g = I - e_g (2B)_g: updated in place
+        # on the gathered fronts, column by column, with no second (n, k, k)
+        # stack and one (n, k) product buffer for all k columns
+        cand, wg = front[f], front[f, :, g]
+        buf = np.empty_like(wg)
+        for j in range(k):
+            cand[:, :, j] -= np.multiply(wg, sub.cartan[g, j][:, None], out=buf)
         first, _ = _first_rows(_fold(np.add, cand.transpose(0, 2, 1)))  # the column sums
         room = max(0, MAX_ELEMENTS - n_words)
         truncated = len(first) > room  # then visited up to the first new product past the cap
@@ -713,13 +718,18 @@ def polyhedron_stages(sub, orbit, n_stages):
     are positive Tits roots: side b reflected in mirror g is b - (g^T 2B b) g,
     sign normalised.  Side counts come from the explicit side set: 2s - 2 on
     Schottky sub-assemblies (4, 6, 10, 18, 34), fewer where two sides are
-    mirror images (4, 6, 10, 16, 30, 52, 98 on a tube's amalgams).
+    mirror images (4, 6, 10, 16, 30, 52, 98 on a tube's amalgams).  At most
+    MAX_ELEMENTS sides are listed: a stage whose bound 2s - 2 passes the cap
+    raises GroupError before it is built.
     """
     sides = {tuple(r) for r in np.eye(len(sub.ball_ids), dtype=np.int64).tolist()}
     stages = [PolyhedronStage(0, -1, len(sides), tuple(sorted(sides)))]
     roots = orbit.roots
     used = set()
     for k in range(1, n_stages + 1):
+        if 2 * len(sides) - 2 > MAX_ELEMENTS:
+            raise GroupError(f"stage {k} can have up to {2 * len(sides) - 2} sides, past the "
+                             f"cap {MAX_ELEMENTS}")
         mirror_seq = next(  # rows become tuples lazily, in seq order
             (i for i in range(len(roots)) if i not in used and tuple(roots[i].tolist()) in sides),
             None,

@@ -48,7 +48,10 @@ the text of the per-field loops here, and for `cloud_to_json` the text of
 `cloud_to_json` here, one `json.dumps` of the whole document.  Alexander
 polynomials, now exact integer arithmetic in `alexander`, must equal the
 sympy computation here (`alexander_polynomial` and `nontriviality_verdict`,
-on `sympy.Poly`), error messages included.  The
+on `sympy.Poly`), error messages included, and `alexander.alexander_matrix`,
+one pass over each relator's exponent sums, must equal the abelianized
+group-ring Fox derivatives here (`group_ring_matrix`, from `fox_derivative`
+and `abelianize`), which the sympy computation reads too.  The
 Lorentz product `q`, the group inverse `inverse`, the
 point maps, random Moebius maps, the presentation and group-ring helpers,
 the single-cube complex, the cover less one ball, the complex-file loader
@@ -500,6 +503,47 @@ def ring_left_multiply(word, elem):
     return out
 
 
+# A group-ring element is a dict {reduced word: nonzero integer coefficient}.
+
+
+def ring_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + c
+        if out[w] == 0:
+            del out[w]
+    return out
+
+
+def fox_derivative(word, generator):
+    """Free Fox derivative d(word)/d(generator) as a group-ring element.
+
+    generator is a 1-based index. Satisfies d(uv) = d(u) + u d(v),
+    d(x)/d(x) = 1, d(x^-1)/d(x) = -x^-1.
+    """
+    if generator < 1:
+        raise ValueError("generator indices are 1-based")
+    result: dict[tuple[int, ...], int] = {}
+    prefix: tuple[int, ...] = ()
+    for g in word:
+        if g == generator:
+            result = ring_add(result, {prefix: 1})
+        elif g == -generator:
+            result = ring_add(result, {free_reduce(prefix + (g,)): -1})
+        prefix = free_reduce(prefix + (g,))
+    return result
+
+
+def abelianize(elem):
+    """Map a group-ring element into Z[t, 1/t] sending every generator to t,
+    as a dict {exponent: nonzero coefficient}."""
+    out: dict[int, int] = {}
+    for w, c in elem.items():
+        e = sum(1 if g > 0 else -1 for g in w)
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def connected_sum(p1, p2):
     """Presentation of the connected sum: free product with meridians merged.
 
@@ -518,8 +562,9 @@ def connected_sum(p1, p2):
 
 
 # The Alexander polynomial in sympy, as `alexander` computed it before its
-# integer arithmetic: sympy determinants of the Fox matrix, the Poly gcd of
-# the minors and the Smith normal form of the exponent-sum matrix.
+# integer arithmetic and its one-pass matrix: sympy determinants of the
+# matrix of group-ring Fox derivatives, the Poly gcd of the minors and the
+# Smith normal form of the exponent-sum matrix.
 
 
 def abelianization_is_infinite_cyclic(p):
@@ -538,6 +583,19 @@ def abelianization_is_infinite_cyclic(p):
     return p.n_generators - len(nonzero) == 1 and all(d == 1 for d in nonzero)
 
 
+def group_ring_matrix(p):
+    """`alexander.alexander_matrix` from the group-ring Fox derivatives: each
+    entry abelianized and multiplied by t^len(r), as its coefficient tuple."""
+    rows = []
+    for r in p.relators:
+        row = []
+        for j in range(p.n_generators):
+            d = {e + len(r): c for e, c in abelianize(fox_derivative(r, j + 1)).items()}
+            row.append(tuple(d.get(e, 0) for e in range(max(d, default=-1) + 1)))
+        rows.append(row)
+    return rows
+
+
 def normalized(poly):
     """`sympy.Poly` divided by the unit +-t^k that makes its lowest exponent
     0 and its leading coefficient positive."""
@@ -550,8 +608,6 @@ def alexander_polynomial(p):
     its ValueError messages."""
     import sympy
 
-    from wildknot.alexander import abelianize, fox_derivative
-
     if p.deficiency != 1:
         raise ValueError(f"need a deficiency-1 presentation, got deficiency {p.deficiency}")
     if not abelianization_is_infinite_cyclic(p):
@@ -559,11 +615,8 @@ def alexander_polynomial(p):
     t = sympy.Symbol("t")
     if not p.relators:
         return sympy.Poly(1, t)
-    mat = sympy.Matrix([
-        [sum(c * t ** (e + len(r)) for e, c in abelianize(fox_derivative(r, j + 1)).items())
-         for j in range(p.n_generators)]
-        for r in p.relators
-    ])
+    mat = sympy.Matrix([[sum(c * t**e for e, c in enumerate(entry)) for entry in row]
+                        for row in group_ring_matrix(p)])
     n = p.n_generators
     minors = [sympy.Poly(det, t) for j in range(n)
               if (det := mat[:, [k for k in range(n) if k != j]].det()) != 0]

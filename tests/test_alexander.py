@@ -82,32 +82,92 @@ words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(
 
 
 class TestFox:
+    """The oracle's group-ring Fox derivative, which `TestMatrix` and the
+    sympy oracle read."""
+
     def test_defining_rules(self):
-        assert ax.fox_derivative((1, 2), 1) == {(): 1}  # d(xy)/dx = 1
-        assert ax.fox_derivative((2,), 1) == {}  # d(y)/dx = 0
-        assert ax.fox_derivative((-1,), 1) == {(-1,): -1}  # d(x^-1)/dx = -x^-1
+        assert orc.fox_derivative((1, 2), 1) == {(): 1}  # d(xy)/dx = 1
+        assert orc.fox_derivative((2,), 1) == {}  # d(y)/dx = 0
+        assert orc.fox_derivative((-1,), 1) == {(-1,): -1}  # d(x^-1)/dx = -x^-1
 
     def test_trefoil_relator_derivative(self):
         # d(xyx y^-1 x^-1 y^-1)/dx = 1 + xy - xyxy^-1x^-1, abelianized 1 - t + t^2:
         # contributions 1 (first x), t^2 (prefix xy), -t (inverse letter x^-1
         # with prefix xyxy^-1), matching the trefoil polynomial up to unit.
-        deriv = ax.abelianize(ax.fox_derivative(ax.parse_word("abaBAB", 2), 1))
+        deriv = orc.abelianize(orc.fox_derivative(ax.parse_word("abaBAB", 2), 1))
         assert deriv == {0: 1, 1: -1, 2: 1}
 
     @given(words, words, st.sampled_from([1, 2, 3]))
     @settings(max_examples=200)
     def test_product_rule(self, u, v, g):
-        lhs = ax.fox_derivative(ax.free_reduce(tuple(u) + tuple(v)), g)
-        rhs = ax._ring_add(ax.fox_derivative(u, g), orc.ring_left_multiply(u, ax.fox_derivative(v, g)))
+        lhs = orc.fox_derivative(ax.free_reduce(tuple(u) + tuple(v)), g)
+        rhs = orc.ring_add(orc.fox_derivative(u, g),
+                           orc.ring_left_multiply(u, orc.fox_derivative(v, g)))
         assert lhs == rhs
 
     @given(words, st.sampled_from([1, 2, 3]))
     def test_derivative_of_inverse(self, w, g):
         # d(w^-1) = -w^-1 d(w)
         inv = ax.free_reduce(tuple(-g_ for g_ in reversed(w)))
-        lhs = ax.fox_derivative(inv, g)
-        rhs = {k: -c for k, c in orc.ring_left_multiply(inv, ax.fox_derivative(w, g)).items()}
+        lhs = orc.fox_derivative(inv, g)
+        rhs = {k: -c for k, c in orc.ring_left_multiply(inv, orc.fox_derivative(w, g)).items()}
         assert lhs == rhs
+
+
+def long_presentation(rng):
+    """1 to 4 generators and 1 or 2 freely reduced relators of 200 random
+    letters each."""
+    n = int(rng.integers(1, 5))
+    relators = []
+    for _ in range(int(rng.integers(1, 3))):
+        word = []
+        while len(word) < 200:
+            g = int(rng.integers(1, n + 1)) * int(rng.choice([1, -1]))
+            if not word or word[-1] != -g:
+                word.append(g)
+        relators.append(tuple(word))
+    return GroupPresentation(n, tuple(relators))
+
+
+class TestMatrix:
+    """The one-pass Alexander matrix against the abelianized group-ring Fox
+    derivatives of the oracle."""
+
+    @staticmethod
+    def presentations():
+        rng = np.random.default_rng(0)
+        yield from ax.PRESETS.values()
+        for _ in range(20_000):
+            yield orc.random_presentation(rng, int(rng.integers(0, 5)))
+        for _ in range(20):
+            yield long_presentation(rng)
+
+    def test_matches_group_ring_derivatives(self):
+        lengths = []
+        for p in self.presentations():
+            assert ax.alexander_matrix(p) == orc.group_ring_matrix(p), p
+            lengths += map(len, p.relators)
+        assert lengths.count(200) >= 20 and lengths.count(0) > 100
+
+    def test_one_inverted_letter_is_seen(self):
+        """Control: inverting one letter of one relator moves its generator's
+        exponent sum by 2, the entry's value at t = 1, so the oracle's matrix
+        of the changed presentation differs."""
+        rng = np.random.default_rng(1)
+        checked = 0
+        for p in self.presentations():
+            nonempty = [i for i, r in enumerate(p.relators) if r]
+            if not nonempty:
+                continue
+            i = nonempty[int(rng.integers(len(nonempty)))]
+            r = list(p.relators[i])
+            pos = int(rng.integers(len(r)))
+            r[pos] = -r[pos]
+            changed = GroupPresentation(p.n_generators, (*p.relators[:i], tuple(r),
+                                                         *p.relators[i + 1:]))
+            assert ax.alexander_matrix(p) != orc.group_ring_matrix(changed), p
+            checked += 1
+        assert checked > 15_000
 
 
 class TestAlexanderPolynomial:

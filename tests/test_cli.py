@@ -573,6 +573,19 @@ def test_malformed_input_fails_without_traceback(tube_complex, tmp_path, capsys,
     assert expected in capsys.readouterr().out
 
 
+def test_report_refuses_a_stage_past_the_side_cap(tube_complex, tmp_path, capsys, monkeypatch):
+    """With the cap lowered to 1,500 the default Schottky side counts 4, 6,
+    10, ..., 1,026 stop before stage 10's 2,050, which fails the stages
+    check and ends the run (12 stages, not 30, keep a run without the cap
+    small)."""
+    monkeypatch.setattr(gr, "MAX_ELEMENTS", 1500)
+    assert main(["report", "--complex", tube_complex, "--stages", "12",
+                 "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["FAIL stages: stage 10 can have up to 2050 sides, past the cap 1500",
+                          f"bundle written to {tmp_path / 'out'}"]
+
+
 def test_unknown_preset_fails_without_traceback(tmp_path, capsys):
     assert main(["build", "--preset", "foo", "--out", str(tmp_path)]) == 1
     assert "FAIL complex: unknown complex preset 'foo'" in capsys.readouterr().out

@@ -784,6 +784,23 @@ def test_polyhedron_stages(cube_group):
         assert mirror in prev.sides and mirror not in cur.sides
 
 
+@pytest.mark.parametrize("cap", [17, 18, 33, 34])
+def test_polyhedron_stages_refuse_a_stage_past_the_cap(cube_group, monkeypatch, cap):
+    """Stage k can have 2s - 2 sides, s those of stage k - 1: the first stage
+    whose bound passes MAX_ELEMENTS raises before it is built, and the stages
+    before it are the uncapped ones."""
+    _c, cover, _g = cube_group
+    sub = pairwise_disjoint_subassembly(cover, n=4)
+    orbit = orbit_spheres(sub, 4)
+    uncapped = polyhedron_stages(sub, orbit, 5)  # side counts 4, 6, 10, 18, 34, 66
+    first = next(s.k for s in uncapped if s.n_sides > cap)
+    monkeypatch.setattr(gr, "MAX_ELEMENTS", cap)
+    assert polyhedron_stages(sub, orbit, first - 1) == uncapped[:first]
+    with pytest.raises(GroupError, match=f"^stage {first} can have up to "
+                                         f"{uncapped[first].n_sides} sides, past the cap {cap}$"):
+        polyhedron_stages(sub, orbit, 5)
+
+
 def test_amalgam_stages_fall_below_the_schottky_recurrence(tube_cover):
     """Sides that are mirror images of each other count once, so every tube
     amalgam's side counts fall below 2s - 2 from stage 3 on."""
