@@ -7,11 +7,16 @@ within its radius of the limit set).  Loxodromic fixed points give a second,
 independent family of sample points that must land inside the same nested
 hull.  Clouds can be sliced along coordinate hyperplanes for 3D viewing and
 exported in CSV, PLY 1.0 ascii, or JSON with byte-deterministic output.
+A cloud keeps each point's provenance label as the integer row it is
+formatted from (a sphere index, a word), and formats the labels on their
+first read, so a cloud that is never written holds no per-point string.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
 import json
 import math
 
@@ -22,10 +27,42 @@ from .complexes import _fold
 from .cover import _grid_join
 
 
+class Provenance(collections.abc.Sequence):
+    """Per-point labels as a read-only sequence of strings: label i is
+    template % tuple(rows[i]) for an (n, k) integer array of rows and a
+    template with no newline.  len() formats nothing; the first indexed read
+    or iteration formats every label once and keeps the list."""
+
+    def __init__(self, template, rows):
+        self.template, self.rows = template, rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    @functools.cached_property
+    def _labels(self):
+        # one % over all rows, split at the newlines: a tuple per row costs twice as much
+        text = (self.template + "\n") * len(self.rows) % tuple(self.rows.ravel().tolist())
+        return text.split("\n")[:-1]
+
+    def __getitem__(self, i):
+        return self._labels[i]
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclasses.dataclass
 class PointCloud:
     points: np.ndarray  # (n, dim) finite coordinates
-    provenance: list  # one string per point
+    provenance: collections.abc.Sequence  # one label per point; a Provenance formats on first read
     generation: np.ndarray  # (n,) int
     n_infinite: int = 0  # points at infinity excluded from `points`
     notice: str | None = None
@@ -41,7 +78,7 @@ class PointCloud:
 def _empty_cloud(dim, notice=None):
     return PointCloud(
         points=np.zeros((0, dim)),
-        provenance=[],
+        provenance=Provenance("", np.zeros((0, 0), dtype=np.int64)),
         generation=np.zeros(0, dtype=np.int64),
         notice=notice,
     )
@@ -62,13 +99,13 @@ def cloud_from_orbit(orbit, eps, offset=None):
             notice=f"no orbit sphere has radius < {eps}; deepest radius is "
             f"{float(orbit.radii.min())} -- increase depth or eps",
         )
-    pts = orbit.centers[keep].copy()
+    pts = orbit.centers[keep]
     if offset is not None:
         pts += np.asarray(offset, dtype=float)[None, :]
     return PointCloud(
         points=pts,
-        provenance=[f"sphere_center({i})" for i in keep.tolist()],
-        generation=orbit.generation[keep].copy(),
+        provenance=Provenance("sphere_center(%d)", keep[:, None]),
+        generation=orbit.generation[keep],
     )
 
 
@@ -97,11 +134,11 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
     if k < 3 and word_length > 2:
         raise ValueError("need at least 3 generators for cyclically reduced words")
     cap = 50 * max(n, 1)
-    pts, provenance = [], []
-    skipped = n_infinite = attempts = 0
-    while len(provenance) < n and attempts < cap:
+    pts, found = [], []
+    skipped = n_infinite = attempts = n_found = 0
+    while n_found < n and attempts < cap:
         words = np.array([_cyclic_word(rng, k, word_length)
-                          for _ in range(min(n - len(provenance), cap - attempts))])
+                          for _ in range(min(n - n_found, cap - attempts))])
         attempts += len(words)
         m = np.eye(6)
         for letters in words.T:
@@ -112,14 +149,15 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         skipped += int((~lox).sum())
         n_infinite += int((lox & ~finite).sum())
         pts.append(att[finite] * sub.scale + sub.offset)
-        provenance += ["loxodromic_fixed(" + ",".join(map(str, w)) + ")"
-                       for w in words[finite].tolist()]
-    if not provenance:
+        found.append(words[finite])
+        n_found += len(found[-1])
+    if not n_found:
         return _empty_cloud(4, notice="no loxodromic words found"), skipped
     cloud = PointCloud(
         points=np.concatenate(pts),
-        provenance=provenance,
-        generation=np.full(len(provenance), word_length, dtype=np.int64),
+        provenance=Provenance("loxodromic_fixed(" + ",".join(["%d"] * word_length) + ")",
+                              np.concatenate(found)),
+        generation=np.full(n_found, word_length, dtype=np.int64),
         n_infinite=n_infinite,
     )
     return cloud, skipped
@@ -156,7 +194,13 @@ def hausdorff_one_sided(cloud_a, cloud_b):
     final once below s(1 - 1e-9): every point outside is s away, up to 1e-11
     cells of rounding.  The rest are searched again with s doubled.  Distances
     use the all-pairs expression, so the result is an all-pairs scan's, bit for bit.
+    A non-finite coordinate in either cloud raises ValueError, naming its row.
     """
+    for name, cloud in (("A", cloud_a), ("B", cloud_b)):
+        if not np.isfinite(cloud.points).all():
+            row = int(np.argmin(np.isfinite(cloud.points).all(axis=1)))
+            raise ValueError(f"cloud {name} has a non-finite point at row {row}: "
+                             f"{cloud.points[row].tolist()}")
     if len(cloud_a) == 0:
         return 0.0
     if len(cloud_b) == 0:
@@ -208,10 +252,15 @@ def slice_cloud(cloud, axis, value, thickness):
         return _empty_cloud(
             3, notice=f"no points within {thickness} of axis {axis} = {value}"
         )
+    provenance = cloud.provenance
+    if isinstance(provenance, Provenance):
+        provenance = Provenance(provenance.template, provenance.rows[keep])
+    else:
+        provenance = [provenance[i] for i in keep]
     return PointCloud(
         points=cloud.points[np.ix_(keep, other)],
-        provenance=[cloud.provenance[i] for i in keep],
-        generation=cloud.generation[keep].copy(),
+        provenance=provenance,
+        generation=cloud.generation[keep],
     )
 
 
@@ -297,9 +346,10 @@ def cloud_to_ply(cloud):
 def cloud_to_json(cloud):
     """json.dumps(doc, indent=2, sort_keys=True) + "\n" text of the cloud, with
     the points written from one template per point: each distinct coordinate
-    and each distinct provenance is formatted once.  The scalar head and the
-    empty cloud come from json.dumps itself; "points" sorts after the other
-    keys, so the points list closes the document."""
+    is formatted once, and each provenance is quoted by the function json.dumps
+    calls for a str (encode_basestring_ascii).  The scalar head and the empty
+    cloud come from json.dumps itself; "points" sorts after the other keys, so
+    the points list closes the document."""
     head = json.dumps({
         "dim": cloud.dim,
         "n_infinite": cloud.n_infinite,
@@ -313,8 +363,8 @@ def cloud_to_json(cloud):
     coords = "[\n" + ",\n".join(["        %s"] * dim) + "\n      ]" if dim else "[]"
     item = ('    {\n      "coords": ' + coords
             + ',\n      "generation": %d,\n      "provenance": %s\n    }')
-    names = {p: json.dumps(p) for p in set(cloud.provenance)}
     items = [item % row for row in zip(*_float_columns(cloud.points, _json_float),
                                         cloud.generation.tolist(),
-                                        (names[p] for p in cloud.provenance))]
+                                        map(json.encoder.encode_basestring_ascii,
+                                            cloud.provenance))]
     return head[: -len("[]\n}")] + "[\n" + ",\n".join(items) + "\n  ]\n}\n"

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -322,6 +324,37 @@ def test_hausdorff_empty_clouds():
     assert hausdorff_one_sided(_cloud([]), _cloud([])) == 0.0
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the main thread if the block runs past `seconds`."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_hausdorff_refuses_a_non_finite_point(bad):
+    """A non-finite coordinate in either cloud raises ValueError naming the
+    cloud and its first bad row, before any grid: +inf in B made the cell
+    side infinite and the doubling loop never ended, inf in A overflowed the
+    cell keys, and NaN was cast to int64."""
+    one, lone = _cloud([[1.0, 0, 0, 0]]), _cloud([[bad, 0, 0, 0]])
+    finite = _cloud([[1.0, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, 3.0, 0]])
+    odd = _cloud([[1.0, 0, 0, 0], [0, 0, 0, 0], [bad, 0, 0, 0], [0, bad, 0, 0]])
+    for a, b, name, row in ((one, lone, "B", 0), (lone, one, "A", 0), (finite, odd, "B", 2),
+                            (odd, finite, "A", 2), (odd, odd, "A", 2)):
+        with _within(1.0), pytest.raises(ValueError, match=f"cloud {name} .* row {row}:"):
+            hausdorff_one_sided(a, b)
+    assert hausdorff_one_sided(_cloud([[1.0, 0, 0, 0]]), _cloud([[4.0, 4.0, 0, 0]])) == 5.0
+
+
 def test_hausdorff_far_outlier():
     """One point of A far from a dense B needs many doublings of the cell
     side; the rest resolve at once."""
@@ -394,6 +427,70 @@ def test_slice_cloud(setup):
     for axis in (-1, 4):  # numpy would wrap -1 and keep all four axes
         with pytest.raises(ValueError, match="slice axis"):
             slice_cloud(cloud, axis, 0.0, 0.5)
+
+
+def _unread(view):
+    """The view has formatted no label yet."""
+    return isinstance(view, ls.Provenance) and "_labels" not in vars(view)
+
+
+def _eager_orbit(setup):
+    _cover, sub, orbit = setup
+    cloud = cloud_from_orbit(orbit, 0.1, offset=sub.offset)
+    return cloud, [f"sphere_center({i})" for i, r in enumerate(orbit.radii.tolist()) if r < 0.1]
+
+
+def _eager_loxodromic(name):
+    def build(preset_subs):
+        cloud, _skipped = loxodromic_points(preset_subs[name], 60, seed=5, word_length=6)
+        want, _skipped = orc.loxodromic_points(preset_subs[name], 60, seed=5, word_length=6)
+        return cloud, want.provenance
+    return build
+
+
+def _eager_slice(build):
+    """A slice across axis 0 at the cloud's first point, half as thick as
+    the spread of that coordinate, with the labels of the points it keeps."""
+    def sliced(*args):
+        cloud, want = build(*args)
+        value, thickness = cloud.points[0, 0], 0.5 * float(cloud.points[:, 0].std())
+        sl = slice_cloud(cloud, 0, value, thickness)
+        assert _unread(cloud.provenance) and 0 < len(sl) < len(cloud)
+        return sl, [w for w, p in zip(want, cloud.points[:, 0].tolist())
+                    if abs(p - value) <= thickness]
+    return sliced
+
+
+# name: (fixture, build(fixture) -> (cloud, labels built one at a time))
+PROVENANCE_CASES = {
+    "orbit, eps 0.1, offset": ("setup", _eager_orbit),
+    "loxodromic, amalgam 0": ("preset_subs", _eager_loxodromic("amalgam 0")),
+    "loxodromic, schottky": ("preset_subs", _eager_loxodromic("schottky")),
+    "slice of the orbit cloud": ("setup", _eager_slice(_eager_orbit)),
+    "slice of amalgam 0": ("preset_subs", _eager_slice(_eager_loxodromic("amalgam 0"))),
+    "slice of schottky": ("preset_subs", _eager_slice(_eager_loxodromic("schottky"))),
+    "empty": ("setup", lambda setup: (cloud_from_orbit(setup[2], 1e-12), [])),
+}
+
+
+@pytest.mark.parametrize("name", PROVENANCE_CASES)
+def test_provenance_view_reads_as_the_eager_labels(request, name):
+    """A cloud's provenance formats no label when the cloud is built or its
+    length read, and then reads as the list of labels built one at a time:
+    indexed (by a numpy integer and from the end), iterated, as a set, and
+    equal to that list from either side."""
+    fixture, build = PROVENANCE_CASES[name]
+    cloud, want = build(request.getfixturevalue(fixture))
+    view = cloud.provenance
+    assert _unread(view) and len(view) == len(want) == len(cloud) and _unread(view)
+    assert (len(want) > 0) == (name != "empty")
+    if want:
+        assert view[np.int64(len(want) // 2)] == want[len(want) // 2]
+        assert view[-1] == want[-1] and not _unread(view)
+    assert list(view) == want
+    assert view == want and want == view and not view != want
+    assert view != want + ["x"] and want + ["x"] != view
+    assert set(view) == set(want)
 
 
 def test_csv_roundtrip(setup):
