@@ -395,38 +395,43 @@ def pairwise_disjoint_subassembly(cover, n=4):
     return subassembly(cover, chosen)
 
 
-class Words(collections.abc.Sequence):
-    """The words of a table's rows as a read-only sequence of tuples: row i's
-    word is row prefix[i]'s followed by the letter last[i], and row 0 (prefix
-    -1) is the identity ().  `rows`, if given, picks the rows listed, in that
-    order.  len() builds no tuple; the first indexed read or iteration builds
-    every word once."""
+class RowView(collections.abc.Sequence):
+    """A read-only sequence built from an integer array `rows` by build(rows),
+    a list: len() builds nothing; the first indexed read or iteration builds
+    every item once and keeps the list.  It equals a list, or another view,
+    with the same items, and nothing else."""
 
-    def __init__(self, prefix, last, rows=None):
-        self.prefix, self.last, self.rows = prefix, last, rows
+    def __init__(self, rows, build):
+        self.rows, self.build = rows, build
 
     def __len__(self):
-        return len(self.prefix if self.rows is None else self.rows)
+        return len(self.rows)
 
     @functools.cached_property
-    def _tuples(self):
-        words = [()]
-        for p, g in zip(self.prefix[1:].tolist(), self.last[1:].tolist()):
-            words.append(words[p] + (g,))
-        return words if self.rows is None else [words[r] for r in self.rows.tolist()]
+    def _items(self):
+        return self.build(self.rows)
 
     def __getitem__(self, i):
-        return self._tuples[i]
+        return self._items[i]
 
     def __iter__(self):
-        return iter(self._tuples)
+        return iter(self._items)
 
     def __eq__(self, other):
-        if not isinstance(other, collections.abc.Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        if isinstance(other, RowView):
+            other = other._items
+        return self._items == other if isinstance(other, list) else NotImplemented
 
     __hash__ = None
+
+
+def _words(prefix, last, rows):
+    """The words of a table's rows: row i's word is row prefix[i]'s followed
+    by the letter last[i], and row 0 (prefix -1) is the identity ()."""
+    words = [()]
+    for p, g in zip(prefix[1:].tolist(), last[1:].tolist()):
+        words.append(words[p] + (g,))
+    return [words[r] for r in rows.tolist()]
 
 
 @dataclasses.dataclass
@@ -447,9 +452,10 @@ class WordTable:
 
     @functools.cached_property
     def words(self):
-        """Tuples of local generator indices, read from prefix and last;
-        words[0] == ()."""
-        return Words(self.prefix, self.last)
+        """Tuples of local generator indices, read from prefix and last: a
+        RowView over the table's rows, so len() builds no tuple; words[0] == ()."""
+        return RowView(np.arange(len(self.prefix)),
+                       functools.partial(_words, self.prefix, self.last))
 
 
 def enumerate_words(sub, max_length, dtype=float):
@@ -614,7 +620,7 @@ def faithfulness_scan(sub, max_length):
 
 @dataclasses.dataclass
 class OrbitTable:
-    words: Words  # acting word per sphere, () for the seeds; words.rows: its word table rows
+    words: RowView  # acting word per sphere, () for the seeds; words.rows: its word table rows
     seed: np.ndarray  # which generator sphere the word acts on
     roots: np.ndarray  # (n, k) positive Tits root naming each sphere
     centers: np.ndarray  # (n, 4), in the cover's units about the sub-assembly's offset
@@ -668,7 +674,7 @@ def orbit_spheres(sub, max_length):
         walls[at, length - 1] = seq_of[step[at]]
     word_of = rows // k
     return OrbitTable(
-        words=Words(table.prefix, table.last, word_of),
+        words=RowView(word_of, functools.partial(_words, table.prefix, table.last)),
         seed=rows % k,
         roots=roots[rows],
         centers=centers[rows] * sub.scale,

@@ -7,9 +7,10 @@ within its radius of the limit set).  Loxodromic fixed points give a second,
 independent family of sample points that must land inside the same nested
 hull.  Clouds can be sliced along coordinate hyperplanes for 3D viewing and
 exported in CSV, PLY 1.0 ascii, or JSON with byte-deterministic output.
-A cloud keeps each point's provenance label as the integer row it is
-formatted from (a sphere index, a word), and formats the labels on their
-first read, so a cloud that is never written holds no per-point string.
+A cloud's provenance is a `groups.RowView` over the integer rows its labels
+are formatted from (a sphere index, a word; a slice's rows pick its parent's
+labels), formatted on the first read, so a cloud that is never written holds
+no per-point string.  A plain list of strings is a valid provenance too.
 """
 
 from __future__ import annotations
@@ -25,44 +26,26 @@ import numpy as np
 from . import lorentz as lz
 from .complexes import _fold
 from .cover import _grid_join
+from .groups import RowView
 
 
-class Provenance(collections.abc.Sequence):
-    """Per-point labels as a read-only sequence of strings: label i is
-    template % tuple(rows[i]) for an (n, k) integer array of rows and a
-    template with no newline.  len() formats nothing; the first indexed read
-    or iteration formats every label once and keeps the list."""
+def _labels(template, rows):
+    """Label i is template % tuple(rows[i]), for a template with no newline:
+    one % over all rows, split at the newlines, as a tuple per row costs twice
+    as much."""
+    text = (template + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    return text.split("\n")[:-1]
 
-    def __init__(self, template, rows):
-        self.template, self.rows = template, rows
 
-    def __len__(self):
-        return len(self.rows)
-
-    @functools.cached_property
-    def _labels(self):
-        # one % over all rows, split at the newlines: a tuple per row costs twice as much
-        text = (self.template + "\n") * len(self.rows) % tuple(self.rows.ravel().tolist())
-        return text.split("\n")[:-1]
-
-    def __getitem__(self, i):
-        return self._labels[i]
-
-    def __iter__(self):
-        return iter(self._labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, collections.abc.Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
+def _pick(labels, rows):
+    """labels[i] for each i in rows."""
+    return [labels[i] for i in rows.tolist()]
 
 
 @dataclasses.dataclass
 class PointCloud:
     points: np.ndarray  # (n, dim) finite coordinates
-    provenance: collections.abc.Sequence  # one label per point; a Provenance formats on first read
+    provenance: collections.abc.Sequence  # one label per point: a RowView or a list
     generation: np.ndarray  # (n,) int
     n_infinite: int = 0  # points at infinity excluded from `points`
     notice: str | None = None
@@ -78,7 +61,7 @@ class PointCloud:
 def _empty_cloud(dim, notice=None):
     return PointCloud(
         points=np.zeros((0, dim)),
-        provenance=Provenance("", np.zeros((0, 0), dtype=np.int64)),
+        provenance=RowView(np.zeros((0, 0), dtype=np.int64), functools.partial(_labels, "")),
         generation=np.zeros(0, dtype=np.int64),
         notice=notice,
     )
@@ -104,7 +87,7 @@ def cloud_from_orbit(orbit, eps, offset=None):
         pts += np.asarray(offset, dtype=float)[None, :]
     return PointCloud(
         points=pts,
-        provenance=Provenance("sphere_center(%d)", keep[:, None]),
+        provenance=RowView(keep[:, None], functools.partial(_labels, "sphere_center(%d)")),
         generation=orbit.generation[keep],
     )
 
@@ -153,10 +136,10 @@ def loxodromic_points(sub, n, seed=0, word_length=6):
         n_found += len(found[-1])
     if not n_found:
         return _empty_cloud(4, notice="no loxodromic words found"), skipped
+    template = "loxodromic_fixed(" + ",".join(["%d"] * word_length) + ")"
     cloud = PointCloud(
         points=np.concatenate(pts),
-        provenance=Provenance("loxodromic_fixed(" + ",".join(["%d"] * word_length) + ")",
-                              np.concatenate(found)),
+        provenance=RowView(np.concatenate(found), functools.partial(_labels, template)),
         generation=np.full(n_found, word_length, dtype=np.int64),
         n_infinite=n_infinite,
     )
@@ -252,14 +235,9 @@ def slice_cloud(cloud, axis, value, thickness):
         return _empty_cloud(
             3, notice=f"no points within {thickness} of axis {axis} = {value}"
         )
-    provenance = cloud.provenance
-    if isinstance(provenance, Provenance):
-        provenance = Provenance(provenance.template, provenance.rows[keep])
-    else:
-        provenance = [provenance[i] for i in keep]
     return PointCloud(
         points=cloud.points[np.ix_(keep, other)],
-        provenance=provenance,
+        provenance=RowView(keep, functools.partial(_pick, cloud.provenance)),
         generation=cloud.generation[keep],
     )
 

@@ -247,7 +247,8 @@ def orbit_spheres_reference(sub, max_length, max_elements=2_000_000):
     for i, r in enumerate(rows):
         cand[i, : len(r[0])] = sorted(walls[r[0]])
     return gr.OrbitTable(
-        words=gr.Words(table.prefix, table.last, np.array([r[5] for r in rows])),
+        words=gr.RowView(np.array([r[5] for r in rows]),
+                         lambda picked: [words[i] for i in picked.tolist()]),
         seed=np.array([r[1] for r in rows]),
         roots=np.array([r[2] for r in rows]),
         centers=centers * sub.scale,
@@ -269,7 +270,7 @@ def assert_same_table(got, ref, label):
             assert a.dtype == b.dtype and np.array_equal(a, b), (label, field.name)
         else:
             assert a == b, (label, field.name)
-    assert isinstance(got.words, gr.Words) and list(got.words) == words, label
+    assert isinstance(got.words, gr.RowView) and list(got.words) == words, label
 
 
 def assert_prefix_rows(table, label):
@@ -498,17 +499,6 @@ def test_first_rows_verify_every_row_when_all_hashes_collide(rows):
     comparison tells the classes apart, one per round."""
     with mock.patch.object(cv, "_HASH_MUL", np.uint64(0)):
         _same_first_rows(rows)
-
-
-def test_word_counts_build_no_tuple(cube_group):
-    """len() of a table's or an orbit's words reads the row arrays only: the
-    tuples are built on the first indexed read, once."""
-    sub = pairwise_disjoint_subassembly(cube_group[1], n=4)
-    table, orbit = enumerate_words(sub, 3), orbit_spheres(sub, 3)
-    assert (len(table.words), len(orbit.words)) == (len(table.lengths), len(orbit.radii))
-    assert "_tuples" not in vars(table.words) and "_tuples" not in vars(orbit.words)
-    assert orbit.words[-1] == table.words[orbit.words.rows[-1]] and len(orbit.words[-1]) == 3
-    assert "_tuples" in vars(table.words) and "_tuples" in vars(orbit.words)
 
 
 def test_tits_entry_guard(cube_group, monkeypatch):

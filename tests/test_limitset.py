@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import signal
@@ -12,7 +13,9 @@ from wildknot import limitset as ls
 from wildknot import lorentz as lz
 from wildknot.cover import ROLE_VERTEX, build_cover
 from wildknot.groups import (
+    RowView,
     assemble_group,
+    enumerate_words,
     orbit_spheres,
     pairwise_disjoint_subassembly,
     polyhedron_stages,
@@ -430,8 +433,26 @@ def test_slice_cloud(setup):
 
 
 def _unread(view):
-    """The view has formatted no label yet."""
-    return isinstance(view, ls.Provenance) and "_labels" not in vars(view)
+    """The view has built no item yet."""
+    return isinstance(view, RowView) and "_items" not in vars(view)
+
+
+def _word(table, row):
+    """The word of a table row, read one letter at a time from its end."""
+    word = ()
+    while row > 0:
+        word, row = (int(table.last[row]),) + word, int(table.prefix[row])
+    return word
+
+
+def _table_words(setup):
+    table = enumerate_words(setup[1], 4)
+    return table.words, [_word(table, row) for row in range(len(table.lengths))]
+
+
+def _orbit_words(setup):
+    table, orbit = enumerate_words(setup[1], 4), orbit_spheres(setup[1], 4)
+    return orbit.words, [_word(table, row) for row in orbit.words.rows.tolist()]
 
 
 def _eager_orbit(setup):
@@ -448,41 +469,55 @@ def _eager_loxodromic(name):
     return build
 
 
+def _listed(build):
+    """The cloud with its provenance replaced by the labels as a plain list."""
+    def listed(*args):
+        cloud, want = build(*args)
+        return dataclasses.replace(cloud, provenance=list(want)), want
+    return listed
+
+
 def _eager_slice(build):
     """A slice across axis 0 at the cloud's first point, half as thick as
-    the spread of that coordinate, with the labels of the points it keeps."""
+    the spread of that coordinate, with the labels of the points it keeps;
+    slicing reads no label of a view."""
     def sliced(*args):
         cloud, want = build(*args)
         value, thickness = cloud.points[0, 0], 0.5 * float(cloud.points[:, 0].std())
         sl = slice_cloud(cloud, 0, value, thickness)
-        assert _unread(cloud.provenance) and 0 < len(sl) < len(cloud)
+        assert isinstance(cloud.provenance, list) or _unread(cloud.provenance)
+        assert 0 < len(sl) < len(cloud)
         return sl, [w for w, p in zip(want, cloud.points[:, 0].tolist())
                     if abs(p - value) <= thickness]
     return sliced
 
 
-# name: (fixture, build(fixture) -> (cloud, labels built one at a time))
-PROVENANCE_CASES = {
+# name: (fixture, build(fixture) -> (a view or a cloud, items built one at a time))
+ROW_VIEW_CASES = {
+    "table words": ("setup", _table_words),
+    "orbit words": ("setup", _orbit_words),
     "orbit, eps 0.1, offset": ("setup", _eager_orbit),
     "loxodromic, amalgam 0": ("preset_subs", _eager_loxodromic("amalgam 0")),
     "loxodromic, schottky": ("preset_subs", _eager_loxodromic("schottky")),
     "slice of the orbit cloud": ("setup", _eager_slice(_eager_orbit)),
     "slice of amalgam 0": ("preset_subs", _eager_slice(_eager_loxodromic("amalgam 0"))),
     "slice of schottky": ("preset_subs", _eager_slice(_eager_loxodromic("schottky"))),
+    "slice of a listed cloud": ("setup", _eager_slice(_listed(_eager_orbit))),
     "empty": ("setup", lambda setup: (cloud_from_orbit(setup[2], 1e-12), [])),
 }
 
 
-@pytest.mark.parametrize("name", PROVENANCE_CASES)
+@pytest.mark.parametrize("name", ROW_VIEW_CASES)
 def test_provenance_view_reads_as_the_eager_labels(request, name):
-    """A cloud's provenance formats no label when the cloud is built or its
-    length read, and then reads as the list of labels built one at a time:
-    indexed (by a numpy integer and from the end), iterated, as a set, and
-    equal to that list from either side."""
-    fixture, build = PROVENANCE_CASES[name]
-    cloud, want = build(request.getfixturevalue(fixture))
-    view = cloud.provenance
-    assert _unread(view) and len(view) == len(want) == len(cloud) and _unread(view)
+    """Every row view (a word table's and an orbit's words, a cloud's
+    provenance, a slice's) builds no item when it is made or its length
+    read, and then reads as the list of items built one at a time: indexed
+    (by a numpy integer and from the end), iterated, as a set, and equal to
+    that list from either side, but not to its tuple or its joined str."""
+    fixture, build = ROW_VIEW_CASES[name]
+    got, want = build(request.getfixturevalue(fixture))
+    view = got.provenance if isinstance(got, PointCloud) else got
+    assert _unread(view) and len(view) == len(want) == len(got) and _unread(view)
     assert (len(want) > 0) == (name != "empty")
     if want:
         assert view[np.int64(len(want) // 2)] == want[len(want) // 2]
@@ -490,6 +525,8 @@ def test_provenance_view_reads_as_the_eager_labels(request, name):
     assert list(view) == want
     assert view == want and want == view and not view != want
     assert view != want + ["x"] and want + ["x"] != view
+    for other in (tuple(want), "".join(map(str, want))):
+        assert view != other and other != view and not view == other
     assert set(view) == set(want)
 
 
